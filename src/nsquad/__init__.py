@@ -9,7 +9,6 @@ associated Hadamard finite-part (d = 0) quadrature rules.
 from .corrections import (
     CorrectionBreakdown,
     GEval,
-    correction_centered_closed,
     correction_offmesh_closed,
     correction_series_truncated,
     fd_derivatives,
@@ -21,8 +20,8 @@ from .emcoeff import (
     coeff_table,
     fk_series_oracle,
     pks_closed,
+    pks_quotients,
     pks_table,
-    zk_table,
     zks_table,
 )
 from .integrator import (
@@ -59,8 +58,6 @@ from .specfun import (
     digamma_complex,
     hurwitz_zeta_nonpos,
     trigamma,
-    zeta_h,
-    zeta_h_hurwitz,
 )
 
 __version__ = "0.1.0"
@@ -68,9 +65,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Mesh", "EdgeScheme", "gregory_weights", "punctured_trapezoid",
     "plain_trapezoid", "shifted_trapezoid", "left_rule", "right_rule",
-    "CoeffParams", "CoeffTable", "coeff_table", "zk_table", "zks_table",
-    "pks_table", "pks_closed", "fk_series_oracle",
-    "GEval", "CorrectionBreakdown", "correction_centered_closed",
+    "CoeffParams", "CoeffTable", "coeff_table", "zks_table",
+    "pks_table", "pks_closed", "pks_quotients", "fk_series_oracle",
+    "GEval", "CorrectionBreakdown",
     "correction_offmesh_closed", "correction_series_truncated",
     "hypersingular_offmesh", "fd_derivatives",
     "KernelParams", "QuadResult", "SelfCheckReport",
@@ -79,5 +76,5 @@ __all__ = [
     "ReferenceResult", "reference_integral", "exact_test1", "exact_test2",
     "complex_ei", "finite_part_reference",
     "bernoulli_number", "bernoulli_poly", "digamma", "digamma_complex",
-    "trigamma", "hurwitz_zeta_nonpos", "zeta_h", "zeta_h_hurwitz",
+    "trigamma", "hurwitz_zeta_nonpos",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -99,8 +100,10 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
     if config.integrand == "test2":
         return exact_test2(d, config.c, config.x_s)
     params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
-    # coarse pass fixes the scale; the tolerance is absolute
-    coarse = reference_integral(g, params, tol=1e-6).value
+    # the integral is O(pi/(c d)) g(x_s), beyond any absolute tolerance once
+    # d is small; the coarse pass fixes the scale for the fine one
+    scale = math.pi / (config.c * d) * abs(g.real_eval(config.x_s))
+    coarse = reference_integral(g, params, tol=1e-6 * max(1.0, scale)).value
     return reference_integral(g, params,
                               tol=1e-13 * max(1.0, abs(coarse))).value
 

@@ -17,16 +17,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _interp
-from .emcoeff import CoeffParams, pks_seeds, pks_table, zk_table
+from .emcoeff import CoeffParams, pks_quotients, pks_seeds, pks_table
 from .specfun import digamma, trigamma
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative the truncated series consumes
 
 # Below this, the removable first term of the off-mesh hypersingular formula
-# and the centered closed form's difference quotient are evaluated by series.
+# is evaluated by series.
 SMALL_S = 0.05
-SMALL_LAMH = 1e-2
+
+# The closed form's cancelling term Q carries a rounding error of about
+# eps * lam/(s^2 + lam^2) relative to the correction.  Above this ratio Q is
+# summed from its Taylor series through order Q_SERIES_ORDER instead; the
+# ratio then forces s^2 + lam^2 < 1/100, so the omitted terms are negligible.
+Q_SERIES_RATIO = 10.0
+Q_SERIES_ORDER = 8
 
 
 @dataclass
@@ -35,13 +41,11 @@ class GEval:
 
     real_eval samples g on the real line; complex_eval, when present, must
     agree with real_eval there and be analytic within `radius` of the points
-    where it is used.  derivs optionally carries precomputed g^(k) at the
-    near-singular point, k = 0..K.
+    where it is used.
     """
 
     real_eval: Callable[[float], float]
     complex_eval: Optional[Callable[[complex], complex]] = None
-    derivs: Optional[Sequence[float]] = None
     radius: float = 0.5
 
     @classmethod
@@ -106,80 +110,33 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
     return d / h ** k.astype(float)
 
 
-def g_taylor(g: GEval, x_s: float, kmax: int, h: float | None = None,
-             node: float | None = None) -> np.ndarray:
-    """Taylor coefficients a_k = g^(k)(x_s)/k!, k = 0..kmax, from the best source.
-
-    Preference: precomputed derivs, then contour sampling of complex_eval,
-    then a 9-point stencil of real samples (needs the mesh step h and the
-    puncture node location).
-    """
-    if g.derivs is not None and len(g.derivs) >= kmax + 1:
-        fact = np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
-        return np.asarray(g.derivs[:kmax + 1], dtype=float) / fact
-    if g.complex_eval is not None:
-        r = min(0.4, 0.8 * g.radius)
-        return taylor_coeffs(g.complex_eval, x_s, kmax + 1, r)
-    if h is not None:
-        if kmax > FD_DERIV_MAX:
-            raise ValueError(f"stencil derivatives available only through "
-                             f"order {FD_DERIV_MAX}")
-        center = x_s if node is None else node
-        offs = (np.arange(FD_STENCIL) - FD_STENCIL // 2) * h
-        samples = [g.real_eval(center + o) for o in offs]
-        d = fd_derivatives(samples, h, x_s - center)
-        fact = np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
-        return d[:kmax + 1] / fact
-    raise ValueError("no derivative source for g: supply derivs, complex_eval, "
-                     "or a mesh step for stencil estimation")
-
-
-def correction_centered_closed(g: GEval, c: float, d: float, h: float,
-                               x_s: float = 0.0) -> CorrectionBreakdown:
-    """Closed-form correction when the near singularity sits on a mesh node.
-
-    E = (1/c^2) Re[(g(x_s + i lam h) - g(x_s)) / (i lam h)^2] h
-        + (pi/(c d) - 2 z_0/(c^2 h)) Re[g(x_s + i lam h)],   lam = d/(c h).
-
-    Requires d > 0 and a complex evaluator for g.  When lam*h is small the
-    difference quotient is evaluated from Taylor coefficients of g, which
-    avoids the e_mach/(lam h)^2 cancellation amplification.
-    """
-    if d <= 0.0:
-        raise ValueError("correction_centered_closed requires d > 0 "
-                         "(d = 0 takes the finite-part path)")
+def g_taylor(g: GEval, x_s: float, kmax: int) -> np.ndarray:
+    """Taylor coefficients a_k = g^(k)(x_s)/k!, k = 0..kmax, from g's contour."""
     if g.complex_eval is None:
-        raise ValueError("closed-form correction needs a complex evaluator for g")
-    lam = d / (c * h)
-    lamh = lam * h
-    z0 = zk_table(CoeffParams(lam=lam, s=0.0, h=h, k_max=0))[0]
-    gval = complex(g.complex_eval(complex(x_s, lamh)))
-    re_g = gval.real
-    if lamh <= SMALL_LAMH:
-        a = g_taylor(g, x_s, 8)
-        u = lamh * lamh
-        quotient = a[2] - u * (a[4] - u * (a[6] - u * a[8]))
-    else:
-        g0 = g.real_eval(x_s)
-        quotient = -(re_g - g0) / (lamh * lamh)
-    singular = quotient * h / (c * c) - 2.0 * z0 / (c * c * h) * re_g
-    jump = math.pi / (c * d) * re_g
-    return _breakdown(singular, jump, 0, "closed-form")
+        raise ValueError("no derivative source for g: supply complex_eval, "
+                         "or pass stencil derivatives of the mesh samples")
+    r = min(0.4, 0.8 * g.radius)
+    return taylor_coeffs(g.complex_eval, x_s, kmax + 1, r)
 
 
 def correction_offmesh_closed(g: GEval, c: float, d: float, h: float,
                               s: float, x_s: float) -> CorrectionBreakdown:
-    """Closed-form correction for an off-mesh near singularity at x_s = node + s h.
+    """Closed-form correction for a near singularity at x_s = node + s h.
 
-    E = -(1/(c^2 h)) { (p_{0,s} + 1/(s^2+lam^2)) Re g(x_s + i lam h)
-                       - g(x_s - s h)/(s^2+lam^2)
-                       + (p_{1,s} - s/(s^2+lam^2)) Im g(x_s + i lam h)/lam }
-        + (pi/(c d)) Re g(x_s + i lam h).
+    With lam = d/(c h), G = g(x_s + i lam h) and g_node = g(x_s - s h):
 
-    The middle term samples g at the puncture node (x_s - s h).
+    E = -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
+    Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2).
+
+    This holds for every s in [-1/2, 1/2]; a target on a node is s = 0.  Q
+    is the only term that cancels.  When lam/(s^2 + lam^2) > Q_SERIES_RATIO
+    it is summed from its Taylor series sum_{k=2..8} q_k a_k h^k instead,
+    with the q_k of `pks_quotients` and contour coefficients a_k of g at
+    x_s; `terms_used` then reports the series order (0 otherwise).
     """
     if d <= 0.0:
-        raise ValueError("correction_offmesh_closed requires d > 0")
+        raise ValueError("correction_offmesh_closed requires d > 0 "
+                         "(d = 0 takes the finite-part path)")
     if not -0.5 <= s <= 0.5:
         raise ValueError("s must lie in [-1/2, 1/2]")
     if g.complex_eval is None:
@@ -188,48 +145,47 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float,
     lamh = lam * h
     p0, p1 = pks_seeds(lam, s)
     gval = complex(g.complex_eval(complex(x_s, lamh)))
-    g_node = g.real_eval(x_s - s * h)
     denom = s * s + lam * lam
-    bracket = ((p0 + 1.0 / denom) * gval.real
-               - g_node / denom
-               + (p1 - s / denom) * gval.imag / lam)
+    if lam > Q_SERIES_RATIO * denom:
+        q = pks_quotients(lam, s, Q_SERIES_ORDER)
+        a = g_taylor(g, x_s, Q_SERIES_ORDER)
+        quotient = 0.0
+        for k in range(Q_SERIES_ORDER, 1, -1):
+            quotient += q[k] * a[k] * h ** k
+        terms = Q_SERIES_ORDER
+    else:
+        g_node = g.real_eval(x_s - s * h)
+        quotient = (gval.real - g_node - s / lam * gval.imag) / denom
+        terms = 0
+    bracket = p0 * gval.real + p1 * gval.imag / lam + quotient
     singular = -bracket / (c * c * h)
     jump = math.pi / (c * d) * gval.real
-    return _breakdown(singular, jump, 0, "closed-form")
+    return _breakdown(singular, jump, terms, "closed-form")
 
 
 def correction_series_truncated(g: GEval, c: float, d: float, h: float,
                                 s: float, x_s: float, K: int = FD_DERIV_MAX,
-                                derivs: Sequence[float] | None = None,
-                                node: float | None = None) -> CorrectionBreakdown:
+                                derivs: Sequence[float] | None = None
+                                ) -> CorrectionBreakdown:
     """Truncated-series correction through derivative order K.
 
-    Centered (s = 0): even terms with coefficients 2 z_{2k}; off-mesh: all
-    terms with coefficients p_{k,s}.  The jump series is truncated at the
-    same K.  Derivatives of g at x_s come from `derivs`, or from the g
-    object (precomputed derivatives, complex evaluator, or a 9-point real
-    stencil when the mesh step is known).
+    Singular terms carry the coefficients p_{k,s} for every s (at s = 0
+    these are 2 z_k on even k and 0 on odd k).  The jump series is
+    truncated at the same K.  Derivatives of g at x_s come from `derivs`,
+    or else by contour sampling of g.complex_eval.
     """
     if d <= 0.0:
         raise ValueError("series correction requires d > 0")
-    if K > 32:
-        raise ValueError("K exceeds the coefficient-table range")
     lam = d / (c * h)
+    p = pks_table(CoeffParams(lam=lam, s=s, h=h, k_max=K))
     if derivs is not None:
         fact = np.array([math.factorial(k) for k in range(K + 1)], dtype=float)
         a = np.asarray(derivs[:K + 1], dtype=float) / fact
     else:
-        a = g_taylor(g, x_s, K, h=h, node=node)
-    params = CoeffParams(lam=lam, s=s, h=h, k_max=K)
+        a = g_taylor(g, x_s, K)
     singular = 0.0
-    if s == 0.0:
-        z = zk_table(params)
-        for k2 in range(0, K + 1, 2):
-            singular -= 2.0 * z[k2] * a[k2] * h ** (k2 - 1) / (c * c)
-    else:
-        p = pks_table(params)
-        for k in range(K + 1):
-            singular -= p[k] * a[k] * h ** (k - 1) / (c * c)
+    for k in range(K + 1):
+        singular -= p[k] * a[k] * h ** (k - 1) / (c * c)
     jump_sum = 0.0
     ratio = -(d * d) / (c * c)
     for k2 in range(0, K + 1, 2):
@@ -249,7 +205,8 @@ def hypersingular_offmesh(g: GEval, h: float, s: float, x_s: float | None = None
     By default the puncture node is the origin (x_s = s h).  For |s| below
     SMALL_S the removable first term is evaluated by its Taylor series
     (leading term g''(x_s) h / 2), which is exact at s = 0 and avoids
-    catastrophic cancellation for small offsets.
+    catastrophic cancellation for small offsets.  Derivatives of g at x_s
+    come from `derivs`, or else by contour sampling of g.complex_eval.
     """
     if not -0.5 <= s <= 0.5:
         raise ValueError("s must lie in [-1/2, 1/2]")
@@ -263,7 +220,7 @@ def hypersingular_offmesh(g: GEval, h: float, s: float, x_s: float | None = None
         if len(a) < kmax + 1:
             raise ValueError(f"need derivatives through order {kmax}")
     else:
-        a = g_taylor(g, x_s, max(kmax, 2), h=h, node=node)
+        a = g_taylor(g, x_s, max(kmax, 2))
     g_s = g.real_eval(x_s)
     gp = a[1]
     if abs(s) <= SMALL_S:

@@ -1,9 +1,9 @@
 """Correction-coefficient engines.
 
-Three families of numbers drive the trapezoidal corrections: z_k for an
-on-mesh near singularity, the shifted z_{k,s} for an off-mesh one, and
-their symmetric combination p_{k,s} = z_{k,-s} + (-1)^k z_{k,s}.  Each is
-seeded by digamma values at 1 +/- s - i*lambda and extended downward by a
+One family of numbers drives the trapezoidal corrections: the shifted
+z_{k,s} (an on-mesh near singularity is the point s = 0) and their
+symmetric combination p_{k,s} = z_{k,-s} + (-1)^k z_{k,s}.  Each is seeded
+by digamma values at 1 +/- s - i*lambda and extended downward by a
 two-term recurrence; closed forms and truncated-series oracles are kept
 alongside for cross-checking.
 """
@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (
-    EULER_GAMMA,
-    ZETA_2,
-    digamma,
-    digamma_complex,
-    hurwitz_zeta_nonpos,
-    trigamma,
-    zeta_nonpos,
-)
+from .specfun import digamma, digamma_complex, hurwitz_zeta_nonpos, trigamma
 
 K_MAX_DEFAULT = 12
 K_MAX_LIMIT = 32
@@ -55,7 +48,7 @@ class CoeffParams:
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """z_k, z_{k,+s}, z_{k,-s} and p_{k,s} for k = 0..k_max at fixed (lam, s, h)."""
+    """z_k = z_{k,0}, z_{k,+s}, z_{k,-s} and p_{k,s} for k = 0..k_max at fixed (lam, s, h)."""
 
     params: CoeffParams
     zk: np.ndarray
@@ -80,31 +73,6 @@ def conditioning_warnings(params: CoeffParams) -> tuple[str, ...]:
         return ()
     return (f"recurrence loss of significance may exceed {_LOSS_WARN_THRESHOLD:g} "
             f"for k >= {bad[0]} at lam = {params.lam:g}",)
-
-
-def zk_table(params: CoeffParams) -> np.ndarray:
-    """Coefficients z_0..z_k_max for the on-mesh near-singular correction.
-
-    Seeds: z_0 = -Im psi(1 - i lam)/lam, z_1 = -Re psi(1 - i lam) - log h;
-    then z_k = zeta(2 - k) - lam^2 z_{k-2}.  At lam = 0 the analytic limits
-    z_k = zeta_h(2 - k) are used instead of dividing by lam.
-    """
-    lam, h, kmax = params.lam, params.h, params.k_max
-    z = np.empty(kmax + 1)
-    if lam == 0.0:
-        vals = [ZETA_2, EULER_GAMMA - math.log(h)]
-        z[:len(vals[:kmax + 1])] = vals[:kmax + 1]
-        for k in range(2, kmax + 1):
-            z[k] = zeta_nonpos(k - 2)
-        return z
-    psi = digamma_complex(complex(1.0, -lam))
-    z[0] = -psi.imag / lam
-    if kmax >= 1:
-        z[1] = -psi.real - math.log(h)
-    lam2 = lam * lam
-    for k in range(2, kmax + 1):
-        z[k] = zeta_nonpos(k - 2) - lam2 * z[k - 2]
-    return z
 
 
 def zks_table(params: CoeffParams) -> np.ndarray:
@@ -164,34 +132,37 @@ def pks_table(params: CoeffParams) -> np.ndarray:
     return p
 
 
-def pks_closed(params: CoeffParams) -> np.ndarray:
-    """Closed-form p_{k,s} from the seeds alone.
+def pks_quotients(lam: float, s: float, k_max: int) -> np.ndarray:
+    """Rational parts q_0..q_k_max of p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}, m = floor(k/2).
 
-    p_{2k,s}   = -(s^2k - (-lam^2)^k)/(s^2 + lam^2) + (-lam^2)^k p_{0,s}
-    p_{2k+1,s} =  (s^(2k+1) - (-lam^2)^k s)/(s^2 + lam^2) + (-lam^2)^k p_{1,s}
+    q_{2m}   = -(s^2m - (-lam^2)^m)/(s^2 + lam^2)
+    q_{2m+1} =  s (s^2m - (-lam^2)^m)/(s^2 + lam^2)
 
-    The rational prefactors are evaluated through the exact polynomial
-    quotient of s^2k - (-lam^2)^k by s^2 + lam^2, which keeps the expression
-    finite and stable as (s, lam) -> (0, 0).
+    Each is evaluated through the exact polynomial quotient, which keeps it
+    finite and stable as (s, lam) -> (0, 0); q_0 = q_1 = 0.  The same q_k
+    are the Taylor coefficients of the closed form's cancelling term.
     """
-    lam, s, kmax = params.lam, params.s, params.k_max
-    p0, p1 = pks_seeds(lam, s)
     mlam2 = -lam * lam
     s2 = s * s
-    p = np.empty(kmax + 1)
-    p[0] = p0
-    if kmax >= 1:
-        p[1] = p1
-    for k in range(2, kmax + 1):
+    q = np.zeros(k_max + 1)
+    for k in range(2, k_max + 1):
         m, odd = divmod(k, 2)
-        # quotient = (s^2m - (-lam^2)^m) / (s^2 + lam^2), expanded exactly
         quotient = 0.0
         for i in range(m):
             quotient += s2 ** i * mlam2 ** (m - 1 - i)
-        if odd:
-            p[k] = s * quotient + mlam2 ** m * p1
-        else:
-            p[k] = -quotient + mlam2 ** m * p0
+        q[k] = s * quotient if odd else -quotient
+    return q
+
+
+def pks_closed(params: CoeffParams) -> np.ndarray:
+    """Closed-form p_{k,s} from the seeds alone, p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}."""
+    lam, s, kmax = params.lam, params.s, params.k_max
+    seeds = pks_seeds(lam, s)
+    p = pks_quotients(lam, s, kmax)
+    mlam2 = -lam * lam
+    for k in range(kmax + 1):
+        m, odd = divmod(k, 2)
+        p[k] += mlam2 ** m * seeds[odd]
     return p
 
 
@@ -201,7 +172,7 @@ def coeff_table(params: CoeffParams) -> CoeffTable:
     zk_minus = zks_table(replace(params, s=-params.s))
     return CoeffTable(
         params=params,
-        zk=zk_table(params),
+        zk=zks_table(replace(params, s=0.0)),
         zks=zks,
         zk_minus_s=zk_minus,
         pks=pks_table(params),
@@ -209,11 +180,14 @@ def coeff_table(params: CoeffParams) -> CoeffTable:
     )
 
 
-def _zeta_h_general(order: int, offset: float, h: float):
+@lru_cache(maxsize=4096)
+def _zeta_h_general(order: int, offset: float, h: float, dps: int):
     """Modified (Hurwitz) zeta at arbitrary integer order, via mpmath.
 
     Test-oracle helper: deliberately routed through an independent library
-    rather than the package's own zeta values.
+    rather than the package's own zeta values.  `dps` must be the current
+    mpmath working precision; it keys the cache, which serves the series
+    oracle's repeated orders across k.
     """
     import mpmath as mp
 
@@ -250,7 +224,7 @@ def fk_series_oracle(k: int, z: complex, h: float, m_max: int | None = None,
         acc = mp.mpc(0)
         zpow = mp.mpc(1)
         for m in range(m_max + 1):
-            term = zpow * _zeta_h_general(2 * m + 2 - k, offset, h)
+            term = zpow * _zeta_h_general(2 * m + 2 - k, offset, h, mp.mp.dps)
             acc += term
             if m > k and abs(term) < 1e-22 * max(1.0, abs(acc)):
                 break

@@ -2,8 +2,8 @@
 
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
 mesh half-count n, these routines build the punctured trapezoidal sum,
-select the matching correction (centered or off-mesh, closed-form or
-finite-difference series) and return the corrected value with a breakdown.
+select the matching correction (closed-form or finite-difference series)
+and return the corrected value with a breakdown.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .corrections import (
     CorrectionBreakdown,
     GEval,
     _breakdown,
-    correction_centered_closed,
     correction_offmesh_closed,
     correction_series_truncated,
     fd_derivatives,
@@ -33,9 +32,6 @@ from .specfun import hurwitz_zeta_nonpos
 METHODS = ("auto", "closed-form", "fd-series")
 
 _EPS = np.finfo(float).eps
-# When s^2 + lam^2 is this small the off-mesh closed form loses too many
-# digits to cancellation; the equivalent high-order series is used instead.
-_CLOSED_FORM_DENOM_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,6 +44,10 @@ class KernelParams:
     x_s: float = 0.0
 
     def __post_init__(self):
+        for name in ("a", "c", "d", "x_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.a <= 0.0 or self.c <= 0.0:
             raise ValueError("a and c must be positive")
         if self.d < 0.0:
@@ -55,6 +55,10 @@ class KernelParams:
                              "negate the jump part for the d < 0 operator limit)")
         if not abs(self.x_s) < self.a:
             raise ValueError("x_s must lie strictly inside (-a, a)")
+        cd = self.c * self.d
+        if self.d > 0.0 and (cd == 0.0 or math.isinf(math.pi / cd)):
+            raise ValueError(f"d = {self.d!r} is too small for c = {self.c!r}: "
+                             f"the jump pi/(c d) overflows")
 
 
 @dataclass(frozen=True)
@@ -121,13 +125,15 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
                             scheme: EdgeScheme = DEFAULT_SCHEME) -> QuadResult:
     """Corrected punctured-trapezoidal value of the near-singular integral.
 
-    The puncture is the mesh node nearest x_s; the correction is centered
-    when x_s falls exactly on a node and off-mesh otherwise.  `method`
-    selects the closed-form correction (requires g.complex_eval), the
-    finite-difference series with derivatives through order 6, or `auto`
+    The puncture is the mesh node nearest x_s, at offset s in [-1/2, 1/2]
+    (s = 0 on a node).  `method` selects the closed-form correction
+    (requires g.complex_eval), the finite-difference series with derivatives
+    through order 6 from the 9 mesh samples nearest the puncture, or `auto`
     (closed-form when a complex evaluator is available).
 
-    d = 0 requests route to the finite-part formulas with the jump omitted.
+    d = 0 requests route to the finite-part formulas with the jump omitted;
+    g's derivatives there come from its contour when g.complex_eval exists
+    and method is not "fd-series", else from the same 9-point stencil.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -144,34 +150,30 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     gvals, f = _kernel_samples(g, params, mesh, j)
     uncorrected = punctured_trapezoid(mesh, f, puncture=j, scheme=scheme)
 
+    # one derivative source per call: the contour of g.complex_eval, or the
+    # stencil of the samples already taken
+    derivs = None
+    if g.complex_eval is None or method == "fd-series":
+        derivs = _stencil_derivs(gvals, mesh, j, params.x_s)
     c, d = params.c, params.d
     if d == 0.0:
-        e_unit = hypersingular_offmesh(g, h, s, x_s=params.x_s)
+        e_unit = hypersingular_offmesh(g, h, s, x_s=params.x_s, derivs=derivs)
         breakdown = _breakdown(e_unit / (c * c), 0.0, 0, "finite-part")
         used = "finite-part"
+    elif derivs is None or method == "closed-form":
+        # raises for a real-only g, which has no closed form
+        breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s)
+        if breakdown.terms_used:
+            warnings.append("closed form ill-conditioned for small s^2 + lam^2; "
+                            "summed its cancelling term in series form")
+        used = "closed-form"
     else:
-        use_closed = method == "closed-form" or (
-            method == "auto" and g.complex_eval is not None)
-        if use_closed:
-            lam = d / (c * h)
-            if s == 0.0:
-                breakdown = correction_centered_closed(g, c, d, h, x_s=params.x_s)
-            elif s * s + lam * lam < _CLOSED_FORM_DENOM_MIN:
-                warnings.append("off-mesh closed form ill-conditioned for "
-                                "tiny s and lam; used the series form")
-                breakdown = correction_series_truncated(
-                    g, c, d, h, s, params.x_s, K=10)
-            else:
-                breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s)
-            used = "closed-form"
-        else:
-            derivs = _stencil_derivs(gvals, mesh, j, params.x_s)
-            breakdown = correction_series_truncated(
-                g, c, d, h, s, params.x_s, K=FD_DERIV_MAX, derivs=derivs)
-            used = "fd-series"
-            lam = d / (c * h)
-            warnings.extend(conditioning_warnings(
-                CoeffParams(lam=lam, s=abs(s), h=h, k_max=FD_DERIV_MAX)))
+        breakdown = correction_series_truncated(
+            g, c, d, h, s, params.x_s, K=FD_DERIV_MAX, derivs=derivs)
+        used = "fd-series"
+        lam = d / (c * h)
+        warnings.extend(conditioning_warnings(
+            CoeffParams(lam=lam, s=abs(s), h=h, k_max=FD_DERIV_MAX)))
 
     summary = MeshSummary(params.a, n, h, j, s)
     return QuadResult(uncorrected + breakdown.total, uncorrected, breakdown,

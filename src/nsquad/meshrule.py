@@ -1,7 +1,6 @@
 """Uniform meshes on [-a, a] and the punctured / shifted trapezoidal rules.
 
-The rules here carry only *endpoint* corrections (Gregory weights by
-default, Bernoulli-derivative corrections as an alternative).  Interior
+The rules here carry only *endpoint* corrections (Gregory weights).  Interior
 singular corrections are assembled elsewhere; a rule in this module treats
 its samples as those of a smooth function except possibly at one punctured
 node.
@@ -9,18 +8,15 @@ node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from . import _interp
-from .specfun import bernoulli_fraction, bernoulli_number, bernoulli_poly_fraction
+from .specfun import bernoulli_fraction, bernoulli_poly_fraction
 
 GREGORY_ORDERS = (2, 4, 6, 8, 10)
-BERNOULLI_ORDERS = (2, 4, 6, 8, 10, 12, 14, 16)
 
 
 @dataclass(frozen=True)
@@ -51,25 +47,19 @@ class Mesh:
 
 @dataclass(frozen=True)
 class EdgeScheme:
-    """Endpoint-correction scheme: Gregory weights or Bernoulli-derivative terms.
+    """Endpoint-correction scheme: Gregory weights, the only kind.
 
-    For the Gregory kind, ``order`` is the polynomial degree the corrected
-    rule integrates exactly; for the Bernoulli kind it is the highest h^{2k}
-    power retained (derivatives f', f''', ..., f^(order-1) at the ends).
+    ``order`` is the polynomial degree the corrected rule integrates exactly.
     """
 
     kind: str = "gregory"
     order: int = 8
 
     def __post_init__(self):
-        if self.kind == "gregory":
-            if self.order not in GREGORY_ORDERS:
-                raise ValueError(f"gregory order must be one of {GREGORY_ORDERS}")
-        elif self.kind == "bernoulli":
-            if self.order not in BERNOULLI_ORDERS:
-                raise ValueError(f"bernoulli order must be one of {BERNOULLI_ORDERS}")
-        else:
+        if self.kind != "gregory":
             raise ValueError(f"unknown edge scheme kind {self.kind!r}")
+        if self.order not in GREGORY_ORDERS:
+            raise ValueError(f"gregory order must be one of {GREGORY_ORDERS}")
 
 
 DEFAULT_SCHEME = EdgeScheme("gregory", 8)
@@ -134,89 +124,42 @@ def _offset_edge_weights(order: int, q: float) -> np.ndarray:
     return np.array(_offset_weight_tuple(order, frac.numerator, frac.denominator))
 
 
-def _bernoulli_edge_sum(order: int, derivs: np.ndarray, h: float) -> float:
-    # sum_{k=1}^{order/2} B_{2k}/(2k)! f^{(2k-1)} h^{2k}
-    acc = 0.0
-    for k in range(order // 2, 0, -1):
-        acc += bernoulli_number(2 * k) / math.factorial(2 * k) * derivs[k - 1] * h ** (2 * k)
-    return acc
-
-
-def _onesided_odd_derivs(samples: np.ndarray, h: float, order: int,
-                         at_left: bool) -> np.ndarray:
-    """Odd derivatives f', f''', ..., f^(order-1) at an endpoint, one-sided.
-
-    Uses the degree-9 interpolant through the outermost 10 samples.
-    """
-    if order > 10:
-        raise ValueError("one-sided estimates support bernoulli order <= 10; "
-                         "supply analytic endpoint derivatives instead")
-    if at_left:
-        t = np.arange(10.0)
-        y = samples[:10]
-        u = 0.0
-    else:
-        t = np.arange(10.0)
-        y = samples[-10:]
-        u = 9.0
-    d = _interp.stencil_derivatives(t, y, u, order - 1)
-    k = np.arange(1, order, 2)
-    return d[k] / h ** k.astype(float)
-
-
 def _check_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite sample at a summed node")
 
 
-def left_rule(mesh: Mesh, samples: np.ndarray, scheme: EdgeScheme = DEFAULT_SCHEME,
-              end_derivs=None) -> float:
+def _edge_rule(mesh: Mesh, samples: np.ndarray, scheme: EdgeScheme,
+               left: bool) -> float:
+    """Sum over one half, k = -n..-1 or k = 1..n, plus its endpoint correction."""
+    samples = np.asarray(samples, dtype=float)
+    part = samples[:mesh.n] if left else samples[mesh.n + 1:]
+    _check_finite(part)
+    w = gregory_weights(scheme.order)
+    if len(part) < len(w):
+        raise ValueError(f"mesh too small for gregory order {scheme.order} "
+                         f"(need n >= {len(w)})")
+    edge = part if left else part[::-1]  # nodes from the endpoint inward
+    h = mesh.h
+    corr = -0.5 * h * edge[0]
+    corr += h * np.dot(w, edge[:len(w)])
+    return float(h * float(np.sum(part)) + corr)
+
+
+def left_rule(mesh: Mesh, samples: np.ndarray,
+              scheme: EdgeScheme = DEFAULT_SCHEME) -> float:
     """L_h[f]: sum over k = -n..-1 plus the edge correction at -a."""
-    samples = np.asarray(samples, dtype=float)
-    h = mesh.h
-    part = samples[:mesh.n]
-    _check_finite(part)
-    corr = -0.5 * h * part[0]
-    if scheme.kind == "gregory":
-        w = gregory_weights(scheme.order)
-        if len(part) < len(w):
-            raise ValueError(f"mesh too small for gregory order {scheme.order} "
-                             f"(need n >= {len(w)})")
-        corr += h * np.dot(w, part[:len(w)])
-    else:
-        if end_derivs is not None:
-            dleft = np.asarray(end_derivs, dtype=float)
-        else:
-            dleft = _onesided_odd_derivs(part, h, scheme.order, at_left=True)
-        corr += _bernoulli_edge_sum(scheme.order, dleft, h)
-    return float(h * float(np.sum(part)) + corr)
+    return _edge_rule(mesh, samples, scheme, left=True)
 
 
-def right_rule(mesh: Mesh, samples: np.ndarray, scheme: EdgeScheme = DEFAULT_SCHEME,
-               end_derivs=None) -> float:
+def right_rule(mesh: Mesh, samples: np.ndarray,
+               scheme: EdgeScheme = DEFAULT_SCHEME) -> float:
     """R_h[f]: sum over k = 1..n plus the edge correction at +a."""
-    samples = np.asarray(samples, dtype=float)
-    h = mesh.h
-    part = samples[mesh.n + 1:]
-    _check_finite(part)
-    corr = -0.5 * h * part[-1]
-    if scheme.kind == "gregory":
-        w = gregory_weights(scheme.order)
-        if len(part) < len(w):
-            raise ValueError(f"mesh too small for gregory order {scheme.order} "
-                             f"(need n >= {len(w)})")
-        corr += h * np.dot(w, part[::-1][:len(w)])
-    else:
-        if end_derivs is not None:
-            dright = np.asarray(end_derivs, dtype=float)
-        else:
-            dright = _onesided_odd_derivs(part, h, scheme.order, at_left=False)
-        corr -= _bernoulli_edge_sum(scheme.order, dright, h)
-    return float(h * float(np.sum(part)) + corr)
+    return _edge_rule(mesh, samples, scheme, left=False)
 
 
 def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = None,
-                        scheme: EdgeScheme = DEFAULT_SCHEME, end_derivs=None) -> float:
+                        scheme: EdgeScheme = DEFAULT_SCHEME) -> float:
     """Trapezoidal rule with edge corrections, skipping one interior node.
 
     Parameters
@@ -225,8 +168,6 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
         non-finite; it is never touched).
     puncture : mesh index k in (-n, n) to omit, or None for the ordinary rule.
     scheme : endpoint correction scheme.
-    end_derivs : optional pair (left, right) of odd-derivative arrays
-        [f', f''', ...] at -a and +a for the Bernoulli scheme.
 
     The rule is assembled as L_h + R_h + (center and puncture adjustments),
     so ``punctured_trapezoid(..., puncture=0)`` equals
@@ -235,23 +176,17 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
     samples = np.asarray(samples, dtype=float)
     if len(samples) != 2 * mesh.n + 1:
         raise ValueError("sample count does not match the mesh")
-    stencil = scheme.order + 1 if scheme.kind == "gregory" else 10
     if puncture is not None:
         if abs(puncture) >= mesh.n:
             raise ValueError("puncture must be an interior node")
-        if abs(puncture) > mesh.n - stencil:
+        if abs(puncture) > mesh.n - (scheme.order + 1):
             raise ValueError("puncture overlaps the edge-correction stencil")
     h = mesh.h
     vals = samples
     if puncture is not None and puncture != 0:
         vals = samples.copy()
         vals[mesh.n + puncture] = 0.0  # excluded node; value never consumed
-    if scheme.kind == "bernoulli" and end_derivs is not None:
-        dl, dr = end_derivs
-        lr = (left_rule(mesh, vals, scheme, dl)
-              + right_rule(mesh, vals, scheme, dr))
-    else:
-        lr = left_rule(mesh, vals, scheme) + right_rule(mesh, vals, scheme)
+    lr = left_rule(mesh, vals, scheme) + right_rule(mesh, vals, scheme)
     if puncture == 0:
         return lr
     center = vals[mesh.n]
@@ -285,8 +220,6 @@ def shifted_trapezoid(mesh: Mesh, f_eval, s: float,
     """
     if not -0.5 <= s <= 0.5:
         raise ValueError("shift fraction s must lie in [-1/2, 1/2]")
-    if scheme.kind != "gregory":
-        raise ValueError("shifted rules support only the gregory scheme")
     h = mesh.h
     n = mesh.n
     xs = (np.arange(-n, n + 1) + s) * h

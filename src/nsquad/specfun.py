@@ -135,53 +135,3 @@ def hurwitz_zeta_nonpos(n: int, a: float) -> float:
         raise ValueError(f"zeta(-n, a) supported for 0 <= n <= "
                          f"{BERNOULLI_POLY_MAX - 1}, got n = {n}")
     return -bernoulli_poly(n + 1, a) / (n + 1)
-
-
-def zeta_nonpos(n: int) -> float:
-    """Riemann zeta at nonpositive integer order: zeta(-n) = (-1)^n B_{n+1}/(n+1)."""
-    if not 0 <= n <= BERNOULLI_NUMBER_MAX - 1:
-        raise ValueError(f"zeta(-n) supported for 0 <= n <= "
-                         f"{BERNOULLI_NUMBER_MAX - 1}, got n = {n}")
-    sign = -1.0 if n % 2 else 1.0
-    return sign * bernoulli_number(n + 1) / (n + 1)
-
-
-ZETA_2 = math.pi * math.pi / 6.0
-
-
-def _check_supported_order(z: float) -> int:
-    zi = int(round(z))
-    if zi != z or (zi > 2 or zi < -BERNOULLI_POLY_MAX + 2):
-        raise ValueError(f"modified zeta supported only at integer orders "
-                         f"z in {{2, 1, 0, -1, ...}}, got z = {z}")
-    return zi
-
-
-def zeta_h(z: float, h: float) -> float:
-    """Modified Riemann zeta: zeta(z) for z != 1, and gamma - log h at z = 1.
-
-    Only the orders the correction recurrences touch are supported:
-    z = 2, z = 1, and nonpositive integers.
-    """
-    if h <= 0.0:
-        raise ValueError("mesh size h must be positive")
-    zi = _check_supported_order(z)
-    if zi == 2:
-        return ZETA_2
-    if zi == 1:
-        return EULER_GAMMA - math.log(h)
-    return zeta_nonpos(-zi)
-
-
-def zeta_h_hurwitz(z: float, offset: float, h: float) -> float:
-    """Modified Hurwitz zeta: zeta(z, offset) for z != 1, -psi(offset) - log h at z = 1."""
-    if h <= 0.0:
-        raise ValueError("mesh size h must be positive")
-    if offset <= 0.0:
-        raise ValueError("Hurwitz offset must be positive")
-    zi = _check_supported_order(z)
-    if zi == 2:
-        return trigamma(offset)
-    if zi == 1:
-        return -digamma(offset) - math.log(h)
-    return hurwitz_zeta_nonpos(-zi, offset)

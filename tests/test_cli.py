@@ -107,6 +107,16 @@ class TestCliCommands:
         assert payload[0]["method"] == "corrected-closed"
         assert payload[0]["n"] == 32
 
+    def test_converge_custom_tiny_d(self, capsys):
+        # the O(pi/d) reference integral needs a tolerance relative to its scale
+        argv = ["converge", "--integrand", "custom", "--g-expr", "exp(x)",
+                "--d", "1e-8", "--n", "64", "--method", "corrected-closed",
+                "--format", "json"]
+        assert main(argv) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert row["reference"] == pytest.approx(math.pi / 1e-8, rel=1e-6)
+        assert row["abs_err"] <= 1e-12 * row["reference"]
+
     def test_converge_rejects_bad_config(self, capsys):
         assert main(["converge", "--integrand", "test1", "--d", "-0.1",
                      "--n", "32"]) == 1

@@ -5,13 +5,12 @@ import pytest
 
 from nsquad.corrections import (
     GEval,
-    correction_centered_closed,
     correction_offmesh_closed,
     correction_series_truncated,
     fd_derivatives,
     hypersingular_offmesh,
 )
-from nsquad.emcoeff import CoeffParams, zk_table
+from nsquad.emcoeff import CoeffParams, zks_table
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
 from nsquad.meshrule import EdgeScheme
 from nsquad.oracle import finite_part_reference, reference_integral
@@ -32,8 +31,8 @@ class TestCenteredClosed:
     def test_constant_numerator_formula(self):
         c, d, h = 1.0, 0.02, 1.0 / 64
         lam = d / (c * h)
-        z0 = zk_table(CoeffParams(lam=lam, h=h, k_max=0))[0]
-        br = correction_centered_closed(g_const(), c, d, h)
+        z0 = zks_table(CoeffParams(lam=lam, h=h, k_max=0))[0]
+        br = correction_offmesh_closed(g_const(), c, d, h, 0.0, 0.0)
         assert br.total == pytest.approx(-2 * z0 / (c * c * h) + math.pi / (c * d),
                                          rel=1e-14)
         assert br.jump_part == pytest.approx(math.pi / (c * d), rel=1e-14)
@@ -53,38 +52,31 @@ class TestCenteredClosed:
     def test_d_to_zero_reproduces_finite_part_correction(self):
         c, h, d = 1.0, 1.0 / 64, 1e-9
         g = g_exp()
-        br = correction_centered_closed(g, c, d, h)
+        br = correction_offmesh_closed(g, c, d, h, 0.0, 0.0)
         finite_part = (1.0 / c ** 2) * (0.5 * h - 2.0 * ZETA2 / h)  # g''(0)=g(0)=1
         assert br.singular_part == pytest.approx(finite_part, rel=1e-12)
         assert br.jump_part * c * d / math.pi == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            correction_centered_closed(g_exp(), 1.0, 0.0, 0.01)
+            correction_offmesh_closed(g_exp(), 1.0, 0.0, 0.01, 0.0, 0.0)
         with pytest.raises(ValueError):
-            correction_centered_closed(GEval(real_eval=math.exp), 1.0, 0.1, 0.01)
+            correction_offmesh_closed(GEval(real_eval=math.exp), 1.0, 0.1, 0.01, 0.0, 0.0)
 
     def test_jump_factorization(self):
         c, d, h = 1.0, 0.03, 1.0 / 64
         g = g_exp()
-        br = correction_centered_closed(g, c, d, h)
+        br = correction_offmesh_closed(g, c, d, h, 0.0, 0.0)
         lamh = (d / (c * h)) * h
         want = math.pi / (c * d) * complex(g.complex_eval(complex(0.0, lamh))).real
         assert br.jump_part == want
 
 
 class TestOffmeshClosed:
-    def test_s_zero_equals_centered(self):
-        c, d, h = 1.0, 0.02, 1.0 / 64
-        g = g_exp()
-        a = correction_offmesh_closed(g, c, d, h, 0.0, 0.0)
-        b = correction_centered_closed(g, c, d, h)
-        assert a.total == pytest.approx(b.total, rel=1e-12)
-
     def test_s_continuity_at_zero(self):
         c, d, h = 1.0, 0.02, 1.0 / 64
         g = g_exp()
-        centered = correction_centered_closed(g, c, d, h).total
+        centered = correction_offmesh_closed(g, c, d, h, 0.0, 0.0).total
         for s in (1e-9, -1e-9):
             off = correction_offmesh_closed(g, c, d, h, s, s * h).total
             assert off == pytest.approx(centered, rel=1e-9)
@@ -122,7 +114,7 @@ class TestSeriesTruncated:
     def test_constant_numerator_all_orders(self):
         c, d, h = 1.0, 0.05, 1.0 / 32
         lam = d / (c * h)
-        z0 = zk_table(CoeffParams(lam=lam, h=h, k_max=0))[0]
+        z0 = zks_table(CoeffParams(lam=lam, h=h, k_max=0))[0]
         want = -2 * z0 / (c * c * h) + math.pi / (c * d)
         for K in (0, 2, 6):
             br = correction_series_truncated(g_const(), c, d, h, 0.0, 0.0, K=K)
@@ -131,7 +123,7 @@ class TestSeriesTruncated:
     def test_k6_matches_closed_form(self):
         d, h = 0.01, 1.0 / 64
         g = g_exp()
-        closed = correction_centered_closed(g, 1.0, d, h).total
+        closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
         series = correction_series_truncated(g, 1.0, d, h, 0.0, 0.0, K=6).total
         assert abs(series - closed) <= 1e-10 * max(1.0, abs(closed))
 
@@ -139,7 +131,7 @@ class TestSeriesTruncated:
         # each added even term buys roughly (d/c)^2 ~ h^2; check the decay
         d, h = 0.01, 1.0 / 64
         g = g_exp()
-        closed = correction_centered_closed(g, 1.0, d, h).total
+        closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
         diffs = [abs(correction_series_truncated(g, 1.0, d, h, 0.0, 0.0, K=K).total
                      - closed) for K in (0, 2, 4)]
         assert diffs[1] <= 0.05 * diffs[0]
@@ -158,7 +150,7 @@ class TestSeriesTruncated:
         h = 1.0 / 64
         g = g_exp()
         for d in (1e-4, 1e-3, 1e-2, 1e-1):
-            closed = correction_centered_closed(g, 1.0, d, h).total
+            closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
             series = correction_series_truncated(g, 1.0, d, h, 0.0, 0.0, K=6).total
             assert abs(series - closed) <= 1e-9 * max(1.0, abs(closed))
 

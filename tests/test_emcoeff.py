@@ -12,7 +12,6 @@ from nsquad.emcoeff import (
     pks_closed,
     pks_seeds,
     pks_table,
-    zk_table,
     zks_table,
 )
 from nsquad.specfun import digamma, digamma_complex, trigamma
@@ -27,28 +26,24 @@ def series_ok(lam: float, s: float) -> bool:
 
 class TestZk:
     def test_lambda_zero_limit_is_zeta2(self):
-        assert zk_table(CoeffParams(lam=0.0, h=0.01, k_max=0))[0] == ZETA2
-        near = zk_table(CoeffParams(lam=1e-6, h=0.01, k_max=0))[0]
+        assert zks_table(CoeffParams(lam=0.0, h=0.01, k_max=0))[0] == ZETA2
+        near = zks_table(CoeffParams(lam=1e-6, h=0.01, k_max=0))[0]
         assert near == pytest.approx(ZETA2, abs=1e-11)
 
     def test_recurrence_step(self):
         for lam in (0.3, 0.9, 4.0):
-            z = zk_table(CoeffParams(lam=lam, h=0.02, k_max=2))
+            z = zks_table(CoeffParams(lam=lam, h=0.02, k_max=2))
             assert z[2] + lam * lam * z[0] == pytest.approx(-0.5, rel=1e-14)
 
     def test_matches_series_oracle(self):
         lam, h = 0.5, 0.01
-        z = zk_table(CoeffParams(lam=lam, h=h, k_max=10))
+        z = zks_table(CoeffParams(lam=lam, h=h, k_max=10))
         for k in range(11):
             ref = fk_series_oracle(k, 1j * lam, h).real
             assert z[k] == pytest.approx(ref, rel=1e-12)
 
 
 class TestZks:
-    def test_s_zero_equals_zk(self):
-        params = CoeffParams(lam=0.7, s=0.0, h=0.05, k_max=12)
-        np.testing.assert_array_equal(zks_table(params), zk_table(params))
-
     def test_matches_shifted_series(self):
         lam, s, h = 0.3, 0.25, 0.01
         z = zks_table(CoeffParams(lam=lam, s=s, h=h, k_max=10))
@@ -67,7 +62,7 @@ class TestPks:
     def test_s_to_zero_limit(self):
         s = 1e-7
         p = pks_table(CoeffParams(lam=0.4, s=s, h=0.01, k_max=8))
-        z = zk_table(CoeffParams(lam=0.4, s=0.0, h=0.01, k_max=8))
+        z = zks_table(CoeffParams(lam=0.4, s=0.0, h=0.01, k_max=8))
         signs = (-1.0) ** np.arange(9)
         np.testing.assert_allclose(p, (1.0 + signs) * z, atol=5e-6)
 

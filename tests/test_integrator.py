@@ -161,6 +161,25 @@ class TestNearSingular:
         assert any("series form" in w for w in res.warnings)
         assert abs(res.value - exact_test2(d, 1.0, x_s)) <= 1e-12
 
+    @pytest.mark.parametrize("s, lams", [
+        (0.0, (0.05, 0.09, 0.11, 0.2)),      # lam/(s^2 + lam^2) = 10 at lam = 0.1
+        (1e-3, (5e-6, 2e-5, 0.09, 0.11)),    # ... at lam ~ 1e-5 and lam ~ 0.1
+    ])
+    def test_closed_form_series_guard_straddle(self, s, lams):
+        # both sides of the guard on the cancelling term are accurate
+        from nsquad.oracle import exact_test2
+        n = 64
+        h = 1.0 / n
+        series_used = set()
+        for lam in lams:
+            d, x_s = lam * h, s * h
+            res = integrate_near_singular(g_scaled_exp(d),
+                                          KernelParams(a=1.0, d=d, x_s=x_s), n)
+            ref = exact_test2(d, 1.0, x_s)
+            assert abs(res.value - ref) <= 1e-13 * abs(ref), lam
+            series_used.add(res.breakdown.terms_used > 0)
+        assert series_used == {True, False}
+
     def test_inconsistent_complex_eval_warns(self):
         g = GEval(real_eval=math.exp,
                   complex_eval=lambda z: np.exp(z) * (1.0 + 1e-9))
@@ -202,11 +221,58 @@ class TestFinitePart:
         ref = finite_part_reference(g, 1.0, x_s) / 4.0
         assert abs(res.value - ref) <= 1e-11
 
+    def test_fd_series_at_d_zero_uses_stencil(self):
+        # the only complex call is the consistency check at x_s
+        calls = [0]
+
+        def complex_eval(z):
+            calls[0] += 1
+            return np.exp(z)
+
+        g = GEval(real_eval=math.exp, complex_eval=complex_eval)
+        h = 1.0 / 64
+        for frac in (0.0, 0.02, 0.3):
+            params = KernelParams(a=1.0, d=0.0, x_s=frac * h)
+            calls[0] = 0
+            fd = integrate_near_singular(g, params, 64, "fd-series")
+            assert calls[0] == 1
+            contour = integrate_near_singular(g, params, 64)
+            assert abs(fd.value - contour.value) <= 1e-9 * max(1.0, abs(contour.value))
+
+    def test_real_only_samples_once(self):
+        # 2n + 1 mesh samples, g(x_s), and g at the puncture node when |s| > 0.05
+        calls = [0]
+
+        def real_eval(x):
+            calls[0] += 1
+            return math.exp(x)
+
+        n = 64
+        for frac, count in ((0.3, 2 * n + 3), (0.5, 2 * n + 3),
+                            (0.04, 2 * n + 2), (0.0, 2 * n + 2)):
+            calls[0] = 0
+            integrate_finite_part(GEval(real_eval=real_eval), 1.0, frac / n, n)
+            assert calls[0] == count, frac
+
     def test_d_zero_routes_to_finite_part(self):
         res = integrate_near_singular(g_one, KernelParams(a=1.0, d=0.0), 64)
         assert res.method == "finite-part"
         assert res.breakdown.jump_part == 0.0
         assert res.value == pytest.approx(-2.0, abs=1e-12)
+
+
+class TestKernelParams:
+    @pytest.mark.parametrize("field, kwargs", [
+        ("d", dict(a=1.0, d=5e-324)),            # pi/(c d) overflows
+        ("d", dict(a=1.0, c=1e-200, d=1e-200)),  # c d underflows to 0
+        ("d", dict(a=1.0, d=math.nan)),
+        ("c", dict(a=1.0, c=math.inf, d=0.1)),
+        ("a", dict(a=math.inf, d=0.1)),
+        ("x_s", dict(a=1.0, d=0.1, x_s=math.nan)),
+    ])
+    def test_rejects_nonfinite_and_overflow(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            KernelParams(**kwargs)
 
 
 class TestSelfCheck:

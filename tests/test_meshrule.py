@@ -153,22 +153,10 @@ class TestPuncturedTrapezoid:
 
 
 class TestBernoulliScheme:
-    def test_analytic_end_derivatives(self):
-        mesh = Mesh(1.0, 64)
-        dl = [math.exp(-1.0)] * 4
-        dr = [math.exp(1.0)] * 4
-        got = punctured_trapezoid(mesh, np.exp(mesh.nodes()),
-                                  scheme=EdgeScheme("bernoulli", 8),
-                                  end_derivs=(dl, dr))
-        assert abs(got - E_MINUS_INV_E) <= 1e-13
-
-    def test_one_sided_estimates(self):
-        mesh = Mesh(1.0, 64)
-        got = punctured_trapezoid(mesh, np.exp(mesh.nodes()),
-                                  scheme=EdgeScheme("bernoulli", 8))
-        assert abs(got - E_MINUS_INV_E) <= 1e-12
-
     def test_order_validation(self):
+        # the Bernoulli-derivative scheme was removed: every order is rejected
+        with pytest.raises(ValueError):
+            EdgeScheme("bernoulli", 8)
         with pytest.raises(ValueError):
             EdgeScheme("bernoulli", 5)
         with pytest.raises(ValueError):

@@ -12,8 +12,6 @@ from nsquad.specfun import (
     digamma_complex,
     hurwitz_zeta_nonpos,
     trigamma,
-    zeta_h,
-    zeta_h_hurwitz,
 )
 
 # frozen 40-digit values (mpmath: digamma(1 - 0.5j), polygamma(1, 1.3))
@@ -175,24 +173,6 @@ class TestZetaValues:
                 resid = (hurwitz_zeta_nonpos(k, 1.0 + s)
                          + (-1) ** k * hurwitz_zeta_nonpos(k, 1.0 - s) + s ** k)
                 assert abs(resid) <= 1e-12
-
-    def test_zeta_h_modified_order(self):
-        assert zeta_h(1, 0.01) == pytest.approx(EULER_GAMMA + math.log(100.0), rel=1e-15)
-        assert zeta_h(2, 0.5) == pytest.approx(math.pi ** 2 / 6, rel=1e-16)
-        assert zeta_h(0, 1.0) == -0.5
-
-    def test_zeta_h_hurwitz_reduces_to_riemann(self):
-        for h in (0.1, 0.003):
-            assert zeta_h_hurwitz(1, 1.0, h) == pytest.approx(EULER_GAMMA - math.log(h), rel=1e-15)
-        assert zeta_h_hurwitz(2, 1.0, 0.1) == pytest.approx(math.pi ** 2 / 6, rel=1e-14)
-
-    def test_unsupported_orders(self):
-        with pytest.raises(ValueError):
-            zeta_h(3, 0.1)
-        with pytest.raises(ValueError):
-            zeta_h(0.5, 0.1)
-        with pytest.raises(ValueError):
-            zeta_h_hurwitz(4, 1.2, 0.1)
 
     def test_digamma_real_wrapper(self):
         assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-15)

@@ -1,18 +1,17 @@
 """Corrected trapezoidal rules for near-singular and finite-part integrals.
 
 Evaluates integrals of g(x)/(d^2 + c^2 (x - x_s)^2) over [-a, a] to machine
-precision uniformly in the near-singularity strength d, by adding closed-form
-or finite-difference corrections to the punctured trapezoidal rule, plus the
-associated Hadamard finite-part (d = 0) quadrature rules.
+precision uniformly in the near-singularity strength d, by adding one
+closed-form correction, in g or in its Taylor polynomial, to the punctured
+trapezoidal rule; at d = 0 the same form gives the Hadamard finite part.
 """
 
 from .corrections import (
     CorrectionBreakdown,
     GEval,
     correction_offmesh_closed,
-    correction_series_truncated,
+    correction_taylor,
     fd_derivatives,
-    hypersingular_offmesh,
 )
 from .emcoeff import (
     CoeffParams,
@@ -68,8 +67,7 @@ __all__ = [
     "CoeffParams", "CoeffTable", "coeff_table", "zks_table",
     "pks_table", "pks_closed", "pks_quotients", "fk_series_oracle",
     "GEval", "CorrectionBreakdown",
-    "correction_offmesh_closed", "correction_series_truncated",
-    "hypersingular_offmesh", "fd_derivatives",
+    "correction_offmesh_closed", "correction_taylor", "fd_derivatives",
     "KernelParams", "QuadResult", "SelfCheckReport",
     "integrate_near_singular", "integrate_finite_part", "self_check",
     "puncture_split",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -32,13 +30,3 @@ def newton_taylor(coeffs: np.ndarray, t: np.ndarray, u: float) -> np.ndarray:
         a[1:deg + 1] = a[:deg] + a[1:deg + 1] * shift
         a[0] = a[0] * shift + coeffs[i]
     return a
-
-
-def stencil_derivatives(t: np.ndarray, y: np.ndarray, u: float,
-                        max_order: int) -> np.ndarray:
-    """Derivatives 0..max_order at u of the interpolating polynomial through (t, y)."""
-    a = newton_taylor(divided_differences(t, y), t, u)
-    out = np.zeros(max_order + 1)
-    for k in range(min(max_order, len(a) - 1) + 1):
-        out[k] = a[k] * math.factorial(k)
-    return out

@@ -17,8 +17,8 @@ import numpy as np
 
 from .corrections import GEval
 from .emcoeff import CoeffParams, coeff_table, pks_closed
-from .integrator import KernelParams, integrate_near_singular
-from .meshrule import Mesh, plain_trapezoid
+from .integrator import KernelParams, integrate_near_singular, puncture_split
+from .meshrule import Mesh, plain_trapezoid, punctured_trapezoid
 from .oracle import exact_test1, exact_test2, reference_integral
 
 CONVERGE_METHODS = ("uncorrected-punctured", "uncorrected-plain",
@@ -120,8 +120,7 @@ def _method_value(method: str, g: GEval, params: KernelParams, n: int) -> float:
     f = samples / denom
     if method == "uncorrected-plain":
         return plain_trapezoid(mesh, f)
-    res = integrate_near_singular(g, params, n, method="auto")
-    return res.uncorrected
+    return punctured_trapezoid(mesh, f, puncture=puncture_split(params.x_s, mesh.h)[0])
 
 
 def run_converge(config: StudyConfig) -> list[ConvergenceRow]:

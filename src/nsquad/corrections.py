@@ -3,9 +3,11 @@
 The corrected rule is T_h + E where E estimates I - T_h.  E splits into a
 "singular" series that extends the finite-part corrections continuously in
 the near-singularity strength, and a "jump" term proportional to pi/(c d).
-Closed forms are available when the smooth numerator g extends analytically
-to a complex neighborhood of the near-singular point; otherwise a truncated
-series driven by stencil derivatives of g is used.
+Both are one closed form in G = g(x_s + i d/c).  G is exact when the smooth
+numerator g extends analytically to a complex neighborhood of x_s
+(`correction_offmesh_closed`); otherwise it is G of g's Taylor polynomial at
+x_s, with coefficients from g's contour or from the stencil of the mesh
+samples (`correction_taylor`), which at d = 0 is the finite-part correction.
 """
 
 from __future__ import annotations
@@ -17,15 +19,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _interp
-from .emcoeff import CoeffParams, pks_quotients, pks_seeds, pks_table
-from .specfun import digamma, trigamma
+from .emcoeff import pks_quotients, pks_seeds
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
-FD_DERIV_MAX = 6        # highest derivative the truncated series consumes
-
-# Below this, the removable first term of the off-mesh hypersingular formula
-# is evaluated by series.
-SMALL_S = 0.05
+FD_DERIV_MAX = 6        # highest derivative taken from the stencil
+_FACTORIALS = np.array([math.factorial(k) for k in range(FD_DERIV_MAX + 1)], dtype=float)
 
 # The closed form's cancelling term Q carries a rounding error of about
 # eps * lam/(s^2 + lam^2) relative to the correction.  Above this ratio Q is
@@ -73,12 +71,6 @@ class CorrectionBreakdown:
     method: str
 
 
-def _breakdown(singular: float, jump: float, terms: int, method: str) -> CorrectionBreakdown:
-    singular = float(singular)
-    jump = float(jump)
-    return CorrectionBreakdown(singular, jump, singular + jump, terms, method)
-
-
 def taylor_coeffs(complex_eval: Callable, center: float, count: int,
                   radius: float) -> np.ndarray:
     """Taylor coefficients a_k = g^(k)(center)/k!, k < count, by contour sampling."""
@@ -105,18 +97,35 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
     t = np.arange(FD_STENCIL, dtype=float) - (FD_STENCIL // 2)
-    d = _interp.stencil_derivatives(t, samples, x_s / h, FD_DERIV_MAX)
+    a = _interp.newton_taylor(_interp.divided_differences(t, samples), t, x_s / h)
     k = np.arange(FD_DERIV_MAX + 1)
-    return d / h ** k.astype(float)
+    return a[:FD_DERIV_MAX + 1] * _FACTORIALS / h ** k.astype(float)
 
 
 def g_taylor(g: GEval, x_s: float, kmax: int) -> np.ndarray:
     """Taylor coefficients a_k = g^(k)(x_s)/k!, k = 0..kmax, from g's contour."""
     if g.complex_eval is None:
-        raise ValueError("no derivative source for g: supply complex_eval, "
-                         "or pass stencil derivatives of the mesh samples")
+        raise ValueError("no contour for g: supply complex_eval, or take "
+                         "Taylor coefficients from the mesh stencil")
     r = min(0.4, 0.8 * g.radius)
     return taylor_coeffs(g.complex_eval, x_s, kmax + 1, r)
+
+
+def _quotient_series(lam: float, s: float, a: Sequence[float], h: float) -> float:
+    """Q = sum_{k=2..K} q_k a_k h^k, K = len(a) - 1, summed from the top order down."""
+    q = pks_quotients(lam, s, len(a) - 1).tolist()
+    quotient = 0.0
+    for k in range(len(a) - 1, 1, -1):
+        quotient += q[k] * a[k] * h ** k
+    return quotient
+
+
+def _assemble(bracket: float, re_g: float, c: float, d: float, h: float,
+              terms: int, method: str) -> CorrectionBreakdown:
+    """E = -bracket/(c^2 h) + (pi/(c d)) Re G; the jump is omitted at d = 0."""
+    singular = float(-bracket / (c * c * h))
+    jump = float(math.pi / (c * d) * re_g) if d > 0.0 else 0.0
+    return CorrectionBreakdown(singular, jump, singular + jump, terms, method)
 
 
 def correction_offmesh_closed(g: GEval, c: float, d: float, h: float,
@@ -137,101 +146,42 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float,
     if d <= 0.0:
         raise ValueError("correction_offmesh_closed requires d > 0 "
                          "(d = 0 takes the finite-part path)")
-    if not -0.5 <= s <= 0.5:
-        raise ValueError("s must lie in [-1/2, 1/2]")
     if g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
     lam = d / (c * h)
-    lamh = lam * h
     p0, p1 = pks_seeds(lam, s)
-    gval = complex(g.complex_eval(complex(x_s, lamh)))
+    gval = complex(g.complex_eval(complex(x_s, lam * h)))
     denom = s * s + lam * lam
     if lam > Q_SERIES_RATIO * denom:
-        q = pks_quotients(lam, s, Q_SERIES_ORDER)
-        a = g_taylor(g, x_s, Q_SERIES_ORDER)
-        quotient = 0.0
-        for k in range(Q_SERIES_ORDER, 1, -1):
-            quotient += q[k] * a[k] * h ** k
+        a = g_taylor(g, x_s, Q_SERIES_ORDER).tolist()
+        quotient = _quotient_series(lam, s, a, h)
         terms = Q_SERIES_ORDER
     else:
         g_node = g.real_eval(x_s - s * h)
         quotient = (gval.real - g_node - s / lam * gval.imag) / denom
         terms = 0
     bracket = p0 * gval.real + p1 * gval.imag / lam + quotient
-    singular = -bracket / (c * c * h)
-    jump = math.pi / (c * d) * gval.real
-    return _breakdown(singular, jump, terms, "closed-form")
+    return _assemble(bracket, gval.real, c, d, h, terms, "closed-form")
 
 
-def correction_series_truncated(g: GEval, c: float, d: float, h: float,
-                                s: float, x_s: float, K: int = FD_DERIV_MAX,
-                                derivs: Sequence[float] | None = None
-                                ) -> CorrectionBreakdown:
-    """Truncated-series correction through derivative order K.
+def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
+                      s: float) -> CorrectionBreakdown:
+    """The closed form on g's Taylor polynomial a_k = g^(k)(x_s)/k!, k = 0..K, any d >= 0.
 
-    Singular terms carry the coefficients p_{k,s} for every s (at s = 0
-    these are 2 z_k on even k and 0 on odd k).  The jump series is
-    truncated at the same K.  Derivatives of g at x_s come from `derivs`,
-    or else by contour sampling of g.complex_eval.
+    With lam = d/(c h): Re G = sum_m a_{2m} (-(lam h)^2)^m, Im G/lam =
+    h sum_m a_{2m+1} (-(lam h)^2)^m (finite at lam = 0) and Q = sum_{k>=2}
+    q_k a_k h^k, i.e. the singular series -sum_k p_{k,s} a_k h^(k-1)/c^2
+    regrouped by p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}.  At d = 0 the jump
+    is omitted: the finite-part correction for 1/(c^2 (x - x_s)^2).
     """
-    if d <= 0.0:
-        raise ValueError("series correction requires d > 0")
+    if d < 0.0:
+        raise ValueError("correction_taylor requires d >= 0")
     lam = d / (c * h)
-    p = pks_table(CoeffParams(lam=lam, s=s, h=h, k_max=K))
-    if derivs is not None:
-        fact = np.array([math.factorial(k) for k in range(K + 1)], dtype=float)
-        a = np.asarray(derivs[:K + 1], dtype=float) / fact
-    else:
-        a = g_taylor(g, x_s, K)
-    singular = 0.0
-    for k in range(K + 1):
-        singular -= p[k] * a[k] * h ** (k - 1) / (c * c)
-    jump_sum = 0.0
-    ratio = -(d * d) / (c * c)
-    for k2 in range(0, K + 1, 2):
-        jump_sum += a[k2] * ratio ** (k2 // 2)
-    jump = math.pi / (c * d) * jump_sum
-    return _breakdown(singular, jump, K, "truncated-series")
-
-
-def hypersingular_offmesh(g: GEval, h: float, s: float, x_s: float | None = None,
-                          derivs: Sequence[float] | None = None) -> float:
-    """Finite-part correction for the kernel 1/(x - x_s)^2, x_s = node + s h.
-
-    E = (g(node) - g(x_s) + s h g'(x_s)) h / (s h)^2
-        - (zeta(2,1-s) + zeta(2,1+s)) g(x_s) / h
-        - (psi(1+s) - psi(1-s)) g'(x_s)
-
-    By default the puncture node is the origin (x_s = s h).  For |s| below
-    SMALL_S the removable first term is evaluated by its Taylor series
-    (leading term g''(x_s) h / 2), which is exact at s = 0 and avoids
-    catastrophic cancellation for small offsets.  Derivatives of g at x_s
-    come from `derivs`, or else by contour sampling of g.complex_eval.
-    """
-    if not -0.5 <= s <= 0.5:
-        raise ValueError("s must lie in [-1/2, 1/2]")
-    if x_s is None:
-        x_s = s * h
-    node = x_s - s * h
-    kmax = FD_DERIV_MAX if abs(s) <= SMALL_S else 1
-    if derivs is not None:
-        fact = np.array([math.factorial(k) for k in range(len(derivs))], dtype=float)
-        a = np.asarray(derivs, dtype=float) / fact[:len(derivs)]
-        if len(a) < kmax + 1:
-            raise ValueError(f"need derivatives through order {kmax}")
-    else:
-        a = g_taylor(g, x_s, max(kmax, 2))
-    g_s = g.real_eval(x_s)
-    gp = a[1]
-    if abs(s) <= SMALL_S:
-        sh = s * h
-        first = 0.0
-        for k in range(len(a) - 1, 1, -1):
-            first = first * (-sh) + a[k]
-        first *= h
-    else:
-        g_node = g.real_eval(node)
-        first = (g_node - g_s + s * h * gp) / (s * s * h)
-    return float(first
-                 - (trigamma(1.0 - s) + trigamma(1.0 + s)) / h * g_s
-                 - (digamma(1.0 + s) - digamma(1.0 - s)) * gp)
+    p0, p1 = pks_seeds(lam, s)
+    a = np.asarray(a, dtype=float).tolist()
+    mu = -(d / c) ** 2
+    even = sum(ak * mu ** m for m, ak in enumerate(a[0::2]))
+    odd = sum(ak * mu ** m for m, ak in enumerate(a[1::2]))
+    bracket = p0 * even + p1 * (h * odd) + _quotient_series(lam, s, a, h)
+    method = "finite-part" if d == 0.0 else "taylor-series"
+    return _assemble(bracket, even, c, d, h, len(a) - 1, method)

@@ -103,6 +103,8 @@ def zks_table(params: CoeffParams) -> np.ndarray:
 
 def pks_seeds(lam: float, s: float) -> tuple[float, float]:
     """p_{0,s} and p_{1,s}, with the lam -> 0 limits on the lam = 0 path."""
+    if not -0.5 <= s <= 0.5:
+        raise ValueError("s must lie in [-1/2, 1/2]")
     if lam == 0.0:
         p0 = trigamma(1.0 - s) + trigamma(1.0 + s)
         p1 = -digamma(1.0 - s) + digamma(1.0 + s)

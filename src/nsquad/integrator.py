@@ -2,8 +2,8 @@
 
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
 mesh half-count n, these routines build the punctured trapezoidal sum,
-select the matching correction (closed-form or finite-difference series)
-and return the corrected value with a breakdown.
+add the correction (the closed form in g itself, or in g's Taylor
+polynomial) and return the corrected value with a breakdown.
 """
 
 from __future__ import annotations
@@ -14,24 +14,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrections import (
-    FD_DERIV_MAX,
     FD_STENCIL,
+    Q_SERIES_ORDER,
     CorrectionBreakdown,
     GEval,
-    _breakdown,
+    _FACTORIALS,
     correction_offmesh_closed,
-    correction_series_truncated,
+    correction_taylor,
     fd_derivatives,
-    hypersingular_offmesh,
+    g_taylor,
 )
-from .emcoeff import (CoeffParams, coeff_table, conditioning_warnings,
-                      pks_closed, pks_seeds, zks_table)
-from .meshrule import DEFAULT_SCHEME, EdgeScheme, Mesh, punctured_trapezoid
+from .emcoeff import CoeffParams, coeff_table, pks_closed, pks_seeds, zks_table
+from .meshrule import (DEFAULT_SCHEME, EdgeScheme, Mesh, end_error_estimate,
+                       punctured_trapezoid)
 from .specfun import hurwitz_zeta_nonpos
 
 METHODS = ("auto", "closed-form", "fd-series")
 
 _EPS = np.finfo(float).eps
+# End-correction estimate, relative to max(|value|, 1), above which a result warns
+_EDGE_WARN_RATIO = 3e-11
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,12 @@ def _validate(params: KernelParams, n: int, mesh: Mesh) -> None:
                          "stencils (need |x_s| < a - 10h)")
 
 
-def _stencil_derivs(gvals: np.ndarray, mesh: Mesh, puncture: int,
+def _stencil_taylor(gvals: np.ndarray, mesh: Mesh, puncture: int,
                     x_s: float) -> np.ndarray:
+    """Taylor coefficients a_k = g^(k)(x_s)/k! from the 9 samples around the puncture."""
     i0 = mesh.n + puncture - FD_STENCIL // 2
     window = gvals[i0:i0 + FD_STENCIL]
-    return fd_derivatives(window, mesh.h, x_s - mesh.node(puncture))
+    return fd_derivatives(window, mesh.h, x_s - mesh.node(puncture)) / _FACTORIALS
 
 
 def integrate_near_singular(g: GEval, params: KernelParams, n: int,
@@ -126,14 +129,13 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     """Corrected punctured-trapezoidal value of the near-singular integral.
 
     The puncture is the mesh node nearest x_s, at offset s in [-1/2, 1/2]
-    (s = 0 on a node).  `method` selects the closed-form correction
-    (requires g.complex_eval), the finite-difference series with derivatives
-    through order 6 from the 9 mesh samples nearest the puncture, or `auto`
-    (closed-form when a complex evaluator is available).
-
-    d = 0 requests route to the finite-part formulas with the jump omitted;
-    g's derivatives there come from its contour when g.complex_eval exists
-    and method is not "fd-series", else from the same 9-point stencil.
+    (s = 0 on a node).  `method` selects the closed form in g.complex_eval
+    ("closed-form"), the same form on g's Taylor polynomial through order 6
+    from the 9 mesh samples nearest the puncture ("fd-series"), or `auto`
+    (closed-form when a complex evaluator is available).  d = 0 takes the
+    Taylor form without the jump (the finite part), its coefficients from
+    g's contour unless g is real-only or method is "fd-series".  A warning
+    reports an estimated end-correction error above 3e-11 max(|value|, 1).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -150,34 +152,27 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     gvals, f = _kernel_samples(g, params, mesh, j)
     uncorrected = punctured_trapezoid(mesh, f, puncture=j, scheme=scheme)
 
-    # one derivative source per call: the contour of g.complex_eval, or the
-    # stencil of the samples already taken
-    derivs = None
-    if g.complex_eval is None or method == "fd-series":
-        derivs = _stencil_derivs(gvals, mesh, j, params.x_s)
     c, d = params.c, params.d
-    if d == 0.0:
-        e_unit = hypersingular_offmesh(g, h, s, x_s=params.x_s, derivs=derivs)
-        breakdown = _breakdown(e_unit / (c * c), 0.0, 0, "finite-part")
-        used = "finite-part"
-    elif derivs is None or method == "closed-form":
+    if d > 0.0 and method != "fd-series" and (g.complex_eval is not None
+                                              or method == "closed-form"):
         # raises for a real-only g, which has no closed form
         breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s)
-        if breakdown.terms_used:
-            warnings.append("closed form ill-conditioned for small s^2 + lam^2; "
-                            "summed its cancelling term in series form")
         used = "closed-form"
     else:
-        breakdown = correction_series_truncated(
-            g, c, d, h, s, params.x_s, K=FD_DERIV_MAX, derivs=derivs)
-        used = "fd-series"
-        lam = d / (c * h)
-        warnings.extend(conditioning_warnings(
-            CoeffParams(lam=lam, s=abs(s), h=h, k_max=FD_DERIV_MAX)))
+        # one Taylor source: the samples already taken, or g's contour at d = 0
+        if g.complex_eval is None or method == "fd-series":
+            a = _stencil_taylor(gvals, mesh, j, params.x_s)
+        else:
+            a = g_taylor(g, params.x_s, Q_SERIES_ORDER)
+        breakdown = correction_taylor(a, c, d, h, s)
+        used = "finite-part" if d == 0.0 else "fd-series"
 
+    value = uncorrected + breakdown.total
+    edge_err = end_error_estimate(mesh, f, puncture=j, scheme=scheme)
+    if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
+        warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
     summary = MeshSummary(params.a, n, h, j, s)
-    return QuadResult(uncorrected + breakdown.total, uncorrected, breakdown,
-                      summary, used, warnings)
+    return QuadResult(value, uncorrected, breakdown, summary, used, warnings)
 
 
 def integrate_finite_part(g: GEval, a: float, x_s: float, n: int,

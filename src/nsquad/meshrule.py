@@ -72,12 +72,13 @@ def _solve_moments(nodes: list[Fraction], rho: list[Fraction]) -> list[Fraction]
     for col in range(m):
         piv = next(r for r in range(col, m) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
+        # columns left of col are already zero in every row but their pivot's
         inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        aug[col][col:] = [x * inv for x in aug[col][col:]]
         for r in range(m):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+                aug[r][col:] = [x - factor * y for x, y in zip(aug[r][col:], aug[col][col:])]
     return [aug[r][m] for r in range(m)]
 
 
@@ -144,6 +145,37 @@ def _edge_rule(mesh: Mesh, samples: np.ndarray, scheme: EdgeScheme,
     corr = -0.5 * h * edge[0]
     corr += h * np.dot(w, edge[:len(w)])
     return float(h * float(np.sum(part)) + corr)
+
+
+def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = None,
+                       scheme: EdgeScheme = DEFAULT_SCHEME) -> float:
+    """Estimated error of the end corrections of `punctured_trapezoid`.
+
+    Over both ends, h |sum_j (w_other - w_order)_j f_j| from the endpoint
+    inward: how far the rule moves on the same samples with Gregory weights
+    of order + 2 (8 for order 10).  The punctured entry counts as 0.
+    """
+    gap = _weight_gap(scheme.order)
+    m = len(gap)
+    ends = np.array([samples[:m], samples[:-m - 1:-1]], dtype=float)
+    if puncture is not None:
+        for row, i in enumerate((mesh.n + puncture, mesh.n - puncture)):
+            if i < m:
+                ends[row, i] = 0.0
+    left, right = (ends @ gap).tolist()
+    return mesh.h * (abs(left) + abs(right))
+
+
+@lru_cache(maxsize=8)
+def _weight_gap(order: int) -> np.ndarray:
+    """w_other - w_order, zero-padded to the longer of the two."""
+    other = order + 2 if order < GREGORY_ORDERS[-1] else 8
+    m = max(order, other) + 1
+    gap = np.zeros(m)
+    gap[:other + 1] += gregory_weights(other)
+    gap[:order + 1] -= gregory_weights(order)
+    gap.flags.writeable = False
+    return gap
 
 
 def left_rule(mesh: Mesh, samples: np.ndarray,

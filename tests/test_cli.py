@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nsquad.cli import (
@@ -11,6 +12,8 @@ from nsquad.cli import (
     parse_n_range,
     run_converge,
 )
+from nsquad.corrections import GEval
+from nsquad.integrator import KernelParams, integrate_near_singular
 from nsquad.oracle import exact_test1, exact_test2
 
 
@@ -67,6 +70,15 @@ class TestConverge:
         assert rows["corrected-closed"].abs_err <= 1e-12
         assert rows["corrected-fd6"].abs_err <= 1e-12
         assert rows["uncorrected-plain"].abs_err >= 1e6 * rows["corrected-closed"].abs_err
+
+    def test_uncorrected_punctured_matches_integrator(self):
+        for integrand, x_s in (("test1", 0.0), ("test2", 0.1)):
+            config = StudyConfig(d_list=[0.01], n_list=[64], integrand=integrand,
+                                 x_s=x_s, methods=("uncorrected-punctured",))
+            row = run_converge(config)[0]
+            g = GEval.analytic(lambda z: 0.01 * np.exp(z))
+            res = integrate_near_singular(g, KernelParams(a=1.0, d=0.01, x_s=x_s), 64)
+            assert row.value == res.uncorrected, integrand
 
     def test_test2_reference(self):
         config = StudyConfig(d_list=[0.01], n_list=[64], integrand="test2",

@@ -6,9 +6,9 @@ import pytest
 from nsquad.corrections import (
     GEval,
     correction_offmesh_closed,
-    correction_series_truncated,
+    correction_taylor,
     fd_derivatives,
-    hypersingular_offmesh,
+    g_taylor,
 )
 from nsquad.emcoeff import CoeffParams, zks_table
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
@@ -25,6 +25,18 @@ def g_const(value: float = 1.0) -> GEval:
 
 def g_exp(scale: float = 1.0) -> GEval:
     return GEval.analytic(lambda z: scale * np.exp(z))
+
+
+def series(g: GEval, c: float, d: float, h: float, s: float, x_s: float, K: int = 6):
+    """The Taylor-form correction on g's contour coefficients through order K."""
+    return correction_taylor(g_taylor(g, x_s, K), c, d, h, s)
+
+
+def hyper(g: GEval, h: float, s: float, x_s: float | None = None, K: int = 8) -> float:
+    """Finite-part correction for 1/(x - x_s)^2, x_s = node + s h (node 0 by default)."""
+    if x_s is None:
+        x_s = s * h
+    return correction_taylor(g_taylor(g, x_s, K), 1.0, 0.0, h, s).total
 
 
 class TestCenteredClosed:
@@ -98,10 +110,10 @@ class TestOffmeshClosed:
             for s in (0.1, 0.3, 0.5):
                 x_s = s * h
                 off = correction_offmesh_closed(g, 1.0, d, h, s, x_s)
-                hyper = hypersingular_offmesh(g, h, s, x_s)
+                fp = hyper(g, h, s, x_s)
                 # the breakdown keeps the singular part separately; total -
                 # jump would reintroduce the pi/(c d) magnitude as roundoff
-                assert off.singular_part == pytest.approx(hyper, rel=1e-10)
+                assert off.singular_part == pytest.approx(fp, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -117,22 +129,22 @@ class TestSeriesTruncated:
         z0 = zks_table(CoeffParams(lam=lam, h=h, k_max=0))[0]
         want = -2 * z0 / (c * c * h) + math.pi / (c * d)
         for K in (0, 2, 6):
-            br = correction_series_truncated(g_const(), c, d, h, 0.0, 0.0, K=K)
+            br = series(g_const(), c, d, h, 0.0, 0.0, K=K)
             assert br.total == pytest.approx(want, rel=1e-13)
 
     def test_k6_matches_closed_form(self):
         d, h = 0.01, 1.0 / 64
         g = g_exp()
         closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
-        series = correction_series_truncated(g, 1.0, d, h, 0.0, 0.0, K=6).total
-        assert abs(series - closed) <= 1e-10 * max(1.0, abs(closed))
+        taylor = series(g, 1.0, d, h, 0.0, 0.0, K=6).total
+        assert abs(taylor - closed) <= 1e-10 * max(1.0, abs(closed))
 
     def test_progression_in_k(self):
         # each added even term buys roughly (d/c)^2 ~ h^2; check the decay
         d, h = 0.01, 1.0 / 64
         g = g_exp()
         closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
-        diffs = [abs(correction_series_truncated(g, 1.0, d, h, 0.0, 0.0, K=K).total
+        diffs = [abs(series(g, 1.0, d, h, 0.0, 0.0, K=K).total
                      - closed) for K in (0, 2, 4)]
         assert diffs[1] <= 0.05 * diffs[0]
         assert diffs[2] <= 0.05 * diffs[1]
@@ -142,8 +154,28 @@ class TestSeriesTruncated:
         g = g_exp()
         x_s = s * h
         closed = correction_offmesh_closed(g, 1.0, d, h, s, x_s).total
-        series = correction_series_truncated(g, 1.0, d, h, s, x_s, K=6).total
-        assert abs(series - closed) <= 1e-9 * max(1.0, abs(closed))
+        taylor = series(g, 1.0, d, h, s, x_s, K=6).total
+        assert abs(taylor - closed) <= 1e-9 * max(1.0, abs(closed))
+
+    def test_exact_coefficients_match_closed_form(self):
+        # on a polynomial g the Taylor form is exact, so it must equal the
+        # closed form on both sides of the closed form's series guard
+        a = [0.7, -1.3, 0.4, 2.1, -0.6, 0.9]
+        g = GEval.analytic(lambda z: sum(ak * np.asarray(z) ** k for k, ak in enumerate(a)))
+        h = 1.0 / 64
+        for c in (0.5, 2.0):
+            for lam in (0.05, 0.3, 1.0, 30.0):
+                for s in (0.0, 0.02, 0.3, -0.5):
+                    d, x_s = lam * c * h, s * h
+                    # coefficients of g about x_s, by the binomial shift
+                    shifted = [sum(math.comb(j, k) * a[j] * x_s ** (j - k)
+                                   for j in range(k, len(a))) for k in range(len(a))]
+                    closed = correction_offmesh_closed(g, c, d, h, s, x_s)
+                    taylor = correction_taylor(shifted, c, d, h, s)
+                    assert taylor.singular_part == pytest.approx(
+                        closed.singular_part, rel=1e-13), (c, lam, s)
+                    assert taylor.jump_part == pytest.approx(
+                        closed.jump_part, rel=1e-13), (c, lam, s)
 
     def test_closed_vs_series_relative_invariant(self):
         # truncated series tracks the closed form across the d range
@@ -151,8 +183,8 @@ class TestSeriesTruncated:
         g = g_exp()
         for d in (1e-4, 1e-3, 1e-2, 1e-1):
             closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
-            series = correction_series_truncated(g, 1.0, d, h, 0.0, 0.0, K=6).total
-            assert abs(series - closed) <= 1e-9 * max(1.0, abs(closed))
+            taylor = series(g, 1.0, d, h, 0.0, 0.0, K=6).total
+            assert abs(taylor - closed) <= 1e-9 * max(1.0, abs(closed))
 
 
 class TestHypersingular:
@@ -160,7 +192,7 @@ class TestHypersingular:
         # at s = 1/2 the correction collapses to g(0) h/(h/2)^2 - pi^2 g(h/2)/h
         h = 1.0 / 64
         for g in (g_exp(), GEval.analytic(np.cos)):
-            e47 = hypersingular_offmesh(g, h, 0.5)
+            e47 = hyper(g, h, 0.5)
             want = (g.real_eval(0.0) * h / (0.5 * h) ** 2
                     - math.pi ** 2 / h * g.real_eval(0.5 * h))
             assert e47 == pytest.approx(want, rel=1e-13)
@@ -168,7 +200,7 @@ class TestHypersingular:
     def test_constant_numerator(self):
         h = 1.0 / 32
         for s in (0.01, 0.2, 0.37, 0.5):
-            got = hypersingular_offmesh(g_const(), h, s)
+            got = hyper(g_const(), h, s)
             want = -(trigamma(1.0 - s) + trigamma(1.0 + s)) / h
             assert got == pytest.approx(want, rel=1e-13)
 
@@ -182,11 +214,13 @@ class TestHypersingular:
         assert abs(res.value - ref) <= 1e-10
 
     def test_small_s_branch_is_continuous(self):
+        # |s| = 0.05: where the cancelling difference
+        # (g_node - g(x_s) + s h g'(x_s))/(s^2 h) would start to lose digits
         h = 1.0 / 64
         g = g_exp()
-        inside = hypersingular_offmesh(g, h, 0.049)
-        outside = hypersingular_offmesh(g, h, 0.051)
-        slope = abs(hypersingular_offmesh(g, h, 0.06) - outside) / 0.009
+        inside = hyper(g, h, 0.049)
+        outside = hyper(g, h, 0.051)
+        slope = abs(hyper(g, h, 0.06) - outside) / 0.009
         assert abs(outside - inside) <= 0.003 * slope + 1e-10
 
 

@@ -143,22 +143,24 @@ class TestNearSingular:
         assert res.mesh.puncture == 2 and res.mesh.s == 0.5
         assert abs(res.value - exact_test2(d, 1.0, x_s)) <= 1e-12
 
-    def test_fd_series_conditioning_warning_large_lambda(self):
-        # lam = d/(c h) = 32 here; the recurrence loss estimate triggers
+    def test_fd_series_large_lambda_accurate_without_warning(self):
+        # lam = d/(c h) = 32 here; the Taylor form runs no recurrence, so
+        # nothing is lost and nothing is reported
         d = 0.5
         res = integrate_near_singular(g_scaled_exp(d),
                                       KernelParams(a=1.0, d=d), 64, "fd-series")
-        assert any("loss of significance" in w for w in res.warnings)
+        assert res.warnings == []
+        assert abs(res.value - exact_test1(d)) <= 1e-14 * abs(exact_test1(d))
 
     def test_tiny_s_and_lambda_fallback(self):
         # with both s and lam tiny the off-mesh closed form cancels badly;
-        # the integrator switches to the series form and stays accurate
+        # its cancelling term is summed in series form and stays accurate
         from nsquad.oracle import exact_test2
         d, x_s = 1e-6, 1e-12
         g = g_scaled_exp(d)
         res = integrate_near_singular(g, KernelParams(a=1.0, d=d, x_s=x_s),
                                       64, "closed-form")
-        assert any("series form" in w for w in res.warnings)
+        assert res.breakdown.terms_used > 0
         assert abs(res.value - exact_test2(d, 1.0, x_s)) <= 1e-12
 
     @pytest.mark.parametrize("s, lams", [
@@ -240,7 +242,7 @@ class TestFinitePart:
             assert abs(fd.value - contour.value) <= 1e-9 * max(1.0, abs(contour.value))
 
     def test_real_only_samples_once(self):
-        # 2n + 1 mesh samples, g(x_s), and g at the puncture node when |s| > 0.05
+        # the 2n + 1 mesh samples are all: the stencil reuses them
         calls = [0]
 
         def real_eval(x):
@@ -248,11 +250,28 @@ class TestFinitePart:
             return math.exp(x)
 
         n = 64
-        for frac, count in ((0.3, 2 * n + 3), (0.5, 2 * n + 3),
-                            (0.04, 2 * n + 2), (0.0, 2 * n + 2)):
+        for frac in (0.3, 0.5, 0.04, 0.0):
             calls[0] = 0
             integrate_finite_part(GEval(real_eval=real_eval), 1.0, frac / n, n)
-            assert calls[0] == count, frac
+            assert calls[0] == 2 * n + 1, frac
+
+    def test_small_offsets_at_n512(self):
+        # just above |s| = 0.05, where a cancelling difference divided by
+        # s^2 h would lose about a digit
+        n = 512
+        for g in (GEval.analytic(np.exp), GEval(real_eval=math.exp)):
+            for frac in (0.051, 0.06, 0.1):
+                x_s = frac / n
+                res = integrate_finite_part(g, 1.0, x_s, n)
+                assert abs(res.value - finite_part_reference(g, 1.0, x_s)) <= 2e-12, frac
+
+    def test_end_correction_warning(self):
+        n = 128
+        h = 1.0 / n
+        g = GEval.analytic(np.exp)
+        near_end = integrate_finite_part(g, 1.0, 1.0 - 10.3 * h, n)
+        assert any("end corrections" in w for w in near_end.warnings)
+        assert integrate_finite_part(g, 1.0, 0.0, n).warnings == []
 
     def test_d_zero_routes_to_finite_part(self):
         res = integrate_near_singular(g_one, KernelParams(a=1.0, d=0.0), 64)

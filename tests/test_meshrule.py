@@ -7,6 +7,7 @@ from nsquad.meshrule import (
     DEFAULT_SCHEME,
     EdgeScheme,
     Mesh,
+    end_error_estimate,
     gregory_weights,
     left_rule,
     plain_trapezoid,
@@ -150,6 +151,17 @@ class TestPuncturedTrapezoid:
                     assert rate >= order - 0.5, (order, n, rate)
                     checked += 1
             assert checked >= 1
+
+
+    def test_end_error_estimate_tracks_gregory8_error(self):
+        for n in (64, 128):
+            mesh = Mesh(1.0, n)
+            x = mesh.nodes()
+            assert end_error_estimate(mesh, x ** 8) <= 1e-15
+            for b in (1.2, 1.5):  # a pole b - 1 beyond the right end
+                f = 1.0 / (x - b) ** 2
+                err = abs(punctured_trapezoid(mesh, f) - (1.0 / (b - 1.0) - 1.0 / (b + 1.0)))
+                assert err / 5.0 <= end_error_estimate(mesh, f) <= 5.0 * err, (n, b)
 
 
 class TestBernoulliScheme:

@@ -108,19 +108,30 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
                               tol=1e-13 * max(1.0, abs(coarse))).value
 
 
-def _method_value(method: str, g: GEval, params: KernelParams, n: int) -> float:
-    if method == "corrected-closed":
-        return integrate_near_singular(g, params, n, method="closed-form").value
-    if method == "corrected-fd6":
-        return integrate_near_singular(g, params, n, method="fd-series").value
+def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
+                   n: int) -> list[float]:
+    """The value of each method at one (d, n); the uncorrected ones share one
+    sampling of g over the mesh."""
     mesh = Mesh(params.a, n)
-    nodes = mesh.nodes()
-    samples = np.array([g.real_eval(x) for x in nodes])
-    denom = params.d ** 2 + params.c ** 2 * (nodes - params.x_s) ** 2
-    f = samples / denom
-    if method == "uncorrected-plain":
-        return plain_trapezoid(mesh, f)
-    return punctured_trapezoid(mesh, f, puncture=puncture_split(params.x_s, mesh.h)[0])
+    f = None
+    values = []
+    for method in methods:
+        if method == "corrected-closed":
+            value = integrate_near_singular(g, params, n, method="closed-form").value
+        elif method == "corrected-fd6":
+            value = integrate_near_singular(g, params, n, method="fd-series").value
+        else:
+            if f is None:
+                nodes = mesh.nodes()
+                denom = params.d ** 2 + params.c ** 2 * (nodes - params.x_s) ** 2
+                f = g.sample(nodes) / denom
+            if method == "uncorrected-plain":
+                value = plain_trapezoid(mesh, f)
+            else:
+                j = puncture_split(params.x_s, mesh.h)[0]
+                value = punctured_trapezoid(mesh, f, puncture=j)
+        values.append(value)
+    return values
 
 
 def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
@@ -131,8 +142,8 @@ def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
         params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
         for n in config.n_list:
             h = config.a / n
-            for method in config.methods:
-                value = _method_value(method, g, params, n)
+            values = _method_values(config.methods, g, params, n)
+            for method, value in zip(config.methods, values):
                 rows.append(ConvergenceRow(
                     n=n, h=h, d=d, c=config.c, xs=config.x_s, method=method,
                     value=float(value), reference=float(reference),

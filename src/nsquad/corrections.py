@@ -13,7 +13,7 @@ samples (`correction_taylor`), which at d = 0 is the finite-part correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,24 +39,65 @@ class GEval:
 
     real_eval samples g on the real line; complex_eval, when present, must
     agree with real_eval there and be analytic within `radius` of the points
-    where it is used.
+    where it is used.  Both take and return scalars; `sample` evaluates g on
+    arrays, in one call when g was built by `analytic`.
     """
 
     real_eval: Callable[[float], float]
     complex_eval: Optional[Callable[[complex], complex]] = None
     radius: float = 0.5
+    # f of `analytic`, while it still accepts arrays
+    _array_f: Optional[Callable] = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     @classmethod
     def analytic(cls, f: Callable, radius: float = 0.5) -> "GEval":
-        """Wrap a function that accepts both real and complex arguments."""
-        return cls(real_eval=lambda x: float(f(x)), complex_eval=f, radius=radius)
+        """Wrap a function that accepts real and complex arguments, scalars or arrays.
 
-    def consistency_gap(self, x: float) -> float:
-        """|complex_eval(x) - real_eval(x)| relative to scale, for diagnostics."""
+        f is called once per array of points; if it rejects arrays (raises
+        TypeError or ValueError, or returns the wrong shape, or a complex
+        dtype on the real line), g falls back to one call per point for good.
+        """
+        g = cls(real_eval=lambda x: float(f(x)), complex_eval=f, radius=radius)
+        g._array_f = f
+        return g
+
+    def sample(self, points: np.ndarray) -> np.ndarray:
+        """g at every point of a 1-D real or complex array."""
+        is_complex = np.iscomplexobj(points)
+        if self._array_f is not None:
+            values = self._sample_array(points, is_complex)
+            if values is not None:
+                return values
+        if is_complex:
+            if self.complex_eval is None:
+                raise ValueError("complex points need a complex evaluator for g")
+            ev = self.complex_eval
+            return np.array([complex(ev(z)) for z in points.tolist()])
+        ev = self.real_eval
+        return np.array([ev(x) for x in points.tolist()])
+
+    def _sample_array(self, points: np.ndarray, is_complex: bool) -> Optional[np.ndarray]:
+        """f(points) as float or complex values; None, and no further tries, if f
+        rejects arrays."""
+        try:
+            values = np.asarray(self._array_f(points))
+            if values.shape == points.shape and (is_complex or not np.iscomplexobj(values)):
+                return values.astype(complex if is_complex else float, copy=False)
+        except (TypeError, ValueError):
+            pass
+        self._array_f = None
+        return None
+
+    def consistency_gap(self, x: float, real_value: Optional[float] = None) -> float:
+        """|complex_eval(x) - real_eval(x)| relative to scale, for diagnostics.
+
+        `real_value`, when given, stands for real_eval(x) (already sampled).
+        """
         if self.complex_eval is None:
             return 0.0
         cv = complex(self.complex_eval(complex(x, 0.0)))
-        rv = self.real_eval(x)
+        rv = self.real_eval(x) if real_value is None else real_value
         return abs(cv - rv) / max(abs(rv), 1e-300)
 
 
@@ -71,14 +112,16 @@ class CorrectionBreakdown:
     method: str
 
 
-def taylor_coeffs(complex_eval: Callable, center: float, count: int,
-                  radius: float) -> np.ndarray:
+_CONTOUR_POINTS = 128
+# exp(2 pi i k/m), k < m: the contour's nodes on the unit circle
+_UNIT_ROOTS = np.exp(1j * (2.0 * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS))
+_UNIT_ROOTS.flags.writeable = False
+
+
+def taylor_coeffs(g: GEval, center: float, count: int, radius: float) -> np.ndarray:
     """Taylor coefficients a_k = g^(k)(center)/k!, k < count, by contour sampling."""
-    m = 128
-    theta = 2.0 * np.pi * np.arange(m) / m
-    pts = center + radius * np.exp(1j * theta)
-    vals = np.array([complex(complex_eval(p)) for p in pts])
-    coeffs = np.fft.fft(vals) / m
+    vals = g.sample(center + radius * _UNIT_ROOTS)
+    coeffs = np.fft.fft(vals) / _CONTOUR_POINTS
     k = np.arange(count)
     return (coeffs[:count] / radius ** k).real
 
@@ -108,7 +151,7 @@ def g_taylor(g: GEval, x_s: float, kmax: int) -> np.ndarray:
         raise ValueError("no contour for g: supply complex_eval, or take "
                          "Taylor coefficients from the mesh stencil")
     r = min(0.4, 0.8 * g.radius)
-    return taylor_coeffs(g.complex_eval, x_s, kmax + 1, r)
+    return taylor_coeffs(g, x_s, kmax + 1, r)
 
 
 def _quotient_series(lam: float, s: float, a: Sequence[float], h: float) -> float:

@@ -96,14 +96,21 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
 
 
 def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
-                    puncture: int) -> tuple[np.ndarray, np.ndarray]:
+                    puncture: int) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """g at the mesh nodes, the kernel samples f with the puncture left out, and
+    g(x_s) for the consistency check (taken in the same pass; None if unused)."""
     nodes = mesh.nodes()
-    gvals = np.array([g.real_eval(x) for x in nodes])
+    g_xs = None
+    if g.complex_eval is None:
+        gvals = g.sample(nodes)
+    else:
+        gvals = g.sample(np.append(nodes, params.x_s))
+        gvals, g_xs = gvals[:-1], gvals[-1]
     denom = params.d ** 2 + params.c ** 2 * (nodes - params.x_s) ** 2
     denom[mesh.n + puncture] = 1.0  # punctured entry is never summed
     f = gvals / denom
     f[mesh.n + puncture] = np.nan
-    return gvals, f
+    return gvals, f, g_xs
 
 
 def _validate(params: KernelParams, n: int, mesh: Mesh) -> None:
@@ -144,12 +151,12 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     h = mesh.h
     j, s = puncture_split(params.x_s, h)
     warnings: list[str] = []
-    if g.complex_eval is not None:
-        gap = g.consistency_gap(params.x_s)
+    gvals, f, g_xs = _kernel_samples(g, params, mesh, j)
+    if g_xs is not None:
+        gap = g.consistency_gap(params.x_s, g_xs)
         if gap > 4.0 * _EPS:
             warnings.append(f"complex_eval disagrees with real_eval at x_s "
                             f"(relative gap {gap:.2e})")
-    gvals, f = _kernel_samples(g, params, mesh, j)
     uncorrected = punctured_trapezoid(mesh, f, puncture=j, scheme=scheme)
 
     c, d = params.c, params.d

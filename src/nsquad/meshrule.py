@@ -8,6 +8,7 @@ node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -83,7 +84,7 @@ def _solve_moments(nodes: list[Fraction], rho: list[Fraction]) -> list[Fraction]
 
 
 @lru_cache(maxsize=32)
-def _gregory_weight_tuple(order: int) -> tuple[float, ...]:
+def _gregory_weight_array(order: int) -> np.ndarray:
     q = order + 1
     rho = []
     for m in range(q):
@@ -92,7 +93,9 @@ def _gregory_weight_tuple(order: int) -> tuple[float, ...]:
         else:
             rho.append(Fraction(0))
     nodes = [Fraction(j) for j in range(q)]
-    return tuple(float(w) for w in _solve_moments(nodes, rho))
+    w = np.array([float(w) for w in _solve_moments(nodes, rho)])
+    w.flags.writeable = False
+    return w
 
 
 def gregory_weights(order: int) -> np.ndarray:
@@ -103,11 +106,11 @@ def gregory_weights(order: int) -> np.ndarray:
     system is solved exactly over the rationals, so the corrected rule
     integrates polynomials of degree <= order exactly on a uniform grid;
     the symmetric pairing of the two ends makes degree order + 1 exact as
-    well.
+    well.  The array is cached and read-only.
     """
     if order not in GREGORY_ORDERS:
         raise ValueError(f"gregory order must be one of {GREGORY_ORDERS}")
-    return np.array(_gregory_weight_tuple(order))
+    return _gregory_weight_array(order)
 
 
 @lru_cache(maxsize=256)
@@ -130,21 +133,30 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("non-finite sample at a summed node")
 
 
+def _edge_weights(mesh: Mesh, scheme: EdgeScheme) -> np.ndarray:
+    """The scheme's Gregory weights, checked to fit in one half of the mesh."""
+    w = gregory_weights(scheme.order)
+    if mesh.n < len(w):
+        raise ValueError(f"mesh too small for gregory order {scheme.order} "
+                         f"(need n >= {len(w)})")
+    return w
+
+
+def _edge_sum(part: np.ndarray, edge: np.ndarray, w: np.ndarray, h: float) -> float:
+    """h sum(part) plus the endpoint correction; `edge` is `part` from the endpoint inward."""
+    corr = -0.5 * h * edge[0]
+    corr += h * np.dot(w, edge[:len(w)])
+    return float(h * float(np.sum(part)) + corr)
+
+
 def _edge_rule(mesh: Mesh, samples: np.ndarray, scheme: EdgeScheme,
                left: bool) -> float:
     """Sum over one half, k = -n..-1 or k = 1..n, plus its endpoint correction."""
     samples = np.asarray(samples, dtype=float)
     part = samples[:mesh.n] if left else samples[mesh.n + 1:]
     _check_finite(part)
-    w = gregory_weights(scheme.order)
-    if len(part) < len(w):
-        raise ValueError(f"mesh too small for gregory order {scheme.order} "
-                         f"(need n >= {len(w)})")
-    edge = part if left else part[::-1]  # nodes from the endpoint inward
-    h = mesh.h
-    corr = -0.5 * h * edge[0]
-    corr += h * np.dot(w, edge[:len(w)])
-    return float(h * float(np.sum(part)) + corr)
+    w = _edge_weights(mesh, scheme)
+    return _edge_sum(part, part if left else part[::-1], w, mesh.h)
 
 
 def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = None,
@@ -206,24 +218,28 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
     ``left_rule(...) + right_rule(...)`` identically.
     """
     samples = np.asarray(samples, dtype=float)
-    if len(samples) != 2 * mesh.n + 1:
+    n = mesh.n
+    if len(samples) != 2 * n + 1:
         raise ValueError("sample count does not match the mesh")
     if puncture is not None:
-        if abs(puncture) >= mesh.n:
+        if abs(puncture) >= n:
             raise ValueError("puncture must be an interior node")
-        if abs(puncture) > mesh.n - (scheme.order + 1):
+        if abs(puncture) > n - (scheme.order + 1):
             raise ValueError("puncture overlaps the edge-correction stencil")
+    w = _edge_weights(mesh, scheme)
     h = mesh.h
     vals = samples
     if puncture is not None and puncture != 0:
         vals = samples.copy()
-        vals[mesh.n + puncture] = 0.0  # excluded node; value never consumed
-    lr = left_rule(mesh, vals, scheme) + right_rule(mesh, vals, scheme)
-    if puncture == 0:
-        return lr
-    center = vals[mesh.n]
-    _check_finite(np.array([center]))
-    return float(lr + h * center)
+        vals[n + puncture] = 0.0  # excluded node; value never consumed
+    left, right = vals[:n], vals[n + 1:]
+    total = _edge_sum(left, left, w, h) + _edge_sum(right, right[::-1], w, h)
+    if puncture != 0:
+        total = float(total + h * vals[n])
+    # a non-finite summed sample makes the total non-finite: only then look
+    if not math.isfinite(total):
+        _check_finite(np.delete(vals, n) if puncture == 0 else vals)
+    return total
 
 
 def plain_trapezoid(mesh: Mesh, samples: np.ndarray) -> float:

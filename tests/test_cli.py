@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nsquad import cli
 from nsquad.cli import (
     CSV_HEADER,
     StudyConfig,
@@ -79,6 +80,27 @@ class TestConverge:
             g = GEval.analytic(lambda z: 0.01 * np.exp(z))
             res = integrate_near_singular(g, KernelParams(a=1.0, d=0.01, x_s=x_s), 64)
             assert row.value == res.uncorrected, integrand
+
+    def test_uncorrected_methods_share_one_sampling(self, monkeypatch):
+        calls = []
+
+        class CountingGEval:
+            @staticmethod
+            def analytic(f, radius=0.5):
+                def counted(z):
+                    calls.append(np.shape(z))
+                    return f(z)
+                return GEval.analytic(counted, radius)
+
+        monkeypatch.setattr(cli, "GEval", CountingGEval)
+        config = StudyConfig(d_list=[0.01], n_list=[32, 64],
+                             methods=("uncorrected-plain", "uncorrected-punctured"))
+        rows = run_converge(config)
+        assert calls == [(65,), (129,)]
+        monkeypatch.undo()
+        for row in rows:
+            alone = StudyConfig(d_list=[0.01], n_list=[row.n], methods=(row.method,))
+            assert run_converge(alone)[0].value == row.value
 
     def test_test2_reference(self):
         config = StudyConfig(d_list=[0.01], n_list=[64], integrand="test2",

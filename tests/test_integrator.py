@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +280,93 @@ class TestFinitePart:
         assert res.method == "finite-part"
         assert res.breakdown.jump_part == 0.0
         assert res.value == pytest.approx(-2.0, abs=1e-12)
+
+
+def counted(f):
+    """f wrapped to count its calls: (wrapped, {"array": ..., "scalar": ...})."""
+    calls = {"array": 0, "scalar": 0}
+
+    def wrapped(z):
+        calls["array" if isinstance(z, np.ndarray) else "scalar"] += 1
+        return f(z)
+    return wrapped, calls
+
+
+def exp_scalar_only(z):
+    return cmath.exp(z) if isinstance(z, complex) else math.exp(z)
+
+
+class TestArraySampling:
+    """A g built by GEval.analytic is called once per array of points."""
+
+    def test_calls_per_integration(self):
+        n = 256
+        h = 1.0 / n
+        f, calls = counted(np.exp)
+        g = GEval.analytic(f)
+        # closed form with g_node; closed form whose quotient takes the contour
+        for params, arrays in ((KernelParams(a=1.0, d=1e-2, x_s=0.3 * h), 1),
+                               (KernelParams(a=1.0, d=1e-6, x_s=26 * h), 2)):
+            calls.update(array=0, scalar=0)
+            res = integrate_near_singular(g, params, n)
+            assert res.method == "closed-form"
+            assert calls["array"] == arrays
+            assert calls["array"] + calls["scalar"] <= 5
+        for x_s in (0.0, 0.3 * h):
+            calls.update(array=0, scalar=0)
+            integrate_finite_part(g, 1.0, x_s, n)
+            assert calls["array"] == 2
+            assert calls["array"] + calls["scalar"] <= 3
+
+    def test_scalar_only_analytic_falls_back(self):
+        f, calls = counted(exp_scalar_only)
+        g = GEval.analytic(f)
+        ref = GEval.analytic(np.exp)
+        h = 1.0 / 64
+        for params in (KernelParams(a=1.0, d=1e-3, x_s=0.3 * h),
+                       KernelParams(a=1.0, d=1e-7, x_s=0.0),
+                       KernelParams(a=1.0, d=0.0, x_s=0.2 * h)):
+            for method in ("closed-form", "fd-series") if params.d > 0 else ("auto",):
+                got = integrate_near_singular(g, params, 64, method=method).value
+                want = integrate_near_singular(ref, params, 64, method=method).value
+                assert abs(got - want) <= 1e-15 * abs(want), (params, method)
+        assert calls["array"] <= 1
+        assert calls["scalar"] > 2 * 64
+
+    def test_wrong_shape_falls_back(self):
+        g = GEval.analytic(lambda z: 1.0)
+        res = integrate_finite_part(g, 1.0, 0.0, 64)
+        assert res.value == pytest.approx(-2.0, abs=1e-12)
+        np.testing.assert_array_equal(g.sample(np.array([0.5, 1 + 2j])), [1.0, 1.0])
+
+    def test_complex_on_real_line_falls_back(self):
+        # f returns a complex dtype for real points: scalar calls, float() of each
+        f, calls = counted(lambda z: np.exp(np.asarray(z, dtype=complex)))
+        g = GEval.analytic(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            values = g.sample(np.array([0.0, 1.0]))
+        assert values.dtype == float
+        assert calls == {"array": 1, "scalar": 2}
+
+    def test_bit_identical_to_scalar_calls(self):
+        vec = GEval.analytic(np.exp)
+        scalar = GEval(real_eval=lambda x: float(np.exp(x)), complex_eval=np.exp)
+        rng = np.random.default_rng(5)
+        n = 128
+        h = 1.0 / n
+        for _ in range(12):
+            c = float(rng.choice([0.5, 1.0, 2.0]))
+            d = float(10.0 ** rng.uniform(-9, -1))
+            for x_s in (int(rng.integers(-100, 100)) * h, float(rng.uniform(-0.8, 0.8))):
+                for method in ("closed-form", "fd-series"):
+                    params = KernelParams(a=1.0, c=c, d=d, x_s=x_s)
+                    a = integrate_near_singular(vec, params, n, method=method)
+                    b = integrate_near_singular(scalar, params, n, method=method)
+                    assert (a.value, a.uncorrected) == (b.value, b.uncorrected)
+                a = integrate_finite_part(vec, 1.0, x_s, n)
+                b = integrate_finite_part(scalar, 1.0, x_s, n)
+                assert (a.value, a.uncorrected) == (b.value, b.uncorrected)
 
 
 class TestKernelParams:

@@ -66,6 +66,12 @@ class TestGregoryWeights:
                                   scheme=EdgeScheme("gregory", 6))
         assert abs(got - E_MINUS_INV_E) <= 1e-12
 
+    def test_cached_and_read_only(self):
+        w = gregory_weights(8)
+        assert w is gregory_weights(8)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             gregory_weights(3)
@@ -124,6 +130,19 @@ class TestPuncturedTrapezoid:
             punctured_trapezoid(mesh, samples)
         # but a non-finite value at the punctured node is fine
         assert np.isfinite(punctured_trapezoid(mesh, samples, puncture=4))
+
+    def test_non_finite_sample_named_wherever_it_is_summed(self):
+        mesh = Mesh(1.0, 16)
+        for puncture, bad in ((None, 16), (None, 0), (None, 32), (0, 31), (3, 16), (-2, 5)):
+            samples = np.ones(33)
+            samples[bad] = np.nan
+            with pytest.raises(ValueError, match="non-finite sample at a summed node"):
+                punctured_trapezoid(mesh, samples, puncture=puncture)
+
+    def test_overflowing_sum_of_finite_samples_returns_inf(self):
+        mesh = Mesh(1.0, 16)
+        with np.errstate(over="ignore"):
+            assert punctured_trapezoid(mesh, np.full(33, 1e308), puncture=2) == math.inf
 
     def test_puncture_near_edge_rejected(self):
         mesh = Mesh(1.0, 16)

@@ -89,16 +89,13 @@ class GEval:
         self._array_f = None
         return None
 
-    def consistency_gap(self, x: float, real_value: Optional[float] = None) -> float:
-        """|complex_eval(x) - real_eval(x)| relative to scale, for diagnostics.
-
-        `real_value`, when given, stands for real_eval(x) (already sampled).
-        """
+    def consistency_gap(self, x: float, real_value: float) -> float:
+        """|complex_eval(x) - real_value| relative to scale, for diagnostics;
+        `real_value` is g(x) as already sampled on the real axis."""
         if self.complex_eval is None:
             return 0.0
         cv = complex(self.complex_eval(complex(x, 0.0)))
-        rv = self.real_eval(x) if real_value is None else real_value
-        return abs(cv - rv) / max(abs(rv), 1e-300)
+        return abs(cv - real_value) / max(abs(real_value), 1e-300)
 
 
 @dataclass(frozen=True)

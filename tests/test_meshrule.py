@@ -138,6 +138,15 @@ class TestPuncturedTrapezoid:
             samples[bad] = np.nan
             with pytest.raises(ValueError, match="non-finite sample at a summed node"):
                 punctured_trapezoid(mesh, samples, puncture=puncture)
+        for rule, bad in ((left_rule, 0), (left_rule, 15), (right_rule, 17), (right_rule, 32)):
+            samples = np.ones(33)
+            samples[bad] = np.inf
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="non-finite sample at a summed node"):
+                rule(mesh, samples)
+        samples = np.ones(33)
+        samples[16] = np.nan  # the center is in neither half
+        assert math.isfinite(left_rule(mesh, samples) + right_rule(mesh, samples))
 
     def test_overflowing_sum_of_finite_samples_returns_inf(self):
         mesh = Mesh(1.0, 16)

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _interp
 from .emcoeff import pks_quotients, pks_seeds
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
 _FACTORIALS = np.array([math.factorial(k) for k in range(FD_DERIV_MAX + 1)], dtype=float)
+_DERIV_ORDERS = np.arange(FD_DERIV_MAX + 1, dtype=float)
 
 # The closed form's cancelling term Q carries a rounding error of about
 # eps * lam/(s^2 + lam^2) relative to the correction.  Above this ratio Q is
@@ -39,8 +40,9 @@ class GEval:
 
     real_eval samples g on the real line; complex_eval, when present, must
     agree with real_eval there and be analytic within `radius` of the points
-    where it is used.  Both take and return scalars; `sample` evaluates g on
-    arrays, in one call when g was built by `analytic`.
+    where it is used.  Both take and return scalars: real_eval a real number,
+    complex_eval a complex one.  `sample` evaluates g on arrays, in one call
+    when g was built by `analytic`.
     """
 
     real_eval: Callable[[float], float]
@@ -63,7 +65,14 @@ class GEval:
         return g
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        """g at every point of a 1-D real or complex array."""
+        """g at every point of a 1-D real or complex array.
+
+        Without an array-capable f, the scalar evaluator is called once per
+        point, in order, with Python floats or complexes.  A value numpy cannot
+        store as a real (real_eval) or complex (complex_eval) number raises
+        ValueError: a Python complex from real_eval is rejected, not truncated
+        to its real part.
+        """
         is_complex = np.iscomplexobj(points)
         if self._array_f is not None:
             values = self._sample_array(points, is_complex)
@@ -72,10 +81,16 @@ class GEval:
         if is_complex:
             if self.complex_eval is None:
                 raise ValueError("complex points need a complex evaluator for g")
-            ev = self.complex_eval
-            return np.array([complex(ev(z)) for z in points.tolist()])
-        ev = self.real_eval
-        return np.array([ev(x) for x in points.tolist()])
+            ev, name, dtype = self.complex_eval, "complex_eval", complex
+        else:
+            ev, name, dtype = self.real_eval, "real_eval", float
+        try:
+            return np.fromiter(map(ev, points.tolist()), dtype, count=len(points))
+        except TypeError as exc:
+            if exc.__traceback__.tb_next is not None:
+                raise  # raised inside the evaluator, not by the conversion
+            kind = "complex" if is_complex else "real"
+            raise ValueError(f"{name} must return a {kind} number ({exc})") from exc
 
     def _sample_array(self, points: np.ndarray, is_complex: bool) -> Optional[np.ndarray]:
         """f(points) as float or complex values; None, and no further tries, if f
@@ -123,23 +138,50 @@ def taylor_coeffs(g: GEval, center: float, count: int, radius: float) -> np.ndar
     return (coeffs[:count] / radius ** k).real
 
 
+@lru_cache(maxsize=1)
+def _stencil_operator() -> np.ndarray:
+    """The 9x9 map from samples at t = -4..4 to the coefficients of t^0..t^8 of
+    their interpolant (the inverse Vandermonde matrix).  Column i is the
+    Lagrange polynomial of node i, prod_{j != i} (t - t_j)/(t_i - t_j): its
+    integer numerator coefficients and denominator are exact in floats, so
+    each entry is the exact rational rounded once."""
+    t = np.arange(FD_STENCIL) - FD_STENCIL // 2
+    cols = []
+    for i in range(FD_STENCIL):
+        others = np.delete(t, i)
+        cols.append(np.poly(others)[::-1] / np.prod(t[i] - others))
+    op = np.array(cols).T
+    op.flags.writeable = False
+    return op
+
+
 def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray:
     """Derivatives g^(0..6)(x_s) from the 9 mesh samples nearest the puncture.
 
     `samples` holds g at the uniform nodes centered on the puncture node
     (which may be sampled: only the kernel is singular there, not g) and
     `x_s` is the near-singular point relative to the stencil center,
-    |x_s| <= h/2.  The derivatives are those of the degree-8 interpolant.
+    |x_s| <= h/2.  The derivatives are those of the degree-8 interpolant:
+    its coefficients about the center, a fixed linear map of the samples,
+    Taylor-shifted to u = x_s/h.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (FD_STENCIL,):
         raise ValueError(f"expected {FD_STENCIL} stencil samples")
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
-    t = np.arange(FD_STENCIL, dtype=float) - (FD_STENCIL // 2)
-    a = _interp.newton_taylor(_interp.divided_differences(t, samples), t, x_s / h)
-    k = np.arange(FD_DERIV_MAX + 1)
-    return a[:FD_DERIV_MAX + 1] * _FACTORIALS / h ** k.astype(float)
+    # the map reproduces constants: apply it to the differences from the
+    # center sample, which are small and for nearby values exact
+    center = float(samples[FD_STENCIL // 2])
+    a = (_stencil_operator() @ (samples - center)).tolist()
+    a[0] += center
+    u = x_s / h
+    # synthetic division by (t - u), once per order: a[k] becomes the
+    # coefficient of (t - u)^k, final after pass k
+    for k in range(FD_DERIV_MAX + 1):
+        for j in range(FD_STENCIL - 2, k - 1, -1):
+            a[j] += u * a[j + 1]
+    return np.array(a[:FD_DERIV_MAX + 1]) * _FACTORIALS / h ** _DERIV_ORDERS
 
 
 def g_taylor(g: GEval, x_s: float, kmax: int) -> np.ndarray:

@@ -38,12 +38,20 @@ class Mesh:
         return self.a / self.n
 
     def nodes(self) -> np.ndarray:
-        return np.arange(-self.n, self.n + 1) * self.h
+        """The 2n+1 nodes, one cached read-only array per (a, n)."""
+        return _node_array(self.a, self.n)
 
     def node(self, k: int) -> float:
         if not -self.n <= k <= self.n:
             raise ValueError(f"node index {k} outside [-{self.n}, {self.n}]")
         return k * self.h
+
+
+@lru_cache(maxsize=32)
+def _node_array(a: float, n: int) -> np.ndarray:
+    x = np.arange(-n, n + 1) * (a / n)
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)

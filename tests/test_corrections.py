@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,6 +253,24 @@ class TestFdDerivatives:
         # both estimate g'' at their own x_s; compare to the analytic value
         assert abs(centered[2] + math.cos(0.0)) <= 1e-9
         assert abs(shifted[2] + math.cos(0.0)) <= 1e-9
+
+    def test_reproduces_polynomials_to_degree_8(self):
+        # g = (x - x0)^p, p <= 8, is its own degree-8 interpolant: every
+        # derivative at x_s = u h, u on a grid over [-1/2, 1/2], against
+        # exact rationals; h = 1/16 makes nodes, samples and x_s exact floats
+        h = Fraction(1, 16)
+        for x0 in (Fraction(0), Fraction(5, 16)):
+            for p in range(9):
+                samples = [float((k * h - x0) ** p) for k in range(-4, 5)]
+                scale = max(abs(v) for v in samples)
+                for i in range(17):
+                    x_s = Fraction(i - 8, 16) * h
+                    got = fd_derivatives(samples, float(h), float(x_s))
+                    for k in range(7):
+                        want = math.perm(p, k) * (x_s - x0) ** (p - k) if k <= p else 0
+                        # error in units of the k-th Taylor coefficient on the stencil
+                        err = abs(Fraction(got[k]) - want) * h ** k / math.factorial(k)
+                        assert err <= 1e-15 * scale, (x0, p, i, k)
 
     def test_validation(self):
         with pytest.raises(ValueError):

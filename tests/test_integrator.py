@@ -369,6 +369,52 @@ class TestArraySampling:
                 assert (a.value, a.uncorrected) == (b.value, b.uncorrected)
 
 
+
+class TestScalarContract:
+    """GEval(real_eval=..., complex_eval=...): one call per point, Python scalars."""
+
+    @staticmethod
+    def recording(f):
+        seen = []
+
+        def wrapped(v):
+            seen.append(v)
+            return f(v)
+        return wrapped, seen
+
+    def test_real_eval_once_per_point(self):
+        def f(x):
+            return math.exp(x) * math.sin(3.0 * x)
+        x = np.random.default_rng(7).uniform(-1.0, 1.0, 257)
+        ev, seen = self.recording(f)
+        values = GEval(real_eval=ev).sample(x)
+        assert seen == x.tolist() and all(type(v) is float for v in seen)
+        assert values.dtype == float
+        assert values.tobytes() == np.array([f(v) for v in x]).tobytes()
+
+    def test_complex_eval_once_per_point(self):
+        z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)) * 0.3 + 0.1
+        ev, seen = self.recording(cmath.exp)
+        values = GEval(real_eval=math.exp, complex_eval=ev).sample(z)
+        assert seen == z.tolist() and all(type(v) is complex for v in seen)
+        assert values.dtype == complex
+        assert values.tobytes() == np.array([cmath.exp(v) for v in z]).tobytes()
+
+    def test_non_real_value_is_an_error(self):
+        x = np.array([0.0, 0.5])
+        with pytest.raises(ValueError, match="real_eval must return a real number"):
+            GEval(real_eval=cmath.exp).sample(x)
+        with pytest.raises(ValueError, match="real_eval must return a real number"):
+            integrate_finite_part(GEval(real_eval=cmath.exp), 1.0, 0.1, 64)
+        with pytest.raises(ValueError, match="complex_eval must return a complex number"):
+            GEval(real_eval=math.exp, complex_eval=lambda z: [z]).sample(x + 0.1j)
+
+    def test_evaluator_type_error_propagates(self):
+        def broken(x):
+            return len(x)
+        with pytest.raises(TypeError, match="has no len"):
+            GEval(real_eval=broken).sample(np.array([0.0, 0.5]))
+
 class TestKernelParams:
     @pytest.mark.parametrize("field, kwargs", [
         ("d", dict(a=1.0, d=5e-324)),            # pi/(c d) overflows

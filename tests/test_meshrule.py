@@ -30,6 +30,16 @@ class TestMesh:
         np.testing.assert_array_equal(mesh.nodes(), np.arange(-4, 5) * 0.5)
         assert mesh.node(-4) == -2.0
 
+    def test_nodes_cached_read_only(self):
+        for a, n in ((1.0, 64), (2.0, 4096), (0.3, 17)):
+            x = Mesh(a, n).nodes()
+            want = np.arange(-n, n + 1) * (a / n)
+            assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
+            assert not x.flags.writeable
+            assert Mesh(a, n).nodes() is x
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Mesh(-1.0, 4)

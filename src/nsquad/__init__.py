@@ -13,24 +13,13 @@ from .corrections import (
     correction_taylor,
     fd_derivatives,
 )
-from .emcoeff import (
-    CoeffParams,
-    CoeffTable,
-    coeff_table,
-    fk_series_oracle,
-    pks_closed,
-    pks_quotients,
-    pks_table,
-    zks_table,
-)
+from .emcoeff import pks_quotients
 from .integrator import (
     KernelParams,
     QuadResult,
-    SelfCheckReport,
     integrate_finite_part,
     integrate_near_singular,
     puncture_split,
-    self_check,
 )
 from .meshrule import (
     EdgeScheme,
@@ -57,6 +46,17 @@ from .specfun import (
     digamma_complex,
     hurwitz_zeta_nonpos,
     trigamma,
+)
+from .verify import (
+    CoeffParams,
+    CoeffTable,
+    SelfCheckReport,
+    coeff_table,
+    fk_series_oracle,
+    pks_closed,
+    pks_table,
+    self_check,
+    zks_table,
 )
 
 __version__ = "0.1.0"

@@ -16,15 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import GEval
-from .emcoeff import CoeffParams, coeff_table, pks_closed
 from .integrator import KernelParams, integrate_near_singular, puncture_split
 from .meshrule import Mesh, plain_trapezoid, punctured_trapezoid
 from .oracle import exact_test1, exact_test2, reference_integral
+from .verify import CoeffParams, coeff_table
 
 CONVERGE_METHODS = ("uncorrected-punctured", "uncorrected-plain",
                     "corrected-closed", "corrected-fd6")
 
 CSV_HEADER = "n,h,d,c,xs,method,value,reference,abs_err"
+# CoeffTable fields that `nsquad coeffs` prints, one row per k
+COEFF_COLUMNS = ("zk", "zks", "zk_minus_s", "pks", "sym_resid", "closedform_resid")
 
 
 @dataclass(frozen=True)
@@ -190,30 +192,17 @@ def cmd_coeffs(lam: float, s: float, h: float, k_max: int,
     """Dump z_k, z_{k,s}, z_{k,-s}, p_{k,s} with identity-residual columns."""
     params = CoeffParams(lam=lam, s=s, h=h, k_max=k_max)
     table = coeff_table(params)
-    closed = pks_closed(params)
-    signs = (-1.0) ** np.arange(k_max + 1)
-    sym_resid = np.abs(table.pks - (table.zk_minus_s + signs * table.zks))
-    closed_resid = np.abs(table.pks - closed)
+    rows = [{"k": k, **{col: float(getattr(table, col)[k]) for col in COEFF_COLUMNS}}
+            for k in range(k_max + 1)]
     if fmt == "csv":
-        lines = ["k,zk,zks,zk_minus_s,pks,sym_resid,closedform_resid"]
-        for k in range(k_max + 1):
-            lines.append(",".join([
-                str(k), repr(float(table.zk[k])), repr(float(table.zks[k])),
-                repr(float(table.zk_minus_s[k])), repr(float(table.pks[k])),
-                repr(float(sym_resid[k])), repr(float(closed_resid[k]))]))
-        for w in table.warnings:
-            lines.append(f"# warning: {w}")
+        lines = [",".join(["k", *COEFF_COLUMNS])]
+        lines += [",".join([str(r["k"]), *(repr(r[col]) for col in COEFF_COLUMNS)])
+                  for r in rows]
+        lines += [f"# warning: {w}" for w in table.warnings]
         text = "\n".join(lines) + "\n"
     else:
-        payload = {
-            "lambda": lam, "s": s, "h": h,
-            "rows": [{"k": k, "zk": float(table.zk[k]), "zks": float(table.zks[k]),
-                      "zk_minus_s": float(table.zk_minus_s[k]), "pks": float(table.pks[k]),
-                      "sym_resid": float(sym_resid[k]),
-                      "closedform_resid": float(closed_resid[k])}
-                     for k in range(k_max + 1)],
-            "warnings": list(table.warnings),
-        }
+        payload = {"lambda": lam, "s": s, "h": h, "rows": rows,
+                   "warnings": list(table.warnings)}
         text = json.dumps(payload, indent=2) + "\n"
     _write_output(text, out)
     return 0

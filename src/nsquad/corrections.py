@@ -52,6 +52,10 @@ class GEval:
     _array_f: Optional[Callable] = field(default=None, init=False, repr=False,
                                          compare=False)
 
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
+
     @classmethod
     def analytic(cls, f: Callable, radius: float = 0.5) -> "GEval":
         """Wrap a function that accepts real and complex arguments, scalars or arrays.

@@ -3,7 +3,8 @@
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
 mesh half-count n, these routines build the punctured trapezoidal sum,
 add the correction (the closed form in g itself, or in g's Taylor
-polynomial) and return the corrected value with a breakdown.
+polynomial) and return the corrected value with a breakdown.  The
+coefficient cross-checks (`self_check`) live in `verify`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from .corrections import (
     fd_derivatives,
     g_taylor,
 )
-from .emcoeff import CoeffParams, coeff_table, pks_closed, pks_seeds, zks_table
 from .meshrule import (DEFAULT_SCHEME, EdgeScheme, Mesh, end_error_estimate,
                        punctured_trapezoid)
-from .specfun import hurwitz_zeta_nonpos
 
 METHODS = ("auto", "closed-form", "fd-series")
 
@@ -187,70 +186,3 @@ def integrate_finite_part(g: GEval, a: float, x_s: float, n: int,
     """Hadamard finite part of the integral of g(x)/(x - x_s)^2 over [-a, a]."""
     params = KernelParams(a=a, c=1.0, d=0.0, x_s=x_s)
     return integrate_near_singular(g, params, n, method="auto", scheme=scheme)
-
-
-@dataclass
-class SelfCheckReport:
-    """Identity residuals of the coefficient machinery at one (lam, s)."""
-
-    lam: float
-    s: float
-    reflection_max: float
-    symmetry_max: float
-    closedform_max: float
-    p1_h_invariance: float
-    p0: float
-    p1: float
-    warnings: list[str]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.reflection_max, self.symmetry_max, self.closedform_max,
-                   self.p1_h_invariance)
-
-
-def self_check(params: KernelParams, n: int, k_max: int = 12) -> SelfCheckReport:
-    """Run the coefficient identity suite at the (lam, s) implied by params.
-
-    Checks the nonpositive-order zeta reflection identity, the symmetry
-    p_{k,s} = z_{k,-s} + (-1)^k z_{k,s}, closed form vs recurrence for
-    p_{k,s}, and h-independence of p_{1,s}; reports max deviations plus any
-    conditioning warnings for lam > 1.
-    """
-    mesh = Mesh(params.a, n)
-    h = mesh.h
-    _, s = puncture_split(params.x_s, h)
-    lam = params.d / (params.c * h)
-    cp = CoeffParams(lam=lam, s=s, h=h, k_max=k_max)
-    table = coeff_table(cp)
-
-    reflection = 0.0
-    for k in range(11):
-        resid = (hurwitz_zeta_nonpos(k, 1.0 + s)
-                 + (-1) ** k * hurwitz_zeta_nonpos(k, 1.0 - s) + s ** k)
-        reflection = max(reflection, abs(resid))
-
-    signs = (-1.0) ** np.arange(k_max + 1)
-    combo = table.zk_minus_s + signs * table.zks
-    scale = np.maximum(1.0, np.abs(table.pks))
-    symmetry = float(np.max(np.abs(table.pks - combo) / scale))
-
-    closed = pks_closed(cp)
-    closedform = float(np.max(np.abs(closed - table.pks) / scale))
-
-    cp2 = CoeffParams(lam=lam, s=s, h=2.0 * h, k_max=1)
-    p1_a = (zks_table(CoeffParams(lam=lam, s=-s, h=h, k_max=1))[1]
-            + (-1.0) * zks_table(CoeffParams(lam=lam, s=s, h=h, k_max=1))[1])
-    p1_b = (zks_table(CoeffParams(lam=lam, s=-s, h=2.0 * h, k_max=1))[1]
-            + (-1.0) * zks_table(cp2)[1])
-    p0, p1 = pks_seeds(lam, s)
-
-    return SelfCheckReport(
-        lam=lam, s=s,
-        reflection_max=reflection,
-        symmetry_max=symmetry,
-        closedform_max=closedform,
-        p1_h_invariance=abs(p1_a - p1_b),
-        p0=p0, p1=p1,
-        warnings=list(table.warnings),
-    )

@@ -30,8 +30,8 @@ class Mesh:
     def __post_init__(self):
         if self.a <= 0.0:
             raise ValueError("half-width a must be positive")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @property
     def h(self) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nsquad.corrections import GEval, correction_offmesh_closed
-from nsquad.emcoeff import CoeffParams, coeff_table, fk_series_oracle, pks_closed, pks_seeds, pks_table
+from nsquad.emcoeff import pks_seeds
 from nsquad.integrator import (
     KernelParams,
     integrate_finite_part,
@@ -20,6 +20,7 @@ from nsquad.integrator import (
 from nsquad.meshrule import Mesh, plain_trapezoid
 from nsquad.oracle import exact_test1, exact_test2, finite_part_reference
 from nsquad.specfun import digamma, hurwitz_zeta_nonpos, trigamma
+from nsquad.verify import CoeffParams, coeff_table, fk_series_oracle, pks_closed, pks_table
 
 D_FIG = (0.1, 0.01, 0.0001)
 N_FIG = 64

@@ -191,6 +191,16 @@ class TestCliCommands:
             assert float(row["sym_resid"]) <= 1e-12 * scale
             assert float(row["closedform_resid"]) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("args, field", [
+        (["--lambda", "nan", "--kmax", "3"], "lam"),
+        (["--lambda", "0.5", "--h", "inf", "--kmax", "3"], "h"),
+    ])
+    def test_coeffs_rejects_nonfinite(self, capsys, args, field):
+        assert main(["coeffs", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must be finite" in captured.err
+
     def test_eval_matches_exact(self, capsys):
         assert main(["eval", "--integrand", "test1", "--d", "0.1",
                      "--a", "1", "--c", "1", "--n", "64"]) == 0

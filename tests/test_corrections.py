@@ -11,11 +11,11 @@ from nsquad.corrections import (
     fd_derivatives,
     g_taylor,
 )
-from nsquad.emcoeff import CoeffParams, zks_table
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
 from nsquad.meshrule import EdgeScheme
 from nsquad.oracle import finite_part_reference, reference_integral
 from nsquad.specfun import trigamma
+from nsquad.verify import CoeffParams, zks_table
 
 ZETA2 = math.pi ** 2 / 6
 

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsquad.emcoeff import (
+from nsquad.emcoeff import pks_seeds
+from nsquad.specfun import digamma, digamma_complex, trigamma
+from nsquad.verify import (
     CoeffParams,
     coeff_table,
     conditioning_warnings,
     fk_series_oracle,
     pks_closed,
-    pks_seeds,
     pks_table,
     zks_table,
 )
-from nsquad.specfun import digamma, digamma_complex, trigamma
 
 ZETA2 = math.pi ** 2 / 6
 
@@ -184,3 +184,15 @@ class TestDiagnostics:
             CoeffParams(lam=1.0, h=0.0)
         with pytest.raises(ValueError):
             CoeffParams(lam=1.0, k_max=40)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("lam", dict(lam=math.nan)),
+        ("lam", dict(lam=math.inf)),
+        ("s", dict(lam=1.0, s=math.nan)),
+        ("s", dict(lam=1.0, s=math.inf)),
+        ("h", dict(lam=1.0, h=math.inf)),
+        ("h", dict(lam=1.0, h=math.nan)),
+    ])
+    def test_param_validation_nonfinite(self, field, kwargs):
+        with pytest.raises(ValueError, match=rf"^{field} must "):
+            CoeffParams(**kwargs)

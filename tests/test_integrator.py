@@ -11,9 +11,9 @@ from nsquad.integrator import (
     integrate_finite_part,
     integrate_near_singular,
     puncture_split,
-    self_check,
 )
 from nsquad.oracle import exact_test1, finite_part_reference
+from nsquad.verify import self_check
 
 D_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
@@ -427,6 +427,24 @@ class TestKernelParams:
     def test_rejects_nonfinite_and_overflow(self, field, kwargs):
         with pytest.raises(ValueError, match=rf"^{field} "):
             KernelParams(**kwargs)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("radius", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_contour_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            GEval.analytic(np.exp, radius=radius)
+        with pytest.raises(ValueError, match="radius"):
+            GEval(real_eval=math.exp, complex_eval=cmath.exp, radius=radius)
+
+    def test_rejects_non_integer_n(self):
+        g = GEval.analytic(np.exp)
+        params = KernelParams(a=1.0, d=0.01, x_s=0.1)
+        for n in (64.0, 64.5):
+            with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+                integrate_near_singular(g, params, n)
+        want = integrate_near_singular(g, params, 64).value
+        assert integrate_near_singular(g, params, np.int64(64)).value == want
 
 
 class TestSelfCheck:

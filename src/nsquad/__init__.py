@@ -22,14 +22,10 @@ from .integrator import (
     puncture_split,
 )
 from .meshrule import (
-    EdgeScheme,
     Mesh,
     gregory_weights,
-    left_rule,
     plain_trapezoid,
     punctured_trapezoid,
-    right_rule,
-    shifted_trapezoid,
 )
 from .oracle import (
     ReferenceResult,
@@ -62,8 +58,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "EdgeScheme", "gregory_weights", "punctured_trapezoid",
-    "plain_trapezoid", "shifted_trapezoid", "left_rule", "right_rule",
+    "Mesh", "gregory_weights", "punctured_trapezoid", "plain_trapezoid",
     "CoeffParams", "CoeffTable", "coeff_table", "zks_table",
     "pks_table", "pks_closed", "pks_quotients", "fk_series_oracle",
     "GEval", "CorrectionBreakdown",

@@ -214,6 +214,14 @@ def _assemble(bracket: float, re_g: float, c: float, d: float, h: float,
     return CorrectionBreakdown(singular, jump, singular + jump, terms, method)
 
 
+def _check_scales(c: float, d: float, h: float) -> None:
+    """c and h finite and positive, d finite (its sign is each caller's rule)."""
+    if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
+        raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
+    if not math.isfinite(d):
+        raise ValueError(f"d must be finite, got {d!r}")
+
+
 def correction_offmesh_closed(g: GEval, c: float, d: float, h: float,
                               s: float, x_s: float) -> CorrectionBreakdown:
     """Closed-form correction for a near singularity at x_s = node + s h.
@@ -229,6 +237,9 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float,
     with the q_k of `pks_quotients` and contour coefficients a_k of g at
     x_s; `terms_used` then reports the series order (0 otherwise).
     """
+    _check_scales(c, d, h)
+    if not math.isfinite(x_s):
+        raise ValueError(f"x_s must be finite, got {x_s!r}")
     if d <= 0.0:
         raise ValueError("correction_offmesh_closed requires d > 0 "
                          "(d = 0 takes the finite-part path)")
@@ -260,6 +271,7 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
     regrouped by p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}.  At d = 0 the jump
     is omitted: the finite-part correction for 1/(c^2 (x - x_s)^2).
     """
+    _check_scales(c, d, h)
     if d < 0.0:
         raise ValueError("correction_taylor requires d >= 0")
     lam = d / (c * h)

@@ -25,8 +25,7 @@ from .corrections import (
     fd_derivatives,
     g_taylor,
 )
-from .meshrule import (DEFAULT_SCHEME, EdgeScheme, Mesh, end_error_estimate,
-                       punctured_trapezoid)
+from .meshrule import Mesh, end_error_estimate, punctured_trapezoid
 
 METHODS = ("auto", "closed-form", "fd-series")
 
@@ -130,8 +129,7 @@ def _stencil_taylor(gvals: np.ndarray, mesh: Mesh, puncture: int,
 
 
 def integrate_near_singular(g: GEval, params: KernelParams, n: int,
-                            method: str = "auto",
-                            scheme: EdgeScheme = DEFAULT_SCHEME) -> QuadResult:
+                            method: str = "auto") -> QuadResult:
     """Corrected punctured-trapezoidal value of the near-singular integral.
 
     The puncture is the mesh node nearest x_s, at offset s in [-1/2, 1/2]
@@ -156,7 +154,7 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
         if gap > 4.0 * _EPS:
             warnings.append(f"complex_eval disagrees with real_eval at x_s "
                             f"(relative gap {gap:.2e})")
-    uncorrected = punctured_trapezoid(mesh, f, puncture=j, scheme=scheme)
+    uncorrected = punctured_trapezoid(mesh, f, puncture=j)
 
     c, d = params.c, params.d
     if d > 0.0 and method != "fd-series" and (g.complex_eval is not None
@@ -174,15 +172,14 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
         used = "finite-part" if d == 0.0 else "fd-series"
 
     value = uncorrected + breakdown.total
-    edge_err = end_error_estimate(mesh, f, puncture=j, scheme=scheme)
+    edge_err = end_error_estimate(mesh, f, puncture=j)
     if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
         warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
     summary = MeshSummary(params.a, n, h, j, s)
     return QuadResult(value, uncorrected, breakdown, summary, used, warnings)
 
 
-def integrate_finite_part(g: GEval, a: float, x_s: float, n: int,
-                          scheme: EdgeScheme = DEFAULT_SCHEME) -> QuadResult:
+def integrate_finite_part(g: GEval, a: float, x_s: float, n: int) -> QuadResult:
     """Hadamard finite part of the integral of g(x)/(x - x_s)^2 over [-a, a]."""
     params = KernelParams(a=a, c=1.0, d=0.0, x_s=x_s)
-    return integrate_near_singular(g, params, n, method="auto", scheme=scheme)
+    return integrate_near_singular(g, params, n, method="auto")

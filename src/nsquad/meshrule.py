@@ -1,9 +1,10 @@
-"""Uniform meshes on [-a, a] and the punctured / shifted trapezoidal rules.
+"""Uniform meshes on [-a, a] and the punctured trapezoidal rule.
 
-The rules here carry only *endpoint* corrections (Gregory weights).  Interior
-singular corrections are assembled elsewhere; a rule in this module treats
-its samples as those of a smooth function except possibly at one punctured
-node.
+The rule carries only *endpoint* corrections: Gregory weights of order
+EDGE_ORDER = 8 at both ends.  Interior singular corrections are assembled
+elsewhere; the rule treats its samples as those of a smooth function except
+possibly at one punctured node.  `end_error_estimate` measures how far the
+sum moves when order-10 weights replace the order-8 ones.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import bernoulli_fraction, bernoulli_poly_fraction
+from .specfun import bernoulli_fraction
 
 GREGORY_ORDERS = (2, 4, 6, 8, 10)
+EDGE_ORDER = 8        # the Gregory order of punctured_trapezoid
+_ESTIMATE_ORDER = 10  # the order end_error_estimate compares it with
 
 
 @dataclass(frozen=True)
@@ -28,8 +31,8 @@ class Mesh:
     n: int
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError("half-width a must be positive")
+        if not (math.isfinite(self.a) and self.a > 0.0):
+            raise ValueError(f"half-width a must be finite and positive, got {self.a!r}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
@@ -54,26 +57,6 @@ def _node_array(a: float, n: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class EdgeScheme:
-    """Endpoint-correction scheme: Gregory weights, the only kind.
-
-    ``order`` is the polynomial degree the corrected rule integrates exactly.
-    """
-
-    kind: str = "gregory"
-    order: int = 8
-
-    def __post_init__(self):
-        if self.kind != "gregory":
-            raise ValueError(f"unknown edge scheme kind {self.kind!r}")
-        if self.order not in GREGORY_ORDERS:
-            raise ValueError(f"gregory order must be one of {GREGORY_ORDERS}")
-
-
-DEFAULT_SCHEME = EdgeScheme("gregory", 8)
-
-
 def _solve_moments(nodes: list[Fraction], rho: list[Fraction]) -> list[Fraction]:
     """Solve sum_j w_j nodes[j]^m = rho[m] exactly over the rationals."""
     m = len(nodes)
@@ -91,21 +74,7 @@ def _solve_moments(nodes: list[Fraction], rho: list[Fraction]) -> list[Fraction]
     return [aug[r][m] for r in range(m)]
 
 
-@lru_cache(maxsize=32)
-def _gregory_weight_array(order: int) -> np.ndarray:
-    q = order + 1
-    rho = []
-    for m in range(q):
-        if m % 2 == 1:
-            rho.append(bernoulli_fraction(m + 1) / (m + 1))
-        else:
-            rho.append(Fraction(0))
-    nodes = [Fraction(j) for j in range(q)]
-    w = np.array([float(w) for w in _solve_moments(nodes, rho)])
-    w.flags.writeable = False
-    return w
-
-
+@lru_cache(maxsize=None)
 def gregory_weights(order: int) -> np.ndarray:
     """Boundary weight adjustments for the Gregory-corrected trapezoid.
 
@@ -118,36 +87,16 @@ def gregory_weights(order: int) -> np.ndarray:
     """
     if order not in GREGORY_ORDERS:
         raise ValueError(f"gregory order must be one of {GREGORY_ORDERS}")
-    return _gregory_weight_array(order)
-
-
-@lru_cache(maxsize=256)
-def _offset_weight_tuple(order: int, q_num: int, q_den: int) -> tuple[float, ...]:
-    # Moments B_{m+1}(q)/(m+1) absorb both the half-weight adjustment and the
-    # fractional offset q of the outermost node relative to the true endpoint.
-    q = Fraction(q_num, q_den)
-    rho = [bernoulli_poly_fraction(m + 1, q) / (m + 1) for m in range(order + 1)]
-    nodes = [q + j for j in range(order + 1)]
-    return tuple(float(w) for w in _solve_moments(nodes, rho))
-
-
-def _offset_edge_weights(order: int, q: float) -> np.ndarray:
-    frac = Fraction(q)  # floats are exact rationals
-    return np.array(_offset_weight_tuple(order, frac.numerator, frac.denominator))
+    q = order + 1
+    rho = [bernoulli_fraction(m + 1) / (m + 1) if m % 2 else Fraction(0) for m in range(q)]
+    w = np.array([float(x) for x in _solve_moments([Fraction(j) for j in range(q)], rho)])
+    w.flags.writeable = False
+    return w
 
 
 def _check_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite sample at a summed node")
-
-
-def _edge_weights(mesh: Mesh, scheme: EdgeScheme) -> np.ndarray:
-    """The scheme's Gregory weights, checked to fit in one half of the mesh."""
-    w = gregory_weights(scheme.order)
-    if mesh.n < len(w):
-        raise ValueError(f"mesh too small for gregory order {scheme.order} "
-                         f"(need n >= {len(w)})")
-    return w
 
 
 def _edge_sum(part: np.ndarray, edge: np.ndarray, w: np.ndarray, h: float) -> float:
@@ -157,28 +106,14 @@ def _edge_sum(part: np.ndarray, edge: np.ndarray, w: np.ndarray, h: float) -> fl
     return float(h * float(np.sum(part)) + corr)
 
 
-def _edge_rule(mesh: Mesh, samples: np.ndarray, scheme: EdgeScheme,
-               left: bool) -> float:
-    """Sum over one half, k = -n..-1 or k = 1..n, plus its endpoint correction."""
-    samples = np.asarray(samples, dtype=float)
-    part = samples[:mesh.n] if left else samples[mesh.n + 1:]
-    w = _edge_weights(mesh, scheme)
-    total = _edge_sum(part, part if left else part[::-1], w, mesh.h)
-    # as in punctured_trapezoid: look for a non-finite sample only if the total is
-    if not math.isfinite(total):
-        _check_finite(part)
-    return total
-
-
-def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = None,
-                       scheme: EdgeScheme = DEFAULT_SCHEME) -> float:
+def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
     """Estimated error of the end corrections of `punctured_trapezoid`.
 
-    Over both ends, h |sum_j (w_other - w_order)_j f_j| from the endpoint
-    inward: how far the rule moves on the same samples with Gregory weights
-    of order + 2 (8 for order 10).  The punctured entry counts as 0.
+    Over both ends, h |sum_j (w_10 - w_8)_j f_j| from the endpoint inward:
+    how far the rule moves on the same samples with Gregory weights of
+    order 10 in place of order 8.  The punctured entry counts as 0.
     """
-    gap = _weight_gap(scheme.order)
+    gap = _weight_gap()
     m = len(gap)
     ends = np.array([samples[:m], samples[:-m - 1:-1]], dtype=float)
     if puncture is not None:
@@ -189,44 +124,27 @@ def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = N
     return mesh.h * (abs(left) + abs(right))
 
 
-@lru_cache(maxsize=8)
-def _weight_gap(order: int) -> np.ndarray:
-    """w_other - w_order, zero-padded to the longer of the two."""
-    other = order + 2 if order < GREGORY_ORDERS[-1] else 8
-    m = max(order, other) + 1
-    gap = np.zeros(m)
-    gap[:other + 1] += gregory_weights(other)
-    gap[:order + 1] -= gregory_weights(order)
+@lru_cache(maxsize=1)
+def _weight_gap() -> np.ndarray:
+    """w_10 - w_8, with w_8 zero-padded to the length of w_10."""
+    gap = gregory_weights(_ESTIMATE_ORDER).copy()
+    gap[:EDGE_ORDER + 1] -= gregory_weights(EDGE_ORDER)
     gap.flags.writeable = False
     return gap
 
 
-def left_rule(mesh: Mesh, samples: np.ndarray,
-              scheme: EdgeScheme = DEFAULT_SCHEME) -> float:
-    """L_h[f]: sum over k = -n..-1 plus the edge correction at -a."""
-    return _edge_rule(mesh, samples, scheme, left=True)
-
-
-def right_rule(mesh: Mesh, samples: np.ndarray,
-               scheme: EdgeScheme = DEFAULT_SCHEME) -> float:
-    """R_h[f]: sum over k = 1..n plus the edge correction at +a."""
-    return _edge_rule(mesh, samples, scheme, left=False)
-
-
-def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = None,
-                        scheme: EdgeScheme = DEFAULT_SCHEME) -> float:
-    """Trapezoidal rule with edge corrections, skipping one interior node.
+def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
+    """Trapezoidal rule with Gregory-8 edge corrections, skipping one interior node.
 
     Parameters
     ----------
     samples : array of f at all 2n+1 mesh nodes (the punctured entry may be
         non-finite; it is never touched).
     puncture : mesh index k in (-n, n) to omit, or None for the ordinary rule.
-    scheme : endpoint correction scheme.
 
-    The rule is assembled as L_h + R_h + (center and puncture adjustments),
-    so ``punctured_trapezoid(..., puncture=0)`` equals
-    ``left_rule(...) + right_rule(...)`` identically.
+    The rule is assembled as the corrected sums over k < 0 and k > 0 plus
+    the center node, so the ordinary rule equals the rule punctured at 0
+    plus h f_0 identically.
     """
     samples = np.asarray(samples, dtype=float)
     n = mesh.n
@@ -235,9 +153,12 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
     if puncture is not None:
         if abs(puncture) >= n:
             raise ValueError("puncture must be an interior node")
-        if abs(puncture) > n - (scheme.order + 1):
+        if abs(puncture) > n - (EDGE_ORDER + 1):
             raise ValueError("puncture overlaps the edge-correction stencil")
-    w = _edge_weights(mesh, scheme)
+    if n < EDGE_ORDER + 1:
+        raise ValueError(f"mesh too small for gregory order {EDGE_ORDER} "
+                         f"(need n >= {EDGE_ORDER + 1})")
+    w = gregory_weights(EDGE_ORDER)
     h = mesh.h
     vals = samples
     if puncture is not None and puncture != 0:
@@ -260,36 +181,3 @@ def plain_trapezoid(mesh: Mesh, samples: np.ndarray) -> float:
         raise ValueError("sample count does not match the mesh")
     _check_finite(samples)
     return float(mesh.h * (float(np.sum(samples)) - 0.5 * (samples[0] + samples[-1])))
-
-
-def shifted_trapezoid(mesh: Mesh, f_eval, s: float,
-                      scheme: EdgeScheme = DEFAULT_SCHEME,
-                      include_center: bool = False) -> float:
-    """Trapezoidal rule on the shifted grid (k + s)h targeting integral over [-a, a].
-
-    The node k = 0 (at x = s h) is omitted by default, mirroring the
-    punctured rule; ``include_center=True`` gives the ordinary (non-punctured)
-    shifted rule.  Endpoint corrections use offset-aware Gregory weights:
-    the outermost nodes sit at -a + s h and a + s h, and the moment system
-    is built for the fractional offsets s and -s so that the corrected rule
-    still integrates polynomials over exactly [-a, a].
-
-    With s = 0 and the center excluded this reduces to
-    ``punctured_trapezoid(..., puncture=0)``.
-    """
-    if not -0.5 <= s <= 0.5:
-        raise ValueError("shift fraction s must lie in [-1/2, 1/2]")
-    h = mesh.h
-    n = mesh.n
-    xs = (np.arange(-n, n + 1) + s) * h
-    vals = np.array([float(f_eval(x)) for x in xs])
-    idx = np.arange(2 * n + 1)
-    keep = idx != n if not include_center else np.ones(2 * n + 1, dtype=bool)
-    _check_finite(vals[keep])
-    total = h * float(np.sum(vals[keep]))
-    wl = _offset_edge_weights(scheme.order, s)
-    wr = _offset_edge_weights(scheme.order, -s)
-    m = len(wl)
-    total += h * float(np.dot(wl, vals[:m]))
-    total += h * float(np.dot(wr, vals[::-1][:m]))
-    return float(total)

@@ -12,7 +12,6 @@ from nsquad.corrections import (
     g_taylor,
 )
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
-from nsquad.meshrule import EdgeScheme
 from nsquad.oracle import finite_part_reference, reference_integral
 from nsquad.specfun import trigamma
 from nsquad.verify import CoeffParams, zks_table
@@ -51,14 +50,13 @@ class TestCenteredClosed:
         assert br.jump_part == pytest.approx(math.pi / (c * d), rel=1e-14)
 
     def test_corrected_rule_matches_reference(self):
-        # h = 2/64 mesh, numerator d e^x as in the convergence experiments.
-        # The order-10 edge scheme keeps endpoint error (~2e-12 at this h for
-        # order 8) out of what this test measures: the singular correction.
-        d, n = 0.01, 32
+        # h = 2/128 mesh, numerator d e^x as in the convergence experiments.
+        # At n = 64 the Gregory-8 endpoint error (~2e-12 at n = 32) is below
+        # what this test measures: the singular correction.
+        d, n = 0.01, 64
         g = g_exp(d)
         params = KernelParams(a=1.0, c=1.0, d=d, x_s=0.0)
-        res = integrate_near_singular(g, params, n, method="closed-form",
-                                      scheme=EdgeScheme("gregory", 10))
+        res = integrate_near_singular(g, params, n, method="closed-form")
         ref = reference_integral(g, params, tol=1e-13)
         assert abs(res.value - ref.value) <= 1e-12
 
@@ -75,6 +73,20 @@ class TestCenteredClosed:
             correction_offmesh_closed(g_exp(), 1.0, 0.0, 0.01, 0.0, 0.0)
         with pytest.raises(ValueError):
             correction_offmesh_closed(GEval(real_eval=math.exp), 1.0, 0.1, 0.01, 0.0, 0.0)
+        nan, inf = math.nan, math.inf
+        a = [1.0, 0.5, 0.25]
+        # c and h nonpositive or non-finite, d non-finite: both correction forms
+        for c, d, h in ((-1.0, 0.01, 0.01), (0.0, 0.01, 0.01), (nan, 0.01, 0.01),
+                        (inf, 0.01, 0.01), (1.0, 0.01, -0.01), (1.0, 0.01, 0.0),
+                        (1.0, 0.01, nan), (1.0, 0.01, inf), (1.0, nan, 0.01),
+                        (1.0, inf, 0.01)):
+            with pytest.raises(ValueError, match="must be finite"):
+                correction_offmesh_closed(g_exp(), c, d, h, 0.0, 0.0)
+            with pytest.raises(ValueError, match="must be finite"):
+                correction_taylor(a, c, d, h, 0.0)
+        for x_s in (nan, inf, -inf):
+            with pytest.raises(ValueError, match="x_s must be finite"):
+                correction_offmesh_closed(g_exp(), 1.0, 0.01, 0.01, 0.0, x_s)
 
     def test_jump_factorization(self):
         c, d, h = 1.0, 0.03, 1.0 / 64

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from nsquad.meshrule import (
-    DEFAULT_SCHEME,
-    EdgeScheme,
+    GREGORY_ORDERS,
     Mesh,
     end_error_estimate,
     gregory_weights,
-    left_rule,
     plain_trapezoid,
     punctured_trapezoid,
-    right_rule,
-    shifted_trapezoid,
 )
 
 E_MINUS_INV_E = math.e - 1.0 / math.e
@@ -21,6 +17,14 @@ E_MINUS_INV_E = math.e - 1.0 / math.e
 
 def monomial_exact(deg: float, a: float = 1.0) -> float:
     return (a ** (deg + 1) - (-a) ** (deg + 1)) / (deg + 1)
+
+
+def gregory_rule(mesh: Mesh, samples: np.ndarray, order: int) -> float:
+    """The Gregory-corrected trapezoid of any order, summed directly."""
+    w = gregory_weights(order)
+    m = len(w)
+    ends = np.dot(w, samples[:m]) + np.dot(w, samples[::-1][:m])
+    return mesh.h * (np.sum(samples) - 0.5 * (samples[0] + samples[-1]) + ends)
 
 
 class TestMesh:
@@ -45,6 +49,9 @@ class TestMesh:
             Mesh(-1.0, 4)
         with pytest.raises(ValueError):
             Mesh(1.0, 0)
+        for a in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                Mesh(a, 16)
         with pytest.raises(ValueError):
             Mesh(1.0, 4).node(5)
 
@@ -61,19 +68,21 @@ class TestGregoryWeights:
             assert abs(math.fsum(gregory_weights(order))) < 1e-15
 
     def test_polynomial_exactness(self):
-        # moment-system oracle: exactness on monomials up to the stated degree
+        # moment-system oracle: exactness on monomials up to the stated degree,
+        # for the rule (order 8) and for the weights of every order
         mesh = Mesh(1.0, 24)
-        for order in (2, 4, 6, 8, 10):
-            scheme = EdgeScheme("gregory", order)
+        for deg in range(8 + 2):
+            samples = mesh.nodes() ** deg
+            got = punctured_trapezoid(mesh, samples)
+            assert got == pytest.approx(monomial_exact(deg), rel=0, abs=2e-13)
+        for order in GREGORY_ORDERS:
             for deg in range(order + 2):
-                samples = mesh.nodes() ** deg
-                got = punctured_trapezoid(mesh, samples, scheme=scheme)
+                got = gregory_rule(mesh, mesh.nodes() ** deg, order)
                 assert got == pytest.approx(monomial_exact(deg), rel=0, abs=2e-13)
 
     def test_order_six_exponential(self):
         mesh = Mesh(1.0, 64)
-        got = punctured_trapezoid(mesh, np.exp(mesh.nodes()),
-                                  scheme=EdgeScheme("gregory", 6))
+        got = gregory_rule(mesh, np.exp(mesh.nodes()), 6)
         assert abs(got - E_MINUS_INV_E) <= 1e-12
 
     def test_cached_and_read_only(self):
@@ -91,17 +100,16 @@ class TestGregoryWeights:
 
 class TestPuncturedTrapezoid:
     def test_constant_no_puncture(self):
-        mesh = Mesh(1.0, 8)
-        got = punctured_trapezoid(mesh, np.ones(17), scheme=EdgeScheme("gregory", 4))
+        mesh = Mesh(1.0, 9)  # the smallest mesh the order-8 ends fit
+        got = punctured_trapezoid(mesh, np.ones(19))
         assert got == pytest.approx(2.0, rel=0, abs=1e-15)
         mesh = Mesh(1.0, 16)
         got = punctured_trapezoid(mesh, np.ones(33))
         assert got == pytest.approx(2.0, rel=0, abs=1e-15)
 
     def test_constant_with_puncture(self):
-        mesh = Mesh(1.0, 8)
-        got = punctured_trapezoid(mesh, np.ones(17), puncture=0,
-                                  scheme=EdgeScheme("gregory", 4))
+        mesh = Mesh(1.0, 9)
+        got = punctured_trapezoid(mesh, np.ones(19), puncture=0)
         assert got == pytest.approx(2.0 - mesh.h, rel=0, abs=1e-15)
 
     def test_mesh_too_small_for_scheme(self):
@@ -110,16 +118,16 @@ class TestPuncturedTrapezoid:
 
     def test_exponential_gregory8(self):
         mesh = Mesh(1.0, 64)
-        got = punctured_trapezoid(mesh, np.exp(mesh.nodes()),
-                                  scheme=EdgeScheme("gregory", 8))
+        got = punctured_trapezoid(mesh, np.exp(mesh.nodes()))
         assert abs(got - E_MINUS_INV_E) <= 1e-13
 
     def test_left_plus_right_identity(self):
+        # the halves k < 0 and k > 0 are summed once; the center is added last
         mesh = Mesh(1.0, 32)
         rng = np.random.default_rng(7)
         samples = rng.normal(size=65)
         t0 = punctured_trapezoid(mesh, samples, puncture=0)
-        assert t0 == left_rule(mesh, samples) + right_rule(mesh, samples)
+        assert punctured_trapezoid(mesh, samples) == t0 + mesh.h * samples[mesh.n]
 
     def test_puncture_linearity(self):
         mesh = Mesh(1.0, 32)
@@ -148,15 +156,15 @@ class TestPuncturedTrapezoid:
             samples[bad] = np.nan
             with pytest.raises(ValueError, match="non-finite sample at a summed node"):
                 punctured_trapezoid(mesh, samples, puncture=puncture)
-        for rule, bad in ((left_rule, 0), (left_rule, 15), (right_rule, 17), (right_rule, 32)):
+        for bad in (0, 15, 17, 32):  # both ends of both halves
             samples = np.ones(33)
             samples[bad] = np.inf
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValueError, match="non-finite sample at a summed node"):
-                rule(mesh, samples)
+                punctured_trapezoid(mesh, samples, puncture=0)
         samples = np.ones(33)
         samples[16] = np.nan  # the center is in neither half
-        assert math.isfinite(left_rule(mesh, samples) + right_rule(mesh, samples))
+        assert math.isfinite(punctured_trapezoid(mesh, samples, puncture=0))
 
     def test_overflowing_sum_of_finite_samples_returns_inf(self):
         mesh = Mesh(1.0, 16)
@@ -175,20 +183,18 @@ class TestPuncturedTrapezoid:
         # (pairs where the finer error has hit the roundoff floor are skipped)
         f = lambda x: np.exp(3.0 * x)
         exact = (math.exp(3.0) - math.exp(-3.0)) / 3.0
-        for order in (2, 4, 6):
-            scheme = EdgeScheme("gregory", order)
-            errs = {}
-            for n in (16, 32, 64, 128, 256):
-                mesh = Mesh(1.0, n)
-                errs[n] = abs(punctured_trapezoid(mesh, f(mesh.nodes()),
-                                                  scheme=scheme) - exact)
-            checked = 0
-            for n in (16, 32, 64, 128):
-                if errs[2 * n] > 5e-15 * exact:
-                    rate = math.log2(errs[n] / errs[2 * n])
-                    assert rate >= order - 0.5, (order, n, rate)
-                    checked += 1
-            assert checked >= 1
+        order = 8
+        errs = {}
+        for n in (16, 32, 64, 128, 256):
+            mesh = Mesh(1.0, n)
+            errs[n] = abs(punctured_trapezoid(mesh, f(mesh.nodes())) - exact)
+        checked = 0
+        for n in (16, 32, 64, 128):
+            if errs[2 * n] > 5e-15 * exact:
+                rate = math.log2(errs[n] / errs[2 * n])
+                assert rate >= order - 0.5, (order, n, rate)
+                checked += 1
+        assert checked >= 1
 
 
     def test_end_error_estimate_tracks_gregory8_error(self):
@@ -202,17 +208,6 @@ class TestPuncturedTrapezoid:
                 assert err / 5.0 <= end_error_estimate(mesh, f) <= 5.0 * err, (n, b)
 
 
-class TestBernoulliScheme:
-    def test_order_validation(self):
-        # the Bernoulli-derivative scheme was removed: every order is rejected
-        with pytest.raises(ValueError):
-            EdgeScheme("bernoulli", 8)
-        with pytest.raises(ValueError):
-            EdgeScheme("bernoulli", 5)
-        with pytest.raises(ValueError):
-            EdgeScheme("mystery", 4)
-
-
 class TestPlainTrapezoid:
     def test_second_order_only(self):
         exact = E_MINUS_INV_E
@@ -220,56 +215,3 @@ class TestPlainTrapezoid:
                 for n in (32, 64)]
         rate = math.log2(errs[0] / errs[1])
         assert 1.8 <= rate <= 2.2
-
-
-class TestShiftedTrapezoid:
-    def test_s_zero_reduces_to_punctured(self):
-        mesh = Mesh(1.0, 64)
-        got = shifted_trapezoid(mesh, math.exp, 0.0)
-        want = punctured_trapezoid(mesh, np.exp(mesh.nodes()), puncture=0)
-        assert got == pytest.approx(want, rel=1e-15)
-
-    def test_half_shift_kernel_is_finite(self):
-        mesh = Mesh(1.0, 64)
-        got = shifted_trapezoid(mesh, lambda x: math.exp(x) / x ** 2, 0.5)
-        assert np.isfinite(got)
-
-    def test_half_shift_constant(self):
-        # ordinary (center included) shifted rule integrates constants exactly;
-        # the punctured variant omits the k = 0 node worth h
-        mesh = Mesh(1.0, 8)
-        assert shifted_trapezoid(mesh, lambda x: 1.0, 0.5, include_center=True) == 2.0
-        got = shifted_trapezoid(mesh, lambda x: 1.0, 0.5)
-        assert got == pytest.approx(2.0 - mesh.h, rel=0, abs=1e-15)
-
-    def test_offset_exactness_smooth(self):
-        mesh = Mesh(1.0, 64)
-        for s in (-0.5, -0.3, 0.25, 0.5):
-            got = shifted_trapezoid(mesh, math.exp, s, include_center=True)
-            assert got == pytest.approx(E_MINUS_INV_E, rel=0, abs=5e-14)
-
-    def test_cross_frame_parity_with_punctured(self):
-        # For a numerator vanishing smoothly at the ends, the shifted ordinary
-        # rule in the singularity frame equals punctured + center in the mesh
-        # frame (edge corrections are then negligible on both sides).
-        n = 64
-        mesh = Mesh(1.0, n)
-        h = mesh.h
-        g = lambda x: (1.0 - x ** 2) ** 4 * math.exp(x)
-
-        def f_mesh(x):  # kernel centered at x_s = h/2
-            return g(x) / (x - 0.5 * h) ** 2
-
-        samples = np.array([f_mesh(x) if abs(x) > 1e-15 else np.nan
-                            for x in mesh.nodes()])
-        lhs = punctured_trapezoid(mesh, samples, puncture=0) + h * f_mesh(0.0)
-        rhs = shifted_trapezoid(mesh, lambda y: g(y + 0.5 * h) / y ** 2,
-                                -0.5, include_center=True)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_shift_bounds(self):
-        with pytest.raises(ValueError):
-            shifted_trapezoid(Mesh(1.0, 8), math.exp, 0.75)
-        with pytest.raises(ValueError):
-            shifted_trapezoid(Mesh(1.0, 8), math.exp, 0.2,
-                              scheme=EdgeScheme("bernoulli", 4))

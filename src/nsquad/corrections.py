@@ -6,8 +6,9 @@ the near-singularity strength, and a "jump" term proportional to pi/(c d).
 Both are one closed form in G = g(x_s + i d/c).  G is exact when the smooth
 numerator g extends analytically to a complex neighborhood of x_s
 (`correction_offmesh_closed`); otherwise it is G of g's Taylor polynomial at
-x_s, with coefficients from g's contour or from the stencil of the mesh
-samples (`correction_taylor`), which at d = 0 is the finite-part correction.
+x_s (`correction_taylor`), which at d = 0 is the finite-part correction.
+Every Taylor coefficient of g comes from one source, the degree-8
+interpolant on the 9 mesh samples around the puncture (`stencil_taylor`).
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ _DERIV_ORDERS = np.arange(FD_DERIV_MAX + 1, dtype=float)
 
 # The closed form's cancelling term Q carries a rounding error of about
 # eps * lam/(s^2 + lam^2) relative to the correction.  Above this ratio Q is
-# summed from its Taylor series through order Q_SERIES_ORDER instead; the
-# ratio then forces s^2 + lam^2 < 1/100, so the omitted terms are negligible.
+# summed from its Taylor series through the stencil's order FD_DERIV_MAX
+# instead; the ratio then forces s^2 + lam^2 < lam/10 < 1/100, where the
+# omitted quotients q_7 and q_8 are below 2e-6.
 Q_SERIES_RATIO = 10.0
-Q_SERIES_ORDER = 8
 
 
 @dataclass
@@ -39,10 +40,12 @@ class GEval:
     """The smooth numerator g.
 
     real_eval samples g on the real line; complex_eval, when present, must
-    agree with real_eval there and be analytic within `radius` of the points
-    where it is used.  Both take and return scalars: real_eval a real number,
-    complex_eval a complex one.  `sample` evaluates g on arrays, in one call
-    when g was built by `analytic`.
+    agree with real_eval there and be analytic between x_s and x_s + i d/c.
+    Both take and return scalars: real_eval a real number, complex_eval a
+    complex one.  `sample` evaluates g on arrays, in one call when g was
+    built by `analytic`.  `radius`, a distance within which g is analytic
+    around the real points of interest, is read by no integration path; it
+    sizes the contour of `oracle.finite_part_reference`.
     """
 
     real_eval: Callable[[float], float]
@@ -109,12 +112,11 @@ class GEval:
         return None
 
     def consistency_gap(self, x: float, real_value: float) -> float:
-        """|complex_eval(x) - real_value| relative to scale, for diagnostics;
-        `real_value` is g(x) as already sampled on the real axis."""
+        """|complex_eval(x) - real_value|, for diagnostics; `real_value` is g(x)
+        as already sampled on the real axis.  The caller picks the scale."""
         if self.complex_eval is None:
             return 0.0
-        cv = complex(self.complex_eval(complex(x, 0.0)))
-        return abs(cv - real_value) / max(abs(real_value), 1e-300)
+        return abs(complex(self.complex_eval(complex(x, 0.0))) - real_value)
 
 
 @dataclass(frozen=True)
@@ -126,20 +128,6 @@ class CorrectionBreakdown:
     total: float
     terms_used: int
     method: str
-
-
-_CONTOUR_POINTS = 128
-# exp(2 pi i k/m), k < m: the contour's nodes on the unit circle
-_UNIT_ROOTS = np.exp(1j * (2.0 * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS))
-_UNIT_ROOTS.flags.writeable = False
-
-
-def taylor_coeffs(g: GEval, center: float, count: int, radius: float) -> np.ndarray:
-    """Taylor coefficients a_k = g^(k)(center)/k!, k < count, by contour sampling."""
-    vals = g.sample(center + radius * _UNIT_ROOTS)
-    coeffs = np.fft.fft(vals) / _CONTOUR_POINTS
-    k = np.arange(count)
-    return (coeffs[:count] / radius ** k).real
 
 
 @lru_cache(maxsize=1)
@@ -188,13 +176,10 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
     return np.array(a[:FD_DERIV_MAX + 1]) * _FACTORIALS / h ** _DERIV_ORDERS
 
 
-def g_taylor(g: GEval, x_s: float, kmax: int) -> np.ndarray:
-    """Taylor coefficients a_k = g^(k)(x_s)/k!, k = 0..kmax, from g's contour."""
-    if g.complex_eval is None:
-        raise ValueError("no contour for g: supply complex_eval, or take "
-                         "Taylor coefficients from the mesh stencil")
-    r = min(0.4, 0.8 * g.radius)
-    return taylor_coeffs(g, x_s, kmax + 1, r)
+def stencil_taylor(window: Sequence[float], h: float, offset: float) -> np.ndarray:
+    """Taylor coefficients a_k = g^(k)(x_s)/k!, k = 0..6, from the 9 mesh samples
+    around the puncture: g at the nodes x_s - offset + k h, k = -4..4."""
+    return fd_derivatives(window, h, offset) / _FACTORIALS
 
 
 def _quotient_series(lam: float, s: float, a: Sequence[float], h: float) -> float:
@@ -222,20 +207,22 @@ def _check_scales(c: float, d: float, h: float) -> None:
         raise ValueError(f"d must be finite, got {d!r}")
 
 
-def correction_offmesh_closed(g: GEval, c: float, d: float, h: float,
-                              s: float, x_s: float) -> CorrectionBreakdown:
+def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
+                              x_s: float, window: Sequence[float]) -> CorrectionBreakdown:
     """Closed-form correction for a near singularity at x_s = node + s h.
 
-    With lam = d/(c h), G = g(x_s + i lam h) and g_node = g(x_s - s h):
+    `window` holds g at the 9 nodes x_s - s h + k h, k = -4..4, as the mesh
+    sampled them.  With lam = d/(c h), G = g(x_s + i lam h) and g_node =
+    window[4] = g(x_s - s h):
 
     E = -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
     Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2).
 
     This holds for every s in [-1/2, 1/2]; a target on a node is s = 0.  Q
     is the only term that cancels.  When lam/(s^2 + lam^2) > Q_SERIES_RATIO
-    it is summed from its Taylor series sum_{k=2..8} q_k a_k h^k instead,
-    with the q_k of `pks_quotients` and contour coefficients a_k of g at
-    x_s; `terms_used` then reports the series order (0 otherwise).
+    it is summed from its Taylor series sum_{k=2..6} q_k a_k h^k instead,
+    with the q_k of `pks_quotients` and the a_k of `stencil_taylor` on
+    `window`; `terms_used` then reports the series order (0 otherwise).
     """
     _check_scales(c, d, h)
     if not math.isfinite(x_s):
@@ -245,16 +232,20 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float,
                          "(d = 0 takes the finite-part path)")
     if g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
+    window = np.asarray(window, dtype=float)
+    if window.shape != (FD_STENCIL,) or not all(map(math.isfinite, window.tolist())):
+        raise ValueError(f"window must hold g at the {FD_STENCIL} nodes around "
+                         "the puncture, all finite")
     lam = d / (c * h)
     p0, p1 = pks_seeds(lam, s)
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
     denom = s * s + lam * lam
     if lam > Q_SERIES_RATIO * denom:
-        a = g_taylor(g, x_s, Q_SERIES_ORDER).tolist()
+        a = stencil_taylor(window, h, s * h).tolist()
         quotient = _quotient_series(lam, s, a, h)
-        terms = Q_SERIES_ORDER
+        terms = FD_DERIV_MAX
     else:
-        g_node = g.real_eval(x_s - s * h)
+        g_node = float(window[FD_STENCIL // 2])
         quotient = (gval.real - g_node - s / lam * gval.imag) / denom
         terms = 0
     bracket = p0 * gval.real + p1 * gval.imag / lam + quotient

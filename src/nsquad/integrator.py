@@ -1,10 +1,11 @@
 """High-level API: corrected near-singular and finite-part integration.
 
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
-mesh half-count n, these routines build the punctured trapezoidal sum,
-add the correction (the closed form in g itself, or in g's Taylor
-polynomial) and return the corrected value with a breakdown.  The
-coefficient cross-checks (`self_check`) live in `verify`.
+mesh half-count n, these routines sample g once on the mesh, build the
+punctured trapezoidal sum, add the correction (the closed form in g itself,
+or in g's Taylor polynomial from the 9 samples around the puncture) and
+return the corrected value with a breakdown.  The coefficient cross-checks
+(`self_check`) live in `verify`.
 """
 
 from __future__ import annotations
@@ -16,14 +17,11 @@ import numpy as np
 
 from .corrections import (
     FD_STENCIL,
-    Q_SERIES_ORDER,
     CorrectionBreakdown,
     GEval,
-    _FACTORIALS,
     correction_offmesh_closed,
     correction_taylor,
-    fd_derivatives,
-    g_taylor,
+    stencil_taylor,
 )
 from .meshrule import Mesh, end_error_estimate, punctured_trapezoid
 
@@ -120,14 +118,6 @@ def _validate(params: KernelParams, n: int, mesh: Mesh) -> None:
                          "stencils (need |x_s| < a - 10h)")
 
 
-def _stencil_taylor(gvals: np.ndarray, mesh: Mesh, puncture: int,
-                    x_s: float) -> np.ndarray:
-    """Taylor coefficients a_k = g^(k)(x_s)/k! from the 9 samples around the puncture."""
-    i0 = mesh.n + puncture - FD_STENCIL // 2
-    window = gvals[i0:i0 + FD_STENCIL]
-    return fd_derivatives(window, mesh.h, x_s - mesh.node(puncture)) / _FACTORIALS
-
-
 def integrate_near_singular(g: GEval, params: KernelParams, n: int,
                             method: str = "auto") -> QuadResult:
     """Corrected punctured-trapezoidal value of the near-singular integral.
@@ -137,8 +127,9 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     ("closed-form"), the same form on g's Taylor polynomial through order 6
     from the 9 mesh samples nearest the puncture ("fd-series"), or `auto`
     (closed-form when a complex evaluator is available).  d = 0 takes the
-    Taylor form without the jump (the finite part), its coefficients from
-    g's contour unless g is real-only or method is "fd-series".  A warning
+    Taylor form without the jump (the finite part), on the same 9 samples.
+    g is sampled once on the mesh; beyond that only the closed form's G and
+    the check that complex_eval matches real_eval at x_s call g.  A warning
     reports an estimated end-correction error above 3e-11 max(|value|, 1).
     """
     if method not in METHODS:
@@ -151,23 +142,25 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     gvals, f, g_xs = _kernel_samples(g, params, mesh, j)
     if g_xs is not None:
         gap = g.consistency_gap(params.x_s, g_xs)
-        if gap > 4.0 * _EPS:
-            warnings.append(f"complex_eval disagrees with real_eval at x_s "
-                            f"(relative gap {gap:.2e})")
+        if gap > 4.0 * _EPS * abs(g_xs):
+            # near a root of g, |g(x_s)| is no scale, and nor is |g| on the
+            # window when h is small: take g's size on the whole mesh
+            gap /= max(abs(g_xs), float(np.abs(gvals).max()), 1e-300)
+            if gap > 4.0 * _EPS:
+                warnings.append(f"complex_eval disagrees with real_eval at x_s "
+                                f"(relative gap {gap:.2e})")
     uncorrected = punctured_trapezoid(mesh, f, puncture=j)
 
     c, d = params.c, params.d
+    i0 = mesh.n + j - FD_STENCIL // 2
+    window = gvals[i0:i0 + FD_STENCIL]   # the one Taylor source, also g_node
     if d > 0.0 and method != "fd-series" and (g.complex_eval is not None
                                               or method == "closed-form"):
         # raises for a real-only g, which has no closed form
-        breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s)
+        breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s, window)
         used = "closed-form"
     else:
-        # one Taylor source: the samples already taken, or g's contour at d = 0
-        if g.complex_eval is None or method == "fd-series":
-            a = _stencil_taylor(gvals, mesh, j, params.x_s)
-        else:
-            a = g_taylor(g, params.x_s, Q_SERIES_ORDER)
+        a = stencil_taylor(window, h, params.x_s - mesh.node(j))
         breakdown = correction_taylor(a, c, d, h, s)
         used = "finite-part" if d == 0.0 else "fd-series"
 

@@ -231,8 +231,8 @@ def exact_test2(d: float, c: float, x_s: float) -> float:
 
 
 def _taylor_coeffs_ref(complex_eval, center: float, count: int, radius: float) -> np.ndarray:
-    # Contour-sampled Taylor coefficients; deliberately separate from the
-    # corrections-side helper so the oracle shares no code with what it checks.
+    # Contour-sampled Taylor coefficients: the corrections take theirs from the
+    # mesh stencil, so the oracle shares no code with what it checks.
     m = 256
     theta = 2.0 * np.pi * np.arange(m) / m
     vals = np.array([complex(complex_eval(center + radius * np.exp(1j * t)))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from nsquad.corrections import GEval, correction_offmesh_closed
+from nsquad.corrections import GEval
 from nsquad.emcoeff import pks_seeds
 from nsquad.integrator import (
     KernelParams,
@@ -21,6 +21,7 @@ from nsquad.meshrule import Mesh, plain_trapezoid
 from nsquad.oracle import exact_test1, exact_test2, finite_part_reference
 from nsquad.specfun import digamma, hurwitz_zeta_nonpos, trigamma
 from nsquad.verify import CoeffParams, coeff_table, fk_series_oracle, pks_closed, pks_table
+from test_corrections import closed_form
 
 D_FIG = (0.1, 0.01, 0.0001)
 N_FIG = 64
@@ -139,10 +140,10 @@ def test_criterion_5_limits():
 
     g = GEval.analytic(np.exp)
     c, d, h = 1.0, 0.02, 1.0 / 64
-    centered = correction_offmesh_closed(g, c, d, h, 0.0, 0.0).total
+    centered = closed_form(g, c, d, h, 0.0, 0.0).total
     s_err = 0.0
     for s in (1e-9, -1e-9):
-        off = correction_offmesh_closed(g, c, d, h, s, s * h).total
+        off = closed_form(g, c, d, h, s, s * h).total
         s_err = max(s_err, abs(off - centered) / abs(centered))
     ok_s = s_err <= 1e-9
 

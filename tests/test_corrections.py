@@ -9,10 +9,9 @@ from nsquad.corrections import (
     correction_offmesh_closed,
     correction_taylor,
     fd_derivatives,
-    g_taylor,
 )
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
-from nsquad.oracle import finite_part_reference, reference_integral
+from nsquad.oracle import _taylor_coeffs_ref, finite_part_reference, reference_integral
 from nsquad.specfun import trigamma
 from nsquad.verify import CoeffParams, zks_table
 
@@ -27,16 +26,31 @@ def g_exp(scale: float = 1.0) -> GEval:
     return GEval.analytic(lambda z: scale * np.exp(z))
 
 
+def taylor_ref(g: GEval, x_s: float, K: int) -> np.ndarray:
+    """a_k = g^(k)(x_s)/k!, k = 0..K, from the oracle's contour (radius 0.4)."""
+    return _taylor_coeffs_ref(g.complex_eval, x_s, K + 1, 0.4)
+
+
+def mesh_window(g: GEval, h: float, s: float, x_s: float) -> np.ndarray:
+    """The `window` of correction_offmesh_closed: g at x_s - s h + k h, k = -4..4."""
+    return g.sample(x_s - s * h + h * np.arange(-4.0, 5.0))
+
+
+def closed_form(g: GEval, c: float, d: float, h: float, s: float, x_s: float):
+    """correction_offmesh_closed with its window sampled from g."""
+    return correction_offmesh_closed(g, c, d, h, s, x_s, mesh_window(g, h, s, x_s))
+
+
 def series(g: GEval, c: float, d: float, h: float, s: float, x_s: float, K: int = 6):
-    """The Taylor-form correction on g's contour coefficients through order K."""
-    return correction_taylor(g_taylor(g, x_s, K), c, d, h, s)
+    """The Taylor-form correction on g's coefficients through order K."""
+    return correction_taylor(taylor_ref(g, x_s, K), c, d, h, s)
 
 
 def hyper(g: GEval, h: float, s: float, x_s: float | None = None, K: int = 8) -> float:
     """Finite-part correction for 1/(x - x_s)^2, x_s = node + s h (node 0 by default)."""
     if x_s is None:
         x_s = s * h
-    return correction_taylor(g_taylor(g, x_s, K), 1.0, 0.0, h, s).total
+    return correction_taylor(taylor_ref(g, x_s, K), 1.0, 0.0, h, s).total
 
 
 class TestCenteredClosed:
@@ -44,7 +58,7 @@ class TestCenteredClosed:
         c, d, h = 1.0, 0.02, 1.0 / 64
         lam = d / (c * h)
         z0 = zks_table(CoeffParams(lam=lam, h=h, k_max=0))[0]
-        br = correction_offmesh_closed(g_const(), c, d, h, 0.0, 0.0)
+        br = closed_form(g_const(), c, d, h, 0.0, 0.0)
         assert br.total == pytest.approx(-2 * z0 / (c * c * h) + math.pi / (c * d),
                                          rel=1e-14)
         assert br.jump_part == pytest.approx(math.pi / (c * d), rel=1e-14)
@@ -63,35 +77,47 @@ class TestCenteredClosed:
     def test_d_to_zero_reproduces_finite_part_correction(self):
         c, h, d = 1.0, 1.0 / 64, 1e-9
         g = g_exp()
-        br = correction_offmesh_closed(g, c, d, h, 0.0, 0.0)
+        br = closed_form(g, c, d, h, 0.0, 0.0)
         finite_part = (1.0 / c ** 2) * (0.5 * h - 2.0 * ZETA2 / h)  # g''(0)=g(0)=1
         assert br.singular_part == pytest.approx(finite_part, rel=1e-12)
         assert br.jump_part * c * d / math.pi == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            correction_offmesh_closed(g_exp(), 1.0, 0.0, 0.01, 0.0, 0.0)
+            closed_form(g_exp(), 1.0, 0.0, 0.01, 0.0, 0.0)
         with pytest.raises(ValueError):
-            correction_offmesh_closed(GEval(real_eval=math.exp), 1.0, 0.1, 0.01, 0.0, 0.0)
+            closed_form(GEval(real_eval=math.exp), 1.0, 0.1, 0.01, 0.0, 0.0)
         nan, inf = math.nan, math.inf
         a = [1.0, 0.5, 0.25]
+        window = np.ones(9)
         # c and h nonpositive or non-finite, d non-finite: both correction forms
         for c, d, h in ((-1.0, 0.01, 0.01), (0.0, 0.01, 0.01), (nan, 0.01, 0.01),
                         (inf, 0.01, 0.01), (1.0, 0.01, -0.01), (1.0, 0.01, 0.0),
                         (1.0, 0.01, nan), (1.0, 0.01, inf), (1.0, nan, 0.01),
                         (1.0, inf, 0.01)):
             with pytest.raises(ValueError, match="must be finite"):
-                correction_offmesh_closed(g_exp(), c, d, h, 0.0, 0.0)
+                correction_offmesh_closed(g_exp(), c, d, h, 0.0, 0.0, window)
             with pytest.raises(ValueError, match="must be finite"):
                 correction_taylor(a, c, d, h, 0.0)
         for x_s in (nan, inf, -inf):
             with pytest.raises(ValueError, match="x_s must be finite"):
-                correction_offmesh_closed(g_exp(), 1.0, 0.01, 0.01, 0.0, x_s)
+                correction_offmesh_closed(g_exp(), 1.0, 0.01, 0.01, 0.0, x_s, window)
+
+    def test_rejects_bad_window(self):
+        # both branches: g_node = window[4] (d = 0.01), the stencil's Q series (d = 1e-6)
+        h = 1.0 / 64
+        good = mesh_window(g_exp(), h, 0.0, 0.0)
+        for bad in (good[:8], np.append(good, 1.0), good.reshape(3, 3), [],
+                    np.where(np.arange(9) == 4, math.nan, good),
+                    np.where(np.arange(9) == 0, math.inf, good)):
+            for d in (0.01, 1e-6):
+                with pytest.raises(ValueError, match="window"):
+                    correction_offmesh_closed(g_exp(), 1.0, d, h, 0.0, 0.0, bad)
 
     def test_jump_factorization(self):
         c, d, h = 1.0, 0.03, 1.0 / 64
         g = g_exp()
-        br = correction_offmesh_closed(g, c, d, h, 0.0, 0.0)
+        br = closed_form(g, c, d, h, 0.0, 0.0)
         lamh = (d / (c * h)) * h
         want = math.pi / (c * d) * complex(g.complex_eval(complex(0.0, lamh))).real
         assert br.jump_part == want
@@ -101,9 +127,9 @@ class TestOffmeshClosed:
     def test_s_continuity_at_zero(self):
         c, d, h = 1.0, 0.02, 1.0 / 64
         g = g_exp()
-        centered = correction_offmesh_closed(g, c, d, h, 0.0, 0.0).total
+        centered = closed_form(g, c, d, h, 0.0, 0.0).total
         for s in (1e-9, -1e-9):
-            off = correction_offmesh_closed(g, c, d, h, s, s * h).total
+            off = closed_form(g, c, d, h, s, s * h).total
             assert off == pytest.approx(centered, rel=1e-9)
 
     def test_corrected_rule_matches_reference_offmesh(self):
@@ -122,7 +148,7 @@ class TestOffmeshClosed:
         for g in (g_exp(), GEval.analytic(np.cos)):
             for s in (0.1, 0.3, 0.5):
                 x_s = s * h
-                off = correction_offmesh_closed(g, 1.0, d, h, s, x_s)
+                off = closed_form(g, 1.0, d, h, s, x_s)
                 fp = hyper(g, h, s, x_s)
                 # the breakdown keeps the singular part separately; total -
                 # jump would reintroduce the pi/(c d) magnitude as roundoff
@@ -130,9 +156,9 @@ class TestOffmeshClosed:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            correction_offmesh_closed(g_exp(), 1.0, 0.01, 0.01, 0.7, 0.007)
+            closed_form(g_exp(), 1.0, 0.01, 0.01, 0.7, 0.007)
         with pytest.raises(ValueError):
-            correction_offmesh_closed(g_exp(), 1.0, -0.1, 0.01, 0.2, 0.002)
+            closed_form(g_exp(), 1.0, -0.1, 0.01, 0.2, 0.002)
 
 
 class TestSeriesTruncated:
@@ -148,7 +174,7 @@ class TestSeriesTruncated:
     def test_k6_matches_closed_form(self):
         d, h = 0.01, 1.0 / 64
         g = g_exp()
-        closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
+        closed = closed_form(g, 1.0, d, h, 0.0, 0.0).total
         taylor = series(g, 1.0, d, h, 0.0, 0.0, K=6).total
         assert abs(taylor - closed) <= 1e-10 * max(1.0, abs(closed))
 
@@ -156,7 +182,7 @@ class TestSeriesTruncated:
         # each added even term buys roughly (d/c)^2 ~ h^2; check the decay
         d, h = 0.01, 1.0 / 64
         g = g_exp()
-        closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
+        closed = closed_form(g, 1.0, d, h, 0.0, 0.0).total
         diffs = [abs(series(g, 1.0, d, h, 0.0, 0.0, K=K).total
                      - closed) for K in (0, 2, 4)]
         assert diffs[1] <= 0.05 * diffs[0]
@@ -166,7 +192,7 @@ class TestSeriesTruncated:
         d, h, s = 0.01, 1.0 / 64, 0.4
         g = g_exp()
         x_s = s * h
-        closed = correction_offmesh_closed(g, 1.0, d, h, s, x_s).total
+        closed = closed_form(g, 1.0, d, h, s, x_s).total
         taylor = series(g, 1.0, d, h, s, x_s, K=6).total
         assert abs(taylor - closed) <= 1e-9 * max(1.0, abs(closed))
 
@@ -183,7 +209,7 @@ class TestSeriesTruncated:
                     # coefficients of g about x_s, by the binomial shift
                     shifted = [sum(math.comb(j, k) * a[j] * x_s ** (j - k)
                                    for j in range(k, len(a))) for k in range(len(a))]
-                    closed = correction_offmesh_closed(g, c, d, h, s, x_s)
+                    closed = closed_form(g, c, d, h, s, x_s)
                     taylor = correction_taylor(shifted, c, d, h, s)
                     assert taylor.singular_part == pytest.approx(
                         closed.singular_part, rel=1e-13), (c, lam, s)
@@ -195,7 +221,7 @@ class TestSeriesTruncated:
         h = 1.0 / 64
         g = g_exp()
         for d in (1e-4, 1e-3, 1e-2, 1e-1):
-            closed = correction_offmesh_closed(g, 1.0, d, h, 0.0, 0.0).total
+            closed = closed_form(g, 1.0, d, h, 0.0, 0.0).total
             taylor = series(g, 1.0, d, h, 0.0, 0.0, K=6).total
             assert abs(taylor - closed) <= 1e-9 * max(1.0, abs(closed))
 

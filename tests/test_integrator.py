@@ -226,7 +226,8 @@ class TestFinitePart:
         assert abs(res.value - ref) <= 1e-11
 
     def test_fd_series_at_d_zero_uses_stencil(self):
-        # the only complex call is the consistency check at x_s
+        # with or without "fd-series", the only complex call is the
+        # consistency check at x_s: the stencil is the one Taylor source
         calls = [0]
 
         def complex_eval(z):
@@ -240,8 +241,9 @@ class TestFinitePart:
             calls[0] = 0
             fd = integrate_near_singular(g, params, 64, "fd-series")
             assert calls[0] == 1
-            contour = integrate_near_singular(g, params, 64)
-            assert abs(fd.value - contour.value) <= 1e-9 * max(1.0, abs(contour.value))
+            auto = integrate_near_singular(g, params, 64)
+            assert calls[0] == 2
+            assert fd.value == auto.value
 
     def test_real_only_samples_once(self):
         # the 2n + 1 mesh samples are all: the stencil reuses them
@@ -304,19 +306,21 @@ class TestArraySampling:
         h = 1.0 / n
         f, calls = counted(np.exp)
         g = GEval.analytic(f)
-        # closed form with g_node; closed form whose quotient takes the contour
-        for params, arrays in ((KernelParams(a=1.0, d=1e-2, x_s=0.3 * h), 1),
-                               (KernelParams(a=1.0, d=1e-6, x_s=26 * h), 2)):
+        # beyond the one mesh array: G and the consistency check at x_s
+        # (closed form, with g_node or with the Q series), or the check alone
+        for params, terms in ((KernelParams(a=1.0, d=1e-2, x_s=0.3 * h), 0),
+                              (KernelParams(a=1.0, d=1e-6, x_s=26 * h), 6)):
             calls.update(array=0, scalar=0)
             res = integrate_near_singular(g, params, n)
             assert res.method == "closed-form"
-            assert calls["array"] == arrays
-            assert calls["array"] + calls["scalar"] <= 5
+            assert res.breakdown.terms_used == terms
+            assert calls["array"] == 1
+            assert calls["array"] + calls["scalar"] <= 3
         for x_s in (0.0, 0.3 * h):
             calls.update(array=0, scalar=0)
             integrate_finite_part(g, 1.0, x_s, n)
-            assert calls["array"] == 2
-            assert calls["array"] + calls["scalar"] <= 3
+            assert calls["array"] == 1
+            assert calls["array"] + calls["scalar"] <= 2
 
     def test_scalar_only_analytic_falls_back(self):
         f, calls = counted(exp_scalar_only)
@@ -445,6 +449,23 @@ class TestInputValidation:
                 integrate_near_singular(g, params, n)
         want = integrate_near_singular(g, params, 64).value
         assert integrate_near_singular(g, params, np.int64(64)).value == want
+
+
+class TestConsistencyCheck:
+    def test_no_warning_at_a_root_of_g(self):
+        # g(x_s) is a rounding error, so numpy's array and scalar paths
+        # differ by 100 % of it but by an ulp of g's size
+        root = -0.125
+        g = GEval.analytic(lambda z: np.exp(z) - math.exp(root))
+        res = integrate_near_singular(g, KernelParams(a=1.0, c=1.0, d=1e-3, x_s=root), 64)
+        assert res.warnings == []
+        assert integrate_finite_part(g, 1.0, root, 64).warnings == []
+
+    def test_warns_on_a_small_disagreement(self):
+        g = GEval(real_eval=math.exp, complex_eval=lambda z: cmath.exp(z) * (1.0 + 1e-10))
+        for d, x_s in ((1e-3, 0.1), (0.0, 0.1), (1e-3, 0.0)):
+            res = integrate_near_singular(g, KernelParams(a=1.0, c=1.0, d=d, x_s=x_s), 64)
+            assert any("complex_eval disagrees" in w for w in res.warnings), (d, x_s)
 
 
 class TestSelfCheck:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrections import GEval
-from .integrator import KernelParams, integrate_near_singular, puncture_split
-from .meshrule import Mesh, plain_trapezoid, punctured_trapezoid
+from .integrator import KernelParams, _correct, _mesh_pass, integrate_near_singular
+from .meshrule import plain_trapezoid
 from .oracle import exact_test1, exact_test2, reference_integral
 from .verify import CoeffParams, coeff_table
 
@@ -56,8 +56,8 @@ class StudyConfig:
     g_expr: str | None = None
 
     def __post_init__(self):
-        if not self.d_list or not self.n_list:
-            raise ValueError("d and n lists must be nonempty")
+        if not self.d_list or not self.n_list or not self.methods:
+            raise ValueError("d, n and method lists must be nonempty")
         if self.integrand not in ("test1", "test2", "custom"):
             raise ValueError("integrand must be test1, test2, or custom")
         bad = [m for m in self.methods if m not in CONVERGE_METHODS]
@@ -112,26 +112,19 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
 
 def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
                    n: int) -> list[float]:
-    """The value of each method at one (d, n); the uncorrected ones share one
-    sampling of g over the mesh."""
-    mesh = Mesh(params.a, n)
-    f = None
+    """The value of each method at one (d, n), all from one sampling of g."""
+    sampled = _mesh_pass(g, params, n)
+    mesh, _, _, _, f, uncorrected, _, _ = sampled
     values = []
     for method in methods:
         if method == "corrected-closed":
-            value = integrate_near_singular(g, params, n, method="closed-form").value
+            value = _correct(g, params, sampled, "closed-form").value
         elif method == "corrected-fd6":
-            value = integrate_near_singular(g, params, n, method="fd-series").value
+            value = _correct(g, params, sampled, "fd-series").value
+        elif method == "uncorrected-plain":
+            value = plain_trapezoid(mesh, f)
         else:
-            if f is None:
-                nodes = mesh.nodes()
-                denom = params.d ** 2 + params.c ** 2 * (nodes - params.x_s) ** 2
-                f = g.sample(nodes) / denom
-            if method == "uncorrected-plain":
-                value = plain_trapezoid(mesh, f)
-            else:
-                j = puncture_split(params.x_s, mesh.h)[0]
-                value = punctured_trapezoid(mesh, f, puncture=j)
+            value = uncorrected
         values.append(value)
     return values
 

@@ -127,7 +127,6 @@ class CorrectionBreakdown:
     jump_part: float
     total: float
     terms_used: int
-    method: str
 
 
 @lru_cache(maxsize=1)
@@ -176,10 +175,19 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
     return np.array(a[:FD_DERIV_MAX + 1]) * _FACTORIALS / h ** _DERIV_ORDERS
 
 
+def _checked_window(window: Sequence[float]) -> np.ndarray:
+    """`window` as floats; ValueError unless it holds 9 finite values."""
+    window = np.asarray(window, dtype=float)
+    if window.shape != (FD_STENCIL,) or not all(map(math.isfinite, window.tolist())):
+        raise ValueError(f"window must hold g at the {FD_STENCIL} nodes around "
+                         "the puncture, all finite")
+    return window
+
+
 def stencil_taylor(window: Sequence[float], h: float, offset: float) -> np.ndarray:
     """Taylor coefficients a_k = g^(k)(x_s)/k!, k = 0..6, from the 9 mesh samples
-    around the puncture: g at the nodes x_s - offset + k h, k = -4..4."""
-    return fd_derivatives(window, h, offset) / _FACTORIALS
+    around the puncture: g at the nodes x_s - offset + k h, k = -4..4, all finite."""
+    return fd_derivatives(_checked_window(window), h, offset) / _FACTORIALS
 
 
 def _quotient_series(lam: float, s: float, a: Sequence[float], h: float) -> float:
@@ -192,11 +200,11 @@ def _quotient_series(lam: float, s: float, a: Sequence[float], h: float) -> floa
 
 
 def _assemble(bracket: float, re_g: float, c: float, d: float, h: float,
-              terms: int, method: str) -> CorrectionBreakdown:
+              terms: int) -> CorrectionBreakdown:
     """E = -bracket/(c^2 h) + (pi/(c d)) Re G; the jump is omitted at d = 0."""
     singular = float(-bracket / (c * c * h))
     jump = float(math.pi / (c * d) * re_g) if d > 0.0 else 0.0
-    return CorrectionBreakdown(singular, jump, singular + jump, terms, method)
+    return CorrectionBreakdown(singular, jump, singular + jump, terms)
 
 
 def _check_scales(c: float, d: float, h: float) -> None:
@@ -212,7 +220,7 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     """Closed-form correction for a near singularity at x_s = node + s h.
 
     `window` holds g at the 9 nodes x_s - s h + k h, k = -4..4, as the mesh
-    sampled them.  With lam = d/(c h), G = g(x_s + i lam h) and g_node =
+    sampled them, all finite.  With lam = d/(c h), G = g(x_s + i lam h) and g_node =
     window[4] = g(x_s - s h):
 
     E = -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
@@ -232,24 +240,20 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
                          "(d = 0 takes the finite-part path)")
     if g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
-    window = np.asarray(window, dtype=float)
-    if window.shape != (FD_STENCIL,) or not all(map(math.isfinite, window.tolist())):
-        raise ValueError(f"window must hold g at the {FD_STENCIL} nodes around "
-                         "the puncture, all finite")
     lam = d / (c * h)
     p0, p1 = pks_seeds(lam, s)
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
     denom = s * s + lam * lam
     if lam > Q_SERIES_RATIO * denom:
-        a = stencil_taylor(window, h, s * h).tolist()
+        a = stencil_taylor(window, h, s * h).tolist()   # checks the window
         quotient = _quotient_series(lam, s, a, h)
         terms = FD_DERIV_MAX
     else:
-        g_node = float(window[FD_STENCIL // 2])
+        g_node = float(_checked_window(window)[FD_STENCIL // 2])
         quotient = (gval.real - g_node - s / lam * gval.imag) / denom
         terms = 0
     bracket = p0 * gval.real + p1 * gval.imag / lam + quotient
-    return _assemble(bracket, gval.real, c, d, h, terms, "closed-form")
+    return _assemble(bracket, gval.real, c, d, h, terms)
 
 
 def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
@@ -272,5 +276,4 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
     even = sum(ak * mu ** m for m, ak in enumerate(a[0::2]))
     odd = sum(ak * mu ** m for m, ak in enumerate(a[1::2]))
     bracket = p0 * even + p1 * (h * odd) + _quotient_series(lam, s, a, h)
-    method = "finite-part" if d == 0.0 else "taylor-series"
-    return _assemble(bracket, even, c, d, h, len(a) - 1, method)
+    return _assemble(bracket, even, c, d, h, len(a) - 1)

@@ -1,11 +1,12 @@
 """High-level API: corrected near-singular and finite-part integration.
 
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
-mesh half-count n, these routines sample g once on the mesh, build the
-punctured trapezoidal sum, add the correction (the closed form in g itself,
-or in g's Taylor polynomial from the 9 samples around the puncture) and
-return the corrected value with a breakdown.  The coefficient cross-checks
-(`self_check`) live in `verify`.
+mesh half-count n, these routines sample g once on the mesh and build the
+punctured trapezoidal sum (`_mesh_pass`), add the correction (the closed
+form in g itself, or in g's Taylor polynomial from the 9 samples around the
+puncture; `_correct`) and return the corrected value with a breakdown.  The
+convergence study of `cli` reads every method from one pass.  The
+coefficient cross-checks (`self_check`) live in `verify`.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
 
 def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
                     puncture: int) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """g at the mesh nodes, the kernel samples f with the puncture left out, and
-    g(x_s) for the consistency check (taken in the same pass; None if unused)."""
+    """g at the mesh nodes, the kernel samples f, and g(x_s) for the consistency
+    check (taken in the same pass; None if unused).  f at the puncture, which
+    only the plain rule sums, is NaN where the kernel's denominator is 0."""
     nodes = mesh.nodes()
     g_xs = None
     if g.complex_eval is None:
@@ -103,9 +105,12 @@ def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
         gvals = g.sample(np.append(nodes, params.x_s))
         gvals, g_xs = gvals[:-1], gvals[-1]
     denom = params.d ** 2 + params.c ** 2 * (nodes - params.x_s) ** 2
-    denom[mesh.n + puncture] = 1.0  # punctured entry is never summed
+    i = mesh.n + puncture
+    denom_i = float(denom[i])
+    denom[i] = 1.0
     f = gvals / denom
-    f[mesh.n + puncture] = np.nan
+    # a Python division: a zero or subnormal denominator there raises no numpy warning
+    f[i] = float(gvals[i]) / denom_i if denom_i else math.nan
     return gvals, f, g_xs
 
 
@@ -116,6 +121,61 @@ def _validate(params: KernelParams, n: int, mesh: Mesh) -> None:
     if not abs(params.x_s) < params.a - 10.0 * h:
         raise ValueError("x_s too close to an endpoint for the correction "
                          "stencils (need |x_s| < a - 10h)")
+
+
+def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
+    """Everything a target needs from g before its correction, in one sampling.
+
+    Returns (mesh, j, s, gvals, f, uncorrected, edge_err, warnings): the
+    puncture j and offset s, g and the kernel samples f at the mesh nodes,
+    the punctured sum of f, its estimated end-correction error and the
+    consistency warning, if any, as a tuple.  Every method reads the same
+    pass through `_correct`.
+    """
+    mesh = Mesh(params.a, n)
+    _validate(params, n, mesh)
+    j, s = puncture_split(params.x_s, mesh.h)
+    gvals, f, g_xs = _kernel_samples(g, params, mesh, j)
+    warnings = ()
+    if g_xs is not None:
+        gap = g.consistency_gap(params.x_s, g_xs)
+        if gap > 4.0 * _EPS * abs(g_xs):
+            # near a root of g, |g(x_s)| is no scale, and nor is |g| on the
+            # window when h is small: take g's size on the whole mesh
+            gap /= max(abs(g_xs), float(np.abs(gvals).max()), 1e-300)
+            if gap > 4.0 * _EPS:
+                warnings = (f"complex_eval disagrees with real_eval at x_s "
+                            f"(relative gap {gap:.2e})",)
+    uncorrected = punctured_trapezoid(mesh, f, puncture=j)
+    edge_err = end_error_estimate(mesh, f, puncture=j)
+    return mesh, j, s, gvals, f, uncorrected, edge_err, warnings
+
+
+def _correct(g: GEval, params: KernelParams, sampled: tuple,
+             method: str) -> QuadResult:
+    """The result of `method` on the pass `sampled` of `_mesh_pass`; only the
+    closed form's G calls g again."""
+    mesh, j, s, gvals, _, uncorrected, edge_err, warnings = sampled
+    h = mesh.h
+    c, d = params.c, params.d
+    i0 = mesh.n + j - FD_STENCIL // 2
+    window = gvals[i0:i0 + FD_STENCIL]   # the one Taylor source, also g_node
+    if d > 0.0 and method != "fd-series" and (g.complex_eval is not None
+                                              or method == "closed-form"):
+        # raises for a real-only g, which has no closed form
+        breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s, window)
+        used = "closed-form"
+    else:
+        a = stencil_taylor(window, h, params.x_s - mesh.node(j))
+        breakdown = correction_taylor(a, c, d, h, s)
+        used = "finite-part" if d == 0.0 else "fd-series"
+
+    value = uncorrected + breakdown.total
+    warnings = list(warnings)
+    if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
+        warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
+    summary = MeshSummary(params.a, mesh.n, h, j, s)
+    return QuadResult(value, uncorrected, breakdown, summary, used, warnings)
 
 
 def integrate_near_singular(g: GEval, params: KernelParams, n: int,
@@ -134,42 +194,7 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    mesh = Mesh(params.a, n)
-    _validate(params, n, mesh)
-    h = mesh.h
-    j, s = puncture_split(params.x_s, h)
-    warnings: list[str] = []
-    gvals, f, g_xs = _kernel_samples(g, params, mesh, j)
-    if g_xs is not None:
-        gap = g.consistency_gap(params.x_s, g_xs)
-        if gap > 4.0 * _EPS * abs(g_xs):
-            # near a root of g, |g(x_s)| is no scale, and nor is |g| on the
-            # window when h is small: take g's size on the whole mesh
-            gap /= max(abs(g_xs), float(np.abs(gvals).max()), 1e-300)
-            if gap > 4.0 * _EPS:
-                warnings.append(f"complex_eval disagrees with real_eval at x_s "
-                                f"(relative gap {gap:.2e})")
-    uncorrected = punctured_trapezoid(mesh, f, puncture=j)
-
-    c, d = params.c, params.d
-    i0 = mesh.n + j - FD_STENCIL // 2
-    window = gvals[i0:i0 + FD_STENCIL]   # the one Taylor source, also g_node
-    if d > 0.0 and method != "fd-series" and (g.complex_eval is not None
-                                              or method == "closed-form"):
-        # raises for a real-only g, which has no closed form
-        breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s, window)
-        used = "closed-form"
-    else:
-        a = stencil_taylor(window, h, params.x_s - mesh.node(j))
-        breakdown = correction_taylor(a, c, d, h, s)
-        used = "finite-part" if d == 0.0 else "fd-series"
-
-    value = uncorrected + breakdown.total
-    edge_err = end_error_estimate(mesh, f, puncture=j)
-    if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
-        warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
-    summary = MeshSummary(params.a, n, h, j, s)
-    return QuadResult(value, uncorrected, breakdown, summary, used, warnings)
+    return _correct(g, params, _mesh_pass(g, params, n), method)
 
 
 def integrate_finite_part(g: GEval, a: float, x_s: float, n: int) -> QuadResult:

@@ -39,6 +39,8 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(d_list=[], n_list=[64])
         with pytest.raises(ValueError):
+            StudyConfig(d_list=[0.1], n_list=[64], methods=())
+        with pytest.raises(ValueError):
             StudyConfig(d_list=[0.1], n_list=[64], integrand="mystery")
         with pytest.raises(ValueError):
             StudyConfig(d_list=[0.1], n_list=[64], methods=("nope",))
@@ -93,14 +95,22 @@ class TestConverge:
                 return GEval.analytic(counted, radius)
 
         monkeypatch.setattr(cli, "GEval", CountingGEval)
-        config = StudyConfig(d_list=[0.01], n_list=[32, 64],
-                             methods=("uncorrected-plain", "uncorrected-punctured"))
+        config = StudyConfig(d_list=[0.01], n_list=[32, 64])
         rows = run_converge(config)
-        assert calls == [(65,), (129,)]
+        # per (d, n): the mesh with x_s appended, then g(x_s) through
+        # complex_eval for the consistency check and G for the closed form
+        assert calls == [(66,), (), (), (130,), (), ()]
         monkeypatch.undo()
+        assert len(rows) == 8
+        g = GEval.analytic(lambda z: 0.01 * np.exp(z))
+        params = KernelParams(a=1.0, c=1.0, d=0.01, x_s=0.0)
+        corrected = {"corrected-closed": "closed-form", "corrected-fd6": "fd-series"}
         for row in rows:
             alone = StudyConfig(d_list=[0.01], n_list=[row.n], methods=(row.method,))
             assert run_converge(alone)[0].value == row.value
+            if row.method in corrected:
+                res = integrate_near_singular(g, params, row.n, corrected[row.method])
+                assert res.value == row.value
 
     def test_test2_reference(self):
         config = StudyConfig(d_list=[0.01], n_list=[64], integrand="test2",
@@ -154,6 +164,8 @@ class TestCliCommands:
     def test_converge_rejects_bad_config(self, capsys):
         assert main(["converge", "--integrand", "test1", "--d", "-0.1",
                      "--n", "32"]) == 1
+        assert "error" in capsys.readouterr().err
+        assert main(["converge", "--method", ",", "--d", "0.1", "--n", "16"]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_coeffs_half_shift_limits(self, capsys):

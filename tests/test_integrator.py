@@ -120,6 +120,24 @@ class TestNearSingular:
         with pytest.raises(ValueError):
             KernelParams(a=1.0, c=0.0, d=0.1)
 
+    def test_nan_at_the_puncture_raises_on_every_branch(self):
+        # g(x_s) is not finite on the node x_s = 0: no branch returns a silent NaN
+        def sinc(x):
+            return math.sin(x) / x if x else math.nan
+
+        def sinc_complex(z):
+            return cmath.sin(z) / z if z else complex(math.nan, 0.0)
+
+        real_only = GEval(real_eval=sinc)
+        both = GEval(real_eval=sinc, complex_eval=sinc_complex)
+        for g, d, method in ((real_only, 0.0, "auto"), (real_only, 1e-3, "auto"),
+                             (real_only, 1e-3, "fd-series"), (both, 1e-3, "fd-series"),
+                             (both, 1e-3, "closed-form"), (both, 1e-6, "closed-form")):
+            with pytest.raises(ValueError, match="window"):
+                integrate_near_singular(g, KernelParams(a=1.0, d=d), 64, method)
+        with pytest.raises(ValueError, match="window"):
+            integrate_finite_part(real_only, 1.0, 0.0, 64)
+
     def test_random_parameters_property(self):
         # wide sweep of (d, x_s) at n = 64; the corrected rule stays within
         # a few tens of ulp of the exponential-integral value throughout

@@ -80,7 +80,7 @@ class GEval:
         ValueError: a Python complex from real_eval is rejected, not truncated
         to its real part.
         """
-        is_complex = np.iscomplexobj(points)
+        is_complex = points.dtype.kind == "c"
         if self._array_f is not None:
             values = self._sample_array(points, is_complex)
             if values is not None:
@@ -104,7 +104,7 @@ class GEval:
         rejects arrays."""
         try:
             values = np.asarray(self._array_f(points))
-            if values.shape == points.shape and (is_complex or not np.iscomplexobj(values)):
+            if values.shape == points.shape and (is_complex or values.dtype.kind != "c"):
                 return values.astype(complex if is_complex else float, copy=False)
         except (TypeError, ValueError):
             pass
@@ -178,7 +178,9 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
 def _checked_window(window: Sequence[float]) -> np.ndarray:
     """`window` as floats; ValueError unless it holds 9 finite values."""
     window = np.asarray(window, dtype=float)
-    if window.shape != (FD_STENCIL,) or not all(map(math.isfinite, window.tolist())):
+    values = window.tolist()  # a finite sum means all are finite; else huge ones may overflow
+    if window.shape != (FD_STENCIL,) or not (math.isfinite(sum(values))
+                                             or all(map(math.isfinite, values))):
         raise ValueError(f"window must hold g at the {FD_STENCIL} nodes around "
                          "the puncture, all finite")
     return window

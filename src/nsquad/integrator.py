@@ -94,33 +94,27 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
 
 def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
                     puncture: int) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """g at the mesh nodes, the kernel samples f, and g(x_s) for the consistency
-    check (taken in the same pass; None if unused).  f at the puncture, which
-    only the plain rule sums, is NaN where the kernel's denominator is 0."""
+    """g and the kernel samples f at the mesh nodes (f at the puncture is NaN where
+    the kernel's denominator is 0), and g(x_s) for the consistency check or None."""
     nodes = mesh.nodes()
-    g_xs = None
     if g.complex_eval is None:
-        gvals = g.sample(nodes)
+        gvals, g_xs = g.sample(nodes), None
     else:
-        gvals = g.sample(np.append(nodes, params.x_s))
+        points = np.empty(len(nodes) + 1)
+        points[:-1] = nodes
+        points[-1] = params.x_s
+        gvals = g.sample(points)
         gvals, g_xs = gvals[:-1], gvals[-1]
-    denom = params.d ** 2 + params.c ** 2 * (nodes - params.x_s) ** 2
+    f = nodes - params.x_s   # the denominators in place, then f
+    f *= f
+    f *= params.c ** 2
+    f += params.d ** 2
     i = mesh.n + puncture
-    denom_i = float(denom[i])
-    denom[i] = 1.0
-    f = gvals / denom
+    denom_i, f[i] = float(f[i]), 1.0
+    np.divide(gvals, f, out=f)
     # a Python division: a zero or subnormal denominator there raises no numpy warning
     f[i] = float(gvals[i]) / denom_i if denom_i else math.nan
     return gvals, f, g_xs
-
-
-def _validate(params: KernelParams, n: int, mesh: Mesh) -> None:
-    if n < 16:
-        raise ValueError("n must be at least 16")
-    h = mesh.h
-    if not abs(params.x_s) < params.a - 10.0 * h:
-        raise ValueError("x_s too close to an endpoint for the correction "
-                         "stencils (need |x_s| < a - 10h)")
 
 
 def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
@@ -133,7 +127,11 @@ def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
     pass through `_correct`.
     """
     mesh = Mesh(params.a, n)
-    _validate(params, n, mesh)
+    if n < 16:
+        raise ValueError("n must be at least 16")
+    if not abs(params.x_s) < params.a - 10.0 * mesh.h:
+        raise ValueError("x_s too close to an endpoint for the correction "
+                         "stencils (need |x_s| < a - 10h)")
     j, s = puncture_split(params.x_s, mesh.h)
     gvals, f, g_xs = _kernel_samples(g, params, mesh, j)
     warnings = ()

@@ -1,10 +1,10 @@
 """Uniform meshes on [-a, a] and the punctured trapezoidal rule.
 
-The rule carries only *endpoint* corrections: Gregory weights of order
-EDGE_ORDER = 8 at both ends.  Interior singular corrections are assembled
-elsewhere; the rule treats its samples as those of a smooth function except
-possibly at one punctured node.  `end_error_estimate` measures how far the
-sum moves when order-10 weights replace the order-8 ones.
+The rule carries only *endpoint* corrections, Gregory weights of order
+EDGE_ORDER = 8 at both ends, and is one cached weight row per n
+(`gregory_row`): a punctured sum is h times that row dotted with the samples,
+the punctured entry zeroed.  `end_error_estimate` dots the order-10 minus
+order-8 weights with the 11 samples at each end.
 """
 
 from __future__ import annotations
@@ -94,16 +94,22 @@ def gregory_weights(order: int) -> np.ndarray:
     return w
 
 
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+def _checked(total: float, summed: np.ndarray) -> float:
+    """`total`; ValueError if it is not finite because a summed sample is not."""
+    if not math.isfinite(total) and not np.all(np.isfinite(summed)):
         raise ValueError("non-finite sample at a summed node")
+    return total
 
 
-def _edge_sum(part: np.ndarray, edge: np.ndarray, w: np.ndarray, h: float) -> float:
-    """h sum(part) plus the endpoint correction; `edge` is `part` from the endpoint inward."""
-    corr = -0.5 * h * edge[0]
-    corr += h * np.dot(w, edge[:len(w)])
-    return float(h * float(np.sum(part)) + corr)
+@lru_cache(maxsize=32)
+def gregory_row(n: int) -> np.ndarray:
+    """The weights of the Gregory-8 rule on the 2n+1 nodes, h factored out."""
+    row = np.ones(2 * n + 1)
+    row[[0, -1]] = 0.5
+    row[:EDGE_ORDER + 1] += gregory_weights(EDGE_ORDER)
+    row[-EDGE_ORDER - 1:] += gregory_weights(EDGE_ORDER)[::-1]
+    row.flags.writeable = False
+    return row
 
 
 def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
@@ -115,13 +121,16 @@ def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = N
     """
     gap = _weight_gap()
     m = len(gap)
-    ends = np.array([samples[:m], samples[:-m - 1:-1]], dtype=float)
+    left, right = samples[:m], samples[-m:]   # right is dotted with gap reversed
     if puncture is not None:
-        for row, i in enumerate((mesh.n + puncture, mesh.n - puncture)):
-            if i < m:
-                ends[row, i] = 0.0
-    left, right = (ends @ gap).tolist()
-    return mesh.h * (abs(left) + abs(right))
+        i = mesh.n + puncture
+        if i < m:
+            left = left.copy()
+            left[i] = 0.0
+        if i >= len(samples) - m:
+            right = right.copy()
+            right[i - len(samples)] = 0.0
+    return mesh.h * (abs(float(gap @ left)) + abs(float(gap[::-1] @ right)))
 
 
 @lru_cache(maxsize=1)
@@ -139,12 +148,11 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
     Parameters
     ----------
     samples : array of f at all 2n+1 mesh nodes (the punctured entry may be
-        non-finite; it is never touched).
+        non-finite; it is never read).
     puncture : mesh index k in (-n, n) to omit, or None for the ordinary rule.
 
-    The rule is assembled as the corrected sums over k < 0 and k > 0 plus
-    the center node, so the ordinary rule equals the rule punctured at 0
-    plus h f_0 identically.
+    The sum is h `gregory_row(n)` . f with the punctured entry of f zeroed;
+    the ordinary rule is the rule punctured at 0 plus h f_0, identically.
     """
     samples = np.asarray(samples, dtype=float)
     n = mesh.n
@@ -158,20 +166,12 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
     if n < EDGE_ORDER + 1:
         raise ValueError(f"mesh too small for gregory order {EDGE_ORDER} "
                          f"(need n >= {EDGE_ORDER + 1})")
-    w = gregory_weights(EDGE_ORDER)
-    h = mesh.h
-    vals = samples
-    if puncture is not None and puncture != 0:
-        vals = samples.copy()
-        vals[n + puncture] = 0.0  # excluded node; value never consumed
-    left, right = vals[:n], vals[n + 1:]
-    total = _edge_sum(left, left, w, h) + _edge_sum(right, right[::-1], w, h)
-    if puncture != 0:
-        total = float(total + h * vals[n])
-    # a non-finite summed sample makes the total non-finite: only then look
-    if not math.isfinite(total):
-        _check_finite(np.delete(vals, n) if puncture == 0 else vals)
-    return total
+    vals = samples.copy()
+    vals[n if puncture is None else n + puncture] = 0.0
+    total = mesh.h * float(gregory_row(n) @ vals)
+    if puncture is None:
+        total += mesh.h * float(samples[n])
+    return _checked(total, samples if puncture is None else vals)
 
 
 def plain_trapezoid(mesh: Mesh, samples: np.ndarray) -> float:
@@ -179,5 +179,5 @@ def plain_trapezoid(mesh: Mesh, samples: np.ndarray) -> float:
     samples = np.asarray(samples, dtype=float)
     if len(samples) != 2 * mesh.n + 1:
         raise ValueError("sample count does not match the mesh")
-    _check_finite(samples)
-    return float(mesh.h * (float(np.sum(samples)) - 0.5 * (samples[0] + samples[-1])))
+    ends = 0.5 * float(samples[0]) + 0.5 * float(samples[-1])
+    return _checked(mesh.h * (float(np.sum(samples)) - ends), samples)

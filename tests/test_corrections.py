@@ -6,9 +6,11 @@ import pytest
 
 from nsquad.corrections import (
     GEval,
+    _checked_window,
     correction_offmesh_closed,
     correction_taylor,
     fd_derivatives,
+    stencil_taylor,
 )
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
 from nsquad.oracle import _taylor_coeffs_ref, finite_part_reference, reference_integral
@@ -113,6 +115,17 @@ class TestCenteredClosed:
             for d in (0.01, 1e-6):
                 with pytest.raises(ValueError, match="window"):
                     correction_offmesh_closed(g_exp(), 1.0, d, h, 0.0, 0.0, bad)
+
+    def test_window_check_passes_huge_finite_values(self):
+        # their sum overflows; only then is each value tested
+        for window in (np.full(9, 1e308), np.where(np.arange(9) == 2, -1e308, 1e308)):
+            assert _checked_window(window).tobytes() == window.tobytes()
+        assert np.all(np.isfinite(stencil_taylor(np.full(9, 1e308), 1.0 / 64, 0.0)))
+        for bad in (math.nan, math.inf, -math.inf):
+            window = np.full(9, 1e308)
+            window[6] = bad
+            with pytest.raises(ValueError, match="window must hold g at the 9 nodes"):
+                stencil_taylor(window, 1.0 / 64, 0.0)
 
     def test_jump_factorization(self):
         c, d, h = 1.0, 0.03, 1.0 / 64

@@ -12,6 +12,7 @@ from nsquad.integrator import (
     integrate_near_singular,
     puncture_split,
 )
+from nsquad.meshrule import Mesh
 from nsquad.oracle import exact_test1, finite_part_reference
 from nsquad.verify import self_check
 
@@ -390,6 +391,18 @@ class TestArraySampling:
                 b = integrate_finite_part(scalar, 1.0, x_s, n)
                 assert (a.value, a.uncorrected) == (b.value, b.uncorrected)
 
+    def test_node_cache_unchanged_by_integration(self):
+        # every in-place step works on copies, never on the cached nodes
+        mesh = Mesh(1.0, 64)
+        nodes = mesh.nodes()
+        before = nodes.tobytes()
+        params = KernelParams(a=1.0, d=1e-3, x_s=0.3 / 64)
+        for g in (GEval.analytic(np.exp), GEval(real_eval=math.exp)):
+            for method in ("auto", "fd-series"):
+                integrate_near_singular(g, params, 64, method)
+            integrate_finite_part(g, 1.0, 0.0, 64)
+            integrate_finite_part(g, 1.0, 0.3 / 64, 64)
+        assert mesh.nodes() is nodes and nodes.tobytes() == before
 
 
 class TestScalarContract:

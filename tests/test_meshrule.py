@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from nsquad.meshrule import (
     GREGORY_ORDERS,
     Mesh,
     end_error_estimate,
+    gregory_row,
     gregory_weights,
     plain_trapezoid,
     punctured_trapezoid,
@@ -25,6 +27,34 @@ def gregory_rule(mesh: Mesh, samples: np.ndarray, order: int) -> float:
     m = len(w)
     ends = np.dot(w, samples[:m]) + np.dot(w, samples[::-1][:m])
     return mesh.h * (np.sum(samples) - 0.5 * (samples[0] + samples[-1]) + ends)
+
+
+def exact_gregory_weights(order: int) -> list[Fraction]:
+    """Gregory end weights from the Gregory coefficients, not a moment system.
+
+    G_k = (1/k!) int_0^1 x (x - 1) ... (x - k + 1) dx, and the left end adds
+    sum_{k=1..order} -G_{k+1} Delta^k f_0 to the trapezoidal sum.
+    """
+    coeffs = []
+    poly = [Fraction(1)]  # x (x - 1) ... (x - k + 1), lowest power first
+    for k in range(order + 2):
+        coeffs.append(sum(c / (p + 1) for p, c in enumerate(poly)) / math.factorial(k))
+        poly = [Fraction(0)] + poly
+        poly = [poly[p] - k * (poly[p + 1] if p + 1 < len(poly) else 0)
+                for p in range(len(poly))]
+    return [sum(-coeffs[k + 1] * (-1) ** (k - j) * math.comb(k, j)
+                for k in range(max(j, 1), order + 1))
+            for j in range(order + 1)]
+
+
+def exact_row(n: int) -> list[Fraction]:
+    """The Gregory-8 rule's weights on 2n+1 nodes, h factored out, exactly."""
+    row = [Fraction(1)] * (2 * n + 1)
+    row[0] = row[-1] = Fraction(1, 2)
+    for j, wj in enumerate(exact_gregory_weights(8)):
+        row[j] += wj
+        row[-1 - j] += wj
+    return row
 
 
 class TestMesh:
@@ -91,11 +121,48 @@ class TestGregoryWeights:
         with pytest.raises(ValueError):
             w[0] = 0.0
 
+    def test_match_gregory_coefficients(self):
+        # both are exact rationals rounded once
+        for order in GREGORY_ORDERS:
+            want = [float(x) for x in exact_gregory_weights(order)]
+            np.testing.assert_array_equal(gregory_weights(order), want)
+
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             gregory_weights(3)
         with pytest.raises(ValueError):
             gregory_weights(12)
+
+
+class TestGregoryRow:
+    def test_cached_and_read_only(self):
+        row = gregory_row(64)
+        assert row is gregory_row(64) and len(row) == 129
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    def test_matches_exact_weights(self):
+        for n in (9, 16, 64):
+            # two roundings of entries near 1 (one of w, one of the sum)
+            np.testing.assert_allclose(gregory_row(n), [float(x) for x in exact_row(n)],
+                                       rtol=0, atol=3e-16)
+
+    def test_rule_against_exact_weights(self):
+        # math.fsum of exact-weight products is the reference; the rule's dot
+        # product may differ from it by a few ulp of h sum |w f|
+        rng = np.random.default_rng(3)
+        for n in (16, 64, 1024):
+            mesh = Mesh(1.0, n)
+            row = exact_row(n)
+            samples = rng.normal(size=2 * n + 1)
+            for puncture in (None, 0, 3, -3, n - 9, 9 - n):
+                terms = [float(r * Fraction(f)) for r, f in zip(row, samples.tolist())]
+                if puncture is not None:
+                    terms[n + puncture] = 0.0
+                want = mesh.h * math.fsum(terms)
+                scale = mesh.h * math.fsum(map(abs, terms))
+                got = punctured_trapezoid(mesh, samples, puncture=puncture)
+                assert abs(got - want) <= 4 * np.finfo(float).eps * scale, (n, puncture)
 
 
 class TestPuncturedTrapezoid:
@@ -208,6 +275,22 @@ class TestPuncturedTrapezoid:
                 assert err / 5.0 <= end_error_estimate(mesh, f) <= 5.0 * err, (n, b)
 
 
+    def test_end_error_estimate_with_puncture_in_an_end_window(self):
+        # the punctured entry counts as 0, in a copy: the caller's array is kept
+        mesh = Mesh(1.0, 16)
+        samples = np.random.default_rng(5).normal(size=33)
+        before = samples.tobytes()
+        for puncture in (-6, -8, -16, 6, 8, 16):  # indices 10, 8, 0 from either end
+            zeroed = samples.copy()
+            zeroed[mesh.n + puncture] = 0.0
+            got = end_error_estimate(mesh, samples, puncture=puncture)
+            assert got == end_error_estimate(mesh, zeroed), puncture
+            assert got != end_error_estimate(mesh, samples), puncture
+            assert samples.tobytes() == before
+        # a puncture outside both windows changes nothing
+        assert end_error_estimate(mesh, samples, puncture=5) == end_error_estimate(mesh, samples)
+
+
 class TestPlainTrapezoid:
     def test_second_order_only(self):
         exact = E_MINUS_INV_E
@@ -215,3 +298,17 @@ class TestPlainTrapezoid:
                 for n in (32, 64)]
         rate = math.log2(errs[0] / errs[1])
         assert 1.8 <= rate <= 2.2
+
+    def test_non_finite_summed_node_rejected(self):
+        mesh = Mesh(1.0, 16)
+        for bad in (0, 16, 32):
+            for value in (math.nan, math.inf, -math.inf):
+                samples = np.ones(33)
+                samples[bad] = value
+                with pytest.raises(ValueError, match="non-finite sample at a summed node"):
+                    plain_trapezoid(mesh, samples)
+
+    def test_overflowing_sum_of_finite_samples_returns_inf(self):
+        mesh = Mesh(1.0, 16)
+        with np.errstate(over="ignore"):
+            assert plain_trapezoid(mesh, np.full(33, 1e308)) == math.inf

@@ -9,23 +9,36 @@ numerator g extends analytically to a complex neighborhood of x_s
 x_s (`correction_taylor`), which at d = 0 is the finite-part correction.
 Every Taylor coefficient of g comes from one source, the degree-8
 interpolant on the 9 mesh samples around the puncture (`stencil_taylor`).
+
+With w = s + i lam, lam = d/(c h), the closed form is elementary (see
+`emcoeff`).  For |w| >= W_STAR it is the trapezoidal rule's correction for
+the kernel's poles (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Rev. 56, 2014): the punctured node put back, minus
+(2 pi/(c d)) Re[G q/(1 - q)], q = exp(2 pi i w), |q| = exp(-2 pi lam).
+Nothing cancels there, and an error in G is damped by |q|.  Below W_STAR
+the punctured form with the seeds p_{0,s}, p_{1,s} keeps full accuracy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .emcoeff import pks_quotients, pks_seeds
+from .emcoeff import W_STAR, pi_cot, pks_quotients, pks_seeds, pole_factor
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
 _FACTORIALS = np.array([math.factorial(k) for k in range(FD_DERIV_MAX + 1)], dtype=float)
 _DERIV_ORDERS = np.arange(FD_DERIV_MAX + 1, dtype=float)
+# The stencil map's rows sum to at most 3.25 in absolute value, and the shift
+# to x_s grows a coefficient by at most 1.5^8 < 26: below this spread of the
+# samples neither overflows
+_MAX_SPREAD = sys.float_info.max / 128.0
 
 # The closed form's cancelling term Q carries a rounding error of about
 # eps * lam/(s^2 + lam^2) relative to the correction.  Above this ratio Q is
@@ -33,6 +46,10 @@ _DERIV_ORDERS = np.arange(FD_DERIV_MAX + 1, dtype=float)
 # instead; the ratio then forces s^2 + lam^2 < lam/10 < 1/100, where the
 # omitted quotients q_7 and q_8 are below 2e-6.
 Q_SERIES_RATIO = 10.0
+# |q| = exp(-2 pi lam) < 5e-17 from here on: the pole form drops its pole
+# term, so a G that overflows there (a Taylor polynomial's, for d/c >~ 1e50)
+# never meets q = 0 in a product
+_Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
 
 
 @dataclass
@@ -121,7 +138,13 @@ class GEval:
 
 @dataclass(frozen=True)
 class CorrectionBreakdown:
-    """Correction E = singular_part + jump_part with bookkeeping."""
+    """Correction E = singular_part + jump_part with bookkeeping.
+
+    total is E itself.  It is singular_part + jump_part as computed, except
+    where the pole form takes lam >= 1: there total comes first and
+    singular_part = total - jump_part, so the sum may differ from total in
+    the last place of the jump.
+    """
 
     singular_part: float
     jump_part: float
@@ -154,16 +177,23 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
     `x_s` is the near-singular point relative to the stencil center,
     |x_s| <= h/2.  The derivatives are those of the degree-8 interpolant:
     its coefficients about the center, a fixed linear map of the samples,
-    Taylor-shifted to u = x_s/h.
+    Taylor-shifted to u = x_s/h.  Samples that are not finite, or that
+    differ by more than sys.float_info.max/128, raise ValueError.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (FD_STENCIL,):
         raise ValueError(f"expected {FD_STENCIL} stencil samples")
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
+    values = samples.tolist()
+    # Python floats: an overflowing sum or spread is inf, not a numpy warning
+    finite = math.isfinite(sum(values)) or all(map(math.isfinite, values))
+    if not (finite and max(values) - min(values) <= _MAX_SPREAD):
+        raise ValueError("stencil samples must be finite and differ by less than "
+                         f"{_MAX_SPREAD:.1e}")
     # the map reproduces constants: apply it to the differences from the
     # center sample, which are small and for nearby values exact
-    center = float(samples[FD_STENCIL // 2])
+    center = values[FD_STENCIL // 2]
     a = (_stencil_operator() @ (samples - center)).tolist()
     a[0] += center
     u = x_s / h
@@ -201,12 +231,48 @@ def _quotient_series(lam: float, s: float, a: Sequence[float], h: float) -> floa
     return quotient
 
 
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    """sum_k coeffs[k] x^k."""
+    acc = 0.0
+    for coeff in reversed(coeffs):
+        acc = acc * x + coeff
+    return acc
+
+
 def _assemble(bracket: float, re_g: float, c: float, d: float, h: float,
               terms: int) -> CorrectionBreakdown:
     """E = -bracket/(c^2 h) + (pi/(c d)) Re G; the jump is omitted at d = 0."""
     singular = float(-bracket / (c * c * h))
     jump = float(math.pi / (c * d) * re_g) if d > 0.0 else 0.0
     return CorrectionBreakdown(singular, jump, singular + jump, terms)
+
+
+def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
+               h: float, s: float, terms: int) -> CorrectionBreakdown:
+    """E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)] for |w| >= W_STAR, d > 0.
+
+    im_g_lam is Im G/lam.  The jump part is (pi/(c d)) Re G.  For lam < 1 the
+    singular part is (Im[pi cot(pi w) G]/lam + g_node/|w|^2)/(c^2 h), which
+    does not carry the jump's size as lam -> 0, and the total is singular +
+    jump.  For lam >= 1 the total is the form above, whose pole term is
+    dropped once |q| < 5e-17, and the singular part is total - jump; where
+    G is not finite there (a Taylor polynomial's G overflows for d/c >~ 1e50),
+    the whole correction is reported as singular.
+    """
+    lam = d / (c * h)
+    node = g_node / (c * c * h * (s * s + lam * lam))
+    jump = math.pi / (c * d) * re_g
+    if lam < 1.0:
+        re_cot, im_cot = pi_cot(lam, s)
+        singular = (re_cot * im_g_lam + im_cot * re_g) / (c * c * h) + node
+        return CorrectionBreakdown(singular, jump, singular + jump, terms)
+    total = node
+    if lam < _Q_NEGLIGIBLE_LAM:
+        t = pole_factor(lam, s)
+        total -= 2.0 * math.pi / (c * d) * (re_g * t.real - lam * im_g_lam * t.imag)
+    elif not math.isfinite(jump):
+        jump = 0.0
+    return CorrectionBreakdown(total - jump, jump, total, terms)
 
 
 def _check_scales(c: float, d: float, h: float) -> None:
@@ -217,22 +283,38 @@ def _check_scales(c: float, d: float, h: float) -> None:
         raise ValueError(f"d must be finite, got {d!r}")
 
 
+def _check_offset(s: float) -> None:
+    if not -0.5 <= s <= 0.5:
+        raise ValueError("s must lie in [-1/2, 1/2]")
+
+
 def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
                               x_s: float, window: Sequence[float]) -> CorrectionBreakdown:
     """Closed-form correction for a near singularity at x_s = node + s h.
 
     `window` holds g at the 9 nodes x_s - s h + k h, k = -4..4, as the mesh
-    sampled them, all finite.  With lam = d/(c h), G = g(x_s + i lam h) and g_node =
-    window[4] = g(x_s - s h):
+    sampled them, all finite.  With lam = d/(c h), w = s + i lam,
+    G = g(x_s + i lam h) and g_node = window[4] = g(x_s - s h):
 
     E = -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
     Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2).
 
-    This holds for every s in [-1/2, 1/2]; a target on a node is s = 0.  Q
-    is the only term that cancels.  When lam/(s^2 + lam^2) > Q_SERIES_RATIO
-    it is summed from its Taylor series sum_{k=2..6} q_k a_k h^k instead,
-    with the q_k of `pks_quotients` and the a_k of `stencil_taylor` on
-    `window`; `terms_used` then reports the series order (0 otherwise).
+    This holds for every s in [-1/2, 1/2]; a target on a node is s = 0.
+    With the elementary seeds of `emcoeff` it is
+
+    E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)],  q = exp(2 pi i w),
+
+    the punctured node put back plus the trapezoidal rule's correction for
+    the kernel's poles (Trefethen & Weideman, SIAM Rev. 56, 2014), and for
+    |w| >= W_STAR (0.3) that is how E is computed.  The breakdown keeps the
+    jump (pi/(c d)) Re G; for lam >= 1 the singular part is E - jump, for
+    lam < 1 it is (Im[pi cot(pi w) G]/lam + g_node/|w|^2)/(c^2 h), free of
+    the jump's size as lam -> 0.  For |w| < W_STAR the two terms of that
+    form cancel, and E comes from the seeds' form above, whose only
+    cancelling term is Q.  When lam/(s^2 + lam^2) > Q_SERIES_RATIO, Q is
+    summed from its Taylor series sum_{k=2..6} q_k a_k h^k instead, with the
+    q_k of `pks_quotients` and the a_k of `stencil_taylor` on `window`;
+    `terms_used` then reports the series order (0 otherwise).
     """
     _check_scales(c, d, h)
     if not math.isfinite(x_s):
@@ -242,10 +324,14 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
                          "(d = 0 takes the finite-part path)")
     if g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
+    _check_offset(s)
     lam = d / (c * h)
-    p0, p1 = pks_seeds(lam, s)
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
     denom = s * s + lam * lam
+    if denom >= W_STAR * W_STAR:
+        g_node = float(_checked_window(window)[FD_STENCIL // 2])
+        return _pole_form(gval.real, gval.imag / lam, g_node, c, d, h, s, 0)
+    p0, p1 = pks_seeds(lam, s)
     if lam > Q_SERIES_RATIO * denom:
         a = stencil_taylor(window, h, s * h).tolist()   # checks the window
         quotient = _quotient_series(lam, s, a, h)
@@ -262,20 +348,32 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
                       s: float) -> CorrectionBreakdown:
     """The closed form on g's Taylor polynomial a_k = g^(k)(x_s)/k!, k = 0..K, any d >= 0.
 
-    With lam = d/(c h): Re G = sum_m a_{2m} (-(lam h)^2)^m, Im G/lam =
-    h sum_m a_{2m+1} (-(lam h)^2)^m (finite at lam = 0) and Q = sum_{k>=2}
-    q_k a_k h^k, i.e. the singular series -sum_k p_{k,s} a_k h^(k-1)/c^2
-    regrouped by p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}.  At d = 0 the jump
-    is omitted: the finite-part correction for 1/(c^2 (x - x_s)^2).
+    G is that polynomial at i lam h, lam = d/(c h): Re G = sum_m a_{2m}
+    (-(lam h)^2)^m and Im G/lam = h sum_m a_{2m+1} (-(lam h)^2)^m (finite at
+    lam = 0).  For d > 0 and |w| = |s + i lam| >= W_STAR, E is the pole form
+    of `correction_offmesh_closed`, E = g_node/(c^2 h |w|^2) - (2 pi/(c d))
+    Re[G q/(1 - q)] (Trefethen & Weideman, SIAM Rev. 56, 2014), with g_node
+    the polynomial at -s h and the same split of the breakdown at lam = 1.
+    |q| = exp(-2 pi lam) damps the polynomial's error in G, and the pole
+    term is dropped once |q| < 5e-17 (lam >= 6), so a far-off G that
+    overflows never enters E.  Otherwise E = -(1/(c^2 h)) [p_{0,s} Re G +
+    p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G with Q = sum_{k>=2} q_k a_k h^k,
+    i.e. the singular series -sum_k p_{k,s} a_k h^(k-1)/c^2 regrouped by
+    p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}.  At d = 0 the jump is
+    omitted: the finite-part correction for 1/(c^2 (x - x_s)^2).
     """
     _check_scales(c, d, h)
     if d < 0.0:
         raise ValueError("correction_taylor requires d >= 0")
+    _check_offset(s)
     lam = d / (c * h)
-    p0, p1 = pks_seeds(lam, s)
     a = np.asarray(a, dtype=float).tolist()
-    mu = -(d / c) ** 2
-    even = sum(ak * mu ** m for m, ak in enumerate(a[0::2]))
-    odd = sum(ak * mu ** m for m, ak in enumerate(a[1::2]))
-    bracket = p0 * even + p1 * (h * odd) + _quotient_series(lam, s, a, h)
-    return _assemble(bracket, even, c, d, h, len(a) - 1)
+    terms = len(a) - 1
+    mu = -(d / c) * (d / c)
+    re_g = _horner(a[0::2], mu)
+    im_g_lam = h * _horner(a[1::2], mu)
+    if d > 0.0 and s * s + lam * lam >= W_STAR * W_STAR:
+        return _pole_form(re_g, im_g_lam, _horner(a, -s * h), c, d, h, s, terms)
+    p0, p1 = pks_seeds(lam, s)
+    bracket = p0 * re_g + p1 * im_g_lam + _quotient_series(lam, s, a, h)
+    return _assemble(bracket, re_g, c, d, h, terms)

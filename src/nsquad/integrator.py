@@ -24,7 +24,7 @@ from .corrections import (
     correction_taylor,
     stencil_taylor,
 )
-from .meshrule import Mesh, end_error_estimate, punctured_trapezoid
+from .meshrule import Mesh, punctured_sums
 
 METHODS = ("auto", "closed-form", "fd-series")
 
@@ -144,8 +144,7 @@ def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
             if gap > 4.0 * _EPS:
                 warnings = (f"complex_eval disagrees with real_eval at x_s "
                             f"(relative gap {gap:.2e})",)
-    uncorrected = punctured_trapezoid(mesh, f, puncture=j)
-    edge_err = end_error_estimate(mesh, f, puncture=j)
+    uncorrected, edge_err = punctured_sums(mesh, f, j)
     return mesh, j, s, gvals, f, uncorrected, edge_err, warnings
 
 

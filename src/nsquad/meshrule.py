@@ -2,9 +2,12 @@
 
 The rule carries only *endpoint* corrections, Gregory weights of order
 EDGE_ORDER = 8 at both ends, and is one cached weight row per n
-(`gregory_row`): a punctured sum is h times that row dotted with the samples,
-the punctured entry zeroed.  `end_error_estimate` dots the order-10 minus
-order-8 weights with the 11 samples at each end.
+(`gregory_row`).  With the order-10 minus order-8 weights at each end, it
+forms one cached read-only (3, 2n+1) block per n (`rule_block`): a single
+product of that block with the samples, the punctured entry zeroed, gives
+the punctured sum and both halves of its end-error estimate
+(`punctured_sums`).  `punctured_trapezoid` and `end_error_estimate` read
+that product.
 """
 
 from __future__ import annotations
@@ -102,44 +105,63 @@ def _checked(total: float, summed: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=32)
+def rule_block(n: int) -> np.ndarray:
+    """The weights of one pass over the 2n+1 nodes, h factored out, read-only.
+
+    Row 0 is the Gregory-8 rule: 1 at every node, 1/2 at the two ends, plus
+    `gregory_weights(8)` at the left end and mirrored at the right.  Rows 1
+    and 2 are w_10 - w_8 (w_8 zero-padded) from the left end and from the
+    right end inward, zero elsewhere.
+    """
+    block = np.zeros((3, 2 * n + 1))
+    block[0] = 1.0
+    block[0, [0, -1]] = 0.5
+    block[0, :EDGE_ORDER + 1] += gregory_weights(EDGE_ORDER)
+    block[0, -EDGE_ORDER - 1:] += gregory_weights(EDGE_ORDER)[::-1]
+    gap = gregory_weights(_ESTIMATE_ORDER).copy()
+    gap[:EDGE_ORDER + 1] -= gregory_weights(EDGE_ORDER)
+    block[1, :len(gap)] = gap
+    block[2, -len(gap):] = gap[::-1]
+    block.flags.writeable = False
+    return block
+
+
+@lru_cache(maxsize=32)
 def gregory_row(n: int) -> np.ndarray:
     """The weights of the Gregory-8 rule on the 2n+1 nodes, h factored out."""
-    row = np.ones(2 * n + 1)
-    row[[0, -1]] = 0.5
-    row[:EDGE_ORDER + 1] += gregory_weights(EDGE_ORDER)
-    row[-EDGE_ORDER - 1:] += gregory_weights(EDGE_ORDER)[::-1]
-    row.flags.writeable = False
-    return row
+    return rule_block(n)[0]
+
+
+def punctured_sums(mesh: Mesh, samples: np.ndarray, puncture: int | None) -> tuple[float, float]:
+    """The punctured Gregory-8 sum of `samples` and its end-error estimate, in one product.
+
+    v is a copy of the samples with the punctured entry (if any) set to 0;
+    the sum is h `gregory_row(n)` . v, checked once, and the estimate
+    h (|gap . v_left| + |gap . v_right|), gap = w_10 - w_8: how far the rule
+    moves on the same samples with Gregory weights of order 10 at the ends.
+    The puncture is not validated here.  A non-finite sample at a summed
+    node raises ValueError; an infinite one meets a zero weight of rows 1
+    and 2 first, so numpy warns of an invalid value before that, unless the
+    caller silences it as the two wrappers below do.
+    """
+    v = np.array(samples, dtype=float)
+    if v.shape != (2 * mesh.n + 1,):
+        raise ValueError("sample count does not match the mesh")
+    if puncture is not None:
+        v[mesh.n + puncture] = 0.0
+    total, left, right = (rule_block(mesh.n) @ v).tolist()
+    return _checked(mesh.h * total, v), mesh.h * (abs(left) + abs(right))
 
 
 def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
     """Estimated error of the end corrections of `punctured_trapezoid`.
 
-    Over both ends, h |sum_j (w_10 - w_8)_j f_j| from the endpoint inward:
-    how far the rule moves on the same samples with Gregory weights of
-    order 10 in place of order 8.  The punctured entry counts as 0.
+    Over both ends, h |sum_j (w_10 - w_8)_j f_j| from the endpoint inward
+    (`punctured_sums`).  The punctured entry counts as 0; a non-finite
+    sample anywhere else raises ValueError, as it does for the rule.
     """
-    gap = _weight_gap()
-    m = len(gap)
-    left, right = samples[:m], samples[-m:]   # right is dotted with gap reversed
-    if puncture is not None:
-        i = mesh.n + puncture
-        if i < m:
-            left = left.copy()
-            left[i] = 0.0
-        if i >= len(samples) - m:
-            right = right.copy()
-            right[i - len(samples)] = 0.0
-    return mesh.h * (abs(float(gap @ left)) + abs(float(gap[::-1] @ right)))
-
-
-@lru_cache(maxsize=1)
-def _weight_gap() -> np.ndarray:
-    """w_10 - w_8, with w_8 zero-padded to the length of w_10."""
-    gap = gregory_weights(_ESTIMATE_ORDER).copy()
-    gap[:EDGE_ORDER + 1] -= gregory_weights(EDGE_ORDER)
-    gap.flags.writeable = False
-    return gap
+    with np.errstate(invalid="ignore"):
+        return punctured_sums(mesh, samples, puncture)[1]
 
 
 def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
@@ -151,13 +173,11 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
         non-finite; it is never read).
     puncture : mesh index k in (-n, n) to omit, or None for the ordinary rule.
 
-    The sum is h `gregory_row(n)` . f with the punctured entry of f zeroed;
-    the ordinary rule is the rule punctured at 0 plus h f_0, identically.
+    The sum is h `gregory_row(n)` . f with the punctured entry of f zeroed
+    (`punctured_sums`); the ordinary rule is the rule punctured at 0 plus
+    h f_0, identically.
     """
-    samples = np.asarray(samples, dtype=float)
     n = mesh.n
-    if len(samples) != 2 * n + 1:
-        raise ValueError("sample count does not match the mesh")
     if puncture is not None:
         if abs(puncture) >= n:
             raise ValueError("puncture must be an interior node")
@@ -166,12 +186,12 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
     if n < EDGE_ORDER + 1:
         raise ValueError(f"mesh too small for gregory order {EDGE_ORDER} "
                          f"(need n >= {EDGE_ORDER + 1})")
-    vals = samples.copy()
-    vals[n if puncture is None else n + puncture] = 0.0
-    total = mesh.h * float(gregory_row(n) @ vals)
+    with np.errstate(invalid="ignore"):
+        total = punctured_sums(mesh, samples, 0 if puncture is None else puncture)[0]
     if puncture is None:
-        total += mesh.h * float(samples[n])
-    return _checked(total, samples if puncture is None else vals)
+        samples = np.asarray(samples, dtype=float)
+        total = _checked(total + mesh.h * float(samples[n]), samples)
+    return total
 
 
 def plain_trapezoid(mesh: Mesh, samples: np.ndarray) -> float:

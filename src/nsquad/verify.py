@@ -1,11 +1,13 @@
 """Independent cross-checks of the correction coefficients.
 
-Integration needs only the seeds and quotients of `emcoeff`.  For
-`self_check`, `nsquad coeffs` and the tests, this module derives p_{k,s}
-a second way: from the shifted Hurwitz-zeta coefficients z_{k,s} (digamma
-seeds at 1 + s - i*lambda, a two-term recurrence) through the symmetry
-p_{k,s} = z_{k,-s} + (-1)^k z_{k,s}, by the p_{k,s} recurrence, and from
-an mpmath series oracle.  No module of the integration path imports it.
+Integration needs only the elementary seeds and the quotients of
+`emcoeff`.  For `self_check`, `nsquad coeffs` and the tests, this module
+derives p_{k,s} a second way, from digamma: from the shifted Hurwitz-zeta
+coefficients z_{k,s} (digamma seeds at 1 + s - i*lambda, a two-term
+recurrence) through the symmetry p_{k,s} = z_{k,-s} + (-1)^k z_{k,s}, by
+the p_{k,s} recurrence on the digamma seeds (`digamma_seeds`), and from an
+mpmath series oracle.  `pks_closed` is the runtime form it checks.  No
+module of the integration path imports it.
 """
 
 from __future__ import annotations
@@ -101,6 +103,21 @@ def zks_table(params: CoeffParams) -> np.ndarray:
     return z
 
 
+def digamma_seeds(lam: float, s: float) -> tuple[float, float]:
+    """p_{0,s} and p_{1,s} from digamma at 1 +/- s - i lam, as the z-route has them.
+
+    p_{0,s} = -Im[psi(1 - s - i lam) + psi(1 + s - i lam)]/lam and
+    p_{1,s} = -Re[psi(1 - s - i lam) - psi(1 + s - i lam)], with the
+    trigamma/digamma limits at lam = 0: the independent check of
+    `emcoeff.pks_seeds`.
+    """
+    if lam == 0.0:
+        return trigamma(1.0 - s) + trigamma(1.0 + s), digamma(1.0 + s) - digamma(1.0 - s)
+    psi_m = digamma_complex(complex(1.0 - s, -lam))
+    psi_p = digamma_complex(complex(1.0 + s, -lam))
+    return -(psi_m.imag + psi_p.imag) / lam, -(psi_m.real - psi_p.real)
+
+
 def pks_table(params: CoeffParams) -> np.ndarray:
     """Coefficients p_{0,s}..p_{k_max,s} for the off-mesh correction.
 
@@ -109,7 +126,7 @@ def pks_table(params: CoeffParams) -> np.ndarray:
     """
     lam, s, kmax = params.lam, params.s, params.k_max
     p = np.empty(kmax + 1)
-    p[:2] = pks_seeds(lam, s)[:kmax + 1]
+    p[:2] = digamma_seeds(lam, s)[:kmax + 1]
     lam2 = lam * lam
     for k in range(2, kmax + 1):
         p[k] = -((-s) ** (k - 2)) - lam2 * p[k - 2]
@@ -117,7 +134,7 @@ def pks_table(params: CoeffParams) -> np.ndarray:
 
 
 def pks_closed(params: CoeffParams) -> np.ndarray:
-    """Closed-form p_{k,s} from the seeds alone, p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}."""
+    """Closed-form p_{k,s} from the runtime seeds, p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}."""
     lam, s, kmax = params.lam, params.s, params.k_max
     seeds = pks_seeds(lam, s)
     p = pks_quotients(lam, s, kmax)

@@ -328,3 +328,20 @@ class TestFdDerivatives:
             fd_derivatives(np.ones(8), 0.1, 0.0)
         with pytest.raises(ValueError):
             fd_derivatives(np.ones(9), 0.1, 0.09)
+
+    def test_overflowing_spread_raises(self):
+        # finite samples whose differences overflow: an error, not an inf
+        # coefficient behind a numpy warning
+        h = 1.0 / 64
+        for bad in (-1e308, 0.0, math.nan):
+            window = np.full(9, 1e308)
+            window[2] = bad
+            with pytest.raises(ValueError, match="stencil samples must be finite"):
+                fd_derivatives(window, h, 0.0)
+        window = np.where(np.arange(9) == 2, -1e308, 1e308)
+        with pytest.raises(ValueError, match="stencil samples"):
+            stencil_taylor(window, h, 0.0)
+        # a spread that the map and the shift cannot overflow still passes
+        window = np.full(9, 1e306)
+        window[7] = 0.0
+        assert np.all(np.isfinite(fd_derivatives(window, 1.0, 0.5)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsquad.emcoeff import pks_seeds
+from nsquad.emcoeff import W_STAR, pks_seeds
 from nsquad.specfun import digamma, digamma_complex, trigamma
 from nsquad.verify import (
     CoeffParams,
@@ -117,6 +117,74 @@ class TestPks:
             zm = zks_table(CoeffParams(lam=0.6, s=-0.2, h=h, k_max=1))[1]
             return zm - zp
         assert abs(p1_via_z(0.01) - p1_via_z(0.02)) <= 1e-13
+
+
+def digamma_formula(lam: float, s: float) -> tuple[tuple[float, float], float]:
+    """The seeds from digamma at 1 -/+ s - i lam, and the size of the digamma
+    real parts that p_1 is the difference of."""
+    if lam == 0.0:
+        psi_m, psi_p = digamma(1.0 - s), digamma(1.0 + s)
+        return (trigamma(1.0 - s) + trigamma(1.0 + s), psi_p - psi_m), abs(psi_m) + abs(psi_p)
+    psi_m = digamma_complex(complex(1.0 - s, -lam))
+    psi_p = digamma_complex(complex(1.0 + s, -lam))
+    seeds = (-(psi_m.imag + psi_p.imag) / lam, psi_p.real - psi_m.real)
+    return seeds, abs(psi_m.real) + abs(psi_p.real)
+
+
+class TestElementarySeeds:
+    # |w| = |s + i lam| on both sides of W_STAR, where the seeds switch from
+    # the zeta series to pi cot(pi w) - 1/w, and lam = 0 on both sides
+    LAMS = (0.0, 1e-9, 1e-3, 0.1, 0.2, 0.25, 0.29, 0.31, 0.5, 1.0, 2.0)
+    OFFSETS = (0.2, 0.29, 0.31, 0.45, 0.5)
+
+    def test_both_sides_of_w_star_are_covered(self):
+        radii = [math.hypot(s, lam) for lam in self.LAMS for s in self.OFFSETS]
+        assert min(radii) < W_STAR < max(radii)
+        assert any(abs(r - W_STAR) < 0.02 and r < W_STAR for r in radii)
+        assert any(abs(r - W_STAR) < 0.02 and r > W_STAR for r in radii)
+
+    def test_match_digamma_formula(self):
+        for lam in self.LAMS:
+            for s in self.OFFSETS + tuple(-x for x in self.OFFSETS):
+                got = pks_seeds(lam, s)
+                want, _ = digamma_formula(lam, s)
+                for k in (0, 1):
+                    assert got[k] == pytest.approx(want[k], rel=1e-14), (lam, s, k)
+
+    def test_small_offsets_match_digamma_formula(self):
+        # p_1 is odd in s: the digamma formula takes it as a difference of two
+        # O(1) values, so it is checked against their size
+        for lam in self.LAMS:
+            for s in (0.0, 1e-3, -1e-3, 0.05, -0.1):
+                got = pks_seeds(lam, s)
+                want, scale = digamma_formula(lam, s)
+                assert got[0] == pytest.approx(want[0], rel=1e-14), (lam, s)
+                assert abs(got[1] - want[1]) <= 1e-14 * max(abs(want[1]), scale), (lam, s)
+
+    def test_lambda_zero_limits(self):
+        # pi^2/sin^2(pi s) - 1/s^2 and -pi cot(pi s) + 1/s, on both sides of W_STAR
+        for s in (0.1, 0.29, 0.31, 0.5):
+            p0, p1 = pks_seeds(0.0, s)
+            assert p0 == pytest.approx(math.pi ** 2 / math.sin(math.pi * s) ** 2 - 1.0 / s ** 2,
+                                       rel=1e-13)
+            assert p1 == pytest.approx(1.0 / s - math.pi / math.tan(math.pi * s), rel=1e-13)
+        p0, p1 = pks_seeds(0.0, 0.0)
+        assert p0 == pytest.approx(2.0 * ZETA2, rel=1e-15) and p1 == 0.0
+
+    def test_continuous_across_w_star(self):
+        # the two sides differ by a few ulp of the radius: any step is the
+        # difference of the two methods
+        for theta in (0.0, 0.4, 1.0, math.pi / 2):
+            r_in, r_out = W_STAR * (1.0 - 1e-15), W_STAR * (1.0 + 1e-15)
+            inside = pks_seeds(r_in * math.sin(theta), r_in * math.cos(theta))
+            outside = pks_seeds(r_out * math.sin(theta), r_out * math.cos(theta))
+            for k in (0, 1):
+                assert inside[k] == pytest.approx(outside[k], rel=1e-14, abs=1e-14), (theta, k)
+
+    def test_offset_validation(self):
+        for s in (0.51, -0.7, math.nan):
+            with pytest.raises(ValueError, match="s must lie"):
+                pks_seeds(0.5, s)
 
 
 class TestSeriesOracle:

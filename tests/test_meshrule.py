@@ -11,7 +11,9 @@ from nsquad.meshrule import (
     gregory_row,
     gregory_weights,
     plain_trapezoid,
+    punctured_sums,
     punctured_trapezoid,
+    rule_block,
 )
 
 E_MINUS_INV_E = math.e - 1.0 / math.e
@@ -163,6 +165,62 @@ class TestGregoryRow:
                 scale = mesh.h * math.fsum(map(abs, terms))
                 got = punctured_trapezoid(mesh, samples, puncture=puncture)
                 assert abs(got - want) <= 4 * np.finfo(float).eps * scale, (n, puncture)
+
+
+class TestPuncturedSums:
+    def test_block_cached_and_read_only(self):
+        block = rule_block(64)
+        assert block is rule_block(64) and block.shape == (3, 129)
+        assert gregory_row(64).base is block
+        with pytest.raises(ValueError):
+            block[1, 0] = 0.0
+
+    def test_block_rows(self):
+        # row 0 is the rule; rows 1 and 2 are w_10 - w_8 at one end each
+        n = 16
+        block = rule_block(n)
+        gap = np.array([float(a - b) for a, b in zip(
+            exact_gregory_weights(10), exact_gregory_weights(8) + [Fraction(0)] * 2)])
+        # w_10 and w_8 each rounded once, then their difference
+        np.testing.assert_allclose(block[1, :11], gap, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(block[2, ::-1], block[1])
+        assert not block[1, 11:].any()
+
+    def test_one_product_gives_both_wrappers(self):
+        mesh = Mesh(1.0, 32)
+        samples = np.random.default_rng(13).normal(size=65)
+        before = samples.tobytes()
+        for puncture in (0, 5, -23):
+            total, estimate = punctured_sums(mesh, samples, puncture)
+            assert total == punctured_trapezoid(mesh, samples, puncture=puncture)
+            assert estimate == end_error_estimate(mesh, samples, puncture=puncture)
+        assert samples.tobytes() == before
+
+    def test_infinite_sample_raises(self):
+        # rows 1 and 2 weigh the interior by 0: 0 * inf draws numpy's warning
+        # in the bare product, which the wrappers silence; all raise
+        mesh = Mesh(1.0, 16)
+        for bad in (5, 16, 20, 0):
+            samples = np.ones(33)
+            samples[bad] = math.inf
+            for wrapper in (punctured_trapezoid, end_error_estimate):
+                with pytest.raises(ValueError, match="non-finite sample at a summed node"):
+                    wrapper(mesh, samples, puncture=2)
+            with pytest.raises(ValueError, match="non-finite sample at a summed node"):
+                with np.errstate(invalid="ignore"):
+                    punctured_sums(mesh, samples, 2)
+        samples = np.ones(33)
+        samples[20] = math.inf
+        with pytest.warns(RuntimeWarning, match="invalid value"), \
+                pytest.raises(ValueError, match="non-finite sample at a summed node"):
+            punctured_sums(mesh, samples, 2)
+        samples[20] = 1.0
+        samples[18] = math.inf   # the puncture
+        assert math.isfinite(punctured_sums(mesh, samples, 2)[0])
+
+    def test_sample_count_checked(self):
+        with pytest.raises(ValueError, match="sample count"):
+            punctured_sums(Mesh(1.0, 16), np.ones(32), 0)
 
 
 class TestPuncturedTrapezoid:

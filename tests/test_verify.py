@@ -31,3 +31,21 @@ def test_runtime_core_does_not_import_verify():
     integrator_imports = imported_modules("integrator")
     assert "emcoeff" not in integrator_imports
     assert "specfun" not in integrator_imports
+
+
+def imported_names(name: str) -> set[str]:
+    """Every name module `name` imports, bare or from another module."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_integration_path_does_not_import_digamma():
+    # the seeds are elementary; digamma and trigamma stay in specfun for verify
+    for name in ("emcoeff", "corrections", "integrator", "meshrule"):
+        assert not imported_names(name) & {"digamma", "digamma_complex", "trigamma"}, name
+    assert {"digamma", "digamma_complex", "trigamma"} <= set(nsquad.__all__)
+    assert {"digamma", "digamma_complex", "trigamma"} <= imported_names("verify")

@@ -1,0 +1,75 @@
+"""Property tests: wide kernels, lam = d/(c h) from 1e-9 to 1e8.
+
+The benchmark draws d <= 0.1; above that range the correction must stay
+exact too, for an analytic g (closed form) and a real-only g (Taylor form
+on the 9-point stencil), at interior targets, against `exact_test2`.
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from nsquad.corrections import GEval, correction_taylor
+from nsquad.integrator import KernelParams, integrate_near_singular
+from nsquad.oracle import exact_test2
+
+REL_TOL = 1e-11
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def numerator(d: float, kind: str) -> GEval:
+    """d e^x, the numerator of `exact_test2`: analytic, or real-only scalar."""
+    if kind == "analytic":
+        return GEval.analytic(lambda z: d * np.exp(z))
+    return GEval(real_eval=lambda x: d * math.exp(x))
+
+
+@SETTINGS
+@given(log_lam=st.floats(-9.0, 8.0), log_c=st.floats(-3.0, 3.0), s=st.floats(-0.5, 0.5),
+       node=st.floats(-0.5, 0.5), n=st.sampled_from([64, 256, 1024]),
+       kind=st.sampled_from(["analytic", "real"]))
+# silent misses before the pole form: real-only g at lam = 1.0e5, 1.0e8 and
+# 1.3e5 (x_s = 0.1234 and -0.3), analytic g at lam = 1e6
+@example(log_lam=math.log10(100.0 * 1024), log_c=0.0, s=0.1234 * 1024 - 126, node=126 / 1024,
+         n=1024, kind="real")
+@example(log_lam=math.log10(1e5 * 1024), log_c=0.0, s=0.1234 * 1024 - 126, node=126 / 1024,
+         n=1024, kind="real")
+@example(log_lam=math.log10(128e3), log_c=-3.0, s=-0.4, node=-0.3, n=128, kind="real")
+@example(log_lam=6.0, log_c=2.0, s=0.1234 * 64 - 8, node=0.125, n=64, kind="analytic")
+def test_wide_kernel_matches_exact(log_lam, log_c, s, node, n, kind):
+    c, h = 10.0 ** log_c, 1.0 / n
+    x_s = (round(node * n) + s) * h
+    d = 10.0 ** log_lam * c * h
+    res = integrate_near_singular(numerator(d, kind), KernelParams(a=1.0, c=c, d=d, x_s=x_s), n)
+    ref = exact_test2(d, c, x_s)
+    assert abs(res.value - ref) <= REL_TOL * max(abs(ref), 1.0), (res.value, ref)
+
+
+@pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
+def test_closed_form_keeps_relative_digits_at_lam_1e6(c):
+    # the integral is about 2 sinh(1)/d here, far below 1: the pole form adds
+    # nothing of size pi/(c d) to it, so its digits survive relative to itself
+    n, x_s = 64, 0.1234
+    d = 1e6 * c / n
+    res = integrate_near_singular(numerator(d, "analytic"),
+                                  KernelParams(a=1.0, c=c, d=d, x_s=x_s), n, "closed-form")
+    with mp.workdps(30):
+        ref = mp.quad(lambda x: d * mp.exp(x) / (d * d + c * c * (x - x_s) ** 2),
+                      [-1, x_s, 1])
+    assert abs(res.value - float(ref)) <= 1e-14 * abs(float(ref))
+
+
+def test_taylor_form_at_huge_d_over_c_is_finite():
+    # G of the Taylor polynomial overflows for d/c >~ 1e50; the pole term is
+    # dropped there, so the correction is the punctured node put back
+    a = [1.0, 0.5, 0.25, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720]
+    h, s = 1.0 / 64, 0.3
+    for d in (1e55, 1e200):
+        br = correction_taylor(a, 1.0, d, h, s)
+        g_node = sum(ak * (-s * h) ** k for k, ak in enumerate(a))
+        lam = d / h
+        assert br.total == pytest.approx(g_node / (h * (s * s + lam * lam)), rel=1e-15)
+        assert math.isfinite(br.singular_part) and math.isfinite(br.jump_part)

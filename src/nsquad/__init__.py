@@ -13,7 +13,6 @@ from .corrections import (
     correction_taylor,
     fd_derivatives,
 )
-from .emcoeff import pks_quotients
 from .integrator import (
     KernelParams,
     QuadResult,
@@ -50,6 +49,7 @@ from .verify import (
     coeff_table,
     fk_series_oracle,
     pks_closed,
+    pks_quotients,
     pks_table,
     self_check,
     zks_table,

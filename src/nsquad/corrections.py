@@ -8,7 +8,9 @@ numerator g extends analytically to a complex neighborhood of x_s
 (`correction_offmesh_closed`); otherwise it is G of g's Taylor polynomial at
 x_s (`correction_taylor`), which at d = 0 is the finite-part correction.
 Every Taylor coefficient of g comes from one source, the degree-8
-interpolant on the 9 mesh samples around the puncture (`stencil_taylor`).
+interpolant on the 9 mesh samples around the puncture, in the mesh units
+b_k = g^(k)(x_s) h^k/k! that the singular series needs (`_stencil_poly`);
+one pass over them gives G, g_node and Q (`_taylor_parts`).
 
 With w = s + i lam, lam = d/(c h), the closed form is elementary (see
 `emcoeff`).  For |w| >= W_STAR it is the trapezoidal rule's correction for
@@ -29,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .emcoeff import W_STAR, pi_cot, pks_quotients, pks_seeds, pole_factor
+from .emcoeff import W_STAR, pi_cot, pks_seeds, pole_factor
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
@@ -169,80 +171,90 @@ def _stencil_operator() -> np.ndarray:
     return op
 
 
+def _checked_window(window: Sequence[float], max_spread: float = math.inf) -> np.ndarray:
+    """`window` as floats; ValueError unless it holds 9 finite values that differ
+    by at most `max_spread`."""
+    window = np.asarray(window, dtype=float)
+    values = window.tolist()
+    # Python floats: a finite sum means all are finite (else huge ones may
+    # overflow it), and an overflowing spread is inf, not a numpy warning
+    if window.shape != (FD_STENCIL,) or not (
+            (math.isfinite(sum(values)) or all(map(math.isfinite, values)))
+            and max(values) - min(values) <= max_spread):
+        raise ValueError(f"window must hold g at the {FD_STENCIL} nodes around the "
+                         "puncture: stencil samples must be finite (and, for a Taylor "
+                         f"fit, differ by less than {_MAX_SPREAD:.1e})")
+    return window
+
+
+def _stencil_poly(window: Sequence[float], s: float) -> list[float]:
+    """b_k = g^(k)(x_s) h^k/k!, k = 0..6: the coefficients in t = (x - x_s)/h of the
+    degree-8 interpolant on `window`, g at the nodes x_s - s h + k h, k = -4..4,
+    which must be finite and differ by at most sys.float_info.max/128."""
+    window = _checked_window(window, _MAX_SPREAD)
+    # the map reproduces constants: apply it to the differences from the
+    # center sample, which are small and for nearby values exact
+    center = float(window[FD_STENCIL // 2])
+    b = (_stencil_operator() @ (window - center)).tolist()
+    b[0] += center
+    # synthetic division by (t - s), once per order: b[k] becomes the
+    # coefficient of (t - s)^k, final after pass k
+    for k in range(FD_DERIV_MAX + 1):
+        for j in range(FD_STENCIL - 2, k - 1, -1):
+            b[j] += s * b[j + 1]
+    return b[:FD_DERIV_MAX + 1]
+
+
 def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray:
     """Derivatives g^(0..6)(x_s) from the 9 mesh samples nearest the puncture.
 
     `samples` holds g at the uniform nodes centered on the puncture node
     (which may be sampled: only the kernel is singular there, not g) and
     `x_s` is the near-singular point relative to the stencil center,
-    |x_s| <= h/2.  The derivatives are those of the degree-8 interpolant:
-    its coefficients about the center, a fixed linear map of the samples,
-    Taylor-shifted to u = x_s/h.  Samples that are not finite, or that
-    differ by more than sys.float_info.max/128, raise ValueError.
+    |x_s| <= h/2.  They are b_k k!/h^k on the coefficients of `_stencil_poly`.
+    A non-finite x_s, an h that is not finite and positive, and samples that
+    are not 9 finite values differing by at most sys.float_info.max/128
+    raise ValueError.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (FD_STENCIL,):
-        raise ValueError(f"expected {FD_STENCIL} stencil samples")
+    if not (0.0 < h < math.inf and math.isfinite(x_s)):  # NaN fails both
+        raise ValueError(f"h must be finite and positive and x_s finite, "
+                         f"got h = {h!r}, x_s = {x_s!r}")
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
-    values = samples.tolist()
-    # Python floats: an overflowing sum or spread is inf, not a numpy warning
-    finite = math.isfinite(sum(values)) or all(map(math.isfinite, values))
-    if not (finite and max(values) - min(values) <= _MAX_SPREAD):
-        raise ValueError("stencil samples must be finite and differ by less than "
-                         f"{_MAX_SPREAD:.1e}")
-    # the map reproduces constants: apply it to the differences from the
-    # center sample, which are small and for nearby values exact
-    center = values[FD_STENCIL // 2]
-    a = (_stencil_operator() @ (samples - center)).tolist()
-    a[0] += center
-    u = x_s / h
-    # synthetic division by (t - u), once per order: a[k] becomes the
-    # coefficient of (t - u)^k, final after pass k
-    for k in range(FD_DERIV_MAX + 1):
-        for j in range(FD_STENCIL - 2, k - 1, -1):
-            a[j] += u * a[j + 1]
-    return np.array(a[:FD_DERIV_MAX + 1]) * _FACTORIALS / h ** _DERIV_ORDERS
+    return np.array(_stencil_poly(samples, x_s / h)) * _FACTORIALS / h ** _DERIV_ORDERS
 
 
-def _checked_window(window: Sequence[float]) -> np.ndarray:
-    """`window` as floats; ValueError unless it holds 9 finite values."""
-    window = np.asarray(window, dtype=float)
-    values = window.tolist()  # a finite sum means all are finite; else huge ones may overflow
-    if window.shape != (FD_STENCIL,) or not (math.isfinite(sum(values))
-                                             or all(map(math.isfinite, values))):
-        raise ValueError(f"window must hold g at the {FD_STENCIL} nodes around "
-                         "the puncture, all finite")
-    return window
+def _taylor_parts(b: Sequence[float], s: float,
+                  lam: float) -> tuple[float, float, float, float]:
+    """(Re G, Im G/lam, g_node, Q) of P(t) = sum_k b[k] t^k: G = P(i lam), g_node = P(-s).
+
+    With mu = -lam^2, Re G = sum_m b_{2m} mu^m and Im G/lam = sum_m b_{2m+1} mu^m.
+    The synthetic division P(t) = (t + s) S(t) + g_node gives G - g_node =
+    w S(i lam), w = s + i lam, so the closed form's Q = -Im[(G - g_node)/w]/lam
+    is -sum_m S_{2m+1} mu^m: finite at lam = 0, and sum_k q_k b_k term by term.
+    """
+    mu = -lam * lam
+    re_g = im_g = quotient = node = 0.0
+    for k in range(len(b) - 1, -1, -1):
+        if k % 2:
+            im_g = im_g * mu + b[k]
+            quotient = quotient * mu + node   # node is S_k here
+        else:
+            re_g = re_g * mu + b[k]
+        node = node * -s + b[k]
+    return re_g, im_g, node, -quotient
 
 
-def stencil_taylor(window: Sequence[float], h: float, offset: float) -> np.ndarray:
-    """Taylor coefficients a_k = g^(k)(x_s)/k!, k = 0..6, from the 9 mesh samples
-    around the puncture: g at the nodes x_s - offset + k h, k = -4..4, all finite."""
-    return fd_derivatives(_checked_window(window), h, offset) / _FACTORIALS
-
-
-def _quotient_series(lam: float, s: float, a: Sequence[float], h: float) -> float:
-    """Q = sum_{k=2..K} q_k a_k h^k, K = len(a) - 1, summed from the top order down."""
-    q = pks_quotients(lam, s, len(a) - 1).tolist()
-    quotient = 0.0
-    for k in range(len(a) - 1, 1, -1):
-        quotient += q[k] * a[k] * h ** k
-    return quotient
-
-
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    """sum_k coeffs[k] x^k."""
-    acc = 0.0
-    for coeff in reversed(coeffs):
-        acc = acc * x + coeff
-    return acc
-
-
-def _assemble(bracket: float, re_g: float, c: float, d: float, h: float,
-              terms: int) -> CorrectionBreakdown:
-    """E = -bracket/(c^2 h) + (pi/(c d)) Re G; the jump is omitted at d = 0."""
-    singular = float(-bracket / (c * c * h))
+def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: float,
+                d: float, h: float, s: float, terms: int) -> CorrectionBreakdown:
+    """E from Re G, Im G/lam, g_node and Q: the pole form for d > 0 and |w| >= W_STAR,
+    else -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
+    the jump omitted at d = 0."""
+    lam = d / (c * h)
+    if d > 0.0 and s * s + lam * lam >= W_STAR * W_STAR:
+        return _pole_form(re_g, im_g_lam, g_node, c, d, h, s, terms)
+    p0, p1 = pks_seeds(lam, s)
+    singular = float(-(p0 * re_g + p1 * im_g_lam + quotient) / (c * c * h))
     jump = float(math.pi / (c * d) * re_g) if d > 0.0 else 0.0
     return CorrectionBreakdown(singular, jump, singular + jump, terms)
 
@@ -312,9 +324,9 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     the jump's size as lam -> 0.  For |w| < W_STAR the two terms of that
     form cancel, and E comes from the seeds' form above, whose only
     cancelling term is Q.  When lam/(s^2 + lam^2) > Q_SERIES_RATIO, Q is
-    summed from its Taylor series sum_{k=2..6} q_k a_k h^k instead, with the
-    q_k of `pks_quotients` and the a_k of `stencil_taylor` on `window`;
-    `terms_used` then reports the series order (0 otherwise).
+    that of g's Taylor polynomial through order 6 on `window` instead
+    (`_taylor_parts`), the series sum_k q_k a_k h^k; `terms_used` then
+    reports the series order (0 otherwise).
     """
     _check_scales(c, d, h)
     if not math.isfinite(x_s):
@@ -327,53 +339,48 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     _check_offset(s)
     lam = d / (c * h)
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
+    g_node = float(_checked_window(window)[FD_STENCIL // 2])
     denom = s * s + lam * lam
-    if denom >= W_STAR * W_STAR:
-        g_node = float(_checked_window(window)[FD_STENCIL // 2])
-        return _pole_form(gval.real, gval.imag / lam, g_node, c, d, h, s, 0)
-    p0, p1 = pks_seeds(lam, s)
-    if lam > Q_SERIES_RATIO * denom:
-        a = stencil_taylor(window, h, s * h).tolist()   # checks the window
-        quotient = _quotient_series(lam, s, a, h)
-        terms = FD_DERIV_MAX
+    if lam > Q_SERIES_RATIO * denom:   # only below W_STAR: denom < lam/10 < 1/100
+        quotient, terms = _taylor_parts(_stencil_poly(window, s), s, lam)[3], FD_DERIV_MAX
     else:
-        g_node = float(_checked_window(window)[FD_STENCIL // 2])
-        quotient = (gval.real - g_node - s / lam * gval.imag) / denom
-        terms = 0
-    bracket = p0 * gval.real + p1 * gval.imag / lam + quotient
-    return _assemble(bracket, gval.real, c, d, h, terms)
+        quotient, terms = (gval.real - g_node - s / lam * gval.imag) / denom, 0
+    return _assemble(gval.real, gval.imag / lam, g_node, quotient, c, d, h, s, terms)
+
+
+def _taylor_correction(b: Sequence[float], c: float, d: float, h: float,
+                       s: float) -> CorrectionBreakdown:
+    """The closed form on G of P(t) = sum_k b[k] t^k, t = (x - x_s)/h, unchecked."""
+    return _assemble(*_taylor_parts(b, s, d / (c * h)), c, d, h, s, len(b) - 1)
 
 
 def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
                       s: float) -> CorrectionBreakdown:
     """The closed form on g's Taylor polynomial a_k = g^(k)(x_s)/k!, k = 0..K, any d >= 0.
 
-    G is that polynomial at i lam h, lam = d/(c h): Re G = sum_m a_{2m}
-    (-(lam h)^2)^m and Im G/lam = h sum_m a_{2m+1} (-(lam h)^2)^m (finite at
-    lam = 0).  For d > 0 and |w| = |s + i lam| >= W_STAR, E is the pole form
-    of `correction_offmesh_closed`, E = g_node/(c^2 h |w|^2) - (2 pi/(c d))
-    Re[G q/(1 - q)] (Trefethen & Weideman, SIAM Rev. 56, 2014), with g_node
-    the polynomial at -s h and the same split of the breakdown at lam = 1.
-    |q| = exp(-2 pi lam) damps the polynomial's error in G, and the pole
-    term is dropped once |q| < 5e-17 (lam >= 6), so a far-off G that
-    overflows never enters E.  Otherwise E = -(1/(c^2 h)) [p_{0,s} Re G +
-    p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G with Q = sum_{k>=2} q_k a_k h^k,
-    i.e. the singular series -sum_k p_{k,s} a_k h^(k-1)/c^2 regrouped by
-    p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}.  At d = 0 the jump is
-    omitted: the finite-part correction for 1/(c^2 (x - x_s)^2).
+    G, g_node and Q are those of the polynomial in mesh units,
+    P(t) = sum_k a_k h^k t^k, t = (x - x_s)/h (`_taylor_parts`), put into the
+    pole form or the seeds' form of `correction_offmesh_closed`.  In the pole
+    form |q| = exp(-2 pi lam) damps the polynomial's error in G; in the
+    seeds' form Q = sum_{k>=2} q_k a_k h^k regroups the singular series
+    -sum_k p_{k,s} a_k h^(k-1)/c^2 by p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}.
+    At d = 0 the jump is omitted: the finite-part correction for
+    1/(c^2 (x - x_s)^2).  ValueError unless `a` is a non-empty 1-D sequence
+    of finite values with finite a_k h^k.
     """
     _check_scales(c, d, h)
     if d < 0.0:
         raise ValueError("correction_taylor requires d >= 0")
     _check_offset(s)
-    lam = d / (c * h)
-    a = np.asarray(a, dtype=float).tolist()
-    terms = len(a) - 1
-    mu = -(d / c) * (d / c)
-    re_g = _horner(a[0::2], mu)
-    im_g_lam = h * _horner(a[1::2], mu)
-    if d > 0.0 and s * s + lam * lam >= W_STAR * W_STAR:
-        return _pole_form(re_g, im_g_lam, _horner(a, -s * h), c, d, h, s, terms)
-    p0, p1 = pks_seeds(lam, s)
-    bracket = p0 * re_g + p1 * im_g_lam + _quotient_series(lam, s, a, h)
-    return _assemble(bracket, re_g, c, d, h, terms)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("a must be a non-empty 1-D sequence of Taylor coefficients")
+    b = a.tolist()
+    # b_k = a_k h^k by repeated multiplication: an overflow is inf, where
+    # h ** k raises, and a zero a_k stays 0 where h^k alone overflows
+    for k in range(1, len(b)):
+        for j in range(k, len(b)):
+            b[j] *= h
+    if not all(map(math.isfinite, b)):
+        raise ValueError("the Taylor coefficients a_k and a_k h^k must be finite")
+    return _taylor_correction(b, c, d, h, s)

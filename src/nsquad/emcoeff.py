@@ -2,8 +2,10 @@
 
 The corrections need p_{k,s} = z_{k,-s} + (-1)^k z_{k,s} only through
 p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}, m = floor(k/2): two seeds
-(`pks_seeds`) and rational quotients (`pks_quotients`).  By the reflection
-formula of digamma, the seeds are elementary in w = s + i lam:
+(`pks_seeds`) and rational quotients q_k, which enter only as sum_k q_k b_k
+on g's mesh-unit Taylor coefficients: one synthetic division in
+`corrections`.  By the reflection formula of digamma, the seeds are
+elementary in w = s + i lam:
 
     p_{0,s} = -Im R(w)/lam,  p_{1,s} = -Re R(w),  R(w) = pi cot(pi w) - 1/w.
 
@@ -15,9 +17,9 @@ Put into the corrections, the seeds turn the whole correction into the
 punctured node put back plus the trapezoidal rule's pole correction
 -(2 pi/(c d)) Re[G q/(1 - q)] (Trefethen & Weideman, "The exponentially
 convergent trapezoidal rule", SIAM Rev. 56, 2014), which `corrections`
-evaluates directly for |w| >= W_STAR.  The z_{k,s} and p_{k,s} tables and
-the series oracle that derive and cross-check these numbers from digamma
-live in `verify`.
+evaluates directly for |w| >= W_STAR.  The z_{k,s} and p_{k,s} tables, the
+quotients q_k (`pks_quotients`) and the series oracle that derive and
+cross-check these numbers from digamma live in `verify`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 import bisect
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .specfun import bernoulli_fraction
 
@@ -110,25 +110,3 @@ def pks_seeds(lam: float, s: float) -> tuple[float, float]:
         return _series_seeds(lam, s)
     re_cot, im_cot = pi_cot(lam, s)
     return -im_cot - 1.0 / w2, s / w2 - re_cot
-
-
-def pks_quotients(lam: float, s: float, k_max: int) -> np.ndarray:
-    """Rational parts q_0..q_k_max of p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}, m = floor(k/2).
-
-    q_{2m}   = -(s^2m - (-lam^2)^m)/(s^2 + lam^2)
-    q_{2m+1} =  s (s^2m - (-lam^2)^m)/(s^2 + lam^2)
-
-    Each is evaluated through the exact polynomial quotient, which keeps it
-    finite and stable as (s, lam) -> (0, 0); q_0 = q_1 = 0.  The same q_k
-    are the Taylor coefficients of the closed form's cancelling term.
-    """
-    mlam2 = -lam * lam
-    s2 = s * s
-    q = np.zeros(k_max + 1)
-    for k in range(2, k_max + 1):
-        m, odd = divmod(k, 2)
-        quotient = 0.0
-        for i in range(m):
-            quotient += s2 ** i * mlam2 ** (m - 1 - i)
-        q[k] = s * quotient if odd else -quotient
-    return q

@@ -20,9 +20,9 @@ from .corrections import (
     FD_STENCIL,
     CorrectionBreakdown,
     GEval,
+    _stencil_poly,
+    _taylor_correction,
     correction_offmesh_closed,
-    correction_taylor,
-    stencil_taylor,
 )
 from .meshrule import Mesh, punctured_sums
 
@@ -163,8 +163,7 @@ def _correct(g: GEval, params: KernelParams, sampled: tuple,
         breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s, window)
         used = "closed-form"
     else:
-        a = stencil_taylor(window, h, params.x_s - mesh.node(j))
-        breakdown = correction_taylor(a, c, d, h, s)
+        breakdown = _taylor_correction(_stencil_poly(window, s), c, d, h, s)
         used = "finite-part" if d == 0.0 else "fd-series"
 
     value = uncorrected + breakdown.total

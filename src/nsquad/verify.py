@@ -1,13 +1,16 @@
 """Independent cross-checks of the correction coefficients.
 
-Integration needs only the elementary seeds and the quotients of
-`emcoeff`.  For `self_check`, `nsquad coeffs` and the tests, this module
-derives p_{k,s} a second way, from digamma: from the shifted Hurwitz-zeta
-coefficients z_{k,s} (digamma seeds at 1 + s - i*lambda, a two-term
-recurrence) through the symmetry p_{k,s} = z_{k,-s} + (-1)^k z_{k,s}, by
-the p_{k,s} recurrence on the digamma seeds (`digamma_seeds`), and from an
-mpmath series oracle.  `pks_closed` is the runtime form it checks.  No
-module of the integration path imports it.
+Integration needs only the elementary seeds of `emcoeff`; the rational
+quotients q_k of p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s} reach it only
+summed against g's mesh-unit Taylor coefficients, as one synthetic division
+in `corrections`.  For `self_check`, `nsquad coeffs` and the tests, this
+module derives p_{k,s} a second way, from digamma: from the shifted
+Hurwitz-zeta coefficients z_{k,s} (digamma seeds at 1 + s - i*lambda, a
+two-term recurrence) through the symmetry p_{k,s} = z_{k,-s} + (-1)^k z_{k,s},
+by the p_{k,s} recurrence on the digamma seeds (`digamma_seeds`), and from
+an mpmath series oracle.  `pks_closed`, the seeds plus the quotients of
+`pks_quotients`, is the runtime form it checks.  No module of the
+integration path imports it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .emcoeff import pks_quotients, pks_seeds
+from .emcoeff import pks_seeds
 from .integrator import KernelParams, puncture_split
 from .meshrule import Mesh
 from .specfun import digamma, digamma_complex, hurwitz_zeta_nonpos, trigamma
@@ -131,6 +134,29 @@ def pks_table(params: CoeffParams) -> np.ndarray:
     for k in range(2, kmax + 1):
         p[k] = -((-s) ** (k - 2)) - lam2 * p[k - 2]
     return p
+
+
+def pks_quotients(lam: float, s: float, k_max: int) -> np.ndarray:
+    """Rational parts q_0..q_k_max of p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}, m = floor(k/2).
+
+    q_{2m}   = -(s^2m - (-lam^2)^m)/(s^2 + lam^2)
+    q_{2m+1} =  s (s^2m - (-lam^2)^m)/(s^2 + lam^2)
+
+    Each is evaluated through the exact polynomial quotient, which keeps it
+    finite and stable as (s, lam) -> (0, 0); q_0 = q_1 = 0.  The same q_k
+    are the Taylor coefficients of the closed form's cancelling term: the
+    reference for the synthetic division of `corrections._taylor_parts`.
+    """
+    mlam2 = -lam * lam
+    s2 = s * s
+    q = np.zeros(k_max + 1)
+    for k in range(2, k_max + 1):
+        m, odd = divmod(k, 2)
+        quotient = 0.0
+        for i in range(m):
+            quotient += s2 ** i * mlam2 ** (m - 1 - i)
+        q[k] = s * quotient if odd else -quotient
+    return q
 
 
 def pks_closed(params: CoeffParams) -> np.ndarray:

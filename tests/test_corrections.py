@@ -7,15 +7,16 @@ import pytest
 from nsquad.corrections import (
     GEval,
     _checked_window,
+    _stencil_poly,
+    _taylor_parts,
     correction_offmesh_closed,
     correction_taylor,
     fd_derivatives,
-    stencil_taylor,
 )
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
 from nsquad.oracle import _taylor_coeffs_ref, finite_part_reference, reference_integral
 from nsquad.specfun import trigamma
-from nsquad.verify import CoeffParams, zks_table
+from nsquad.verify import CoeffParams, pks_quotients, zks_table
 
 ZETA2 = math.pi ** 2 / 6
 
@@ -104,6 +105,16 @@ class TestCenteredClosed:
         for x_s in (nan, inf, -inf):
             with pytest.raises(ValueError, match="x_s must be finite"):
                 correction_offmesh_closed(g_exp(), 1.0, 0.01, 0.01, 0.0, x_s, window)
+        # Taylor coefficients: non-finite, not a non-empty 1-D sequence, or
+        # a_k h^k overflowing
+        for bad_a, h in (([1.0, nan, 1.0], 0.01), ([1.0, inf], 0.01), ([[1.0, 0.5]], 0.01),
+                         ([], 0.01), ([1.0, 0.5, 0.25], 1e300)):
+            for d in (0.0, 0.1):
+                with pytest.raises(ValueError, match="Taylor coefficients"):
+                    correction_taylor(bad_a, 1.0, d, h, 0.1)
+        # a zero coefficient stays zero where h^k alone would overflow
+        assert correction_taylor([1.0, 0.0, 0.0], 1.0, 0.0, 1e300, 0.1).total == \
+            correction_taylor([1.0], 1.0, 0.0, 1e300, 0.1).total
 
     def test_rejects_bad_window(self):
         # both branches: g_node = window[4] (d = 0.01), the stencil's Q series (d = 1e-6)
@@ -120,12 +131,12 @@ class TestCenteredClosed:
         # their sum overflows; only then is each value tested
         for window in (np.full(9, 1e308), np.where(np.arange(9) == 2, -1e308, 1e308)):
             assert _checked_window(window).tobytes() == window.tobytes()
-        assert np.all(np.isfinite(stencil_taylor(np.full(9, 1e308), 1.0 / 64, 0.0)))
+        assert np.all(np.isfinite(_stencil_poly(np.full(9, 1e308), 0.0)))
         for bad in (math.nan, math.inf, -math.inf):
             window = np.full(9, 1e308)
             window[6] = bad
             with pytest.raises(ValueError, match="window must hold g at the 9 nodes"):
-                stencil_taylor(window, 1.0 / 64, 0.0)
+                _stencil_poly(window, 0.0)
 
     def test_jump_factorization(self):
         c, d, h = 1.0, 0.03, 1.0 / 64
@@ -328,6 +339,10 @@ class TestFdDerivatives:
             fd_derivatives(np.ones(8), 0.1, 0.0)
         with pytest.raises(ValueError):
             fd_derivatives(np.ones(9), 0.1, 0.09)
+        for h, x_s in ((0.0, 0.0), (-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                       (0.1, math.nan), (0.1, math.inf)):
+            with pytest.raises(ValueError, match="h must be finite and positive"):
+                fd_derivatives(np.ones(9), h, x_s)
 
     def test_overflowing_spread_raises(self):
         # finite samples whose differences overflow: an error, not an inf
@@ -340,8 +355,41 @@ class TestFdDerivatives:
                 fd_derivatives(window, h, 0.0)
         window = np.where(np.arange(9) == 2, -1e308, 1e308)
         with pytest.raises(ValueError, match="stencil samples"):
-            stencil_taylor(window, h, 0.0)
+            _stencil_poly(window, 0.0)
         # a spread that the map and the shift cannot overflow still passes
         window = np.full(9, 1e306)
         window[7] = 0.0
         assert np.all(np.isfinite(fd_derivatives(window, 1.0, 0.5)))
+
+
+class TestTaylorParts:
+    """The one pass over the mesh-unit coefficients b_k against direct evaluation."""
+
+    @staticmethod
+    def reference(b, s, lam):
+        """(Re G, Im G/lam, g_node, Q) by direct evaluation, and for each the sum
+        of the absolute values of its terms."""
+        g = 0j
+        for coeff in reversed(b):   # G = P(i lam) by complex Horner
+            g = g * complex(0.0, lam) + coeff
+        k = np.arange(len(b))
+        q = pks_quotients(lam, s, len(b) - 1)
+        want = (g.real, g.imag / lam if lam else (b[1] if len(b) > 1 else 0.0),
+                np.sum(b * (-s) ** k), np.sum(q * b))
+        scale = (np.sum(np.abs(b[0::2]) * lam ** k[0::2]),
+                 np.sum(np.abs(b[1::2]) * lam ** k[:-1:2]),
+                 np.sum(np.abs(b) * abs(s) ** k), np.sum(np.abs(q * b)))
+        return want, scale
+
+    def test_against_direct_evaluation(self):
+        rng = np.random.default_rng(7)
+        for K in (0, 1, 2, 6, 8):
+            for s in (0.0, 1e-3, -1e-3, 0.3, -0.3, 0.5, -0.5):
+                for lam in (0.0, 1e-9, 1e-3, 0.1, 1.0, 30.0, 1e4):
+                    for _ in range(3):
+                        b = rng.standard_normal(K + 1)
+                        got = _taylor_parts(b.tolist(), s, lam)
+                        want, scale = self.reference(b, s, lam)
+                        for part in range(4):
+                            assert abs(got[part] - want[part]) <= 1e-14 * scale[part], \
+                                (K, s, lam, part)

@@ -49,3 +49,15 @@ def test_integration_path_does_not_import_digamma():
         assert not imported_names(name) & {"digamma", "digamma_complex", "trigamma"}, name
     assert {"digamma", "digamma_complex", "trigamma"} <= set(nsquad.__all__)
     assert {"digamma", "digamma_complex", "trigamma"} <= imported_names("verify")
+
+
+def test_runtime_core_has_no_quotient_tables():
+    # sum_k q_k b_k is one synthetic division in corrections; the quotients
+    # q_k themselves are verify's reference
+    gone = {"pks_quotients", "stencil_taylor", "_quotient_series"}
+    for name in RUNTIME_CORE:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not (defined | imported_names(name)) & gone, name
+    assert "pks_quotients" in nsquad.__all__
+    assert nsquad.pks_quotients.__module__ == "nsquad.verify"

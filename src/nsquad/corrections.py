@@ -27,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from .emcoeff import W_STAR, pi_cot, pks_seeds, pole_factor
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
-_FACTORIALS = np.array([math.factorial(k) for k in range(FD_DERIV_MAX + 1)], dtype=float)
-_DERIV_ORDERS = np.arange(FD_DERIV_MAX + 1, dtype=float)
 # The stencil map's rows sum to at most 3.25 in absolute value, and the shift
 # to x_s grows a coefficient by at most 1.5^8 < 26: below this spread of the
 # samples neither overflows
@@ -94,11 +92,17 @@ class GEval:
         """g at every point of a 1-D real or complex array.
 
         Without an array-capable f, the scalar evaluator is called once per
-        point, in order, with Python floats or complexes.  A value numpy cannot
-        store as a real (real_eval) or complex (complex_eval) number raises
-        ValueError: a Python complex from real_eval is rejected, not truncated
-        to its real part.
+        point, in order, with Python floats or complexes (`points.tolist()`;
+        the integrator passes its mesh's cached `Mesh.node_floats` instead, the
+        same values).  A value numpy cannot store as a real (real_eval) or
+        complex (complex_eval) number raises ValueError: a Python complex from
+        real_eval is rejected, not truncated to its real part.
         """
+        return self._sample(points, points.tolist)
+
+    def _sample(self, points: np.ndarray, scalars: Callable[[], Iterable]) -> np.ndarray:
+        """`sample`, with `scalars()` giving the scalar fallback's Python numbers,
+        the values of `points` in order; only that fallback calls it."""
         is_complex = points.dtype.kind == "c"
         if self._array_f is not None:
             values = self._sample_array(points, is_complex)
@@ -111,7 +115,7 @@ class GEval:
         else:
             ev, name, dtype = self.real_eval, "real_eval", float
         try:
-            return np.fromiter(map(ev, points.tolist()), dtype, count=len(points))
+            return np.fromiter(map(ev, scalars()), dtype, count=len(points))
         except TypeError as exc:
             if exc.__traceback__.tb_next is not None:
                 raise  # raised inside the evaluator, not by the conversion
@@ -214,14 +218,23 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
     |x_s| <= h/2.  They are b_k k!/h^k on the coefficients of `_stencil_poly`.
     A non-finite x_s, an h that is not finite and positive, and samples that
     are not 9 finite values differing by at most sys.float_info.max/128
-    raise ValueError.
+    raise ValueError, and so does a derivative that overflows (one that
+    underflows is 0).
     """
     if not (0.0 < h < math.inf and math.isfinite(x_s)):  # NaN fails both
         raise ValueError(f"h must be finite and positive and x_s finite, "
                          f"got h = {h!r}, x_s = {x_s!r}")
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
-    return np.array(_stencil_poly(samples, x_s / h)) * _FACTORIALS / h ** _DERIV_ORDERS
+    derivs = [b * math.factorial(k) for k, b in enumerate(_stencil_poly(samples, x_s / h))]
+    # 1/h^k by repeated division: an overflow is inf and an underflow 0,
+    # where h ** k warns
+    for k in range(1, len(derivs)):
+        for j in range(k, len(derivs)):
+            derivs[j] /= h
+    if not all(map(math.isfinite, derivs)):
+        raise ValueError(f"a derivative overflows at h = {h!r}")
+    return np.array(derivs)
 
 
 def _taylor_parts(b: Sequence[float], s: float,
@@ -288,11 +301,16 @@ def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
 
 
 def _check_scales(c: float, d: float, h: float) -> None:
-    """c and h finite and positive, d finite (its sign is each caller's rule)."""
+    """c and h finite and positive, d finite (its sign is each caller's rule), and
+    a positive d large enough that pi/(c d) and lam = d/(c h) are finite and nonzero."""
     if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
         raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
     if not math.isfinite(d):
         raise ValueError(f"d must be finite, got {d!r}")
+    cd = c * d
+    if d > 0.0 and (cd == 0.0 or math.isinf(math.pi / cd) or d / (c * h) == 0.0):
+        raise ValueError(f"d = {d!r} is too small for c = {c!r}, h = {h!r}: the jump "
+                         f"pi/(c d) overflows or lam = d/(c h) underflows to 0")
 
 
 def _check_offset(s: float) -> None:

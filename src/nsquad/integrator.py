@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -97,13 +98,14 @@ def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
     """g and the kernel samples f at the mesh nodes (f at the puncture is NaN where
     the kernel's denominator is 0), and g(x_s) for the consistency check or None."""
     nodes = mesh.nodes()
+    # a scalar g reads the mesh's cached Python floats, built only on that path
     if g.complex_eval is None:
-        gvals, g_xs = g.sample(nodes), None
+        gvals, g_xs = g._sample(nodes, mesh.node_floats), None
     else:
         points = np.empty(len(nodes) + 1)
         points[:-1] = nodes
         points[-1] = params.x_s
-        gvals = g.sample(points)
+        gvals = g._sample(points, lambda: chain(mesh.node_floats(), (float(params.x_s),)))
         gvals, g_xs = gvals[:-1], gvals[-1]
     f = nodes - params.x_s   # the denominators in place, then f
     f *= f

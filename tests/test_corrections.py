@@ -102,6 +102,14 @@ class TestCenteredClosed:
                 correction_offmesh_closed(g_exp(), c, d, h, 0.0, 0.0, window)
             with pytest.raises(ValueError, match="must be finite"):
                 correction_taylor(a, c, d, h, 0.0)
+        # d > 0 too small: pi/(c d) overflows and lam = d/(c h) underflows to 0,
+        # then each alone
+        for c, d, h in ((2.0, 5e-324, 1.0), (1.0, 1e-320, 1e-10), (1e200, 1e-200, 1e-10)):
+            with pytest.raises(ValueError, match="too small"):
+                correction_taylor([1.0, 0.5], c, d, h, 0.0)
+            with pytest.raises(ValueError, match="too small"):
+                correction_offmesh_closed(GEval.analytic(np.exp), c, d, h, 0.0, 0.0,
+                                          np.ones(9))
         for x_s in (nan, inf, -inf):
             with pytest.raises(ValueError, match="x_s must be finite"):
                 correction_offmesh_closed(g_exp(), 1.0, 0.01, 0.01, 0.0, x_s, window)
@@ -343,6 +351,16 @@ class TestFdDerivatives:
                        (0.1, math.nan), (0.1, math.inf)):
             with pytest.raises(ValueError, match="h must be finite and positive"):
                 fd_derivatives(np.ones(9), h, x_s)
+        # extreme h: k!/h^k by repeated division, no numpy overflow warning;
+        # g = 3 + 2x at h = 1e60 is clean, and an underflow to 0 is fine
+        t = np.arange(9) - 4.0
+        d = fd_derivatives(3.0 + 2e60 * t, 1e60, 0.0)
+        assert d[0] == 3.0 and d[1] == pytest.approx(2.0, rel=1e-14)
+        assert np.all(np.abs(d[2:]) <= 1e-60)
+        assert fd_derivatives(np.full(9, 2.0), 1e-60, 0.0).tolist() == [2.0] + [0.0] * 6
+        # g^(6) = 720/h^6 overflows at h = 1e-60: an error, not an inf
+        with pytest.raises(ValueError, match="derivative overflows"):
+            fd_derivatives(t ** 6, 1e-60, 0.0)
 
     def test_overflowing_spread_raises(self):
         # finite samples whose differences overflow: an error, not an inf

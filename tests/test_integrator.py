@@ -12,7 +12,7 @@ from nsquad.integrator import (
     integrate_near_singular,
     puncture_split,
 )
-from nsquad.meshrule import Mesh
+from nsquad.meshrule import Mesh, _node_tuple
 from nsquad.oracle import exact_test1, finite_part_reference
 from nsquad.verify import self_check
 
@@ -441,8 +441,60 @@ class TestScalarContract:
             GEval(real_eval=cmath.exp).sample(x)
         with pytest.raises(ValueError, match="real_eval must return a real number"):
             integrate_finite_part(GEval(real_eval=cmath.exp), 1.0, 0.1, 64)
+        with pytest.raises(ValueError, match="real_eval must return a real number"):
+            integrate_near_singular(GEval(real_eval=cmath.exp, complex_eval=cmath.exp),
+                                    KernelParams(a=1.0, d=0.01, x_s=0.1), 64)
         with pytest.raises(ValueError, match="complex_eval must return a complex number"):
             GEval(real_eval=math.exp, complex_eval=lambda z: [z]).sample(x + 0.1j)
+
+    def test_mesh_pass_reads_the_cached_node_floats(self):
+        # a real-only g, and an analytic g whose f rejects arrays: one call per
+        # node with the mesh's cached Python floats (then x_s for the consistency
+        # check), in order; a second integration hits the cache, bit-identically
+        def exp_no_arrays(z):
+            if isinstance(z, np.ndarray):
+                raise TypeError("scalars only")
+            return cmath.exp(z) if isinstance(z, complex) else math.exp(z)
+
+        n = 48
+        mesh = Mesh(1.0, n)
+        params = KernelParams(a=1.0, d=1e-3, x_s=0.3 / n)
+        want = mesh.nodes().tolist()
+        real_ev, real_seen = self.recording(math.exp)
+        f, f_seen = self.recording(exp_no_arrays)
+        for g, seen, extra in ((GEval(real_eval=real_ev), real_seen, []),
+                               (GEval.analytic(f), f_seen, [params.x_s])):
+            for method in ("auto", "fd-series"):
+                first = integrate_near_singular(g, params, n, method)
+                seen.clear()
+                before = _node_tuple.cache_info()
+                again = integrate_near_singular(g, params, n, method)
+                assert _node_tuple.cache_info().hits == before.hits + 1
+                assert _node_tuple.cache_info().misses == before.misses
+                assert again.value == first.value
+                sampled = seen[:len(want) + len(extra)]
+                assert sampled == want + extra
+                assert all(type(v) is float for v in sampled)
+                # the rest are complex_eval's G and consistency check
+                assert all(type(v) is complex for v in seen[len(sampled):])
+        assert mesh.node_floats() is mesh.node_floats()
+        assert mesh.node_floats() == tuple(want)
+
+    def test_array_path_leaves_the_node_floats_alone(self):
+        g = GEval.analytic(np.exp)
+        before = _node_tuple.cache_info()
+        for n in (40, 56):
+            integrate_near_singular(g, KernelParams(a=1.0, d=1e-3, x_s=0.1), n)
+            integrate_near_singular(g, KernelParams(a=1.0, d=1e-3, x_s=0.1), n, "fd-series")
+            integrate_finite_part(g, 1.0, 0.1, n)
+        assert _node_tuple.cache_info() == before
+
+    def test_node_floats_bounded_and_immutable(self):
+        assert 1 <= _node_tuple.cache_info().maxsize <= 4
+        nodes = Mesh(2.0, 20).node_floats()
+        assert type(nodes) is tuple and len(nodes) == 41
+        with pytest.raises(TypeError):
+            nodes[0] = 1.0
 
     def test_evaluator_type_error_propagates(self):
         def broken(x):

@@ -13,12 +13,14 @@ b_k = g^(k)(x_s) h^k/k! that the singular series needs (`_stencil_poly`);
 one pass over them gives G, g_node and Q (`_taylor_parts`).
 
 With w = s + i lam, lam = d/(c h), the closed form is elementary (see
-`emcoeff`).  For |w| >= W_STAR it is the trapezoidal rule's correction for
-the kernel's poles (Trefethen & Weideman, "The exponentially convergent
-trapezoidal rule", SIAM Rev. 56, 2014): the punctured node put back, minus
-(2 pi/(c d)) Re[G q/(1 - q)], q = exp(2 pi i w), |q| = exp(-2 pi lam).
-Nothing cancels there, and an error in G is damped by |q|.  Below W_STAR
-the punctured form with the seeds p_{0,s}, p_{1,s} keeps full accuracy.
+`emcoeff`) and takes one of two forms, chosen by lam alone.  For lam >= 1
+it is the trapezoidal rule's correction for the kernel's poles (Trefethen &
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
+2014): the punctured node put back, minus (2 pi/(c d)) Re[G q/(1 - q)],
+q = exp(2 pi i w).  There the jump and the singular part cancel, and
+|q| = exp(-2 pi lam) damps an error in G.  For lam < 1, d = 0 included, it
+is the punctured form in the seeds p_{0,s}, p_{1,s}, whose only cancelling
+term is Q.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .emcoeff import W_STAR, pi_cot, pks_seeds, pole_factor
+from .emcoeff import pks_seeds, pole_factor
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
@@ -260,11 +262,11 @@ def _taylor_parts(b: Sequence[float], s: float,
 
 def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: float,
                 d: float, h: float, s: float, terms: int) -> CorrectionBreakdown:
-    """E from Re G, Im G/lam, g_node and Q: the pole form for d > 0 and |w| >= W_STAR,
-    else -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
+    """E from Re G, Im G/lam, g_node and Q: the pole form for lam >= 1, else
+    -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
     the jump omitted at d = 0."""
     lam = d / (c * h)
-    if d > 0.0 and s * s + lam * lam >= W_STAR * W_STAR:
+    if lam >= 1.0:
         return _pole_form(re_g, im_g_lam, g_node, c, d, h, s, terms)
     p0, p1 = pks_seeds(lam, s)
     singular = float(-(p0 * re_g + p1 * im_g_lam + quotient) / (c * c * h))
@@ -274,24 +276,16 @@ def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: f
 
 def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
                h: float, s: float, terms: int) -> CorrectionBreakdown:
-    """E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)] for |w| >= W_STAR, d > 0.
+    """E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)] for lam >= 1.
 
-    im_g_lam is Im G/lam.  The jump part is (pi/(c d)) Re G.  For lam < 1 the
-    singular part is (Im[pi cot(pi w) G]/lam + g_node/|w|^2)/(c^2 h), which
-    does not carry the jump's size as lam -> 0, and the total is singular +
-    jump.  For lam >= 1 the total is the form above, whose pole term is
-    dropped once |q| < 5e-17, and the singular part is total - jump; where
-    G is not finite there (a Taylor polynomial's G overflows for d/c >~ 1e50),
-    the whole correction is reported as singular.
+    im_g_lam is Im G/lam.  The total comes first, its pole term dropped once
+    |q| < 5e-17; the jump part is (pi/(c d)) Re G and the singular part is
+    total - jump.  Where G is not finite (a Taylor polynomial's G overflows
+    for d/c >~ 1e50), the whole correction is reported as singular.
     """
     lam = d / (c * h)
-    node = g_node / (c * c * h * (s * s + lam * lam))
+    total = g_node / (c * c * h * (s * s + lam * lam))
     jump = math.pi / (c * d) * re_g
-    if lam < 1.0:
-        re_cot, im_cot = pi_cot(lam, s)
-        singular = (re_cot * im_g_lam + im_cot * re_g) / (c * c * h) + node
-        return CorrectionBreakdown(singular, jump, singular + jump, terms)
-    total = node
     if lam < _Q_NEGLIGIBLE_LAM:
         t = pole_factor(lam, s)
         total -= 2.0 * math.pi / (c * d) * (re_g * t.real - lam * im_g_lam * t.imag)
@@ -301,8 +295,10 @@ def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
 
 
 def _check_scales(c: float, d: float, h: float) -> None:
-    """c and h finite and positive, d finite (its sign is each caller's rule), and
-    a positive d large enough that pi/(c d) and lam = d/(c h) are finite and nonzero."""
+    """c and h finite and positive, d finite (its sign is each caller's rule), a
+    positive d large enough that pi/(c d) and lam = d/(c h) are finite and nonzero,
+    and c^2 and 1/c^2 finite and nonzero.  A d whose square overflows passes: no
+    correction forms d^2."""
     if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
         raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
     if not math.isfinite(d):
@@ -311,6 +307,9 @@ def _check_scales(c: float, d: float, h: float) -> None:
     if d > 0.0 and (cd == 0.0 or math.isinf(math.pi / cd) or d / (c * h) == 0.0):
         raise ValueError(f"d = {d!r} is too small for c = {c!r}, h = {h!r}: the jump "
                          f"pi/(c d) overflows or lam = d/(c h) underflows to 0")
+    c2 = c * c
+    if not (0.0 < c2 < math.inf and 1.0 / c2 < math.inf):
+        raise ValueError(f"c = {c!r} is out of range: c^2 or 1/c^2 overflows")
 
 
 def _check_offset(s: float) -> None:
@@ -327,24 +326,20 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     G = g(x_s + i lam h) and g_node = window[4] = g(x_s - s h):
 
     E = -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
-    Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2).
+    Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2),
 
-    This holds for every s in [-1/2, 1/2]; a target on a node is s = 0.
-    With the elementary seeds of `emcoeff` it is
+    for every s in [-1/2, 1/2] (a target on a node is s = 0), and so E is
+    computed for lam < 1.  With the elementary seeds of `emcoeff` it is
 
     E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)],  q = exp(2 pi i w),
 
     the punctured node put back plus the trapezoidal rule's correction for
-    the kernel's poles (Trefethen & Weideman, SIAM Rev. 56, 2014), and for
-    |w| >= W_STAR (0.3) that is how E is computed.  The breakdown keeps the
-    jump (pi/(c d)) Re G; for lam >= 1 the singular part is E - jump, for
-    lam < 1 it is (Im[pi cot(pi w) G]/lam + g_node/|w|^2)/(c^2 h), free of
-    the jump's size as lam -> 0.  For |w| < W_STAR the two terms of that
-    form cancel, and E comes from the seeds' form above, whose only
-    cancelling term is Q.  When lam/(s^2 + lam^2) > Q_SERIES_RATIO, Q is
-    that of g's Taylor polynomial through order 6 on `window` instead
-    (`_taylor_parts`), the series sum_k q_k a_k h^k; `terms_used` then
-    reports the series order (0 otherwise).
+    the kernel's poles (Trefethen & Weideman, SIAM Rev. 56, 2014), and so E
+    is computed for lam >= 1.  The breakdown keeps the jump (pi/(c d)) Re G.
+    When lam/(s^2 + lam^2) > Q_SERIES_RATIO, Q is that of g's Taylor
+    polynomial through order 6 on `window` instead (`_taylor_parts`), the
+    series sum_k q_k a_k h^k; `terms_used` then reports the series order (0
+    otherwise).
     """
     _check_scales(c, d, h)
     if not math.isfinite(x_s):
@@ -359,7 +354,7 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
     g_node = float(_checked_window(window)[FD_STENCIL // 2])
     denom = s * s + lam * lam
-    if lam > Q_SERIES_RATIO * denom:   # only below W_STAR: denom < lam/10 < 1/100
+    if lam > Q_SERIES_RATIO * denom:   # only for lam < 0.1
         quotient, terms = _taylor_parts(_stencil_poly(window, s), s, lam)[3], FD_DERIV_MAX
     else:
         quotient, terms = (gval.real - g_node - s / lam * gval.imag) / denom, 0
@@ -378,9 +373,10 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
 
     G, g_node and Q are those of the polynomial in mesh units,
     P(t) = sum_k a_k h^k t^k, t = (x - x_s)/h (`_taylor_parts`), put into the
-    pole form or the seeds' form of `correction_offmesh_closed`.  In the pole
-    form |q| = exp(-2 pi lam) damps the polynomial's error in G; in the
-    seeds' form Q = sum_{k>=2} q_k a_k h^k regroups the singular series
+    pole form (lam >= 1) or the seeds' form (lam < 1) of
+    `correction_offmesh_closed`.  In the pole form |q| = exp(-2 pi lam)
+    damps the polynomial's error in G; in the seeds' form
+    Q = sum_{k>=2} q_k a_k h^k regroups the singular series
     -sum_k p_{k,s} a_k h^(k-1)/c^2 by p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}.
     At d = 0 the jump is omitted: the finite-part correction for
     1/(c^2 (x - x_s)^2).  ValueError unless `a` is a non-empty 1-D sequence

@@ -11,15 +11,16 @@ elementary in w = s + i lam:
 
 For |w| >= W_STAR (0.3), R comes from pi cot(pi w) (`pi_cot`) and 1/w;
 below, the two cancel and R is the series -2 sum_k zeta(2k) w^(2k-1), with
-zeta(2k) from the exact Bernoulli numbers.  `pole_factor` gives q/(1 - q),
-q = exp(2 pi i w): at lam >= 1, pi cot(pi w) = -i pi (1 + 2 q/(1 - q)).
-Put into the corrections, the seeds turn the whole correction into the
-punctured node put back plus the trapezoidal rule's pole correction
--(2 pi/(c d)) Re[G q/(1 - q)] (Trefethen & Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Rev. 56, 2014), which `corrections`
-evaluates directly for |w| >= W_STAR.  The z_{k,s} and p_{k,s} tables, the
-quotients q_k (`pks_quotients`) and the series oracle that derive and
-cross-check these numbers from digamma live in `verify`.
+zeta(2k) from the exact Bernoulli numbers: the only choice made by |w|.
+`pole_factor` gives q/(1 - q), q = exp(2 pi i w): at lam >= 1,
+pi cot(pi w) = -i pi (1 + 2 q/(1 - q)).  Put into the corrections, the
+seeds turn the whole correction into the punctured node put back plus the
+trapezoidal rule's pole correction -(2 pi/(c d)) Re[G q/(1 - q)]
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Rev. 56, 2014), the form `corrections` takes for lam >= 1.  The
+z_{k,s} and p_{k,s} tables, the quotients q_k (`pks_quotients`) and the
+series oracle that derive and cross-check these numbers from digamma live
+in `verify`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """High-level API: corrected near-singular and finite-part integration.
 
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
-mesh half-count n, these routines sample g once on the mesh and build the
-punctured trapezoidal sum (`_mesh_pass`), add the correction (the closed
-form in g itself, or in g's Taylor polynomial from the 9 samples around the
-puncture; `_correct`) and return the corrected value with a breakdown.  The
+mesh half-count n, these routines sample g once on the 2n+1 nodes and build
+the punctured trapezoidal sum (`_mesh_pass`), add the correction (the closed
+form in g or in g's Taylor polynomial from the 9 samples around the
+puncture: the pole form for lam = d/(c h) >= 1, the seeds' form below;
+`_correct`) and return the corrected value with a breakdown.  The
 convergence study of `cli` reads every method from one pass.  The
 coefficient cross-checks (`self_check`) live in `verify`.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -59,6 +59,11 @@ class KernelParams:
         if self.d > 0.0 and (cd == 0.0 or math.isinf(math.pi / cd)):
             raise ValueError(f"d = {self.d!r} is too small for c = {self.c!r}: "
                              f"the jump pi/(c d) overflows")
+        c2 = self.c * self.c
+        if not (0.0 < c2 < math.inf and 1.0 / c2 < math.inf):
+            raise ValueError(f"c = {self.c!r} is out of range: c^2 or 1/c^2 overflows")
+        if math.isinf(self.d * self.d):
+            raise ValueError(f"d = {self.d!r} is out of range: d^2 overflows")
 
 
 @dataclass(frozen=True)
@@ -94,19 +99,12 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
 
 
 def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
-                    puncture: int) -> tuple[np.ndarray, np.ndarray, float | None]:
+                    puncture: int) -> tuple[np.ndarray, np.ndarray]:
     """g and the kernel samples f at the mesh nodes (f at the puncture is NaN where
-    the kernel's denominator is 0), and g(x_s) for the consistency check or None."""
+    the kernel's denominator is 0)."""
     nodes = mesh.nodes()
     # a scalar g reads the mesh's cached Python floats, built only on that path
-    if g.complex_eval is None:
-        gvals, g_xs = g._sample(nodes, mesh.node_floats), None
-    else:
-        points = np.empty(len(nodes) + 1)
-        points[:-1] = nodes
-        points[-1] = params.x_s
-        gvals = g._sample(points, lambda: chain(mesh.node_floats(), (float(params.x_s),)))
-        gvals, g_xs = gvals[:-1], gvals[-1]
+    gvals = g._sample(nodes, mesh.node_floats)
     f = nodes - params.x_s   # the denominators in place, then f
     f *= f
     f *= params.c ** 2
@@ -116,7 +114,7 @@ def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
     np.divide(gvals, f, out=f)
     # a Python division: a zero or subnormal denominator there raises no numpy warning
     f[i] = float(gvals[i]) / denom_i if denom_i else math.nan
-    return gvals, f, g_xs
+    return gvals, f
 
 
 def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
@@ -135,17 +133,18 @@ def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
         raise ValueError("x_s too close to an endpoint for the correction "
                          "stencils (need |x_s| < a - 10h)")
     j, s = puncture_split(params.x_s, mesh.h)
-    gvals, f, g_xs = _kernel_samples(g, params, mesh, j)
+    gvals, f = _kernel_samples(g, params, mesh, j)
     warnings = ()
-    if g_xs is not None:
-        gap = g.consistency_gap(params.x_s, g_xs)
-        if gap > 4.0 * _EPS * abs(g_xs):
-            # near a root of g, |g(x_s)| is no scale, and nor is |g| on the
-            # window when h is small: take g's size on the whole mesh
-            gap /= max(abs(g_xs), float(np.abs(gvals).max()), 1e-300)
-            if gap > 4.0 * _EPS:
-                warnings = (f"complex_eval disagrees with real_eval at x_s "
-                            f"(relative gap {gap:.2e})",)
+    i = mesh.n + j
+    g_node = float(gvals[i])
+    gap = g.consistency_gap(float(mesh.nodes()[i]), g_node)
+    if gap > 4.0 * _EPS * abs(g_node):
+        # near a root of g, |g| at the node is no scale, and nor is |g| on the
+        # window when h is small: take g's size on the whole mesh
+        gap /= max(abs(g_node), float(np.abs(gvals).max()), 1e-300)
+        if gap > 4.0 * _EPS:
+            warnings = (f"complex_eval disagrees with real_eval at the puncture node "
+                        f"(relative gap {gap:.2e})",)
     uncorrected, edge_err = punctured_sums(mesh, f, j)
     return mesh, j, s, gvals, f, uncorrected, edge_err, warnings
 
@@ -186,9 +185,10 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     from the 9 mesh samples nearest the puncture ("fd-series"), or `auto`
     (closed-form when a complex evaluator is available).  d = 0 takes the
     Taylor form without the jump (the finite part), on the same 9 samples.
-    g is sampled once on the mesh; beyond that only the closed form's G and
-    the check that complex_eval matches real_eval at x_s call g.  A warning
-    reports an estimated end-correction error above 3e-11 max(|value|, 1).
+    g is sampled once on the 2n+1 mesh nodes; beyond that only the closed
+    form's G and the check of complex_eval at the puncture node call g.  A
+    warning reports an estimated end-correction error above
+    3e-11 max(|value|, 1).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")

@@ -97,9 +97,9 @@ class TestConverge:
         monkeypatch.setattr(cli, "GEval", CountingGEval)
         config = StudyConfig(d_list=[0.01], n_list=[32, 64])
         rows = run_converge(config)
-        # per (d, n): the mesh with x_s appended, then g(x_s) through
+        # per (d, n): the 2n+1 mesh nodes, then g at the puncture node through
         # complex_eval for the consistency check and G for the closed form
-        assert calls == [(66,), (), (), (130,), (), ()]
+        assert calls == [(65,), (), (), (129,), (), ()]
         monkeypatch.undo()
         assert len(rows) == 8
         g = GEval.analytic(lambda z: 0.01 * np.exp(z))

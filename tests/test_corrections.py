@@ -110,6 +110,16 @@ class TestCenteredClosed:
             with pytest.raises(ValueError, match="too small"):
                 correction_offmesh_closed(GEval.analytic(np.exp), c, d, h, 0.0, 0.0,
                                           np.ones(9))
+        # c^2 or 1/c^2 overflows or underflows to 0, also at d = 0
+        for c, d, h in ((1e200, 1e-200, 1e-195), (1e160, 1e-140, 0.01),
+                        (1e-170, 1e-100, 0.01), (1e-170, 0.0, 0.01), (1e-155, 0.0, 0.01)):
+            with pytest.raises(ValueError, match=r"^c = .* out of range"):
+                correction_taylor([1.0, 0.5], c, d, h, 0.3)
+            with pytest.raises(ValueError, match=r"^c = .* out of range"):
+                correction_offmesh_closed(GEval.analytic(np.exp), c, d, h, 0.3, 0.0,
+                                          np.ones(9))
+        # no correction squares d: a d whose d^2 overflows passes
+        assert math.isfinite(correction_taylor([1.0, 0.5], 1.0, 1e160, 0.01, 0.3).total)
         for x_s in (nan, inf, -inf):
             with pytest.raises(ValueError, match="x_s must be finite"):
                 correction_offmesh_closed(g_exp(), 1.0, 0.01, 0.01, 0.0, x_s, window)

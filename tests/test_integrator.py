@@ -246,7 +246,8 @@ class TestFinitePart:
 
     def test_fd_series_at_d_zero_uses_stencil(self):
         # with or without "fd-series", the only complex call is the
-        # consistency check at x_s: the stencil is the one Taylor source
+        # consistency check at the puncture node: the stencil is the one
+        # Taylor source
         calls = [0]
 
         def complex_eval(z):
@@ -325,8 +326,9 @@ class TestArraySampling:
         h = 1.0 / n
         f, calls = counted(np.exp)
         g = GEval.analytic(f)
-        # beyond the one mesh array: G and the consistency check at x_s
-        # (closed form, with g_node or with the Q series), or the check alone
+        # beyond the one mesh array: G and the consistency check at the
+        # puncture node (closed form, with g_node or with the Q series), or
+        # the check alone
         for params, terms in ((KernelParams(a=1.0, d=1e-2, x_s=0.3 * h), 0),
                               (KernelParams(a=1.0, d=1e-6, x_s=26 * h), 6)):
             calls.update(array=0, scalar=0)
@@ -449,8 +451,8 @@ class TestScalarContract:
 
     def test_mesh_pass_reads_the_cached_node_floats(self):
         # a real-only g, and an analytic g whose f rejects arrays: one call per
-        # node with the mesh's cached Python floats (then x_s for the consistency
-        # check), in order; a second integration hits the cache, bit-identically
+        # node with the mesh's cached Python floats, in order, and no other real
+        # sample; a second integration hits the cache, bit-identically
         def exp_no_arrays(z):
             if isinstance(z, np.ndarray):
                 raise TypeError("scalars only")
@@ -463,7 +465,7 @@ class TestScalarContract:
         real_ev, real_seen = self.recording(math.exp)
         f, f_seen = self.recording(exp_no_arrays)
         for g, seen, extra in ((GEval(real_eval=real_ev), real_seen, []),
-                               (GEval.analytic(f), f_seen, [params.x_s])):
+                               (GEval.analytic(f), f_seen, [])):
             for method in ("auto", "fd-series"):
                 first = integrate_near_singular(g, params, n, method)
                 seen.clear()
@@ -510,6 +512,12 @@ class TestKernelParams:
         ("c", dict(a=1.0, c=math.inf, d=0.1)),
         ("a", dict(a=math.inf, d=0.1)),
         ("x_s", dict(a=1.0, d=0.1, x_s=math.nan)),
+        ("c", dict(a=1.0, c=1e200, d=1e-200)),   # c^2 overflows
+        ("c", dict(a=1.0, c=1e160, d=1e-140)),
+        ("d", dict(a=1.0, d=1e160)),             # d^2 overflows
+        ("c", dict(a=1.0, c=1e-170, d=1e-100)),  # c^2 underflows to 0
+        ("c", dict(a=1.0, c=1e-170)),
+        ("c", dict(a=1.0, c=1e-155)),            # 1/c^2 overflows
     ])
     def test_rejects_nonfinite_and_overflow(self, field, kwargs):
         with pytest.raises(ValueError, match=rf"^{field} "):

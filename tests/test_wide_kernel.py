@@ -73,3 +73,40 @@ def test_taylor_form_at_huge_d_over_c_is_finite():
         lam = d / h
         assert br.total == pytest.approx(g_node / (h * (s * s + lam * lam)), rel=1e-15)
         assert math.isfinite(br.singular_part) and math.isfinite(br.jump_part)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "real"])
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("switch", ["lam = 1", "|w| = 0.3"])
+def test_form_switches_are_seamless(switch, c, kind):
+    # lam = 1 picks the pole form or the seeds' form (x_s = 0.1234, s ~ 0.36);
+    # |w| = 0.3 at lam < 1 picks the seeds' series or cot (x_s = 0.1232,
+    # s ~ 0.157).  Steps of delta on each side of the switch: every value is
+    # exact, and the correction's total lies on one smooth curve through both
+    n = 1024
+    h = 1.0 / n
+    x_s = 0.1234 if switch == "lam = 1" else 0.1232
+    s = x_s * n - round(x_s * n)
+    delta = 1e-9 if switch == "lam = 1" else 1e-12
+    totals = []
+    for k in (-3, -1, 1, 3):
+        if switch == "lam = 1":
+            lam = 1.0 + k * delta
+        else:
+            lam = math.sqrt((0.3 + k * delta) ** 2 - s * s)
+        d = lam * c * h
+        lam = d / (c * h)
+        if switch == "lam = 1":
+            assert (lam >= 1.0) == (k > 0)
+        else:
+            assert lam < 1.0 and (s * s + lam * lam >= 0.09) == (k > 0)
+        res = integrate_near_singular(numerator(d, kind), KernelParams(a=1.0, c=c, d=d, x_s=x_s),
+                                      n, "closed-form" if kind == "analytic" else "fd-series")
+        ref = exact_test2(d, c, x_s)
+        assert abs(res.value - ref) <= 1e-13 * max(abs(ref), 1.0), (k, res.value, ref)
+        totals.append(res.breakdown.total)
+    # each side extrapolated linearly across the switch meets the other
+    e_m3, e_m1, e_p1, e_p3 = totals
+    tol = 1e-13 * max(abs(e_p1), 1.0)
+    assert abs(2.0 * e_m1 - e_m3 - e_p1) <= tol, totals
+    assert abs(2.0 * e_p1 - e_p3 - e_m1) <= tol, totals

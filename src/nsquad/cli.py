@@ -114,7 +114,7 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
                    n: int) -> list[float]:
     """The value of each method at one (d, n), all from one sampling of g."""
     sampled = _mesh_pass(g, params, n)
-    mesh, _, _, _, f, uncorrected, _, _ = sampled
+    mesh, _, _, _, f, uncorrected, _ = sampled
     values = []
     for method in methods:
         if method == "corrected-closed":

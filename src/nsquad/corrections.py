@@ -29,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -61,8 +62,10 @@ class GEval:
     real_eval samples g on the real line; complex_eval, when present, must
     agree with real_eval there and be analytic between x_s and x_s + i d/c.
     Both take and return scalars: real_eval a real number, complex_eval a
-    complex one.  `sample` evaluates g on arrays, in one call when g was
-    built by `analytic`.  `radius`, a distance within which g is analytic
+    complex one.  `sample` evaluates g at real points only, in one call per
+    array when g was built by `analytic`; complex_eval is called by the
+    closed form alone, for G and for its check at the puncture node
+    (`consistency_gap`).  `radius`, a distance within which g is analytic
     around the real points of interest, is read by no integration path; it
     sizes the contour of `oracle.finite_part_reference`.
     """
@@ -83,58 +86,60 @@ class GEval:
         """Wrap a function that accepts real and complex arguments, scalars or arrays.
 
         f is called once per array of points; if it rejects arrays (raises
-        TypeError or ValueError, or returns the wrong shape, or a complex
-        dtype on the real line), g falls back to one call per point for good.
+        TypeError or ValueError, or returns the wrong shape), g falls back to
+        one call per point for good.  Complex values at real points raise
+        ValueError unless every imaginary part is 0.
         """
-        g = cls(real_eval=lambda x: float(f(x)), complex_eval=f, radius=radius)
+        g = cls(real_eval=f, complex_eval=f, radius=radius)
         g._array_f = f
         return g
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        """g at every point of a 1-D real or complex array.
+        """g at every point of a 1-D real array.
 
-        Without an array-capable f, the scalar evaluator is called once per
-        point, in order, with Python floats or complexes (`points.tolist()`;
-        the integrator passes its mesh's cached `Mesh.node_floats` instead, the
-        same values).  A value numpy cannot store as a real (real_eval) or
-        complex (complex_eval) number raises ValueError: a Python complex from
-        real_eval is rejected, not truncated to its real part.
+        Without an array-capable f, real_eval is called once per point, in
+        order, with Python floats (`points.tolist()`; the integrator passes
+        its mesh's cached `Mesh.node_floats` instead, the same values).
+        Complex points, or a complex first value of real_eval, raise ValueError.
         """
         return self._sample(points, points.tolist)
 
     def _sample(self, points: np.ndarray, scalars: Callable[[], Iterable]) -> np.ndarray:
-        """`sample`, with `scalars()` giving the scalar fallback's Python numbers,
+        """`sample`, with `scalars()` giving the scalar fallback's Python floats,
         the values of `points` in order; only that fallback calls it."""
-        is_complex = points.dtype.kind == "c"
+        if points.dtype.kind == "c":
+            raise ValueError("g is sampled at real points only; "
+                             "complex_eval is called by the closed form alone")
         if self._array_f is not None:
-            values = self._sample_array(points, is_complex)
+            values = self._sample_array(points)
             if values is not None:
                 return values
-        if is_complex:
-            if self.complex_eval is None:
-                raise ValueError("complex points need a complex evaluator for g")
-            ev, name, dtype = self.complex_eval, "complex_eval", complex
-        else:
-            ev, name, dtype = self.real_eval, "real_eval", float
+        values = map(self.real_eval, scalars())
+        head = list(islice(values, 1))
+        if head and isinstance(head[0], (complex, np.complexfloating)):
+            raise ValueError(f"real_eval must return a real number, got {head[0]!r}")
         try:
-            return np.fromiter(map(ev, scalars()), dtype, count=len(points))
+            return np.fromiter(chain(head, values), float, count=len(points))
         except TypeError as exc:
             if exc.__traceback__.tb_next is not None:
                 raise  # raised inside the evaluator, not by the conversion
-            kind = "complex" if is_complex else "real"
-            raise ValueError(f"{name} must return a {kind} number ({exc})") from exc
+            raise ValueError(f"real_eval must return a real number ({exc})") from exc
 
-    def _sample_array(self, points: np.ndarray, is_complex: bool) -> Optional[np.ndarray]:
-        """f(points) as float or complex values; None, and no further tries, if f
-        rejects arrays."""
+    def _sample_array(self, points: np.ndarray) -> Optional[np.ndarray]:
+        """f(points) as floats; None, and no further tries, if f rejects arrays."""
         try:
             values = np.asarray(self._array_f(points))
-            if values.shape == points.shape and (is_complex or values.dtype.kind != "c"):
-                return values.astype(complex if is_complex else float, copy=False)
+            takes_arrays = values.shape == points.shape
         except (TypeError, ValueError):
-            pass
-        self._array_f = None
-        return None
+            takes_arrays = False
+        if not takes_arrays:
+            self._array_f = None
+            return None
+        if values.dtype.kind == "c":
+            if values.imag.any():
+                raise ValueError("f returned complex values at real points")
+            values = values.real
+        return np.ascontiguousarray(values, dtype=float)
 
     def consistency_gap(self, x: float, real_value: float) -> float:
         """|complex_eval(x) - real_value|, for diagnostics; `real_value` is g(x)
@@ -294,22 +299,29 @@ def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
     return CorrectionBreakdown(total - jump, jump, total, terms)
 
 
+def _check_kernel_scales(c: float, d: float) -> None:
+    """For c finite and positive: ValueError unless a positive d is large enough
+    that pi/(c d) is finite, and c^2 and 1/c^2 are finite and nonzero."""
+    cd = c * d
+    if d > 0.0 and (cd == 0.0 or math.isinf(math.pi / cd)):
+        raise ValueError(f"d = {d!r} is too small for c = {c!r}: the jump pi/(c d) overflows")
+    c2 = c * c
+    if not (0.0 < c2 < math.inf and 1.0 / c2 < math.inf):
+        raise ValueError(f"c = {c!r} is out of range: c^2 or 1/c^2 overflows")
+
+
 def _check_scales(c: float, d: float, h: float) -> None:
-    """c and h finite and positive, d finite (its sign is each caller's rule), a
-    positive d large enough that pi/(c d) and lam = d/(c h) are finite and nonzero,
-    and c^2 and 1/c^2 finite and nonzero.  A d whose square overflows passes: no
-    correction forms d^2."""
+    """c and h finite and positive, d finite (its sign is each caller's rule),
+    for d > 0 a nonzero lam = d/(c h), and `_check_kernel_scales`.  A d whose
+    square overflows passes: no correction forms d^2."""
     if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
         raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
     if not math.isfinite(d):
         raise ValueError(f"d must be finite, got {d!r}")
-    cd = c * d
-    if d > 0.0 and (cd == 0.0 or math.isinf(math.pi / cd) or d / (c * h) == 0.0):
-        raise ValueError(f"d = {d!r} is too small for c = {c!r}, h = {h!r}: the jump "
-                         f"pi/(c d) overflows or lam = d/(c h) underflows to 0")
-    c2 = c * c
-    if not (0.0 < c2 < math.inf and 1.0 / c2 < math.inf):
-        raise ValueError(f"c = {c!r} is out of range: c^2 or 1/c^2 overflows")
+    if d > 0.0 and d / (c * h) == 0.0:
+        raise ValueError(f"d = {d!r} is too small for c = {c!r}, h = {h!r}: "
+                         f"lam = d/(c h) underflows to 0")
+    _check_kernel_scales(c, d)
 
 
 def _check_offset(s: float) -> None:

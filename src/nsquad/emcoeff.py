@@ -12,9 +12,11 @@ elementary in w = s + i lam:
 For |w| >= W_STAR (0.3), R comes from pi cot(pi w) (`pi_cot`) and 1/w;
 below, the two cancel and R is the series -2 sum_k zeta(2k) w^(2k-1), with
 zeta(2k) from the exact Bernoulli numbers: the only choice made by |w|.
-`pole_factor` gives q/(1 - q), q = exp(2 pi i w): at lam >= 1,
-pi cot(pi w) = -i pi (1 + 2 q/(1 - q)).  Put into the corrections, the
-seeds turn the whole correction into the punctured node put back plus the
+pi cot(pi w) and the pole form's q/(1 - q) (`pole_factor`) are rational in
+q = exp(2 pi i w), each one quotient by |1 - q|^2 = (1 - r)^2 +
+4 r sin^2(pi s), r = |q|: sums of non-negative terms, which neither cancel
+nor overflow for any lam >= 0.  Put into the corrections, the seeds turn
+the whole correction into the punctured node put back plus the
 trapezoidal rule's pole correction -(2 pi/(c d)) Re[G q/(1 - q)]
 (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
 SIAM Rev. 56, 2014), the form `corrections` takes for lam >= 1.  The
@@ -75,28 +77,31 @@ def _series_seeds(lam: float, s: float) -> tuple[float, float]:
     return r.imag / lam, r.real
 
 
+def _pole_terms(lam: float, s: float) -> tuple[float, float, float]:
+    """r = |q|, (1 - r)/(2 pi lam) and |1 - q|^2 = (1 - r)^2 + 4 r sin^2(pi s) for
+    q = exp(2 pi i (s + i lam)), lam >= 0; the ratio is taken on the rounded
+    2 pi lam, so a tiny lam loses nothing, and is 1 at lam = 0."""
+    u = 2.0 * math.pi * lam
+    r, one_minus_r = math.exp(-u), -math.expm1(-u)
+    sin_s = math.sin(math.pi * s)
+    return (r, one_minus_r / u if u else 1.0,
+            one_minus_r * one_minus_r + 4.0 * r * sin_s * sin_s)
+
+
 def pole_factor(lam: float, s: float) -> complex:
-    """q/(1 - q) with q = exp(2 pi i (s + i lam)), lam > 0; 0 where |q| underflows."""
-    r = math.exp(-2.0 * math.pi * lam)
-    q = complex(r * math.cos(2.0 * math.pi * s), r * math.sin(2.0 * math.pi * s))
-    return q / (1.0 - q)
+    """q/(1 - q) = (r (cos 2 pi s - r) + i r sin 2 pi s)/|1 - q|^2 with
+    q = exp(2 pi i (s + i lam)), r = |q|, lam > 0; 0 where r underflows."""
+    r, _, den = _pole_terms(lam, s)
+    x = 2.0 * math.pi * s
+    return complex(r * (math.cos(x) - r) / den, r * math.sin(x) / den)
 
 
 def pi_cot(lam: float, s: float) -> tuple[float, float]:
-    """Re pi cot(pi w) and Im pi cot(pi w)/lam, w = s + i lam, finite at lam = 0.
-
-    For lam < 1, cot(x + i y) = (sin 2x - i sinh 2y)/(2 (sin^2 x + sinh^2 y))
-    keeps both parts to full relative accuracy as lam -> 0; from lam = 1 on,
-    pi cot(pi w) = -i pi (1 + 2 `pole_factor`), where sinh would overflow.
-    """
-    if lam >= 1.0:
-        t = pole_factor(lam, s)
-        return 2.0 * math.pi * t.imag, -math.pi * (1.0 + 2.0 * t.real) / lam
-    x, y = math.pi * s, math.pi * lam
-    sin_x, sinh_y = math.sin(x), math.sinh(y)
-    den = sin_x * sin_x + sinh_y * sinh_y
-    sinhc = math.sinh(2.0 * y) / (2.0 * y) if y else 1.0
-    return math.pi * sin_x * math.cos(x) / den, -math.pi * math.pi * sinhc / den
+    """Re pi cot(pi w) and Im pi cot(pi w)/lam, w = s + i lam, finite at lam = 0:
+    pi cot(pi w) = -i pi (1 + q)/(1 - q) = (2 pi r sin 2 pi s - i pi (1 - r^2))/|1 - q|^2."""
+    r, ratio, den = _pole_terms(lam, s)
+    return (2.0 * math.pi * r * math.sin(2.0 * math.pi * s) / den,
+            -2.0 * math.pi * math.pi * (1.0 + r) * ratio / den)
 
 
 def pks_seeds(lam: float, s: float) -> tuple[float, float]:

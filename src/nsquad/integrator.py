@@ -5,9 +5,10 @@ mesh half-count n, these routines sample g once on the 2n+1 nodes and build
 the punctured trapezoidal sum (`_mesh_pass`), add the correction (the closed
 form in g or in g's Taylor polynomial from the 9 samples around the
 puncture: the pole form for lam = d/(c h) >= 1, the seeds' form below;
-`_correct`) and return the corrected value with a breakdown.  The
-convergence study of `cli` reads every method from one pass.  The
-coefficient cross-checks (`self_check`) live in `verify`.
+`_correct`, where only the closed form calls g again, for G and for the
+check of complex_eval at the puncture node) and return the corrected value
+with a breakdown.  The convergence study of `cli` reads every method from
+one pass.  The coefficient cross-checks (`self_check`) live in `verify`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .corrections import (
     FD_STENCIL,
     CorrectionBreakdown,
     GEval,
+    _check_kernel_scales,
     _stencil_poly,
     _taylor_correction,
     correction_offmesh_closed,
@@ -55,13 +57,7 @@ class KernelParams:
                              "negate the jump part for the d < 0 operator limit)")
         if not abs(self.x_s) < self.a:
             raise ValueError("x_s must lie strictly inside (-a, a)")
-        cd = self.c * self.d
-        if self.d > 0.0 and (cd == 0.0 or math.isinf(math.pi / cd)):
-            raise ValueError(f"d = {self.d!r} is too small for c = {self.c!r}: "
-                             f"the jump pi/(c d) overflows")
-        c2 = self.c * self.c
-        if not (0.0 < c2 < math.inf and 1.0 / c2 < math.inf):
-            raise ValueError(f"c = {self.c!r} is out of range: c^2 or 1/c^2 overflows")
+        _check_kernel_scales(self.c, self.d)
         if math.isinf(self.d * self.d):
             raise ValueError(f"d = {self.d!r} is out of range: d^2 overflows")
 
@@ -120,11 +116,10 @@ def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
 def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
     """Everything a target needs from g before its correction, in one sampling.
 
-    Returns (mesh, j, s, gvals, f, uncorrected, edge_err, warnings): the
-    puncture j and offset s, g and the kernel samples f at the mesh nodes,
-    the punctured sum of f, its estimated end-correction error and the
-    consistency warning, if any, as a tuple.  Every method reads the same
-    pass through `_correct`.
+    Returns (mesh, j, s, gvals, f, uncorrected, edge_err): the puncture j
+    and offset s, g and the kernel samples f at the mesh nodes, the
+    punctured sum of f and its estimated end-correction error, as a tuple.
+    Every method reads the same pass through `_correct`.
     """
     mesh = Mesh(params.a, n)
     if n < 16:
@@ -134,41 +129,40 @@ def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
                          "stencils (need |x_s| < a - 10h)")
     j, s = puncture_split(params.x_s, mesh.h)
     gvals, f = _kernel_samples(g, params, mesh, j)
-    warnings = ()
-    i = mesh.n + j
-    g_node = float(gvals[i])
-    gap = g.consistency_gap(float(mesh.nodes()[i]), g_node)
-    if gap > 4.0 * _EPS * abs(g_node):
-        # near a root of g, |g| at the node is no scale, and nor is |g| on the
-        # window when h is small: take g's size on the whole mesh
-        gap /= max(abs(g_node), float(np.abs(gvals).max()), 1e-300)
-        if gap > 4.0 * _EPS:
-            warnings = (f"complex_eval disagrees with real_eval at the puncture node "
-                        f"(relative gap {gap:.2e})",)
     uncorrected, edge_err = punctured_sums(mesh, f, j)
-    return mesh, j, s, gvals, f, uncorrected, edge_err, warnings
+    return mesh, j, s, gvals, f, uncorrected, edge_err
 
 
 def _correct(g: GEval, params: KernelParams, sampled: tuple,
              method: str) -> QuadResult:
     """The result of `method` on the pass `sampled` of `_mesh_pass`; only the
-    closed form's G calls g again."""
-    mesh, j, s, gvals, _, uncorrected, edge_err, warnings = sampled
+    closed form calls g again, for G and to check complex_eval at the
+    puncture node against that node's sample."""
+    mesh, j, s, gvals, _, uncorrected, edge_err = sampled
     h = mesh.h
     c, d = params.c, params.d
     i0 = mesh.n + j - FD_STENCIL // 2
     window = gvals[i0:i0 + FD_STENCIL]   # the one Taylor source, also g_node
+    warnings = []
     if d > 0.0 and method != "fd-series" and (g.complex_eval is not None
                                               or method == "closed-form"):
         # raises for a real-only g, which has no closed form
         breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s, window)
         used = "closed-form"
+        g_node = float(window[FD_STENCIL // 2])
+        gap = g.consistency_gap(float(mesh.nodes()[mesh.n + j]), g_node)
+        if gap > 4.0 * _EPS * abs(g_node):
+            # near a root of g, |g| at the node is no scale, and nor is |g| on
+            # the window when h is small: take g's size on the whole mesh
+            gap /= max(abs(g_node), float(np.abs(gvals).max()), 1e-300)
+            if gap > 4.0 * _EPS:
+                warnings.append(f"complex_eval disagrees with real_eval at the puncture "
+                                f"node (relative gap {gap:.2e})")
     else:
         breakdown = _taylor_correction(_stencil_poly(window, s), c, d, h, s)
         used = "finite-part" if d == 0.0 else "fd-series"
 
     value = uncorrected + breakdown.total
-    warnings = list(warnings)
     if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
         warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
     summary = MeshSummary(params.a, mesh.n, h, j, s)
@@ -186,12 +180,15 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     (closed-form when a complex evaluator is available).  d = 0 takes the
     Taylor form without the jump (the finite part), on the same 9 samples.
     g is sampled once on the 2n+1 mesh nodes; beyond that only the closed
-    form's G and the check of complex_eval at the puncture node call g.  A
-    warning reports an estimated end-correction error above
+    form calls g, for G and to check complex_eval at the puncture node.
+    "closed-form" with a d > 0 and no complex_eval raises before g is
+    sampled.  A warning reports an estimated end-correction error above
     3e-11 max(|value|, 1).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if method == "closed-form" and params.d > 0.0 and g.complex_eval is None:
+        raise ValueError("closed-form correction needs a complex evaluator for g")
     return _correct(g, params, _mesh_pass(g, params, n), method)
 
 

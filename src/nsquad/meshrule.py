@@ -1,13 +1,12 @@
 """Uniform meshes on [-a, a] and the punctured trapezoidal rule.
 
 The rule carries only *endpoint* corrections, Gregory weights of order
-EDGE_ORDER = 8 at both ends, and is one cached weight row per n
-(`gregory_row`).  With the order-10 minus order-8 weights at each end, it
-forms one cached read-only (3, 2n+1) block per n (`rule_block`): a single
-product of that block with the samples, the punctured entry zeroed, gives
-the punctured sum and both halves of its end-error estimate
-(`punctured_sums`).  `punctured_trapezoid` and `end_error_estimate` read
-that product.
+EDGE_ORDER = 8 at both ends.  Its weights and the order-10 minus order-8
+weights at each end form one cached read-only (3, 2n+1) block per n
+(`rule_block`): a single product of that block with the samples, the
+punctured entry zeroed, gives the punctured sum and both halves of its
+end-error estimate (`punctured_sums`).  `punctured_trapezoid` reads that
+product.
 
 The nodes are one cached read-only array per mesh (`Mesh.nodes`) and, for a
 g sampled by scalar calls, one cached tuple of the same values as Python
@@ -28,7 +27,7 @@ from .specfun import bernoulli_fraction
 
 GREGORY_ORDERS = (2, 4, 6, 8, 10)
 EDGE_ORDER = 8        # the Gregory order of punctured_trapezoid
-_ESTIMATE_ORDER = 10  # the order end_error_estimate compares it with
+_ESTIMATE_ORDER = 10  # the order the end-error estimate compares it with
 
 
 @dataclass(frozen=True)
@@ -146,23 +145,17 @@ def rule_block(n: int) -> np.ndarray:
     return block
 
 
-@lru_cache(maxsize=32)
-def gregory_row(n: int) -> np.ndarray:
-    """The weights of the Gregory-8 rule on the 2n+1 nodes, h factored out."""
-    return rule_block(n)[0]
-
-
 def punctured_sums(mesh: Mesh, samples: np.ndarray, puncture: int | None) -> tuple[float, float]:
     """The punctured Gregory-8 sum of `samples` and its end-error estimate, in one product.
 
     v is a copy of the samples with the punctured entry (if any) set to 0;
-    the sum is h `gregory_row(n)` . v, checked once, and the estimate
+    the sum is h `rule_block(n)[0]` . v, checked once, and the estimate
     h (|gap . v_left| + |gap . v_right|), gap = w_10 - w_8: how far the rule
     moves on the same samples with Gregory weights of order 10 at the ends.
     The puncture is not validated here.  A non-finite sample at a summed
     node raises ValueError; an infinite one meets a zero weight of rows 1
     and 2 first, so numpy warns of an invalid value before that, unless the
-    caller silences it as the two wrappers below do.
+    caller silences it as `punctured_trapezoid` does.
     """
     v = np.array(samples, dtype=float)
     if v.shape != (2 * mesh.n + 1,):
@@ -171,17 +164,6 @@ def punctured_sums(mesh: Mesh, samples: np.ndarray, puncture: int | None) -> tup
         v[mesh.n + puncture] = 0.0
     total, left, right = (rule_block(mesh.n) @ v).tolist()
     return _checked(mesh.h * total, v), mesh.h * (abs(left) + abs(right))
-
-
-def end_error_estimate(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
-    """Estimated error of the end corrections of `punctured_trapezoid`.
-
-    Over both ends, h |sum_j (w_10 - w_8)_j f_j| from the endpoint inward
-    (`punctured_sums`).  The punctured entry counts as 0; a non-finite
-    sample anywhere else raises ValueError, as it does for the rule.
-    """
-    with np.errstate(invalid="ignore"):
-        return punctured_sums(mesh, samples, puncture)[1]
 
 
 def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
@@ -193,7 +175,7 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
         non-finite; it is never read).
     puncture : mesh index k in (-n, n) to omit, or None for the ordinary rule.
 
-    The sum is h `gregory_row(n)` . f with the punctured entry of f zeroed
+    The sum is h `rule_block(n)[0]` . f with the punctured entry of f zeroed
     (`punctured_sums`); the ordinary rule is the rule punctured at 0 plus
     h f_0, identically.
     """

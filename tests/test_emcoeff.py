@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsquad.emcoeff import W_STAR, pks_seeds
+from nsquad.emcoeff import W_STAR, pi_cot, pks_seeds, pole_factor
 from nsquad.specfun import digamma, digamma_complex, trigamma
 from nsquad.verify import (
     CoeffParams,
@@ -185,6 +186,54 @@ class TestElementarySeeds:
         for s in (0.51, -0.7, math.nan):
             with pytest.raises(ValueError, match="s must lie"):
                 pks_seeds(0.5, s)
+
+
+class TestPoleTerms:
+    """pi_cot and pole_factor against 40-digit mpmath, on the float inputs."""
+
+    EPS = np.finfo(float).eps
+
+    def test_pi_cot(self):
+        # lam = 0 and log-uniform lam in [1e-12, 1e3], |w| >= W_STAR as pks_seeds uses it
+        rng = np.random.default_rng(17)
+        lams = [0.0] * 20 + (10.0 ** rng.uniform(-12.0, 3.0, 400)).tolist()
+        for lam in lams:
+            s = float(rng.uniform(-0.5, 0.5))
+            while s * s + lam * lam < W_STAR * W_STAR:
+                s = float(rng.uniform(-0.5, 0.5))
+            re_cot, im_cot_lam = pi_cot(lam, s)
+            with mp.workdps(40):
+                cot = mp.pi * mp.cot(mp.pi * mp.mpc(s, lam))
+                want_im = -(mp.pi / mp.sin(mp.pi * s)) ** 2 if lam == 0.0 else cot.imag / lam
+                scale = max(float(abs(cot)), 1.0)
+                re_err = float(abs(re_cot - cot.real)) / scale
+                im_err = float(abs(im_cot_lam - want_im) / abs(want_im))
+            assert re_err <= 8 * self.EPS and im_err <= 8 * self.EPS, (lam, s)
+
+    def test_pole_factor(self):
+        rng = np.random.default_rng(19)
+        for lam, s in zip(rng.uniform(1.0, 7.0, 400).tolist(),
+                          rng.uniform(-0.5, 0.5, 400).tolist()):
+            got = pole_factor(lam, s)
+            with mp.workdps(40):
+                q = mp.exp(2j * mp.pi * mp.mpc(s, lam))
+                want = q / (1 - q)
+                err = float(abs(got - want) / abs(want))
+            # about 2 pi lam eps of it is the rounding of 2 pi lam in r = |q|
+            assert err <= 1e-14, (lam, s)
+
+    def test_pks_closed_where_sinh_overflows(self):
+        lam = 200.0
+        with pytest.raises(OverflowError):
+            math.sinh(2.0 * math.pi * lam)
+        for s in (0.2, 0.0, -0.5):
+            params = CoeffParams(lam=lam, s=s, k_max=3)
+            closed = pks_closed(params)
+            assert np.all(np.isfinite(closed))
+            # the table's p_1 is a difference of digamma values of size log lam,
+            # and p_3 carries lam^2 times its error
+            np.testing.assert_allclose(closed, pks_table(params), rtol=1e-13,
+                                       atol=1e-14 * lam * lam)
 
 
 class TestSeriesOracle:

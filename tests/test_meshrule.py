@@ -7,8 +7,6 @@ import pytest
 from nsquad.meshrule import (
     GREGORY_ORDERS,
     Mesh,
-    end_error_estimate,
-    gregory_row,
     gregory_weights,
     plain_trapezoid,
     punctured_sums,
@@ -138,15 +136,15 @@ class TestGregoryWeights:
 
 class TestGregoryRow:
     def test_cached_and_read_only(self):
-        row = gregory_row(64)
-        assert row is gregory_row(64) and len(row) == 129
+        row = rule_block(64)[0]
+        assert row.base is rule_block(64) and len(row) == 129
         with pytest.raises(ValueError):
             row[0] = 0.0
 
     def test_matches_exact_weights(self):
         for n in (9, 16, 64):
             # two roundings of entries near 1 (one of w, one of the sum)
-            np.testing.assert_allclose(gregory_row(n), [float(x) for x in exact_row(n)],
+            np.testing.assert_allclose(rule_block(n)[0], [float(x) for x in exact_row(n)],
                                        rtol=0, atol=3e-16)
 
     def test_rule_against_exact_weights(self):
@@ -171,7 +169,6 @@ class TestPuncturedSums:
     def test_block_cached_and_read_only(self):
         block = rule_block(64)
         assert block is rule_block(64) and block.shape == (3, 129)
-        assert gregory_row(64).base is block
         with pytest.raises(ValueError):
             block[1, 0] = 0.0
 
@@ -191,21 +188,19 @@ class TestPuncturedSums:
         samples = np.random.default_rng(13).normal(size=65)
         before = samples.tobytes()
         for puncture in (0, 5, -23):
-            total, estimate = punctured_sums(mesh, samples, puncture)
+            total = punctured_sums(mesh, samples, puncture)[0]
             assert total == punctured_trapezoid(mesh, samples, puncture=puncture)
-            assert estimate == end_error_estimate(mesh, samples, puncture=puncture)
         assert samples.tobytes() == before
 
     def test_infinite_sample_raises(self):
         # rows 1 and 2 weigh the interior by 0: 0 * inf draws numpy's warning
-        # in the bare product, which the wrappers silence; all raise
+        # in the bare product, which punctured_trapezoid silences; both raise
         mesh = Mesh(1.0, 16)
         for bad in (5, 16, 20, 0):
             samples = np.ones(33)
             samples[bad] = math.inf
-            for wrapper in (punctured_trapezoid, end_error_estimate):
-                with pytest.raises(ValueError, match="non-finite sample at a summed node"):
-                    wrapper(mesh, samples, puncture=2)
+            with pytest.raises(ValueError, match="non-finite sample at a summed node"):
+                punctured_trapezoid(mesh, samples, puncture=2)
             with pytest.raises(ValueError, match="non-finite sample at a summed node"):
                 with np.errstate(invalid="ignore"):
                     punctured_sums(mesh, samples, 2)
@@ -326,11 +321,11 @@ class TestPuncturedTrapezoid:
         for n in (64, 128):
             mesh = Mesh(1.0, n)
             x = mesh.nodes()
-            assert end_error_estimate(mesh, x ** 8) <= 1e-15
+            assert punctured_sums(mesh, x ** 8, None)[1] <= 1e-15
             for b in (1.2, 1.5):  # a pole b - 1 beyond the right end
                 f = 1.0 / (x - b) ** 2
                 err = abs(punctured_trapezoid(mesh, f) - (1.0 / (b - 1.0) - 1.0 / (b + 1.0)))
-                assert err / 5.0 <= end_error_estimate(mesh, f) <= 5.0 * err, (n, b)
+                assert err / 5.0 <= punctured_sums(mesh, f, None)[1] <= 5.0 * err, (n, b)
 
 
     def test_end_error_estimate_with_puncture_in_an_end_window(self):
@@ -341,12 +336,12 @@ class TestPuncturedTrapezoid:
         for puncture in (-6, -8, -16, 6, 8, 16):  # indices 10, 8, 0 from either end
             zeroed = samples.copy()
             zeroed[mesh.n + puncture] = 0.0
-            got = end_error_estimate(mesh, samples, puncture=puncture)
-            assert got == end_error_estimate(mesh, zeroed), puncture
-            assert got != end_error_estimate(mesh, samples), puncture
+            got = punctured_sums(mesh, samples, puncture)[1]
+            assert got == punctured_sums(mesh, zeroed, None)[1], puncture
+            assert got != punctured_sums(mesh, samples, None)[1], puncture
             assert samples.tobytes() == before
         # a puncture outside both windows changes nothing
-        assert end_error_estimate(mesh, samples, puncture=5) == end_error_estimate(mesh, samples)
+        assert punctured_sums(mesh, samples, 5)[1] == punctured_sums(mesh, samples, None)[1]
 
 
 class TestPlainTrapezoid:

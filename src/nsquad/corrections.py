@@ -29,12 +29,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .emcoeff import pks_seeds, pole_factor
+from .meshrule import Mesh
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
@@ -53,9 +53,13 @@ Q_SERIES_RATIO = 10.0
 # term, so a G that overflows there (a Taylor polynomial's, for d/c >~ 1e50)
 # never meets q = 0 in a product
 _Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
+# meshes whose samples one GEval keeps (`GEval.mesh_samples`)
+_MESHES_KEPT = 4
+# what real_eval may not return, whatever the imaginary part
+_COMPLEX_TYPES = (complex, np.complexfloating)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GEval:
     """The smooth numerator g.
 
@@ -68,6 +72,13 @@ class GEval:
     (`consistency_gap`).  `radius`, a distance within which g is analytic
     around the real points of interest, is read by no integration path; it
     sizes the contour of `oracle.finite_part_reference`.
+
+    A GEval stands for one fixed function: it samples g once per mesh and
+    reuses those samples for every later target on that mesh
+    (`mesh_samples`; the 4 most recent meshes, up to 1 MB at n = 16384).
+    To integrate a changed g, build a new GEval.  The closed form's fresh
+    complex_eval call at the puncture node warns if g changed under its
+    samples.
     """
 
     real_eval: Callable[[float], float]
@@ -76,6 +87,8 @@ class GEval:
     # f of `analytic`, while it still accepts arrays
     _array_f: Optional[Callable] = field(default=None, init=False, repr=False,
                                          compare=False)
+    # read-only samples per mesh (a, n), least recently used first
+    _meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:
@@ -91,18 +104,37 @@ class GEval:
         ValueError unless every imaginary part is 0.
         """
         g = cls(real_eval=f, complex_eval=f, radius=radius)
-        g._array_f = f
+        object.__setattr__(g, "_array_f", f)
         return g
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        """g at every point of a 1-D real array.
+        """g at every point of a 1-D real array, sampled afresh.
 
         Without an array-capable f, real_eval is called once per point, in
-        order, with Python floats (`points.tolist()`; the integrator passes
-        its mesh's cached `Mesh.node_floats` instead, the same values).
-        Complex points, or a complex first value of real_eval, raise ValueError.
+        order, with Python floats (`points.tolist()`).  Complex points, or a
+        value of real_eval that is complex, raise ValueError.
         """
         return self._sample(points, points.tolist)
+
+    def mesh_samples(self, mesh: Mesh) -> np.ndarray:
+        """g at `mesh.nodes()`, read-only, sampled on the first call per mesh.
+
+        A scalar g reads the mesh's cached Python floats (`Mesh.node_floats`).
+        The samples of the 4 most recently used meshes are kept; nothing is
+        kept when sampling raises.  Two threads may both sample a mesh that
+        neither finds, but never fail for sharing the GEval.
+        """
+        meshes, key = self._meshes, (mesh.a, mesh.n)
+        values = meshes.pop(key, None)
+        if values is None:
+            values = self._sample(mesh.nodes(), mesh.node_floats)
+            values.flags.writeable = False
+        meshes[key] = values
+        if len(meshes) > _MESHES_KEPT:
+            # list() and pop with a default: no error when another thread evicts too
+            for stale in list(meshes)[:-_MESHES_KEPT]:
+                meshes.pop(stale, None)
+        return values
 
     def _sample(self, points: np.ndarray, scalars: Callable[[], Iterable]) -> np.ndarray:
         """`sample`, with `scalars()` giving the scalar fallback's Python floats,
@@ -114,15 +146,15 @@ class GEval:
             values = self._sample_array(points)
             if values is not None:
                 return values
-        values = map(self.real_eval, scalars())
-        head = list(islice(values, 1))
-        if head and isinstance(head[0], (complex, np.complexfloating)):
-            raise ValueError(f"real_eval must return a real number, got {head[0]!r}")
+        values = list(map(self.real_eval, scalars()))
+        # every value is judged by its type: numpy would cast a complex
+        # scalar to its real part with only a warning
+        if any(issubclass(t, _COMPLEX_TYPES) for t in set(map(type, values))):
+            bad = next(v for v in values if isinstance(v, _COMPLEX_TYPES))
+            raise ValueError(f"real_eval must return a real number, got {bad!r}")
         try:
-            return np.fromiter(chain(head, values), float, count=len(points))
+            return np.fromiter(values, float, count=len(points))
         except TypeError as exc:
-            if exc.__traceback__.tb_next is not None:
-                raise  # raised inside the evaluator, not by the conversion
             raise ValueError(f"real_eval must return a real number ({exc})") from exc
 
     def _sample_array(self, points: np.ndarray) -> Optional[np.ndarray]:
@@ -133,7 +165,7 @@ class GEval:
         except (TypeError, ValueError):
             takes_arrays = False
         if not takes_arrays:
-            self._array_f = None
+            object.__setattr__(self, "_array_f", None)
             return None
         if values.dtype.kind == "c":
             if values.imag.any():

@@ -1,14 +1,19 @@
 """High-level API: corrected near-singular and finite-part integration.
 
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
-mesh half-count n, these routines sample g once on the 2n+1 nodes and build
-the punctured trapezoidal sum (`_mesh_pass`), add the correction (the closed
-form in g or in g's Taylor polynomial from the 9 samples around the
-puncture: the pole form for lam = d/(c h) >= 1, the seeds' form below;
+mesh half-count n, these routines read g's samples on the 2n+1 nodes and
+build the punctured trapezoidal sum (`_mesh_pass`), add the correction
+(the closed form in g or in g's Taylor polynomial from the 9 samples around
+the puncture: the pole form for lam = d/(c h) >= 1, the seeds' form below;
 `_correct`, where only the closed form calls g again, for G and for the
 check of complex_eval at the puncture node) and return the corrected value
 with a breakdown.  The convergence study of `cli` reads every method from
 one pass.  The coefficient cross-checks (`self_check`) live in `verify`.
+
+A GEval stands for one fixed function: it samples g once per mesh (the 4
+most recent meshes, up to 1 MB per GEval at n = 16384) and reuses those
+samples for every target (`GEval.mesh_samples`).  To integrate a changed g,
+build a new GEval.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .corrections import (
     _taylor_correction,
     correction_offmesh_closed,
 )
-from .meshrule import Mesh, punctured_sums
+from .meshrule import Mesh, _rule_sums
 
 METHODS = ("auto", "closed-form", "fd-series")
 
@@ -95,12 +100,12 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
 
 
 def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
-                    puncture: int) -> tuple[np.ndarray, np.ndarray]:
-    """g and the kernel samples f at the mesh nodes (f at the puncture is NaN where
-    the kernel's denominator is 0)."""
+                    puncture: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """g at the mesh nodes (`GEval.mesh_samples`), the kernel samples f there
+    with the punctured entry left at 0, and f at the puncture (NaN where the
+    kernel's denominator is 0)."""
     nodes = mesh.nodes()
-    # a scalar g reads the mesh's cached Python floats, built only on that path
-    gvals = g._sample(nodes, mesh.node_floats)
+    gvals = g.mesh_samples(mesh)
     f = nodes - params.x_s   # the denominators in place, then f
     f *= f
     f *= params.c ** 2
@@ -108,18 +113,21 @@ def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
     i = mesh.n + puncture
     denom_i, f[i] = float(f[i]), 1.0
     np.divide(gvals, f, out=f)
+    f[i] = 0.0
     # a Python division: a zero or subnormal denominator there raises no numpy warning
-    f[i] = float(gvals[i]) / denom_i if denom_i else math.nan
-    return gvals, f
+    return gvals, f, float(gvals[i]) / denom_i if denom_i else math.nan
 
 
 def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
-    """Everything a target needs from g before its correction, in one sampling.
+    """Everything a target needs from g before its correction, from the
+    GEval's samples on the mesh.
 
     Returns (mesh, j, s, gvals, f, uncorrected, edge_err): the puncture j
     and offset s, g and the kernel samples f at the mesh nodes, the
     punctured sum of f and its estimated end-correction error, as a tuple.
-    Every method reads the same pass through `_correct`.
+    f is summed in place, its punctured entry 0, and that entry is then
+    set to the kernel sample there.  Every method reads the same pass
+    through `_correct`.
     """
     mesh = Mesh(params.a, n)
     if n < 16:
@@ -128,8 +136,9 @@ def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
         raise ValueError("x_s too close to an endpoint for the correction "
                          "stencils (need |x_s| < a - 10h)")
     j, s = puncture_split(params.x_s, mesh.h)
-    gvals, f = _kernel_samples(g, params, mesh, j)
-    uncorrected, edge_err = punctured_sums(mesh, f, j)
+    gvals, f, f_puncture = _kernel_samples(g, params, mesh, j)
+    uncorrected, edge_err = _rule_sums(mesh, f)
+    f[mesh.n + j] = f_puncture
     return mesh, j, s, gvals, f, uncorrected, edge_err
 
 
@@ -179,8 +188,9 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     from the 9 mesh samples nearest the puncture ("fd-series"), or `auto`
     (closed-form when a complex evaluator is available).  d = 0 takes the
     Taylor form without the jump (the finite part), on the same 9 samples.
-    g is sampled once on the 2n+1 mesh nodes; beyond that only the closed
-    form calls g, for G and to check complex_eval at the puncture node.
+    g is sampled on the 2n+1 mesh nodes once per mesh and GEval
+    (`GEval.mesh_samples`); beyond that only the closed form calls g, for G
+    and to check complex_eval at the puncture node.
     "closed-form" with a d > 0 and no complex_eval raises before g is
     sampled.  A warning reports an estimated end-correction error above
     3e-11 max(|value|, 1).

@@ -10,8 +10,8 @@ product.
 
 The nodes are one cached read-only array per mesh (`Mesh.nodes`) and, for a
 g sampled by scalar calls, one cached tuple of the same values as Python
-floats (`Mesh.node_floats`), so such a g costs its 2n+1 calls and no
-per-call conversion.
+floats (`Mesh.node_floats`), so such a g costs its 2n+1 calls per mesh and
+no conversion.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Mesh:
         """The 2n+1 nodes as Python floats, `nodes().tolist()` as one cached tuple.
 
         The scalar fallback of `GEval` reads them instead of converting the
-        array on every call.  Each tuple holds about 32 bytes per node (a
+        array for every sampling.  Each tuple holds about 32 bytes per node (a
         float object and its pointer), 1 MB at n = 16384 against 8 bytes per
         node for the array, so only the 4 most recent meshes keep one.
         """
@@ -162,6 +162,12 @@ def punctured_sums(mesh: Mesh, samples: np.ndarray, puncture: int | None) -> tup
         raise ValueError("sample count does not match the mesh")
     if puncture is not None:
         v[mesh.n + puncture] = 0.0
+    return _rule_sums(mesh, v)
+
+
+def _rule_sums(mesh: Mesh, v: np.ndarray) -> tuple[float, float]:
+    """`punctured_sums` of the 2n+1 floats `v`, the punctured entry already 0,
+    read in place."""
     total, left, right = (rule_block(mesh.n) @ v).tolist()
     return _checked(mesh.h * total, v), mesh.h * (abs(left) + abs(right))
 

@@ -15,6 +15,7 @@ from nsquad.cli import (
 )
 from nsquad.corrections import GEval
 from nsquad.integrator import KernelParams, integrate_near_singular
+from nsquad.meshrule import Mesh, plain_trapezoid
 from nsquad.oracle import exact_test1, exact_test2
 
 
@@ -75,13 +76,18 @@ class TestConverge:
         assert rows["uncorrected-plain"].abs_err >= 1e6 * rows["corrected-closed"].abs_err
 
     def test_uncorrected_punctured_matches_integrator(self):
+        # the plain rule, from the same pass, also sums the puncture node
         for integrand, x_s in (("test1", 0.0), ("test2", 0.1)):
-            config = StudyConfig(d_list=[0.01], n_list=[64], integrand=integrand,
-                                 x_s=x_s, methods=("uncorrected-punctured",))
-            row = run_converge(config)[0]
+            config = StudyConfig(d_list=[0.01], n_list=[64], integrand=integrand, x_s=x_s,
+                                 methods=("uncorrected-punctured", "uncorrected-plain"))
+            values = {row.method: row.value for row in run_converge(config)}
             g = GEval.analytic(lambda z: 0.01 * np.exp(z))
             res = integrate_near_singular(g, KernelParams(a=1.0, d=0.01, x_s=x_s), 64)
-            assert row.value == res.uncorrected, integrand
+            assert values["uncorrected-punctured"] == res.uncorrected, integrand
+            mesh = Mesh(1.0, 64)
+            f = 0.01 * np.exp(mesh.nodes()) / ((mesh.nodes() - x_s) ** 2 + 0.01 ** 2)
+            assert values["uncorrected-plain"] == pytest.approx(plain_trapezoid(mesh, f),
+                                                                rel=1e-14), integrand
 
     def test_uncorrected_methods_share_one_sampling(self, monkeypatch):
         calls = []

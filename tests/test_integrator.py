@@ -1,12 +1,18 @@
 import cmath
+import dataclasses
 import math
+import threading
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsquad.corrections import GEval
 from nsquad.integrator import (
+    METHODS,
     KernelParams,
     integrate_finite_part,
     integrate_near_singular,
@@ -336,20 +342,23 @@ class TestArraySampling:
         h = 1.0 / n
         f, calls = counted(np.exp)
         g = GEval.analytic(f)
-        # beyond the one mesh array: the closed form's G and its check at the
-        # puncture node (with g_node or with the Q series); nothing for the
-        # finite part
-        for params, terms in ((KernelParams(a=1.0, d=1e-2, x_s=0.3 * h), 0),
-                              (KernelParams(a=1.0, d=1e-6, x_s=26 * h), 6)):
+        # the first integration on a mesh samples it in one array call; beyond
+        # that, only the closed form calls g: G and its check at the puncture
+        # node (with g_node or with the Q series); nothing for the finite part
+        for k, (params, terms) in enumerate(((KernelParams(a=1.0, d=1e-2, x_s=0.3 * h), 0),
+                                             (KernelParams(a=1.0, d=1e-6, x_s=26 * h), 6))):
             calls.update(array=0, scalar=0)
             res = integrate_near_singular(g, params, n)
             assert res.method == "closed-form"
             assert res.breakdown.terms_used == terms
-            assert calls == {"array": 1, "scalar": 2}
+            assert calls == {"array": int(k == 0), "scalar": 2}
         for x_s in (0.0, 0.3 * h):
             calls.update(array=0, scalar=0)
             integrate_finite_part(g, 1.0, x_s, n)
-            assert calls == {"array": 1, "scalar": 0}
+            assert calls == {"array": 0, "scalar": 0}
+        calls.update(array=0, scalar=0)
+        integrate_finite_part(GEval.analytic(f), 1.0, 0.0, n)
+        assert calls == {"array": 1, "scalar": 0}
 
     def test_scalar_only_analytic_falls_back(self):
         f, calls = counted(exp_scalar_only)
@@ -452,20 +461,26 @@ class TestScalarContract:
         with pytest.raises(ValueError, match="real_eval must return a real number"):
             integrate_near_singular(GEval(real_eval=cmath.exp, complex_eval=cmath.exp),
                                     KernelParams(a=1.0, d=0.01, x_s=0.1), 64)
-        # a numpy complex scalar, with a zero imaginary part or not, is judged by
-        # the first value's type: no warning state, no extra call
-        for ev in (lambda x: np.exp(1j * x), lambda x: np.complex64(math.exp(x))):
-            with pytest.raises(ValueError, match="real_eval must return a real number"):
-                integrate_near_singular(GEval(real_eval=ev),
-                                        KernelParams(a=1.0, d=0.01, x_s=0.1), 64)
+        # a numpy complex scalar, with a zero imaginary part or not, at the
+        # first node or a later one, is an error, not a numpy ComplexWarning
+        for ev in (lambda x: np.exp(1j * x), lambda x: np.complex64(math.exp(x)),
+                   lambda x: np.complex128(math.exp(x)) if x > 0.5 else math.exp(x),
+                   lambda x: np.complex64(x) if x == 1.0 else x):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="real_eval must return a real number"):
+                    integrate_near_singular(GEval(real_eval=ev),
+                                            KernelParams(a=1.0, d=0.01, x_s=0.1), 64)
         # complex points are sampled by no path
         with pytest.raises(ValueError, match="real points only"):
             GEval(real_eval=math.exp, complex_eval=cmath.exp).sample(x + 0.1j)
 
     def test_mesh_pass_reads_the_cached_node_floats(self):
-        # a real-only g, and an analytic g whose f rejects arrays: one call per
-        # node with the mesh's cached Python floats, in order, and no other real
-        # sample; a second integration hits the cache, bit-identically
+        # a real-only g, and an analytic g whose f rejects arrays (after one
+        # array probe): the first integration on a mesh makes one call per
+        # node with the mesh's cached Python floats, in order, and no other
+        # real sample; a second one on that mesh makes no real call and leaves
+        # the node floats alone, bit-identically
         def exp_no_arrays(z):
             if isinstance(z, np.ndarray):
                 raise TypeError("scalars only")
@@ -477,21 +492,24 @@ class TestScalarContract:
         want = mesh.nodes().tolist()
         real_ev, real_seen = self.recording(math.exp)
         f, f_seen = self.recording(exp_no_arrays)
-        for g, seen, extra in ((GEval(real_eval=real_ev), real_seen, []),
-                               (GEval.analytic(f), f_seen, [])):
+        for make, seen, probes in ((lambda: GEval(real_eval=real_ev), real_seen, 0),
+                                   (lambda: GEval.analytic(f), f_seen, 1)):
             for method in ("auto", "fd-series"):
+                g = make()
+                seen.clear()
                 first = integrate_near_singular(g, params, n, method)
+                assert all(isinstance(v, np.ndarray) for v in seen[:probes])
+                sampled = seen[probes:probes + len(want)]
+                assert sampled == want
+                assert all(type(v) is float for v in sampled)
+                # the rest are complex_eval's G and consistency check
+                assert all(type(v) is complex for v in seen[probes + len(want):])
                 seen.clear()
                 before = _node_tuple.cache_info()
                 again = integrate_near_singular(g, params, n, method)
-                assert _node_tuple.cache_info().hits == before.hits + 1
-                assert _node_tuple.cache_info().misses == before.misses
+                assert _node_tuple.cache_info() == before
                 assert again.value == first.value
-                sampled = seen[:len(want) + len(extra)]
-                assert sampled == want + extra
-                assert all(type(v) is float for v in sampled)
-                # the rest are complex_eval's G and consistency check
-                assert all(type(v) is complex for v in seen[len(sampled):])
+                assert all(type(v) is complex for v in seen)
         assert mesh.node_floats() is mesh.node_floats()
         assert mesh.node_floats() == tuple(want)
 
@@ -511,11 +529,160 @@ class TestScalarContract:
         with pytest.raises(TypeError):
             nodes[0] = 1.0
 
+    def test_real_values_of_any_type(self):
+        # anything real with __float__ is its float, at every node
+        x = np.linspace(-1.0, 1.0, 9)
+        want = list(map(math.exp, x.tolist()))
+        for convert in (float, np.float64, np.float32, Fraction, mpmath.mpf,
+                        lambda v: int(10 * v), lambda v: np.int64(10 * v)):
+            values = GEval(real_eval=lambda v: convert(math.exp(v))).sample(x)
+            assert values.tolist() == [float(convert(v)) for v in want]
+        with pytest.raises(ValueError, match="real_eval must return a real number"):
+            GEval(real_eval=lambda v: object()).sample(x)
+
     def test_evaluator_type_error_propagates(self):
         def broken(x):
             return len(x)
         with pytest.raises(TypeError, match="has no len"):
             GEval(real_eval=broken).sample(np.array([0.0, 0.5]))
+        with pytest.raises(TypeError, match="has no len"):
+            integrate_finite_part(GEval(real_eval=broken), 1.0, 0.1, 64)
+
+
+class TestMeshSamples:
+    """A GEval samples g once per mesh and keeps the 4 most recent meshes."""
+
+    @staticmethod
+    def counting_g():
+        calls = [0]
+
+        def real_eval(x):
+            calls[0] += 1
+            return math.exp(x)
+        return GEval(real_eval=real_eval), calls
+
+    def test_second_integration_makes_no_real_call(self):
+        g, calls = self.counting_g()
+        n = 64
+        params = KernelParams(a=1.0, d=1e-3, x_s=0.1)
+        first = integrate_near_singular(g, params, n)
+        assert calls == [2 * n + 1]
+        before = _node_tuple.cache_info()
+        again = integrate_near_singular(g, params, n)
+        assert integrate_finite_part(g, 1.0, -0.3, n).method == "finite-part"
+        assert calls == [2 * n + 1] and _node_tuple.cache_info() == before
+        assert (again.value, again.uncorrected) == (first.value, first.uncorrected)
+        # another half-width is another mesh, and a new GEval over the same
+        # function samples again
+        integrate_finite_part(g, 2.0, 0.1, n)
+        assert calls == [2 * (2 * n + 1)]
+        integrate_near_singular(GEval(real_eval=g.real_eval), params, n)
+        assert calls == [3 * (2 * n + 1)]
+
+    def test_four_most_recent_meshes_kept(self):
+        g, calls = self.counting_g()
+
+        def new_calls(n):
+            calls[0] = 0
+            integrate_finite_part(g, 1.0, 0.1, n)
+            return calls[0]
+
+        assert [new_calls(n) for n in (16, 17, 18, 19)] == [33, 35, 37, 39]
+        assert new_calls(16) == 0    # 16 is now the most recent, 17 the oldest
+        assert new_calls(20) == 41   # evicts 17
+        assert [new_calls(n) for n in (16, 18, 19, 20)] == [0, 0, 0, 0]
+        assert new_calls(17) == 35
+        assert len(g._meshes) == 4
+
+    def test_samples_read_only_and_never_written(self):
+        for g in (GEval.analytic(np.exp), GEval(real_eval=math.exp)):
+            mesh = Mesh(1.0, 64)
+            values = g.mesh_samples(mesh)
+            assert not values.flags.writeable and g.mesh_samples(mesh) is values
+            before = values.tobytes()
+            for d in (0.0, 1e-3, 1.0):
+                for method in ("auto", "fd-series"):
+                    integrate_near_singular(g, KernelParams(a=1.0, d=d, x_s=0.3 / 64), 64,
+                                            method)
+            assert g.mesh_samples(mesh) is values and values.tobytes() == before
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    def test_failed_sampling_caches_nothing(self):
+        calls = [0]
+
+        def real_eval(x):
+            calls[0] += 1
+            if calls[0] == 10:
+                raise ZeroDivisionError("tenth call")
+            return math.exp(x)
+
+        g = GEval(real_eval=real_eval)
+        with pytest.raises(ZeroDivisionError):
+            integrate_finite_part(g, 1.0, 0.1, 64)
+        calls[0] = 10
+        integrate_finite_part(g, 1.0, 0.1, 64)
+        assert calls == [10 + 129]
+        # a complex value at a later node raises again on every integration
+        g = GEval(real_eval=lambda x: np.complex128(x) if x > 0.5 else x)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="real_eval must return a real number"):
+                integrate_finite_part(g, 1.0, 0.1, 64)
+        assert g._meshes == {}
+
+    def test_functions_cannot_be_swapped(self):
+        g = GEval.analytic(np.exp)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.real_eval = math.sin
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.complex_eval = cmath.sin
+
+    def test_two_threads_share_one_geval(self):
+        g = GEval(real_eval=math.exp)
+        errors = []
+
+        def work():
+            try:
+                for k in range(60):
+                    n = 16 + k % 6   # more meshes than are kept
+                    want = list(map(math.exp, Mesh(1.0, n).node_floats()))
+                    assert g.mesh_samples(Mesh(1.0, n)).tolist() == want
+            except Exception as exc:   # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == [] and len(g._meshes) <= 4
+
+    # one GEval of each kind, shared by every example of the property below
+    shared = {True: GEval.analytic(np.exp), False: GEval(real_eval=math.exp)}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([16, 64, 256]), c=st.sampled_from([0.5, 1.0, 2.0]),
+           log_d=st.floats(-9.0, 1.0), d_zero=st.booleans(), frac=st.floats(-1.0, 1.0),
+           on_node=st.booleans(), method=st.sampled_from(METHODS), analytic=st.booleans())
+    def test_shared_geval_matches_fresh(self, n, c, log_d, d_zero, frac, on_node, method,
+                                        analytic):
+        def make():
+            return GEval.analytic(np.exp) if analytic else GEval(real_eval=math.exp)
+
+        x_s = frac * (1.0 - 11.0 / n)   # inside |x_s| < a - 10h
+        if on_node:
+            x_s = round(x_s * n) / n
+        d = 0.0 if d_zero else 10.0 ** log_d
+        if method == "closed-form" and not analytic and d > 0.0:
+            method = "auto"
+        params = KernelParams(a=1.0, c=c, d=d, x_s=x_s)
+        shared = self.shared[analytic]
+        for _ in range(2):
+            a = integrate_near_singular(shared, params, n, method)
+            b = integrate_near_singular(make(), params, n, method)
+            assert (a.value, a.uncorrected, a.breakdown, a.method, a.warnings) == \
+                (b.value, b.uncorrected, b.breakdown, b.method, b.warnings)
+
 
 class TestKernelParams:
     @pytest.mark.parametrize("field, kwargs", [

@@ -3,6 +3,12 @@
 Output is CSV or JSON with floats in shortest round-trip decimal form and
 rows sorted by (d, n, method), so identical configurations produce
 bit-identical files.
+
+A convergence study samples g once per node: each d walks its meshes
+finest first, and a coarser mesh nested by a power of 2 of the same a
+copies its samples from the GEval (`GEval.mesh_samples`), so a `*2` range
+calls g on the finest mesh's nodes only and a `*3` range on every mesh's.
+A custom g does not depend on d and serves the whole study.
 """
 
 from __future__ import annotations
@@ -90,10 +96,9 @@ def _compile_g_expr(expr: str) -> GEval:
     return GEval.analytic(f)
 
 
-def _study_integrand(config: StudyConfig, d: float) -> GEval:
-    if config.integrand in ("test1", "test2"):
-        return GEval.analytic(lambda z, d=d: d * np.exp(z))
-    return _compile_g_expr(config.g_expr)
+def _study_integrand(d: float) -> GEval:
+    """g = d e^z of test1 and test2, which depends on d."""
+    return GEval.analytic(lambda z: d * np.exp(z))
 
 
 def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
@@ -130,12 +135,15 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
 
 
 def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
+    """The rows of the study, sorted by (d, n, method); each d walks the
+    meshes finest first, with one GEval for every d when g is custom."""
+    custom = _compile_g_expr(config.g_expr) if config.integrand == "custom" else None
     rows = []
     for d in config.d_list:
-        g = _study_integrand(config, d)
+        g = custom if custom is not None else _study_integrand(d)
         reference = _study_reference(config, g, d)
         params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
-        for n in config.n_list:
+        for n in sorted(config.n_list, reverse=True):
             h = config.a / n
             values = _method_values(config.methods, g, params, n)
             for method, value in zip(config.methods, values):

@@ -55,6 +55,8 @@ Q_SERIES_RATIO = 10.0
 _Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
 # meshes whose samples one GEval keeps (`GEval.mesh_samples`)
 _MESHES_KEPT = 4
+# the smallest normal float: a finer mesh's h below it shares no samples
+_MIN_NORMAL = sys.float_info.min
 # what real_eval may not return, whatever the imaginary part
 _COMPLEX_TYPES = (complex, np.complexfloating)
 
@@ -73,10 +75,13 @@ class GEval:
     around the real points of interest, is read by no integration path; it
     sizes the contour of `oracle.finite_part_reference`.
 
-    A GEval stands for one fixed function: it samples g once per mesh and
+    A GEval stands for one fixed function: it samples g once per node and
     reuses those samples for every later target on that mesh
     (`mesh_samples`; the 4 most recent meshes, up to 1 MB at n = 16384).
-    To integrate a changed g, build a new GEval.  The closed form's fresh
+    Meshes of the same a whose n differ by a power of 2 share the samples
+    of their common nodes, so a doubling convergence study calls g on the
+    nodes of its finest mesh only; a `*3` range shares nothing.  To
+    integrate a changed g, build a new GEval.  The closed form's fresh
     complex_eval call at the puncture node warns if g changed under its
     samples.
     """
@@ -117,9 +122,14 @@ class GEval:
         return self._sample(points, points.tolist)
 
     def mesh_samples(self, mesh: Mesh) -> np.ndarray:
-        """g at `mesh.nodes()`, read-only, sampled on the first call per mesh.
+        """g at `mesh.nodes()`, read-only, g sampled once per node.
 
-        A scalar g reads the mesh's cached Python floats (`Mesh.node_floats`).
+        A mesh that is not kept takes what it can from a kept mesh of the same
+        a whose n differs from mesh.n by a power of 2 (`_nested_samples`): a
+        finer one gives every sample and a coarser one every r-th, so g is
+        called only at the nodes no kept mesh has.  Other ratios, such as the
+        meshes of a `*3` range, share nothing.  A scalar g reads the mesh's
+        cached Python floats (`Mesh.node_floats`) when it samples every node.
         The samples of the 4 most recently used meshes are kept; nothing is
         kept when sampling raises.  Two threads may both sample a mesh that
         neither finds, but never fail for sharing the GEval.
@@ -127,13 +137,56 @@ class GEval:
         meshes, key = self._meshes, (mesh.a, mesh.n)
         values = meshes.pop(key, None)
         if values is None:
-            values = self._sample(mesh.nodes(), mesh.node_floats)
+            values = self._nested_samples(mesh)
+            if values is None:
+                values = self._sample(mesh.nodes(), mesh.node_floats)
             values.flags.writeable = False
         meshes[key] = values
         if len(meshes) > _MESHES_KEPT:
             # list() and pop with a default: no error when another thread evicts too
             for stale in list(meshes)[:-_MESHES_KEPT]:
                 meshes.pop(stale, None)
+        return values
+
+    def _nested_samples(self, mesh: Mesh) -> Optional[np.ndarray]:
+        """g at `mesh.nodes()` from a kept mesh nested in it or around it, else None.
+
+        A kept mesh of the same a whose n is mesh.n times or over a power of 2
+        r has every r-th node of the finer of the two, bit for bit: node r k
+        of the finer mesh is (r k) fl(a/(r n)), which rounds the same real
+        number as k fl(a/n) when fl(a/(r n)) r = fl(a/n) and fl(a/(r n)) is
+        a normal float.  A subnormal h, whose rounding is coarser, and any
+        other ratio (a `*3` range) share nothing.  A finer kept mesh gives
+        every r-th sample with no g call; else the finest coarser one gives
+        every r-th sample and g is sampled at the other nodes in one pass, in
+        node order.
+        """
+        n, a = mesh.n, mesh.a
+        coarser = None   # (r, samples) of the finest coarser kept mesh
+        # one atomic copy, the most recent mesh first: the one a walk from the
+        # finest mesh down has just sampled
+        for (a_kept, m), samples in reversed(list(self._meshes.items())):
+            if a_kept != a or m == n:
+                continue
+            fine, coarse = (m, n) if m > n else (n, m)
+            r, rem = divmod(fine, coarse)
+            h = a / fine
+            if rem or r & (r - 1) or h < _MIN_NORMAL or h * r != a / coarse:
+                continue
+            if m > n:
+                return samples[::r].copy()
+            if coarser is None or r < coarser[0]:
+                coarser = (r, samples)
+        if coarser is None:
+            return None
+        r, coarse = coarser
+        nodes = mesh.nodes()
+        new = np.ones(len(nodes), dtype=bool)
+        new[::r] = False
+        points = nodes[new]
+        values = np.empty_like(nodes)
+        values[::r] = coarse
+        values[new] = self._sample(points, points.tolist)
         return values
 
     def _sample(self, points: np.ndarray, scalars: Callable[[], Iterable]) -> np.ndarray:

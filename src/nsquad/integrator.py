@@ -10,10 +10,12 @@ check of complex_eval at the puncture node) and return the corrected value
 with a breakdown.  The convergence study of `cli` reads every method from
 one pass.  The coefficient cross-checks (`self_check`) live in `verify`.
 
-A GEval stands for one fixed function: it samples g once per mesh (the 4
+A GEval stands for one fixed function: it samples g once per node (the 4
 most recent meshes, up to 1 MB per GEval at n = 16384) and reuses those
-samples for every target (`GEval.mesh_samples`).  To integrate a changed g,
-build a new GEval.
+samples for every target (`GEval.mesh_samples`).  Meshes of the same a
+nested by a power of 2 share the samples of their common nodes, so a mesh
+of twice the n calls g at its new nodes only; a `*3` range shares nothing.
+To integrate a changed g, build a new GEval.
 """
 
 from __future__ import annotations
@@ -188,9 +190,10 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     from the 9 mesh samples nearest the puncture ("fd-series"), or `auto`
     (closed-form when a complex evaluator is available).  d = 0 takes the
     Taylor form without the jump (the finite part), on the same 9 samples.
-    g is sampled on the 2n+1 mesh nodes once per mesh and GEval
-    (`GEval.mesh_samples`); beyond that only the closed form calls g, for G
-    and to check complex_eval at the puncture node.
+    g is sampled once per mesh node and GEval (`GEval.mesh_samples`: a
+    mesh nested by a power of 2 in a kept mesh of the same a, or around
+    one, reuses its samples); beyond that only the closed form calls g, for
+    G and to check complex_eval at the puncture node.
     "closed-form" with a d > 0 and no complex_eval raises before g is
     sampled.  A warning reports an estimated end-correction error above
     3e-11 max(|value|, 1).

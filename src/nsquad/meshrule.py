@@ -25,9 +25,9 @@ import numpy as np
 
 from .specfun import bernoulli_fraction
 
-GREGORY_ORDERS = (2, 4, 6, 8, 10)
 EDGE_ORDER = 8        # the Gregory order of punctured_trapezoid
 _ESTIMATE_ORDER = 10  # the order the end-error estimate compares it with
+GREGORY_ORDERS = (EDGE_ORDER, _ESTIMATE_ORDER)   # the orders of `gregory_weights`
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ class Mesh:
         node for the array, so only the 4 most recent meshes keep one.
         """
         return _node_tuple(self.a, self.n)
-
-    def node(self, k: int) -> float:
-        if not -self.n <= k <= self.n:
-            raise ValueError(f"node index {k} outside [-{self.n}, {self.n}]")
-        return k * self.h
 
 
 @lru_cache(maxsize=32)

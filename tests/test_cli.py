@@ -103,9 +103,11 @@ class TestConverge:
         monkeypatch.setattr(cli, "GEval", CountingGEval)
         config = StudyConfig(d_list=[0.01], n_list=[32, 64])
         rows = run_converge(config)
-        # per (d, n): the 2n+1 mesh nodes, then g at the puncture node through
-        # complex_eval for the consistency check and G for the closed form
-        assert calls == [(65,), (), (), (129,), (), ()]
+        # per (d, n), finest first: the mesh nodes no sampled mesh has (all 129
+        # at n = 64, none at n = 32, every other node of n = 64), then g at the
+        # puncture node through complex_eval for the consistency check and G
+        # for the closed form
+        assert calls == [(129,), (), (), (), ()]
         monkeypatch.undo()
         assert len(rows) == 8
         g = GEval.analytic(lambda z: 0.01 * np.exp(z))
@@ -130,6 +132,43 @@ class TestConverge:
                              g_expr="exp(x)", methods=("corrected-closed",))
         row = run_converge(config)[0]
         assert row.abs_err <= 1e-11 * max(1.0, abs(row.reference))
+
+    def test_custom_integrand_sampled_once_per_study(self, monkeypatch):
+        # a custom g does not depend on d: one GEval serves all three d, and
+        # its meshes, nested by 2, sample g once per node of the finest
+        builds, arrays, scalars = [], [], [0]
+
+        class CountingGEval:
+            @staticmethod
+            def analytic(f, radius=0.5):
+                builds.append(f)
+
+                def counted(z):
+                    if isinstance(z, np.ndarray):
+                        arrays.append(z.size)
+                    elif not isinstance(z, complex):
+                        scalars[0] += 1
+                    return f(z)
+                return GEval.analytic(counted, radius)
+
+        monkeypatch.setattr(cli, "GEval", CountingGEval)
+        config = StudyConfig(d_list=[0.1, 0.01, 1e-3], n_list=[32, 64, 128],
+                             integrand="custom", g_expr="cos(x) + x", x_s=0.1)
+        rows = run_converge(config)
+        assert len(builds) == 1 and arrays == [257]
+        # every other real call is the reference integral's, as before; one
+        # GEval per d sampled 3 (65 + 129 + 257) = 1353 mesh nodes
+        oracle_calls = scalars[0]
+        scalars[0] = 0
+        g = CountingGEval.analytic(builds[0])
+        for d in config.d_list:
+            cli._study_reference(config, g, d)
+        assert oracle_calls == scalars[0]
+        monkeypatch.undo()
+        for row in rows:
+            alone = StudyConfig(d_list=[row.d], n_list=[row.n], methods=(row.method,),
+                                integrand="custom", g_expr="cos(x) + x", x_s=0.1)
+            assert run_converge(alone)[0] == row
 
 
 class TestCliCommands:

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 import threading
 import warnings
 from fractions import Fraction
@@ -656,6 +657,124 @@ class TestMeshSamples:
         for t in threads:
             t.join()
         assert errors == [] and len(g._meshes) <= 4
+
+    @staticmethod
+    def counting_real_calls(analytic):
+        """A GEval of e^x of either kind and its count of real points sampled."""
+        calls = [0]
+
+        def f(z):
+            if isinstance(z, np.ndarray):
+                calls[0] += z.size
+                return np.exp(z)
+            if isinstance(z, complex):
+                return cmath.exp(z)
+            calls[0] += 1
+            return math.exp(z)
+        return (GEval.analytic(f) if analytic else GEval(real_eval=f)), calls
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.sampled_from([1.0, 0.3, 1.0 / 3.0, 2.7]), n=st.sampled_from([2, 4, 8]),
+           r=st.sampled_from([2, 4, 8]), refine=st.booleans(),
+           d=st.sampled_from([0.0, 1e-3, 0.1]), analytic=st.booleans())
+    def test_nested_meshes_sample_g_once_per_node(self, a, n, r, refine, d, analytic):
+        # meshes 16 n and 16 n r of one half-width, the coarse one first when
+        # refining: the second takes every r-th sample of the finer (no g
+        # call) or the coarser's samples at every r-th node (2 n_f (r - 1)/r
+        # calls), and gives what a fresh GEval gives, bit for bit
+        coarse, fine = 16 * n, 16 * n * r
+        g, calls = self.counting_real_calls(analytic)
+        params = KernelParams(a=a, c=1.0, d=d * a, x_s=0.1 * a)
+        first, second = (coarse, fine) if refine else (fine, coarse)
+        for m, want_calls in ((first, 2 * first + 1),
+                              (second, 2 * fine * (r - 1) // r if refine else 0)):
+            calls[0] = 0
+            got = integrate_near_singular(g, params, m)
+            mesh = Mesh(a, m)
+            assert g.mesh_samples(mesh).tobytes() == \
+                self.counting_real_calls(analytic)[0].sample(mesh.nodes()).tobytes()
+            assert calls == [want_calls]
+            fresh = integrate_near_singular(self.counting_real_calls(analytic)[0], params, m)
+            assert (got.value, got.uncorrected, got.breakdown, got.method, got.warnings) == \
+                (fresh.value, fresh.uncorrected, fresh.breakdown, fresh.method, fresh.warnings)
+
+    def test_ratio_three_and_subnormal_h_sample_afresh(self):
+        g, calls = self.counting_real_calls(False)
+
+        def new_calls(a, n):
+            calls[0] = 0
+            values = g.mesh_samples(Mesh(a, n))
+            assert values.tobytes() == GEval(real_eval=math.exp).sample(
+                Mesh(a, n).nodes()).tobytes()
+            return calls[0]
+
+        # a `*3` range: neither direction shares
+        assert [new_calls(1.0, n) for n in (32, 96)] == [65, 193]
+        g._meshes.clear()
+        assert [new_calls(1.0, n) for n in (96, 32)] == [193, 65]
+        # h = a/16 is the smallest normal float, h = a/32 is subnormal
+        tiny = 16.0 * sys.float_info.min
+        g._meshes.clear()
+        assert [new_calls(tiny, n) for n in (16, 32, 16, 64)] == [33, 65, 0, 129]
+        # a nested mesh of another half-width shares nothing either
+        assert new_calls(2.0, 32) == 65
+
+    def test_failed_refinement_caches_nothing(self):
+        calls = [0]
+
+        def real_eval(x):
+            calls[0] += 1
+            if calls[0] == 40:
+                raise ZeroDivisionError("fortieth call")
+            return math.exp(x)
+
+        g = GEval(real_eval=real_eval)
+        coarse = g.mesh_samples(Mesh(1.0, 16))
+        with pytest.raises(ZeroDivisionError):
+            g.mesh_samples(Mesh(1.0, 32))
+        assert list(g._meshes) == [(1.0, 16)] and g._meshes[(1.0, 16)] is coarse
+        calls[0] = 40
+        assert g.mesh_samples(Mesh(1.0, 32))[::2].tobytes() == coarse.tobytes()
+        assert calls == [40 + 32]
+        # a complex value at a new node raises, and again on the next try
+        g = GEval(real_eval=lambda x: np.complex128(x) if x == 1.0 / 32 else x)
+        g.mesh_samples(Mesh(1.0, 16))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="real_eval must return a real number"):
+                g.mesh_samples(Mesh(1.0, 32))
+        assert list(g._meshes) == [(1.0, 16)]
+
+    def test_threads_refine_and_coarsen_one_geval(self):
+        # four threads (more than the cores of a small host) walk six nested
+        # meshes (more than are kept) up, down and across, switching often:
+        # every sample stays g's at its node
+        ns = [16 * 2 ** k for k in range(6)]
+        orders = (ns, ns[::-1], ns[::2] + ns[1::2], ns[3:] + ns[:3])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for make in (lambda: GEval(real_eval=math.exp), lambda: GEval.analytic(np.exp)):
+                g = make()
+                errors = []
+
+                def work(order):
+                    try:
+                        for k in range(60):
+                            mesh = Mesh(0.3, order[k % len(order)])
+                            want = make().sample(mesh.nodes())
+                            assert g.mesh_samples(mesh).tobytes() == want.tobytes()
+                    except Exception as exc:   # reported by the assert below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == [] and len(g._meshes) <= 4
+        finally:
+            sys.setswitchinterval(interval)
 
     # one GEval of each kind, shared by every example of the property below
     shared = {True: GEval.analytic(np.exp), False: GEval(real_eval=math.exp)}

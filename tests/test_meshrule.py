@@ -62,7 +62,7 @@ class TestMesh:
         mesh = Mesh(2.0, 4)
         assert mesh.h == 0.5
         np.testing.assert_array_equal(mesh.nodes(), np.arange(-4, 5) * 0.5)
-        assert mesh.node(-4) == -2.0
+        assert mesh.nodes()[0] == -2.0
 
     def test_nodes_cached_read_only(self):
         for a, n in ((1.0, 64), (2.0, 4096), (0.3, 17)):
@@ -82,19 +82,12 @@ class TestMesh:
         for a in (math.nan, math.inf, -math.inf, 0.0):
             with pytest.raises(ValueError, match="finite and positive"):
                 Mesh(a, 16)
-        with pytest.raises(ValueError):
-            Mesh(1.0, 4).node(5)
 
 
 class TestGregoryWeights:
-    def test_order_two_classical_values(self):
-        # trapezoid + first two Gregory differences: -1/8, 1/6, -1/24
-        np.testing.assert_allclose(gregory_weights(2),
-                                   [-1.0 / 8, 1.0 / 6, -1.0 / 24], rtol=0)
-
     def test_constants_need_no_correction(self):
         # the exact rational weights sum to zero; rounding leaves < 1 ulp
-        for order in (2, 4, 6, 8, 10):
+        for order in GREGORY_ORDERS:
             assert abs(math.fsum(gregory_weights(order))) < 1e-15
 
     def test_polynomial_exactness(self):
@@ -110,11 +103,6 @@ class TestGregoryWeights:
                 got = gregory_rule(mesh, mesh.nodes() ** deg, order)
                 assert got == pytest.approx(monomial_exact(deg), rel=0, abs=2e-13)
 
-    def test_order_six_exponential(self):
-        mesh = Mesh(1.0, 64)
-        got = gregory_rule(mesh, np.exp(mesh.nodes()), 6)
-        assert abs(got - E_MINUS_INV_E) <= 1e-12
-
     def test_cached_and_read_only(self):
         w = gregory_weights(8)
         assert w is gregory_weights(8)
@@ -128,6 +116,11 @@ class TestGregoryWeights:
             np.testing.assert_array_equal(gregory_weights(order), want)
 
     def test_unsupported_order(self):
+        # the rule and its end-error estimate use orders 8 and 10 only
+        assert GREGORY_ORDERS == (8, 10)
+        for order in (2, 6):
+            with pytest.raises(ValueError, match="one of"):
+                gregory_weights(order)
         with pytest.raises(ValueError):
             gregory_weights(3)
         with pytest.raises(ValueError):
@@ -182,6 +175,21 @@ class TestPuncturedSums:
         np.testing.assert_allclose(block[1, :11], gap, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(block[2, ::-1], block[1])
         assert not block[1, 11:].any()
+
+    def test_block_is_the_exact_weights_rounded(self):
+        # every entry is the exact Gregory coefficients' weights, each rounded
+        # once, then one floating-point operation: row 0 adds w_8 to the
+        # trapezoidal 1/2 or 1, rows 1 and 2 subtract w_8 from w_10
+        w8 = [float(x) for x in exact_gregory_weights(8)] + [0.0, 0.0]
+        w10 = [float(x) for x in exact_gregory_weights(10)]
+        for n in (9, 16, 64):
+            block = rule_block(n)
+            left = [(0.5 if j == 0 else 1.0) + w8[j] for j in range(9)]
+            want = left + [1.0] * (2 * n + 1 - 18) + left[::-1]
+            assert block[0].tolist() == want, n
+            gap = [a - b for a, b in zip(w10, w8)]
+            assert block[1].tolist() == gap + [0.0] * (2 * n + 1 - 11), n
+            assert block[2].tolist() == block[1].tolist()[::-1], n
 
     def test_one_product_gives_both_wrappers(self):
         mesh = Mesh(1.0, 32)

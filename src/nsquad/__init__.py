@@ -34,24 +34,22 @@ from .oracle import (
     finite_part_reference,
     reference_integral,
 )
-from .specfun import (
-    bernoulli_number,
-    bernoulli_poly,
-    digamma,
-    digamma_complex,
-    hurwitz_zeta_nonpos,
-    trigamma,
-)
+from .specfun import bernoulli_number
 from .verify import (
     CoeffParams,
     CoeffTable,
     SelfCheckReport,
+    bernoulli_poly,
     coeff_table,
+    digamma,
+    digamma_complex,
     fk_series_oracle,
+    hurwitz_zeta_nonpos,
     pks_closed,
     pks_quotients,
     pks_table,
     self_check,
+    trigamma,
     zks_table,
 )
 

@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -115,11 +115,28 @@ class GEval:
     def sample(self, points: np.ndarray) -> np.ndarray:
         """g at every point of a 1-D real array, sampled afresh.
 
-        Without an array-capable f, real_eval is called once per point, in
-        order, with Python floats (`points.tolist()`).  Complex points, or a
-        value of real_eval that is complex, raise ValueError.
+        An f of `analytic` that accepts arrays is called once on `points`;
+        otherwise real_eval is called once per point, in order, with Python
+        floats (`points.tolist()`).  Complex points, or a value of real_eval
+        that is complex, raise ValueError.
         """
-        return self._sample(points, points.tolist)
+        if points.dtype.kind == "c":
+            raise ValueError("g is sampled at real points only; "
+                             "complex_eval is called by the closed form alone")
+        if self._array_f is not None:
+            values = self._sample_array(points)
+            if values is not None:
+                return values
+        values = list(map(self.real_eval, points.tolist()))
+        # every value is judged by its type: numpy would cast a complex
+        # scalar to its real part with only a warning
+        if any(issubclass(t, _COMPLEX_TYPES) for t in set(map(type, values))):
+            bad = next(v for v in values if isinstance(v, _COMPLEX_TYPES))
+            raise ValueError(f"real_eval must return a real number, got {bad!r}")
+        try:
+            return np.fromiter(values, float, count=len(points))
+        except TypeError as exc:
+            raise ValueError(f"real_eval must return a real number ({exc})") from exc
 
     def mesh_samples(self, mesh: Mesh) -> np.ndarray:
         """g at `mesh.nodes()`, read-only, g sampled once per node.
@@ -128,18 +145,18 @@ class GEval:
         a whose n differs from mesh.n by a power of 2 (`_nested_samples`): a
         finer one gives every sample and a coarser one every r-th, so g is
         called only at the nodes no kept mesh has.  Other ratios, such as the
-        meshes of a `*3` range, share nothing.  A scalar g reads the mesh's
-        cached Python floats (`Mesh.node_floats`) when it samples every node.
-        The samples of the 4 most recently used meshes are kept; nothing is
-        kept when sampling raises.  Two threads may both sample a mesh that
-        neither finds, but never fail for sharing the GEval.
+        meshes of a `*3` range, share nothing.  Every node sampled is sampled
+        by `sample`.  The samples of the 4 most recently used meshes are kept,
+        a finer mesh read as a source counting as used; nothing is kept when
+        sampling raises.  Two threads may both sample a mesh that neither
+        finds, but never fail for sharing the GEval.
         """
         meshes, key = self._meshes, (mesh.a, mesh.n)
         values = meshes.pop(key, None)
         if values is None:
             values = self._nested_samples(mesh)
             if values is None:
-                values = self._sample(mesh.nodes(), mesh.node_floats)
+                values = self.sample(mesh.nodes())
             values.flags.writeable = False
         meshes[key] = values
         if len(meshes) > _MESHES_KEPT:
@@ -156,16 +173,18 @@ class GEval:
         of the finer mesh is (r k) fl(a/(r n)), which rounds the same real
         number as k fl(a/n) when fl(a/(r n)) r = fl(a/n) and fl(a/(r n)) is
         a normal float.  A subnormal h, whose rounding is coarser, and any
-        other ratio (a `*3` range) share nothing.  A finer kept mesh gives
-        every r-th sample with no g call; else the finest coarser one gives
-        every r-th sample and g is sampled at the other nodes in one pass, in
-        node order.
+        other ratio (a `*3` range) share nothing.  The finest finer kept mesh
+        gives every r-th sample with no g call, and is moved to the most
+        recent place so that a walk down from it keeps it; else the finest
+        coarser one gives every r-th sample and g is sampled at the other
+        nodes in one pass, in node order.
         """
         n, a = mesh.n, mesh.a
-        coarser = None   # (r, samples) of the finest coarser kept mesh
-        # one atomic copy, the most recent mesh first: the one a walk from the
-        # finest mesh down has just sampled
-        for (a_kept, m), samples in reversed(list(self._meshes.items())):
+        # (r, key, samples) of the finest finer kept mesh, (r, samples) of the
+        # finest coarser one
+        finer = coarser = None
+        for key, samples in list(self._meshes.items()):   # one atomic copy
+            a_kept, m = key
             if a_kept != a or m == n:
                 continue
             fine, coarse = (m, n) if m > n else (n, m)
@@ -174,41 +193,24 @@ class GEval:
             if rem or r & (r - 1) or h < _MIN_NORMAL or h * r != a / coarse:
                 continue
             if m > n:
-                return samples[::r].copy()
-            if coarser is None or r < coarser[0]:
+                if finer is None or r > finer[0]:
+                    finer = (r, key, samples)
+            elif coarser is None or r < coarser[0]:
                 coarser = (r, samples)
+        if finer is not None:
+            r, key, samples = finer
+            self._meshes[key] = self._meshes.pop(key, samples)
+            return samples[::r].copy()
         if coarser is None:
             return None
         r, coarse = coarser
         nodes = mesh.nodes()
         new = np.ones(len(nodes), dtype=bool)
         new[::r] = False
-        points = nodes[new]
         values = np.empty_like(nodes)
         values[::r] = coarse
-        values[new] = self._sample(points, points.tolist)
+        values[new] = self.sample(nodes[new])
         return values
-
-    def _sample(self, points: np.ndarray, scalars: Callable[[], Iterable]) -> np.ndarray:
-        """`sample`, with `scalars()` giving the scalar fallback's Python floats,
-        the values of `points` in order; only that fallback calls it."""
-        if points.dtype.kind == "c":
-            raise ValueError("g is sampled at real points only; "
-                             "complex_eval is called by the closed form alone")
-        if self._array_f is not None:
-            values = self._sample_array(points)
-            if values is not None:
-                return values
-        values = list(map(self.real_eval, scalars()))
-        # every value is judged by its type: numpy would cast a complex
-        # scalar to its real part with only a warning
-        if any(issubclass(t, _COMPLEX_TYPES) for t in set(map(type, values))):
-            bad = next(v for v in values if isinstance(v, _COMPLEX_TYPES))
-            raise ValueError(f"real_eval must return a real number, got {bad!r}")
-        try:
-            return np.fromiter(values, float, count=len(points))
-        except TypeError as exc:
-            raise ValueError(f"real_eval must return a real number ({exc})") from exc
 
     def _sample_array(self, points: np.ndarray) -> Optional[np.ndarray]:
         """f(points) as floats; None, and no further tries, if f rejects arrays."""
@@ -354,8 +356,13 @@ def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: f
                 d: float, h: float, s: float, terms: int) -> CorrectionBreakdown:
     """E from Re G, Im G/lam, g_node and Q: the pole form for lam >= 1, else
     -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
-    the jump omitted at d = 0."""
+    the jump omitted at d = 0.  ValueError where lam^2 overflows and d^2
+    does not: the pole form's put-back node g_node h/d^2 would read 0.
+    Where d^2 overflows too, that term is below g_node h 6e-309."""
     lam = d / (c * h)
+    if math.isinf(lam * lam) and not math.isinf(d * d):
+        raise ValueError(f"lam = d/(c h) = {lam:.3e} is out of range: lam^2 overflows "
+                         f"(d = {d!r}, c = {c!r}, h = {h!r})")
     if lam >= 1.0:
         return _pole_form(re_g, im_g_lam, g_node, c, d, h, s, terms)
     p0, p1 = pks_seeds(lam, s)

@@ -8,10 +8,8 @@ punctured entry zeroed, gives the punctured sum and both halves of its
 end-error estimate (`punctured_sums`).  `punctured_trapezoid` reads that
 product.
 
-The nodes are one cached read-only array per mesh (`Mesh.nodes`) and, for a
-g sampled by scalar calls, one cached tuple of the same values as Python
-floats (`Mesh.node_floats`), so such a g costs its 2n+1 calls per mesh and
-no conversion.
+The nodes are one cached read-only array per mesh (`Mesh.nodes`); a
+`GEval` samples g there once and keeps the samples.
 """
 
 from __future__ import annotations
@@ -42,6 +40,8 @@ class Mesh:
             raise ValueError(f"half-width a must be finite and positive, got {self.a!r}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if self.h == 0.0:
+            raise ValueError(f"h = a/n underflows to 0 for a = {self.a!r}, n = {self.n!r}")
 
     @property
     def h(self) -> float:
@@ -51,27 +51,12 @@ class Mesh:
         """The 2n+1 nodes, one cached read-only array per (a, n)."""
         return _node_array(self.a, self.n)
 
-    def node_floats(self) -> tuple[float, ...]:
-        """The 2n+1 nodes as Python floats, `nodes().tolist()` as one cached tuple.
-
-        The scalar fallback of `GEval` reads them instead of converting the
-        array for every sampling.  Each tuple holds about 32 bytes per node (a
-        float object and its pointer), 1 MB at n = 16384 against 8 bytes per
-        node for the array, so only the 4 most recent meshes keep one.
-        """
-        return _node_tuple(self.a, self.n)
-
 
 @lru_cache(maxsize=32)
 def _node_array(a: float, n: int) -> np.ndarray:
     x = np.arange(-n, n + 1) * (a / n)
     x.flags.writeable = False
     return x
-
-
-@lru_cache(maxsize=4)
-def _node_tuple(a: float, n: int) -> tuple[float, ...]:
-    return tuple(_node_array(a, n).tolist())
 
 
 def _solve_moments(nodes: list[Fraction], rho: list[Fraction]) -> list[Fraction]:

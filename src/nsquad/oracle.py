@@ -17,7 +17,8 @@ import numpy as np
 
 from .corrections import GEval
 from .integrator import KernelParams
-from .specfun import EULER_GAMMA
+
+EULER_GAMMA = 0.5772156649015328606065121
 
 # 7-15 Gauss-Kronrod pair on [-1, 1] (QUADPACK dqk15 constants).
 _XGK = np.array([

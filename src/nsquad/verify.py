@@ -9,14 +9,19 @@ Hurwitz-zeta coefficients z_{k,s} (digamma seeds at 1 + s - i*lambda, a
 two-term recurrence) through the symmetry p_{k,s} = z_{k,-s} + (-1)^k z_{k,s},
 by the p_{k,s} recurrence on the digamma seeds (`digamma_seeds`), and from
 an mpmath series oracle.  `pks_closed`, the seeds plus the quotients of
-`pks_quotients`, is the runtime form it checks.  No module of the
-integration path imports it.
+`pks_quotients`, is the runtime form it checks.  The special functions
+these routes read (digamma, trigamma, the Bernoulli polynomials and the
+Hurwitz zeta values at nonpositive orders) live here too, on the exact
+Bernoulli table of `specfun`.  No module of the integration path imports
+this one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +29,7 @@ import numpy as np
 from .emcoeff import pks_seeds
 from .integrator import KernelParams, puncture_split
 from .meshrule import Mesh
-from .specfun import digamma, digamma_complex, hurwitz_zeta_nonpos, trigamma
+from .specfun import _bernoulli_fractions
 
 K_MAX_DEFAULT = 12
 K_MAX_LIMIT = 32
@@ -32,6 +37,96 @@ K_MAX_LIMIT = 32
 _EPS = np.finfo(float).eps
 # Conditioning: each recurrence step multiplies prior rounding by lambda^2.
 _LOSS_WARN_THRESHOLD = 1e-10
+
+BERNOULLI_POLY_MAX = 32
+# Shift |z| to at least this radius before applying the asymptotic series.
+_ASYMP_RADIUS = 12.0
+_TRIGAMMA_SHIFT = 10.0
+
+
+def bernoulli_poly(n: int, x: float) -> float:
+    """Bernoulli polynomial B_n(x) via the binomial sum, descending order.
+
+    The sum is carried out over the rationals (a float argument is an exact
+    rational) and rounded once, so cancellation between the O(1) binomial
+    terms cannot contaminate small values like B_8(5/4).
+    """
+    if not 0 <= n <= BERNOULLI_POLY_MAX:
+        raise ValueError(f"Bernoulli polynomial degree {n} outside supported "
+                         f"range [0, {BERNOULLI_POLY_MAX}]")
+    bern = _bernoulli_fractions()
+    x = Fraction(x)
+    # Horner in x over the exact coefficients C(n,k) B_{n-k}, descending powers.
+    acc = Fraction(0)
+    for k in range(n, -1, -1):
+        acc = acc * x + math.comb(n, k) * bern[n - k]
+    return float(acc)
+
+
+@lru_cache(maxsize=1)
+def _digamma_asymp_coeffs() -> tuple[float, ...]:
+    # B_{2k}/(2k) for k = 1..8; the asymptotic tail of psi uses B_2..B_16.
+    bern = _bernoulli_fractions()
+    return tuple(float(bern[2 * k] / (2 * k)) for k in range(1, 9))
+
+
+@lru_cache(maxsize=1)
+def _trigamma_asymp_coeffs() -> tuple[float, ...]:
+    bern = _bernoulli_fractions()
+    return tuple(float(bern[2 * k]) for k in range(1, 9))
+
+
+def digamma_complex(z: complex) -> complex:
+    """Digamma function psi(z) for complex z.
+
+    Upward recurrence psi(z+1) = psi(z) + 1/z shifts the argument to
+    |z| >= 12, then the asymptotic series with Bernoulli coefficients
+    through B_16 is applied.  Accurate to a few ulp over the strip
+    Re z in [0.25, 2.25] for any imaginary part.
+
+    Raises ValueError at the poles (nonpositive integers).
+    """
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+        raise ValueError(f"digamma pole at z = {z.real}")
+    acc = 0.0 + 0.0j
+    w = z
+    while abs(w) < _ASYMP_RADIUS:
+        acc -= 1.0 / w
+        w += 1.0
+    winv2 = 1.0 / (w * w)
+    tail = 0.0 + 0.0j
+    for c in reversed(_digamma_asymp_coeffs()):
+        tail = (tail + c) * winv2
+    return acc + cmath.log(w) - 0.5 / w - tail
+
+
+def digamma(x: float) -> float:
+    """Digamma for real x (poles at nonpositive integers raise)."""
+    return digamma_complex(complex(x, 0.0)).real
+
+
+def trigamma(x: float) -> float:
+    """Trigamma psi'(x) = sum_{n>=0} (x+n)^-2 for x > 0."""
+    if x <= 0.0:
+        raise ValueError(f"trigamma requires x > 0, got {x}")
+    acc = 0.0
+    while x < _TRIGAMMA_SHIFT:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    xinv2 = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_trigamma_asymp_coeffs()):
+        tail = (tail + c) * xinv2
+    return acc + (1.0 + 0.5 / x + tail) / x
+
+
+def hurwitz_zeta_nonpos(n: int, a: float) -> float:
+    """Hurwitz zeta at nonpositive integer order: zeta(-n, a) = -B_{n+1}(a)/(n+1)."""
+    if not 0 <= n <= BERNOULLI_POLY_MAX - 1:
+        raise ValueError(f"zeta(-n, a) supported for 0 <= n <= "
+                         f"{BERNOULLI_POLY_MAX - 1}, got n = {n}")
+    return -bernoulli_poly(n + 1, a) / (n + 1)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,16 @@ from nsquad.integrator import (
 )
 from nsquad.meshrule import Mesh, plain_trapezoid
 from nsquad.oracle import exact_test1, exact_test2, finite_part_reference
-from nsquad.specfun import digamma, hurwitz_zeta_nonpos, trigamma
-from nsquad.verify import CoeffParams, coeff_table, fk_series_oracle, pks_closed, pks_table
+from nsquad.verify import (
+    CoeffParams,
+    coeff_table,
+    digamma,
+    fk_series_oracle,
+    hurwitz_zeta_nonpos,
+    pks_closed,
+    pks_table,
+    trigamma,
+)
 from test_corrections import closed_form
 
 D_FIG = (0.1, 0.01, 0.0001)

@@ -170,6 +170,33 @@ class TestConverge:
                                 integrand="custom", g_expr="cos(x) + x", x_s=0.1)
             assert run_converge(alone)[0] == row
 
+    def test_custom_study_over_five_meshes_samples_g_once(self, monkeypatch):
+        # 16:256:*2 is one mesh more than a GEval keeps: every d after the
+        # first still finds the finest mesh, so g is sampled on its 513 nodes
+        # once, and the rows are those of a study per d, bit for bit
+        arrays = []
+
+        class CountingGEval:
+            @staticmethod
+            def analytic(f, radius=0.5):
+                def counted(z):
+                    if isinstance(z, np.ndarray):
+                        arrays.append(z.size)
+                    return f(z)
+                return GEval.analytic(counted, radius)
+
+        monkeypatch.setattr(cli, "GEval", CountingGEval)
+        config = StudyConfig(d_list=[0.1, 0.01, 1e-3], n_list=parse_n_range("16:256:*2"),
+                             integrand="custom", g_expr="exp(x)")
+        rows = run_converge(config)
+        assert arrays == [513]
+        monkeypatch.undo()
+        alone = [row for d in config.d_list
+                 for row in run_converge(StudyConfig(
+                     d_list=[d], n_list=config.n_list, integrand="custom",
+                     g_expr="exp(x)"))]
+        assert sorted(alone, key=lambda r: (r.d, r.n, r.method)) == rows
+
 
 class TestCliCommands:
     def test_converge_csv_schema_and_determinism(self, tmp_path):

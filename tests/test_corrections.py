@@ -15,8 +15,7 @@ from nsquad.corrections import (
 )
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
 from nsquad.oracle import _taylor_coeffs_ref, finite_part_reference, reference_integral
-from nsquad.specfun import trigamma
-from nsquad.verify import CoeffParams, pks_quotients, zks_table
+from nsquad.verify import CoeffParams, pks_quotients, trigamma, zks_table
 
 ZETA2 = math.pi ** 2 / 6
 

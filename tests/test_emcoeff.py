@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsquad.emcoeff import W_STAR, pi_cot, pks_seeds, pole_factor
-from nsquad.specfun import digamma, digamma_complex, trigamma
 from nsquad.verify import (
     CoeffParams,
     coeff_table,
     conditioning_warnings,
+    digamma,
+    digamma_complex,
     fk_series_oracle,
     pks_closed,
     pks_table,
+    trigamma,
     zks_table,
 )
 

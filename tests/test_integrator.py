@@ -19,7 +19,7 @@ from nsquad.integrator import (
     integrate_near_singular,
     puncture_split,
 )
-from nsquad.meshrule import Mesh, _node_tuple
+from nsquad.meshrule import Mesh
 from nsquad.oracle import exact_test1, finite_part_reference
 from nsquad.verify import self_check
 
@@ -479,9 +479,9 @@ class TestScalarContract:
     def test_mesh_pass_reads_the_cached_node_floats(self):
         # a real-only g, and an analytic g whose f rejects arrays (after one
         # array probe): the first integration on a mesh makes one call per
-        # node with the mesh's cached Python floats, in order, and no other
-        # real sample; a second one on that mesh makes no real call and leaves
-        # the node floats alone, bit-identically
+        # node with Python floats, the nodes in order, and no other real
+        # sample; a second one on that mesh makes no real call and gives the
+        # same value, bit-identically
         def exp_no_arrays(z):
             if isinstance(z, np.ndarray):
                 raise TypeError("scalars only")
@@ -506,29 +506,9 @@ class TestScalarContract:
                 # the rest are complex_eval's G and consistency check
                 assert all(type(v) is complex for v in seen[probes + len(want):])
                 seen.clear()
-                before = _node_tuple.cache_info()
                 again = integrate_near_singular(g, params, n, method)
-                assert _node_tuple.cache_info() == before
                 assert again.value == first.value
                 assert all(type(v) is complex for v in seen)
-        assert mesh.node_floats() is mesh.node_floats()
-        assert mesh.node_floats() == tuple(want)
-
-    def test_array_path_leaves_the_node_floats_alone(self):
-        g = GEval.analytic(np.exp)
-        before = _node_tuple.cache_info()
-        for n in (40, 56):
-            integrate_near_singular(g, KernelParams(a=1.0, d=1e-3, x_s=0.1), n)
-            integrate_near_singular(g, KernelParams(a=1.0, d=1e-3, x_s=0.1), n, "fd-series")
-            integrate_finite_part(g, 1.0, 0.1, n)
-        assert _node_tuple.cache_info() == before
-
-    def test_node_floats_bounded_and_immutable(self):
-        assert 1 <= _node_tuple.cache_info().maxsize <= 4
-        nodes = Mesh(2.0, 20).node_floats()
-        assert type(nodes) is tuple and len(nodes) == 41
-        with pytest.raises(TypeError):
-            nodes[0] = 1.0
 
     def test_real_values_of_any_type(self):
         # anything real with __float__ is its float, at every node
@@ -568,10 +548,9 @@ class TestMeshSamples:
         params = KernelParams(a=1.0, d=1e-3, x_s=0.1)
         first = integrate_near_singular(g, params, n)
         assert calls == [2 * n + 1]
-        before = _node_tuple.cache_info()
         again = integrate_near_singular(g, params, n)
         assert integrate_finite_part(g, 1.0, -0.3, n).method == "finite-part"
-        assert calls == [2 * n + 1] and _node_tuple.cache_info() == before
+        assert calls == [2 * n + 1]
         assert (again.value, again.uncorrected) == (first.value, first.uncorrected)
         # another half-width is another mesh, and a new GEval over the same
         # function samples again
@@ -594,6 +573,17 @@ class TestMeshSamples:
         assert [new_calls(n) for n in (16, 18, 19, 20)] == [0, 0, 0, 0]
         assert new_calls(17) == 35
         assert len(g._meshes) == 4
+
+    def test_walk_down_keeps_its_finest_mesh(self):
+        # five meshes nested by 2, walked finest first twice: each coarser mesh
+        # reads the finest kept one, which reading keeps among the 4 most
+        # recent, so the second walk makes no g call
+        g, calls = self.counting_g()
+        for _ in range(2):
+            for n in (256, 128, 64, 32, 16):
+                integrate_finite_part(g, 1.0, 0.1, n)
+        assert calls == [513]
+        assert (1.0, 256) in g._meshes and len(g._meshes) == 4
 
     def test_samples_read_only_and_never_written(self):
         for g in (GEval.analytic(np.exp), GEval(real_eval=math.exp)):
@@ -646,7 +636,7 @@ class TestMeshSamples:
             try:
                 for k in range(60):
                     n = 16 + k % 6   # more meshes than are kept
-                    want = list(map(math.exp, Mesh(1.0, n).node_floats()))
+                    want = list(map(math.exp, Mesh(1.0, n).nodes().tolist()))
                     assert g.mesh_samples(Mesh(1.0, n)).tolist() == want
             except Exception as exc:   # reported by the assert below
                 errors.append(exc)

@@ -82,6 +82,11 @@ class TestMesh:
         for a in (math.nan, math.inf, -math.inf, 0.0):
             with pytest.raises(ValueError, match="finite and positive"):
                 Mesh(a, 16)
+        # a positive a whose h = a/n rounds to 0 (puncture_split would divide by it)
+        for a, n in ((5e-324, 16), (1e-320, 10 ** 6)):
+            with pytest.raises(ValueError, match="underflows to 0"):
+                Mesh(a, n)
+        assert Mesh(5e-324, 1).h == 5e-324
 
 
 class TestGregoryWeights:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsquad.specfun import (
-    EULER_GAMMA,
-    bernoulli_number,
+from nsquad.oracle import EULER_GAMMA
+from nsquad.specfun import bernoulli_number
+from nsquad.verify import (
     bernoulli_poly,
     digamma,
     digamma_complex,

@@ -43,12 +43,34 @@ def imported_names(name: str) -> set[str]:
     return names
 
 
+def defined_names(name: str) -> set[str]:
+    """Every function, class and module-level variable module `name` defines."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+VERIFY_ONLY = {"digamma", "digamma_complex", "trigamma", "hurwitz_zeta_nonpos",
+               "bernoulli_poly", "bernoulli_poly_fraction"}
+
+
 def test_integration_path_does_not_import_digamma():
-    # the seeds are elementary; digamma and trigamma stay in specfun for verify
-    for name in ("emcoeff", "corrections", "integrator", "meshrule"):
-        assert not imported_names(name) & {"digamma", "digamma_complex", "trigamma"}, name
-    assert {"digamma", "digamma_complex", "trigamma"} <= set(nsquad.__all__)
-    assert {"digamma", "digamma_complex", "trigamma"} <= imported_names("verify")
+    # the seeds are elementary: the special functions only the cross-checks
+    # read live in verify, beside them, and the runtime core neither defines
+    # nor imports one
+    for name in RUNTIME_CORE:
+        assert not (defined_names(name) | imported_names(name)) & VERIFY_ONLY, name
+    public = VERIFY_ONLY - {"bernoulli_poly_fraction"}
+    assert public <= set(nsquad.__all__)
+    for name in public:
+        assert getattr(nsquad, name).__module__ == "nsquad.verify", name
+    assert {"_bernoulli_fractions", "bernoulli_fraction", "bernoulli_number"} <= (
+        defined_names("specfun"))
 
 
 def test_runtime_core_has_no_quotient_tables():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nsquad.corrections import GEval, correction_taylor
+from nsquad.corrections import GEval, correction_offmesh_closed, correction_taylor
 from nsquad.integrator import KernelParams, integrate_near_singular
 from nsquad.oracle import exact_test2
 
@@ -73,6 +73,26 @@ def test_taylor_form_at_huge_d_over_c_is_finite():
         lam = d / h
         assert br.total == pytest.approx(g_node / (h * (s * s + lam * lam)), rel=1e-15)
         assert math.isfinite(br.singular_part) and math.isfinite(br.jump_part)
+
+
+def test_lam_squared_overflow_raises():
+    # lam = d/(c h) ~ 1.6e154: lam^2 overflows while d^2 does not, and the
+    # pole form's put-back node g_node h/d^2 = 6.25e-8 would read 0
+    with pytest.raises(ValueError, match="lam\\^2 overflows"):
+        correction_taylor([1.0], 1e-150, 1e3, 1.0 / 16, 0.1)
+    with pytest.raises(ValueError, match="lam\\^2 overflows"):
+        correction_offmesh_closed(GEval.analytic(np.exp), 1e-150, 1e3, 1.0 / 16, 0.1,
+                                  0.1, np.ones(9))
+    params = KernelParams(a=1.0, c=1e-150, d=1e3, x_s=0.1)
+    for n in (16, 64):
+        for method in ("closed-form", "fd-series"):
+            with pytest.raises(ValueError, match="lam\\^2 overflows"):
+                integrate_near_singular(GEval.analytic(np.exp), params, n, method)
+    # one step short of the overflow the put-back stands
+    h = 1.0 / 16
+    d = 1e-150 * h * 1e154
+    br = correction_taylor([1.0], 1e-150, d, h, 0.1)
+    assert br.total == pytest.approx(h / (d * d), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["analytic", "real"])

@@ -117,7 +117,8 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
 
 def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
                    n: int) -> list[float]:
-    """The value of each method at one (d, n), all from one sampling of g."""
+    """The value of each method at one (d, n), all from one sampling of g; the
+    pass's f is c^2 times the kernel samples."""
     sampled = _mesh_pass(g, params, n)
     mesh, _, _, _, f, uncorrected, _ = sampled
     values = []
@@ -127,7 +128,7 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
         elif method == "corrected-fd6":
             value = _correct(g, params, sampled, "fd-series").value
         elif method == "uncorrected-plain":
-            value = plain_trapezoid(mesh, f)
+            value = plain_trapezoid(mesh, f) / params.c ** 2
         else:
             value = uncorrected
         values.append(value)

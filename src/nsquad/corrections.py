@@ -293,14 +293,18 @@ def _stencil_poly(window: Sequence[float], s: float) -> list[float]:
     # the map reproduces constants: apply it to the differences from the
     # center sample, which are small and for nearby values exact
     center = float(window[FD_STENCIL // 2])
-    b = (_stencil_operator() @ (window - center)).tolist()
-    b[0] += center
-    # synthetic division by (t - s), once per order: b[k] becomes the
-    # coefficient of (t - s)^k, final after pass k
-    for k in range(FD_DERIV_MAX + 1):
-        for j in range(FD_STENCIL - 2, k - 1, -1):
-            b[j] += s * b[j + 1]
-    return b[:FD_DERIV_MAX + 1]
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = (_stencil_operator() @ (window - center)).tolist()
+    c0 += center
+    # synthetic division by (t - s), once per order k = 0..6, one line each:
+    # c_k becomes the coefficient of (t - s)^k, final after pass k
+    c7 += s*c8; c6 += s*c7; c5 += s*c6; c4 += s*c5; c3 += s*c4; c2 += s*c3; c1 += s*c2; c0 += s*c1
+    c7 += s*c8; c6 += s*c7; c5 += s*c6; c4 += s*c5; c3 += s*c4; c2 += s*c3; c1 += s*c2
+    c7 += s*c8; c6 += s*c7; c5 += s*c6; c4 += s*c5; c3 += s*c4; c2 += s*c3
+    c7 += s*c8; c6 += s*c7; c5 += s*c6; c4 += s*c5; c3 += s*c4
+    c7 += s*c8; c6 += s*c7; c5 += s*c6; c4 += s*c5
+    c7 += s*c8; c6 += s*c7; c5 += s*c6
+    c7 += s*c8; c6 += s*c7
+    return [c0, c1, c2, c3, c4, c5, c6]
 
 
 def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray:
@@ -357,8 +361,7 @@ def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: f
     """E from Re G, Im G/lam, g_node and Q: the pole form for lam >= 1, else
     -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
     the jump omitted at d = 0.  ValueError where lam^2 overflows and d^2
-    does not: the pole form's put-back node g_node h/d^2 would read 0.
-    Where d^2 overflows too, that term is below g_node h 6e-309."""
+    does not."""
     lam = d / (c * h)
     if math.isinf(lam * lam) and not math.isinf(d * d):
         raise ValueError(f"lam = d/(c h) = {lam:.3e} is out of range: lam^2 overflows "
@@ -378,10 +381,11 @@ def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
     im_g_lam is Im G/lam.  The total comes first, its pole term dropped once
     |q| < 5e-17; the jump part is (pi/(c d)) Re G and the singular part is
     total - jump.  Where G is not finite (a Taylor polynomial's G overflows
-    for d/c >~ 1e50), the whole correction is reported as singular.
+    for d/c >~ 1e50), the whole correction is reported as singular.  The
+    put-back, as (g_node/(lam + s^2/lam))/(c d), forms no lam^2 to overflow.
     """
     lam = d / (c * h)
-    total = g_node / (c * c * h * (s * s + lam * lam))
+    total = g_node / (lam + s * s / lam) / (c * d)
     jump = math.pi / (c * d) * re_g
     if lam < _Q_NEGLIGIBLE_LAM:
         t = pole_factor(lam, s)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,9 @@ METHODS = ("auto", "closed-form", "fd-series")
 _EPS = np.finfo(float).eps
 # End-correction estimate, relative to max(|value|, 1), above which a result warns
 _EDGE_WARN_RATIO = 3e-11
+# one immutable Mesh per (a, n) recently integrated on; typed, so that
+# n = 64.0 is validated (and rejected) apart from n = 64
+_mesh = lru_cache(maxsize=32, typed=True)(Mesh)
 
 
 @dataclass(frozen=True)
@@ -101,47 +105,42 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
     return j, t - j
 
 
-def _kernel_samples(g: GEval, params: KernelParams, mesh: Mesh,
-                    puncture: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """g at the mesh nodes (`GEval.mesh_samples`), the kernel samples f there
-    with the punctured entry left at 0, and f at the puncture (NaN where the
-    kernel's denominator is 0)."""
-    nodes = mesh.nodes()
-    gvals = g.mesh_samples(mesh)
-    f = nodes - params.x_s   # the denominators in place, then f
-    f *= f
-    f *= params.c ** 2
-    f += params.d ** 2
-    i = mesh.n + puncture
-    denom_i, f[i] = float(f[i]), 1.0
-    np.divide(gvals, f, out=f)
-    f[i] = 0.0
-    # a Python division: a zero or subnormal denominator there raises no numpy warning
-    return gvals, f, float(gvals[i]) / denom_i if denom_i else math.nan
-
-
 def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
     """Everything a target needs from g before its correction, from the
     GEval's samples on the mesh.
 
     Returns (mesh, j, s, gvals, f, uncorrected, edge_err): the puncture j
-    and offset s, g and the kernel samples f at the mesh nodes, the
-    punctured sum of f and its estimated end-correction error, as a tuple.
-    f is summed in place, its punctured entry 0, and that entry is then
-    set to the kernel sample there.  Every method reads the same pass
-    through `_correct`.
+    and offset s, g at the mesh nodes (`GEval.mesh_samples`) and c^2 times
+    the kernel samples there, f = g/((x - x_s)^2 + (d/c)^2), the punctured
+    sum of the kernel samples and its estimated end-correction error, as a
+    tuple.  f is summed in place, its punctured entry 0, and that entry is
+    then set to c^2 times the kernel sample there (NaN where the kernel's
+    denominator is 0); the sum and the estimate are divided by c^2 once.
+    Every method reads the same pass through `_correct`.
     """
-    mesh = Mesh(params.a, n)
+    mesh = _mesh(params.a, n)
+    h = mesh.h
     if n < 16:
         raise ValueError("n must be at least 16")
-    if not abs(params.x_s) < params.a - 10.0 * mesh.h:
+    if not abs(params.x_s) < params.a - 10.0 * h:
         raise ValueError("x_s too close to an endpoint for the correction "
                          "stencils (need |x_s| < a - 10h)")
-    j, s = puncture_split(params.x_s, mesh.h)
-    gvals, f, f_puncture = _kernel_samples(g, params, mesh, j)
-    uncorrected, edge_err = _rule_sums(mesh, f)
-    f[mesh.n + j] = f_puncture
-    return mesh, j, s, gvals, f, uncorrected, edge_err
+    j, s = puncture_split(params.x_s, h)
+    nodes, gvals, i = mesh.nodes(), g.mesh_samples(mesh), n + j
+    f = nodes - params.x_s   # the denominators in place, then f
+    f *= f
+    f += (params.d / params.c) ** 2
+    f[i] = 1.0
+    np.divide(gvals, f, out=f)
+    f[i] = 0.0
+    total, edge_err = _rule_sums(h, f)
+    # the puncture in Python floats, as g/(c^2 (x - x_s)^2 + d^2): there
+    # (d/c)^2 may underflow where d^2 does not, and a zero or subnormal
+    # denominator raises no numpy warning
+    c2, t = params.c ** 2, float(nodes[i]) - params.x_s
+    denom = t * t * c2 + params.d ** 2
+    f[i] = c2 * (float(gvals[i]) / denom) if denom else math.nan
+    return mesh, j, s, gvals, f, total / c2, edge_err / c2
 
 
 def _correct(g: GEval, params: KernelParams, sampled: tuple,

@@ -1,12 +1,13 @@
 """Uniform meshes on [-a, a] and the punctured trapezoidal rule.
 
 The rule carries only *endpoint* corrections, Gregory weights of order
-EDGE_ORDER = 8 at both ends.  Its weights and the order-10 minus order-8
-weights at each end form one cached read-only (3, 2n+1) block per n
-(`rule_block`): a single product of that block with the samples, the
-punctured entry zeroed, gives the punctured sum and both halves of its
-end-error estimate (`punctured_sums`).  `punctured_trapezoid` reads that
-product.
+EDGE_ORDER = 8 at both ends; every other node has weight 1.  So the
+punctured sum is the plain sum of the samples, the punctured entry zeroed,
+plus the product of a constant (3, 22) block with the 11 samples at each
+end (`punctured_sums`): row 0 adds the Gregory-8 adjustments (the
+trapezoid's -1/2 at the end nodes included), rows 1 and 2 the order-10
+minus order-8 weights at each end, whose results are the end-error
+estimate.  `punctured_trapezoid` reads that sum.
 
 The nodes are one cached read-only array per mesh (`Mesh.nodes`); a
 `GEval` samples g there once and keeps the samples.
@@ -26,6 +27,8 @@ from .specfun import bernoulli_fraction
 EDGE_ORDER = 8        # the Gregory order of punctured_trapezoid
 _ESTIMATE_ORDER = 10  # the order the end-error estimate compares it with
 GREGORY_ORDERS = (EDGE_ORDER, _ESTIMATE_ORDER)   # the orders of `gregory_weights`
+_END_NODES = _ESTIMATE_ORDER + 1   # the nodes at each end that carry end weights
+_END_INDEX = np.r_[:_END_NODES, -_END_NODES:0]   # their indices, for every n
 
 
 @dataclass(frozen=True)
@@ -103,53 +106,60 @@ def _checked(total: float, summed: np.ndarray) -> float:
     return total
 
 
-@lru_cache(maxsize=32)
-def rule_block(n: int) -> np.ndarray:
-    """The weights of one pass over the 2n+1 nodes, h factored out, read-only.
+@lru_cache(maxsize=1)
+def _end_block() -> np.ndarray:
+    """The rule's end weights, h factored out, read-only: a (3, 22) block on
+    the 11 samples at the left end and the 11 at the right.
 
-    Row 0 is the Gregory-8 rule: 1 at every node, 1/2 at the two ends, plus
-    `gregory_weights(8)` at the left end and mirrored at the right.  Rows 1
-    and 2 are w_10 - w_8 (w_8 zero-padded) from the left end and from the
-    right end inward, zero elsewhere.
+    Row 0 is `gregory_weights(8)` at the left end and mirrored at the right,
+    less the trapezoid's 1/2 at the end nodes: it adjusts the plain sum to
+    the Gregory-8 rule.  Rows 1 and 2 are w_10 - w_8 (w_8 zero-padded) from
+    the left end and from the right end inward.
     """
-    block = np.zeros((3, 2 * n + 1))
-    block[0] = 1.0
-    block[0, [0, -1]] = 0.5
-    block[0, :EDGE_ORDER + 1] += gregory_weights(EDGE_ORDER)
-    block[0, -EDGE_ORDER - 1:] += gregory_weights(EDGE_ORDER)[::-1]
-    gap = gregory_weights(_ESTIMATE_ORDER).copy()
-    gap[:EDGE_ORDER + 1] -= gregory_weights(EDGE_ORDER)
-    block[1, :len(gap)] = gap
-    block[2, -len(gap):] = gap[::-1]
+    w8 = np.append(gregory_weights(EDGE_ORDER), [0.0, 0.0])
+    rule, gap = w8.copy(), gregory_weights(_ESTIMATE_ORDER) - w8
+    rule[0] -= 0.5
+    zeros = np.zeros(_END_NODES)
+    block = np.array([np.r_[rule, rule[::-1]], np.r_[gap, zeros], np.r_[zeros, gap[::-1]]])
     block.flags.writeable = False
     return block
 
 
 def punctured_sums(mesh: Mesh, samples: np.ndarray, puncture: int | None) -> tuple[float, float]:
-    """The punctured Gregory-8 sum of `samples` and its end-error estimate, in one product.
+    """The punctured Gregory-8 sum of `samples` and its end-error estimate.
 
     v is a copy of the samples with the punctured entry (if any) set to 0;
-    the sum is h `rule_block(n)[0]` . v, checked once, and the estimate
-    h (|gap . v_left| + |gap . v_right|), gap = w_10 - w_8: how far the rule
-    moves on the same samples with Gregory weights of order 10 at the ends.
-    The puncture is not validated here.  A non-finite sample at a summed
-    node raises ValueError; an infinite one meets a zero weight of rows 1
-    and 2 first, so numpy warns of an invalid value before that, unless the
-    caller silences it as `punctured_trapezoid` does.
+    the sum is h (sum(v) + the end adjustments of `_end_block`), checked
+    once, and the estimate h (|gap . v_left| + |gap . v_right|), gap =
+    w_10 - w_8 on the 11 nodes at each end: how far the rule moves with
+    Gregory weights of order 10 at the ends.  The puncture is not validated
+    here.  Fewer than 11 samples, or a non-finite one at a summed node,
+    raise ValueError; an infinite one within 11 nodes of an end meets the
+    other end's zero weights first, so numpy warns of an invalid value
+    before that, unless the caller silences it as `punctured_trapezoid` does.
     """
     v = np.array(samples, dtype=float)
     if v.shape != (2 * mesh.n + 1,):
         raise ValueError("sample count does not match the mesh")
+    if len(v) < _END_NODES:
+        raise ValueError(f"mesh too small for the end-error estimate "
+                         f"(need 2n+1 >= {_END_NODES} nodes)")
     if puncture is not None:
         v[mesh.n + puncture] = 0.0
-    return _rule_sums(mesh, v)
+    return _rule_sums(mesh.h, v)
 
 
-def _rule_sums(mesh: Mesh, v: np.ndarray) -> tuple[float, float]:
-    """`punctured_sums` of the 2n+1 floats `v`, the punctured entry already 0,
-    read in place."""
-    total, left, right = (rule_block(mesh.n) @ v).tolist()
-    return _checked(mesh.h * total, v), mesh.h * (abs(left) + abs(right))
+def _rule_sums(h: float, v: np.ndarray) -> tuple[float, float]:
+    """`punctured_sums` on step h of the 2n+1 >= 11 floats `v`, the punctured
+    entry already 0, read in place."""
+    ends = v[_END_INDEX]
+    adjust, left, right = _end_block().dot(ends).tolist()
+    total = _checked(h * (float(v.sum()) + adjust), v)
+    if math.isnan(total):
+        # the samples are finite, but end weights above 1 times samples near
+        # the float maximum overflowed to inf - inf: none does on samples/16
+        total = h * (float(v.sum()) + 16.0 * float(_end_block()[0].dot(ends / 16.0)))
+    return total, h * (abs(left) + abs(right))
 
 
 def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
@@ -161,9 +171,9 @@ def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = 
         non-finite; it is never read).
     puncture : mesh index k in (-n, n) to omit, or None for the ordinary rule.
 
-    The sum is h `rule_block(n)[0]` . f with the punctured entry of f zeroed
-    (`punctured_sums`); the ordinary rule is the rule punctured at 0 plus
-    h f_0, identically.
+    The sum is h times the sum of f, its punctured entry zeroed, plus the
+    Gregory-8 end adjustments (`punctured_sums`); the ordinary rule is the
+    rule punctured at 0 plus h f_0, identically.
     """
     n = mesh.n
     if puncture is not None:

@@ -89,6 +89,26 @@ class TestConverge:
             assert values["uncorrected-plain"] == pytest.approx(plain_trapezoid(mesh, f),
                                                                 rel=1e-14), integrand
 
+    def test_rows_match_integrator_away_from_c_one(self):
+        # the pass's f is c^2 times the kernel: every row scales it back
+        c, x_s = 0.5, 0.1
+        config = StudyConfig(d_list=[1e-4, 0.01], n_list=[64, 128], integrand="test2",
+                             c=c, x_s=x_s)
+        for row in run_converge(config):
+            g = GEval.analytic(lambda z, d=row.d: d * np.exp(z))
+            params = KernelParams(a=1.0, c=c, d=row.d, x_s=x_s)
+            if row.method == "uncorrected-plain":
+                x = Mesh(1.0, row.n).nodes()
+                f = row.d * np.exp(x) / (row.d ** 2 + c * c * (x - x_s) ** 2)
+                assert row.value == pytest.approx(plain_trapezoid(Mesh(1.0, row.n), f),
+                                                  rel=1e-14, abs=0)
+                continue
+            method = {"corrected-closed": "closed-form", "corrected-fd6": "fd-series",
+                      "uncorrected-punctured": "auto"}[row.method]
+            res = integrate_near_singular(g, params, row.n, method)
+            want = res.uncorrected if row.method == "uncorrected-punctured" else res.value
+            assert row.value == want, (row.method, row.d, row.n)
+
     def test_uncorrected_methods_share_one_sampling(self, monkeypatch):
         calls = []
 

@@ -15,11 +15,12 @@ from nsquad.corrections import GEval
 from nsquad.integrator import (
     METHODS,
     KernelParams,
+    _mesh_pass,
     integrate_finite_part,
     integrate_near_singular,
     puncture_split,
 )
-from nsquad.meshrule import Mesh
+from nsquad.meshrule import Mesh, punctured_sums
 from nsquad.oracle import exact_test1, finite_part_reference
 from nsquad.verify import self_check
 
@@ -313,6 +314,22 @@ class TestFinitePart:
         near_end = integrate_finite_part(g, 1.0, 1.0 - 10.3 * h, n)
         assert any("end corrections" in w for w in near_end.warnings)
         assert integrate_finite_part(g, 1.0, 0.0, n).warnings == []
+
+    def test_pass_divides_by_c_squared_once(self):
+        # the pass holds c^2 times the kernel samples; its sum and end-error
+        # estimate are those of the kernel samples themselves
+        n = 128
+        x_s = 1.0 - 10.3 / n   # near an end: the estimate is far above round-off
+        for c in (0.5, 2.0, 3.0):
+            for d in (1e-3, 0.0):
+                params = KernelParams(a=1.0, c=c, d=d, x_s=x_s)
+                mesh, j, _, _, f, total, est = _mesh_pass(GEval.analytic(np.exp), params, n)
+                x = mesh.nodes()
+                kernel = np.exp(x) / (d * d + c * c * (x - x_s) ** 2)
+                np.testing.assert_allclose(f, c * c * kernel, rtol=1e-15, atol=0)
+                want_total, want_est = punctured_sums(mesh, kernel, j)
+                assert total == pytest.approx(want_total, rel=1e-14, abs=0), (c, d)
+                assert est == pytest.approx(want_est, rel=1e-9, abs=0), (c, d)
 
     def test_d_zero_routes_to_finite_part(self):
         res = integrate_near_singular(g_one, KernelParams(a=1.0, d=0.0), 64)

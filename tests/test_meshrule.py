@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from nsquad.meshrule import (
     plain_trapezoid,
     punctured_sums,
     punctured_trapezoid,
-    rule_block,
 )
+from nsquad.meshrule import _end_block
 
 E_MINUS_INV_E = math.e - 1.0 / math.e
 
@@ -132,29 +133,45 @@ class TestGregoryWeights:
             gregory_weights(12)
 
 
+def exact_end_rows() -> tuple[list[Fraction], list[Fraction]]:
+    """The Gregory-8 adjustments to the plain sum at the 11 nodes of the left
+    end (the trapezoid's -1/2 included), and w_10 - w_8 there, exactly."""
+    w8 = exact_gregory_weights(8) + [Fraction(0)] * 2
+    rule = [w - (Fraction(1, 2) if j == 0 else 0) for j, w in enumerate(w8)]
+    return rule, [a - b for a, b in zip(exact_gregory_weights(10), w8)]
+
+
 class TestGregoryRow:
     def test_cached_and_read_only(self):
-        row = rule_block(64)[0]
-        assert row.base is rule_block(64) and len(row) == 129
+        # one constant block for every n: 11 end nodes at each end
+        row = _end_block()[0]
+        assert row.base is _end_block() and len(row) == 22
         with pytest.raises(ValueError):
             row[0] = 0.0
 
     def test_matches_exact_weights(self):
+        # one rounding of each w_8, one of the -1/2 at the end node
+        rule = [float(x) for x in exact_end_rows()[0]]
+        np.testing.assert_allclose(_end_block()[0], rule + rule[::-1], rtol=0, atol=2e-16)
+        # the plain sum plus the end adjustments is the Gregory-8 row
         for n in (9, 16, 64):
-            # two roundings of entries near 1 (one of w, one of the sum)
-            np.testing.assert_allclose(rule_block(n)[0], [float(x) for x in exact_row(n)],
+            row = np.ones(2 * n + 1)
+            row[:11] += _end_block()[0, :11]
+            row[-11:] += _end_block()[0, 11:]
+            np.testing.assert_allclose(row, [float(x) for x in exact_row(n)],
                                        rtol=0, atol=3e-16)
 
     def test_rule_against_exact_weights(self):
-        # math.fsum of exact-weight products is the reference; the rule's dot
-        # product may differ from it by a few ulp of h sum |w f|
+        # math.fsum of exact-weight products is the reference; the rule's sum
+        # may differ from it by a few ulp of h sum |w f|
         rng = np.random.default_rng(3)
-        for n in (16, 64, 1024):
+        for n in (16, 64, 1024, 4096, 16384):
             mesh = Mesh(1.0, n)
             row = exact_row(n)
             samples = rng.normal(size=2 * n + 1)
             for puncture in (None, 0, 3, -3, n - 9, 9 - n):
-                terms = [float(r * Fraction(f)) for r, f in zip(row, samples.tolist())]
+                terms = [f if r == 1 else float(r * Fraction(f))
+                         for r, f in zip(row, samples.tolist())]
                 if puncture is not None:
                     terms[n + puncture] = 0.0
                 want = mesh.h * math.fsum(terms)
@@ -165,38 +182,37 @@ class TestGregoryRow:
 
 class TestPuncturedSums:
     def test_block_cached_and_read_only(self):
-        block = rule_block(64)
-        assert block is rule_block(64) and block.shape == (3, 129)
+        block = _end_block()
+        assert block is _end_block() and block.shape == (3, 22)
         with pytest.raises(ValueError):
             block[1, 0] = 0.0
 
     def test_block_rows(self):
-        # row 0 is the rule; rows 1 and 2 are w_10 - w_8 at one end each
-        n = 16
-        block = rule_block(n)
-        gap = np.array([float(a - b) for a, b in zip(
-            exact_gregory_weights(10), exact_gregory_weights(8) + [Fraction(0)] * 2)])
+        # row 0 adjusts the plain sum to the rule; rows 1 and 2 are w_10 - w_8
+        # at one end each
+        block = _end_block()
+        gap = np.array([float(x) for x in exact_end_rows()[1]])
         # w_10 and w_8 each rounded once, then their difference
         np.testing.assert_allclose(block[1, :11], gap, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(block[2, ::-1], block[1])
         assert not block[1, 11:].any()
+        np.testing.assert_array_equal(block[0, ::-1], block[0])
 
     def test_block_is_the_exact_weights_rounded(self):
         # every entry is the exact Gregory coefficients' weights, each rounded
-        # once, then one floating-point operation: row 0 adds w_8 to the
-        # trapezoidal 1/2 or 1, rows 1 and 2 subtract w_8 from w_10
+        # once, then one floating-point operation: row 0 subtracts the
+        # trapezoidal 1/2 from w_8 at the end node, rows 1 and 2 subtract w_8
+        # from w_10
         w8 = [float(x) for x in exact_gregory_weights(8)] + [0.0, 0.0]
         w10 = [float(x) for x in exact_gregory_weights(10)]
-        for n in (9, 16, 64):
-            block = rule_block(n)
-            left = [(0.5 if j == 0 else 1.0) + w8[j] for j in range(9)]
-            want = left + [1.0] * (2 * n + 1 - 18) + left[::-1]
-            assert block[0].tolist() == want, n
-            gap = [a - b for a, b in zip(w10, w8)]
-            assert block[1].tolist() == gap + [0.0] * (2 * n + 1 - 11), n
-            assert block[2].tolist() == block[1].tolist()[::-1], n
+        block = _end_block()
+        left = [w8[0] - 0.5] + w8[1:]
+        assert block[0].tolist() == left + left[::-1]
+        gap = [a - b for a, b in zip(w10, w8)]
+        assert block[1].tolist() == gap + [0.0] * 11
+        assert block[2].tolist() == [0.0] * 11 + gap[::-1]
 
-    def test_one_product_gives_both_wrappers(self):
+    def test_sums_give_both_wrappers(self):
         mesh = Mesh(1.0, 32)
         samples = np.random.default_rng(13).normal(size=65)
         before = samples.tobytes()
@@ -206,8 +222,9 @@ class TestPuncturedSums:
         assert samples.tobytes() == before
 
     def test_infinite_sample_raises(self):
-        # rows 1 and 2 weigh the interior by 0: 0 * inf draws numpy's warning
-        # in the bare product, which punctured_trapezoid silences; both raise
+        # within 11 nodes of an end, an infinite sample meets the other end's
+        # zero weights in the end product, 0 * inf, which draws numpy's
+        # warning unless silenced (punctured_trapezoid does); both raise
         mesh = Mesh(1.0, 16)
         for bad in (5, 16, 20, 0):
             samples = np.ones(33)
@@ -217,11 +234,13 @@ class TestPuncturedSums:
             with pytest.raises(ValueError, match="non-finite sample at a summed node"):
                 with np.errstate(invalid="ignore"):
                     punctured_sums(mesh, samples, 2)
+        # an interior node meets no weight of 0: no warning, still the error
         samples = np.ones(33)
         samples[20] = math.inf
-        with pytest.warns(RuntimeWarning, match="invalid value"), \
-                pytest.raises(ValueError, match="non-finite sample at a summed node"):
-            punctured_sums(mesh, samples, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite sample at a summed node"):
+                punctured_sums(mesh, samples, 2)
         samples[20] = 1.0
         samples[18] = math.inf   # the puncture
         assert math.isfinite(punctured_sums(mesh, samples, 2)[0])
@@ -229,6 +248,10 @@ class TestPuncturedSums:
     def test_sample_count_checked(self):
         with pytest.raises(ValueError, match="sample count"):
             punctured_sums(Mesh(1.0, 16), np.ones(32), 0)
+        # fewer nodes than one end's 11 weights
+        for n in (1, 4):
+            with pytest.raises(ValueError, match="mesh too small"):
+                punctured_sums(Mesh(1.0, n), np.ones(2 * n + 1), 0)
 
 
 class TestPuncturedTrapezoid:

@@ -6,6 +6,7 @@ on the 9-point stencil), at interior targets, against `exact_test2`.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -76,8 +77,7 @@ def test_taylor_form_at_huge_d_over_c_is_finite():
 
 
 def test_lam_squared_overflow_raises():
-    # lam = d/(c h) ~ 1.6e154: lam^2 overflows while d^2 does not, and the
-    # pole form's put-back node g_node h/d^2 = 6.25e-8 would read 0
+    # lam = d/(c h) ~ 1.6e154: lam^2 overflows while d^2 does not
     with pytest.raises(ValueError, match="lam\\^2 overflows"):
         correction_taylor([1.0], 1e-150, 1e3, 1.0 / 16, 0.1)
     with pytest.raises(ValueError, match="lam\\^2 overflows"):
@@ -93,6 +93,19 @@ def test_lam_squared_overflow_raises():
     d = 1e-150 * h * 1e154
     br = correction_taylor([1.0], 1e-150, d, h, 0.1)
     assert br.total == pytest.approx(h / (d * d), rel=1e-14)
+
+
+def test_put_back_survives_overflowing_squares():
+    # d^2 and lam^2 both overflow, but the put-back g_node/(c^2 h |w|^2) is a
+    # normal float: it is computed without either square
+    for g_node, c, d, h, s in ((1e300, 1.0, 1e160, 0.01, 0.3),
+                               (1e300, 1.0, 1e200, 1.0, -0.5),
+                               (1e250, 2.0, 1e170, 1.0 / 64, 0.1)):
+        lam = Fraction(d) / (Fraction(c) * Fraction(h))
+        want = Fraction(g_node) / (Fraction(c) ** 2 * Fraction(h) * (Fraction(s) ** 2 + lam ** 2))
+        br = correction_taylor([g_node], c, d, h, s)
+        assert abs(br.total - float(want)) <= 1e-15 * float(want), (g_node, d)
+    assert abs(correction_taylor([1e300], 1.0, 1e160, 0.01, 0.3).total - 1e-22) <= 1e-37
 
 
 @pytest.mark.parametrize("kind", ["analytic", "real"])

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .verify import CoeffParams, coeff_table
 CONVERGE_METHODS = ("uncorrected-punctured", "uncorrected-plain",
                     "corrected-closed", "corrected-fd6")
 
-CSV_HEADER = "n,h,d,c,xs,method,value,reference,abs_err"
 # CoeffTable fields that `nsquad coeffs` prints, one row per k
 COEFF_COLUMNS = ("zk", "zks", "zk_minus_s", "pks", "sym_resid", "closedform_resid")
 
@@ -46,6 +45,9 @@ class ConvergenceRow:
     value: float
     reference: float
     abs_err: float
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ConvergenceRow))
 
 
 @dataclass
@@ -118,9 +120,9 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
 def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
                    n: int) -> list[float]:
     """The value of each method at one (d, n), all from one sampling of g; the
-    pass's f is c^2 times the kernel samples."""
+    pass's f is c^2 h^2 times the kernel samples, its punctured entry 0."""
     sampled = _mesh_pass(g, params, n)
-    mesh, _, _, _, f, uncorrected, _ = sampled
+    mesh, j, s, gvals, f, uncorrected, _ = sampled
     values = []
     for method in methods:
         if method == "corrected-closed":
@@ -128,7 +130,13 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
         elif method == "corrected-fd6":
             value = _correct(g, params, sampled, "fd-series").value
         elif method == "uncorrected-plain":
-            value = plain_trapezoid(mesh, f) / params.c ** 2
+            # the punctured nodes, then the puncture's own kernel value, whose
+            # mesh-unit denominator s^2 + lam^2 may underflow where this one
+            # does not
+            c, h = params.c, mesh.h
+            r = math.hypot(c * s * h, params.d)
+            value = (plain_trapezoid(mesh, f) / c ** 2 / h / h
+                     + h * float(gvals[n + j]) / r / r)
         else:
             value = uncorrected
         values.append(value)
@@ -145,33 +153,25 @@ def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
         reference = _study_reference(config, g, d)
         params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
         for n in sorted(config.n_list, reverse=True):
-            h = config.a / n
+            h = float(config.a / n)
             values = _method_values(config.methods, g, params, n)
             for method, value in zip(config.methods, values):
+                # every float field a Python float: `_rows_to_csv` prints str()
                 rows.append(ConvergenceRow(
-                    n=n, h=h, d=d, c=config.c, xs=config.x_s, method=method,
-                    value=float(value), reference=float(reference),
+                    n=n, h=h, d=float(d), c=float(config.c), xs=float(config.x_s),
+                    method=method, value=float(value), reference=float(reference),
                     abs_err=float(abs(value - reference))))
     rows.sort(key=lambda r: (r.d, r.n, r.method))
     return rows
 
 
 def _rows_to_csv(rows: list[ConvergenceRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.n), repr(float(r.h)), repr(float(r.d)), repr(float(r.c)),
-            repr(float(r.xs)), r.method, repr(float(r.value)),
-            repr(float(r.reference)), repr(float(r.abs_err))]))
+    lines = [CSV_HEADER] + [",".join(map(str, asdict(r).values())) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def _rows_to_json(rows: list[ConvergenceRow]) -> str:
-    payload = [{"n": r.n, "h": float(r.h), "d": float(r.d), "c": float(r.c),
-                "xs": float(r.xs), "method": r.method, "value": float(r.value),
-                "reference": float(r.reference), "abs_err": float(r.abs_err)}
-               for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
 
 def _write_output(text: str, out: str) -> None:
@@ -215,7 +215,7 @@ def cmd_eval(a: float, c: float, d: float, x_s: float, n: int,
              method: str = "auto", out: str = "-") -> int:
     """Evaluate one corrected integral and print the QuadResult as JSON."""
     if integrand in ("test1", "test2"):
-        g = GEval.analytic(lambda z: d * np.exp(z))
+        g = _study_integrand(d)
     elif integrand == "custom":
         if not g_expr:
             raise ValueError("custom integrand needs --g-expr")

@@ -171,13 +171,13 @@ class GEval:
         A kept mesh of the same a whose n is mesh.n times or over a power of 2
         r has every r-th node of the finer of the two, bit for bit: node r k
         of the finer mesh is (r k) fl(a/(r n)), which rounds the same real
-        number as k fl(a/n) when fl(a/(r n)) r = fl(a/n) and fl(a/(r n)) is
-        a normal float.  A subnormal h, whose rounding is coarser, and any
-        other ratio (a `*3` range) share nothing.  The finest finer kept mesh
-        gives every r-th sample with no g call, and is moved to the most
-        recent place so that a walk down from it keeps it; else the finest
-        coarser one gives every r-th sample and g is sampled at the other
-        nodes in one pass, in node order.
+        number as k fl(a/n), since fl(a/(r n)) r = fl(a/n) for a power of 2 r
+        wherever fl(a/(r n)) is a normal float.  A subnormal h, whose
+        rounding is coarser, and any other ratio (a `*3` range) share
+        nothing.  The finest finer kept mesh gives every r-th sample with no
+        g call, and is moved to the most recent place so that a walk down
+        from it keeps it; else the finest coarser one gives every r-th sample
+        and g is sampled at the other nodes in one pass, in node order.
         """
         n, a = mesh.n, mesh.a
         # (r, key, samples) of the finest finer kept mesh, (r, samples) of the
@@ -189,8 +189,7 @@ class GEval:
                 continue
             fine, coarse = (m, n) if m > n else (n, m)
             r, rem = divmod(fine, coarse)
-            h = a / fine
-            if rem or r & (r - 1) or h < _MIN_NORMAL or h * r != a / coarse:
+            if rem or r & (r - 1) or a / fine < _MIN_NORMAL:
                 continue
             if m > n:
                 if finer is None or r > finer[0]:

@@ -1,14 +1,16 @@
 """High-level API: corrected near-singular and finite-part integration.
 
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
-mesh half-count n, these routines read g's samples on the 2n+1 nodes and
-build the punctured trapezoidal sum (`_mesh_pass`), add the correction
-(the closed form in g or in g's Taylor polynomial from the 9 samples around
-the puncture: the pole form for lam = d/(c h) >= 1, the seeds' form below;
-`_correct`, where only the closed form calls g again, for G and for the
-check of complex_eval at the puncture node) and return the corrected value
-with a breakdown.  The convergence study of `cli` reads every method from
-one pass.  The coefficient cross-checks (`self_check`) live in `verify`.
+mesh half-count n, these routines place the target on the mesh once (the
+puncture j and offset s of `puncture_split`, and lam = d/(c h)), read g's
+samples on the 2n+1 nodes and build the punctured trapezoidal sum on that
+lattice (`_mesh_pass`), add the correction (the closed form in g or in
+g's Taylor polynomial from the 9 samples around the puncture: the pole form
+for lam >= 1, the seeds' form below; `_correct`, where only the closed form
+calls g again, for G and for the check of complex_eval at the puncture
+node) and return the corrected value with a breakdown.  The convergence
+study of `cli` reads every method from one pass.  The coefficient
+cross-checks (`self_check`) live in `verify`.
 
 A GEval stands for one fixed function: it samples g once per node (the 4
 most recent meshes, up to 1 MB per GEval at n = 16384) and reuses those
@@ -110,12 +112,13 @@ def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
     GEval's samples on the mesh.
 
     Returns (mesh, j, s, gvals, f, uncorrected, edge_err): the puncture j
-    and offset s, g at the mesh nodes (`GEval.mesh_samples`) and c^2 times
-    the kernel samples there, f = g/((x - x_s)^2 + (d/c)^2), the punctured
-    sum of the kernel samples and its estimated end-correction error, as a
-    tuple.  f is summed in place, its punctured entry 0, and that entry is
-    then set to c^2 times the kernel sample there (NaN where the kernel's
-    denominator is 0); the sum and the estimate are divided by c^2 once.
+    and offset s of `puncture_split`, g at the mesh nodes
+    (`GEval.mesh_samples`), c^2 h^2 times the kernel samples there, f =
+    g/((m - s)^2 + lam^2) in mesh units (m = k - j exact, lam = d/(c h): the
+    lattice the correction assumes), its punctured entry 0, and the
+    punctured sum of the kernel samples and its estimated end-correction
+    error, as a tuple.  The sum and the estimate are taken on a unit step,
+    then divided by c^2 and by h (never by (c h)^2, which may underflow).
     Every method reads the same pass through `_correct`.
     """
     mesh = _mesh(params.a, n)
@@ -126,27 +129,25 @@ def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
         raise ValueError("x_s too close to an endpoint for the correction "
                          "stencils (need |x_s| < a - 10h)")
     j, s = puncture_split(params.x_s, h)
-    nodes, gvals, i = mesh.nodes(), g.mesh_samples(mesh), n + j
-    f = nodes - params.x_s   # the denominators in place, then f
+    lam, gvals, i = params.d / (params.c * h), g.mesh_samples(mesh), n + j
+    # m - s = k - (j + s), k the cached nodes of the unit-step mesh and
+    # j + s = x_s/h exactly: the denominators in place, then f
+    f = _mesh(float(n), n).nodes() - (j + s)
     f *= f
-    f += (params.d / params.c) ** 2
+    f += lam * lam
     f[i] = 1.0
     np.divide(gvals, f, out=f)
     f[i] = 0.0
-    total, edge_err = _rule_sums(h, f)
-    # the puncture in Python floats, as g/(c^2 (x - x_s)^2 + d^2): there
-    # (d/c)^2 may underflow where d^2 does not, and a zero or subnormal
-    # denominator raises no numpy warning
-    c2, t = params.c ** 2, float(nodes[i]) - params.x_s
-    denom = t * t * c2 + params.d ** 2
-    f[i] = c2 * (float(gvals[i]) / denom) if denom else math.nan
-    return mesh, j, s, gvals, f, total / c2, edge_err / c2
+    total, edge_err = _rule_sums(1.0, f)
+    c2 = params.c ** 2
+    return mesh, j, s, gvals, f, total / c2 / h, edge_err / c2 / h
 
 
 def _correct(g: GEval, params: KernelParams, sampled: tuple,
              method: str) -> QuadResult:
-    """The result of `method` on the pass `sampled` of `_mesh_pass`; only the
-    closed form calls g again, for G and to check complex_eval at the
+    """The result of `method`, "closed-form" or "fd-series", on the pass
+    `sampled` of `_mesh_pass` (d = 0 takes the finite part for either); only
+    the closed form calls g again, for G and to check complex_eval at the
     puncture node against that node's sample."""
     mesh, j, s, gvals, _, uncorrected, edge_err = sampled
     h = mesh.h
@@ -154,13 +155,11 @@ def _correct(g: GEval, params: KernelParams, sampled: tuple,
     i0 = mesh.n + j - FD_STENCIL // 2
     window = gvals[i0:i0 + FD_STENCIL]   # the one Taylor source, also g_node
     warnings = []
-    if d > 0.0 and method != "fd-series" and (g.complex_eval is not None
-                                              or method == "closed-form"):
-        # raises for a real-only g, which has no closed form
+    if d > 0.0 and method == "closed-form":
         breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s, window)
         used = "closed-form"
         g_node = float(window[FD_STENCIL // 2])
-        gap = g.consistency_gap(float(mesh.nodes()[mesh.n + j]), g_node)
+        gap = g.consistency_gap(j * h, g_node)
         if gap > 4.0 * _EPS * abs(g_node):
             # near a root of g, |g| at the node is no scale, and nor is |g| on
             # the window when h is small: take g's size on the whole mesh
@@ -199,7 +198,9 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if method == "closed-form" and params.d > 0.0 and g.complex_eval is None:
+    if method == "auto":
+        method = "fd-series" if g.complex_eval is None else "closed-form"
+    elif method == "closed-form" and params.d > 0.0 and g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
     return _correct(g, params, _mesh_pass(g, params, n), method)
 

@@ -90,7 +90,7 @@ class TestConverge:
                                                                 rel=1e-14), integrand
 
     def test_rows_match_integrator_away_from_c_one(self):
-        # the pass's f is c^2 times the kernel: every row scales it back
+        # the pass's f is c^2 h^2 times the kernel: every row scales it back
         c, x_s = 0.5, 0.1
         config = StudyConfig(d_list=[1e-4, 0.01], n_list=[64, 128], integrand="test2",
                              c=c, x_s=x_s)
@@ -108,6 +108,19 @@ class TestConverge:
             res = integrate_near_singular(g, params, row.n, method)
             want = res.uncorrected if row.method == "uncorrected-punctured" else res.value
             assert row.value == want, (row.method, row.d, row.n)
+
+    def test_plain_row_where_the_mesh_unit_puncture_underflows(self):
+        # lam = d/(c h) ~ 6e-169: lam^2 underflows, so the mesh-unit kernel at
+        # the puncture has a zero denominator, while the kernel itself is
+        # 1/d^2 = 1e140 there, finite
+        params = KernelParams(a=1.0, c=1e100, d=1e-70, x_s=0.0)
+        (value,) = cli._method_values(("uncorrected-plain",), GEval.analytic(np.exp),
+                                      params, 64)
+        mesh = Mesh(1.0, 64)
+        x = mesh.nodes()
+        kernel = np.exp(x) / (params.d ** 2 + params.c ** 2 * x * x)
+        assert value == pytest.approx(plain_trapezoid(mesh, kernel), rel=1e-15)
+        assert value == pytest.approx(1e140 / 64, rel=1e-15)
 
     def test_uncorrected_methods_share_one_sampling(self, monkeypatch):
         calls = []
@@ -234,6 +247,22 @@ class TestCliCommands:
         # floats round-trip through repr
         val = lines[1].split(",")[6]
         assert repr(float(val)) == val
+
+    def test_row_format(self):
+        # n as an int, every other number in shortest round-trip form, also
+        # where the configuration gave an int
+        config = StudyConfig(d_list=[1, 0.01], n_list=[32], integrand="test2", c=2,
+                             x_s=0.1, methods=("corrected-fd6", "uncorrected-plain"))
+        rows = run_converge(config)
+        lines = cli._rows_to_csv(rows).split("\n")
+        assert lines[0] == "n,h,d,c,xs,method,value,reference,abs_err"
+        assert lines[1:] == [",".join([
+            str(r.n), repr(r.h), repr(r.d), "2.0", "0.1", r.method, repr(r.value),
+            repr(r.reference), repr(r.abs_err)]) for r in rows] + [""]
+        assert json.loads(cli._rows_to_json(rows)) == [
+            {"n": r.n, "h": r.h, "d": r.d, "c": 2.0, "xs": 0.1, "method": r.method,
+             "value": r.value, "reference": r.reference, "abs_err": r.abs_err} for r in rows]
+        assert {type(r.d) for r in rows} == {float}
 
     def test_converge_json(self, tmp_path, capsys):
         argv = ["converge", "--integrand", "test1", "--d", "0.1", "--n", "32",

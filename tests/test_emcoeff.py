@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import mpmath as mp
@@ -5,13 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsquad.emcoeff import W_STAR, pi_cot, pks_seeds, pole_factor
+from nsquad.emcoeff import (
+    _SERIES_LIMITS,
+    W_STAR,
+    _horner_table,
+    _series_seeds,
+    pi_cot,
+    pks_seeds,
+    pole_factor,
+)
 from nsquad.verify import (
     CoeffParams,
     coeff_table,
     conditioning_warnings,
     digamma,
     digamma_complex,
+    digamma_seeds,
     fk_series_oracle,
     pks_closed,
     pks_table,
@@ -188,6 +198,58 @@ class TestElementarySeeds:
         for s in (0.51, -0.7, math.nan):
             with pytest.raises(ValueError, match="s must lie"):
                 pks_seeds(0.5, s)
+
+
+class TestSeriesSeeds:
+    """The seeds' series below W_STAR: one real Horner pass for every lam >= 0."""
+
+    @staticmethod
+    def derivative_pass(s: float) -> tuple[float, float]:
+        """The lam = 0 seeds as a Horner pass for P(u) and P'(u) at u = s^2."""
+        u = s * s
+        acc = dacc = 0.0
+        for coeff in _horner_table()[-(bisect.bisect_left(_SERIES_LIMITS, u) + 1):]:
+            dacc = dacc * u + acc
+            acc = acc * u + coeff
+        return acc + 2.0 * u * dacc, s * acc
+
+    @staticmethod
+    def disk(rng, count: int):
+        """(lam, s) uniform on the half disk |s + i lam| < W_STAR, lam >= 0."""
+        r = W_STAR * np.sqrt(rng.uniform(size=count))
+        theta = rng.uniform(0.0, math.pi, size=count)
+        return zip((r * np.sin(theta)).tolist(), (r * np.cos(theta)).tolist())
+
+    def test_lambda_zero_is_the_derivative_pass(self):
+        # at lam = 0 the pass makes the derivative pass's operations in its order
+        for s in np.random.default_rng(8).uniform(-W_STAR, W_STAR, 1000).tolist():
+            assert _series_seeds(0.0, s) == self.derivative_pass(s), s
+
+    def test_continuous_where_lam_squared_underflows(self):
+        # lam^2 is normal at 1e-150, subnormal at 1e-160 and 0 at 1e-170
+        for s in (1e-3, -0.07, 0.15, 0.299):
+            for k, (a, b, c) in enumerate(zip(*(_series_seeds(lam, s)
+                                                 for lam in (1e-150, 1e-160, 1e-170)))):
+                assert abs(a - b) <= math.ulp(b) and b == c, (s, k)
+
+    def test_match_digamma_seeds(self):
+        # p_1 is a difference of two digamma real parts, each about 0.5: it is
+        # checked against their size, which carries digamma_seeds' own rounding
+        for lam, s in self.disk(np.random.default_rng(9), 2000):
+            got, want = _series_seeds(lam, s), digamma_seeds(lam, s)
+            scale = sum(abs(digamma_complex(complex(1.0 + x, -lam)).real) for x in (s, -s))
+            assert abs(got[0] - want[0]) <= 1e-15 * abs(want[0]), (lam, s)
+            assert abs(got[1] - want[1]) <= 4e-15 * scale, (lam, s)
+
+    def test_match_mpmath(self):
+        # -Im R(w)/lam and -Re R(w), R(w) = pi cot(pi w) - 1/w, at 40 digits
+        with mp.workdps(40):
+            for lam, s in self.disk(np.random.default_rng(10), 300):
+                w = mp.mpc(s, lam)
+                r = mp.pi * mp.cot(mp.pi * w) - 1 / w
+                p0, p1 = _series_seeds(lam, s)
+                assert abs(p0 + r.imag / lam) <= 1e-15 * abs(p0), (lam, s)
+                assert abs(p1 + r.real) <= 1e-15 * abs(p1), (lam, s)
 
 
 class TestPoleTerms:

@@ -21,7 +21,7 @@ from nsquad.integrator import (
     puncture_split,
 )
 from nsquad.meshrule import Mesh, punctured_sums
-from nsquad.oracle import exact_test1, finite_part_reference
+from nsquad.oracle import exact_test1, exact_test2, finite_part_reference
 from nsquad.verify import self_check
 
 D_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -229,6 +229,35 @@ class TestNearSingular:
         assert any("complex_eval" in w for w in res.warnings)
 
 
+class TestOffLatticeMesh:
+    """Meshes whose h = a/n is not a power of 2: the rounded nodes k fl(a/n)
+    sit off the lattice x_s + (m - s) h that the rule and the correction
+    assume, and the kernel must be formed on that lattice."""
+
+    X_S = -0.6112492290265548
+
+    @pytest.mark.parametrize("n, tol", [(300, 1e-11), (1000, 1e-11), (3000, 1e-11),
+                                        (10000, 1e-10)])
+    def test_finite_part_vs_oracle(self, n, tol):
+        g = GEval.analytic(np.exp)
+        h = 1.0 / n
+        rng = np.random.default_rng(n)
+        for x_s in [self.X_S] + rng.uniform(-(1.0 - 40 * h), 1.0 - 40 * h, 40).tolist():
+            res = integrate_finite_part(g, 1.0, x_s, n)
+            ref = finite_part_reference(g, 1.0, x_s)
+            assert abs(res.value - ref) <= tol * max(abs(ref), 1.0), (x_s, res.value, ref)
+            assert res.warnings == []
+
+    def test_near_singular_vs_exact(self):
+        n = 10000
+        for d in np.geomspace(1e-9, 1e-5, 9).tolist():
+            params = KernelParams(a=1.0, d=d, x_s=self.X_S)
+            ref = exact_test2(d, 1.0, self.X_S)
+            for g in (g_scaled_exp(d), GEval(real_eval=lambda x: d * math.exp(x))):
+                res = integrate_near_singular(g, params, n)
+                assert abs(res.value - ref) <= 2e-15 * max(abs(ref), 1.0), (d, res.method)
+
+
 class TestFinitePart:
     def test_constant(self):
         res = integrate_finite_part(g_one, 1.0, 0.0, 64)
@@ -316,8 +345,9 @@ class TestFinitePart:
         assert integrate_finite_part(g, 1.0, 0.0, n).warnings == []
 
     def test_pass_divides_by_c_squared_once(self):
-        # the pass holds c^2 times the kernel samples; its sum and end-error
-        # estimate are those of the kernel samples themselves
+        # the pass holds c^2 h^2 times the kernel samples, its punctured entry
+        # 0; its sum and end-error estimate are those of the kernel samples
+        # themselves
         n = 128
         x_s = 1.0 - 10.3 / n   # near an end: the estimate is far above round-off
         for c in (0.5, 2.0, 3.0):
@@ -326,7 +356,8 @@ class TestFinitePart:
                 mesh, j, _, _, f, total, est = _mesh_pass(GEval.analytic(np.exp), params, n)
                 x = mesh.nodes()
                 kernel = np.exp(x) / (d * d + c * c * (x - x_s) ** 2)
-                np.testing.assert_allclose(f, c * c * kernel, rtol=1e-15, atol=0)
+                kernel[n + j] = 0.0
+                np.testing.assert_allclose(f, (c * mesh.h) ** 2 * kernel, rtol=1e-15, atol=0)
                 want_total, want_est = punctured_sums(mesh, kernel, j)
                 assert total == pytest.approx(want_total, rel=1e-14, abs=0), (c, d)
                 assert est == pytest.approx(want_est, rel=1e-9, abs=0), (c, d)

@@ -6,13 +6,7 @@ closed-form correction, in g or in its Taylor polynomial, to the punctured
 trapezoidal rule; at d = 0 the same form gives the Hadamard finite part.
 """
 
-from .corrections import (
-    CorrectionBreakdown,
-    GEval,
-    correction_offmesh_closed,
-    correction_taylor,
-    fd_derivatives,
-)
+from .corrections import CorrectionBreakdown, GEval, correction_offmesh_closed
 from .integrator import (
     KernelParams,
     QuadResult,
@@ -20,12 +14,7 @@ from .integrator import (
     integrate_near_singular,
     puncture_split,
 )
-from .meshrule import (
-    Mesh,
-    gregory_weights,
-    plain_trapezoid,
-    punctured_trapezoid,
-)
+from .meshrule import Mesh, gregory_weights
 from .oracle import (
     ReferenceResult,
     complex_ei,
@@ -41,13 +30,17 @@ from .verify import (
     SelfCheckReport,
     bernoulli_poly,
     coeff_table,
+    correction_taylor,
     digamma,
     digamma_complex,
+    fd_derivatives,
     fk_series_oracle,
     hurwitz_zeta_nonpos,
     pks_closed,
     pks_quotients,
     pks_table,
+    plain_trapezoid,
+    punctured_trapezoid,
     self_check,
     trigamma,
     zks_table,

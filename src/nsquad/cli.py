@@ -23,9 +23,8 @@ import numpy as np
 
 from .corrections import GEval
 from .integrator import KernelParams, _correct, _mesh_pass, integrate_near_singular
-from .meshrule import plain_trapezoid
 from .oracle import exact_test1, exact_test2, reference_integral
-from .verify import CoeffParams, coeff_table
+from .verify import CoeffParams, coeff_table, plain_trapezoid
 
 CONVERGE_METHODS = ("uncorrected-punctured", "uncorrected-plain",
                     "corrected-closed", "corrected-fd6")

@@ -6,11 +6,13 @@ the near-singularity strength, and a "jump" term proportional to pi/(c d).
 Both are one closed form in G = g(x_s + i d/c).  G is exact when the smooth
 numerator g extends analytically to a complex neighborhood of x_s
 (`correction_offmesh_closed`); otherwise it is G of g's Taylor polynomial at
-x_s (`correction_taylor`), which at d = 0 is the finite-part correction.
+x_s (`_taylor_correction`), which at d = 0 is the finite-part correction.
 Every Taylor coefficient of g comes from one source, the degree-8
 interpolant on the 9 mesh samples around the puncture, in the mesh units
 b_k = g^(k)(x_s) h^k/k! that the singular series needs (`_stencil_poly`);
-one pass over them gives G, g_node and Q (`_taylor_parts`).
+one pass over them gives G, g_node and Q (`_taylor_parts`).  The checked
+public views of the stencil and of the Taylor form, `fd_derivatives` and
+`correction_taylor`, live in `verify`.
 
 With w = s + i lam, lam = d/(c h), the closed form is elementary (see
 `emcoeff`) and takes one of two forms, chosen by lam alone.  For lam >= 1
@@ -306,34 +308,6 @@ def _stencil_poly(window: Sequence[float], s: float) -> list[float]:
     return [c0, c1, c2, c3, c4, c5, c6]
 
 
-def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray:
-    """Derivatives g^(0..6)(x_s) from the 9 mesh samples nearest the puncture.
-
-    `samples` holds g at the uniform nodes centered on the puncture node
-    (which may be sampled: only the kernel is singular there, not g) and
-    `x_s` is the near-singular point relative to the stencil center,
-    |x_s| <= h/2.  They are b_k k!/h^k on the coefficients of `_stencil_poly`.
-    A non-finite x_s, an h that is not finite and positive, and samples that
-    are not 9 finite values differing by at most sys.float_info.max/128
-    raise ValueError, and so does a derivative that overflows (one that
-    underflows is 0).
-    """
-    if not (0.0 < h < math.inf and math.isfinite(x_s)):  # NaN fails both
-        raise ValueError(f"h must be finite and positive and x_s finite, "
-                         f"got h = {h!r}, x_s = {x_s!r}")
-    if abs(x_s) > 0.5 * h + 1e-12 * h:
-        raise ValueError("x_s must lie within half a mesh step of the stencil center")
-    derivs = [b * math.factorial(k) for k, b in enumerate(_stencil_poly(samples, x_s / h))]
-    # 1/h^k by repeated division: an overflow is inf and an underflow 0,
-    # where h ** k warns
-    for k in range(1, len(derivs)):
-        for j in range(k, len(derivs)):
-            derivs[j] /= h
-    if not all(map(math.isfinite, derivs)):
-        raise ValueError(f"a derivative overflows at h = {h!r}")
-    return np.array(derivs)
-
-
 def _taylor_parts(b: Sequence[float], s: float,
                   lam: float) -> tuple[float, float, float, float]:
     """(Re G, Im G/lam, g_node, Q) of P(t) = sum_k b[k] t^k: G = P(i lam), g_node = P(-s).
@@ -360,13 +334,15 @@ def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: f
     """E from Re G, Im G/lam, g_node and Q: the pole form for lam >= 1, else
     -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
     the jump omitted at d = 0.  ValueError where lam^2 overflows and d^2
-    does not."""
+    does not, and where the seeds' form's c^2 h underflows to 0."""
     lam = d / (c * h)
     if math.isinf(lam * lam) and not math.isinf(d * d):
         raise ValueError(f"lam = d/(c h) = {lam:.3e} is out of range: lam^2 overflows "
                          f"(d = {d!r}, c = {c!r}, h = {h!r})")
     if lam >= 1.0:
         return _pole_form(re_g, im_g_lam, g_node, c, d, h, s, terms)
+    if c * c * h == 0.0:
+        raise ValueError(f"c^2 h underflows to 0 (c = {c!r}, h = {h!r})")
     p0, p1 = pks_seeds(lam, s)
     singular = float(-(p0 * re_g + p1 * im_g_lam + quotient) / (c * c * h))
     jump = float(math.pi / (c * d) * re_g) if d > 0.0 else 0.0
@@ -405,12 +381,19 @@ def _check_kernel_scales(c: float, d: float) -> None:
         raise ValueError(f"c = {c!r} is out of range: c^2 or 1/c^2 overflows")
 
 
+def _check_mesh_scale(c: float, h: float) -> None:
+    if c * h == 0.0:   # the denominator of lam = d/(c h)
+        raise ValueError(f"c h underflows to 0 (c = {c!r}, h = {h!r}): lam is out of range")
+
+
 def _check_scales(c: float, d: float, h: float) -> None:
-    """c and h finite and positive, d finite (its sign is each caller's rule),
-    for d > 0 a nonzero lam = d/(c h), and `_check_kernel_scales`.  A d whose
-    square overflows passes: no correction forms d^2."""
+    """c and h finite and positive, c h nonzero, d finite (its sign is each
+    caller's rule), for d > 0 a nonzero lam = d/(c h), and
+    `_check_kernel_scales`.  A d whose square overflows passes: no correction
+    forms d^2."""
     if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
         raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
+    _check_mesh_scale(c, h)
     if not math.isfinite(d):
         raise ValueError(f"d must be finite, got {d!r}")
     if d > 0.0 and d / (c * h) == 0.0:
@@ -472,36 +455,3 @@ def _taylor_correction(b: Sequence[float], c: float, d: float, h: float,
                        s: float) -> CorrectionBreakdown:
     """The closed form on G of P(t) = sum_k b[k] t^k, t = (x - x_s)/h, unchecked."""
     return _assemble(*_taylor_parts(b, s, d / (c * h)), c, d, h, s, len(b) - 1)
-
-
-def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
-                      s: float) -> CorrectionBreakdown:
-    """The closed form on g's Taylor polynomial a_k = g^(k)(x_s)/k!, k = 0..K, any d >= 0.
-
-    G, g_node and Q are those of the polynomial in mesh units,
-    P(t) = sum_k a_k h^k t^k, t = (x - x_s)/h (`_taylor_parts`), put into the
-    pole form (lam >= 1) or the seeds' form (lam < 1) of
-    `correction_offmesh_closed`.  In the pole form |q| = exp(-2 pi lam)
-    damps the polynomial's error in G; in the seeds' form
-    Q = sum_{k>=2} q_k a_k h^k regroups the singular series
-    -sum_k p_{k,s} a_k h^(k-1)/c^2 by p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s}.
-    At d = 0 the jump is omitted: the finite-part correction for
-    1/(c^2 (x - x_s)^2).  ValueError unless `a` is a non-empty 1-D sequence
-    of finite values with finite a_k h^k.
-    """
-    _check_scales(c, d, h)
-    if d < 0.0:
-        raise ValueError("correction_taylor requires d >= 0")
-    _check_offset(s)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("a must be a non-empty 1-D sequence of Taylor coefficients")
-    b = a.tolist()
-    # b_k = a_k h^k by repeated multiplication: an overflow is inf, where
-    # h ** k raises, and a zero a_k stays 0 where h^k alone overflows
-    for k in range(1, len(b)):
-        for j in range(k, len(b)):
-            b[j] *= h
-    if not all(map(math.isfinite, b)):
-        raise ValueError("the Taylor coefficients a_k and a_k h^k must be finite")
-    return _taylor_correction(b, c, d, h, s)

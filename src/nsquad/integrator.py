@@ -33,6 +33,7 @@ from .corrections import (
     CorrectionBreakdown,
     GEval,
     _check_kernel_scales,
+    _check_mesh_scale,
     _stencil_poly,
     _taylor_correction,
     correction_offmesh_closed,
@@ -128,6 +129,7 @@ def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
     if not abs(params.x_s) < params.a - 10.0 * h:
         raise ValueError("x_s too close to an endpoint for the correction "
                          "stencils (need |x_s| < a - 10h)")
+    _check_mesh_scale(params.c, h)
     j, s = puncture_split(params.x_s, h)
     lam, gvals, i = params.d / (params.c * h), g.mesh_samples(mesh), n + j
     # m - s = k - (j + s), k the cached nodes of the unit-step mesh and
@@ -172,6 +174,10 @@ def _correct(g: GEval, params: KernelParams, sampled: tuple,
         used = "finite-part" if d == 0.0 else "fd-series"
 
     value = uncorrected + breakdown.total
+    if not math.isfinite(value):
+        raise ValueError(f"the result is not finite: the sum {uncorrected!r} plus the "
+                         f"correction {breakdown.total!r} leaves the float range at "
+                         f"a = {params.a!r}, c = {c!r}, d = {d!r}, n = {mesh.n}")
     if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
         warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
     summary = MeshSummary(params.a, mesh.n, h, j, s)

@@ -4,10 +4,11 @@ The rule carries only *endpoint* corrections, Gregory weights of order
 EDGE_ORDER = 8 at both ends; every other node has weight 1.  So the
 punctured sum is the plain sum of the samples, the punctured entry zeroed,
 plus the product of a constant (3, 22) block with the 11 samples at each
-end (`punctured_sums`): row 0 adds the Gregory-8 adjustments (the
+end (`_rule_sums`, the one sum): row 0 adds the Gregory-8 adjustments (the
 trapezoid's -1/2 at the end nodes included), rows 1 and 2 the order-10
 minus order-8 weights at each end, whose results are the end-error
-estimate.  `punctured_trapezoid` reads that sum.
+estimate.  The checked public views of this sum and the plain trapezoidal
+rule live in `verify`.
 
 The nodes are one cached read-only array per mesh (`Mesh.nodes`); a
 `GEval` samples g there once and keeps the samples.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .specfun import bernoulli_fraction
 
-EDGE_ORDER = 8        # the Gregory order of punctured_trapezoid
+EDGE_ORDER = 8        # the Gregory order of the punctured sum
 _ESTIMATE_ORDER = 10  # the order the end-error estimate compares it with
 GREGORY_ORDERS = (EDGE_ORDER, _ESTIMATE_ORDER)   # the orders of `gregory_weights`
 _END_NODES = _ESTIMATE_ORDER + 1   # the nodes at each end that carry end weights
@@ -125,33 +126,13 @@ def _end_block() -> np.ndarray:
     return block
 
 
-def punctured_sums(mesh: Mesh, samples: np.ndarray, puncture: int | None) -> tuple[float, float]:
-    """The punctured Gregory-8 sum of `samples` and its end-error estimate.
-
-    v is a copy of the samples with the punctured entry (if any) set to 0;
-    the sum is h (sum(v) + the end adjustments of `_end_block`), checked
-    once, and the estimate h (|gap . v_left| + |gap . v_right|), gap =
-    w_10 - w_8 on the 11 nodes at each end: how far the rule moves with
-    Gregory weights of order 10 at the ends.  The puncture is not validated
-    here.  Fewer than 11 samples, or a non-finite one at a summed node,
-    raise ValueError; an infinite one within 11 nodes of an end meets the
-    other end's zero weights first, so numpy warns of an invalid value
-    before that, unless the caller silences it as `punctured_trapezoid` does.
-    """
-    v = np.array(samples, dtype=float)
-    if v.shape != (2 * mesh.n + 1,):
-        raise ValueError("sample count does not match the mesh")
-    if len(v) < _END_NODES:
-        raise ValueError(f"mesh too small for the end-error estimate "
-                         f"(need 2n+1 >= {_END_NODES} nodes)")
-    if puncture is not None:
-        v[mesh.n + puncture] = 0.0
-    return _rule_sums(mesh.h, v)
-
-
 def _rule_sums(h: float, v: np.ndarray) -> tuple[float, float]:
-    """`punctured_sums` on step h of the 2n+1 >= 11 floats `v`, the punctured
-    entry already 0, read in place."""
+    """The punctured Gregory-8 sum on step h of the 2n+1 >= 11 floats `v` (the
+    punctured entry 0, read in place), h (sum(v) + `_end_block`'s end
+    adjustments), and its end-error estimate h (|gap . v_left| + |gap .
+    v_right|), gap = w_10 - w_8 on the 11 nodes at each end.  A non-finite
+    summed value raises ValueError (after numpy's invalid-value warning,
+    unless silenced, for an infinite one within 11 nodes of an end)."""
     ends = v[_END_INDEX]
     adjust, left, right = _end_block().dot(ends).tolist()
     total = _checked(h * (float(v.sum()) + adjust), v)
@@ -160,42 +141,3 @@ def _rule_sums(h: float, v: np.ndarray) -> tuple[float, float]:
         # the float maximum overflowed to inf - inf: none does on samples/16
         total = h * (float(v.sum()) + 16.0 * float(_end_block()[0].dot(ends / 16.0)))
     return total, h * (abs(left) + abs(right))
-
-
-def punctured_trapezoid(mesh: Mesh, samples: np.ndarray, puncture: int | None = None) -> float:
-    """Trapezoidal rule with Gregory-8 edge corrections, skipping one interior node.
-
-    Parameters
-    ----------
-    samples : array of f at all 2n+1 mesh nodes (the punctured entry may be
-        non-finite; it is never read).
-    puncture : mesh index k in (-n, n) to omit, or None for the ordinary rule.
-
-    The sum is h times the sum of f, its punctured entry zeroed, plus the
-    Gregory-8 end adjustments (`punctured_sums`); the ordinary rule is the
-    rule punctured at 0 plus h f_0, identically.
-    """
-    n = mesh.n
-    if puncture is not None:
-        if abs(puncture) >= n:
-            raise ValueError("puncture must be an interior node")
-        if abs(puncture) > n - (EDGE_ORDER + 1):
-            raise ValueError("puncture overlaps the edge-correction stencil")
-    if n < EDGE_ORDER + 1:
-        raise ValueError(f"mesh too small for gregory order {EDGE_ORDER} "
-                         f"(need n >= {EDGE_ORDER + 1})")
-    with np.errstate(invalid="ignore"):
-        total = punctured_sums(mesh, samples, 0 if puncture is None else puncture)[0]
-    if puncture is None:
-        samples = np.asarray(samples, dtype=float)
-        total = _checked(total + mesh.h * float(samples[n]), samples)
-    return total
-
-
-def plain_trapezoid(mesh: Mesh, samples: np.ndarray) -> float:
-    """Classical trapezoidal rule: all nodes, half end weights, no corrections."""
-    samples = np.asarray(samples, dtype=float)
-    if len(samples) != 2 * mesh.n + 1:
-        raise ValueError("sample count does not match the mesh")
-    ends = 0.5 * float(samples[0]) + 0.5 * float(samples[-1])
-    return _checked(mesh.h * (float(np.sum(samples)) - ends), samples)

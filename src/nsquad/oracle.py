@@ -263,38 +263,45 @@ def finite_part_reference(g, a: float, x_s: float, tol: float = 1e-12) -> float:
         f.p. central = -2 g(x_s)/delta + sum_{k>=2 even} a_k 2 delta^(k-1)/(k-1)
 
     with a_k = g^(k)(x_s)/k!.  No subtracted difference is ever formed, so
-    there is no cancellation amplification near x_s.
+    there is no cancellation amplification near x_s.  An analytic g's a_k
+    come from a contour of radius r, sized by `GEval.radius`; the central
+    term is computed at r and at r/2, and a gap above 1e-12 max(|central|, 1)
+    (a singularity of g inside the contour) raises ValueError.
     """
     if not abs(x_s) < a:
         raise ValueError("x_s must lie inside (-a, a)")
     g_obj = g if isinstance(g, GEval) else GEval(real_eval=g)
     delta = min(1e-2 * max(1.0, a), 0.125 * (a - abs(x_s)))
     kmax = 12
+
+    def central_term(coeffs: np.ndarray) -> float:
+        term = -2.0 * coeffs[0] / delta
+        for k in range(2, kmax + 1, 2):
+            term += coeffs[k] * 2.0 * delta ** (k - 1) / (k - 1)
+        return term
+
     if g_obj.complex_eval is not None:
         r = min(0.4 * max(1.0, a), 0.8 * g_obj.radius)
         r = max(r, 4.0 * delta)
-        coeffs = _taylor_coeffs_ref(g_obj.complex_eval, x_s, kmax + 1, r)
+        central, half = (central_term(_taylor_coeffs_ref(g_obj.complex_eval, x_s, kmax + 1,
+                                                         radius)) for radius in (r, 0.5 * r))
+        if abs(central - half) > 1e-12 * max(abs(central), 1.0):
+            raise ValueError(f"contours of radius {r:g} and {0.5 * r:g} around x_s = {x_s!r} "
+                             f"disagree ({central:.17g} against {half:.17g}): g is not analytic "
+                             "within them; give the GEval a smaller radius")
     else:
-        coeffs = _polyfit_coeffs(g_obj.real_eval, x_s, kmax + 1,
-                                 min(0.1 * max(1.0, a), 0.5 * (a - abs(x_s))))
-    central = -2.0 * coeffs[0] / delta
-    for k in range(2, kmax + 1, 2):
-        central += coeffs[k] * 2.0 * delta ** (k - 1) / (k - 1)
+        central = central_term(_polyfit_coeffs(g_obj.real_eval, x_s, kmax + 1,
+                                               min(0.1 * max(1.0, a), 0.5 * (a - abs(x_s)))))
 
     def f(x: float) -> float:
         dx = x - x_s
         return g_obj.real_eval(x) / (dx * dx)
 
-    pts_left = {-a}
-    w = delta
-    while x_s - w > -a:
-        pts_left.add(x_s - w)
-        w *= 4.0
-    left = _adaptive(f, sorted(pts_left), 0.5 * tol, floor_relief=True)
-    pts_right = {a}
-    w = delta
-    while x_s + w < a:
-        pts_right.add(x_s + w)
-        w *= 4.0
-    right = _adaptive(f, sorted(pts_right), 0.5 * tol, floor_relief=True)
-    return central + left.value + right.value
+    parts = [central]   # then the left side's integral and the right side's
+    for side in (-1.0, 1.0):
+        points, w = {side * a}, delta
+        while side * x_s + w < a:
+            points.add(x_s + side * w)
+            w *= 4.0
+        parts.append(_adaptive(f, sorted(points), 0.5 * tol, floor_relief=True).value)
+    return sum(parts)

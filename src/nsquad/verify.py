@@ -1,4 +1,5 @@
-"""Independent cross-checks of the correction coefficients.
+"""Independent cross-checks of the correction coefficients, and the public
+reference rules and views that integration never calls.
 
 Integration needs only the elementary seeds of `emcoeff`; the rational
 quotients q_k of p_{k,s} = q_k + (-lam^2)^m p_{k mod 2,s} reach it only
@@ -12,8 +13,11 @@ an mpmath series oracle.  `pks_closed`, the seeds plus the quotients of
 `pks_quotients`, is the runtime form it checks.  The special functions
 these routes read (digamma, trigamma, the Bernoulli polynomials and the
 Hurwitz zeta values at nonpositive orders) live here too, on the exact
-Bernoulli table of `specfun`.  No module of the integration path imports
-this one.
+Bernoulli table of `specfun`.  So do `punctured_trapezoid`,
+`plain_trapezoid`, `fd_derivatives` and `correction_taylor`, each a checked
+view over the core routine that integration calls (`meshrule._rule_sums`,
+`corrections._stencil_poly`, `corrections._taylor_correction`).  No module
+of the integration path imports this one.
 """
 
 from __future__ import annotations
@@ -23,12 +27,20 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
+from .corrections import (
+    CorrectionBreakdown,
+    _check_offset,
+    _check_scales,
+    _stencil_poly,
+    _taylor_correction,
+)
 from .emcoeff import pks_seeds
 from .integrator import KernelParams, puncture_split
-from .meshrule import Mesh
+from .meshrule import EDGE_ORDER, Mesh, _checked, _rule_sums
 from .specfun import _bernoulli_fractions
 
 K_MAX_DEFAULT = 12
@@ -390,3 +402,93 @@ def self_check(params: KernelParams, n: int, k_max: int = K_MAX_DEFAULT) -> Self
         p0=float(table.pks[0]), p1=float(table.pks[1]),
         warnings=list(table.warnings),
     )
+
+
+def punctured_trapezoid(mesh: Mesh, samples: Sequence[float],
+                        puncture: int | None = None) -> float:
+    """Trapezoidal rule with Gregory-8 edge corrections on f at the 2n+1 nodes,
+    skipping node `puncture` (never read) or, for None, none: the checked view
+    of the one sum, `meshrule._rule_sums`, on a copy with that entry zeroed.
+    ValueError for n < 9, a puncture outside (-n, n) or on the 9 weighted
+    nodes at an end, a wrong sample count and a non-finite summed sample."""
+    n = mesh.n
+    if n < EDGE_ORDER + 1:
+        raise ValueError(f"mesh too small for gregory order {EDGE_ORDER} "
+                         f"(need n >= {EDGE_ORDER + 1})")
+    if puncture is not None:
+        if abs(puncture) >= n:
+            raise ValueError("puncture must be an interior node")
+        if abs(puncture) > n - (EDGE_ORDER + 1):
+            raise ValueError("puncture overlaps the edge-correction stencil")
+    samples = np.asarray(samples, dtype=float)
+    if samples.shape != (2 * n + 1,):
+        raise ValueError("sample count does not match the mesh")
+    v = samples.copy()
+    v[n + (puncture or 0)] = 0.0
+    with np.errstate(invalid="ignore"):
+        total = _rule_sums(mesh.h, v)[0]
+    if puncture is None:
+        total = _checked(total + mesh.h * float(samples[n]), samples)
+    return total
+
+
+def plain_trapezoid(mesh: Mesh, samples: Sequence[float]) -> float:
+    """Classical trapezoidal rule: all nodes, half end weights, no corrections."""
+    samples = np.asarray(samples, dtype=float)
+    if len(samples) != 2 * mesh.n + 1:
+        raise ValueError("sample count does not match the mesh")
+    ends = 0.5 * float(samples[0]) + 0.5 * float(samples[-1])
+    return _checked(mesh.h * (float(np.sum(samples)) - ends), samples)
+
+
+def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray:
+    """g^(0..6)(x_s) from g at the 9 nodes centered on the puncture node, x_s
+    relative to the center, |x_s| <= h/2: b_k k!/h^k on the coefficients of
+    `corrections._stencil_poly`, integration's Taylor source.  ValueError
+    for a non-finite x_s, an h not finite and positive, samples that are not
+    9 finite values differing by at most sys.float_info.max/128, and a
+    derivative that overflows (one that underflows is 0)."""
+    if not (0.0 < h < math.inf and math.isfinite(x_s)):  # NaN fails both
+        raise ValueError(f"h must be finite and positive and x_s finite, "
+                         f"got h = {h!r}, x_s = {x_s!r}")
+    if abs(x_s) > 0.5 * h + 1e-12 * h:
+        raise ValueError("x_s must lie within half a mesh step of the stencil center")
+    derivs = [b * math.factorial(k) for k, b in enumerate(_stencil_poly(samples, x_s / h))]
+    # 1/h^k by repeated division: an overflow is inf and an underflow 0,
+    # where h ** k warns
+    for k in range(1, len(derivs)):
+        for j in range(k, len(derivs)):
+            derivs[j] /= h
+    if not all(map(math.isfinite, derivs)):
+        raise ValueError(f"a derivative overflows at h = {h!r}")
+    return np.array(derivs)
+
+
+def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
+                      s: float) -> CorrectionBreakdown:
+    """The closed form on g's Taylor polynomial a_k = g^(k)(x_s)/k!, k = 0..K, any d >= 0.
+
+    The checked view of `corrections._taylor_correction`, which integration
+    calls on the stencil's b_k = a_k h^k: the pole form (lam >= 1) or the
+    seeds' form (lam < 1) on G, g_node and Q of P(t) = sum_k b_k t^k,
+    t = (x - x_s)/h; at d = 0, with no jump, the finite-part correction for
+    1/(c^2 (x - x_s)^2).  ValueError for the scales `_check_scales` rejects,
+    an s outside [-1/2, 1/2], and unless `a` is a non-empty 1-D sequence of
+    finite values with finite a_k h^k.
+    """
+    _check_scales(c, d, h)
+    if d < 0.0:
+        raise ValueError("correction_taylor requires d >= 0")
+    _check_offset(s)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("a must be a non-empty 1-D sequence of Taylor coefficients")
+    b = a.tolist()
+    # b_k = a_k h^k by repeated multiplication: an overflow is inf, where
+    # h ** k raises, and a zero a_k stays 0 where h^k alone overflows
+    for k in range(1, len(b)):
+        for j in range(k, len(b)):
+            b[j] *= h
+    if not all(map(math.isfinite, b)):
+        raise ValueError("the Taylor coefficients a_k and a_k h^k must be finite")
+    return _taylor_correction(b, c, d, h, s)

@@ -17,7 +17,7 @@ from nsquad.integrator import (
     integrate_finite_part,
     integrate_near_singular,
 )
-from nsquad.meshrule import Mesh, plain_trapezoid
+from nsquad.meshrule import Mesh
 from nsquad.oracle import exact_test1, exact_test2, finite_part_reference
 from nsquad.verify import (
     CoeffParams,
@@ -27,6 +27,7 @@ from nsquad.verify import (
     hurwitz_zeta_nonpos,
     pks_closed,
     pks_table,
+    plain_trapezoid,
     trigamma,
 )
 from test_corrections import closed_form

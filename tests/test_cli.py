@@ -15,8 +15,9 @@ from nsquad.cli import (
 )
 from nsquad.corrections import GEval
 from nsquad.integrator import KernelParams, integrate_near_singular
-from nsquad.meshrule import Mesh, plain_trapezoid
+from nsquad.meshrule import Mesh
 from nsquad.oracle import exact_test1, exact_test2
+from nsquad.verify import plain_trapezoid
 
 
 class TestParsing:
@@ -354,6 +355,11 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["jump_part"] == 0.0
         assert payload["method"] == "finite-part"
+
+    def test_eval_underflowing_scales_is_an_error(self, capsys):
+        # c h = 1e-154 * 1e-300/64 underflows to 0: a message, not a traceback
+        assert main(["eval", "--a", "1e-300", "--c", "1e-154", "--d", "1"]) == 1
+        assert capsys.readouterr().err.startswith("nsquad: error: c h underflows to 0")
 
     def test_eval_bad_expression(self, capsys):
         assert main(["eval", "--integrand", "custom", "--g-expr", "import os",

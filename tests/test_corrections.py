@@ -10,12 +10,17 @@ from nsquad.corrections import (
     _stencil_poly,
     _taylor_parts,
     correction_offmesh_closed,
-    correction_taylor,
-    fd_derivatives,
 )
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
 from nsquad.oracle import _taylor_coeffs_ref, finite_part_reference, reference_integral
-from nsquad.verify import CoeffParams, pks_quotients, trigamma, zks_table
+from nsquad.verify import (
+    CoeffParams,
+    correction_taylor,
+    fd_derivatives,
+    pks_quotients,
+    trigamma,
+    zks_table,
+)
 
 ZETA2 = math.pi ** 2 / 6
 

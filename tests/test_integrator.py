@@ -20,7 +20,7 @@ from nsquad.integrator import (
     integrate_near_singular,
     puncture_split,
 )
-from nsquad.meshrule import Mesh, punctured_sums
+from nsquad.meshrule import Mesh, _rule_sums
 from nsquad.oracle import exact_test1, exact_test2, finite_part_reference
 from nsquad.verify import self_check
 
@@ -358,7 +358,7 @@ class TestFinitePart:
                 kernel = np.exp(x) / (d * d + c * c * (x - x_s) ** 2)
                 kernel[n + j] = 0.0
                 np.testing.assert_allclose(f, (c * mesh.h) ** 2 * kernel, rtol=1e-15, atol=0)
-                want_total, want_est = punctured_sums(mesh, kernel, j)
+                want_total, want_est = _rule_sums(mesh.h, kernel)
                 assert total == pytest.approx(want_total, rel=1e-14, abs=0), (c, d)
                 assert est == pytest.approx(want_est, rel=1e-9, abs=0), (c, d)
 
@@ -859,6 +859,22 @@ class TestKernelParams:
     def test_rejects_nonfinite_and_overflow(self, field, kwargs):
         with pytest.raises(ValueError, match=rf"^{field} "):
             KernelParams(**kwargs)
+
+
+class TestExtremeScales:
+    # scales KernelParams accepts whose c h, c^2 h or result leaves the float
+    # range raise a precise ValueError, not ZeroDivisionError or a silent NaN
+    @pytest.mark.parametrize("method", ["closed-form", "fd-series"])
+    @pytest.mark.parametrize("a, c, d, match", [
+        (1e-300, 1e-154, 1.0, r"c h underflows to 0"),
+        (1e-300, 1e-154, 0.0, r"c h underflows to 0"),
+        (1e-300, 1e-20, 0.0, r"c\^2 h underflows to 0"),
+        (1e-275, 1e-20, 0.0, r"result is not finite"),   # inf + (-inf)
+    ], ids=("c-h-d-positive", "c-h-d-zero", "c2-h", "inf-minus-inf"))
+    def test_underflow_and_overflow_raise(self, a, c, d, match, method):
+        params = KernelParams(a=a, c=c, d=d, x_s=0.1 * a)
+        with pytest.raises(ValueError, match=match):
+            integrate_near_singular(GEval.analytic(np.exp), params, 64, method)
 
 
 class TestInputValidation:

@@ -5,17 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nsquad.meshrule import (
-    GREGORY_ORDERS,
-    Mesh,
-    gregory_weights,
-    plain_trapezoid,
-    punctured_sums,
-    punctured_trapezoid,
-)
-from nsquad.meshrule import _end_block
+from nsquad.meshrule import GREGORY_ORDERS, Mesh, _end_block, _rule_sums, gregory_weights
+from nsquad.verify import plain_trapezoid, punctured_trapezoid
 
 E_MINUS_INV_E = math.e - 1.0 / math.e
+
+
+def rule_sums(mesh: Mesh, samples: np.ndarray, puncture: int | None) -> tuple[float, float]:
+    """`_rule_sums` on a copy of `samples`, the punctured entry (if any) zeroed."""
+    v = np.array(samples, dtype=float)
+    if puncture is not None:
+        v[mesh.n + puncture] = 0.0
+    return _rule_sums(mesh.h, v)
 
 
 def monomial_exact(deg: float, a: float = 1.0) -> float:
@@ -217,7 +218,7 @@ class TestPuncturedSums:
         samples = np.random.default_rng(13).normal(size=65)
         before = samples.tobytes()
         for puncture in (0, 5, -23):
-            total = punctured_sums(mesh, samples, puncture)[0]
+            total = rule_sums(mesh, samples, puncture)[0]
             assert total == punctured_trapezoid(mesh, samples, puncture=puncture)
         assert samples.tobytes() == before
 
@@ -233,25 +234,25 @@ class TestPuncturedSums:
                 punctured_trapezoid(mesh, samples, puncture=2)
             with pytest.raises(ValueError, match="non-finite sample at a summed node"):
                 with np.errstate(invalid="ignore"):
-                    punctured_sums(mesh, samples, 2)
+                    rule_sums(mesh, samples, 2)
         # an interior node meets no weight of 0: no warning, still the error
         samples = np.ones(33)
         samples[20] = math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite sample at a summed node"):
-                punctured_sums(mesh, samples, 2)
+                rule_sums(mesh, samples, 2)
         samples[20] = 1.0
         samples[18] = math.inf   # the puncture
-        assert math.isfinite(punctured_sums(mesh, samples, 2)[0])
+        assert math.isfinite(rule_sums(mesh, samples, 2)[0])
 
     def test_sample_count_checked(self):
         with pytest.raises(ValueError, match="sample count"):
-            punctured_sums(Mesh(1.0, 16), np.ones(32), 0)
-        # fewer nodes than one end's 11 weights
+            punctured_trapezoid(Mesh(1.0, 16), np.ones(32), 0)
+        # fewer nodes than the order-8 ends, and one end's 11 weights, need
         for n in (1, 4):
             with pytest.raises(ValueError, match="mesh too small"):
-                punctured_sums(Mesh(1.0, n), np.ones(2 * n + 1), 0)
+                punctured_trapezoid(Mesh(1.0, n), np.ones(2 * n + 1), 0)
 
 
 class TestPuncturedTrapezoid:
@@ -357,11 +358,11 @@ class TestPuncturedTrapezoid:
         for n in (64, 128):
             mesh = Mesh(1.0, n)
             x = mesh.nodes()
-            assert punctured_sums(mesh, x ** 8, None)[1] <= 1e-15
+            assert rule_sums(mesh, x ** 8, None)[1] <= 1e-15
             for b in (1.2, 1.5):  # a pole b - 1 beyond the right end
                 f = 1.0 / (x - b) ** 2
                 err = abs(punctured_trapezoid(mesh, f) - (1.0 / (b - 1.0) - 1.0 / (b + 1.0)))
-                assert err / 5.0 <= punctured_sums(mesh, f, None)[1] <= 5.0 * err, (n, b)
+                assert err / 5.0 <= rule_sums(mesh, f, None)[1] <= 5.0 * err, (n, b)
 
 
     def test_end_error_estimate_with_puncture_in_an_end_window(self):
@@ -372,12 +373,12 @@ class TestPuncturedTrapezoid:
         for puncture in (-6, -8, -16, 6, 8, 16):  # indices 10, 8, 0 from either end
             zeroed = samples.copy()
             zeroed[mesh.n + puncture] = 0.0
-            got = punctured_sums(mesh, samples, puncture)[1]
-            assert got == punctured_sums(mesh, zeroed, None)[1], puncture
-            assert got != punctured_sums(mesh, samples, None)[1], puncture
+            got = rule_sums(mesh, samples, puncture)[1]
+            assert got == rule_sums(mesh, zeroed, None)[1], puncture
+            assert got != rule_sums(mesh, samples, None)[1], puncture
             assert samples.tobytes() == before
         # a puncture outside both windows changes nothing
-        assert punctured_sums(mesh, samples, 5)[1] == punctured_sums(mesh, samples, None)[1]
+        assert rule_sums(mesh, samples, 5)[1] == rule_sums(mesh, samples, None)[1]
 
 
 class TestPlainTrapezoid:

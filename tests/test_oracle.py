@@ -146,6 +146,17 @@ class TestFinitePartReference:
         b = finite_part_reference(g, 1.0, x_s, tol=1e-13)
         assert abs(a - b) <= 1e-12
 
+    def test_contour_enclosing_a_pole_raises(self):
+        # g = 1/(x^2 + 0.04) has poles at +/-0.2i: the default contour (r = 0.4)
+        # encloses them, and its r/2 twin disagrees; a 40-digit value of the
+        # finite part (Gauss-Legendre on the Taylor-subtracted integrand) is
+        # met with a contour inside the poles
+        f = lambda z: 1.0 / (z * z + 0.04)
+        with pytest.raises(ValueError, match="contours of radius 0.4 and 0.2"):
+            finite_part_reference(GEval.analytic(f), 1.0, 0.1)
+        got = finite_part_reference(GEval.analytic(f, radius=0.05), 1.0, 0.1)
+        assert abs(got - -189.15847680047021) <= 1e-12 * 189.16
+
     def test_real_only_callable(self):
         got = finite_part_reference(lambda x: math.exp(x), 1.0, 0.0)
         ref = finite_part_reference(GEval.analytic(np.exp), 1.0, 0.0)

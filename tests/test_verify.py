@@ -83,3 +83,56 @@ def test_runtime_core_has_no_quotient_tables():
         assert not (defined | imported_names(name)) & gone, name
     assert "pks_quotients" in nsquad.__all__
     assert nsquad.pks_quotients.__module__ == "nsquad.verify"
+
+
+# the public entry points of the core that no core module calls
+CORE_ENTRY_POINTS = {"integrate_finite_part", "bernoulli_number"}
+# public views over core routines, checked, that integration never calls
+MOVED_VIEWS = ("fd_derivatives", "correction_taylor", "punctured_trapezoid", "plain_trapezoid")
+# nsquad.__all__, the same 36 names wherever they are defined
+PUBLIC_NAMES = (
+    "Mesh", "gregory_weights", "punctured_trapezoid", "plain_trapezoid",
+    "CoeffParams", "CoeffTable", "coeff_table", "zks_table",
+    "pks_table", "pks_closed", "pks_quotients", "fk_series_oracle",
+    "GEval", "CorrectionBreakdown",
+    "correction_offmesh_closed", "correction_taylor", "fd_derivatives",
+    "KernelParams", "QuadResult", "SelfCheckReport",
+    "integrate_near_singular", "integrate_finite_part", "self_check",
+    "puncture_split",
+    "ReferenceResult", "reference_integral", "exact_test1", "exact_test2",
+    "complex_ei", "finite_part_reference",
+    "bernoulli_number", "bernoulli_poly", "digamma", "digamma_complex",
+    "trigamma", "hurwitz_zeta_nonpos",
+)
+
+
+def top_level_names(name: str) -> set[str]:
+    """The functions, classes and constants module `name` defines at top level."""
+    names = set()
+    for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_runtime_core_is_the_integration_path():
+    # every name a core module defines is read by some core module (a load
+    # or an attribute, not its definition or an import), but for the
+    # entry points
+    read = set()
+    for name in RUNTIME_CORE:
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {(name, defined) for name in RUNTIME_CORE
+              for defined in top_level_names(name) - read - CORE_ENTRY_POINTS}
+    assert not unread
+    for name in MOVED_VIEWS:
+        assert getattr(nsquad, name).__module__ == "nsquad.verify", name
+        assert not any(name in top_level_names(core) for core in RUNTIME_CORE), name
+    assert sorted(nsquad.__all__) == sorted(PUBLIC_NAMES)

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nsquad.corrections import GEval, correction_offmesh_closed, correction_taylor
+from nsquad.corrections import GEval, correction_offmesh_closed
 from nsquad.integrator import KernelParams, integrate_near_singular
 from nsquad.oracle import exact_test2
+from nsquad.verify import correction_taylor
 
 REL_TOL = 1e-11
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -93,6 +94,19 @@ def test_lam_squared_overflow_raises():
     d = 1e-150 * h * 1e154
     br = correction_taylor([1.0], 1e-150, d, h, 0.1)
     assert br.total == pytest.approx(h / (d * d), rel=1e-14)
+
+
+def test_c_h_underflow_raises():
+    # c h = 1e-456 underflows to 0: no lam = d/(c h) is formed, at any d
+    for d in (1.0, 0.0):
+        with pytest.raises(ValueError, match="c h underflows to 0"):
+            correction_taylor([1.0], 1e-154, d, 1e-302, 0.1)
+    with pytest.raises(ValueError, match="c h underflows to 0"):
+        correction_offmesh_closed(GEval.analytic(np.exp), 1e-154, 1.0, 1e-302, 0.1,
+                                  0.0, np.ones(9))
+    # c h is normal but the seeds' form's c^2 h underflows
+    with pytest.raises(ValueError, match="c\\^2 h underflows to 0"):
+        correction_taylor([1.0], 1e-100, 0.0, 1e-200, 0.1)
 
 
 def test_put_back_survives_overflowing_squares():

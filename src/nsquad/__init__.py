@@ -6,6 +6,8 @@ closed-form correction, in g or in its Taylor polynomial, to the punctured
 trapezoidal rule; at d = 0 the same form gives the Hadamard finite part.
 """
 
+import importlib
+
 from .corrections import CorrectionBreakdown, GEval, correction_offmesh_closed
 from .integrator import (
     KernelParams,
@@ -15,36 +17,37 @@ from .integrator import (
     puncture_split,
 )
 from .meshrule import Mesh, gregory_weights
-from .oracle import (
-    ReferenceResult,
-    complex_ei,
-    exact_test1,
-    exact_test2,
-    finite_part_reference,
-    reference_integral,
-)
 from .specfun import bernoulli_number
-from .verify import (
-    CoeffParams,
-    CoeffTable,
-    SelfCheckReport,
-    bernoulli_poly,
-    coeff_table,
-    correction_taylor,
-    digamma,
-    digamma_complex,
-    fd_derivatives,
-    fk_series_oracle,
-    hurwitz_zeta_nonpos,
-    pks_closed,
-    pks_quotients,
-    pks_table,
-    plain_trapezoid,
-    punctured_trapezoid,
-    self_check,
-    trigamma,
-    zks_table,
-)
+
+# The oracle and the cross-checks, which integration never reads, load on
+# first access to one of their names (PEP 562), so `import nsquad` costs
+# only the integration core.
+_LAZY_MODULES = ("oracle", "verify")
+_LAZY = {
+    **dict.fromkeys(("ReferenceResult", "complex_ei", "exact_test1", "exact_test2",
+                     "finite_part_reference", "reference_integral"), "oracle"),
+    **dict.fromkeys(("CoeffParams", "CoeffTable", "SelfCheckReport", "bernoulli_poly",
+                     "coeff_table", "correction_taylor", "digamma", "digamma_complex",
+                     "fd_derivatives", "fk_series_oracle", "hurwitz_zeta_nonpos",
+                     "pks_closed", "pks_quotients", "pks_table", "plain_trapezoid",
+                     "punctured_trapezoid", "self_check", "trigamma", "zks_table"),
+                    "verify"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__getattr__(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __version__ = "0.1.0"
 

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .emcoeff import pks_seeds, pole_factor
-from .meshrule import Mesh
+from .meshrule import Mesh, _lagrange_basis
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
@@ -258,14 +258,10 @@ def _stencil_operator() -> np.ndarray:
     """The 9x9 map from samples at t = -4..4 to the coefficients of t^0..t^8 of
     their interpolant (the inverse Vandermonde matrix).  Column i is the
     Lagrange polynomial of node i, prod_{j != i} (t - t_j)/(t_i - t_j): its
-    integer numerator coefficients and denominator are exact in floats, so
-    each entry is the exact rational rounded once."""
-    t = np.arange(FD_STENCIL) - FD_STENCIL // 2
-    cols = []
-    for i in range(FD_STENCIL):
-        others = np.delete(t, i)
-        cols.append(np.poly(others)[::-1] / np.prod(t[i] - others))
-    op = np.array(cols).T
+    integer numerator coefficients over its integer denominator, each entry
+    the exact rational rounded once."""
+    half = FD_STENCIL // 2
+    op = np.array([np.divide(num, den) for num, den in _lagrange_basis(range(-half, half + 1))]).T
     op.flags.writeable = False
     return op
 
@@ -426,10 +422,10 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     the punctured node put back plus the trapezoidal rule's correction for
     the kernel's poles (Trefethen & Weideman, SIAM Rev. 56, 2014), and so E
     is computed for lam >= 1.  The breakdown keeps the jump (pi/(c d)) Re G.
-    When lam/(s^2 + lam^2) > Q_SERIES_RATIO, Q is that of g's Taylor
-    polynomial through order 6 on `window` instead (`_taylor_parts`), the
-    series sum_k q_k a_k h^k; `terms_used` then reports the series order (0
-    otherwise).
+    When lam/(s^2 + lam^2) > Q_SERIES_RATIO, or where s/lam overflows, Q is
+    that of g's Taylor polynomial through order 6 on `window` instead
+    (`_taylor_parts`), the series sum_k q_k a_k h^k; `terms_used` then
+    reports the series order (0 otherwise).
     """
     _check_scales(c, d, h)
     if not math.isfinite(x_s):
@@ -444,7 +440,8 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
     g_node = float(_checked_window(window)[FD_STENCIL // 2])
     denom = s * s + lam * lam
-    if lam > Q_SERIES_RATIO * denom:   # only for lam < 0.1
+    # only for lam < 0.1; s/lam overflows only for a subnormal lam
+    if lam > Q_SERIES_RATIO * denom or math.isinf(s / lam):
         quotient, terms = _taylor_parts(_stencil_poly(window, s), s, lam)[3], FD_DERIV_MAX
     else:
         quotient, terms = (gval.real - g_node - s / lam * gval.imag) / denom, 0

@@ -7,8 +7,9 @@ plus the product of a constant (3, 22) block with the 11 samples at each
 end (`_rule_sums`, the one sum): row 0 adds the Gregory-8 adjustments (the
 trapezoid's -1/2 at the end nodes included), rows 1 and 2 the order-10
 minus order-8 weights at each end, whose results are the end-error
-estimate.  The checked public views of this sum and the plain trapezoidal
-rule live in `verify`.
+estimate.  The weights are exact rationals rounded once, from the integer
+Lagrange polynomials of `_lagrange_basis`, as is the stencil operator of
+`corrections`.  The checked public views live in `verify`.
 
 The nodes are one cached read-only array per mesh (`Mesh.nodes`); a
 `GEval` samples g there once and keeps the samples.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -63,21 +63,17 @@ def _node_array(a: float, n: int) -> np.ndarray:
     return x
 
 
-def _solve_moments(nodes: list[Fraction], rho: list[Fraction]) -> list[Fraction]:
-    """Solve sum_j w_j nodes[j]^m = rho[m] exactly over the rationals."""
-    m = len(nodes)
-    aug = [[nodes[j] ** i for j in range(m)] + [rho[i]] for i in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        # columns left of col are already zero in every row but their pivot's
-        inv = 1 / aug[col][col]
-        aug[col][col:] = [x * inv for x in aug[col][col:]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r][col:] = [x - factor * y for x, y in zip(aug[r][col:], aug[col][col:])]
-    return [aug[r][m] for r in range(m)]
+def _lagrange_basis(nodes: range) -> list[tuple[list[int], int]]:
+    """(num_i, den_i) for each integer node t_i: the integer coefficients of
+    t^0, t^1, ... of prod_{j != i} (t - t_j), and prod_{j != i} (t_i - t_j)."""
+    basis = []
+    for ti in nodes:
+        num = [1]
+        for tj in nodes:
+            if tj != ti:   # num times (t - t_j)
+                num = [lo - tj * hi for lo, hi in zip([0] + num, num + [0])]
+        basis.append((num, math.prod(ti - tj for tj in nodes if tj != ti)))
+    return basis
 
 
 @lru_cache(maxsize=None)
@@ -85,8 +81,9 @@ def gregory_weights(order: int) -> np.ndarray:
     """Boundary weight adjustments for the Gregory-corrected trapezoid.
 
     Returns ``order + 1`` adjustments applied at the nodes nearest each
-    endpoint (on top of the half-weighted trapezoidal sum).  The moment
-    system is solved exactly over the rationals, so the corrected rule
+    endpoint (on top of the half-weighted trapezoidal sum).  They solve the
+    moments sum_j w_j j^m = rho_m exactly: w_j = sum_m num_{j,m} rho_m/den_j
+    on node j's Lagrange polynomial, rounded once.  So the corrected rule
     integrates polynomials of degree <= order exactly on a uniform grid;
     the symmetric pairing of the two ends makes degree order + 1 exact as
     well.  The array is cached and read-only.
@@ -94,8 +91,9 @@ def gregory_weights(order: int) -> np.ndarray:
     if order not in GREGORY_ORDERS:
         raise ValueError(f"gregory order must be one of {GREGORY_ORDERS}")
     q = order + 1
-    rho = [bernoulli_fraction(m + 1) / (m + 1) if m % 2 else Fraction(0) for m in range(q)]
-    w = np.array([float(x) for x in _solve_moments([Fraction(j) for j in range(q)], rho)])
+    rho = [bernoulli_fraction(m + 1) / (m + 1) if m % 2 else 0 for m in range(q)]
+    w = np.array([float(sum(a * r for a, r in zip(num, rho)) / den)
+                  for num, den in _lagrange_basis(range(q))])
     w.flags.writeable = False
     return w
 

@@ -7,6 +7,7 @@ import pytest
 from nsquad.corrections import (
     GEval,
     _checked_window,
+    _stencil_operator,
     _stencil_poly,
     _taylor_parts,
     correction_offmesh_closed,
@@ -200,6 +201,22 @@ class TestOffmeshClosed:
                 # jump would reintroduce the pi/(c d) magnitude as roundoff
                 assert off.singular_part == pytest.approx(fp, rel=1e-10)
 
+    def test_subnormal_lam_takes_q_from_the_series(self):
+        # lam = d/(c h) = 6.4e-319 is subnormal: s/lam overflows, so Q comes
+        # from the stencil's series, and the value is fd-series' within
+        # rounding, about pi/(c d) e^0.1
+        g = GEval.analytic(np.exp)
+        params = KernelParams(a=1.0, c=1e20, d=1e-300, x_s=0.1)
+        closed = integrate_near_singular(g, params, 64, method="closed-form")
+        taylor = integrate_near_singular(g, params, 64, method="fd-series")
+        assert closed.breakdown.terms_used == 6
+        assert closed.value == pytest.approx(taylor.value, rel=1e-15)
+        assert closed.value == pytest.approx(math.pi / 1e-280 * math.exp(0.1), rel=1e-15)
+        # where lam underflows to 0 the closed form still says why
+        with pytest.raises(ValueError, match="lam = d/\\(c h\\) underflows to 0"):
+            integrate_near_singular(g, KernelParams(a=1.0, c=1e60, d=1e-300, x_s=0.1), 64,
+                                    method="closed-form")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             closed_form(g_exp(), 1.0, 0.01, 0.01, 0.7, 0.007)
@@ -355,6 +372,22 @@ class TestFdDerivatives:
                         # error in units of the k-th Taylor coefficient on the stencil
                         err = abs(Fraction(got[k]) - want) * h ** k / math.factorial(k)
                         assert err <= 1e-15 * scale, (x0, p, i, k)
+
+    def test_operator_is_the_exact_inverse_rounded_once(self):
+        # the inverse of the Vandermonde matrix A[i][k] = t_i^k, t = -4..4, by
+        # Gauss-Jordan elimination over the rationals, rounded once per entry
+        t = range(-4, 5)
+        aug = [[Fraction(ti) ** k for k in range(9)] + [Fraction(i == j) for j in range(9)]
+               for i, ti in enumerate(t)]
+        for col in range(9):
+            piv = next(r for r in range(col, 9) if aug[r][col])
+            aug[col], aug[piv] = aug[piv], aug[col]
+            aug[col] = [x / aug[col][col] for x in aug[col]]
+            for r in range(9):
+                if r != col:
+                    aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+        want = [[float(x) for x in row[9:]] for row in aug]
+        assert _stencil_operator().tolist() == want
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsquad.oracle import EULER_GAMMA
-from nsquad.specfun import bernoulli_number
+from nsquad.specfun import _bernoulli_fractions, bernoulli_number
 from nsquad.verify import (
     bernoulli_poly,
     digamma,
@@ -48,6 +48,7 @@ class TestBernoulliNumbers:
                 a[j - 1] = j * (a[j - 1] - a[j])
             at.append(a[0])  # B_m with the B_1 = +1/2 convention
         at[1] = -at[1]
+        assert _bernoulli_fractions() == tuple(at)
         for n in range(nmax + 1):
             assert bernoulli_number(n) == float(at[n])
 

@@ -1,6 +1,10 @@
 """The runtime core does not depend on the coefficient cross-checks."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nsquad
@@ -89,21 +93,22 @@ def test_runtime_core_has_no_quotient_tables():
 CORE_ENTRY_POINTS = {"integrate_finite_part", "bernoulli_number"}
 # public views over core routines, checked, that integration never calls
 MOVED_VIEWS = ("fd_derivatives", "correction_taylor", "punctured_trapezoid", "plain_trapezoid")
-# nsquad.__all__, the same 36 names wherever they are defined
-PUBLIC_NAMES = (
-    "Mesh", "gregory_weights", "punctured_trapezoid", "plain_trapezoid",
-    "CoeffParams", "CoeffTable", "coeff_table", "zks_table",
-    "pks_table", "pks_closed", "pks_quotients", "fk_series_oracle",
-    "GEval", "CorrectionBreakdown",
-    "correction_offmesh_closed", "correction_taylor", "fd_derivatives",
-    "KernelParams", "QuadResult", "SelfCheckReport",
-    "integrate_near_singular", "integrate_finite_part", "self_check",
-    "puncture_split",
-    "ReferenceResult", "reference_integral", "exact_test1", "exact_test2",
-    "complex_ei", "finite_part_reference",
-    "bernoulli_number", "bernoulli_poly", "digamma", "digamma_complex",
-    "trigamma", "hurwitz_zeta_nonpos",
-)
+# nsquad.__all__, the same 36 names wherever they are defined, by defining module
+PUBLIC_NAMES = {
+    **dict.fromkeys(("Mesh", "gregory_weights"), "meshrule"),
+    **dict.fromkeys(("GEval", "CorrectionBreakdown", "correction_offmesh_closed"),
+                    "corrections"),
+    **dict.fromkeys(("KernelParams", "QuadResult", "integrate_near_singular",
+                     "integrate_finite_part", "puncture_split"), "integrator"),
+    **dict.fromkeys(("ReferenceResult", "reference_integral", "exact_test1", "exact_test2",
+                     "complex_ei", "finite_part_reference"), "oracle"),
+    "bernoulli_number": "specfun",
+    **dict.fromkeys(("punctured_trapezoid", "plain_trapezoid", "CoeffParams", "CoeffTable",
+                     "coeff_table", "zks_table", "pks_table", "pks_closed", "pks_quotients",
+                     "fk_series_oracle", "correction_taylor", "fd_derivatives",
+                     "SelfCheckReport", "self_check", "bernoulli_poly", "digamma",
+                     "digamma_complex", "trigamma", "hurwitz_zeta_nonpos"), "verify"),
+}
 
 
 def top_level_names(name: str) -> set[str]:
@@ -136,3 +141,37 @@ def test_runtime_core_is_the_integration_path():
         assert getattr(nsquad, name).__module__ == "nsquad.verify", name
         assert not any(name in top_level_names(core) for core in RUNTIME_CORE), name
     assert sorted(nsquad.__all__) == sorted(PUBLIC_NAMES)
+
+
+COLD_START = """
+import json, sys
+import numpy as np
+import nsquad
+from nsquad import GEval, KernelParams, integrate_near_singular
+integrate_near_singular(GEval.analytic(np.exp), KernelParams(a=1.0, c=1.0, d=1e-3, x_s=0.1), 64)
+loaded = [m for m in ("nsquad.oracle", "nsquad.verify", "nsquad.cli", "mpmath") if m in sys.modules]
+missing = sorted(set(nsquad.__all__) - set(dir(nsquad)))
+try:
+    nsquad.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+from nsquad import digamma
+modules = {name: getattr(nsquad, name).__module__ for name in nsquad.__all__}
+print(json.dumps([loaded, missing, unknown, digamma.__name__, modules]))
+"""
+
+
+def test_cold_import_loads_only_the_integration_core():
+    # a fresh interpreter: `import nsquad` and one integration load neither the
+    # oracle nor the cross-checks, whose names resolve on first access
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    loaded, missing, unknown, digamma_name, modules = json.loads(out)
+    assert loaded == []
+    assert missing == []
+    assert unknown == "AttributeError"
+    assert digamma_name == "digamma"
+    assert modules == {name: f"nsquad.{module}" for name, module in PUBLIC_NAMES.items()}

@@ -1,0 +1,223 @@
+"""Every input a public entry rejects raises ValueError with its own message.
+
+The table pins each message in full, so that moving a check (into a validator
+shared by `KernelParams` and `integrate_finite_part`, or out of the per-target
+core into the checked views of `verify`) cannot change what a caller reads.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+import nsquad
+from nsquad import GEval, KernelParams, integrate_finite_part, integrate_near_singular
+from nsquad.emcoeff import pks_seeds
+
+nan, inf = math.nan, math.inf
+EXP = GEval.analytic(np.exp)
+REAL = GEval(real_eval=math.exp)
+ONES = np.ones(9)
+WINDOW = ("window must hold g at the 9 nodes around the puncture: stencil samples must "
+          "be finite (and, for a Taylor fit, differ by less than 1.4e+306)")
+
+
+def sinc(x):
+    return math.sin(x) / x if x else math.nan
+
+
+def sinc_complex(z):
+    return cmath.sin(z) / z if z else complex(math.nan, 0.0)
+
+
+SINC_REAL = GEval(real_eval=sinc)
+SINC_BOTH = GEval(real_eval=sinc, complex_eval=sinc_complex)
+
+
+def near(g, n, method="auto", **kernel):
+    return lambda: integrate_near_singular(g, KernelParams(**{"a": 1.0, **kernel}), n, method)
+
+
+def params(**kernel):
+    return lambda: KernelParams(**{"a": 1.0, **kernel})
+
+
+def finite_part(g, a, x_s, n):
+    return lambda: integrate_finite_part(g, a, x_s, n)
+
+
+def closed(*args, g=EXP, window=ONES):
+    return lambda: nsquad.correction_offmesh_closed(g, *args, window)
+
+
+def taylor(*args):
+    return lambda: nsquad.correction_taylor(*args)
+
+
+def fd(samples, h, x_s):
+    return lambda: nsquad.fd_derivatives(samples, h, x_s)
+
+
+CASES = {
+    # integrate_near_singular, its KernelParams and the per-target core
+    "near-method": (near(EXP, 64, "bogus", d=0.01),
+                    "method must be one of ('auto', 'closed-form', 'fd-series')"),
+    "near-no-complex-eval": (near(REAL, 64, "closed-form", d=0.01),
+                             "closed-form correction needs a complex evaluator for g"),
+    "near-n-below-16": (near(EXP, 8, d=0.01), "n must be at least 16"),
+    "near-n-float": (near(EXP, 64.0, d=0.01), "n must be a positive integer, got 64.0"),
+    "near-endpoint": (near(EXP, 64, d=0.01, x_s=1.0 - 9.5 / 64),
+                      "x_s too close to an endpoint for the correction stencils "
+                      "(need |x_s| < a - 10h)"),
+    "near-nan-node-closed": (near(SINC_BOTH, 64, "closed-form", d=1e-3), WINDOW),
+    "near-nan-node-q-series": (near(SINC_BOTH, 64, "closed-form", d=1e-6), WINDOW),
+    "near-nan-node-fd": (near(SINC_REAL, 64, "fd-series", d=1e-3), WINDOW),
+    "near-nan-summed-node": (near(SINC_REAL, 64, "fd-series", d=1e-3, x_s=0.5),
+                             "non-finite sample at a summed node"),
+    "near-lam-underflow-closed": (near(EXP, 64, "closed-form", c=1e150, d=1e-300, x_s=0.1),
+                                  "d = 1e-300 is too small for c = 1e+150, h = 0.015625: "
+                                  "lam = d/(c h) underflows to 0"),
+    "near-lam2-overflow-closed": (near(EXP, 64, "closed-form", c=1e-150, d=1e3, x_s=0.1),
+                                  "lam = d/(c h) = 6.400e+154 is out of range: lam^2 "
+                                  "overflows (d = 1000.0, c = 1e-150, h = 0.015625)"),
+    "near-lam2-overflow-fd": (near(EXP, 16, "fd-series", c=1e-150, d=1e3, x_s=0.1),
+                              "lam = d/(c h) = 1.600e+154 is out of range: lam^2 "
+                              "overflows (d = 1000.0, c = 1e-150, h = 0.0625)"),
+    "params-d-nan": (params(d=nan), "d must be finite, got nan"),
+    "params-c-zero": (params(c=0.0), "a and c must be positive"),
+    "params-d-negative": (params(d=-1.0),
+                          "d must be nonnegative (the kernel depends on d^2; negate the "
+                          "jump part for the d < 0 operator limit)"),
+    "params-x_s-outside": (params(x_s=1.0), "x_s must lie strictly inside (-a, a)"),
+    "params-jump-overflow": (params(d=5e-324),
+                             "d = 5e-324 is too small for c = 1.0: the jump pi/(c d) overflows"),
+    "params-c-range": (params(c=1e200, d=1e-200),
+                       "c = 1e+200 is out of range: c^2 or 1/c^2 overflows"),
+    "params-d2-overflow": (params(d=1e160), "d = 1e+160 is out of range: d^2 overflows"),
+    # integrate_finite_part
+    "finite-part-a-nan": (finite_part(EXP, nan, 0.0, 64), "a must be finite, got nan"),
+    "finite-part-a-inf": (finite_part(EXP, inf, 0.0, 64), "a must be finite, got inf"),
+    "finite-part-x_s-nan": (finite_part(EXP, 1.0, nan, 64), "x_s must be finite, got nan"),
+    "finite-part-x_s-inf": (finite_part(EXP, 1.0, -inf, 64), "x_s must be finite, got -inf"),
+    "finite-part-a-zero": (finite_part(EXP, 0.0, 0.0, 64), "a and c must be positive"),
+    "finite-part-a-negative": (finite_part(EXP, -1.0, 0.0, 64), "a and c must be positive"),
+    "finite-part-x_s-at-a": (finite_part(EXP, 1.0, 1.0, 64),
+                             "x_s must lie strictly inside (-a, a)"),
+    "finite-part-x_s-outside": (finite_part(EXP, 1.0, -2.0, 64),
+                                "x_s must lie strictly inside (-a, a)"),
+    "finite-part-n-below-16": (finite_part(EXP, 1.0, 0.0, 15), "n must be at least 16"),
+    "finite-part-n-float": (finite_part(EXP, 1.0, 0.0, 64.0),
+                            "n must be a positive integer, got 64.0"),
+    "finite-part-endpoint": (finite_part(EXP, 1.0, 1.0 - 10.0 / 64, 64),
+                             "x_s too close to an endpoint for the correction stencils "
+                             "(need |x_s| < a - 10h)"),
+    "finite-part-endpoint-left": (finite_part(REAL, 2.0, -2.0 + 19.0 / 128, 128),
+                                  "x_s too close to an endpoint for the correction stencils "
+                                  "(need |x_s| < a - 10h)"),
+    "finite-part-h-underflow": (finite_part(EXP, 5e-324, 0.0, 64),
+                                "h = a/n underflows to 0 for a = 5e-324, n = 64"),
+    "finite-part-nan-node": (finite_part(SINC_REAL, 1.0, 0.0, 64), WINDOW),
+    # correction_offmesh_closed: (c, d, h, s, x_s), the window last
+    "closed-c-negative": (closed(-1.0, 0.01, 0.01, 0.0, 0.0),
+                          "c and h must be finite and positive, got c = -1.0, h = 0.01"),
+    "closed-h-nan": (closed(1.0, 0.01, nan, 0.0, 0.0),
+                     "c and h must be finite and positive, got c = 1.0, h = nan"),
+    "closed-c-h-underflow": (closed(1e-154, 1.0, 1e-302, 0.1, 0.0),
+                             "c h underflows to 0 (c = 1e-154, h = 1e-302): lam is out of range"),
+    "closed-d-inf": (closed(1.0, inf, 0.01, 0.0, 0.0), "d must be finite, got inf"),
+    "closed-lam-underflow": (closed(1e150, 1e-300, 1.0 / 64, 0.0, 0.0),
+                             "d = 1e-300 is too small for c = 1e+150, h = 0.015625: "
+                             "lam = d/(c h) underflows to 0"),
+    "closed-lam-underflow-first": (closed(2.0, 5e-324, 1.0, 0.0, 0.0),
+                                   "d = 5e-324 is too small for c = 2.0, h = 1.0: "
+                                   "lam = d/(c h) underflows to 0"),
+    "closed-jump-overflow": (closed(1.0, 1e-320, 1e-10, 0.0, 0.0),
+                             "d = 1e-320 is too small for c = 1.0: the jump pi/(c d) overflows"),
+    "closed-c-range": (closed(1e-155, 1e-100, 0.01, 0.3, 0.0),
+                       "c = 1e-155 is out of range: c^2 or 1/c^2 overflows"),
+    "closed-x_s-nan": (closed(1.0, 0.01, 0.01, 0.0, nan), "x_s must be finite, got nan"),
+    "closed-d-zero": (closed(1.0, 0.0, 0.01, 0.0, 0.0),
+                      "correction_offmesh_closed requires d > 0 "
+                      "(d = 0 takes the finite-part path)"),
+    "closed-d-negative": (closed(1.0, -0.01, 0.01, 0.0, 0.0),
+                          "correction_offmesh_closed requires d > 0 "
+                          "(d = 0 takes the finite-part path)"),
+    "closed-no-complex-eval": (closed(1.0, 0.01, 0.01, 0.0, 0.0, g=REAL),
+                               "closed-form correction needs a complex evaluator for g"),
+    "closed-s-outside": (closed(1.0, 0.01, 0.01, 0.6, 0.0), "s must lie in [-1/2, 1/2]"),
+    "closed-s-nan": (closed(1.0, 0.01, 0.01, nan, 0.0), "s must lie in [-1/2, 1/2]"),
+    "closed-window-short": (closed(1.0, 0.01, 0.01, 0.0, 0.0, window=np.ones(8)), WINDOW),
+    "closed-window-2d": (closed(1.0, 1e-6, 0.01, 0.0, 0.0, window=np.ones((3, 3))), WINDOW),
+    "closed-window-nan": (closed(1.0, 0.01, 0.01, 0.0, 0.0,
+                                 window=[1.0] * 4 + [nan] + [1.0] * 4), WINDOW),
+    "closed-window-spread": (closed(1.0, 1e-6, 0.01, 0.0, 0.0,
+                                    window=[1e308] * 4 + [-1e308] * 5), WINDOW),
+    "closed-lam2-overflow": (closed(1e-150, 1e3, 1.0 / 16, 0.1, 0.1),
+                             "lam = d/(c h) = 1.600e+154 is out of range: lam^2 overflows "
+                             "(d = 1000.0, c = 1e-150, h = 0.0625)"),
+    # correction_taylor: (a, c, d, h, s)
+    "taylor-c-inf": (taylor([1.0], inf, 0.01, 0.01, 0.0),
+                     "c and h must be finite and positive, got c = inf, h = 0.01"),
+    "taylor-c-h-underflow": (taylor([1.0], 1e-154, 0.0, 1e-302, 0.1),
+                             "c h underflows to 0 (c = 1e-154, h = 1e-302): lam is out of range"),
+    "taylor-d-negative": (taylor([1.0], 1.0, -0.01, 0.01, 0.0),
+                          "correction_taylor requires d >= 0"),
+    "taylor-lam-underflow": (taylor([1.0, 0.5], 1e150, 1e-300, 1.0 / 64, 0.0),
+                             "d = 1e-300 is too small for c = 1e+150, h = 0.015625: "
+                             "lam = d/(c h) underflows to 0"),
+    "taylor-jump-overflow": (taylor([1.0, 0.5], 1.0, 1e-320, 1e-10, 0.0),
+                             "d = 1e-320 is too small for c = 1.0: the jump pi/(c d) overflows"),
+    "taylor-c-range": (taylor([1.0], 1e-170, 0.0, 0.01, 0.0),
+                       "c = 1e-170 is out of range: c^2 or 1/c^2 overflows"),
+    "taylor-s-outside": (taylor([1.0], 1.0, 0.01, 0.01, -0.75), "s must lie in [-1/2, 1/2]"),
+    "taylor-a-empty": (taylor([], 1.0, 0.01, 0.01, 0.0),
+                       "a must be a non-empty 1-D sequence of Taylor coefficients"),
+    "taylor-a-2d": (taylor([[1.0, 0.5]], 1.0, 0.01, 0.01, 0.0),
+                    "a must be a non-empty 1-D sequence of Taylor coefficients"),
+    "taylor-a-nan": (taylor([1.0, nan], 1.0, 0.0, 0.01, 0.0),
+                     "the Taylor coefficients a_k and a_k h^k must be finite"),
+    "taylor-a-h-overflow": (taylor([1.0, 0.5, 0.25], 1.0, 0.1, 1e300, 0.1),
+                            "the Taylor coefficients a_k and a_k h^k must be finite"),
+    "taylor-lam2-overflow": (taylor([1.0], 1e-150, 1e3, 1.0 / 16, 0.1),
+                             "lam = d/(c h) = 1.600e+154 is out of range: lam^2 overflows "
+                             "(d = 1000.0, c = 1e-150, h = 0.0625)"),
+    "taylor-c2-h-underflow": (taylor([1.0], 1e-100, 0.0, 1e-200, 0.1),
+                              "c^2 h underflows to 0 (c = 1e-100, h = 1e-200)"),
+    # pks_seeds
+    "seeds-s-outside": (lambda: pks_seeds(0.1, 0.6), "s must lie in [-1/2, 1/2]"),
+    "seeds-s-nan": (lambda: pks_seeds(0.1, nan), "s must lie in [-1/2, 1/2]"),
+    # fd_derivatives
+    "fd-h-zero": (fd(ONES, 0.0, 0.0),
+                  "h must be finite and positive and x_s finite, got h = 0.0, x_s = 0.0"),
+    "fd-x_s-inf": (fd(ONES, 0.01, inf),
+                   "h must be finite and positive and x_s finite, got h = 0.01, x_s = inf"),
+    "fd-x_s-far": (fd(ONES, 0.01, 0.006),
+                   "x_s must lie within half a mesh step of the stencil center"),
+    "fd-samples-short": (fd(np.ones(8), 0.01, 0.0), WINDOW),
+    "fd-samples-nan": (fd([1.0] * 8 + [nan], 0.01, 0.0), WINDOW),
+    "fd-samples-spread": (fd([1e308] * 2 + [-1e308] + [1e308] * 6, 0.01, 0.0), WINDOW),
+    "fd-derivative-overflow": (fd(np.arange(9.0) ** 6, 1e-60, 0.0),
+                               "a derivative overflows at h = 1e-60"),
+}
+
+# the scales of `test_integrator.TestExtremeScales`, on both methods
+for _a, _c, _d, _message in (
+        (1e-300, 1e-154, 1.0, "c h underflows to 0 (c = 1e-154, h = 1.5625e-302): "
+                              "lam is out of range"),
+        (1e-300, 1e-154, 0.0, "c h underflows to 0 (c = 1e-154, h = 1.5625e-302): "
+                              "lam is out of range"),
+        (1e-300, 1e-20, 0.0, "c^2 h underflows to 0 (c = 1e-20, h = 1.5625e-302)"),
+        (1e-275, 1e-20, 0.0, "the result is not finite: the sum inf plus the correction "
+                             "-inf leaves the float range at a = 1e-275, c = 1e-20, "
+                             "d = 0.0, n = 64")):
+    for _method in ("closed-form", "fd-series"):
+        CASES[f"extreme-a{_a:g}-c{_c:g}-d{_d:g}-{_method}"] = (
+            near(EXP, 64, _method, a=_a, c=_c, d=_d, x_s=0.1 * _a), _message)
+
+
+@pytest.mark.parametrize("call, message", CASES.values(), ids=CASES.keys())
+def test_rejected_input_raises_its_message(call, message):
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -8,7 +8,7 @@ trapezoidal rule; at d = 0 the same form gives the Hadamard finite part.
 
 import importlib
 
-from .corrections import CorrectionBreakdown, GEval, correction_offmesh_closed
+from .corrections import CorrectionBreakdown, GEval
 from .integrator import (
     KernelParams,
     QuadResult,
@@ -27,7 +27,8 @@ _LAZY = {
     **dict.fromkeys(("ReferenceResult", "complex_ei", "exact_test1", "exact_test2",
                      "finite_part_reference", "reference_integral"), "oracle"),
     **dict.fromkeys(("CoeffParams", "CoeffTable", "SelfCheckReport", "bernoulli_poly",
-                     "coeff_table", "correction_taylor", "digamma", "digamma_complex",
+                     "coeff_table", "correction_offmesh_closed", "correction_taylor",
+                     "digamma", "digamma_complex",
                      "fd_derivatives", "fk_series_oracle", "hurwitz_zeta_nonpos",
                      "pks_closed", "pks_quotients", "pks_table", "plain_trapezoid",
                      "punctured_trapezoid", "self_check", "trigamma", "zks_table"),

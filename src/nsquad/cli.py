@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corrections import GEval
+from .corrections import FD_STENCIL, GEval
 from .integrator import KernelParams, _correct, _mesh_pass, integrate_near_singular
 from .oracle import exact_test1, exact_test2, reference_integral
 from .verify import CoeffParams, coeff_table, plain_trapezoid
@@ -107,35 +107,32 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
         return exact_test1(d)
     if config.integrand == "test2":
         return exact_test2(d, config.c, config.x_s)
-    params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
-    # the integral is O(pi/(c d)) g(x_s), beyond any absolute tolerance once
-    # d is small; the coarse pass fixes the scale for the fine one
-    scale = math.pi / (config.c * d) * abs(g.real_eval(config.x_s))
-    coarse = reference_integral(g, params, tol=1e-6 * max(1.0, scale)).value
-    return reference_integral(g, params,
-                              tol=1e-13 * max(1.0, abs(coarse))).value
+    # to 1e-13 relative: the integral grows as pi/(c d)
+    return reference_integral(g, KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)).value
 
 
 def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
                    n: int) -> list[float]:
-    """The value of each method at one (d, n), all from one sampling of g; the
-    pass's f is c^2 h^2 times the kernel samples, its punctured entry 0."""
-    sampled = _mesh_pass(g, params, n)
-    mesh, j, s, gvals, f, uncorrected, _ = sampled
+    """The value of each method at one (d, n), all from one sampling of g and
+    one window of samples around the puncture; the pass's f is c^2 h^2 times
+    the kernel samples, its punctured entry 0."""
+    c, d, x_s = params.c, params.d, params.x_s
+    sampled = _mesh_pass(g, params.a, c, d, x_s, n)
+    mesh, _, s, _, _, window, f, uncorrected, _ = sampled
     values = []
     for method in methods:
         if method == "corrected-closed":
-            value = _correct(g, params, sampled, "closed-form").value
+            value = _correct(g, c, d, x_s, sampled, "closed-form").value
         elif method == "corrected-fd6":
-            value = _correct(g, params, sampled, "fd-series").value
+            value = _correct(g, c, d, x_s, sampled, "fd-series").value
         elif method == "uncorrected-plain":
             # the punctured nodes, then the puncture's own kernel value, whose
             # mesh-unit denominator s^2 + lam^2 may underflow where this one
             # does not
-            c, h = params.c, mesh.h
-            r = math.hypot(c * s * h, params.d)
+            h = mesh.h
+            r = math.hypot(c * s * h, d)
             value = (plain_trapezoid(mesh, f) / c ** 2 / h / h
-                     + h * float(gvals[n + j]) / r / r)
+                     + h * window[FD_STENCIL // 2] / r / r)
         else:
             value = uncorrected
         values.append(value)

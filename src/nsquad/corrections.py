@@ -5,20 +5,26 @@ The corrected rule is T_h + E where E estimates I - T_h.  E splits into a
 the near-singularity strength, and a "jump" term proportional to pi/(c d).
 Both are one closed form in G = g(x_s + i d/c).  G is exact when the smooth
 numerator g extends analytically to a complex neighborhood of x_s
-(`correction_offmesh_closed`); otherwise it is G of g's Taylor polynomial at
-x_s (`_taylor_correction`), which at d = 0 is the finite-part correction.
+(`_closed_correction`); otherwise it is G of g's Taylor polynomial at x_s
+(`_taylor_correction`), which at d = 0 is the finite-part correction.
 Every Taylor coefficient of g comes from one source, the degree-8
 interpolant on the 9 mesh samples around the puncture, in the mesh units
 b_k = g^(k)(x_s) h^k/k! that the singular series needs (`_stencil_poly`);
-one pass over them gives G, g_node and Q (`_taylor_parts`).  The checked
-public views of the stencil and of the Taylor form, `fd_derivatives` and
-`correction_taylor`, live in `verify`.
+one pass over them gives G, g_node and Q (`_taylor_parts`).
 
-With w = s + i lam, lam = d/(c h), the closed form is elementary (see
-`emcoeff`) and takes one of two forms, chosen by lam alone.  For lam >= 1
-it is the trapezoidal rule's correction for the kernel's poles (Trefethen &
-Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
-2014): the punctured node put back, minus (2 pi/(c d)) Re[G q/(1 - q)],
+These routines are the per-target core: they take Python floats that the
+entry already checked (the kernel by `integrator._check_kernel`, the mesh
+scale by `_check_mesh_scale`, the window of 9 samples once by
+`_check_window`), with lam = d/(c h) passed in, and check only what only
+they can see: lam = 0 in the closed form, the stencil's spread, lam^2 and
+c^2 h.  The checked public views, `correction_offmesh_closed`,
+`correction_taylor` and `fd_derivatives`, live in `verify`.
+
+With w = s + i lam, the closed form is elementary (see `emcoeff`) and takes
+one of two forms, chosen by lam alone.  For lam >= 1 it is the trapezoidal
+rule's correction for the kernel's poles (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014): the
+punctured node put back, minus (2 pi/(c d)) Re[G q/(1 - q)],
 q = exp(2 pi i w).  There the jump and the singular part cancel, and
 |q| = exp(-2 pi lam) damps an error in G.  For lam < 1, d = 0 included, it
 is the punctured form in the seeds p_{0,s}, p_{1,s}, whose only cancelling
@@ -44,6 +50,9 @@ FD_DERIV_MAX = 6        # highest derivative taken from the stencil
 # to x_s grows a coefficient by at most 1.5^8 < 26: below this spread of the
 # samples neither overflows
 _MAX_SPREAD = sys.float_info.max / 128.0
+_WINDOW_ERROR = (f"window must hold g at the {FD_STENCIL} nodes around the puncture: "
+                 "stencil samples must be finite (and, for a Taylor fit, differ by less "
+                 f"than {_MAX_SPREAD:.1e})")
 
 # The closed form's cancelling term Q carries a rounding error of about
 # eps * lam/(s^2 + lam^2) relative to the correction.  Above this ratio Q is
@@ -266,31 +275,28 @@ def _stencil_operator() -> np.ndarray:
     return op
 
 
-def _checked_window(window: Sequence[float], max_spread: float = math.inf) -> np.ndarray:
-    """`window` as floats; ValueError unless it holds 9 finite values that differ
-    by at most `max_spread`."""
-    window = np.asarray(window, dtype=float)
-    values = window.tolist()
-    # Python floats: a finite sum means all are finite (else huge ones may
-    # overflow it), and an overflowing spread is inf, not a numpy warning
-    if window.shape != (FD_STENCIL,) or not (
-            (math.isfinite(sum(values)) or all(map(math.isfinite, values)))
-            and max(values) - min(values) <= max_spread):
-        raise ValueError(f"window must hold g at the {FD_STENCIL} nodes around the "
-                         "puncture: stencil samples must be finite (and, for a Taylor "
-                         f"fit, differ by less than {_MAX_SPREAD:.1e})")
+def _check_window(window: list[float]) -> list[float]:
+    """`window`, g at the 9 nodes around the puncture as floats; ValueError
+    unless all are finite."""
+    # a finite sum means all are finite (else huge ones may overflow it)
+    if not (math.isfinite(sum(window)) or all(map(math.isfinite, window))):
+        raise ValueError(_WINDOW_ERROR)
     return window
 
 
-def _stencil_poly(window: Sequence[float], s: float) -> list[float]:
+def _stencil_poly(window: list[float], s: float) -> list[float]:
     """b_k = g^(k)(x_s) h^k/k!, k = 0..6: the coefficients in t = (x - x_s)/h of the
-    degree-8 interpolant on `window`, g at the nodes x_s - s h + k h, k = -4..4,
-    which must be finite and differ by at most sys.float_info.max/128."""
-    window = _checked_window(window, _MAX_SPREAD)
+    degree-8 interpolant on `window`, the 9 finite floats of `_check_window` at
+    the nodes x_s - s h + k h, k = -4..4; ValueError unless they differ by at
+    most sys.float_info.max/128."""
+    if not max(window) - min(window) <= _MAX_SPREAD:
+        raise ValueError(_WINDOW_ERROR)
     # the map reproduces constants: apply it to the differences from the
-    # center sample, which are small and for nearby values exact
-    center = float(window[FD_STENCIL // 2])
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = (_stencil_operator() @ (window - center)).tolist()
+    # center sample, which are small and for nearby values exact (`dot`, not
+    # the matmul ufunc: the same BLAS product without the ufunc's dispatch)
+    center = window[FD_STENCIL // 2]
+    deltas = np.subtract(window, center)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _stencil_operator().dot(deltas).tolist()
     c0 += center
     # synthetic division by (t - s), once per order k = 0..6, one line each:
     # c_k becomes the coefficient of (t - s)^k, final after pass k
@@ -326,17 +332,17 @@ def _taylor_parts(b: Sequence[float], s: float,
 
 
 def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: float,
-                d: float, h: float, s: float, terms: int) -> CorrectionBreakdown:
-    """E from Re G, Im G/lam, g_node and Q: the pole form for lam >= 1, else
-    -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
-    the jump omitted at d = 0.  ValueError where lam^2 overflows and d^2
-    does not, and where the seeds' form's c^2 h underflows to 0."""
-    lam = d / (c * h)
+              d: float, h: float, s: float, lam: float, terms: int) -> CorrectionBreakdown:
+    """E from Re G, Im G/lam, g_node and Q at lam = d/(c h): the pole form for
+    lam >= 1, else -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] +
+    (pi/(c d)) Re G, the jump omitted at d = 0.  ValueError where lam^2
+    overflows and d^2 does not, and where the seeds' form's c^2 h underflows
+    to 0."""
     if math.isinf(lam * lam) and not math.isinf(d * d):
         raise ValueError(f"lam = d/(c h) = {lam:.3e} is out of range: lam^2 overflows "
                          f"(d = {d!r}, c = {c!r}, h = {h!r})")
     if lam >= 1.0:
-        return _pole_form(re_g, im_g_lam, g_node, c, d, h, s, terms)
+        return _pole_form(re_g, im_g_lam, g_node, c, d, s, lam, terms)
     if c * c * h == 0.0:
         raise ValueError(f"c^2 h underflows to 0 (c = {c!r}, h = {h!r})")
     p0, p1 = pks_seeds(lam, s)
@@ -346,7 +352,7 @@ def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: f
 
 
 def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
-               h: float, s: float, terms: int) -> CorrectionBreakdown:
+               s: float, lam: float, terms: int) -> CorrectionBreakdown:
     """E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)] for lam >= 1.
 
     im_g_lam is Im G/lam.  The total comes first, its pole term dropped once
@@ -355,7 +361,6 @@ def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
     for d/c >~ 1e50), the whole correction is reported as singular.  The
     put-back, as (g_node/(lam + s^2/lam))/(c d), forms no lam^2 to overflow.
     """
-    lam = d / (c * h)
     total = g_node / (lam + s * s / lam) / (c * d)
     jump = math.pi / (c * d) * re_g
     if lam < _Q_NEGLIGIBLE_LAM:
@@ -382,73 +387,37 @@ def _check_mesh_scale(c: float, h: float) -> None:
         raise ValueError(f"c h underflows to 0 (c = {c!r}, h = {h!r}): lam is out of range")
 
 
-def _check_scales(c: float, d: float, h: float) -> None:
-    """c and h finite and positive, c h nonzero, d finite (its sign is each
-    caller's rule), for d > 0 a nonzero lam = d/(c h), and
-    `_check_kernel_scales`.  A d whose square overflows passes: no correction
-    forms d^2."""
-    if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
-        raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
-    _check_mesh_scale(c, h)
-    if not math.isfinite(d):
-        raise ValueError(f"d must be finite, got {d!r}")
-    if d > 0.0 and d / (c * h) == 0.0:
+def _check_lam(c: float, d: float, h: float, lam: float) -> None:
+    """ValueError where a positive d gives lam = d/(c h) = 0: the closed form
+    divides by lam."""
+    if lam == 0.0 and d > 0.0:
         raise ValueError(f"d = {d!r} is too small for c = {c!r}, h = {h!r}: "
                          f"lam = d/(c h) underflows to 0")
-    _check_kernel_scales(c, d)
 
 
-def _check_offset(s: float) -> None:
-    if not -0.5 <= s <= 0.5:
-        raise ValueError("s must lie in [-1/2, 1/2]")
-
-
-def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
-                              x_s: float, window: Sequence[float]) -> CorrectionBreakdown:
-    """Closed-form correction for a near singularity at x_s = node + s h.
-
-    `window` holds g at the 9 nodes x_s - s h + k h, k = -4..4, as the mesh
-    sampled them, all finite.  With lam = d/(c h), w = s + i lam,
-    G = g(x_s + i lam h) and g_node = window[4] = g(x_s - s h):
-
-    E = -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
-    Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2),
-
-    for every s in [-1/2, 1/2] (a target on a node is s = 0), and so E is
-    computed for lam < 1.  With the elementary seeds of `emcoeff` it is
-
-    E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)],  q = exp(2 pi i w),
-
-    the punctured node put back plus the trapezoidal rule's correction for
-    the kernel's poles (Trefethen & Weideman, SIAM Rev. 56, 2014), and so E
-    is computed for lam >= 1.  The breakdown keeps the jump (pi/(c d)) Re G.
-    When lam/(s^2 + lam^2) > Q_SERIES_RATIO, or where s/lam overflows, Q is
-    that of g's Taylor polynomial through order 6 on `window` instead
-    (`_taylor_parts`), the series sum_k q_k a_k h^k; `terms_used` then
-    reports the series order (0 otherwise).
-    """
-    _check_scales(c, d, h)
-    if not math.isfinite(x_s):
-        raise ValueError(f"x_s must be finite, got {x_s!r}")
-    if d <= 0.0:
-        raise ValueError("correction_offmesh_closed requires d > 0 "
-                         "(d = 0 takes the finite-part path)")
-    if g.complex_eval is None:
-        raise ValueError("closed-form correction needs a complex evaluator for g")
-    _check_offset(s)
-    lam = d / (c * h)
+def _closed_correction(g: GEval, c: float, d: float, h: float, s: float, x_s: float,
+                       window: list[float], lam: float) -> CorrectionBreakdown:
+    """The closed form in G = g(x_s + i lam h), unchecked but for lam = 0; the
+    checked view, `verify.correction_offmesh_closed`, states it.  d > 0,
+    lam = d/(c h), and `window` is the 9 floats of `_check_window`, g_node its
+    center.  Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2), or, where
+    lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam overflows, the Q of g's
+    Taylor polynomial through order 6 on `window` (`_taylor_parts`), with
+    `terms_used` the series order (0 otherwise)."""
+    _check_lam(c, d, h, lam)
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
-    g_node = float(_checked_window(window)[FD_STENCIL // 2])
+    g_node = window[FD_STENCIL // 2]
     denom = s * s + lam * lam
     # only for lam < 0.1; s/lam overflows only for a subnormal lam
     if lam > Q_SERIES_RATIO * denom or math.isinf(s / lam):
         quotient, terms = _taylor_parts(_stencil_poly(window, s), s, lam)[3], FD_DERIV_MAX
     else:
         quotient, terms = (gval.real - g_node - s / lam * gval.imag) / denom, 0
-    return _assemble(gval.real, gval.imag / lam, g_node, quotient, c, d, h, s, terms)
+    return _assemble(gval.real, gval.imag / lam, g_node, quotient, c, d, h, s, lam, terms)
 
 
-def _taylor_correction(b: Sequence[float], c: float, d: float, h: float,
-                       s: float) -> CorrectionBreakdown:
-    """The closed form on G of P(t) = sum_k b[k] t^k, t = (x - x_s)/h, unchecked."""
-    return _assemble(*_taylor_parts(b, s, d / (c * h)), c, d, h, s, len(b) - 1)
+def _taylor_correction(b: Sequence[float], c: float, d: float, h: float, s: float,
+                       lam: float) -> CorrectionBreakdown:
+    """The closed form on G of P(t) = sum_k b[k] t^k, t = (x - x_s)/h, at
+    lam = d/(c h), unchecked."""
+    return _assemble(*_taylor_parts(b, s, lam), c, d, h, s, lam, len(b) - 1)

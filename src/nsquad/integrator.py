@@ -12,6 +12,13 @@ node) and return the corrected value with a breakdown.  The convergence
 study of `cli` reads every method from one pass.  The coefficient
 cross-checks (`self_check`) live in `verify`.
 
+Each input is checked once, at the entry: the kernel by `_check_kernel`
+(which `KernelParams` runs when it is built and `integrate_finite_part`
+runs on its a and x_s), n and the mesh scale in `_mesh_pass`, and the 9
+samples around the puncture once, as one list of floats that every
+correction reads.  From there `_mesh_pass` and `_correct` run on Python
+floats and call the unchecked core of `corrections`, with lam passed in.
+
 A GEval stands for one fixed function: it samples g once per node (the 4
 most recent meshes, up to 1 MB per GEval at n = 16384) and reuses those
 samples for every target (`GEval.mesh_samples`).  Meshes of the same a
@@ -23,6 +30,7 @@ To integrate a changed g, build a new GEval.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,20 +42,43 @@ from .corrections import (
     GEval,
     _check_kernel_scales,
     _check_mesh_scale,
+    _check_window,
+    _closed_correction,
     _stencil_poly,
     _taylor_correction,
-    correction_offmesh_closed,
 )
-from .meshrule import Mesh, _rule_sums
+from .meshrule import Mesh, _node_array, _rule_sums
 
 METHODS = ("auto", "closed-form", "fd-series")
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 # End-correction estimate, relative to max(|value|, 1), above which a result warns
 _EDGE_WARN_RATIO = 3e-11
 # one immutable Mesh per (a, n) recently integrated on; typed, so that
 # n = 64.0 is validated (and rejected) apart from n = 64
 _mesh = lru_cache(maxsize=32, typed=True)(Mesh)
+
+
+def _check_kernel(a: float, c: float, d: float, x_s: float) -> None:
+    """ValueError unless a, c, d and x_s are finite, a and c positive, d
+    nonnegative, |x_s| < a, and c and d within `_check_kernel_scales` with a
+    d^2 that does not overflow: the one check of a kernel's parameters."""
+    if not (math.isfinite(a) and math.isfinite(c) and math.isfinite(d)
+            and math.isfinite(x_s)):
+        name, value = next((name, value) for name, value in
+                           (("a", a), ("c", c), ("d", d), ("x_s", x_s))
+                           if not math.isfinite(value))
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if a <= 0.0 or c <= 0.0:
+        raise ValueError("a and c must be positive")
+    if d < 0.0:
+        raise ValueError("d must be nonnegative (the kernel depends on d^2; "
+                         "negate the jump part for the d < 0 operator limit)")
+    if not abs(x_s) < a:
+        raise ValueError("x_s must lie strictly inside (-a, a)")
+    _check_kernel_scales(c, d)
+    if math.isinf(d * d):
+        raise ValueError(f"d = {d!r} is out of range: d^2 overflows")
 
 
 @dataclass(frozen=True)
@@ -60,20 +91,7 @@ class KernelParams:
     x_s: float = 0.0
 
     def __post_init__(self):
-        for name in ("a", "c", "d", "x_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.a <= 0.0 or self.c <= 0.0:
-            raise ValueError("a and c must be positive")
-        if self.d < 0.0:
-            raise ValueError("d must be nonnegative (the kernel depends on d^2; "
-                             "negate the jump part for the d < 0 operator limit)")
-        if not abs(self.x_s) < self.a:
-            raise ValueError("x_s must lie strictly inside (-a, a)")
-        _check_kernel_scales(self.c, self.d)
-        if math.isinf(self.d * self.d):
-            raise ValueError(f"d = {self.d!r} is out of range: d^2 overflows")
+        _check_kernel(self.a, self.c, self.d, self.x_s)
 
 
 @dataclass(frozen=True)
@@ -108,59 +126,59 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
     return j, t - j
 
 
-def _mesh_pass(g: GEval, params: KernelParams, n: int) -> tuple:
+def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> tuple:
     """Everything a target needs from g before its correction, from the
-    GEval's samples on the mesh.
+    GEval's samples on the mesh, for a kernel that `_check_kernel` passed.
 
-    Returns (mesh, j, s, gvals, f, uncorrected, edge_err): the puncture j
-    and offset s of `puncture_split`, g at the mesh nodes
-    (`GEval.mesh_samples`), c^2 h^2 times the kernel samples there, f =
-    g/((m - s)^2 + lam^2) in mesh units (m = k - j exact, lam = d/(c h): the
+    Returns (mesh, j, s, lam, gvals, window, f, uncorrected, edge_err): the
+    puncture j and offset s of `puncture_split`, lam = d/(c h), g at the
+    mesh nodes (`GEval.mesh_samples`), the 9 of them around the puncture as
+    floats, checked once (`_check_window`), c^2 h^2 times the kernel samples
+    there, f = g/((m - s)^2 + lam^2) in mesh units (m = k - j exact: the
     lattice the correction assumes), its punctured entry 0, and the
     punctured sum of the kernel samples and its estimated end-correction
     error, as a tuple.  The sum and the estimate are taken on a unit step,
     then divided by c^2 and by h (never by (c h)^2, which may underflow).
     Every method reads the same pass through `_correct`.
     """
-    mesh = _mesh(params.a, n)
+    mesh = _mesh(a, n)
     h = mesh.h
     if n < 16:
         raise ValueError("n must be at least 16")
-    if not abs(params.x_s) < params.a - 10.0 * h:
+    if not abs(x_s) < a - 10.0 * h:
         raise ValueError("x_s too close to an endpoint for the correction "
                          "stencils (need |x_s| < a - 10h)")
-    _check_mesh_scale(params.c, h)
-    j, s = puncture_split(params.x_s, h)
-    lam, gvals, i = params.d / (params.c * h), g.mesh_samples(mesh), n + j
+    _check_mesh_scale(c, h)
+    j, s = puncture_split(x_s, h)
+    lam, gvals, i = d / (c * h), g.mesh_samples(mesh), n + j
     # m - s = k - (j + s), k the cached nodes of the unit-step mesh and
     # j + s = x_s/h exactly: the denominators in place, then f
-    f = _mesh(float(n), n).nodes() - (j + s)
+    f = _node_array(float(n), n) - (j + s)
     f *= f
     f += lam * lam
     f[i] = 1.0
     np.divide(gvals, f, out=f)
     f[i] = 0.0
     total, edge_err = _rule_sums(1.0, f)
-    c2 = params.c ** 2
-    return mesh, j, s, gvals, f, total / c2 / h, edge_err / c2 / h
+    i0 = i - FD_STENCIL // 2
+    window = _check_window(gvals[i0:i0 + FD_STENCIL].tolist())
+    c2 = c ** 2
+    return mesh, j, s, lam, gvals, window, f, total / c2 / h, edge_err / c2 / h
 
 
-def _correct(g: GEval, params: KernelParams, sampled: tuple,
+def _correct(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
              method: str) -> QuadResult:
     """The result of `method`, "closed-form" or "fd-series", on the pass
     `sampled` of `_mesh_pass` (d = 0 takes the finite part for either); only
     the closed form calls g again, for G and to check complex_eval at the
     puncture node against that node's sample."""
-    mesh, j, s, gvals, _, uncorrected, edge_err = sampled
+    mesh, j, s, lam, gvals, window, _, uncorrected, edge_err = sampled
     h = mesh.h
-    c, d = params.c, params.d
-    i0 = mesh.n + j - FD_STENCIL // 2
-    window = gvals[i0:i0 + FD_STENCIL]   # the one Taylor source, also g_node
     warnings = []
     if d > 0.0 and method == "closed-form":
-        breakdown = correction_offmesh_closed(g, c, d, h, s, params.x_s, window)
+        breakdown = _closed_correction(g, c, d, h, s, x_s, window, lam)
         used = "closed-form"
-        g_node = float(window[FD_STENCIL // 2])
+        g_node = window[FD_STENCIL // 2]
         gap = g.consistency_gap(j * h, g_node)
         if gap > 4.0 * _EPS * abs(g_node):
             # near a root of g, |g| at the node is no scale, and nor is |g| on
@@ -170,17 +188,17 @@ def _correct(g: GEval, params: KernelParams, sampled: tuple,
                 warnings.append(f"complex_eval disagrees with real_eval at the puncture "
                                 f"node (relative gap {gap:.2e})")
     else:
-        breakdown = _taylor_correction(_stencil_poly(window, s), c, d, h, s)
+        breakdown = _taylor_correction(_stencil_poly(window, s), c, d, h, s, lam)
         used = "finite-part" if d == 0.0 else "fd-series"
 
     value = uncorrected + breakdown.total
     if not math.isfinite(value):
         raise ValueError(f"the result is not finite: the sum {uncorrected!r} plus the "
                          f"correction {breakdown.total!r} leaves the float range at "
-                         f"a = {params.a!r}, c = {c!r}, d = {d!r}, n = {mesh.n}")
+                         f"a = {mesh.a!r}, c = {c!r}, d = {d!r}, n = {mesh.n}")
     if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
         warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
-    summary = MeshSummary(params.a, mesh.n, h, j, s)
+    summary = MeshSummary(mesh.a, mesh.n, h, j, s)
     return QuadResult(value, uncorrected, breakdown, summary, used, warnings)
 
 
@@ -204,14 +222,16 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    c, d, x_s = params.c, params.d, params.x_s
     if method == "auto":
         method = "fd-series" if g.complex_eval is None else "closed-form"
-    elif method == "closed-form" and params.d > 0.0 and g.complex_eval is None:
+    elif method == "closed-form" and d > 0.0 and g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
-    return _correct(g, params, _mesh_pass(g, params, n), method)
+    return _correct(g, c, d, x_s, _mesh_pass(g, params.a, c, d, x_s, n), method)
 
 
 def integrate_finite_part(g: GEval, a: float, x_s: float, n: int) -> QuadResult:
     """Hadamard finite part of the integral of g(x)/(x - x_s)^2 over [-a, a]."""
-    params = KernelParams(a=a, c=1.0, d=0.0, x_s=x_s)
-    return integrate_near_singular(g, params, n, method="auto")
+    _check_kernel(a, 1.0, 0.0, x_s)
+    # at d = 0 every method takes the finite part
+    return _correct(g, 1.0, 0.0, x_s, _mesh_pass(g, a, 1.0, 0.0, x_s, n), "fd-series")

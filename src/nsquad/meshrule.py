@@ -131,11 +131,12 @@ def _rule_sums(h: float, v: np.ndarray) -> tuple[float, float]:
     v_right|), gap = w_10 - w_8 on the 11 nodes at each end.  A non-finite
     summed value raises ValueError (after numpy's invalid-value warning,
     unless silenced, for an infinite one within 11 nodes of an end)."""
-    ends = v[_END_INDEX]
-    adjust, left, right = _end_block().dot(ends).tolist()
-    total = _checked(h * (float(v.sum()) + adjust), v)
+    ends, block = v[_END_INDEX], _end_block()
+    adjust, left, right = block.dot(ends).tolist()
+    # np.add.reduce is v.sum()'s pairwise sum, without the method's dispatch
+    total = _checked(h * (float(np.add.reduce(v)) + adjust), v)
     if math.isnan(total):
         # the samples are finite, but end weights above 1 times samples near
         # the float maximum overflowed to inf - inf: none does on samples/16
-        total = h * (float(v.sum()) + 16.0 * float(_end_block()[0].dot(ends / 16.0)))
+        total = h * (float(np.add.reduce(v)) + 16.0 * float(block[0].dot(ends / 16.0)))
     return total, h * (abs(left) + abs(right))

@@ -106,16 +106,20 @@ def _adaptive(f, breakpoints: list[float], tol: float,
     return ReferenceResult(value, est, evals)
 
 
-def reference_integral(g, params: KernelParams, tol: float = 1e-13) -> ReferenceResult:
+def reference_integral(g, params: KernelParams, tol: float | None = None) -> ReferenceResult:
     """Adaptive Gauss-Kronrod value of the near-singular integral.
 
     Panels are pre-split at x_s and at geometrically growing multiples of
     the peak width d/c around it, so the sharp Lorentzian peak is resolved
     before adaptivity takes over.  Requires d > 0 (bounded integrand).
+    `tol` is an absolute tolerance.  Without one it is 1e-13 max(1, |I|):
+    the integral is O(pi/(c d)) g(x_s), beyond any absolute tolerance once d
+    is small, so a coarse pass to 1e-6 max(1, pi |g(x_s)|/(c d)) fixes |I|
+    first; `evaluations` then counts both passes.
     """
     if params.d <= 0.0:
         raise ValueError("reference_integral requires d > 0")
-    if tol < 1e-14:
+    if tol is not None and tol < 1e-14:
         raise ValueError("tol below the attainable floor (1e-14)")
     g_eval = g.real_eval if isinstance(g, GEval) else g
     a, c, d, x_s = params.a, params.c, params.d, params.x_s
@@ -132,7 +136,13 @@ def reference_integral(g, params: KernelParams, tol: float = 1e-13) -> Reference
             if -a < p < a:
                 points.add(p)
         w *= 4.0
-    return _adaptive(f, sorted(points), tol)
+    points = sorted(points)
+    if tol is not None:
+        return _adaptive(f, points, tol)
+    scale = math.pi / (c * d) * abs(g_eval(x_s))
+    coarse = _adaptive(f, points, 1e-6 * max(1.0, scale))
+    fine = _adaptive(f, points, 1e-13 * max(1.0, abs(coarse.value)))
+    return ReferenceResult(fine.value, fine.est_error, coarse.evaluations + fine.evaluations)
 
 
 def _ei_power_series(z: complex) -> complex:

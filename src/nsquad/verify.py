@@ -14,10 +14,12 @@ an mpmath series oracle.  `pks_closed`, the seeds plus the quotients of
 these routes read (digamma, trigamma, the Bernoulli polynomials and the
 Hurwitz zeta values at nonpositive orders) live here too, on the exact
 Bernoulli table of `specfun`.  So do `punctured_trapezoid`,
-`plain_trapezoid`, `fd_derivatives` and `correction_taylor`, each a checked
-view over the core routine that integration calls (`meshrule._rule_sums`,
-`corrections._stencil_poly`, `corrections._taylor_correction`).  No module
-of the integration path imports this one.
+`plain_trapezoid`, `fd_derivatives`, `correction_taylor` and
+`correction_offmesh_closed`, each a checked view over the core routine that
+integration calls on inputs its entry already checked
+(`meshrule._rule_sums`, `corrections._stencil_poly`,
+`corrections._taylor_correction`, `corrections._closed_correction`), with the
+same messages.  No module of the integration path imports this one.
 """
 
 from __future__ import annotations
@@ -32,9 +34,15 @@ from typing import Sequence
 import numpy as np
 
 from .corrections import (
+    _WINDOW_ERROR,
+    FD_STENCIL,
     CorrectionBreakdown,
-    _check_offset,
-    _check_scales,
+    GEval,
+    _check_kernel_scales,
+    _check_lam,
+    _check_mesh_scale,
+    _check_window,
+    _closed_correction,
     _stencil_poly,
     _taylor_correction,
 )
@@ -93,24 +101,27 @@ def digamma_complex(z: complex) -> complex:
 
     Upward recurrence psi(z+1) = psi(z) + 1/z shifts the argument to
     |z| >= 12, then the asymptotic series with Bernoulli coefficients
-    through B_16 is applied.  Accurate to a few ulp over the strip
-    Re z in [0.25, 2.25] for any imaginary part.
+    through B_16 is applied.  The recurrence terms, the log, 1/(2w) and the
+    series are summed once, exactly rounded (`math.fsum` on the real and
+    the imaginary parts), so no partial sum rounds: within 4 eps of
+    max(1, |psi|) in each part on the strip Re z in [0.5, 1.5].
 
     Raises ValueError at the poles (nonpositive integers).
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise ValueError(f"digamma pole at z = {z.real}")
-    acc = 0.0 + 0.0j
+    terms = []
     w = z
     while abs(w) < _ASYMP_RADIUS:
-        acc -= 1.0 / w
+        terms.append(-1.0 / w)
         w += 1.0
     winv2 = 1.0 / (w * w)
     tail = 0.0 + 0.0j
     for c in reversed(_digamma_asymp_coeffs()):
         tail = (tail + c) * winv2
-    return acc + cmath.log(w) - 0.5 / w - tail
+    terms += (cmath.log(w), -0.5 / w, -tail)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def digamma(x: float) -> float:
@@ -441,6 +452,34 @@ def plain_trapezoid(mesh: Mesh, samples: Sequence[float]) -> float:
     return _checked(mesh.h * (float(np.sum(samples)) - ends), samples)
 
 
+def _checked_window(window: Sequence[float]) -> list[float]:
+    """`window` as the list of 9 finite floats that the core reads
+    (`corrections._check_window`); ValueError for any other shape."""
+    values = np.asarray(window, dtype=float)
+    if values.shape != (FD_STENCIL,):
+        raise ValueError(_WINDOW_ERROR)
+    return _check_window(values.tolist())
+
+
+def _check_scales(c: float, d: float, h: float) -> None:
+    """c and h finite and positive, c h nonzero, d finite (its sign is each
+    caller's rule), for d > 0 a nonzero lam = d/(c h), and
+    `corrections._check_kernel_scales`.  A d whose square overflows passes:
+    no correction forms d^2."""
+    if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
+        raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
+    _check_mesh_scale(c, h)
+    if not math.isfinite(d):
+        raise ValueError(f"d must be finite, got {d!r}")
+    _check_lam(c, d, h, d / (c * h))
+    _check_kernel_scales(c, d)
+
+
+def _check_offset(s: float) -> None:
+    if not -0.5 <= s <= 0.5:
+        raise ValueError("s must lie in [-1/2, 1/2]")
+
+
 def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray:
     """g^(0..6)(x_s) from g at the 9 nodes centered on the puncture node, x_s
     relative to the center, |x_s| <= h/2: b_k k!/h^k on the coefficients of
@@ -453,7 +492,8 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
                          f"got h = {h!r}, x_s = {x_s!r}")
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
-    derivs = [b * math.factorial(k) for k, b in enumerate(_stencil_poly(samples, x_s / h))]
+    derivs = [b * math.factorial(k)
+              for k, b in enumerate(_stencil_poly(_checked_window(samples), x_s / h))]
     # 1/h^k by repeated division: an overflow is inf and an underflow 0,
     # where h ** k warns
     for k in range(1, len(derivs)):
@@ -491,4 +531,46 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
             b[j] *= h
     if not all(map(math.isfinite, b)):
         raise ValueError("the Taylor coefficients a_k and a_k h^k must be finite")
-    return _taylor_correction(b, c, d, h, s)
+    return _taylor_correction(b, c, d, h, s, d / (c * h))
+
+
+def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
+                              x_s: float, window: Sequence[float]) -> CorrectionBreakdown:
+    """Closed-form correction for a near singularity at x_s = node + s h.
+
+    `window` holds g at the 9 nodes x_s - s h + k h, k = -4..4, as the mesh
+    sampled them, all finite.  With lam = d/(c h), w = s + i lam,
+    G = g(x_s + i lam h) and g_node = window[4] = g(x_s - s h):
+
+    E = -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] + (pi/(c d)) Re G,
+    Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2),
+
+    for every s in [-1/2, 1/2] (a target on a node is s = 0), and so E is
+    computed for lam < 1.  With the elementary seeds of `emcoeff` it is
+
+    E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)],  q = exp(2 pi i w),
+
+    the punctured node put back plus the trapezoidal rule's correction for
+    the kernel's poles (Trefethen & Weideman, SIAM Rev. 56, 2014), and so E
+    is computed for lam >= 1.  The breakdown keeps the jump (pi/(c d)) Re G.
+    When lam/(s^2 + lam^2) > Q_SERIES_RATIO, or where s/lam overflows, Q is
+    that of g's Taylor polynomial through order 6 on `window` instead
+    (`corrections._taylor_parts`), the series sum_k q_k a_k h^k; `terms_used`
+    then reports the series order (0 otherwise).
+
+    The checked view of `corrections._closed_correction`, which integration
+    calls on the window its mesh pass checked: ValueError for the scales
+    `_check_scales` rejects, a non-finite x_s, d <= 0, a g without
+    complex_eval, an s outside [-1/2, 1/2] and a window that is not 9
+    finite values.
+    """
+    _check_scales(c, d, h)
+    if not math.isfinite(x_s):
+        raise ValueError(f"x_s must be finite, got {x_s!r}")
+    if d <= 0.0:
+        raise ValueError("correction_offmesh_closed requires d > 0 "
+                         "(d = 0 takes the finite-part path)")
+    if g.complex_eval is None:
+        raise ValueError("closed-form correction needs a complex evaluator for g")
+    _check_offset(s)
+    return _closed_correction(g, c, d, h, s, x_s, _checked_window(window), d / (c * h))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +56,26 @@ class TestReferenceIntegral:
         g = GEval.analytic(lambda z: 1.0 + 0.0 * np.asarray(z))
         with pytest.raises(RuntimeError):
             reference_integral(g, KernelParams(a=1.0, d=1e-6), tol=1e-14)
+
+    @pytest.mark.parametrize("x_s, d", [(0.0, 1e-6), (0.0, 1e-8), (0.1, 1e-3)])
+    def test_default_tolerance_is_relative_at_a_pole_g(self, x_s, d):
+        # g = 1/(x^2 + 0.09) at d = 1e-6: |I| ~ 3e7, where 1e-13 absolute is
+        # out of reach; the default is 1e-13 max(1, |I|).  The 30-digit value
+        # sums the partial fractions over the poles p of the rational
+        # integrand, each of whose integrals over [-1, 1] is log((1 - p)/(-1 - p))
+        b = 0.3
+        g = GEval(real_eval=lambda x: 1.0 / (x * x + b * b))
+        res = reference_integral(g, KernelParams(a=1.0, c=1.0, d=d, x_s=x_s))
+        with mpmath.workdps(30):
+            poles = [mpmath.mpc(0, b), mpmath.mpc(0, -b),
+                     mpmath.mpc(x_s, d), mpmath.mpc(x_s, -d)]
+            want = 0
+            for k, p in enumerate(poles):
+                residue = 1 / mpmath.fprod(p - q for i, q in enumerate(poles) if i != k)
+                want += residue * (mpmath.log(1 - p) - mpmath.log(-1 - p))
+            want = float(want.real)
+        assert abs(res.value - want) <= 1e-13 * abs(want)
+        assert res.est_error <= 1e-13 * abs(want)
 
 
 class TestExactValues:

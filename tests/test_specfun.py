@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -128,6 +129,21 @@ class TestDigamma:
                 z = complex(re, -im)
                 resid = digamma_complex(z + 1) - digamma_complex(z) - 1.0 / z
                 assert abs(resid) <= 1e-14 * max(1.0, abs(digamma_complex(z)))
+
+    def test_within_four_eps_on_the_seeds_strip(self):
+        # the seeds' digamma arguments 1 +/- s - i lam: 3000 seeded points with
+        # Re z in [0.5, 1.5] and -Im z log-uniform in [1e-3, 100], against
+        # 30-digit values; each part within 4 eps of max(1, |part|)
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(3)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(30):
+            for _ in range(3000):
+                z = complex(rng.uniform(0.5, 1.5), -10.0 ** rng.uniform(-3.0, 2.0))
+                want = mpmath.digamma(mpmath.mpc(z.real, z.imag))
+                got = digamma_complex(z)
+                for part, ref in ((got.real, float(want.real)), (got.imag, float(want.imag))):
+                    assert abs(part - ref) <= 4.0 * eps * max(1.0, abs(ref)), z
 
     def test_against_scipy_complex(self):
         scipy_special = pytest.importorskip("scipy.special")

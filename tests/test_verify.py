@@ -90,14 +90,14 @@ def test_runtime_core_has_no_quotient_tables():
 
 
 # the public entry points of the core that no core module calls
-CORE_ENTRY_POINTS = {"integrate_finite_part", "bernoulli_number"}
+CORE_ENTRY_POINTS = {"integrate_near_singular", "integrate_finite_part", "bernoulli_number"}
 # public views over core routines, checked, that integration never calls
-MOVED_VIEWS = ("fd_derivatives", "correction_taylor", "punctured_trapezoid", "plain_trapezoid")
+MOVED_VIEWS = ("fd_derivatives", "correction_taylor", "correction_offmesh_closed",
+               "punctured_trapezoid", "plain_trapezoid")
 # nsquad.__all__, the same 36 names wherever they are defined, by defining module
 PUBLIC_NAMES = {
     **dict.fromkeys(("Mesh", "gregory_weights"), "meshrule"),
-    **dict.fromkeys(("GEval", "CorrectionBreakdown", "correction_offmesh_closed"),
-                    "corrections"),
+    **dict.fromkeys(("GEval", "CorrectionBreakdown"), "corrections"),
     **dict.fromkeys(("KernelParams", "QuadResult", "integrate_near_singular",
                      "integrate_finite_part", "puncture_split"), "integrator"),
     **dict.fromkeys(("ReferenceResult", "reference_integral", "exact_test1", "exact_test2",
@@ -105,7 +105,8 @@ PUBLIC_NAMES = {
     "bernoulli_number": "specfun",
     **dict.fromkeys(("punctured_trapezoid", "plain_trapezoid", "CoeffParams", "CoeffTable",
                      "coeff_table", "zks_table", "pks_table", "pks_closed", "pks_quotients",
-                     "fk_series_oracle", "correction_taylor", "fd_derivatives",
+                     "fk_series_oracle", "correction_taylor", "correction_offmesh_closed",
+                     "fd_derivatives",
                      "SelfCheckReport", "self_check", "bernoulli_poly", "digamma",
                      "digamma_complex", "trigamma", "hurwitz_zeta_nonpos"), "verify"),
 }

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nsquad.corrections import GEval, correction_offmesh_closed
+from nsquad.corrections import GEval
 from nsquad.integrator import KernelParams, integrate_near_singular
 from nsquad.oracle import exact_test2
-from nsquad.verify import correction_taylor
+from nsquad.verify import correction_offmesh_closed, correction_taylor
 
 REL_TOL = 1e-11
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)

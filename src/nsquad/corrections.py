@@ -292,8 +292,8 @@ def _stencil_poly(window: list[float], s: float) -> list[float]:
     if not max(window) - min(window) <= _MAX_SPREAD:
         raise ValueError(_WINDOW_ERROR)
     # the map reproduces constants: apply it to the differences from the
-    # center sample, which are small and for nearby values exact (`dot`, not
-    # the matmul ufunc: the same BLAS product without the ufunc's dispatch)
+    # center sample, which are small and for nearby values exact (`dot` gives
+    # the bits of `@` without the matmul ufunc's dispatch)
     center = window[FD_STENCIL // 2]
     deltas = np.subtract(window, center)
     c0, c1, c2, c3, c4, c5, c6, c7, c8 = _stencil_operator().dot(deltas).tolist()

@@ -102,9 +102,9 @@ def digamma_complex(z: complex) -> complex:
     Upward recurrence psi(z+1) = psi(z) + 1/z shifts the argument to
     |z| >= 12, then the asymptotic series with Bernoulli coefficients
     through B_16 is applied.  The recurrence terms, the log, 1/(2w) and the
-    series are summed once, exactly rounded (`math.fsum` on the real and
-    the imaginary parts), so no partial sum rounds: within 4 eps of
-    max(1, |psi|) in each part on the strip Re z in [0.5, 1.5].
+    series are summed by `math.fsum`, one rounding for the real part and one
+    for the imaginary part: within 4 eps of max(1, |part|) in each part on
+    the strip Re z in [0.5, 1.5].
 
     Raises ValueError at the poles (nonpositive integers).
     """

@@ -9,6 +9,12 @@ finest first, and a coarser mesh nested by a power of 2 of the same a
 copies its samples from the GEval (`GEval.mesh_samples`), so a `*2` range
 calls g on the finest mesh's nodes only and a `*3` range on every mesh's.
 A custom g does not depend on d and serves the whole study.
+
+Every method's row at one (d, n) reads the same mesh pass: the corrected
+rows add their correction to it, `uncorrected-punctured` is its sum, and
+`uncorrected-plain` is the classical trapezoid on its kernel samples plus
+the puncture's own term.  The built-in integrands test1 and test2 have
+exact references on [-1, 1] only, so a study of either needs a = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 from .corrections import FD_STENCIL, GEval
 from .integrator import KernelParams, _correct, _mesh_pass, integrate_near_singular
 from .oracle import exact_test1, exact_test2, reference_integral
-from .verify import CoeffParams, coeff_table, plain_trapezoid
+from .verify import CoeffParams, coeff_table
 
 CONVERGE_METHODS = ("uncorrected-punctured", "uncorrected-plain",
                     "corrected-closed", "corrected-fd6")
@@ -33,7 +39,7 @@ CONVERGE_METHODS = ("uncorrected-punctured", "uncorrected-plain",
 COEFF_COLUMNS = ("zk", "zks", "zk_minus_s", "pks", "sym_resid", "closedform_resid")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConvergenceRow:
     n: int
     h: float
@@ -72,6 +78,10 @@ class StudyConfig:
             raise ValueError(f"unknown methods {bad}; choose from {CONVERGE_METHODS}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
+        if self.integrand in ("test1", "test2") and self.a != 1.0:
+            # exact_test1/2 integrate over [-1, 1]
+            raise ValueError(f"{self.integrand} is defined for a = 1 only; "
+                             "use --integrand custom for another a")
         if self.integrand == "test1" and (self.c != 1.0 or self.x_s != 0.0):
             raise ValueError("test1 is defined for c = 1, x_s = 0; use test2")
         if self.integrand == "custom" and not self.g_expr:
@@ -126,13 +136,15 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
         elif method == "corrected-fd6":
             value = _correct(g, c, d, x_s, sampled, "fd-series").value
         elif method == "uncorrected-plain":
-            # the punctured nodes, then the puncture's own kernel value, whose
-            # mesh-unit denominator s^2 + lam^2 may underflow where this one
-            # does not
+            # the classical trapezoid on the punctured nodes (the pairwise sum
+            # of `verify.plain_trapezoid`; `_rule_sums` has checked f), then
+            # the puncture's own kernel value, whose mesh-unit denominator
+            # s^2 + lam^2 may underflow where this one does not
             h = mesh.h
             r = math.hypot(c * s * h, d)
-            value = (plain_trapezoid(mesh, f) / c ** 2 / h / h
-                     + h * window[FD_STENCIL // 2] / r / r)
+            ends = 0.5 * float(f[0]) + 0.5 * float(f[-1])
+            plain = h * (float(np.add.reduce(f)) - ends)
+            value = plain / c ** 2 / h / h + h * window[FD_STENCIL // 2] / r / r
         else:
             value = uncorrected
         values.append(value)
@@ -143,20 +155,20 @@ def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
     """The rows of the study, sorted by (d, n, method); each d walks the
     meshes finest first, with one GEval for every d when g is custom."""
     custom = _compile_g_expr(config.g_expr) if config.integrand == "custom" else None
+    # every float field a Python float: `_rows_to_csv` prints str()
+    c, x_s = float(config.c), float(config.x_s)
     rows = []
     for d in config.d_list:
         g = custom if custom is not None else _study_integrand(d)
-        reference = _study_reference(config, g, d)
+        reference = float(_study_reference(config, g, d))
         params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
+        d = float(d)
         for n in sorted(config.n_list, reverse=True):
             h = float(config.a / n)
             values = _method_values(config.methods, g, params, n)
             for method, value in zip(config.methods, values):
-                # every float field a Python float: `_rows_to_csv` prints str()
-                rows.append(ConvergenceRow(
-                    n=n, h=h, d=float(d), c=float(config.c), xs=float(config.x_s),
-                    method=method, value=float(value), reference=float(reference),
-                    abs_err=float(abs(value - reference))))
+                rows.append(ConvergenceRow(n, h, d, c, x_s, method, float(value),
+                                           reference, float(abs(value - reference))))
     rows.sort(key=lambda r: (r.d, r.n, r.method))
     return rows
 

@@ -246,7 +246,7 @@ class GEval:
         return abs(complex(self.complex_eval(complex(x, 0.0))) - real_value)
 
 
-@dataclass(frozen=True)
+@dataclass
 class CorrectionBreakdown:
     """Correction E = singular_part + jump_part with bookkeeping.
 

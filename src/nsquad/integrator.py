@@ -94,7 +94,7 @@ class KernelParams:
         _check_kernel(self.a, self.c, self.d, self.x_s)
 
 
-@dataclass(frozen=True)
+@dataclass
 class MeshSummary:
     a: float
     n: int

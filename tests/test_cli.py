@@ -13,8 +13,8 @@ from nsquad.cli import (
     parse_n_range,
     run_converge,
 )
-from nsquad.corrections import GEval
-from nsquad.integrator import KernelParams, integrate_near_singular
+from nsquad.corrections import FD_STENCIL, GEval
+from nsquad.integrator import KernelParams, _mesh_pass, integrate_near_singular
 from nsquad.meshrule import Mesh
 from nsquad.oracle import exact_test1, exact_test2
 from nsquad.verify import plain_trapezoid
@@ -52,6 +52,19 @@ class TestStudyConfig:
             StudyConfig(d_list=[0.1], n_list=[64], integrand="test1", x_s=0.1)
         with pytest.raises(ValueError):
             StudyConfig(d_list=[0.1], n_list=[64], integrand="custom")
+
+    @pytest.mark.parametrize("integrand, a", [("test1", 0.5), ("test2", 2.0)])
+    def test_built_in_integrands_need_a_one(self, capsys, integrand, a):
+        # exact_test1/2 integrate over [-1, 1]: another a would report a
+        # wrong reference and abs_err
+        with pytest.raises(ValueError, match="a = 1 only; use --integrand custom"):
+            StudyConfig(d_list=[0.01], n_list=[64], integrand=integrand, a=a)
+        assert main(["converge", "--integrand", integrand, "--a", str(a),
+                     "--d", "0.01", "--n", "64"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nsquad: error: ")
+        StudyConfig(d_list=[0.01], n_list=[64], integrand="custom", g_expr="exp(x)", a=a)
 
 
 class TestConverge:
@@ -108,6 +121,28 @@ class TestConverge:
                       "uncorrected-punctured": "auto"}[row.method]
             res = integrate_near_singular(g, params, row.n, method)
             want = res.uncorrected if row.method == "uncorrected-punctured" else res.value
+            assert row.value == want, (row.method, row.d, row.n)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("x_s", [0.0, 0.1])
+    def test_uncorrected_rows_bit_identical(self, c, x_s):
+        # the plain row is the reference rule on the pass's f, rescaled, plus
+        # the puncture's kernel value; the punctured row is the integrator's
+        config = StudyConfig(d_list=[1e-8, 1e-4, 0.1], n_list=parse_n_range("16:256:*2"),
+                             integrand="test2", c=c, x_s=x_s)
+        rows = [r for r in run_converge(config) if r.method.startswith("uncorrected")]
+        assert len(rows) == 30
+        for row in rows:
+            g = cli._study_integrand(row.d)
+            mesh, _, s, _, _, window, f, _, _ = _mesh_pass(g, 1.0, c, row.d, x_s, row.n)
+            if row.method == "uncorrected-plain":
+                h = mesh.h
+                r = math.hypot(c * s * h, row.d)
+                want = (plain_trapezoid(mesh, f) / c ** 2 / h / h
+                        + h * window[FD_STENCIL // 2] / r / r)
+            else:
+                params = KernelParams(a=1.0, c=c, d=row.d, x_s=x_s)
+                want = integrate_near_singular(g, params, row.n).uncorrected
             assert row.value == want, (row.method, row.d, row.n)
 
     def test_plain_row_where_the_mesh_unit_puncture_underflows(self):

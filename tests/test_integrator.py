@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nsquad.cli import StudyConfig, run_converge
 from nsquad.corrections import GEval
 from nsquad.integrator import (
     METHODS,
@@ -840,6 +841,40 @@ class TestMeshSamples:
             b = integrate_near_singular(make(), params, n, method)
             assert (a.value, a.uncorrected, a.breakdown, a.method, a.warnings) == \
                 (b.value, b.uncorrected, b.breakdown, b.method, b.warnings)
+
+
+class TestOutputRecords:
+    """A result's records are per-call outputs; the inputs it is built from
+    are shared (a KernelParams, the cached Mesh) and stay frozen."""
+
+    def test_each_call_builds_its_own_records(self):
+        params = KernelParams(a=1.0, d=0.01, x_s=0.1)
+        g = g_scaled_exp(0.01)
+        for method in ("closed-form", "fd-series"):
+            a = integrate_near_singular(g, params, 64, method)
+            b = integrate_near_singular(g, params, 64, method)
+            assert a == b
+            assert a.breakdown is not b.breakdown and a.mesh is not b.mesh
+
+    def test_records_convert_to_dicts(self):
+        res = integrate_near_singular(g_scaled_exp(0.01), KernelParams(a=1.0, d=0.01), 64)
+        record = dataclasses.asdict(res)
+        assert record["breakdown"]["total"] == res.breakdown.total
+        assert record["mesh"] == {"a": 1.0, "n": 64, "h": 1.0 / 64, "puncture": 0, "s": 0.0}
+        (row,) = run_converge(StudyConfig(d_list=[0.01], n_list=[64],
+                                          methods=("corrected-closed",)))
+        assert dataclasses.asdict(row) == {
+            "n": 64, "h": 1.0 / 64, "d": 0.01, "c": 1.0, "xs": 0.0,
+            "method": "corrected-closed", "value": row.value,
+            "reference": row.reference, "abs_err": row.abs_err}
+
+    def test_shared_inputs_stay_frozen(self):
+        params = KernelParams(a=1.0, d=0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.d = 0.1
+        mesh = Mesh(1.0, 64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.n = 128
 
 
 class TestKernelParams:

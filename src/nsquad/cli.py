@@ -128,7 +128,7 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
     the kernel samples, its punctured entry 0."""
     c, d, x_s = params.c, params.d, params.x_s
     sampled = _mesh_pass(g, params.a, c, d, x_s, n)
-    mesh, _, s, _, _, window, f, uncorrected, _ = sampled
+    mesh, _, s, _, _, window, _, f, uncorrected, _ = sampled
     values = []
     for method in methods:
         if method == "corrected-closed":

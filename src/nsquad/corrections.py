@@ -9,8 +9,11 @@ numerator g extends analytically to a complex neighborhood of x_s
 (`_taylor_correction`), which at d = 0 is the finite-part correction.
 Every Taylor coefficient of g comes from one source, the degree-8
 interpolant on the 9 mesh samples around the puncture, in the mesh units
-b_k = g^(k)(x_s) h^k/k! that the singular series needs (`_stencil_poly`);
-one pass over them gives G, g_node and Q (`_taylor_parts`).
+b_k = g^(k)(x_s) h^k/k! that the singular series needs (`_stencil_poly`,
+which reads the samples' differences from the mesh pass's array view of
+them); one straight-line pass over b_0..b_6 gives G, g_node and Q
+(`_taylor_parts`).  The same pass for any number of coefficients, the
+reference it is tested against, serves `verify.correction_taylor`.
 
 These routines are the per-target core: they take Python floats that the
 entry already checked (the kernel by `integrator._check_kernel`, the mesh
@@ -68,8 +71,17 @@ _Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
 _MESHES_KEPT = 4
 # the smallest normal float: a finer mesh's h below it shares no samples
 _MIN_NORMAL = sys.float_info.min
-# what real_eval may not return, whatever the imaginary part
-_COMPLEX_TYPES = (complex, np.complexfloating)
+# what real_eval may not return: numpy would cast a complex value to its real
+# part with only a warning, None to NaN and a string to the number it spells
+_NOT_REAL_TYPES = (complex, np.complexfloating, type(None), str, bytes)
+
+
+def _check_real(values: list) -> None:
+    """ValueError for the first of g's `values` that is complex, None or a
+    string, judged by its type (`_NOT_REAL_TYPES`)."""
+    if any(issubclass(t, _NOT_REAL_TYPES) for t in set(map(type, values))):
+        bad = next(v for v in values if isinstance(v, _NOT_REAL_TYPES))
+        raise ValueError(f"real_eval must return a real number, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,7 @@ class GEval:
         f is called once per array of points; if it rejects arrays (raises
         TypeError or ValueError, or returns the wrong shape), g falls back to
         one call per point for good.  Complex values at real points raise
-        ValueError unless every imaginary part is 0.
+        ValueError unless every imaginary part is 0, as do None and strings.
         """
         g = cls(real_eval=f, complex_eval=f, radius=radius)
         object.__setattr__(g, "_array_f", f)
@@ -129,7 +141,7 @@ class GEval:
         An f of `analytic` that accepts arrays is called once on `points`;
         otherwise real_eval is called once per point, in order, with Python
         floats (`points.tolist()`).  Complex points, or a value of real_eval
-        that is complex, raise ValueError.
+        that is complex, None or a string, raise ValueError.
         """
         if points.dtype.kind == "c":
             raise ValueError("g is sampled at real points only; "
@@ -139,11 +151,7 @@ class GEval:
             if values is not None:
                 return values
         values = list(map(self.real_eval, points.tolist()))
-        # every value is judged by its type: numpy would cast a complex
-        # scalar to its real part with only a warning
-        if any(issubclass(t, _COMPLEX_TYPES) for t in set(map(type, values))):
-            bad = next(v for v in values if isinstance(v, _COMPLEX_TYPES))
-            raise ValueError(f"real_eval must return a real number, got {bad!r}")
+        _check_real(values)
         try:
             return np.fromiter(values, float, count=len(points))
         except TypeError as exc:
@@ -236,6 +244,8 @@ class GEval:
             if values.imag.any():
                 raise ValueError("f returned complex values at real points")
             values = values.real
+        elif values.dtype.kind in "OSU":   # objects or strings
+            _check_real(values.ravel().tolist())
         return np.ascontiguousarray(values, dtype=float)
 
     def consistency_gap(self, x: float, real_value: float) -> float:
@@ -284,19 +294,22 @@ def _check_window(window: list[float]) -> list[float]:
     return window
 
 
-def _stencil_poly(window: list[float], s: float) -> list[float]:
+def _stencil_poly(window: list[float], samples: np.ndarray, s: float) -> list[float]:
     """b_k = g^(k)(x_s) h^k/k!, k = 0..6: the coefficients in t = (x - x_s)/h of the
     degree-8 interpolant on `window`, the 9 finite floats of `_check_window` at
-    the nodes x_s - s h + k h, k = -4..4; ValueError unless they differ by at
-    most sys.float_info.max/128."""
-    if not max(window) - min(window) <= _MAX_SPREAD:
+    the nodes x_s - s h + k h, k = -4..4, and `samples`, the same 9 values as a
+    float array; ValueError unless they differ by at most
+    sys.float_info.max/128."""
+    ordered = sorted(window)
+    if not ordered[-1] - ordered[0] <= _MAX_SPREAD:
         raise ValueError(_WINDOW_ERROR)
     # the map reproduces constants: apply it to the differences from the
-    # center sample, which are small and for nearby values exact (`dot` gives
-    # the bits of `@` without the matmul ufunc's dispatch)
+    # center sample, which are small and for nearby values exact; they are
+    # taken on the array, which a list would first be converted to (`dot`
+    # gives the bits of `@` without the matmul ufunc's dispatch)
     center = window[FD_STENCIL // 2]
-    deltas = np.subtract(window, center)
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _stencil_operator().dot(deltas).tolist()
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _stencil_operator().dot(
+        np.subtract(samples, center)).tolist()
     c0 += center
     # synthetic division by (t - s), once per order k = 0..6, one line each:
     # c_k becomes the coefficient of (t - s)^k, final after pass k
@@ -312,22 +325,26 @@ def _stencil_poly(window: list[float], s: float) -> list[float]:
 
 def _taylor_parts(b: Sequence[float], s: float,
                   lam: float) -> tuple[float, float, float, float]:
-    """(Re G, Im G/lam, g_node, Q) of P(t) = sum_k b[k] t^k: G = P(i lam), g_node = P(-s).
+    """(Re G, Im G/lam, g_node, Q) of P(t) = sum_k b[k] t^k, k = 0..6:
+    G = P(i lam), g_node = P(-s).
 
     With mu = -lam^2, Re G = sum_m b_{2m} mu^m and Im G/lam = sum_m b_{2m+1} mu^m.
     The synthetic division P(t) = (t + s) S(t) + g_node gives G - g_node =
     w S(i lam), w = s + i lam, so the closed form's Q = -Im[(G - g_node)/w]/lam
     is -sum_m S_{2m+1} mu^m: finite at lam = 0, and sum_k q_k b_k term by term.
+    One line per k, from k = 6 down: the operations of `verify.taylor_parts`,
+    the same pass for any number of coefficients, in its order, its first
+    steps on 0.0 included (they fix the sign of a zero result).
     """
-    mu = -lam * lam
-    re_g = im_g = quotient = node = 0.0
-    for k in range(len(b) - 1, -1, -1):
-        if k % 2:
-            im_g = im_g * mu + b[k]
-            quotient = quotient * mu + node   # node is S_k here
-        else:
-            re_g = re_g * mu + b[k]
-        node = node * -s + b[k]
+    b0, b1, b2, b3, b4, b5, b6 = b
+    mu, t = -lam * lam, -s
+    re_g = 0.0 * mu + b6; node = 0.0 * t + b6
+    im_g = 0.0 * mu + b5; quotient = 0.0 * mu + node; node = node * t + b5
+    re_g = re_g * mu + b4; node = node * t + b4
+    im_g = im_g * mu + b3; quotient = quotient * mu + node; node = node * t + b3
+    re_g = re_g * mu + b2; node = node * t + b2
+    im_g = im_g * mu + b1; quotient = quotient * mu + node; node = node * t + b1
+    re_g = re_g * mu + b0; node = node * t + b0
     return re_g, im_g, node, -quotient
 
 
@@ -396,21 +413,23 @@ def _check_lam(c: float, d: float, h: float, lam: float) -> None:
 
 
 def _closed_correction(g: GEval, c: float, d: float, h: float, s: float, x_s: float,
-                       window: list[float], lam: float) -> CorrectionBreakdown:
+                       window: list[float], samples: np.ndarray,
+                       lam: float) -> CorrectionBreakdown:
     """The closed form in G = g(x_s + i lam h), unchecked but for lam = 0; the
     checked view, `verify.correction_offmesh_closed`, states it.  d > 0,
     lam = d/(c h), and `window` is the 9 floats of `_check_window`, g_node its
-    center.  Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2), or, where
-    lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam overflows, the Q of g's
-    Taylor polynomial through order 6 on `window` (`_taylor_parts`), with
-    `terms_used` the series order (0 otherwise)."""
+    center, `samples` the same as an array.  Q = (Re G - g_node - (s/lam)
+    Im G)/(s^2 + lam^2), or, where lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam
+    overflows, the Q of g's Taylor polynomial through order 6 on the window
+    (`_taylor_parts`), with `terms_used` the series order (0 otherwise)."""
     _check_lam(c, d, h, lam)
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
     g_node = window[FD_STENCIL // 2]
     denom = s * s + lam * lam
     # only for lam < 0.1; s/lam overflows only for a subnormal lam
     if lam > Q_SERIES_RATIO * denom or math.isinf(s / lam):
-        quotient, terms = _taylor_parts(_stencil_poly(window, s), s, lam)[3], FD_DERIV_MAX
+        b = _stencil_poly(window, samples, s)
+        quotient, terms = _taylor_parts(b, s, lam)[3], FD_DERIV_MAX
     else:
         quotient, terms = (gval.real - g_node - s / lam * gval.imag) / denom, 0
     return _assemble(gval.real, gval.imag / lam, g_node, quotient, c, d, h, s, lam, terms)
@@ -418,6 +437,6 @@ def _closed_correction(g: GEval, c: float, d: float, h: float, s: float, x_s: fl
 
 def _taylor_correction(b: Sequence[float], c: float, d: float, h: float, s: float,
                        lam: float) -> CorrectionBreakdown:
-    """The closed form on G of P(t) = sum_k b[k] t^k, t = (x - x_s)/h, at
-    lam = d/(c h), unchecked."""
-    return _assemble(*_taylor_parts(b, s, lam), c, d, h, s, lam, len(b) - 1)
+    """The closed form on G of P(t) = sum_k b[k] t^k, k = 0..6, t = (x - x_s)/h,
+    at lam = d/(c h), unchecked."""
+    return _assemble(*_taylor_parts(b, s, lam), c, d, h, s, lam, FD_DERIV_MAX)

@@ -130,16 +130,18 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> tu
     """Everything a target needs from g before its correction, from the
     GEval's samples on the mesh, for a kernel that `_check_kernel` passed.
 
-    Returns (mesh, j, s, lam, gvals, window, f, uncorrected, edge_err): the
-    puncture j and offset s of `puncture_split`, lam = d/(c h), g at the
-    mesh nodes (`GEval.mesh_samples`), the 9 of them around the puncture as
-    floats, checked once (`_check_window`), c^2 h^2 times the kernel samples
-    there, f = g/((m - s)^2 + lam^2) in mesh units (m = k - j exact: the
-    lattice the correction assumes), its punctured entry 0, and the
-    punctured sum of the kernel samples and its estimated end-correction
-    error, as a tuple.  The sum and the estimate are taken on a unit step,
-    then divided by c^2 and by h (never by (c h)^2, which may underflow).
-    Every method reads the same pass through `_correct`.
+    Returns (mesh, j, s, lam, gvals, window, samples, f, uncorrected,
+    edge_err): the puncture j and offset s of `puncture_split`,
+    lam = d/(c h), g at the mesh nodes (`GEval.mesh_samples`), the 9 of them
+    around the puncture as floats, checked once (`_check_window`), and the
+    same 9 as the read-only view of gvals that the stencil fit subtracts
+    on, c^2 h^2 times the kernel samples, f = g/((m - s)^2 + lam^2) in mesh
+    units (m = k - j exact: the lattice the correction assumes), its
+    punctured entry 0, and the punctured sum of the kernel samples and its
+    estimated end-correction error, as a tuple.  The sum and the estimate
+    are taken on a unit step, then divided by c^2 and by h (never by
+    (c h)^2, which may underflow).  Every method reads the same pass
+    through `_correct`.
     """
     mesh = _mesh(a, n)
     h = mesh.h
@@ -155,15 +157,17 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> tu
     # j + s = x_s/h exactly: the denominators in place, then f
     f = _node_array(float(n), n) - (j + s)
     f *= f
-    f += lam * lam
+    if lam > 0.0:   # at lam = 0 it would add +0.0 to squares
+        f += lam * lam
     f[i] = 1.0
     np.divide(gvals, f, out=f)
     f[i] = 0.0
     total, edge_err = _rule_sums(1.0, f)
     i0 = i - FD_STENCIL // 2
-    window = _check_window(gvals[i0:i0 + FD_STENCIL].tolist())
+    samples = gvals[i0:i0 + FD_STENCIL]
+    window = _check_window(samples.tolist())
     c2 = c ** 2
-    return mesh, j, s, lam, gvals, window, f, total / c2 / h, edge_err / c2 / h
+    return mesh, j, s, lam, gvals, window, samples, f, total / c2 / h, edge_err / c2 / h
 
 
 def _correct(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
@@ -172,11 +176,11 @@ def _correct(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
     `sampled` of `_mesh_pass` (d = 0 takes the finite part for either); only
     the closed form calls g again, for G and to check complex_eval at the
     puncture node against that node's sample."""
-    mesh, j, s, lam, gvals, window, _, uncorrected, edge_err = sampled
+    mesh, j, s, lam, gvals, window, samples, _, uncorrected, edge_err = sampled
     h = mesh.h
     warnings = []
     if d > 0.0 and method == "closed-form":
-        breakdown = _closed_correction(g, c, d, h, s, x_s, window, lam)
+        breakdown = _closed_correction(g, c, d, h, s, x_s, window, samples, lam)
         used = "closed-form"
         g_node = window[FD_STENCIL // 2]
         gap = g.consistency_gap(j * h, g_node)
@@ -188,7 +192,7 @@ def _correct(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
                 warnings.append(f"complex_eval disagrees with real_eval at the puncture "
                                 f"node (relative gap {gap:.2e})")
     else:
-        breakdown = _taylor_correction(_stencil_poly(window, s), c, d, h, s, lam)
+        breakdown = _taylor_correction(_stencil_poly(window, samples, s), c, d, h, s, lam)
         used = "finite-part" if d == 0.0 else "fd-series"
 
     value = uncorrected + breakdown.total

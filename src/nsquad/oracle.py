@@ -186,6 +186,15 @@ def _e1_continued_fraction(w: complex) -> complex:
     return cmath.exp(-w) * f
 
 
+def _takes_continued_fraction(z: complex) -> bool:
+    """Whether `complex_ei` takes Ei(z), z off the positive reals, as
+    -E1(-z) +/- i pi, E1 from the continued fraction, rather than from the
+    power series."""
+    # the continued fraction for E1(-z) stalls near its cut (z near the
+    # positive reals); the series still has full relative accuracy there
+    return abs(z) > 4.0 and not (z.real > abs(z.imag) and abs(z) <= 40.0)
+
+
 def complex_ei(z: complex) -> complex:
     """Exponential integral Ei(z) on the principal branch.
 
@@ -199,11 +208,7 @@ def complex_ei(z: complex) -> complex:
         raise ValueError("Ei is singular at z = 0")
     if z.imag == 0.0 and z.real > 0.0:
         return complex(_ei_power_series(z).real, 0.0)
-    if abs(z) <= 4.0:
-        return _ei_power_series(z)
-    if z.real > abs(z.imag) and abs(z) <= 40.0:
-        # continued fraction for E1(-z) stalls near its cut (z near the
-        # positive reals); the series still has full relative accuracy here
+    if not _takes_continued_fraction(z):
         return _ei_power_series(z)
     e1 = _e1_continued_fraction(-z)
     if z.imag > 0.0:
@@ -211,6 +216,18 @@ def complex_ei(z: complex) -> complex:
     if z.imag < 0.0:
         return -e1 - 1j * math.pi
     return complex((-e1).real, 0.0)
+
+
+def _ei_difference(z1: complex, z2: complex) -> complex:
+    """Ei(z1) - Ei(z2).  Where both take the continued fraction on the same
+    side of the cut, their +/- i pi cancel exactly, so the difference is
+    E1(-z2) - E1(-z1) itself: |E1(-z)| is about |e^z/z|, far below pi once
+    |Im z| is large, and each rounding against pi would cost the digits
+    between."""
+    if (z1.imag != 0.0 and z2.imag != 0.0 and (z1.imag > 0.0) == (z2.imag > 0.0)
+            and _takes_continued_fraction(z1) and _takes_continued_fraction(z2)):
+        return _e1_continued_fraction(-z2) - _e1_continued_fraction(-z1)
+    return complex_ei(z1) - complex_ei(z2)
 
 
 def exact_test1(d: float) -> float:
@@ -222,7 +239,7 @@ def exact_test1(d: float) -> float:
     if d == 0.0:
         raise ValueError("d = 0 is the jump point; the one-sided limits are +/- pi")
     w = 1j * d
-    return (cmath.exp(w) * (complex_ei(1.0 - w) - complex_ei(-1.0 - w))).imag
+    return (cmath.exp(w) * _ei_difference(1.0 - w, -1.0 - w)).imag
 
 
 def exact_test2(d: float, c: float, x_s: float) -> float:
@@ -237,7 +254,7 @@ def exact_test2(d: float, c: float, x_s: float) -> float:
     if c <= 0.0:
         raise ValueError("c must be positive")
     w = x_s + 1j * d / c
-    val = (cmath.exp(w) * (complex_ei(1.0 - w) - complex_ei(-1.0 - w))).imag
+    val = (cmath.exp(w) * _ei_difference(1.0 - w, -1.0 - w)).imag
     return val / c
 
 

@@ -10,7 +10,9 @@ Hurwitz-zeta coefficients z_{k,s} (digamma seeds at 1 + s - i*lambda, a
 two-term recurrence) through the symmetry p_{k,s} = z_{k,-s} + (-1)^k z_{k,s},
 by the p_{k,s} recurrence on the digamma seeds (`digamma_seeds`), and from
 an mpmath series oracle.  `pks_closed`, the seeds plus the quotients of
-`pks_quotients`, is the runtime form it checks.  The special functions
+`pks_quotients`, is the runtime form it checks.  `taylor_parts`, the one
+pass over g's Taylor coefficients for any number of them, is the loop that
+the core's straight-line pass over b_0..b_6 unrolls.  The special functions
 these routes read (digamma, trigamma, the Bernoulli polynomials and the
 Hurwitz zeta values at nonpositive orders) live here too, on the exact
 Bernoulli table of `specfun`.  So do `punctured_trapezoid`,
@@ -18,8 +20,9 @@ Bernoulli table of `specfun`.  So do `punctured_trapezoid`,
 `correction_offmesh_closed`, each a checked view over the core routine that
 integration calls on inputs its entry already checked
 (`meshrule._rule_sums`, `corrections._stencil_poly`,
-`corrections._taylor_correction`, `corrections._closed_correction`), with the
-same messages.  No module of the integration path imports this one.
+`corrections._assemble`, `corrections._closed_correction`), with the same
+messages; `correction_taylor` takes any number of coefficients, through
+`taylor_parts`.  No module of the integration path imports this one.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ from .corrections import (
     FD_STENCIL,
     CorrectionBreakdown,
     GEval,
+    _assemble,
     _check_kernel_scales,
     _check_lam,
     _check_mesh_scale,
     _check_window,
     _closed_correction,
     _stencil_poly,
-    _taylor_correction,
 )
 from .emcoeff import pks_seeds
 from .integrator import KernelParams, puncture_split
@@ -263,7 +266,7 @@ def pks_quotients(lam: float, s: float, k_max: int) -> np.ndarray:
     Each is evaluated through the exact polynomial quotient, which keeps it
     finite and stable as (s, lam) -> (0, 0); q_0 = q_1 = 0.  The same q_k
     are the Taylor coefficients of the closed form's cancelling term: the
-    reference for the synthetic division of `corrections._taylor_parts`.
+    reference for the synthetic division of `taylor_parts`.
     """
     mlam2 = -lam * lam
     s2 = s * s
@@ -480,6 +483,25 @@ def _check_offset(s: float) -> None:
         raise ValueError("s must lie in [-1/2, 1/2]")
 
 
+def taylor_parts(b: Sequence[float], s: float,
+                 lam: float) -> tuple[float, float, float, float]:
+    """(Re G, Im G/lam, g_node, Q) of P(t) = sum_k b[k] t^k for any number of
+    coefficients: G = P(i lam), g_node = P(-s), Q = -Im[(G - g_node)/w]/lam,
+    w = s + i lam, in one Horner pass from the top coefficient down
+    (`corrections._taylor_parts` states the sums).  The core's pass over
+    b_0..b_6 is this loop unrolled, operation for operation."""
+    mu = -lam * lam
+    re_g = im_g = quotient = node = 0.0
+    for k in range(len(b) - 1, -1, -1):
+        if k % 2:
+            im_g = im_g * mu + b[k]
+            quotient = quotient * mu + node   # node is S_k here
+        else:
+            re_g = re_g * mu + b[k]
+        node = node * -s + b[k]
+    return re_g, im_g, node, -quotient
+
+
 def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray:
     """g^(0..6)(x_s) from g at the 9 nodes centered on the puncture node, x_s
     relative to the center, |x_s| <= h/2: b_k k!/h^k on the coefficients of
@@ -492,8 +514,9 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
                          f"got h = {h!r}, x_s = {x_s!r}")
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
+    window = _checked_window(samples)
     derivs = [b * math.factorial(k)
-              for k, b in enumerate(_stencil_poly(_checked_window(samples), x_s / h))]
+              for k, b in enumerate(_stencil_poly(window, np.asarray(window), x_s / h))]
     # 1/h^k by repeated division: an overflow is inf and an underflow 0,
     # where h ** k warns
     for k in range(1, len(derivs)):
@@ -508,10 +531,11 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
                       s: float) -> CorrectionBreakdown:
     """The closed form on g's Taylor polynomial a_k = g^(k)(x_s)/k!, k = 0..K, any d >= 0.
 
-    The checked view of `corrections._taylor_correction`, which integration
-    calls on the stencil's b_k = a_k h^k: the pole form (lam >= 1) or the
-    seeds' form (lam < 1) on G, g_node and Q of P(t) = sum_k b_k t^k,
-    t = (x - x_s)/h; at d = 0, with no jump, the finite-part correction for
+    The form integration takes on the stencil's b_k = a_k h^k, k = 0..6
+    (`corrections._taylor_correction`), checked and for any K: the pole form
+    (lam >= 1) or the seeds' form (lam < 1) of `corrections._assemble` on G,
+    g_node and Q of P(t) = sum_k b_k t^k, t = (x - x_s)/h, from
+    `taylor_parts`; at d = 0, with no jump, the finite-part correction for
     1/(c^2 (x - x_s)^2).  ValueError for the scales `_check_scales` rejects,
     an s outside [-1/2, 1/2], and unless `a` is a non-empty 1-D sequence of
     finite values with finite a_k h^k.
@@ -531,7 +555,8 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
             b[j] *= h
     if not all(map(math.isfinite, b)):
         raise ValueError("the Taylor coefficients a_k and a_k h^k must be finite")
-    return _taylor_correction(b, c, d, h, s, d / (c * h))
+    lam = d / (c * h)
+    return _assemble(*taylor_parts(b, s, lam), c, d, h, s, lam, len(b) - 1)
 
 
 def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
@@ -573,4 +598,5 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     if g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
     _check_offset(s)
-    return _closed_correction(g, c, d, h, s, x_s, _checked_window(window), d / (c * h))
+    window = _checked_window(window)
+    return _closed_correction(g, c, d, h, s, x_s, window, np.asarray(window), d / (c * h))

@@ -134,7 +134,7 @@ class TestConverge:
         assert len(rows) == 30
         for row in rows:
             g = cli._study_integrand(row.d)
-            mesh, _, s, _, _, window, f, _, _ = _mesh_pass(g, 1.0, c, row.d, x_s, row.n)
+            mesh, _, s, _, _, window, _, f, _, _ = _mesh_pass(g, 1.0, c, row.d, x_s, row.n)
             if row.method == "uncorrected-plain":
                 h = mesh.h
                 r = math.hypot(c * s * h, row.d)

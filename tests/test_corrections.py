@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nsquad.corrections import (
     GEval,
@@ -19,6 +20,7 @@ from nsquad.verify import (
     correction_taylor,
     fd_derivatives,
     pks_quotients,
+    taylor_parts,
     trigamma,
     zks_table,
 )
@@ -154,7 +156,8 @@ class TestCenteredClosed:
         # their sum overflows; only then is each value tested
         for window in (np.full(9, 1e308), np.where(np.arange(9) == 2, -1e308, 1e308)):
             assert _check_window(window.tolist()) == window.tolist()
-        assert np.all(np.isfinite(_stencil_poly(np.full(9, 1e308).tolist(), 0.0)))
+        huge = np.full(9, 1e308)
+        assert np.all(np.isfinite(_stencil_poly(huge.tolist(), huge, 0.0)))
         for bad in (math.nan, math.inf, -math.inf):
             window = np.full(9, 1e308)
             window[6] = bad
@@ -420,15 +423,23 @@ class TestFdDerivatives:
                 fd_derivatives(window, h, 0.0)
         window = np.where(np.arange(9) == 2, -1e308, 1e308)
         with pytest.raises(ValueError, match="stencil samples"):
-            _stencil_poly(window.tolist(), 0.0)
+            _stencil_poly(window.tolist(), window, 0.0)
         # a spread that the map and the shift cannot overflow still passes
         window = np.full(9, 1e306)
         window[7] = 0.0
         assert np.all(np.isfinite(fd_derivatives(window, 1.0, 0.5)))
 
 
+def _log_uniform(lo: float, hi: float):
+    """Floats 10^e, e uniform in [lo, hi], of either sign."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((1.0, -1.0)),
+                     st.floats(lo, hi))
+
+
 class TestTaylorParts:
-    """The one pass over the mesh-unit coefficients b_k against direct evaluation."""
+    """The one pass over the mesh-unit coefficients b_k: verify's loop for any
+    K against direct evaluation, the core's straight-line pass over b_0..b_6
+    against the loop, bit for bit."""
 
     @staticmethod
     def reference(b, s, lam):
@@ -453,8 +464,37 @@ class TestTaylorParts:
                 for lam in (0.0, 1e-9, 1e-3, 0.1, 1.0, 30.0, 1e4):
                     for _ in range(3):
                         b = rng.standard_normal(K + 1)
-                        got = _taylor_parts(b.tolist(), s, lam)
+                        got = taylor_parts(b.tolist(), s, lam)
                         want, scale = self.reference(b, s, lam)
                         for part in range(4):
                             assert abs(got[part] - want[part]) <= 1e-14 * scale[part], \
                                 (K, s, lam, part)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from((0.0, -0.0)), _log_uniform(-300.0, 300.0)),
+                    min_size=7, max_size=7),
+           st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5)), st.floats(-0.5, 0.5)),
+           st.one_of(st.just(0.0), _log_uniform(-320.0, 156.0).map(abs)))
+    # the loop's first steps on 0.0 turn b_6 = -0.0 into a node value of +0.0
+    # at s = -1/2, and so Q into -0.0: a pass without them gives +0.0
+    @example([0.0, 0.0, -0.0, -0.0, -0.0, -0.0, -0.0], -0.5, 1e-200)
+    def test_straight_line_is_the_loop(self, b, s, lam):
+        # repr: signed zeros, infinities and NaNs count; lam^2 overflows from
+        # lam ~ 1.3e154 on
+        assert repr(_taylor_parts(b, s, lam)) == repr(taylor_parts(b, s, lam))
+
+    def test_stencil_reads_view_and_list_alike(self):
+        # the fit subtracts the center on the pass's read-only view: the same
+        # IEEE subtraction as on the list, so the same bits, and Python floats
+        rng = np.random.default_rng(11)
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+            gvals = scale * rng.standard_normal(64)
+            gvals.flags.writeable = False
+            for i0 in (0, 17, 55):
+                view = gvals[i0:i0 + 9]
+                window = view.tolist()
+                for s in (0.0, -0.0, 0.5, -0.5, 0.123):
+                    got = _stencil_poly(window, view, s)
+                    assert all(type(v) is float for v in got)
+                    assert ([v.hex() for v in got]
+                            == [v.hex() for v in _stencil_poly(window, window, s)])

@@ -35,6 +35,15 @@ SINC_REAL = GEval(real_eval=sinc)
 SINC_BOTH = GEval(real_eval=sinc, complex_eval=sinc_complex)
 
 
+def forgets_to_return(x):
+    math.exp(x)
+
+
+def array_of(value):
+    """An `analytic` f that returns `value` at every point of an array."""
+    return GEval.analytic(lambda z: np.full(np.shape(z), value))
+
+
 def near(g, n, method="auto", **kernel):
     return lambda: integrate_near_singular(g, KernelParams(**{"a": 1.0, **kernel}), n, method)
 
@@ -75,6 +84,16 @@ CASES = {
     "near-nan-node-fd": (near(SINC_REAL, 64, "fd-series", d=1e-3), WINDOW),
     "near-nan-summed-node": (near(SINC_REAL, 64, "fd-series", d=1e-3, x_s=0.5),
                              "non-finite sample at a summed node"),
+    # numpy would read None as NaN and a string as the number it spells: on
+    # real_eval's scalar path and from an `analytic` f's array alike
+    "near-g-returns-none": (near(GEval(real_eval=forgets_to_return), 64, "fd-series", d=1e-3),
+                            "real_eval must return a real number, got None"),
+    "near-g-returns-str": (near(GEval(real_eval=lambda x: "2.718"), 64, "fd-series", d=1e-3),
+                           "real_eval must return a real number, got '2.718'"),
+    "finite-part-f-array-of-none": (finite_part(array_of(None), 1.0, 0.1, 64),
+                                    "real_eval must return a real number, got None"),
+    "finite-part-f-array-of-str": (finite_part(array_of("2.718"), 1.0, 0.1, 64),
+                                   "real_eval must return a real number, got '2.718'"),
     "near-lam-underflow-closed": (near(EXP, 64, "closed-form", c=1e150, d=1e-300, x_s=0.1),
                                   "d = 1e-300 is too small for c = 1e+150, h = 0.015625: "
                                   "lam = d/(c h) underflows to 0"),

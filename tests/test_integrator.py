@@ -354,7 +354,7 @@ class TestFinitePart:
         for c in (0.5, 2.0, 3.0):
             for d in (1e-3, 0.0):
                 params = KernelParams(a=1.0, c=c, d=d, x_s=x_s)
-                mesh, j, _, _, _, _, f, total, est = _mesh_pass(
+                mesh, j, _, _, _, _, _, f, total, est = _mesh_pass(
                     GEval.analytic(np.exp), params.a, c, d, x_s, n)
                 x = mesh.nodes()
                 kernel = np.exp(x) / (d * d + c * c * (x - x_s) ** 2)

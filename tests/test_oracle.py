@@ -112,6 +112,22 @@ class TestExactValues:
         ref = reference_integral(g, KernelParams(a=1.0, c=c, d=d, x_s=x_s), tol=1e-13)
         assert abs(exact_test2(d, c, x_s) - ref.value) <= 1e-13
 
+    @pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4, 1e5])
+    def test_relative_accuracy_at_large_d_over_c(self, ratio):
+        # both Ei arguments take the continued fraction there, each with the
+        # same i pi, against a difference of about 2/|w|: within 1e-14 of the
+        # value itself (not of max(|value|, 1)) from a 40-digit quadrature
+        def want(d, c, x_s):
+            with mpmath.workdps(40):
+                d, c, x_s = mpmath.mpf(d), mpmath.mpf(c), mpmath.mpf(x_s)
+                kernel = lambda x: d * mpmath.exp(x) / (d * d + (c * (x - x_s)) ** 2)
+                return float(mpmath.quad(kernel, [-1, x_s, 1]))
+        for c in (1.0, 2.0):
+            ref = want(ratio * c, c, 0.1234)
+            assert abs(exact_test2(ratio * c, c, 0.1234) - ref) <= 1e-14 * abs(ref), c
+        ref = want(ratio, 1.0, 0.0)
+        assert abs(exact_test1(ratio) - ref) <= 1e-14 * abs(ref)
+
     def test_odd_in_d(self):
         for d in (0.05, 0.2):
             assert exact_test2(-d, 1.0, 0.1) == pytest.approx(

@@ -17,7 +17,6 @@ from .integrator import (
     puncture_split,
 )
 from .meshrule import Mesh, gregory_weights
-from .specfun import bernoulli_number
 
 # The oracle and the cross-checks, which integration never reads, load on
 # first access to one of their names (PEP 562), so `import nsquad` costs
@@ -26,9 +25,9 @@ _LAZY_MODULES = ("oracle", "verify")
 _LAZY = {
     **dict.fromkeys(("ReferenceResult", "complex_ei", "exact_test1", "exact_test2",
                      "finite_part_reference", "reference_integral"), "oracle"),
-    **dict.fromkeys(("CoeffParams", "CoeffTable", "SelfCheckReport", "bernoulli_poly",
-                     "coeff_table", "correction_offmesh_closed", "correction_taylor",
-                     "digamma", "digamma_complex",
+    **dict.fromkeys(("CoeffParams", "CoeffTable", "SelfCheckReport", "bernoulli_number",
+                     "bernoulli_poly", "coeff_table", "correction_offmesh_closed",
+                     "correction_taylor", "digamma", "digamma_complex",
                      "fd_derivatives", "fk_series_oracle", "hurwitz_zeta_nonpos",
                      "pks_closed", "pks_quotients", "pks_table", "plain_trapezoid",
                      "punctured_trapezoid", "self_check", "trigamma", "zks_table"),

@@ -11,10 +11,12 @@ calls g on the finest mesh's nodes only and a `*3` range on every mesh's.
 A custom g does not depend on d and serves the whole study.
 
 Every method's row at one (d, n) reads the same mesh pass: the corrected
-rows add their correction to it, `uncorrected-punctured` is its sum, and
-`uncorrected-plain` is the classical trapezoid on its kernel samples plus
-the puncture's own term.  The built-in integrands test1 and test2 have
-exact references on [-1, 1] only, so a study of either needs a = 1.
+rows add their correction's value to it (`integrator._corrected`: no check
+at the puncture node, no warnings, no result records, none of which a row
+prints), `uncorrected-punctured` is its sum, and `uncorrected-plain` is the
+classical trapezoid on its kernel samples plus the puncture's own term.
+The built-in integrands test1 and test2 have exact references on [-1, 1]
+only, so a study of either needs a = 1.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .corrections import FD_STENCIL, GEval
-from .integrator import KernelParams, _correct, _mesh_pass, integrate_near_singular
+from .integrator import KernelParams, _corrected, _mesh_pass, integrate_near_singular
 from .oracle import exact_test1, exact_test2, reference_integral
 from .verify import CoeffParams, coeff_table
 
@@ -132,9 +134,9 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
     values = []
     for method in methods:
         if method == "corrected-closed":
-            value = _correct(g, c, d, x_s, sampled, "closed-form").value
+            value = _corrected(g, c, d, x_s, sampled, "closed-form")[0]
         elif method == "corrected-fd6":
-            value = _correct(g, c, d, x_s, sampled, "fd-series").value
+            value = _corrected(g, c, d, x_s, sampled, "fd-series")[0]
         elif method == "uncorrected-plain":
             # the classical trapezoid on the punctured nodes (the pairwise sum
             # of `verify.plain_trapezoid`; `_rule_sums` has checked f), then

@@ -64,8 +64,9 @@ _WINDOW_ERROR = (f"window must hold g at the {FD_STENCIL} nodes around the punct
 # omitted quotients q_7 and q_8 are below 2e-6.
 Q_SERIES_RATIO = 10.0
 # |q| = exp(-2 pi lam) < 5e-17 from here on: the pole form drops its pole
-# term, so a G that overflows there (a Taylor polynomial's, for d/c >~ 1e50)
-# never meets q = 0 in a product
+# term and reads no G, so a G that overflows there (a Taylor polynomial's,
+# for d/c >~ 1e50) never meets q = 0 in a product, and the closed form does
+# not call g for it
 _Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
 # meshes whose samples one GEval keeps (`GEval.mesh_samples`)
 _MESHES_KEPT = 4
@@ -93,10 +94,12 @@ class GEval:
     Both take and return scalars: real_eval a real number, complex_eval a
     complex one.  `sample` evaluates g at real points only, in one call per
     array when g was built by `analytic`; complex_eval is called by the
-    closed form alone, for G and for its check at the puncture node
-    (`consistency_gap`).  `radius`, a distance within which g is analytic
-    around the real points of interest, is read by no integration path; it
-    sizes the contour of `oracle.finite_part_reference`.
+    closed form alone, for G where lam = d/(c h) < 5.97 (beyond, the pole
+    form does not read G) and, in `integrate_near_singular`'s result, for
+    its check at the puncture node (`consistency_gap`).  `radius`, a
+    distance within which g is analytic around the real points of interest,
+    is read by no integration path; it sizes the contour of
+    `oracle.finite_part_reference`.
 
     A GEval stands for one fixed function: it samples g once per node and
     reuses those samples for every later target on that mesh
@@ -104,9 +107,9 @@ class GEval:
     Meshes of the same a whose n differ by a power of 2 share the samples
     of their common nodes, so a doubling convergence study calls g on the
     nodes of its finest mesh only; a `*3` range shares nothing.  To
-    integrate a changed g, build a new GEval.  The closed form's fresh
-    complex_eval call at the puncture node warns if g changed under its
-    samples.
+    integrate a changed g, build a new GEval.  In `integrate_near_singular`
+    the closed form's fresh complex_eval call at the puncture node warns if
+    g changed under its samples.
     """
 
     real_eval: Callable[[float], float]
@@ -372,19 +375,20 @@ def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
                s: float, lam: float, terms: int) -> CorrectionBreakdown:
     """E = g_node/(c^2 h |w|^2) - (2 pi/(c d)) Re[G q/(1 - q)] for lam >= 1.
 
-    im_g_lam is Im G/lam.  The total comes first, its pole term dropped once
-    |q| < 5e-17; the jump part is (pi/(c d)) Re G and the singular part is
-    total - jump.  Where G is not finite (a Taylor polynomial's G overflows
-    for d/c >~ 1e50), the whole correction is reported as singular.  The
-    put-back, as (g_node/(lam + s^2/lam))/(c d), forms no lam^2 to overflow.
+    im_g_lam is Im G/lam.  The total comes first; the jump part is
+    (pi/(c d)) Re G and the singular part is total - jump.  Once |q| < 5e-17
+    (lam >= 5.97) the pole term is dropped and G is not read: the whole
+    correction, the put-back alone, is reported as singular, for either
+    source of G (a Taylor polynomial's G overflows for d/c >~ 1e50, and the
+    closed form does not evaluate it there).  The put-back, as
+    (g_node/(lam + s^2/lam))/(c d), forms no lam^2 to overflow.
     """
     total = g_node / (lam + s * s / lam) / (c * d)
+    if lam >= _Q_NEGLIGIBLE_LAM:
+        return CorrectionBreakdown(total, 0.0, total, terms)
+    t = pole_factor(lam, s)
+    total -= 2.0 * math.pi / (c * d) * (re_g * t.real - lam * im_g_lam * t.imag)
     jump = math.pi / (c * d) * re_g
-    if lam < _Q_NEGLIGIBLE_LAM:
-        t = pole_factor(lam, s)
-        total -= 2.0 * math.pi / (c * d) * (re_g * t.real - lam * im_g_lam * t.imag)
-    elif not math.isfinite(jump):
-        jump = 0.0
     return CorrectionBreakdown(total - jump, jump, total, terms)
 
 
@@ -421,10 +425,15 @@ def _closed_correction(g: GEval, c: float, d: float, h: float, s: float, x_s: fl
     center, `samples` the same as an array.  Q = (Re G - g_node - (s/lam)
     Im G)/(s^2 + lam^2), or, where lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam
     overflows, the Q of g's Taylor polynomial through order 6 on the window
-    (`_taylor_parts`), with `terms_used` the series order (0 otherwise)."""
+    (`_taylor_parts`), with `terms_used` the series order (0 otherwise).  For
+    lam >= 5.97 the pole form reads g_node alone (`_pole_form`), so g is not
+    called there."""
     _check_lam(c, d, h, lam)
-    gval = complex(g.complex_eval(complex(x_s, lam * h)))
     g_node = window[FD_STENCIL // 2]
+    if lam >= _Q_NEGLIGIBLE_LAM:
+        # G, Im G/lam and Q are not read: zeros stand for them
+        return _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
+    gval = complex(g.complex_eval(complex(x_s, lam * h)))
     denom = s * s + lam * lam
     # only for lam < 0.1; s/lam overflows only for a subnormal lam
     if lam > Q_SERIES_RATIO * denom or math.isinf(s / lam):

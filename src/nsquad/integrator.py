@@ -6,17 +6,19 @@ puncture j and offset s of `puncture_split`, and lam = d/(c h)), read g's
 samples on the 2n+1 nodes and build the punctured trapezoidal sum on that
 lattice (`_mesh_pass`), add the correction (the closed form in g or in
 g's Taylor polynomial from the 9 samples around the puncture: the pole form
-for lam >= 1, the seeds' form below; `_correct`, where only the closed form
-calls g again, for G and for the check of complex_eval at the puncture
-node) and return the corrected value with a breakdown.  The convergence
-study of `cli` reads every method from one pass.  The coefficient
-cross-checks (`self_check`) live in `verify`.
+for lam >= 1, the seeds' form below; `_corrected`, where only the closed
+form calls g again, for G, and not where lam >= 5.97) and return the
+corrected value with a breakdown (`_correct`, which adds what only a result
+reports: the check of complex_eval at the puncture node and the
+end-correction warning).  The convergence study of `cli` reads every method
+from one pass and takes the corrected values from `_corrected` alone.  The
+coefficient cross-checks (`self_check`) live in `verify`.
 
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
 runs on its a and x_s), n and the mesh scale in `_mesh_pass`, and the 9
 samples around the puncture once, as one list of floats that every
-correction reads.  From there `_mesh_pass` and `_correct` run on Python
+correction reads.  From there `_mesh_pass` and `_corrected` run on Python
 floats and call the unchecked core of `corrections`, with lam passed in.
 
 A GEval stands for one fixed function: it samples g once per node (the 4
@@ -141,7 +143,7 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> tu
     estimated end-correction error, as a tuple.  The sum and the estimate
     are taken on a unit step, then divided by c^2 and by h (never by
     (c h)^2, which may underflow).  Every method reads the same pass
-    through `_correct`.
+    through `_corrected`.
     """
     mesh = _mesh(a, n)
     h = mesh.h
@@ -170,40 +172,54 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> tu
     return mesh, j, s, lam, gvals, window, samples, f, total / c2 / h, edge_err / c2 / h
 
 
-def _correct(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
-             method: str) -> QuadResult:
-    """The result of `method`, "closed-form" or "fd-series", on the pass
-    `sampled` of `_mesh_pass` (d = 0 takes the finite part for either); only
-    the closed form calls g again, for G and to check complex_eval at the
-    puncture node against that node's sample."""
-    mesh, j, s, lam, gvals, window, samples, _, uncorrected, edge_err = sampled
-    h = mesh.h
-    warnings = []
+def _corrected(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
+               method: str) -> tuple[float, CorrectionBreakdown, str]:
+    """(value, breakdown, method used) of `method`, "closed-form" or
+    "fd-series", on the pass `sampled` of `_mesh_pass` (d = 0 takes the
+    finite part for either): the correction and nothing a result reports
+    beside it.  Only the closed form calls g again, for G where lam < 5.97
+    (`_closed_correction`).  ValueError where the value is not finite."""
+    mesh, _, s, lam, _, window, samples, _, uncorrected, _ = sampled
     if d > 0.0 and method == "closed-form":
-        breakdown = _closed_correction(g, c, d, h, s, x_s, window, samples, lam)
+        breakdown = _closed_correction(g, c, d, mesh.h, s, x_s, window, samples, lam)
         used = "closed-form"
-        g_node = window[FD_STENCIL // 2]
-        gap = g.consistency_gap(j * h, g_node)
-        if gap > 4.0 * _EPS * abs(g_node):
-            # near a root of g, |g| at the node is no scale, and nor is |g| on
-            # the window when h is small: take g's size on the whole mesh
-            gap /= max(abs(g_node), float(np.abs(gvals).max()), 1e-300)
-            if gap > 4.0 * _EPS:
-                warnings.append(f"complex_eval disagrees with real_eval at the puncture "
-                                f"node (relative gap {gap:.2e})")
     else:
-        breakdown = _taylor_correction(_stencil_poly(window, samples, s), c, d, h, s, lam)
+        breakdown = _taylor_correction(_stencil_poly(window, samples, s), c, d, mesh.h, s, lam)
         used = "finite-part" if d == 0.0 else "fd-series"
-
     value = uncorrected + breakdown.total
     if not math.isfinite(value):
         raise ValueError(f"the result is not finite: the sum {uncorrected!r} plus the "
                          f"correction {breakdown.total!r} leaves the float range at "
                          f"a = {mesh.a!r}, c = {c!r}, d = {d!r}, n = {mesh.n}")
+    return value, breakdown, used
+
+
+def _correct(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
+             method: str) -> QuadResult:
+    """The result of `method` on the pass `sampled`: `_corrected`, then what
+    only a result reports, the check of complex_eval at the puncture node
+    against that node's sample (closed form only) and the end-correction
+    warning."""
+    value, breakdown, used = _corrected(g, c, d, x_s, sampled, method)
+    # `_corrected` unpacked the pass: take by index only what a result reports
+    mesh, j, window = sampled[0], sampled[1], sampled[5]
+    h = mesh.h
+    warnings = []
+    if used == "closed-form":
+        g_node = window[FD_STENCIL // 2]
+        gap = g.consistency_gap(j * h, g_node)
+        if gap > 4.0 * _EPS * abs(g_node):
+            # near a root of g, |g| at the node is no scale, and nor is |g| on
+            # the window when h is small: take g's size on the whole mesh
+            gap /= max(abs(g_node), float(np.abs(sampled[4]).max()), 1e-300)
+            if gap > 4.0 * _EPS:
+                warnings.append(f"complex_eval disagrees with real_eval at the puncture "
+                                f"node (relative gap {gap:.2e})")
+    edge_err = sampled[9]
     if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
         warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
-    summary = MeshSummary(mesh.a, mesh.n, h, j, s)
-    return QuadResult(value, uncorrected, breakdown, summary, used, warnings)
+    summary = MeshSummary(mesh.a, mesh.n, h, j, sampled[2])
+    return QuadResult(value, sampled[8], breakdown, summary, used, warnings)
 
 
 def integrate_near_singular(g: GEval, params: KernelParams, n: int,
@@ -218,8 +234,9 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     Taylor form without the jump (the finite part), on the same 9 samples.
     g is sampled once per mesh node and GEval (`GEval.mesh_samples`: a
     mesh nested by a power of 2 in a kept mesh of the same a, or around
-    one, reuses its samples); beyond that only the closed form calls g, for
-    G and to check complex_eval at the puncture node.
+    one, reuses its samples); beyond that only the closed form calls g, to
+    check complex_eval at the puncture node and, where lam = d/(c h) < 5.97,
+    for G.
     "closed-form" with a d > 0 and no complex_eval raises before g is
     sampled.  A warning reports an estimated end-correction error above
     3e-11 max(|value|, 1).

@@ -3,16 +3,21 @@
 `meshrule` takes the Gregory weights' moments from them and `emcoeff`
 takes zeta(2k) = |B_2k| (2 pi)^(2k)/(2 (2k)!) for its seeds' series.  The
 table comes from the integer tangent numbers, one Fraction per entry, and
-is immutable, so concurrent use is safe.  Digamma, trigamma, the Bernoulli
-polynomials and the Hurwitz zeta values at nonpositive orders, which only
-the cross-checks use, live in `verify`.
+is immutable, so concurrent use is safe.  `fractions` is imported by the
+first build of the table, not by `import nsquad`.  The Bernoulli numbers as
+floats, digamma, trigamma, the Bernoulli polynomials and the Hurwitz zeta
+values at nonpositive orders, which only the cross-checks use, live in
+`verify`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BERNOULLI_NUMBER_MAX = 64
 
@@ -23,6 +28,8 @@ def _bernoulli_fractions() -> tuple[Fraction, ...]:
     T_k/(4^k (4^k - 1)) from the tangent numbers T_k, built in place by the
     integer recurrence of Brent & Harvey ("Fast computation of Bernoulli,
     tangent and secant numbers", 2011), starting from T_k = (k - 1)!."""
+    from fractions import Fraction
+
     kmax = BERNOULLI_NUMBER_MAX // 2
     tangent = [0] + [math.factorial(k) for k in range(kmax)]
     for k in range(2, kmax + 1):
@@ -40,8 +47,3 @@ def bernoulli_fraction(n: int) -> Fraction:
         raise ValueError(f"Bernoulli number order {n} outside supported range "
                          f"[0, {BERNOULLI_NUMBER_MAX}]")
     return _bernoulli_fractions()[n]
-
-
-def bernoulli_number(n: int) -> float:
-    """Bernoulli number B_n, exact to double precision; B_n = 0 for odd n >= 3."""
-    return float(bernoulli_fraction(n))

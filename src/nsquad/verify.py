@@ -15,7 +15,7 @@ pass over g's Taylor coefficients for any number of them, is the loop that
 the core's straight-line pass over b_0..b_6 unrolls.  The special functions
 these routes read (digamma, trigamma, the Bernoulli polynomials and the
 Hurwitz zeta values at nonpositive orders) live here too, on the exact
-Bernoulli table of `specfun`.  So do `punctured_trapezoid`,
+Bernoulli table of `specfun`, as do the Bernoulli numbers as floats.  So do `punctured_trapezoid`,
 `plain_trapezoid`, `fd_derivatives`, `correction_taylor` and
 `correction_offmesh_closed`, each a checked view over the core routine that
 integration calls on inputs its entry already checked
@@ -52,7 +52,7 @@ from .corrections import (
 from .emcoeff import pks_seeds
 from .integrator import KernelParams, puncture_split
 from .meshrule import EDGE_ORDER, Mesh, _checked, _rule_sums
-from .specfun import _bernoulli_fractions
+from .specfun import _bernoulli_fractions, bernoulli_fraction
 
 K_MAX_DEFAULT = 12
 K_MAX_LIMIT = 32
@@ -65,6 +65,11 @@ BERNOULLI_POLY_MAX = 32
 # Shift |z| to at least this radius before applying the asymptotic series.
 _ASYMP_RADIUS = 12.0
 _TRIGAMMA_SHIFT = 10.0
+
+
+def bernoulli_number(n: int) -> float:
+    """Bernoulli number B_n, exact to double precision; B_n = 0 for odd n >= 3."""
+    return float(bernoulli_fraction(n))
 
 
 def bernoulli_poly(n: int, x: float) -> float:
@@ -577,7 +582,9 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
 
     the punctured node put back plus the trapezoidal rule's correction for
     the kernel's poles (Trefethen & Weideman, SIAM Rev. 56, 2014), and so E
-    is computed for lam >= 1.  The breakdown keeps the jump (pi/(c d)) Re G.
+    is computed for lam >= 1.  The breakdown keeps the jump (pi/(c d)) Re G,
+    but for lam >= 5.97, where |q| < 5e-17 and E is the put-back alone: there
+    g is not called and the whole of E is reported as singular.
     When lam/(s^2 + lam^2) > Q_SERIES_RATIO, or where s/lam overflows, Q is
     that of g's Taylor polynomial through order 6 on `window` instead
     (`corrections._taylor_parts`), the series sum_k q_k a_k h^k; `terms_used`

@@ -67,6 +67,21 @@ class TestStudyConfig:
         StudyConfig(d_list=[0.01], n_list=[64], integrand="custom", g_expr="exp(x)", a=a)
 
 
+def shape_counting_geval(calls: list):
+    """A stand-in for `cli.GEval` whose `analytic` g appends the shape of each
+    argument to `calls`: (2n+1,) for a mesh, () for a scalar complex_eval."""
+
+    class CountingGEval:
+        @staticmethod
+        def analytic(f, radius=0.5):
+            def counted(z):
+                calls.append(np.shape(z))
+                return f(z)
+            return GEval.analytic(counted, radius)
+
+    return CountingGEval
+
+
 class TestConverge:
     def test_rows_sorted_and_correct(self):
         config = StudyConfig(d_list=[0.1, 0.01], n_list=[32, 64],
@@ -160,23 +175,13 @@ class TestConverge:
 
     def test_uncorrected_methods_share_one_sampling(self, monkeypatch):
         calls = []
-
-        class CountingGEval:
-            @staticmethod
-            def analytic(f, radius=0.5):
-                def counted(z):
-                    calls.append(np.shape(z))
-                    return f(z)
-                return GEval.analytic(counted, radius)
-
-        monkeypatch.setattr(cli, "GEval", CountingGEval)
+        monkeypatch.setattr(cli, "GEval", shape_counting_geval(calls))
         config = StudyConfig(d_list=[0.01], n_list=[32, 64])
         rows = run_converge(config)
         # per (d, n), finest first: the mesh nodes no sampled mesh has (all 129
-        # at n = 64, none at n = 32, every other node of n = 64), then g at the
-        # puncture node through complex_eval for the consistency check and G
-        # for the closed form
-        assert calls == [(129,), (), (), (), ()]
+        # at n = 64, none at n = 32, every other node of n = 64), then G for
+        # the closed form; a study row makes no check at the puncture node
+        assert calls == [(129,), (), ()]
         monkeypatch.undo()
         assert len(rows) == 8
         g = GEval.analytic(lambda z: 0.01 * np.exp(z))
@@ -188,6 +193,31 @@ class TestConverge:
             if row.method in corrected:
                 res = integrate_near_singular(g, params, row.n, corrected[row.method])
                 assert res.value == row.value
+
+    @pytest.mark.parametrize("integrand, x_s", [("test1", 0.0), ("test2", 0.1)])
+    def test_corrected_rows_are_the_api_values(self, integrand, x_s):
+        # the README figure grid: the Q series (test1, d = 1e-4), the seeds,
+        # and the pole form on both sides of lam = 5.97 (d = 0.1, n = 32 and 64)
+        config = StudyConfig(d_list=[0.1, 0.01, 1e-4], n_list=parse_n_range("16:256:*2"),
+                             integrand=integrand, x_s=x_s,
+                             methods=("corrected-closed", "corrected-fd6"))
+        rows = run_converge(config)
+        assert len(rows) == 30
+        method = {"corrected-closed": "closed-form", "corrected-fd6": "fd-series"}
+        for row in rows:
+            g = GEval.analytic(lambda z, d=row.d: d * np.exp(z))
+            res = integrate_near_singular(g, KernelParams(a=1.0, d=row.d, x_s=x_s), row.n,
+                                          method[row.method])
+            assert row.value == res.value, (row.method, row.d, row.n)
+
+    def test_closed_row_beyond_the_pole_term_calls_no_complex_eval(self, monkeypatch):
+        # lam = d/(c h) = 6.4 >= 5.97: the pole form reads g_node alone
+        calls = []
+        monkeypatch.setattr(cli, "GEval", shape_counting_geval(calls))
+        (row,) = run_converge(StudyConfig(d_list=[0.1], n_list=[64],
+                                          methods=("corrected-closed",)))
+        assert calls == [(129,)]
+        assert row.abs_err <= 1e-14
 
     def test_test2_reference(self):
         config = StudyConfig(d_list=[0.01], n_list=[64], integrand="test2",

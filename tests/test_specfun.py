@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsquad.oracle import EULER_GAMMA
-from nsquad.specfun import _bernoulli_fractions, bernoulli_number
+from nsquad import bernoulli_number
+from nsquad.specfun import _bernoulli_fractions
 from nsquad.verify import (
     bernoulli_poly,
     digamma,

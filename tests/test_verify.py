@@ -73,8 +73,7 @@ def test_integration_path_does_not_import_digamma():
     assert public <= set(nsquad.__all__)
     for name in public:
         assert getattr(nsquad, name).__module__ == "nsquad.verify", name
-    assert {"_bernoulli_fractions", "bernoulli_fraction", "bernoulli_number"} <= (
-        defined_names("specfun"))
+    assert {"_bernoulli_fractions", "bernoulli_fraction"} <= defined_names("specfun")
 
 
 def test_runtime_core_has_no_quotient_tables():
@@ -90,7 +89,7 @@ def test_runtime_core_has_no_quotient_tables():
 
 
 # the public entry points of the core that no core module calls
-CORE_ENTRY_POINTS = {"integrate_near_singular", "integrate_finite_part", "bernoulli_number"}
+CORE_ENTRY_POINTS = {"integrate_near_singular", "integrate_finite_part"}
 # public views over core routines, checked, that integration never calls
 MOVED_VIEWS = ("fd_derivatives", "correction_taylor", "correction_offmesh_closed",
                "punctured_trapezoid", "plain_trapezoid")
@@ -102,13 +101,12 @@ PUBLIC_NAMES = {
                      "integrate_finite_part", "puncture_split"), "integrator"),
     **dict.fromkeys(("ReferenceResult", "reference_integral", "exact_test1", "exact_test2",
                      "complex_ei", "finite_part_reference"), "oracle"),
-    "bernoulli_number": "specfun",
     **dict.fromkeys(("punctured_trapezoid", "plain_trapezoid", "CoeffParams", "CoeffTable",
                      "coeff_table", "zks_table", "pks_table", "pks_closed", "pks_quotients",
                      "fk_series_oracle", "correction_taylor", "correction_offmesh_closed",
                      "fd_derivatives",
-                     "SelfCheckReport", "self_check", "bernoulli_poly", "digamma",
-                     "digamma_complex", "trigamma", "hurwitz_zeta_nonpos"), "verify"),
+                     "SelfCheckReport", "self_check", "bernoulli_number", "bernoulli_poly",
+                     "digamma", "digamma_complex", "trigamma", "hurwitz_zeta_nonpos"), "verify"),
 }
 
 
@@ -148,6 +146,7 @@ COLD_START = """
 import json, sys
 import numpy as np
 import nsquad
+at_import = [m for m in ("fractions", "decimal") if m in sys.modules]
 from nsquad import GEval, KernelParams, integrate_near_singular
 integrate_near_singular(GEval.analytic(np.exp), KernelParams(a=1.0, c=1.0, d=1e-3, x_s=0.1), 64)
 loaded = [m for m in ("nsquad.oracle", "nsquad.verify", "nsquad.cli", "mpmath") if m in sys.modules]
@@ -159,18 +158,20 @@ except AttributeError:
     unknown = "AttributeError"
 from nsquad import digamma
 modules = {name: getattr(nsquad, name).__module__ for name in nsquad.__all__}
-print(json.dumps([loaded, missing, unknown, digamma.__name__, modules]))
+print(json.dumps([at_import, loaded, missing, unknown, digamma.__name__, modules]))
 """
 
 
 def test_cold_import_loads_only_the_integration_core():
     # a fresh interpreter: `import nsquad` and one integration load neither the
-    # oracle nor the cross-checks, whose names resolve on first access
+    # oracle nor the cross-checks, whose names resolve on first access; the
+    # import alone loads no `fractions`, which the first table build imports
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                          env=env, check=True, timeout=120).stdout
-    loaded, missing, unknown, digamma_name, modules = json.loads(out)
+    at_import, loaded, missing, unknown, digamma_name, modules = json.loads(out)
+    assert at_import == []
     assert loaded == []
     assert missing == []
     assert unknown == "AttributeError"

@@ -77,6 +77,19 @@ def test_taylor_form_at_huge_d_over_c_is_finite():
         assert math.isfinite(br.singular_part) and math.isfinite(br.jump_part)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_does_not_evaluate_g_where_the_pole_term_is_dropped():
+    # at lam = 1e4 the pole form reads g_node alone; sin(3z) overflows at
+    # x_s + 625i, so a call of complex_eval there would warn
+    g = GEval.analytic(lambda z: np.sin(3.0 * np.asarray(z)) + 0.5)
+    res = integrate_near_singular(g, KernelParams(a=1.0, c=1.0, d=625.0, x_s=0.1), 16,
+                                  "closed-form")
+    assert res.value == 2.5599986561051713e-06
+    assert res.warnings == []
+    br = res.breakdown
+    assert br.jump_part == 0.0 and br.singular_part == br.total
+
+
 def test_lam_squared_overflow_raises():
     # lam = d/(c h) ~ 1.6e154: lam^2 overflows while d^2 does not
     with pytest.raises(ValueError, match="lam\\^2 overflows"):

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corrections import FD_STENCIL, GEval
+from .corrections import GEval
 from .integrator import KernelParams, _corrected, _mesh_pass, integrate_near_singular
 from .oracle import exact_test1, exact_test2, reference_integral
 from .verify import CoeffParams, coeff_table
@@ -125,12 +125,10 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
 
 def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
                    n: int) -> list[float]:
-    """The value of each method at one (d, n), all from one sampling of g and
-    one window of samples around the puncture; the pass's f is c^2 h^2 times
-    the kernel samples, its punctured entry 0."""
+    """The value of each method at one (d, n), all from one mesh pass; the
+    pass's f is c^2 h^2 times the kernel samples, its punctured entry 0."""
     c, d, x_s = params.c, params.d, params.x_s
     sampled = _mesh_pass(g, params.a, c, d, x_s, n)
-    mesh, _, s, _, _, window, _, f, uncorrected, _ = sampled
     values = []
     for method in methods:
         if method == "corrected-closed":
@@ -142,13 +140,13 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
             # of `verify.plain_trapezoid`; `_rule_sums` has checked f), then
             # the puncture's own kernel value, whose mesh-unit denominator
             # s^2 + lam^2 may underflow where this one does not
-            h = mesh.h
-            r = math.hypot(c * s * h, d)
+            f, h = sampled.f, sampled.mesh.h
+            r = math.hypot(c * sampled.s * h, d)
             ends = 0.5 * float(f[0]) + 0.5 * float(f[-1])
             plain = h * (float(np.add.reduce(f)) - ends)
-            value = plain / c ** 2 / h / h + h * window[FD_STENCIL // 2] / r / r
+            value = plain / c ** 2 / h / h + h * sampled.g_node / r / r
         else:
-            value = uncorrected
+            value = sampled.uncorrected
         values.append(value)
     return values
 

@@ -5,23 +5,26 @@ The corrected rule is T_h + E where E estimates I - T_h.  E splits into a
 the near-singularity strength, and a "jump" term proportional to pi/(c d).
 Both are one closed form in G = g(x_s + i d/c).  G is exact when the smooth
 numerator g extends analytically to a complex neighborhood of x_s
-(`_closed_correction`); otherwise it is G of g's Taylor polynomial at x_s
-(`_taylor_correction`), which at d = 0 is the finite-part correction.
-Every Taylor coefficient of g comes from one source, the degree-8
-interpolant on the 9 mesh samples around the puncture, in the mesh units
-b_k = g^(k)(x_s) h^k/k! that the singular series needs (`_stencil_poly`,
-which reads the samples' differences from the mesh pass's array view of
-them); one straight-line pass over b_0..b_6 gives G, g_node and Q
-(`_taylor_parts`).  The same pass for any number of coefficients, the
-reference it is tested against, serves `verify.correction_taylor`.
+(`_closed_correction`); otherwise it is G of g's Taylor polynomial at x_s,
+which at d = 0 is the finite-part correction.  Every Taylor coefficient of
+g comes from one source, the degree-8 interpolant on the 9 mesh samples
+around the puncture, in the mesh units b_k = g^(k)(x_s) h^k/k! that the
+singular series needs (`_stencil_poly`, on the mesh pass's read-only array
+view of them); one straight-line pass over b_0..b_6 gives G, the
+interpolant's node value P(-s) and Q (`_taylor_parts`), and `_assemble`
+takes the form (`integrator._corrected` calls both).  Either source puts
+back the puncture node's own sample, g_node.  The same pass for any number
+of coefficients, the reference it is tested against, serves
+`verify.correction_taylor`, which has no sample and puts back P(-s).
 
-These routines are the per-target core: they take Python floats that the
-entry already checked (the kernel by `integrator._check_kernel`, the mesh
-scale by `_check_mesh_scale`, the window of 9 samples once by
-`_check_window`), with lam = d/(c h) passed in, and check only what only
-they can see: lam = 0 in the closed form, the stencil's spread, lam^2 and
-c^2 h.  The checked public views, `correction_offmesh_closed`,
-`correction_taylor` and `fd_derivatives`, live in `verify`.
+These routines are the per-target core: they take Python floats, and the
+9 samples as an array, that the entry already checked (the kernel by
+`integrator._check_kernel`, the mesh scale by `_check_mesh_scale`, the 9
+samples once by `_check_window`), with lam = d/(c h) passed in, and check
+only what only they can see: lam = 0 in the closed form, the stencil's
+spread, lam^2 and c^2 h.  The checked public views,
+`correction_offmesh_closed`, `correction_taylor` and `fd_derivatives`, live
+in `verify`.
 
 With w = s + i lam, the closed form is elementary (see `emcoeff`) and takes
 one of two forms, chosen by lam alone.  For lam >= 1 it is the trapezoidal
@@ -65,8 +68,8 @@ _WINDOW_ERROR = (f"window must hold g at the {FD_STENCIL} nodes around the punct
 Q_SERIES_RATIO = 10.0
 # |q| = exp(-2 pi lam) < 5e-17 from here on: the pole form drops its pole
 # term and reads no G, so a G that overflows there (a Taylor polynomial's,
-# for d/c >~ 1e50) never meets q = 0 in a product, and the closed form does
-# not call g for it
+# for d/c >~ 1e50) never meets q = 0 in a product, and integration computes
+# neither source of G (`integrator._corrected`)
 _Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
 # meshes whose samples one GEval keeps (`GEval.mesh_samples`)
 _MESHES_KEPT = 4
@@ -297,20 +300,20 @@ def _check_window(window: list[float]) -> list[float]:
     return window
 
 
-def _stencil_poly(window: list[float], samples: np.ndarray, s: float) -> list[float]:
+def _stencil_poly(samples: np.ndarray, s: float) -> list[float]:
     """b_k = g^(k)(x_s) h^k/k!, k = 0..6: the coefficients in t = (x - x_s)/h of the
-    degree-8 interpolant on `window`, the 9 finite floats of `_check_window` at
-    the nodes x_s - s h + k h, k = -4..4, and `samples`, the same 9 values as a
-    float array; ValueError unless they differ by at most
-    sys.float_info.max/128."""
-    ordered = sorted(window)
+    degree-8 interpolant on `samples`, g at the nodes x_s - s h + k h, k = -4..4,
+    as a float array of 9 finite values (`_check_window`); ValueError unless
+    they differ by at most sys.float_info.max/128."""
+    values = samples.tolist()
+    ordered = sorted(values)
     if not ordered[-1] - ordered[0] <= _MAX_SPREAD:
         raise ValueError(_WINDOW_ERROR)
     # the map reproduces constants: apply it to the differences from the
     # center sample, which are small and for nearby values exact; they are
-    # taken on the array, which a list would first be converted to (`dot`
-    # gives the bits of `@` without the matmul ufunc's dispatch)
-    center = window[FD_STENCIL // 2]
+    # taken on the array (`dot` gives the bits of `@` without the matmul
+    # ufunc's dispatch)
+    center = values[FD_STENCIL // 2]
     c0, c1, c2, c3, c4, c5, c6, c7, c8 = _stencil_operator().dot(
         np.subtract(samples, center)).tolist()
     c0 += center
@@ -378,10 +381,10 @@ def _pole_form(re_g: float, im_g_lam: float, g_node: float, c: float, d: float,
     im_g_lam is Im G/lam.  The total comes first; the jump part is
     (pi/(c d)) Re G and the singular part is total - jump.  Once |q| < 5e-17
     (lam >= 5.97) the pole term is dropped and G is not read: the whole
-    correction, the put-back alone, is reported as singular, for either
-    source of G (a Taylor polynomial's G overflows for d/c >~ 1e50, and the
-    closed form does not evaluate it there).  The put-back, as
-    (g_node/(lam + s^2/lam))/(c d), forms no lam^2 to overflow.
+    correction, the put-back alone, is reported as singular (a Taylor
+    polynomial's G overflows for d/c >~ 1e50, and integration computes no G
+    there).  The put-back, as (g_node/(lam + s^2/lam))/(c d), forms no
+    lam^2 to overflow.
     """
     total = g_node / (lam + s * s / lam) / (c * d)
     if lam >= _Q_NEGLIGIBLE_LAM:
@@ -417,35 +420,22 @@ def _check_lam(c: float, d: float, h: float, lam: float) -> None:
 
 
 def _closed_correction(g: GEval, c: float, d: float, h: float, s: float, x_s: float,
-                       window: list[float], samples: np.ndarray,
-                       lam: float) -> CorrectionBreakdown:
+                       g_node: float, samples: np.ndarray, lam: float) -> CorrectionBreakdown:
     """The closed form in G = g(x_s + i lam h), unchecked but for lam = 0; the
     checked view, `verify.correction_offmesh_closed`, states it.  d > 0,
-    lam = d/(c h), and `window` is the 9 floats of `_check_window`, g_node its
-    center, `samples` the same as an array.  Q = (Re G - g_node - (s/lam)
-    Im G)/(s^2 + lam^2), or, where lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam
-    overflows, the Q of g's Taylor polynomial through order 6 on the window
-    (`_taylor_parts`), with `terms_used` the series order (0 otherwise).  For
-    lam >= 5.97 the pole form reads g_node alone (`_pole_form`), so g is not
-    called there."""
+    lam = d/(c h) < 5.97 (beyond, the pole form reads g_node alone and the
+    callers put it back without G), `samples` g at the 9 nodes around the
+    puncture as a float array (`_check_window`) and g_node their center.
+    Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2), or, where
+    lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam overflows, the Q of g's Taylor
+    polynomial through order 6 on the samples (`_taylor_parts`), with
+    `terms_used` the series order (0 otherwise)."""
     _check_lam(c, d, h, lam)
-    g_node = window[FD_STENCIL // 2]
-    if lam >= _Q_NEGLIGIBLE_LAM:
-        # G, Im G/lam and Q are not read: zeros stand for them
-        return _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
     gval = complex(g.complex_eval(complex(x_s, lam * h)))
     denom = s * s + lam * lam
     # only for lam < 0.1; s/lam overflows only for a subnormal lam
     if lam > Q_SERIES_RATIO * denom or math.isinf(s / lam):
-        b = _stencil_poly(window, samples, s)
-        quotient, terms = _taylor_parts(b, s, lam)[3], FD_DERIV_MAX
+        quotient, terms = _taylor_parts(_stencil_poly(samples, s), s, lam)[3], FD_DERIV_MAX
     else:
         quotient, terms = (gval.real - g_node - s / lam * gval.imag) / denom, 0
     return _assemble(gval.real, gval.imag / lam, g_node, quotient, c, d, h, s, lam, terms)
-
-
-def _taylor_correction(b: Sequence[float], c: float, d: float, h: float, s: float,
-                       lam: float) -> CorrectionBreakdown:
-    """The closed form on G of P(t) = sum_k b[k] t^k, k = 0..6, t = (x - x_s)/h,
-    at lam = d/(c h), unchecked."""
-    return _assemble(*_taylor_parts(b, s, lam), c, d, h, s, lam, FD_DERIV_MAX)

@@ -4,22 +4,25 @@ Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
 mesh half-count n, these routines place the target on the mesh once (the
 puncture j and offset s of `puncture_split`, and lam = d/(c h)), read g's
 samples on the 2n+1 nodes and build the punctured trapezoidal sum on that
-lattice (`_mesh_pass`), add the correction (the closed form in g or in
-g's Taylor polynomial from the 9 samples around the puncture: the pole form
-for lam >= 1, the seeds' form below; `_corrected`, where only the closed
-form calls g again, for G, and not where lam >= 5.97) and return the
-corrected value with a breakdown (`_correct`, which adds what only a result
-reports: the check of complex_eval at the puncture node and the
-end-correction warning).  The convergence study of `cli` reads every method
-from one pass and takes the corrected values from `_corrected` alone.  The
-coefficient cross-checks (`self_check`) live in `verify`.
+lattice (`_mesh_pass`, one `_MeshPass` record whose fields every reader
+takes by name), add the correction (the closed form in g or in g's Taylor
+polynomial from the 9 samples around the puncture: the pole form for
+lam >= 1, the seeds' form below; `_corrected`, where only the closed form
+calls g again, for G, and where lam >= 5.97 either method puts back the
+puncture node's sample alone) and return the corrected value with a
+breakdown (`_correct`, which adds what only a result reports: the check of
+complex_eval at the puncture node and the end-correction warning).  The
+convergence study of `cli` reads every method from one pass and takes the
+corrected values from `_corrected` alone.  The coefficient cross-checks
+(`self_check`) live in `verify`.
 
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
 runs on its a and x_s), n and the mesh scale in `_mesh_pass`, and the 9
-samples around the puncture once, as one list of floats that every
-correction reads.  From there `_mesh_pass` and `_corrected` run on Python
-floats and call the unchecked core of `corrections`, with lam passed in.
+samples around the puncture once, in `_mesh_pass`, which hands on their
+read-only view and the puncture node's sample.  From there `_mesh_pass` and
+`_corrected` run on Python floats and call the unchecked core of
+`corrections`, with lam passed in.
 
 A GEval stands for one fixed function: it samples g once per node (the 4
 most recent meshes, up to 1 MB per GEval at n = 16384) and reuses those
@@ -39,15 +42,18 @@ from functools import lru_cache
 import numpy as np
 
 from .corrections import (
+    _Q_NEGLIGIBLE_LAM,
+    FD_DERIV_MAX,
     FD_STENCIL,
     CorrectionBreakdown,
     GEval,
+    _assemble,
     _check_kernel_scales,
     _check_mesh_scale,
     _check_window,
     _closed_correction,
     _stencil_poly,
-    _taylor_correction,
+    _taylor_parts,
 )
 from .meshrule import Mesh, _node_array, _rule_sums
 
@@ -128,22 +134,33 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
     return j, t - j
 
 
-def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> tuple:
+class _MeshPass:
+    """What `_mesh_pass` reads of g and the mesh for one target, each once."""
+
+    __slots__ = ("mesh", "j", "s", "lam", "gvals", "g_node", "samples", "f",
+                 "uncorrected", "edge_err")
+
+    def __init__(self, mesh, j, s, lam, gvals, g_node, samples, f, uncorrected, edge_err):
+        self.mesh, self.j, self.s, self.lam, self.gvals = mesh, j, s, lam, gvals
+        self.g_node, self.samples, self.f = g_node, samples, f
+        self.uncorrected, self.edge_err = uncorrected, edge_err
+
+
+def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _MeshPass:
     """Everything a target needs from g before its correction, from the
     GEval's samples on the mesh, for a kernel that `_check_kernel` passed.
 
-    Returns (mesh, j, s, lam, gvals, window, samples, f, uncorrected,
-    edge_err): the puncture j and offset s of `puncture_split`,
-    lam = d/(c h), g at the mesh nodes (`GEval.mesh_samples`), the 9 of them
-    around the puncture as floats, checked once (`_check_window`), and the
-    same 9 as the read-only view of gvals that the stencil fit subtracts
-    on, c^2 h^2 times the kernel samples, f = g/((m - s)^2 + lam^2) in mesh
-    units (m = k - j exact: the lattice the correction assumes), its
-    punctured entry 0, and the punctured sum of the kernel samples and its
-    estimated end-correction error, as a tuple.  The sum and the estimate
-    are taken on a unit step, then divided by c^2 and by h (never by
-    (c h)^2, which may underflow).  Every method reads the same pass
-    through `_corrected`.
+    The record holds the mesh, the puncture j and offset s of
+    `puncture_split`, lam = d/(c h), g at the mesh nodes (gvals,
+    `GEval.mesh_samples`), the 9 of them around the puncture as a read-only
+    view of gvals (samples), checked once (`_check_window`), the puncture
+    node's own sample as a float (g_node), c^2 h^2 times the kernel samples,
+    f = g/((m - s)^2 + lam^2) in mesh units (m = k - j exact: the lattice
+    the correction assumes), its punctured entry 0, and the punctured sum of
+    the kernel samples (uncorrected) and its estimated end-correction error
+    (edge_err).  The sum and the estimate are taken on a unit step, then
+    divided by c^2 and by h (never by (c h)^2, which may underflow).  Every
+    method reads the same pass through `_corrected`.
     """
     mesh = _mesh(a, n)
     h = mesh.h
@@ -167,59 +184,63 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> tu
     total, edge_err = _rule_sums(1.0, f)
     i0 = i - FD_STENCIL // 2
     samples = gvals[i0:i0 + FD_STENCIL]
-    window = _check_window(samples.tolist())
-    c2 = c ** 2
-    return mesh, j, s, lam, gvals, window, samples, f, total / c2 / h, edge_err / c2 / h
+    g_node = _check_window(samples.tolist())[FD_STENCIL // 2]
+    return _MeshPass(mesh, j, s, lam, gvals, g_node, samples, f,
+                     total / c ** 2 / h, edge_err / c ** 2 / h)
 
 
-def _corrected(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
+def _corrected(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
                method: str) -> tuple[float, CorrectionBreakdown, str]:
     """(value, breakdown, method used) of `method`, "closed-form" or
     "fd-series", on the pass `sampled` of `_mesh_pass` (d = 0 takes the
     finite part for either): the correction and nothing a result reports
-    beside it.  Only the closed form calls g again, for G where lam < 5.97
-    (`_closed_correction`).  ValueError where the value is not finite."""
-    mesh, _, s, lam, _, window, samples, _, uncorrected, _ = sampled
-    if d > 0.0 and method == "closed-form":
-        breakdown = _closed_correction(g, c, d, mesh.h, s, x_s, window, samples, lam)
-        used = "closed-form"
+    beside it.  Where lam >= 5.97 both methods put back the puncture node's
+    sample alone, with no G and no fit (`terms_used` 0); below, only the
+    closed form calls g again, for G (`_closed_correction`), and the Taylor
+    form fits the 9 samples for G and Q and puts back that same sample.
+    ValueError where the value is not finite."""
+    s, lam, g_node, h = sampled.s, sampled.lam, sampled.g_node, sampled.mesh.h
+    used = "finite-part" if d == 0.0 else method
+    if lam >= _Q_NEGLIGIBLE_LAM:
+        # the pole form reads g_node alone: zeros stand for G, Im G/lam and Q
+        breakdown = _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
+    elif used == "closed-form":
+        breakdown = _closed_correction(g, c, d, h, s, x_s, g_node, sampled.samples, lam)
     else:
-        breakdown = _taylor_correction(_stencil_poly(window, samples, s), c, d, mesh.h, s, lam)
-        used = "finite-part" if d == 0.0 else "fd-series"
-    value = uncorrected + breakdown.total
+        re_g, im_g_lam, _, quotient = _taylor_parts(_stencil_poly(sampled.samples, s), s, lam)
+        breakdown = _assemble(re_g, im_g_lam, g_node, quotient, c, d, h, s, lam, FD_DERIV_MAX)
+    value = sampled.uncorrected + breakdown.total
     if not math.isfinite(value):
-        raise ValueError(f"the result is not finite: the sum {uncorrected!r} plus the "
-                         f"correction {breakdown.total!r} leaves the float range at "
-                         f"a = {mesh.a!r}, c = {c!r}, d = {d!r}, n = {mesh.n}")
+        raise ValueError(f"the result is not finite: the sum {sampled.uncorrected!r} plus "
+                         f"the correction {breakdown.total!r} leaves the float range at "
+                         f"a = {sampled.mesh.a!r}, c = {c!r}, d = {d!r}, n = {sampled.mesh.n}")
     return value, breakdown, used
 
 
-def _correct(g: GEval, c: float, d: float, x_s: float, sampled: tuple,
+def _correct(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
              method: str) -> QuadResult:
     """The result of `method` on the pass `sampled`: `_corrected`, then what
     only a result reports, the check of complex_eval at the puncture node
     against that node's sample (closed form only) and the end-correction
     warning."""
     value, breakdown, used = _corrected(g, c, d, x_s, sampled, method)
-    # `_corrected` unpacked the pass: take by index only what a result reports
-    mesh, j, window = sampled[0], sampled[1], sampled[5]
+    mesh, j, g_node = sampled.mesh, sampled.j, sampled.g_node
     h = mesh.h
     warnings = []
     if used == "closed-form":
-        g_node = window[FD_STENCIL // 2]
         gap = g.consistency_gap(j * h, g_node)
         if gap > 4.0 * _EPS * abs(g_node):
             # near a root of g, |g| at the node is no scale, and nor is |g| on
             # the window when h is small: take g's size on the whole mesh
-            gap /= max(abs(g_node), float(np.abs(sampled[4]).max()), 1e-300)
+            gap /= max(abs(g_node), float(np.abs(sampled.gvals).max()), 1e-300)
             if gap > 4.0 * _EPS:
                 warnings.append(f"complex_eval disagrees with real_eval at the puncture "
                                 f"node (relative gap {gap:.2e})")
-    edge_err = sampled[9]
+    edge_err = sampled.edge_err
     if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
         warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
-    summary = MeshSummary(mesh.a, mesh.n, h, j, sampled[2])
-    return QuadResult(value, sampled[8], breakdown, summary, used, warnings)
+    summary = MeshSummary(mesh.a, mesh.n, h, j, sampled.s)
+    return QuadResult(value, sampled.uncorrected, breakdown, summary, used, warnings)
 
 
 def integrate_near_singular(g: GEval, params: KernelParams, n: int,

@@ -62,13 +62,18 @@ def _gk15(f, lo: float, hi: float) -> tuple[float, float, float]:
     return k15, abs(k15 - g7), l1
 
 
+# an integrand that overflows gives an inf or NaN sum, which the check at the
+# end reports as an error: numpy need not warn on the way
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _adaptive(f, breakpoints: list[float], tol: float,
               floor_relief: bool = False) -> ReferenceResult:
     """Bisection-adaptive Gauss-Kronrod over the given initial panels.
 
     `floor_relief` widens the success criterion to the roundoff floor
     10 eps * integral of |f|, for callers that want "as good as doubles
-    allow" rather than a strict absolute tolerance.
+    allow" rather than a strict absolute tolerance.  RuntimeError unless the
+    estimated error is within the tolerance and the value is finite (a NaN
+    estimate is not).
     """
     eps = float(np.finfo(float).eps)
     panels = []
@@ -100,7 +105,7 @@ def _adaptive(f, breakpoints: list[float], tol: float,
     floor = 10.0 * eps * l1_sum
     est = err_sum + floor
     limit = max(tol, 3.0 * floor) if floor_relief else tol
-    if est > limit:
+    if not (est <= limit and math.isfinite(value)):
         raise RuntimeError(f"adaptive integrator: tolerance {tol:g} unreachable "
                            f"(estimated error {est:g} after {evals} evaluations)")
     return ReferenceResult(value, est, evals)

@@ -22,7 +22,9 @@ integration calls on inputs its entry already checked
 (`meshrule._rule_sums`, `corrections._stencil_poly`,
 `corrections._assemble`, `corrections._closed_correction`), with the same
 messages; `correction_taylor` takes any number of coefficients, through
-`taylor_parts`.  No module of the integration path imports this one.
+`taylor_parts`, and, having no samples, puts back the polynomial's node
+value P(-s) where integration puts back the puncture node's sample.  No
+module of the integration path imports this one.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .corrections import (
+    _Q_NEGLIGIBLE_LAM,
     _WINDOW_ERROR,
     FD_STENCIL,
     CorrectionBreakdown,
@@ -460,13 +463,14 @@ def plain_trapezoid(mesh: Mesh, samples: Sequence[float]) -> float:
     return _checked(mesh.h * (float(np.sum(samples)) - ends), samples)
 
 
-def _checked_window(window: Sequence[float]) -> list[float]:
-    """`window` as the list of 9 finite floats that the core reads
-    (`corrections._check_window`); ValueError for any other shape."""
+def _checked_window(window: Sequence[float]) -> tuple[np.ndarray, float]:
+    """`window` as the float array of 9 finite values that the core reads
+    (`corrections._check_window`), and its center as a float; ValueError for
+    any other shape."""
     values = np.asarray(window, dtype=float)
     if values.shape != (FD_STENCIL,):
         raise ValueError(_WINDOW_ERROR)
-    return _check_window(values.tolist())
+    return values, _check_window(values.tolist())[FD_STENCIL // 2]
 
 
 def _check_scales(c: float, d: float, h: float) -> None:
@@ -519,9 +523,8 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
                          f"got h = {h!r}, x_s = {x_s!r}")
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
-    window = _checked_window(samples)
     derivs = [b * math.factorial(k)
-              for k, b in enumerate(_stencil_poly(window, np.asarray(window), x_s / h))]
+              for k, b in enumerate(_stencil_poly(_checked_window(samples)[0], x_s / h))]
     # 1/h^k by repeated division: an overflow is inf and an underflow 0,
     # where h ** k warns
     for k in range(1, len(derivs)):
@@ -537,7 +540,7 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
     """The closed form on g's Taylor polynomial a_k = g^(k)(x_s)/k!, k = 0..K, any d >= 0.
 
     The form integration takes on the stencil's b_k = a_k h^k, k = 0..6
-    (`corrections._taylor_correction`), checked and for any K: the pole form
+    (`integrator._corrected`), checked and for any K: the pole form
     (lam >= 1) or the seeds' form (lam < 1) of `corrections._assemble` on G,
     g_node and Q of P(t) = sum_k b_k t^k, t = (x - x_s)/h, from
     `taylor_parts`; at d = 0, with no jump, the finite-part correction for
@@ -590,11 +593,12 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     (`corrections._taylor_parts`), the series sum_k q_k a_k h^k; `terms_used`
     then reports the series order (0 otherwise).
 
-    The checked view of `corrections._closed_correction`, which integration
-    calls on the window its mesh pass checked: ValueError for the scales
-    `_check_scales` rejects, a non-finite x_s, d <= 0, a g without
-    complex_eval, an s outside [-1/2, 1/2] and a window that is not 9
-    finite values.
+    The checked view of the closed form that integration takes on the
+    samples its mesh pass checked (`integrator._corrected`: the put-back
+    alone for lam >= 5.97, else `corrections._closed_correction`):
+    ValueError for the scales `_check_scales` rejects, a non-finite x_s,
+    d <= 0, a g without complex_eval, an s outside [-1/2, 1/2] and a window
+    that is not 9 finite values.
     """
     _check_scales(c, d, h)
     if not math.isfinite(x_s):
@@ -605,5 +609,9 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     if g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
     _check_offset(s)
-    window = _checked_window(window)
-    return _closed_correction(g, c, d, h, s, x_s, window, np.asarray(window), d / (c * h))
+    samples, g_node = _checked_window(window)
+    lam = d / (c * h)
+    if lam >= _Q_NEGLIGIBLE_LAM:
+        # as integration does: the pole form reads g_node alone, so g is not called
+        return _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
+    return _closed_correction(g, c, d, h, s, x_s, g_node, samples, lam)

@@ -13,7 +13,7 @@ from nsquad.cli import (
     parse_n_range,
     run_converge,
 )
-from nsquad.corrections import FD_STENCIL, GEval
+from nsquad.corrections import GEval
 from nsquad.integrator import KernelParams, _mesh_pass, integrate_near_singular
 from nsquad.meshrule import Mesh
 from nsquad.oracle import exact_test1, exact_test2
@@ -149,12 +149,14 @@ class TestConverge:
         assert len(rows) == 30
         for row in rows:
             g = cli._study_integrand(row.d)
-            mesh, _, s, _, _, window, _, f, _, _ = _mesh_pass(g, 1.0, c, row.d, x_s, row.n)
+            sampled = _mesh_pass(g, 1.0, c, row.d, x_s, row.n)
             if row.method == "uncorrected-plain":
-                h = mesh.h
-                r = math.hypot(c * s * h, row.d)
-                want = (plain_trapezoid(mesh, f) / c ** 2 / h / h
-                        + h * window[FD_STENCIL // 2] / r / r)
+                h = sampled.mesh.h
+                r = math.hypot(c * sampled.s * h, row.d)
+                # the puncture's own term takes the node's sample
+                assert sampled.g_node == sampled.gvals[row.n + sampled.j]
+                want = (plain_trapezoid(sampled.mesh, sampled.f) / c ** 2 / h / h
+                        + h * sampled.g_node / r / r)
             else:
                 params = KernelParams(a=1.0, c=c, d=row.d, x_s=x_s)
                 want = integrate_near_singular(g, params, row.n).uncorrected

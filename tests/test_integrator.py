@@ -354,8 +354,9 @@ class TestFinitePart:
         for c in (0.5, 2.0, 3.0):
             for d in (1e-3, 0.0):
                 params = KernelParams(a=1.0, c=c, d=d, x_s=x_s)
-                mesh, j, _, _, _, _, _, f, total, est = _mesh_pass(
-                    GEval.analytic(np.exp), params.a, c, d, x_s, n)
+                sampled = _mesh_pass(GEval.analytic(np.exp), params.a, c, d, x_s, n)
+                mesh, j, f = sampled.mesh, sampled.j, sampled.f
+                total, est = sampled.uncorrected, sampled.edge_err
                 x = mesh.nodes()
                 kernel = np.exp(x) / (d * d + c * c * (x - x_s) ** 2)
                 kernel[n + j] = 0.0

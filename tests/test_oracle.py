@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nsquad.cli import main
 from nsquad.corrections import GEval
 from nsquad.integrator import KernelParams
 from nsquad.oracle import (
@@ -56,6 +57,19 @@ class TestReferenceIntegral:
         g = GEval.analytic(lambda z: 1.0 + 0.0 * np.asarray(z))
         with pytest.raises(RuntimeError):
             reference_integral(g, KernelParams(a=1.0, d=1e-6), tol=1e-14)
+
+    @pytest.mark.parametrize("d", [1e-154, 1e-160, 1e-300])
+    def test_overflowing_integrand_raises(self, d, capsys):
+        # e^x/(d^2 + (x - x_s)^2) overflows near x_s: an inf value with a NaN
+        # error estimate is an unreachable tolerance, in the API and the CLI
+        with pytest.raises(RuntimeError, match="tolerance .* unreachable"):
+            reference_integral(GEval.analytic(np.exp), KernelParams(a=1.0, d=d, x_s=0.1))
+        argv = ["converge", "--integrand", "custom", "--g-expr", "exp(x)",
+                "--xs", "0.1", "--d", repr(d), "--n", "64"]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("nsquad: error: adaptive integrator: tolerance")
 
     @pytest.mark.parametrize("x_s, d", [(0.0, 1e-6), (0.0, 1e-8), (0.1, 1e-3)])
     def test_default_tolerance_is_relative_at_a_pole_g(self, x_s, d):

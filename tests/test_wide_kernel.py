@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nsquad.corrections import GEval
-from nsquad.integrator import KernelParams, integrate_near_singular
+from nsquad import integrator
+from nsquad.corrections import _Q_NEGLIGIBLE_LAM, GEval
+from nsquad.integrator import KernelParams, integrate_near_singular, puncture_split
 from nsquad.oracle import exact_test2
 from nsquad.verify import correction_offmesh_closed, correction_taylor
 
@@ -88,6 +89,11 @@ def test_closed_form_does_not_evaluate_g_where_the_pole_term_is_dropped():
     assert res.warnings == []
     br = res.breakdown
     assert br.jump_part == 0.0 and br.singular_part == br.total
+    # the checked view puts back the same sample, and does not call g either
+    h = 1.0 / 16
+    j, s = puncture_split(0.1, h)
+    window = g.sample(h * np.arange(j - 4.0, j + 5.0))
+    assert correction_offmesh_closed(g, 1.0, 625.0, h, s, 0.1, window).total == br.total
 
 
 def test_lam_squared_overflow_raises():
@@ -170,3 +176,30 @@ def test_form_switches_are_seamless(switch, c, kind):
     tol = 1e-13 * max(abs(e_p1), 1.0)
     assert abs(2.0 * e_m1 - e_m3 - e_p1) <= tol, totals
     assert abs(2.0 * e_p1 - e_p3 - e_m1) <= tol, totals
+
+
+def test_one_put_back_for_both_sources_of_g(monkeypatch):
+    # from lam = 5.97 on the pole form is the puncture node's sample put back:
+    # fd-series gives the closed form's bits, with no stencil fit, for a real-
+    # only g as for an analytic one, pole g included
+    fits = []
+    fit = integrator._stencil_poly
+    monkeypatch.setattr(integrator, "_stencil_poly",
+                        lambda *args: fits.append(args) or fit(*args))
+    rng = np.random.default_rng(27)
+    for f in (lambda x: 1.0 / (x * x + 0.01), lambda x: 1.0 / (x * x + 0.04),
+              lambda x: np.sin(7.0 * x) + 0.2):
+        closed, real = GEval.analytic(f), GEval(real_eval=lambda x, f=f: float(f(x)))
+        for n in (64, 256, 1024):
+            for c in (0.5, 1.0, 2.0):
+                for _ in range(4):
+                    lam = 10.0 ** rng.uniform(math.log10(_Q_NEGLIGIBLE_LAM), 4.0)
+                    x_s = rng.uniform(-0.8, 0.8)
+                    params = KernelParams(a=1.0, c=c, d=lam * c / n, x_s=x_s)
+                    if params.d / (c / n) < _Q_NEGLIGIBLE_LAM:
+                        continue
+                    fd = integrate_near_singular(real, params, n, "fd-series")
+                    want = integrate_near_singular(closed, params, n, "closed-form")
+                    assert fd.value.hex() == want.value.hex(), (n, c, lam, x_s)
+                    assert fd.breakdown.terms_used == 0
+    assert fits == []

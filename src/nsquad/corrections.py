@@ -4,23 +4,25 @@ The corrected rule is T_h + E where E estimates I - T_h.  E splits into a
 "singular" series that extends the finite-part corrections continuously in
 the near-singularity strength, and a "jump" term proportional to pi/(c d).
 Both are one closed form in G = g(x_s + i d/c).  G is exact when the smooth
-numerator g extends analytically to a complex neighborhood of x_s
-(`_closed_correction`); otherwise it is G of g's Taylor polynomial at x_s,
-which at d = 0 is the finite-part correction.  Every Taylor coefficient of
-g comes from one source, the degree-8 interpolant on the 9 mesh samples
-around the puncture, in the mesh units b_k = g^(k)(x_s) h^k/k! that the
-singular series needs (`_stencil_poly`, on the mesh pass's read-only array
-view of them); one straight-line pass over b_0..b_6 gives G, the
+numerator g extends analytically to a complex neighborhood of x_s;
+otherwise it is G of g's Taylor polynomial at x_s, which at d = 0 is the
+finite-part correction.  Every Taylor coefficient of g comes from one
+source, the degree-8 interpolant on the 9 mesh samples around the
+puncture, in the mesh units b_k = g^(k)(x_s) h^k/k! that the singular
+series needs (`_stencil_poly`, on the mesh pass's read-only array view of
+them, `_window`); one straight-line pass over b_0..b_6 gives G, the
 interpolant's node value P(-s) and Q (`_taylor_parts`), and `_assemble`
-takes the form (`integrator._corrected` calls both).  Either source puts
-back the puncture node's own sample, g_node.  The same pass for any number
+takes the form.  One function decides the correction of a target
+(`_correction`): for lam >= 5.97 the put-back of the puncture node's own
+sample, g_node, alone; below, the closed form in the exact G or in the
+Taylor G, which puts back that same sample.  The same pass for any number
 of coefficients, the reference it is tested against, serves
 `verify.correction_taylor`, which has no sample and puts back P(-s).
 
 These routines are the per-target core: they take Python floats, and the
 9 samples as an array, that the entry already checked (the kernel by
 `integrator._check_kernel`, the mesh scale by `_check_mesh_scale`, the 9
-samples once by `_check_window`), with lam = d/(c h) passed in, and check
+samples once by `_window`), with lam = d/(c h) passed in, and check
 only what only they can see: lam = 0 in the closed form, the stencil's
 spread, lam^2 and c^2 h.  The checked public views,
 `correction_offmesh_closed`, `correction_taylor` and `fd_derivatives`, live
@@ -69,7 +71,7 @@ Q_SERIES_RATIO = 10.0
 # |q| = exp(-2 pi lam) < 5e-17 from here on: the pole form drops its pole
 # term and reads no G, so a G that overflows there (a Taylor polynomial's,
 # for d/c >~ 1e50) never meets q = 0 in a product, and integration computes
-# neither source of G (`integrator._corrected`)
+# neither source of G (`_correction`)
 _Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
 # meshes whose samples one GEval keeps (`GEval.mesh_samples`)
 _MESHES_KEPT = 4
@@ -86,6 +88,19 @@ def _check_real(values: list) -> None:
     if any(issubclass(t, _NOT_REAL_TYPES) for t in set(map(type, values))):
         bad = next(v for v in values if isinstance(v, _NOT_REAL_TYPES))
         raise ValueError(f"real_eval must return a real number, got {bad!r}")
+
+
+def _complex_at(g: GEval, z: complex) -> complex:
+    """g.complex_eval(z) as a complex; ValueError for a string, which
+    complex() would parse, and for any value complex() rejects (None, bytes,
+    a list)."""
+    value = g.complex_eval(z)
+    if not isinstance(value, str):
+        try:
+            return complex(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"complex_eval must return a complex number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +162,7 @@ class GEval:
         An f of `analytic` that accepts arrays is called once on `points`;
         otherwise real_eval is called once per point, in order, with Python
         floats (`points.tolist()`).  Complex points, or a value of real_eval
-        that is complex, None or a string, raise ValueError.
+        that is complex, None, a string or a sequence, raise ValueError.
         """
         if points.dtype.kind == "c":
             raise ValueError("g is sampled at real points only; "
@@ -160,7 +175,7 @@ class GEval:
         _check_real(values)
         try:
             return np.fromiter(values, float, count=len(points))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"real_eval must return a real number ({exc})") from exc
 
     def mesh_samples(self, mesh: Mesh) -> np.ndarray:
@@ -256,10 +271,12 @@ class GEval:
 
     def consistency_gap(self, x: float, real_value: float) -> float:
         """|complex_eval(x) - real_value|, for diagnostics; `real_value` is g(x)
-        as already sampled on the real axis.  The caller picks the scale."""
+        as already sampled on the real axis.  The caller picks the scale.
+        ValueError for a value of complex_eval that is not a complex number
+        (`_complex_at`)."""
         if self.complex_eval is None:
             return 0.0
-        return abs(complex(self.complex_eval(complex(x, 0.0))) - real_value)
+        return abs(_complex_at(self, complex(x, 0.0)) - real_value)
 
 
 @dataclass
@@ -291,19 +308,22 @@ def _stencil_operator() -> np.ndarray:
     return op
 
 
-def _check_window(window: list[float]) -> list[float]:
-    """`window`, g at the 9 nodes around the puncture as floats; ValueError
-    unless all are finite."""
+def _window(gvals: np.ndarray, i: int) -> tuple[np.ndarray, float]:
+    """(samples, g_node): the 9 samples of the float array `gvals` centered on
+    index i, as a view, and the center as a float; ValueError unless all are
+    finite."""
+    samples = gvals[i - FD_STENCIL // 2:i + FD_STENCIL // 2 + 1]
+    window = samples.tolist()
     # a finite sum means all are finite (else huge ones may overflow it)
     if not (math.isfinite(sum(window)) or all(map(math.isfinite, window))):
         raise ValueError(_WINDOW_ERROR)
-    return window
+    return samples, window[FD_STENCIL // 2]
 
 
 def _stencil_poly(samples: np.ndarray, s: float) -> list[float]:
     """b_k = g^(k)(x_s) h^k/k!, k = 0..6: the coefficients in t = (x - x_s)/h of the
     degree-8 interpolant on `samples`, g at the nodes x_s - s h + k h, k = -4..4,
-    as a float array of 9 finite values (`_check_window`); ValueError unless
+    as a float array of 9 finite values (`_window`); ValueError unless
     they differ by at most sys.float_info.max/128."""
     values = samples.tolist()
     ordered = sorted(values)
@@ -419,23 +439,33 @@ def _check_lam(c: float, d: float, h: float, lam: float) -> None:
                          f"lam = d/(c h) underflows to 0")
 
 
-def _closed_correction(g: GEval, c: float, d: float, h: float, s: float, x_s: float,
-                       g_node: float, samples: np.ndarray, lam: float) -> CorrectionBreakdown:
-    """The closed form in G = g(x_s + i lam h), unchecked but for lam = 0; the
-    checked view, `verify.correction_offmesh_closed`, states it.  d > 0,
-    lam = d/(c h) < 5.97 (beyond, the pole form reads g_node alone and the
-    callers put it back without G), `samples` g at the 9 nodes around the
-    puncture as a float array (`_check_window`) and g_node their center.
+def _correction(g: GEval, exact: bool, c: float, d: float, h: float, s: float, x_s: float,
+                samples: np.ndarray, g_node: float, lam: float) -> CorrectionBreakdown:
+    """The correction of one target: the closed form in G = g(x_s + i lam h)
+    for `exact`, else in G of g's Taylor polynomial through order 6 on
+    `samples` (d = 0 takes the finite part), unchecked but for lam = 0 in the
+    former; the checked view, `verify.correction_offmesh_closed`, states it.
+    `samples` is g at the 9 nodes around the puncture as a float array and
+    g_node their center (`_window`), with lam = d/(c h).
+
+    For lam >= 5.97 the pole form reads g_node alone: either source puts it
+    back with no G and no fit, and `terms_used` 0.  Below, the exact G's
     Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2), or, where
-    lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam overflows, the Q of g's Taylor
-    polynomial through order 6 on the samples (`_taylor_parts`), with
-    `terms_used` the series order (0 otherwise)."""
-    _check_lam(c, d, h, lam)
-    gval = complex(g.complex_eval(complex(x_s, lam * h)))
-    denom = s * s + lam * lam
-    # only for lam < 0.1; s/lam overflows only for a subnormal lam
-    if lam > Q_SERIES_RATIO * denom or math.isinf(s / lam):
-        quotient, terms = _taylor_parts(_stencil_poly(samples, s), s, lam)[3], FD_DERIV_MAX
-    else:
-        quotient, terms = (gval.real - g_node - s / lam * gval.imag) / denom, 0
-    return _assemble(gval.real, gval.imag / lam, g_node, quotient, c, d, h, s, lam, terms)
+    lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam overflows, the Q of the
+    Taylor polynomial (`_taylor_parts`), which the Taylor form takes G from
+    too; `terms_used` is the series order where Q is fitted, else 0."""
+    if lam >= _Q_NEGLIGIBLE_LAM:
+        # the pole form reads g_node alone: zeros stand for G, Im G/lam and Q
+        return _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
+    if exact:
+        _check_lam(c, d, h, lam)
+        gval = _complex_at(g, complex(x_s, lam * h))
+        re_g, im_g_lam, denom = gval.real, gval.imag / lam, s * s + lam * lam
+        # only for lam < 0.1; s/lam overflows only for a subnormal lam
+        if not (lam > Q_SERIES_RATIO * denom or math.isinf(s / lam)):
+            quotient = (re_g - g_node - s / lam * gval.imag) / denom
+            return _assemble(re_g, im_g_lam, g_node, quotient, c, d, h, s, lam, 0)
+    re_fit, im_fit_lam, _, quotient = _taylor_parts(_stencil_poly(samples, s), s, lam)
+    if not exact:
+        re_g, im_g_lam = re_fit, im_fit_lam
+    return _assemble(re_g, im_g_lam, g_node, quotient, c, d, h, s, lam, FD_DERIV_MAX)

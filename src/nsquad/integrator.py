@@ -5,24 +5,22 @@ mesh half-count n, these routines place the target on the mesh once (the
 puncture j and offset s of `puncture_split`, and lam = d/(c h)), read g's
 samples on the 2n+1 nodes and build the punctured trapezoidal sum on that
 lattice (`_mesh_pass`, one `_MeshPass` record whose fields every reader
-takes by name), add the correction (the closed form in g or in g's Taylor
-polynomial from the 9 samples around the puncture: the pole form for
-lam >= 1, the seeds' form below; `_corrected`, where only the closed form
-calls g again, for G, and where lam >= 5.97 either method puts back the
-puncture node's sample alone) and return the corrected value with a
-breakdown (`_correct`, which adds what only a result reports: the check of
-complex_eval at the puncture node and the end-correction warning).  The
-convergence study of `cli` reads every method from one pass and takes the
-corrected values from `_corrected` alone.  The coefficient cross-checks
-(`self_check`) live in `verify`.
+takes by name), add the correction (`_corrected`, one call of
+`corrections._correction`, where only the closed form calls g again, for
+G) and return the corrected value with a breakdown (`_correct`, which adds
+what only a result reports: the check of complex_eval at the puncture node
+and the end-correction warning).  The convergence study of `cli` reads
+every method from one pass and takes the corrected values from
+`_corrected` alone.  The coefficient cross-checks (`self_check`) live in
+`verify`.
 
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
 runs on its a and x_s), n and the mesh scale in `_mesh_pass`, and the 9
-samples around the puncture once, in `_mesh_pass`, which hands on their
-read-only view and the puncture node's sample.  From there `_mesh_pass` and
-`_corrected` run on Python floats and call the unchecked core of
-`corrections`, with lam passed in.
+samples around the puncture once, in `_mesh_pass` (`corrections._window`),
+which hands on their read-only view and the puncture node's sample.  From
+there `_mesh_pass` and `_corrected` run on Python floats and call the
+unchecked core of `corrections`, with lam passed in.
 
 A GEval stands for one fixed function: it samples g once per node (the 4
 most recent meshes, up to 1 MB per GEval at n = 16384) and reuses those
@@ -42,18 +40,12 @@ from functools import lru_cache
 import numpy as np
 
 from .corrections import (
-    _Q_NEGLIGIBLE_LAM,
-    FD_DERIV_MAX,
-    FD_STENCIL,
     CorrectionBreakdown,
     GEval,
-    _assemble,
     _check_kernel_scales,
     _check_mesh_scale,
-    _check_window,
-    _closed_correction,
-    _stencil_poly,
-    _taylor_parts,
+    _correction,
+    _window,
 )
 from .meshrule import Mesh, _node_array, _rule_sums
 
@@ -153,7 +145,7 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     The record holds the mesh, the puncture j and offset s of
     `puncture_split`, lam = d/(c h), g at the mesh nodes (gvals,
     `GEval.mesh_samples`), the 9 of them around the puncture as a read-only
-    view of gvals (samples), checked once (`_check_window`), the puncture
+    view of gvals (samples), checked once (`_window`), the puncture
     node's own sample as a float (g_node), c^2 h^2 times the kernel samples,
     f = g/((m - s)^2 + lam^2) in mesh units (m = k - j exact: the lattice
     the correction assumes), its punctured entry 0, and the punctured sum of
@@ -182,9 +174,7 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     np.divide(gvals, f, out=f)
     f[i] = 0.0
     total, edge_err = _rule_sums(1.0, f)
-    i0 = i - FD_STENCIL // 2
-    samples = gvals[i0:i0 + FD_STENCIL]
-    g_node = _check_window(samples.tolist())[FD_STENCIL // 2]
+    samples, g_node = _window(gvals, i)
     return _MeshPass(mesh, j, s, lam, gvals, g_node, samples, f,
                      total / c ** 2 / h, edge_err / c ** 2 / h)
 
@@ -193,22 +183,12 @@ def _corrected(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
                method: str) -> tuple[float, CorrectionBreakdown, str]:
     """(value, breakdown, method used) of `method`, "closed-form" or
     "fd-series", on the pass `sampled` of `_mesh_pass` (d = 0 takes the
-    finite part for either): the correction and nothing a result reports
-    beside it.  Where lam >= 5.97 both methods put back the puncture node's
-    sample alone, with no G and no fit (`terms_used` 0); below, only the
-    closed form calls g again, for G (`_closed_correction`), and the Taylor
-    form fits the 9 samples for G and Q and puts back that same sample.
-    ValueError where the value is not finite."""
-    s, lam, g_node, h = sampled.s, sampled.lam, sampled.g_node, sampled.mesh.h
+    finite part for either): the correction of `corrections._correction`
+    and nothing a result reports beside it.  ValueError where the value is
+    not finite."""
     used = "finite-part" if d == 0.0 else method
-    if lam >= _Q_NEGLIGIBLE_LAM:
-        # the pole form reads g_node alone: zeros stand for G, Im G/lam and Q
-        breakdown = _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
-    elif used == "closed-form":
-        breakdown = _closed_correction(g, c, d, h, s, x_s, g_node, sampled.samples, lam)
-    else:
-        re_g, im_g_lam, _, quotient = _taylor_parts(_stencil_poly(sampled.samples, s), s, lam)
-        breakdown = _assemble(re_g, im_g_lam, g_node, quotient, c, d, h, s, lam, FD_DERIV_MAX)
+    breakdown = _correction(g, used == "closed-form", c, d, sampled.mesh.h, sampled.s, x_s,
+                            sampled.samples, sampled.g_node, sampled.lam)
     value = sampled.uncorrected + breakdown.total
     if not math.isfinite(value):
         raise ValueError(f"the result is not finite: the sum {sampled.uncorrected!r} plus "

@@ -20,7 +20,7 @@ Bernoulli table of `specfun`, as do the Bernoulli numbers as floats.  So do `pun
 `correction_offmesh_closed`, each a checked view over the core routine that
 integration calls on inputs its entry already checked
 (`meshrule._rule_sums`, `corrections._stencil_poly`,
-`corrections._assemble`, `corrections._closed_correction`), with the same
+`corrections._assemble`, `corrections._correction`), with the same
 messages; `correction_taylor` takes any number of coefficients, through
 `taylor_parts`, and, having no samples, puts back the polynomial's node
 value P(-s) where integration puts back the puncture node's sample.  No
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from .corrections import (
-    _Q_NEGLIGIBLE_LAM,
     _WINDOW_ERROR,
     FD_STENCIL,
     CorrectionBreakdown,
@@ -48,9 +48,9 @@ from .corrections import (
     _check_kernel_scales,
     _check_lam,
     _check_mesh_scale,
-    _check_window,
-    _closed_correction,
+    _correction,
     _stencil_poly,
+    _window,
 )
 from .emcoeff import pks_seeds
 from .integrator import KernelParams, puncture_split
@@ -431,13 +431,19 @@ def punctured_trapezoid(mesh: Mesh, samples: Sequence[float],
     """Trapezoidal rule with Gregory-8 edge corrections on f at the 2n+1 nodes,
     skipping node `puncture` (never read) or, for None, none: the checked view
     of the one sum, `meshrule._rule_sums`, on a copy with that entry zeroed.
-    ValueError for n < 9, a puncture outside (-n, n) or on the 9 weighted
-    nodes at an end, a wrong sample count and a non-finite summed sample."""
+    ValueError for n < 9, a puncture that is not an integer, outside (-n, n)
+    or on the 9 weighted nodes at an end, samples that are not 2n+1 values in
+    one dimension and a non-finite summed sample."""
     n = mesh.n
     if n < EDGE_ORDER + 1:
         raise ValueError(f"mesh too small for gregory order {EDGE_ORDER} "
                          f"(need n >= {EDGE_ORDER + 1})")
     if puncture is not None:
+        try:
+            puncture = operator.index(puncture)
+        except TypeError:
+            raise ValueError(f"puncture must be an integer node index, "
+                             f"got {puncture!r}") from None
         if abs(puncture) >= n:
             raise ValueError("puncture must be an interior node")
         if abs(puncture) > n - (EDGE_ORDER + 1):
@@ -455,22 +461,24 @@ def punctured_trapezoid(mesh: Mesh, samples: Sequence[float],
 
 
 def plain_trapezoid(mesh: Mesh, samples: Sequence[float]) -> float:
-    """Classical trapezoidal rule: all nodes, half end weights, no corrections."""
+    """Classical trapezoidal rule: all nodes, half end weights, no corrections.
+    ValueError for samples that are not 2n+1 values in one dimension and a
+    non-finite sample."""
     samples = np.asarray(samples, dtype=float)
-    if len(samples) != 2 * mesh.n + 1:
+    if samples.shape != (2 * mesh.n + 1,):
         raise ValueError("sample count does not match the mesh")
     ends = 0.5 * float(samples[0]) + 0.5 * float(samples[-1])
     return _checked(mesh.h * (float(np.sum(samples)) - ends), samples)
 
 
 def _checked_window(window: Sequence[float]) -> tuple[np.ndarray, float]:
-    """`window` as the float array of 9 finite values that the core reads
-    (`corrections._check_window`), and its center as a float; ValueError for
-    any other shape."""
+    """`window` as the float array of 9 finite values that the core reads,
+    and its center as a float (`corrections._window`); ValueError for any
+    other shape."""
     values = np.asarray(window, dtype=float)
     if values.shape != (FD_STENCIL,):
         raise ValueError(_WINDOW_ERROR)
-    return values, _check_window(values.tolist())[FD_STENCIL // 2]
+    return _window(values, FD_STENCIL // 2)
 
 
 def _check_scales(c: float, d: float, h: float) -> None:
@@ -540,7 +548,7 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
     """The closed form on g's Taylor polynomial a_k = g^(k)(x_s)/k!, k = 0..K, any d >= 0.
 
     The form integration takes on the stencil's b_k = a_k h^k, k = 0..6
-    (`integrator._corrected`), checked and for any K: the pole form
+    (`corrections._correction`), checked and for any K: the pole form
     (lam >= 1) or the seeds' form (lam < 1) of `corrections._assemble` on G,
     g_node and Q of P(t) = sum_k b_k t^k, t = (x - x_s)/h, from
     `taylor_parts`; at d = 0, with no jump, the finite-part correction for
@@ -594,11 +602,11 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     then reports the series order (0 otherwise).
 
     The checked view of the closed form that integration takes on the
-    samples its mesh pass checked (`integrator._corrected`: the put-back
-    alone for lam >= 5.97, else `corrections._closed_correction`):
-    ValueError for the scales `_check_scales` rejects, a non-finite x_s,
-    d <= 0, a g without complex_eval, an s outside [-1/2, 1/2] and a window
-    that is not 9 finite values.
+    samples its mesh pass checked (`corrections._correction`): ValueError
+    for the scales `_check_scales` rejects, a non-finite x_s, d <= 0, a g
+    without complex_eval, a value of complex_eval that is not a complex
+    number, an s outside [-1/2, 1/2] and a window that is not 9 finite
+    values.
     """
     _check_scales(c, d, h)
     if not math.isfinite(x_s):
@@ -610,8 +618,4 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
         raise ValueError("closed-form correction needs a complex evaluator for g")
     _check_offset(s)
     samples, g_node = _checked_window(window)
-    lam = d / (c * h)
-    if lam >= _Q_NEGLIGIBLE_LAM:
-        # as integration does: the pole form reads g_node alone, so g is not called
-        return _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
-    return _closed_correction(g, c, d, h, s, x_s, g_node, samples, lam)
+    return _correction(g, True, c, d, h, s, x_s, samples, g_node, d / (c * h))

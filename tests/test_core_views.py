@@ -3,9 +3,10 @@
 Integration checks its inputs once, at the entry, and then calls the
 unchecked core of `corrections`; `nsquad.correction_offmesh_closed` checks
 the same inputs again and calls that core.  On every branch of the closed
-form (the pole form at lam >= 1, the seeds' series below |w| = 0.3, the Q
-series above Q_SERIES_RATIO) the view's breakdown is integration's, bit for
-bit, and `integrate_finite_part` is `integrate_near_singular` at c = 1, d = 0.
+form (the put-back alone at lam >= 5.97, the pole form at lam >= 1, the
+seeds' series below |w| = 0.3, the Q series above Q_SERIES_RATIO) the
+view's breakdown is integration's, bit for bit, and `integrate_finite_part`
+is `integrate_near_singular` at c = 1, d = 0.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 
 import nsquad
 from nsquad import GEval, KernelParams, Mesh, integrate_finite_part, integrate_near_singular
-from nsquad.corrections import FD_STENCIL, Q_SERIES_RATIO
+from nsquad.corrections import _Q_NEGLIGIBLE_LAM, FD_STENCIL, Q_SERIES_RATIO
 from nsquad.emcoeff import W_STAR
 
 
@@ -26,9 +27,9 @@ def bits(breakdown) -> tuple:
 
 
 def lam_grid(s: float, rng: random.Random) -> list[float]:
-    """lam on both sides of each switch of the closed form at offset s, and
-    seeded values between 1e-4 and 10."""
-    switches = [1.0]
+    """lam on both sides of each switch of the closed form at offset s,
+    seeded values between 1e-4 and 10, and two deep in the put-back."""
+    switches = [1.0, _Q_NEGLIGIBLE_LAM]
     if abs(s) < W_STAR:
         switches.append(math.sqrt(W_STAR ** 2 - s * s))
     # lam > Q_SERIES_RATIO (s^2 + lam^2) between the two roots
@@ -36,7 +37,7 @@ def lam_grid(s: float, rng: random.Random) -> list[float]:
     if disc > 0.0:
         switches += [(1.0 + r * math.sqrt(disc)) / (2.0 * Q_SERIES_RATIO) for r in (1.0, -1.0)]
     lams = [lam * f for lam in switches if lam > 0.0 for f in (1.0 - 1e-3, 1.0 + 1e-3)]
-    return lams + [10.0 ** rng.uniform(-4.0, 1.0) for _ in range(6)]
+    return lams + [10.0 ** rng.uniform(-4.0, 1.0) for _ in range(6)] + [100.0, 1e4]
 
 
 @pytest.mark.parametrize("n, c", [(64, 1.0), (256, 0.5), (100, 3.0)])
@@ -61,11 +62,13 @@ def test_closed_form_view_is_the_integration_core(n, c):
                                                     samples[i0:i0 + FD_STENCIL])
             assert bits(view) == bits(result.breakdown), (s, lam)
             lam_used = lam * c * h / (c * h)
-            branches.add((lam_used >= 1.0, mesh.s ** 2 + lam_used ** 2 < W_STAR ** 2,
-                          view.terms_used > 0))
-    # the pole form, the seeds' series and pi cot, and the Q series all ran
-    assert {(True, False, False), (False, True, False), (False, False, False),
-            (False, True, True)} <= branches
+            branches.add((lam_used >= _Q_NEGLIGIBLE_LAM, lam_used >= 1.0,
+                          mesh.s ** 2 + lam_used ** 2 < W_STAR ** 2, view.terms_used > 0))
+    # the put-back, the pole form, the seeds' series and pi cot, and the Q
+    # series all ran
+    assert {(True, True, False, False), (False, True, False, False),
+            (False, False, True, False), (False, False, False, False),
+            (False, False, True, True)} <= branches
 
 
 def test_finite_part_is_near_singular_at_d_zero():

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from nsquad.corrections import (
     GEval,
-    _check_window,
     _stencil_operator,
     _stencil_poly,
     _taylor_parts,
+    _window,
 )
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
 from nsquad.oracle import _taylor_coeffs_ref, finite_part_reference, reference_integral
@@ -155,14 +155,15 @@ class TestCenteredClosed:
     def test_window_check_passes_huge_finite_values(self):
         # their sum overflows; only then is each value tested
         for window in (np.full(9, 1e308), np.where(np.arange(9) == 2, -1e308, 1e308)):
-            assert _check_window(window.tolist()) == window.tolist()
+            samples, g_node = _window(window, 4)
+            assert samples.tolist() == window.tolist() and g_node == window[4]
         huge = np.full(9, 1e308)
         assert np.all(np.isfinite(_stencil_poly(huge, 0.0)))
         for bad in (math.nan, math.inf, -math.inf):
             window = np.full(9, 1e308)
             window[6] = bad
             with pytest.raises(ValueError, match="window must hold g at the 9 nodes"):
-                _check_window(window.tolist())
+                _window(window, 4)
 
     def test_jump_factorization(self):
         c, d, h = 1.0, 0.03, 1.0 / 64

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nsquad
-from nsquad import GEval, KernelParams, integrate_finite_part, integrate_near_singular
+from nsquad import GEval, KernelParams, Mesh, integrate_finite_part, integrate_near_singular
 from nsquad.emcoeff import pks_seeds
 
 nan, inf = math.nan, math.inf
@@ -37,6 +37,11 @@ SINC_BOTH = GEval(real_eval=sinc, complex_eval=sinc_complex)
 
 def forgets_to_return(x):
     math.exp(x)
+
+
+def complex_returns(value):
+    """A g whose complex_eval returns `value` at every point."""
+    return GEval(real_eval=math.exp, complex_eval=lambda z: value)
 
 
 def array_of(value):
@@ -94,6 +99,16 @@ CASES = {
                                     "real_eval must return a real number, got None"),
     "finite-part-f-array-of-str": (finite_part(array_of("2.718"), 1.0, 0.1, 64),
                                    "real_eval must return a real number, got '2.718'"),
+    "near-g-returns-sequence": (near(GEval(real_eval=lambda x: [x]), 64, "fd-series", d=1e-3),
+                                "real_eval must return a real number "
+                                "(setting an array element with a sequence.)"),
+    # complex() would raise TypeError for None and [1.0] and parse "2" as G = 2
+    "near-complex-eval-none": (near(complex_returns(None), 64, "closed-form", d=1e-3),
+                               "complex_eval must return a complex number, got None"),
+    "near-complex-eval-list": (near(complex_returns([1.0]), 64, "closed-form", d=1e-3),
+                               "complex_eval must return a complex number, got [1.0]"),
+    "near-complex-eval-str": (near(complex_returns("2"), 64, "closed-form", d=1e-3),
+                              "complex_eval must return a complex number, got '2'"),
     "near-lam-underflow-closed": (near(EXP, 64, "closed-form", c=1e150, d=1e-300, x_s=0.1),
                                   "d = 1e-300 is too small for c = 1e+150, h = 0.015625: "
                                   "lam = d/(c h) underflows to 0"),
@@ -175,6 +190,12 @@ CASES = {
     "closed-lam2-overflow": (closed(1e-150, 1e3, 1.0 / 16, 0.1, 0.1),
                              "lam = d/(c h) = 1.600e+154 is out of range: lam^2 overflows "
                              "(d = 1000.0, c = 1e-150, h = 0.0625)"),
+    "closed-complex-eval-none": (closed(1.0, 0.01, 0.1, 0.2, 0.02, g=complex_returns(None)),
+                                 "complex_eval must return a complex number, got None"),
+    "closed-complex-eval-str": (closed(1.0, 0.01, 0.1, 0.2, 0.02, g=complex_returns("2")),
+                                "complex_eval must return a complex number, got '2'"),
+    "closed-complex-eval-bytes": (closed(1.0, 0.01, 0.1, 0.2, 0.02, g=complex_returns(b"2")),
+                                  "complex_eval must return a complex number, got b'2'"),
     # correction_taylor: (a, c, d, h, s)
     "taylor-c-inf": (taylor([1.0], inf, 0.01, 0.01, 0.0),
                      "c and h must be finite and positive, got c = inf, h = 0.01"),
@@ -218,6 +239,12 @@ CASES = {
     "fd-samples-spread": (fd([1e308] * 2 + [-1e308] + [1e308] * 6, 0.01, 0.0), WINDOW),
     "fd-derivative-overflow": (fd(np.arange(9.0) ** 6, 1e-60, 0.0),
                                "a derivative overflows at h = 1e-60"),
+    # plain_trapezoid and punctured_trapezoid
+    "plain-samples-2d": (lambda: nsquad.plain_trapezoid(Mesh(1.0, 32), np.ones((65, 1))),
+                         "sample count does not match the mesh"),
+    "punctured-float-puncture": (lambda: nsquad.punctured_trapezoid(Mesh(1.0, 32),
+                                                                    np.ones(65), 3.0),
+                                 "puncture must be an integer node index, got 3.0"),
 }
 
 # the scales of `test_integrator.TestExtremeScales`, on both methods

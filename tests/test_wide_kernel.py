@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nsquad import integrator
+from nsquad import corrections
 from nsquad.corrections import _Q_NEGLIGIBLE_LAM, GEval
 from nsquad.integrator import KernelParams, integrate_near_singular, puncture_split
 from nsquad.oracle import exact_test2
@@ -183,8 +183,8 @@ def test_one_put_back_for_both_sources_of_g(monkeypatch):
     # fd-series gives the closed form's bits, with no stencil fit, for a real-
     # only g as for an analytic one, pole g included
     fits = []
-    fit = integrator._stencil_poly
-    monkeypatch.setattr(integrator, "_stencil_poly",
+    fit = corrections._stencil_poly
+    monkeypatch.setattr(corrections, "_stencil_poly",
                         lambda *args: fits.append(args) or fit(*args))
     rng = np.random.default_rng(27)
     for f in (lambda x: 1.0 / (x * x + 0.01), lambda x: 1.0 / (x * x + 0.04),

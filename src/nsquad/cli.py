@@ -5,9 +5,10 @@ rows sorted by (d, n, method), so identical configurations produce
 bit-identical files.
 
 A convergence study samples g once per node: each d walks its meshes
-finest first, and a coarser mesh nested by a power of 2 of the same a
-copies its samples from the GEval (`GEval.mesh_samples`), so a `*2` range
-calls g on the finest mesh's nodes only and a `*3` range on every mesh's.
+finest first, and the meshes of a `*2` range are one family of the GEval's
+cache (`GEval.mesh_samples`), so each coarser mesh copies its samples from
+the finest and g is called on the finest mesh's nodes only; the meshes of
+a `*3` range are families of their own, and g is called on every mesh's.
 A custom g does not depend on d and serves the whole study.
 
 Every method's row at one (d, n) reads the same mesh pass: the corrected
@@ -331,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_eval(args.a, args.c, args.d, args.xs, args.n,
                         integrand=args.integrand, g_expr=args.g_expr,
                         method=args.method, out=args.out)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:   # OSError: an unwritable --out
         print(f"nsquad: error: {exc}", file=sys.stderr)
         return 1
 

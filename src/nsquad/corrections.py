@@ -73,9 +73,9 @@ Q_SERIES_RATIO = 10.0
 # for d/c >~ 1e50) never meets q = 0 in a product, and integration computes
 # neither source of G (`_correction`)
 _Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
-# meshes whose samples one GEval keeps (`GEval.mesh_samples`)
+# families of meshes whose samples one GEval keeps (`GEval.mesh_samples`)
 _MESHES_KEPT = 4
-# the smallest normal float: a finer mesh's h below it shares no samples
+# the smallest normal float: a mesh whose h is below it shares no samples
 _MIN_NORMAL = sys.float_info.min
 # what real_eval may not return: numpy would cast a complex value to its real
 # part with only a warning, None to NaN and a string to the number it spells
@@ -91,15 +91,20 @@ def _check_real(values: list) -> None:
 
 
 def _complex_at(g: GEval, z: complex) -> complex:
-    """g.complex_eval(z) as a complex; ValueError for a string, which
-    complex() would parse, and for any value complex() rejects (None, bytes,
-    a list)."""
+    """g.complex_eval(z) as a finite complex; ValueError for a string, which
+    complex() would parse, for any value complex() rejects (None, bytes, a
+    list), and for a NaN or infinite value."""
     value = g.complex_eval(z)
     if not isinstance(value, str):
         try:
-            return complex(value)
+            result = complex(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if math.isfinite(result.real) and math.isfinite(result.imag):
+                return result
+            raise ValueError(f"complex_eval must return a finite value, got {result!r} "
+                             f"at z = {z!r}")
     raise ValueError(f"complex_eval must return a complex number, got {value!r}")
 
 
@@ -121,10 +126,11 @@ class GEval:
 
     A GEval stands for one fixed function: it samples g once per node and
     reuses those samples for every later target on that mesh
-    (`mesh_samples`; the 4 most recent meshes, up to 1 MB at n = 16384).
-    Meshes of the same a whose n differ by a power of 2 share the samples
-    of their common nodes, so a doubling convergence study calls g on the
-    nodes of its finest mesh only; a `*3` range shares nothing.  To
+    (`mesh_samples`).  Meshes of the same a whose n differ by a power of 2
+    form one family and share the samples of their common nodes, so a
+    doubling convergence study calls g on the nodes of its finest mesh
+    only; a `*3` range shares nothing.  The meshes of the 4 most recent
+    families are kept, up to 2 MB at n = 16384.  To
     integrate a changed g, build a new GEval.  In `integrate_near_singular`
     the closed form's fresh complex_eval call at the puncture node warns if
     g changed under its samples.
@@ -136,7 +142,8 @@ class GEval:
     # f of `analytic`, while it still accepts arrays
     _array_f: Optional[Callable] = field(default=None, init=False, repr=False,
                                          compare=False)
-    # read-only samples per mesh (a, n), least recently used first
+    # {n: read-only samples} per family (a, odd part of n), least recently
+    # used first (`mesh_samples`)
     _meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -181,74 +188,49 @@ class GEval:
     def mesh_samples(self, mesh: Mesh) -> np.ndarray:
         """g at `mesh.nodes()`, read-only, g sampled once per node.
 
-        A mesh that is not kept takes what it can from a kept mesh of the same
-        a whose n differs from mesh.n by a power of 2 (`_nested_samples`): a
-        finer one gives every sample and a coarser one every r-th, so g is
-        called only at the nodes no kept mesh has.  Other ratios, such as the
-        meshes of a `*3` range, share nothing.  Every node sampled is sampled
-        by `sample`.  The samples of the 4 most recently used meshes are kept,
-        a finer mesh read as a source counting as used; nothing is kept when
-        sampling raises.  Two threads may both sample a mesh that neither
-        finds, but never fail for sharing the GEval.
+        Meshes of one a whose n share their odd part form a family, nested by
+        powers of 2: node r k of the mesh of r n is (r k) fl(a/(r n)), which
+        rounds the same real number as k fl(a/n), since fl(a/(r n)) r =
+        fl(a/n) for a power of 2 r wherever h = fl(a/(r n)) is a normal
+        float.  A mesh whose h is subnormal, whose rounding is coarser, is a
+        family of its own.  A kept n returns its array; a new n takes its
+        samples from its family's finest kept mesh: every r-th sample with no
+        g call if that mesh is finer, else that mesh's samples at every r-th
+        node and `sample` at the other nodes, in one pass and in node order.
+        So other ratios, such as the meshes of a `*3` range, share nothing.
+        The meshes of the 4 most recently used families are kept, each
+        family's coarser meshes as contiguous copies (at most about twice
+        its finest mesh's samples, up to 2 MB at n = 16384); nothing is kept
+        when sampling raises.  Two threads may both sample a mesh that
+        neither finds, but never fail for sharing the GEval.
         """
-        meshes, key = self._meshes, (mesh.a, mesh.n)
-        values = meshes.pop(key, None)
+        n, a = mesh.n, mesh.a
+        key = (a, n if a / n < _MIN_NORMAL else n // (n & -n))
+        meshes = self._meshes
+        family = meshes.get(key, {})
+        values = family.get(n)
         if values is None:
-            values = self._nested_samples(mesh)
-            if values is None:
+            finest = max(family, default=0)   # the n of the family's finest kept mesh
+            if finest > n:
+                values = family[finest][::finest // n].copy()
+            elif finest:
+                r, nodes = n // finest, mesh.nodes()
+                new = np.ones(len(nodes), dtype=bool)
+                new[::r] = False
+                values = np.empty_like(nodes)
+                values[::r] = family[finest]
+                values[new] = self.sample(nodes[new])
+            else:
                 values = self.sample(mesh.nodes())
             values.flags.writeable = False
-        meshes[key] = values
+            # a new dict: another thread may be reading the old one
+            family = {**family, n: values}
+        meshes.pop(key, None)
+        meshes[key] = family
         if len(meshes) > _MESHES_KEPT:
             # list() and pop with a default: no error when another thread evicts too
             for stale in list(meshes)[:-_MESHES_KEPT]:
                 meshes.pop(stale, None)
-        return values
-
-    def _nested_samples(self, mesh: Mesh) -> Optional[np.ndarray]:
-        """g at `mesh.nodes()` from a kept mesh nested in it or around it, else None.
-
-        A kept mesh of the same a whose n is mesh.n times or over a power of 2
-        r has every r-th node of the finer of the two, bit for bit: node r k
-        of the finer mesh is (r k) fl(a/(r n)), which rounds the same real
-        number as k fl(a/n), since fl(a/(r n)) r = fl(a/n) for a power of 2 r
-        wherever fl(a/(r n)) is a normal float.  A subnormal h, whose
-        rounding is coarser, and any other ratio (a `*3` range) share
-        nothing.  The finest finer kept mesh gives every r-th sample with no
-        g call, and is moved to the most recent place so that a walk down
-        from it keeps it; else the finest coarser one gives every r-th sample
-        and g is sampled at the other nodes in one pass, in node order.
-        """
-        n, a = mesh.n, mesh.a
-        # (r, key, samples) of the finest finer kept mesh, (r, samples) of the
-        # finest coarser one
-        finer = coarser = None
-        for key, samples in list(self._meshes.items()):   # one atomic copy
-            a_kept, m = key
-            if a_kept != a or m == n:
-                continue
-            fine, coarse = (m, n) if m > n else (n, m)
-            r, rem = divmod(fine, coarse)
-            if rem or r & (r - 1) or a / fine < _MIN_NORMAL:
-                continue
-            if m > n:
-                if finer is None or r > finer[0]:
-                    finer = (r, key, samples)
-            elif coarser is None or r < coarser[0]:
-                coarser = (r, samples)
-        if finer is not None:
-            r, key, samples = finer
-            self._meshes[key] = self._meshes.pop(key, samples)
-            return samples[::r].copy()
-        if coarser is None:
-            return None
-        r, coarse = coarser
-        nodes = mesh.nodes()
-        new = np.ones(len(nodes), dtype=bool)
-        new[::r] = False
-        values = np.empty_like(nodes)
-        values[::r] = coarse
-        values[new] = self.sample(nodes[new])
         return values
 
     def _sample_array(self, points: np.ndarray) -> Optional[np.ndarray]:
@@ -272,8 +254,8 @@ class GEval:
     def consistency_gap(self, x: float, real_value: float) -> float:
         """|complex_eval(x) - real_value|, for diagnostics; `real_value` is g(x)
         as already sampled on the real axis.  The caller picks the scale.
-        ValueError for a value of complex_eval that is not a complex number
-        (`_complex_at`)."""
+        ValueError for a value of complex_eval that is not a finite complex
+        number (`_complex_at`)."""
         if self.complex_eval is None:
             return 0.0
         return abs(_complex_at(self, complex(x, 0.0)) - real_value)

@@ -22,12 +22,13 @@ which hands on their read-only view and the puncture node's sample.  From
 there `_mesh_pass` and `_corrected` run on Python floats and call the
 unchecked core of `corrections`, with lam passed in.
 
-A GEval stands for one fixed function: it samples g once per node (the 4
-most recent meshes, up to 1 MB per GEval at n = 16384) and reuses those
-samples for every target (`GEval.mesh_samples`).  Meshes of the same a
-nested by a power of 2 share the samples of their common nodes, so a mesh
-of twice the n calls g at its new nodes only; a `*3` range shares nothing.
-To integrate a changed g, build a new GEval.
+A GEval stands for one fixed function: it samples g once per node and
+reuses those samples for every target (`GEval.mesh_samples`).  Meshes of
+the same a nested by a power of 2 form one family and share the samples of
+their common nodes, so a mesh of twice the n calls g at its new nodes only;
+a `*3` range shares nothing.  The meshes of the 4 most recent families are
+kept, up to 2 MB per GEval at n = 16384.  To integrate a changed g, build a
+new GEval.
 """
 
 from __future__ import annotations
@@ -234,10 +235,10 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     (closed-form when a complex evaluator is available).  d = 0 takes the
     Taylor form without the jump (the finite part), on the same 9 samples.
     g is sampled once per mesh node and GEval (`GEval.mesh_samples`: a
-    mesh nested by a power of 2 in a kept mesh of the same a, or around
-    one, reuses its samples); beyond that only the closed form calls g, to
-    check complex_eval at the puncture node and, where lam = d/(c h) < 5.97,
-    for G.
+    new mesh takes what it can from the finest kept mesh of its family,
+    the meshes of the same a nested by powers of 2); beyond that only the
+    closed form calls g, to check complex_eval at the puncture node and,
+    where lam = d/(c h) < 5.97, for G.
     "closed-form" with a d > 0 and no complex_eval raises before g is
     sampled.  A warning reports an estimated end-correction error above
     3e-11 max(|value|, 1).

@@ -238,13 +238,12 @@ def _ei_difference(z1: complex, z2: complex) -> complex:
 def exact_test1(d: float) -> float:
     """Exact value of the integral of d e^x/(d^2 + x^2) over [-1, 1].
 
-    Im{ e^(i d) [Ei(1 - i d) - Ei(-1 - i d)] }; limits are +/- pi as
-    d -> 0 +/-.  d = 0 itself is rejected.
+    Im{ e^(i d) [Ei(1 - i d) - Ei(-1 - i d)] }: `exact_test2` at c = 1,
+    x_s = 0.  The limits are +/- pi as d -> 0 +/-; d = 0 itself is rejected.
     """
     if d == 0.0:
         raise ValueError("d = 0 is the jump point; the one-sided limits are +/- pi")
-    w = 1j * d
-    return (cmath.exp(w) * _ei_difference(1.0 - w, -1.0 - w)).imag
+    return exact_test2(d, 1.0, 0.0)
 
 
 def exact_test2(d: float, c: float, x_s: float) -> float:

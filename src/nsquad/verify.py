@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +64,10 @@ K_MAX_LIMIT = 32
 _EPS = np.finfo(float).eps
 # Conditioning: each recurrence step multiplies prior rounding by lambda^2.
 _LOSS_WARN_THRESHOLD = 1e-10
+
+# ln of the float range, less a part in 1e9 for the rounding of the powers:
+# the largest ln of a table entry's size that `CoeffParams` accepts
+_LOG_TABLE_MAX = math.log(sys.float_info.max) - 1e-9
 
 BERNOULLI_POLY_MAX = 32
 # Shift |z| to at least this radius before applying the asymptotic series.
@@ -155,6 +160,8 @@ def trigamma(x: float) -> float:
     return acc + (1.0 + 0.5 / x + tail) / x
 
 
+# the tables of one offset 1 + s read the same values at every lam
+@lru_cache(maxsize=1024)
 def hurwitz_zeta_nonpos(n: int, a: float) -> float:
     """Hurwitz zeta at nonpositive integer order: zeta(-n, a) = -B_{n+1}(a)/(n+1)."""
     if not 0 <= n <= BERNOULLI_POLY_MAX - 1:
@@ -165,7 +172,12 @@ def hurwitz_zeta_nonpos(n: int, a: float) -> float:
 
 @dataclass(frozen=True)
 class CoeffParams:
-    """Parameters of a coefficient table: lam = d/(c h), off-mesh fraction s."""
+    """Parameters of a coefficient table: lam = d/(c h), off-mesh fraction s.
+
+    ValueError where the table would overflow: its entries grow as
+    lam^(2 floor(k_max/2)), for an odd k_max times |z_1| ~ |ln(lam h)|,
+    bounded here by 2 + ln(max(lam, 1)) + |ln h|.
+    """
 
     lam: float
     s: float = 0.0
@@ -181,6 +193,14 @@ class CoeffParams:
             raise ValueError(f"h must be finite and positive, got {self.h!r}")
         if not 0 <= self.k_max <= K_MAX_LIMIT:
             raise ValueError(f"k_max must lie in [0, {K_MAX_LIMIT}]")
+        power, log_lam = 2 * (self.k_max // 2), math.log(max(self.lam, 1.0))
+        log_top = power * log_lam
+        if self.k_max % 2:
+            log_top += math.log(2.0 + log_lam + abs(math.log(self.h)))
+        if log_top > _LOG_TABLE_MAX:
+            raise ValueError(f"lam = {self.lam!r} is too large for k_max = {self.k_max}: "
+                             f"the table's entries grow as lam^{power} and overflow "
+                             f"(h = {self.h!r})")
 
 
 @dataclass(frozen=True)
@@ -604,8 +624,8 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     The checked view of the closed form that integration takes on the
     samples its mesh pass checked (`corrections._correction`): ValueError
     for the scales `_check_scales` rejects, a non-finite x_s, d <= 0, a g
-    without complex_eval, a value of complex_eval that is not a complex
-    number, an s outside [-1/2, 1/2] and a window that is not 9 finite
+    without complex_eval, a value of complex_eval that is not a finite
+    complex number, an s outside [-1/2, 1/2] and a window that is not 9 finite
     values.
     """
     _check_scales(c, d, h)

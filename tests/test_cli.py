@@ -357,6 +357,23 @@ class TestCliCommands:
         assert main(["converge", "--method", ",", "--d", "0.1", "--n", "16"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys, out):
+        # a missing directory or a directory itself: the error line, not a traceback
+        assert main(["converge", "--d", "0.1", "--n", "16",
+                     "--out", str(tmp_path / out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("nsquad: error: ")
+        assert str(tmp_path / out) in captured.err
+
+    def test_coeffs_overflowing_table_is_an_error(self, capsys):
+        # lam^12 = 1e360 at k_max 12: the error line, not an OverflowError traceback
+        assert main(["coeffs", "--lambda", "1e30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nsquad: error: lam = 1e+30 is too large for "
+                                       "k_max = 12")
+
     def test_coeffs_half_shift_limits(self, capsys):
         assert main(["coeffs", "--lambda", "0", "--s", "0.5",
                      "--h", "0.01", "--kmax", "4"]) == 0

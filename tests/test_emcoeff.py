@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from nsquad.emcoeff import (
     pole_factor,
 )
 from nsquad.verify import (
+    K_MAX_LIMIT,
     CoeffParams,
     coeff_table,
     conditioning_warnings,
@@ -355,6 +357,35 @@ class TestDiagnostics:
         msgs = conditioning_warnings(CoeffParams(lam=10.0, s=0.0, h=0.01, k_max=12))
         assert len(msgs) == 1 and "k >= 6" in msgs[0]
         assert conditioning_warnings(CoeffParams(lam=0.9, s=0.0, h=0.01, k_max=12)) == ()
+
+    def test_table_is_finite_or_rejected_when_built(self):
+        # lam = 10^0 .. 10^300: where the entries, about lam^(2 floor(k_max/2)),
+        # would overflow, CoeffParams says so; elsewhere every array is finite
+        # and numpy warns of nothing
+        built = 0
+        for h in (1.0, 1e-300):
+            for j in range(301):
+                for k_max in range(K_MAX_LIMIT + 1):
+                    try:
+                        params = CoeffParams(lam=10.0 ** j, s=0.2, h=h, k_max=k_max)
+                    except ValueError as exc:
+                        assert str(exc).startswith(f"lam = {10.0 ** j!r} is too large for "
+                                                   f"k_max = {k_max}: "), exc
+                        continue
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        t = coeff_table(params)
+                    for arr in (t.zk, t.zks, t.zk_minus_s, t.pks, t.sym_resid,
+                                t.closedform_resid):
+                        assert np.all(np.isfinite(arr)), (j, k_max, h)
+                    built += 1
+        # 3294 points are every point of the grid whose table stays finite
+        # without the check, so it rejects none that would not overflow;
+        # lam^(2m) up to 1e308 is kept: lam = 1e154 at k_max 2, 1e25 at 12
+        assert built == 3294
+        for lam, k_max in ((1e154, 2), (1e25, 12), (1e150, 3)):
+            for h in (0.01, 1e-300):
+                assert np.all(np.isfinite(coeff_table(CoeffParams(lam, 0.2, h, k_max)).zks))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pytest
 import nsquad
 from nsquad import GEval, KernelParams, Mesh, integrate_finite_part, integrate_near_singular
 from nsquad.emcoeff import pks_seeds
+from nsquad.verify import CoeffParams, self_check
 
 nan, inf = math.nan, math.inf
 EXP = GEval.analytic(np.exp)
@@ -42,6 +43,12 @@ def forgets_to_return(x):
 def complex_returns(value):
     """A g whose complex_eval returns `value` at every point."""
     return GEval(real_eval=math.exp, complex_eval=lambda z: value)
+
+
+def nan_on_the_axis():
+    """A g whose complex_eval is NaN at real points only."""
+    return GEval(real_eval=math.exp,
+                 complex_eval=lambda z: cmath.exp(z) if z.imag else complex(nan, 0.0))
 
 
 def array_of(value):
@@ -109,6 +116,16 @@ CASES = {
                                "complex_eval must return a complex number, got [1.0]"),
     "near-complex-eval-str": (near(complex_returns("2"), 64, "closed-form", d=1e-3),
                               "complex_eval must return a complex number, got '2'"),
+    # a NaN or infinite G, or a NaN at the puncture node, which the check of
+    # complex_eval there would compare as no gap at all (lam = 0.064)
+    "near-complex-eval-nan": (near(complex_returns(complex(nan, 0.0)), 64, "closed-form",
+                                   d=1e-3, x_s=0.1),
+                              "complex_eval must return a finite value, got (nan+0j) "
+                              "at z = (0.1+0.001j)"),
+    "near-complex-eval-nan-on-axis": (near(nan_on_the_axis(), 64, "closed-form", d=1e-3,
+                                           x_s=0.1),
+                                      "complex_eval must return a finite value, got "
+                                      "(nan+0j) at z = (0.09375+0j)"),
     "near-lam-underflow-closed": (near(EXP, 64, "closed-form", c=1e150, d=1e-300, x_s=0.1),
                                   "d = 1e-300 is too small for c = 1e+150, h = 0.015625: "
                                   "lam = d/(c h) underflows to 0"),
@@ -196,6 +213,14 @@ CASES = {
                                 "complex_eval must return a complex number, got '2'"),
     "closed-complex-eval-bytes": (closed(1.0, 0.01, 0.1, 0.2, 0.02, g=complex_returns(b"2")),
                                   "complex_eval must return a complex number, got b'2'"),
+    "closed-complex-eval-nan": (closed(1.0, 0.01, 0.1, 0.2, 0.02,
+                                       g=complex_returns(complex(nan, 0.0))),
+                                "complex_eval must return a finite value, got (nan+0j) "
+                                "at z = (0.02+0.01j)"),
+    "closed-complex-eval-inf": (closed(1.0, 0.01, 0.1, 0.2, 0.02,
+                                       g=complex_returns(complex(0.0, -inf))),
+                                "complex_eval must return a finite value, got -infj "
+                                "at z = (0.02+0.01j)"),
     # correction_taylor: (a, c, d, h, s)
     "taylor-c-inf": (taylor([1.0], inf, 0.01, 0.01, 0.0),
                      "c and h must be finite and positive, got c = inf, h = 0.01"),
@@ -224,6 +249,16 @@ CASES = {
                              "(d = 1000.0, c = 1e-150, h = 0.0625)"),
     "taylor-c2-h-underflow": (taylor([1.0], 1e-100, 0.0, 1e-200, 0.1),
                               "c^2 h underflows to 0 (c = 1e-100, h = 1e-200)"),
+    # CoeffParams, the one entry of every coefficient table (and of self_check)
+    "coeffs-overflow-even": (lambda: CoeffParams(lam=1e30),
+                             "lam = 1e+30 is too large for k_max = 12: the table's "
+                             "entries grow as lam^12 and overflow (h = 1.0)"),
+    "coeffs-overflow-odd": (lambda: CoeffParams(lam=3.6e25, s=0.2, k_max=13),
+                            "lam = 3.6e+25 is too large for k_max = 13: the table's "
+                            "entries grow as lam^12 and overflow (h = 1.0)"),
+    "self-check-overflow": (lambda: self_check(KernelParams(a=1.0, d=1e100), 64),
+                            "lam = 6.4e+101 is too large for k_max = 12: the table's "
+                            "entries grow as lam^12 and overflow (h = 0.015625)"),
     # pks_seeds
     "seeds-s-outside": (lambda: pks_seeds(0.1, 0.6), "s must lie in [-1/2, 1/2]"),
     "seeds-s-nan": (lambda: pks_seeds(0.1, nan), "s must lie in [-1/2, 1/2]"),

@@ -582,7 +582,8 @@ class TestScalarContract:
 
 
 class TestMeshSamples:
-    """A GEval samples g once per mesh and keeps the 4 most recent meshes."""
+    """A GEval samples g once per mesh and keeps the meshes of the 4 most
+    recent families: meshes of one half-width nested by powers of 2."""
 
     @staticmethod
     def counting_g():
@@ -627,14 +628,28 @@ class TestMeshSamples:
 
     def test_walk_down_keeps_its_finest_mesh(self):
         # five meshes nested by 2, walked finest first twice: each coarser mesh
-        # reads the finest kept one, which reading keeps among the 4 most
-        # recent, so the second walk makes no g call
+        # copies its samples from the finest, and all five are one family, so
+        # the second walk makes no g call
         g, calls = self.counting_g()
         for _ in range(2):
             for n in (256, 128, 64, 32, 16):
                 integrate_finite_part(g, 1.0, 0.1, n)
         assert calls == [513]
-        assert (1.0, 256) in g._meshes and len(g._meshes) == 4
+        assert list(g._meshes) == [(1.0, 1)] and list(g._meshes[(1.0, 1)]) == [256, 128, 64,
+                                                                                32, 16]
+
+    def test_four_families_keep_their_finest_mesh(self):
+        # 256 and 128 are one family, 48, 80 and 112 three more: 256 is still
+        # kept when the walk comes back to it
+        g, calls = self.counting_g()
+
+        def new_calls(n):
+            calls[0] = 0
+            g.mesh_samples(Mesh(1.0, n))
+            return calls[0]
+
+        assert [new_calls(n) for n in (256, 128, 48, 80, 112, 256)] == [513, 0, 97, 161, 225, 0]
+        assert list(g._meshes) == [(1.0, 3), (1.0, 5), (1.0, 7), (1.0, 1)]
 
     def test_samples_read_only_and_never_written(self):
         for g in (GEval.analytic(np.exp), GEval(real_eval=math.exp)):
@@ -697,6 +712,37 @@ class TestMeshSamples:
             t.start()
         for t in threads:
             t.join()
+        assert errors == [] and len(g._meshes) <= 4
+
+    def test_threads_grow_one_family(self):
+        # more threads than cores, switching often, on the meshes of one family
+        # and of five more, so that a family is replaced while another thread
+        # reads it: every thread reads the samples a fresh GEval takes
+        g = GEval(real_eval=math.exp)
+        sizes = (16, 32, 64, 128, 17, 18, 19, 20, 21)
+        want = {n: GEval(real_eval=math.exp).sample(Mesh(1.0, n).nodes()).tobytes()
+                for n in sizes}
+        errors = []
+
+        def work(offset):
+            try:
+                for k in range(120):
+                    n = sizes[(k + offset) % len(sizes)]
+                    assert g.mesh_samples(Mesh(1.0, n)).tobytes() == want[n]
+            except Exception as exc:   # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == [] and len(g._meshes) <= 4
 
     @staticmethod
@@ -773,7 +819,8 @@ class TestMeshSamples:
         coarse = g.mesh_samples(Mesh(1.0, 16))
         with pytest.raises(ZeroDivisionError):
             g.mesh_samples(Mesh(1.0, 32))
-        assert list(g._meshes) == [(1.0, 16)] and g._meshes[(1.0, 16)] is coarse
+        family = g._meshes[(1.0, 1)]
+        assert list(g._meshes) == [(1.0, 1)] and list(family) == [16] and family[16] is coarse
         calls[0] = 40
         assert g.mesh_samples(Mesh(1.0, 32))[::2].tobytes() == coarse.tobytes()
         assert calls == [40 + 32]
@@ -783,7 +830,7 @@ class TestMeshSamples:
         for _ in range(2):
             with pytest.raises(ValueError, match="real_eval must return a real number"):
                 g.mesh_samples(Mesh(1.0, 32))
-        assert list(g._meshes) == [(1.0, 16)]
+        assert list(g._meshes) == [(1.0, 1)] and list(g._meshes[(1.0, 1)]) == [16]
 
     def test_threads_refine_and_coarsen_one_geval(self):
         # four threads (more than the cores of a small host) walk six nested

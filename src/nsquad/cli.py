@@ -15,7 +15,8 @@ Every method's row at one (d, n) reads the same mesh pass: the corrected
 rows add their correction's value to it (`integrator._corrected`: no check
 at the puncture node, no warnings, no result records, none of which a row
 prints), `uncorrected-punctured` is its sum, and `uncorrected-plain` is the
-classical trapezoid on its kernel samples plus the puncture's own term.
+classical trapezoid the pass summed with it, plus the puncture's own term
+(`_MeshPass.plain_value`): this module reads no kernel sample.
 The built-in integrands test1 and test2 have exact references on [-1, 1]
 only, so a study of either needs a = 1.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -102,12 +102,20 @@ _EXPR_NAMES = {
 
 
 def _compile_g_expr(expr: str) -> GEval:
+    """g of a `--g-expr`; ValueError naming the expression and the point where
+    Python arithmetic on a scalar fails (1/x at x = 0: numpy arrays give inf)."""
     try:
         f = eval(f"lambda x: ({expr})", {"__builtins__": {}, **_EXPR_NAMES})
         f(0.1)
     except Exception as exc:
         raise ValueError(f"cannot evaluate g expression {expr!r}: {exc}") from exc
-    return GEval.analytic(f)
+
+    def g(x):
+        try:
+            return f(x)
+        except ArithmeticError as exc:
+            raise ValueError(f"g expression {expr!r} fails at x = {x!r}: {exc}") from exc
+    return GEval.analytic(g)
 
 
 def _study_integrand(d: float) -> GEval:
@@ -126,8 +134,7 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
 
 def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
                    n: int) -> list[float]:
-    """The value of each method at one (d, n), all from one mesh pass; the
-    pass's f is c^2 h^2 times the kernel samples, its punctured entry 0."""
+    """The value of each method at one (d, n), all from one mesh pass."""
     c, d, x_s = params.c, params.d, params.x_s
     sampled = _mesh_pass(g, params.a, c, d, x_s, n)
     values = []
@@ -137,15 +144,7 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
         elif method == "corrected-fd6":
             value = _corrected(g, c, d, x_s, sampled, "fd-series")[0]
         elif method == "uncorrected-plain":
-            # the classical trapezoid on the punctured nodes (the pairwise sum
-            # of `verify.plain_trapezoid`; `_rule_sums` has checked f), then
-            # the puncture's own kernel value, whose mesh-unit denominator
-            # s^2 + lam^2 may underflow where this one does not
-            f, h = sampled.f, sampled.mesh.h
-            r = math.hypot(c * sampled.s * h, d)
-            ends = 0.5 * float(f[0]) + 0.5 * float(f[-1])
-            plain = h * (float(np.add.reduce(f)) - ends)
-            value = plain / c ** 2 / h / h + h * sampled.g_node / r / r
+            value = sampled.plain_value(c, d)
         else:
             value = sampled.uncorrected
         values.append(value)
@@ -332,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_eval(args.a, args.c, args.d, args.xs, args.n,
                         integrand=args.integrand, g_expr=args.g_expr,
                         method=args.method, out=args.out)
-    except (ValueError, RuntimeError, OSError) as exc:   # OSError: an unwritable --out
+    # OSError: an unwritable --out; MemoryError: an n whose 2n+1 nodes do not fit
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"nsquad: error: {exc}", file=sys.stderr)
         return 1
 

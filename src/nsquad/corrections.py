@@ -10,7 +10,7 @@ finite-part correction.  Every Taylor coefficient of g comes from one
 source, the degree-8 interpolant on the 9 mesh samples around the
 puncture, in the mesh units b_k = g^(k)(x_s) h^k/k! that the singular
 series needs (`_stencil_poly`, on the mesh pass's read-only array view of
-them, `_window`); one straight-line pass over b_0..b_6 gives G, the
+them); one straight-line pass over b_0..b_6 gives G, the
 interpolant's node value P(-s) and Q (`_taylor_parts`), and `_assemble`
 takes the form.  One function decides the correction of a target
 (`_correction`): for lam >= 5.97 the put-back of the puncture node's own
@@ -22,9 +22,9 @@ of coefficients, the reference it is tested against, serves
 These routines are the per-target core: they take Python floats, and the
 9 samples as an array, that the entry already checked (the kernel by
 `integrator._check_kernel`, the mesh scale by `_check_mesh_scale`, the 9
-samples once by `_window`), with lam = d/(c h) passed in, and check
-only what only they can see: lam = 0 in the closed form, the stencil's
-spread, lam^2 and c^2 h.  The checked public views,
+samples once, all finite, by `integrator._mesh_pass`), with lam = d/(c h)
+passed in, and check only what only they can see: lam = 0 in the closed
+form, the stencil's spread, lam^2 and c^2 h.  The checked public views,
 `correction_offmesh_closed`, `correction_taylor` and `fd_derivatives`, live
 in `verify`.
 
@@ -290,22 +290,10 @@ def _stencil_operator() -> np.ndarray:
     return op
 
 
-def _window(gvals: np.ndarray, i: int) -> tuple[np.ndarray, float]:
-    """(samples, g_node): the 9 samples of the float array `gvals` centered on
-    index i, as a view, and the center as a float; ValueError unless all are
-    finite."""
-    samples = gvals[i - FD_STENCIL // 2:i + FD_STENCIL // 2 + 1]
-    window = samples.tolist()
-    # a finite sum means all are finite (else huge ones may overflow it)
-    if not (math.isfinite(sum(window)) or all(map(math.isfinite, window))):
-        raise ValueError(_WINDOW_ERROR)
-    return samples, window[FD_STENCIL // 2]
-
-
 def _stencil_poly(samples: np.ndarray, s: float) -> list[float]:
     """b_k = g^(k)(x_s) h^k/k!, k = 0..6: the coefficients in t = (x - x_s)/h of the
     degree-8 interpolant on `samples`, g at the nodes x_s - s h + k h, k = -4..4,
-    as a float array of 9 finite values (`_window`); ValueError unless
+    as a float array of 9 finite values; ValueError unless
     they differ by at most sys.float_info.max/128."""
     values = samples.tolist()
     ordered = sorted(values)
@@ -428,7 +416,7 @@ def _correction(g: GEval, exact: bool, c: float, d: float, h: float, s: float, x
     `samples` (d = 0 takes the finite part), unchecked but for lam = 0 in the
     former; the checked view, `verify.correction_offmesh_closed`, states it.
     `samples` is g at the 9 nodes around the puncture as a float array and
-    g_node their center (`_window`), with lam = d/(c h).
+    g_node their center, all finite, with lam = d/(c h).
 
     For lam >= 5.97 the pole form reads g_node alone: either source puts it
     back with no G and no fit, and `terms_used` 0.  Below, the exact G's

@@ -10,17 +10,19 @@ takes by name), add the correction (`_corrected`, one call of
 G) and return the corrected value with a breakdown (`_correct`, which adds
 what only a result reports: the check of complex_eval at the puncture node
 and the end-correction warning).  The convergence study of `cli` reads
-every method from one pass and takes the corrected values from
-`_corrected` alone.  The coefficient cross-checks (`self_check`) live in
+every method from one pass: the corrected values from `_corrected` alone,
+the plain trapezoid from `_MeshPass.plain_value`.  No other module reads
+the kernel samples.  The coefficient cross-checks (`self_check`) live in
 `verify`.
 
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
-runs on its a and x_s), n and the mesh scale in `_mesh_pass`, and the 9
-samples around the puncture once, in `_mesh_pass` (`corrections._window`),
-which hands on their read-only view and the puncture node's sample.  From
-there `_mesh_pass` and `_corrected` run on Python floats and call the
-unchecked core of `corrections`, with lam passed in.
+runs on its a and x_s), n and the mesh scale in `_mesh_pass`, and every
+sample of g once: `meshrule._rule_sums` rejects a non-finite sample that
+it sums, and `_mesh_pass` the puncture node's, the one it skips, then
+hands on a read-only view of the 9 samples around it and that node's
+sample.  From there `_mesh_pass` and `_corrected` run on Python floats and
+call the unchecked core of `corrections`, with lam passed in.
 
 A GEval stands for one fixed function: it samples g once per node and
 reuses those samples for every target (`GEval.mesh_samples`).  Meshes of
@@ -41,12 +43,12 @@ from functools import lru_cache
 import numpy as np
 
 from .corrections import (
+    _WINDOW_ERROR,
     CorrectionBreakdown,
     GEval,
     _check_kernel_scales,
     _check_mesh_scale,
     _correction,
-    _window,
 )
 from .meshrule import Mesh, _node_array, _rule_sums
 
@@ -130,13 +132,23 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
 class _MeshPass:
     """What `_mesh_pass` reads of g and the mesh for one target, each once."""
 
-    __slots__ = ("mesh", "j", "s", "lam", "gvals", "g_node", "samples", "f",
+    __slots__ = ("mesh", "j", "s", "lam", "gvals", "g_node", "samples", "plain",
                  "uncorrected", "edge_err")
 
-    def __init__(self, mesh, j, s, lam, gvals, g_node, samples, f, uncorrected, edge_err):
+    def __init__(self, mesh, j, s, lam, gvals, g_node, samples, plain, uncorrected, edge_err):
         self.mesh, self.j, self.s, self.lam, self.gvals = mesh, j, s, lam, gvals
-        self.g_node, self.samples, self.f = g_node, samples, f
+        self.g_node, self.samples, self.plain = g_node, samples, plain
         self.uncorrected, self.edge_err = uncorrected, edge_err
+
+    def plain_value(self, c: float, d: float) -> float:
+        """The classical trapezoid on the kernel samples at every node, for
+        the pass's c and d: the plain sum on step h over c^2 h^2, then the
+        puncture's own kernel value h g_node/r^2, r = hypot(c s h, d), whose
+        mesh-unit denominator s^2 + lam^2 may underflow where r^2 does not."""
+        h = self.mesh.h
+        r = math.hypot(c * self.s * h, d)
+        # the rule on step h, as `verify.plain_trapezoid` forms it, then over c^2 h^2
+        return h * self.plain / c ** 2 / h / h + h * self.g_node / r / r
 
 
 def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _MeshPass:
@@ -146,14 +158,17 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     The record holds the mesh, the puncture j and offset s of
     `puncture_split`, lam = d/(c h), g at the mesh nodes (gvals,
     `GEval.mesh_samples`), the 9 of them around the puncture as a read-only
-    view of gvals (samples), checked once (`_window`), the puncture
-    node's own sample as a float (g_node), c^2 h^2 times the kernel samples,
-    f = g/((m - s)^2 + lam^2) in mesh units (m = k - j exact: the lattice
-    the correction assumes), its punctured entry 0, and the punctured sum of
-    the kernel samples (uncorrected) and its estimated end-correction error
-    (edge_err).  The sum and the estimate are taken on a unit step, then
-    divided by c^2 and by h (never by (c h)^2, which may underflow).  Every
-    method reads the same pass through `_corrected`.
+    view of gvals (samples), the puncture node's own sample as a float
+    (g_node), the punctured sum of the kernel samples (uncorrected), its
+    estimated end-correction error (edge_err) and the plain trapezoidal sum
+    of c^2 h^2 times the kernel samples on a unit step (plain, which
+    `plain_value` scales).  `_rule_sums` takes the three sums in one pass over
+    f = g/((m - s)^2 + lam^2), c^2 h^2 times the kernel samples in mesh units
+    (m = k - j exact: the lattice the correction assumes), its punctured
+    entry 0; the punctured sum and the estimate are then divided by c^2 and
+    by h (never by (c h)^2, which may underflow).  The sums read, and so
+    check, every sample but the puncture node's, which is checked here
+    alone.  Every method reads the same pass through `_corrected`.
     """
     mesh = _mesh(a, n)
     h = mesh.h
@@ -174,9 +189,12 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     f[i] = 1.0
     np.divide(gvals, f, out=f)
     f[i] = 0.0
-    total, edge_err = _rule_sums(1.0, f)
-    samples, g_node = _window(gvals, i)
-    return _MeshPass(mesh, j, s, lam, gvals, g_node, samples, f,
+    total, edge_err, plain = _rule_sums(1.0, f)
+    g_node = float(gvals[i])
+    if not math.isfinite(g_node):
+        raise ValueError(_WINDOW_ERROR)
+    # the 9 stencil nodes (`corrections.FD_STENCIL`) centered on the puncture
+    return _MeshPass(mesh, j, s, lam, gvals, g_node, gvals[i - 4:i + 5], plain,
                      total / c ** 2 / h, edge_err / c ** 2 / h)
 
 

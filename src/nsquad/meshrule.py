@@ -7,9 +7,11 @@ plus the product of a constant (3, 22) block with the 11 samples at each
 end (`_rule_sums`, the one sum): row 0 adds the Gregory-8 adjustments (the
 trapezoid's -1/2 at the end nodes included), rows 1 and 2 the order-10
 minus order-8 weights at each end, whose results are the end-error
-estimate.  The weights are exact rationals rounded once, from the integer
-Lagrange polynomials of `_lagrange_basis`, as is the stencil operator of
-`corrections`.  The checked public views live in `verify`.
+estimate.  The same plain sum, less half of each end sample, is the plain
+trapezoidal rule, which `_rule_sums` returns too.  The weights are exact
+rationals rounded once, from the integer Lagrange polynomials of
+`_lagrange_basis`, as is the stencil operator of `corrections`.  The
+checked public views live in `verify`.
 
 The nodes are one cached read-only array per mesh (`Mesh.nodes`); a
 `GEval` samples g there once and keeps the samples.
@@ -124,19 +126,23 @@ def _end_block() -> np.ndarray:
     return block
 
 
-def _rule_sums(h: float, v: np.ndarray) -> tuple[float, float]:
+def _rule_sums(h: float, v: np.ndarray) -> tuple[float, float, float]:
     """The punctured Gregory-8 sum on step h of the 2n+1 >= 11 floats `v` (the
     punctured entry 0, read in place), h (sum(v) + `_end_block`'s end
-    adjustments), and its end-error estimate h (|gap . v_left| + |gap .
-    v_right|), gap = w_10 - w_8 on the 11 nodes at each end.  A non-finite
-    summed value raises ValueError (after numpy's invalid-value warning,
-    unless silenced, for an infinite one within 11 nodes of an end)."""
+    adjustments), its end-error estimate h (|gap . v_left| + |gap .
+    v_right|), gap = w_10 - w_8 on the 11 nodes at each end, and the plain
+    trapezoidal sum h (sum(v) - (v_0 + v_2n)/2), on the same pairwise sum(v).
+    A non-finite summed value raises ValueError (after numpy's invalid-value
+    warning, unless silenced, for an infinite one within 11 nodes of an
+    end), so every value the sums read is finite once they return."""
     ends, block = v[_END_INDEX], _end_block()
     adjust, left, right = block.dot(ends).tolist()
     # np.add.reduce is v.sum()'s pairwise sum, without the method's dispatch
-    total = _checked(h * (float(np.add.reduce(v)) + adjust), v)
+    plain = float(np.add.reduce(v))
+    total = _checked(h * (plain + adjust), v)
     if math.isnan(total):
         # the samples are finite, but end weights above 1 times samples near
         # the float maximum overflowed to inf - inf: none does on samples/16
-        total = h * (float(np.add.reduce(v)) + 16.0 * float(block[0].dot(ends / 16.0)))
-    return total, h * (abs(left) + abs(right))
+        total = h * (plain + 16.0 * float(block[0].dot(ends / 16.0)))
+    plain -= 0.5 * float(v[0]) + 0.5 * float(v[-1])
+    return total, h * (abs(left) + abs(right)), h * plain

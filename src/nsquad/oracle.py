@@ -37,6 +37,13 @@ _WG = np.array([
 ])
 
 _MAX_PANELS = 4000
+# Above this ratio of a contour's negative orders to its Taylor terms, a
+# singularity of g lies inside the contour, or too near it for its Taylor
+# terms: for 1/(z^2 + b^2) on r = 0.4 at x_s = 0 the ratio is 7e15 for
+# b <= 0.3, 24 at b = 0.39, 7e-6 at 0.42 and 3.3e-13 at 0.45 (where the
+# finite part is 2.3e-12 off), and 8e-17 at 0.5; for entire g it is
+# rounding, 2e-17 for exp and up to 4e-15 for exp(300 z)
+_LAURENT_RATIO = 1e-13
 
 
 @dataclass(frozen=True)
@@ -262,15 +269,25 @@ def exact_test2(d: float, c: float, x_s: float) -> float:
     return val / c
 
 
-def _taylor_coeffs_ref(complex_eval, center: float, count: int, radius: float) -> np.ndarray:
+def _contour_fft(complex_eval, center: float, radius: float) -> np.ndarray:
+    """c_j, j = 0..255: the discrete Fourier coefficients of g on the circle
+    of `radius` around `center`, at 256 points.  Where g is analytic in the
+    disk, c_j is about a_j radius^j for small j >= 0, and c_{-j} = c_{256-j}
+    is g's term of order 256 - j, at rounding level beside them; where a
+    singularity lies inside, the c_{-j} are of the size of g on the circle.
+    """
     # Contour-sampled Taylor coefficients: the corrections take theirs from the
     # mesh stencil, so the oracle shares no code with what it checks.
     m = 256
     theta = 2.0 * np.pi * np.arange(m) / m
     vals = np.array([complex(complex_eval(center + radius * np.exp(1j * t)))
                      for t in theta])
-    coeffs = np.fft.fft(vals) / m
-    return (coeffs[:count] / radius ** np.arange(count)).real
+    return np.fft.fft(vals) / m
+
+
+def _taylor_coeffs_ref(fft: np.ndarray, count: int, radius: float) -> np.ndarray:
+    """a_k = g^(k)(center)/k!, k < count, from `_contour_fft` on a circle of `radius`."""
+    return (fft[:count] / radius ** np.arange(count)).real
 
 
 def _polyfit_coeffs(real_eval, center: float, count: int, half_width: float) -> np.ndarray:
@@ -295,9 +312,12 @@ def finite_part_reference(g, a: float, x_s: float, tol: float = 1e-12) -> float:
 
     with a_k = g^(k)(x_s)/k!.  No subtracted difference is ever formed, so
     there is no cancellation amplification near x_s.  An analytic g's a_k
-    come from a contour of radius r, sized by `GEval.radius`; the central
-    term is computed at r and at r/2, and a gap above 1e-12 max(|central|, 1)
-    (a singularity of g inside the contour) raises ValueError.
+    come from a contour of radius r, sized by `GEval.radius`.  A singularity
+    of g inside the contour raises ValueError: the central term is computed
+    at r and at r/2, and a gap above 1e-12 max(|central|, 1) shows one
+    inside r alone; one inside both shows in the contour's negative orders,
+    c_{-j}, j = 1..13, above `_LAURENT_RATIO` times the largest c_j, j >= 0
+    (`_contour_fft`).
     """
     if not abs(x_s) < a:
         raise ValueError("x_s must lie inside (-a, a)")
@@ -314,12 +334,21 @@ def finite_part_reference(g, a: float, x_s: float, tol: float = 1e-12) -> float:
     if g_obj.complex_eval is not None:
         r = min(0.4 * max(1.0, a), 0.8 * g_obj.radius)
         r = max(r, 4.0 * delta)
-        central, half = (central_term(_taylor_coeffs_ref(g_obj.complex_eval, x_s, kmax + 1,
-                                                         radius)) for radius in (r, 0.5 * r))
+        fft = _contour_fft(g_obj.complex_eval, x_s, r)
+        central = central_term(_taylor_coeffs_ref(fft, kmax + 1, r))
+        half = central_term(_taylor_coeffs_ref(_contour_fft(g_obj.complex_eval, x_s, 0.5 * r),
+                                               kmax + 1, 0.5 * r))
         if abs(central - half) > 1e-12 * max(abs(central), 1.0):
             raise ValueError(f"contours of radius {r:g} and {0.5 * r:g} around x_s = {x_s!r} "
                              f"disagree ({central:.17g} against {half:.17g}): g is not analytic "
                              "within them; give the GEval a smaller radius")
+        size = np.abs(fft)
+        negative, taylor = size[-kmax - 1:].max(), size[:len(size) // 2 + 1].max()
+        if negative > _LAURENT_RATIO * taylor:
+            raise ValueError(f"on the contour of radius {r:g} around x_s = {x_s!r}, g's terms "
+                             f"of negative order reach {negative / taylor:.1e} of its Taylor "
+                             "terms: g has a singularity within or near it; give the GEval a "
+                             "smaller radius")
     else:
         central = central_term(_polyfit_coeffs(g_obj.real_eval, x_s, kmax + 1,
                                                min(0.1 * max(1.0, a), 0.5 * (a - abs(x_s)))))

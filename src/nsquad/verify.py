@@ -51,7 +51,6 @@ from .corrections import (
     _check_mesh_scale,
     _correction,
     _stencil_poly,
-    _window,
 )
 from .emcoeff import pks_seeds
 from .integrator import KernelParams, puncture_split
@@ -493,12 +492,12 @@ def plain_trapezoid(mesh: Mesh, samples: Sequence[float]) -> float:
 
 def _checked_window(window: Sequence[float]) -> tuple[np.ndarray, float]:
     """`window` as the float array of 9 finite values that the core reads,
-    and its center as a float (`corrections._window`); ValueError for any
-    other shape."""
+    and its center as a float, as `integrator._mesh_pass` hands them on;
+    ValueError for any other shape and for a value that is not finite."""
     values = np.asarray(window, dtype=float)
-    if values.shape != (FD_STENCIL,):
+    if values.shape != (FD_STENCIL,) or not np.all(np.isfinite(values)):
         raise ValueError(_WINDOW_ERROR)
-    return _window(values, FD_STENCIL // 2)
+    return values, float(values[FD_STENCIL // 2])
 
 
 def _check_scales(c: float, d: float, h: float) -> None:

@@ -82,6 +82,20 @@ def shape_counting_geval(calls: list):
     return CountingGEval
 
 
+def scaled_kernel(sampled) -> np.ndarray:
+    """c^2 h^2 times the kernel samples of a mesh pass, g/((m - s)^2 + lam^2)
+    in mesh units with m = k - j, its punctured entry 0: the values the
+    pass sums, formed as it forms them."""
+    n, i = sampled.mesh.n, sampled.mesh.n + sampled.j
+    denom = (np.arange(-n, n + 1) * 1.0 - (sampled.j + sampled.s)) ** 2
+    if sampled.lam > 0.0:
+        denom += sampled.lam * sampled.lam
+    denom[i] = 1.0
+    f = sampled.gvals / denom
+    f[i] = 0.0
+    return f
+
+
 class TestConverge:
     def test_rows_sorted_and_correct(self):
         config = StudyConfig(d_list=[0.1, 0.01], n_list=[32, 64],
@@ -155,7 +169,7 @@ class TestConverge:
                 r = math.hypot(c * sampled.s * h, row.d)
                 # the puncture's own term takes the node's sample
                 assert sampled.g_node == sampled.gvals[row.n + sampled.j]
-                want = (plain_trapezoid(sampled.mesh, sampled.f) / c ** 2 / h / h
+                want = (plain_trapezoid(sampled.mesh, scaled_kernel(sampled)) / c ** 2 / h / h
                         + h * sampled.g_node / r / r)
             else:
                 params = KernelParams(a=1.0, c=c, d=row.d, x_s=x_s)
@@ -373,6 +387,25 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err.startswith("nsquad: error: lam = 1e+30 is too large for "
                                        "k_max = 12")
+
+    def test_expression_failing_at_a_point_is_an_error(self, capsys):
+        # 1/x on the reference's scalar call at x_s = 0: the error line names the
+        # expression and the point, not a ZeroDivisionError traceback
+        assert main(["converge", "--integrand", "custom", "--g-expr", "1/x",
+                     "--d", "0.1", "--n", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("nsquad: error: g expression '1/x' fails at x = 0.0")
+
+    def test_mesh_too_large_for_memory_is_an_error(self, capsys):
+        # 2n+1 = 2e11 + 1 nodes: numpy cannot allocate them, and says so
+        assert main(["eval", "--d", "0.01", "--xs", "0.1", "--n", "100000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("nsquad: error: ")
 
     def test_coeffs_half_shift_limits(self, capsys):
         assert main(["coeffs", "--lambda", "0", "--s", "0.5",

@@ -10,12 +10,17 @@ from nsquad.corrections import (
     _stencil_operator,
     _stencil_poly,
     _taylor_parts,
-    _window,
 )
 from nsquad.integrator import KernelParams, integrate_finite_part, integrate_near_singular
-from nsquad.oracle import _taylor_coeffs_ref, finite_part_reference, reference_integral
+from nsquad.oracle import (
+    _contour_fft,
+    _taylor_coeffs_ref,
+    finite_part_reference,
+    reference_integral,
+)
 from nsquad.verify import (
     CoeffParams,
+    _checked_window,
     correction_offmesh_closed,
     correction_taylor,
     fd_derivatives,
@@ -38,7 +43,7 @@ def g_exp(scale: float = 1.0) -> GEval:
 
 def taylor_ref(g: GEval, x_s: float, K: int) -> np.ndarray:
     """a_k = g^(k)(x_s)/k!, k = 0..K, from the oracle's contour (radius 0.4)."""
-    return _taylor_coeffs_ref(g.complex_eval, x_s, K + 1, 0.4)
+    return _taylor_coeffs_ref(_contour_fft(g.complex_eval, x_s, 0.4), K + 1, 0.4)
 
 
 def mesh_window(g: GEval, h: float, s: float, x_s: float) -> np.ndarray:
@@ -153,9 +158,9 @@ class TestCenteredClosed:
                     correction_offmesh_closed(g_exp(), 1.0, d, h, 0.0, 0.0, bad)
 
     def test_window_check_passes_huge_finite_values(self):
-        # their sum overflows; only then is each value tested
+        # their sum overflows; each value is tested
         for window in (np.full(9, 1e308), np.where(np.arange(9) == 2, -1e308, 1e308)):
-            samples, g_node = _window(window, 4)
+            samples, g_node = _checked_window(window)
             assert samples.tolist() == window.tolist() and g_node == window[4]
         huge = np.full(9, 1e308)
         assert np.all(np.isfinite(_stencil_poly(huge, 0.0)))
@@ -163,7 +168,7 @@ class TestCenteredClosed:
             window = np.full(9, 1e308)
             window[6] = bad
             with pytest.raises(ValueError, match="window must hold g at the 9 nodes"):
-                _window(window, 4)
+                _checked_window(window)
 
     def test_jump_factorization(self):
         c, d, h = 1.0, 0.03, 1.0 / 64

@@ -173,6 +173,30 @@ class TestComplexEi:
             complex_ei(0.0)
 
 
+def pole_finite_part(b: float, x_s: float) -> float:
+    """The finite part of the integral of 1/((x^2 + b^2)(x - x_s)^2) over
+    [-1, 1], from partial fractions at 40 digits: 1/(x^2 + b^2) is
+    (1/(x - i b) - 1/(x + i b))/(2 i b), and the finite part of
+    1/((x - p)(x - x_s)^2) is C^2 L(p) - C^2 log((1 - x_s)/(1 + x_s))
+    - C (1/(1 - x_s) + 1/(1 + x_s)), C = 1/(x_s - p),
+    L(p) = log(1 - p) - log(-1 - p)."""
+    with mpmath.workdps(40):
+        b, x_s = mpmath.mpf(b), mpmath.mpf(x_s)
+
+        def part(p):
+            C = 1 / (x_s - p)
+            L = mpmath.log(1 - p) - mpmath.log(-1 - p)
+            return (C * C * (L - mpmath.log((1 - x_s) / (1 + x_s)))
+                    - C * (1 / (1 - x_s) + 1 / (1 + x_s)))
+
+        ib = mpmath.mpc(0, b)
+        return float(mpmath.re((part(ib) - part(-ib)) / (2 * ib)))
+
+
+def g_pole(b: float) -> GEval:
+    return GEval.analytic(lambda z: 1.0 / (z * z + b * b))
+
+
 class TestFinitePartReference:
     def test_constant(self):
         g = GEval.analytic(lambda z: 1.0 + 0.0 * np.asarray(z))
@@ -207,6 +231,23 @@ class TestFinitePartReference:
             finite_part_reference(GEval.analytic(f), 1.0, 0.1)
         got = finite_part_reference(GEval.analytic(f, radius=0.05), 1.0, 0.1)
         assert abs(got - -189.15847680047021) <= 1e-12 * 189.16
+
+    @pytest.mark.parametrize("b, x_s, exact", [(0.1, 0.0, -3142.26), (0.1, 0.05, -1508.63),
+                                              (0.15, 0.0, -931.5), (0.05, 0.0, -25133.4),
+                                              (0.45, 0.0, -35.0714)])
+    def test_poles_within_both_contours_raise(self, b, x_s, exact):
+        # poles at +/- i b inside r = 0.4 and r/2, which agree on a value 3 to 11
+        # times off; at b = 0.45 just outside r, where aliasing leaves the value
+        # 2.3e-12 off
+        assert pole_finite_part(b, x_s) == pytest.approx(exact, rel=1e-5)
+        with pytest.raises(ValueError, match="terms of negative order reach"):
+            finite_part_reference(g_pole(b), 1.0, x_s)
+
+    @pytest.mark.parametrize("b, x_s", [(0.5, 0.0), (0.6, 0.1), (0.6, -0.37), (1.0, 0.3)])
+    def test_poles_outside_the_contour_meet_partial_fractions(self, b, x_s):
+        want = pole_finite_part(b, x_s)
+        got = finite_part_reference(g_pole(b), 1.0, x_s)
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (got, want)
 
     def test_real_only_callable(self):
         got = finite_part_reference(lambda x: math.exp(x), 1.0, 0.0)

@@ -168,7 +168,9 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     entry 0; the punctured sum and the estimate are then divided by c^2 and
     by h (never by (c h)^2, which may underflow).  The sums read, and so
     check, every sample but the puncture node's, which is checked here
-    alone.  Every method reads the same pass through `_corrected`.
+    alone; where a summed sample of g itself is not finite, their
+    ValueError names its value and node.  Every method reads the same pass
+    through `_corrected`.
     """
     mesh = _mesh(a, n)
     h = mesh.h
@@ -189,7 +191,16 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     f[i] = 1.0
     np.divide(gvals, f, out=f)
     f[i] = 0.0
-    total, edge_err, plain = _rule_sums(1.0, f)
+    try:
+        total, edge_err, plain = _rule_sums(1.0, f)
+    except ValueError as exc:
+        bad = np.flatnonzero(~np.isfinite(gvals))
+        bad = bad[bad != i]
+        if not bad.size:   # g is finite: a kernel sample overflowed
+            raise
+        k = bad[0]
+        raise ValueError(f"{exc}: g = {float(gvals[k])!r} at x = "
+                         f"{float(mesh.nodes()[k])!r}") from None
     g_node = float(gvals[i])
     if not math.isfinite(g_node):
         raise ValueError(_WINDOW_ERROR)

@@ -44,6 +44,15 @@ _MAX_PANELS = 4000
 # finite part is 2.3e-12 off), and 8e-17 at 0.5; for entire g it is
 # rounding, 2e-17 for exp and up to 4e-15 for exp(300 z)
 _LAURENT_RATIO = 1e-13
+# Above this gap between the central terms at w and w/2, relative to the
+# largest of |central|, 1 and their rounding scale (`finite_part_reference`),
+# g is not analytic enough within w.  Fits on 1/(x^2 + b^2) at x_s in
+# {0, 0.1, -0.37} read 1.2e-14 at b = 0.8, where the reference is 5.6e-13
+# off, and 3.8e-14 or more at b <= 0.6, where it is 3.1e-12 to 0.1 off.
+# Contours read 1.4e-16 or less on exp, cos, exp(3 z), z^2 and that g at
+# b >= 0.5, and 1.7e-14 at b = 0.45, x_s = 0, r = 0.4, where the negative
+# orders raise
+_TAYLOR_GAP = 2.5e-14
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,14 @@ def _adaptive(f, breakpoints: list[float], tol: float,
     return ReferenceResult(value, est, evals)
 
 
+def _finite_g(g_eval, x: float) -> float:
+    """g(x); ValueError naming x where it is not finite."""
+    value = g_eval(x)
+    if not math.isfinite(value):
+        raise ValueError(f"g is not finite at x = {float(x)!r}: g(x) = {float(value)!r}")
+    return value
+
+
 def reference_integral(g, params: KernelParams, tol: float | None = None) -> ReferenceResult:
     """Adaptive Gauss-Kronrod value of the near-singular integral.
 
@@ -127,7 +144,10 @@ def reference_integral(g, params: KernelParams, tol: float | None = None) -> Ref
     `tol` is an absolute tolerance.  Without one it is 1e-13 max(1, |I|):
     the integral is O(pi/(c d)) g(x_s), beyond any absolute tolerance once d
     is small, so a coarse pass to 1e-6 max(1, pi |g(x_s)|/(c d)) fixes |I|
-    first; `evaluations` then counts both passes.
+    first; `evaluations` then counts both passes.  A g that is not finite at
+    a point either pass reads, or at x_s for that scale, raises ValueError
+    naming the point; an integrand that overflows where g is finite leaves
+    the tolerance unreachable (RuntimeError).
     """
     if params.d <= 0.0:
         raise ValueError("reference_integral requires d > 0")
@@ -138,7 +158,7 @@ def reference_integral(g, params: KernelParams, tol: float | None = None) -> Ref
 
     def f(x: float) -> float:
         dx = x - x_s
-        return g_eval(x) / (d * d + c * c * dx * dx)
+        return _finite_g(g_eval, x) / (d * d + c * c * dx * dx)
 
     width = d / c
     points = {-a, a, x_s}
@@ -151,7 +171,7 @@ def reference_integral(g, params: KernelParams, tol: float | None = None) -> Ref
     points = sorted(points)
     if tol is not None:
         return _adaptive(f, points, tol)
-    scale = math.pi / (c * d) * abs(g_eval(x_s))
+    scale = math.pi / (c * d) * abs(_finite_g(g_eval, x_s))
     coarse = _adaptive(f, points, 1e-6 * max(1.0, scale))
     fine = _adaptive(f, points, 1e-13 * max(1.0, abs(coarse.value)))
     return ReferenceResult(fine.value, fine.est_error, coarse.evaluations + fine.evaluations)
@@ -285,20 +305,20 @@ def _contour_fft(complex_eval, center: float, radius: float) -> np.ndarray:
     return np.fft.fft(vals) / m
 
 
-def _taylor_coeffs_ref(fft: np.ndarray, count: int, radius: float) -> np.ndarray:
-    """a_k = g^(k)(center)/k!, k < count, from `_contour_fft` on a circle of `radius`."""
-    return (fft[:count] / radius ** np.arange(count)).real
+def _taylor_coeffs_ref(c: np.ndarray, count: int, radius: float) -> np.ndarray:
+    """a_k = g^(k)(center)/k!, k < count, from the c_k, about a_k radius^k,
+    of `_contour_fft` on a circle of `radius` or of `_polyfit_coeffs` on an
+    interval of that half-width."""
+    return (c[:count] / radius ** np.arange(count)).real
 
 
-def _polyfit_coeffs(real_eval, center: float, count: int, half_width: float) -> np.ndarray:
-    pts = center + half_width * np.cos(np.pi * np.arange(17) / 16.0)
-    vals = [real_eval(p) for p in pts]
-    series = np.polynomial.polynomial.Polynomial.fit(pts, vals, deg=min(10, count + 1))
-    shifted = series.convert()
-    out = np.zeros(count)
-    for k in range(count):
-        out[k] = shifted.deriv(k)(center) / math.factorial(k)
-    return out
+def _polyfit_coeffs(real_eval, center: float, half_width: float) -> np.ndarray:
+    """c_k, k = 0..12 (zero from k = 11): a degree-10 least-squares fit to g
+    at 17 Chebyshev points of center +/- half_width, in units of half_width,
+    so c_k is about a_k half_width^k."""
+    t = np.cos(np.pi * np.arange(17) / 16.0)
+    fit = np.polynomial.polynomial.polyfit(t, [real_eval(center + half_width * p) for p in t], 10)
+    return np.append(fit, [0.0, 0.0])
 
 
 def finite_part_reference(g, a: float, x_s: float, tol: float = 1e-12) -> float:
@@ -311,13 +331,20 @@ def finite_part_reference(g, a: float, x_s: float, tol: float = 1e-12) -> float:
         f.p. central = -2 g(x_s)/delta + sum_{k>=2 even} a_k 2 delta^(k-1)/(k-1)
 
     with a_k = g^(k)(x_s)/k!.  No subtracted difference is ever formed, so
-    there is no cancellation amplification near x_s.  An analytic g's a_k
-    come from a contour of radius r, sized by `GEval.radius`.  A singularity
-    of g inside the contour raises ValueError: the central term is computed
-    at r and at r/2, and a gap above 1e-12 max(|central|, 1) shows one
-    inside r alone; one inside both shows in the contour's negative orders,
-    c_{-j}, j = 1..13, above `_LAURENT_RATIO` times the largest c_j, j >= 0
-    (`_contour_fft`).
+    there is no cancellation amplification near x_s.  The a_k come from g at
+    a scale w around x_s: for an analytic g from a contour of radius w,
+    sized by `GEval.radius`; for a real-only g from a degree-10 fit at 17
+    Chebyshev points of x_s +/- w, w = min(0.1 max(1, a), (a - |x_s|)/2).
+    Either way c_k, about a_k w^k, gives a_k.  The central term is computed
+    at w and at w/2, and a gap above `_TAYLOR_GAP` times the largest of
+    |central|, 1 and 2 sum_j |c_j|/delta (sum_j |c_j| at w bounds |g| where
+    it was sampled, so this is the scale of the central term's rounding),
+    or a NaN, raises ValueError: g is not analytic within w.  For an
+    analytic g, a singularity inside both contours then shows in the w
+    contour's negative orders, c_{-j}, j = 1..13, above `_LAURENT_RATIO`
+    times the largest c_j, j >= 0 (`_contour_fft`), which raises ValueError
+    too.  So does a g that is not finite where the side integrals read it,
+    naming the point.
     """
     if not abs(x_s) < a:
         raise ValueError("x_s must lie inside (-a, a)")
@@ -331,37 +358,40 @@ def finite_part_reference(g, a: float, x_s: float, tol: float = 1e-12) -> float:
             term += coeffs[k] * 2.0 * delta ** (k - 1) / (k - 1)
         return term
 
-    if g_obj.complex_eval is not None:
-        r = min(0.4 * max(1.0, a), 0.8 * g_obj.radius)
-        r = max(r, 4.0 * delta)
-        fft = _contour_fft(g_obj.complex_eval, x_s, r)
-        central = central_term(_taylor_coeffs_ref(fft, kmax + 1, r))
-        half = central_term(_taylor_coeffs_ref(_contour_fft(g_obj.complex_eval, x_s, 0.5 * r),
-                                               kmax + 1, 0.5 * r))
-        if abs(central - half) > 1e-12 * max(abs(central), 1.0):
-            raise ValueError(f"contours of radius {r:g} and {0.5 * r:g} around x_s = {x_s!r} "
-                             f"disagree ({central:.17g} against {half:.17g}): g is not analytic "
-                             "within them; give the GEval a smaller radius")
-        size = np.abs(fft)
+    analytic = g_obj.complex_eval is not None
+    if analytic:
+        w = max(min(0.4 * max(1.0, a), 0.8 * g_obj.radius), 4.0 * delta)
+        terms = [_contour_fft(g_obj.complex_eval, x_s, r) for r in (w, 0.5 * w)]
+    else:
+        w = min(0.1 * max(1.0, a), 0.5 * (a - abs(x_s)))
+        terms = [_polyfit_coeffs(g_obj.real_eval, x_s, r) for r in (w, 0.5 * w)]
+    central, half = (central_term(_taylor_coeffs_ref(c, kmax + 1, r))
+                     for c, r in zip(terms, (w, 0.5 * w)))
+    # sum |c_j| bounds |g| where it was sampled at w: the scale of a_0's rounding
+    size = np.abs(terms[0])
+    if not abs(central - half) <= _TAYLOR_GAP * max(abs(central), 2.0 * size.sum() / delta, 1.0):
+        what, advice = (("contours of radius", "give the GEval a smaller radius") if analytic
+                        else ("fits of half-width", "pass g as a GEval with a complex_eval"))
+        raise ValueError(f"{what} {w:g} and {0.5 * w:g} around x_s = {x_s!r} disagree "
+                         f"({central:.17g} against {half:.17g}): g is not analytic within "
+                         f"them; {advice}")
+    if analytic:
         negative, taylor = size[-kmax - 1:].max(), size[:len(size) // 2 + 1].max()
         if negative > _LAURENT_RATIO * taylor:
-            raise ValueError(f"on the contour of radius {r:g} around x_s = {x_s!r}, g's terms "
+            raise ValueError(f"on the contour of radius {w:g} around x_s = {x_s!r}, g's terms "
                              f"of negative order reach {negative / taylor:.1e} of its Taylor "
                              "terms: g has a singularity within or near it; give the GEval a "
                              "smaller radius")
-    else:
-        central = central_term(_polyfit_coeffs(g_obj.real_eval, x_s, kmax + 1,
-                                               min(0.1 * max(1.0, a), 0.5 * (a - abs(x_s)))))
 
     def f(x: float) -> float:
         dx = x - x_s
-        return g_obj.real_eval(x) / (dx * dx)
+        return _finite_g(g_obj.real_eval, x) / (dx * dx)
 
     parts = [central]   # then the left side's integral and the right side's
     for side in (-1.0, 1.0):
-        points, w = {side * a}, delta
-        while side * x_s + w < a:
-            points.add(x_s + side * w)
-            w *= 4.0
+        points, step = {side * a}, delta
+        while side * x_s + step < a:
+            points.add(x_s + side * step)
+            step *= 4.0
         parts.append(_adaptive(f, sorted(points), 0.5 * tol, floor_relief=True).value)
     return sum(parts)

@@ -52,6 +52,8 @@ class TestStudyConfig:
             StudyConfig(d_list=[0.1], n_list=[64], integrand="test1", x_s=0.1)
         with pytest.raises(ValueError):
             StudyConfig(d_list=[0.1], n_list=[64], integrand="custom")
+        with pytest.raises(ValueError, match="format must be csv or json"):
+            StudyConfig(d_list=[0.1], n_list=[64], fmt="xml")
 
     @pytest.mark.parametrize("integrand, a", [("test1", 0.5), ("test2", 2.0)])
     def test_built_in_integrands_need_a_one(self, capsys, integrand, a):
@@ -417,6 +419,18 @@ class TestCliCommands:
         assert float(row0["pks"]) == pytest.approx(math.pi ** 2 - 4.0, rel=1e-13)
         assert float(row1["pks"]) == pytest.approx(2.0, rel=1e-13)
 
+    def test_coeffs_json_rows_are_the_csv_rows(self, capsys):
+        args = ["coeffs", "--lambda", "0.5", "--s", "0.25", "--h", "0.01", "--kmax", "6"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        header = lines[0].split(",")
+        csv_rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        assert main([*args, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["lambda"], payload["s"], payload["h"]) == (0.5, 0.25, 0.01)
+        assert payload["rows"] == csv_rows and len(csv_rows) == 7
+        assert payload["warnings"] == []
+
     def test_coeffs_s_zero_even_doubling(self, capsys):
         assert main(["coeffs", "--lambda", "0.5", "--s", "0",
                      "--h", "0.01", "--kmax", "8"]) == 0
@@ -482,3 +496,5 @@ class TestCliCommands:
         assert main(["eval", "--integrand", "custom", "--g-expr", "import os",
                      "--d", "0.1"]) == 1
         assert "error" in capsys.readouterr().err
+        assert main(["eval", "--integrand", "custom", "--d", "0.1"]) == 1
+        assert capsys.readouterr().err == "nsquad: error: custom integrand needs --g-expr\n"

@@ -14,7 +14,8 @@ import pytest
 import nsquad
 from nsquad import GEval, KernelParams, Mesh, integrate_finite_part, integrate_near_singular
 from nsquad.emcoeff import pks_seeds
-from nsquad.verify import CoeffParams, self_check
+from nsquad.oracle import exact_test2, finite_part_reference
+from nsquad.verify import CoeffParams, fk_series_oracle, hurwitz_zeta_nonpos, self_check
 
 nan, inf = math.nan, math.inf
 EXP = GEval.analytic(np.exp)
@@ -95,7 +96,11 @@ CASES = {
     "near-nan-node-q-series": (near(SINC_BOTH, 64, "closed-form", d=1e-6), WINDOW),
     "near-nan-node-fd": (near(SINC_REAL, 64, "fd-series", d=1e-3), WINDOW),
     "near-nan-summed-node": (near(SINC_REAL, 64, "fd-series", d=1e-3, x_s=0.5),
-                             "non-finite sample at a summed node"),
+                             "non-finite sample at a summed node: g = nan at x = 0.0"),
+    # g = 1e308 is finite; its kernel sample at the node next to s = 1/2 is not
+    "near-kernel-overflow-summed-node": (near(GEval(real_eval=lambda x: 1e308), 64, "fd-series",
+                                              d=1e-3, x_s=0.5 / 64),
+                                         "non-finite sample at a summed node"),
     # numpy would read None as NaN and a string as the number it spells: on
     # real_eval's scalar path and from an `analytic` f's array alike
     "near-g-returns-none": (near(GEval(real_eval=forgets_to_return), 64, "fd-series", d=1e-3),
@@ -259,6 +264,15 @@ CASES = {
     "self-check-overflow": (lambda: self_check(KernelParams(a=1.0, d=1e100), 64),
                             "lam = 6.4e+101 is too large for k_max = 12: the table's "
                             "entries grow as lam^12 and overflow (h = 0.015625)"),
+    # the oracle and the references of verify
+    "exact-test2-c-zero": (lambda: exact_test2(0.1, 0.0, 0.1), "c must be positive"),
+    "finite-part-reference-x_s-at-a": (lambda: finite_part_reference(EXP, 1.0, -1.0),
+                                       "x_s must lie inside (-a, a)"),
+    "hurwitz-zeta-order-32": (lambda: hurwitz_zeta_nonpos(32, 0.5),
+                              "zeta(-n, a) supported for 0 <= n <= 31, got n = 32"),
+    "fk-series-k-negative": (lambda: fk_series_oracle(-1, 0.1, 0.01), "k must be nonnegative"),
+    "self-check-k-max-zero": (lambda: self_check(KernelParams(a=1.0, d=0.01), 64, k_max=0),
+                              "self_check needs k_max >= 1 for the p_1 h-invariance check"),
     # pks_seeds
     "seeds-s-outside": (lambda: pks_seeds(0.1, 0.6), "s must lie in [-1/2, 1/2]"),
     "seeds-s-nan": (lambda: pks_seeds(0.1, nan), "s must lie in [-1/2, 1/2]"),

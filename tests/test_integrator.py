@@ -990,6 +990,9 @@ class TestConsistencyCheck:
         assert res.warnings == []
         assert integrate_finite_part(g, 1.0, root, 64).warnings == []
 
+    def test_real_only_g_has_no_gap(self):
+        assert GEval(real_eval=math.exp).consistency_gap(0.1, 2.0) == 0.0
+
     def test_warns_on_a_small_disagreement(self):
         g = GEval(real_eval=math.exp, complex_eval=lambda z: cmath.exp(z) * (1.0 + 1e-10))
         for x_s in (0.1, 0.0):

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -70,6 +72,20 @@ class TestReferenceIntegral:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("nsquad: error: adaptive integrator: tolerance")
+
+    @pytest.mark.parametrize("tol", [None, 1e-10])
+    def test_nan_from_g_names_the_point(self, tol):
+        # log x is NaN left of 0: an error of g, at the point where it fails,
+        # not an unreachable tolerance, on both passes of the default tolerance
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match=r"g is not finite at x = -0\.\d+: g\(x\) = nan"):
+            reference_integral(GEval.analytic(np.log), KernelParams(a=1.0, d=0.1, x_s=0.1), tol)
+
+    def test_nan_from_g_at_x_s_names_it(self):
+        # the default tolerance's scale reads g(x_s), which no Kronrod node does
+        g = lambda x: math.nan if x == 0.25 else 1.0
+        with pytest.raises(ValueError, match=r"g is not finite at x = 0\.25: g\(x\) = nan"):
+            reference_integral(g, KernelParams(a=1.0, d=0.1, x_s=0.25))
 
     @pytest.mark.parametrize("x_s, d", [(0.0, 1e-6), (0.0, 1e-8), (0.1, 1e-3)])
     def test_default_tolerance_is_relative_at_a_pole_g(self, x_s, d):
@@ -160,13 +176,14 @@ class TestComplexEi:
             assert abs(a - b) <= 4 * np.finfo(float).eps * abs(b)
 
     def test_against_mpmath_grid(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
+        # -2 and -5 are on the cut (the real principal value), on either side
+        # of |z| = 4; -4.5 - 0.5i takes the continued fraction below the cut
         pts = [1 - 0.1j, -1 - 0.01j, -1 + 0.3j, 2.2 + 1.0j, 0.05 - 0.5j,
-               5.0 - 3.0j, -8.0 + 0.5j, 7.0 + 0.2j]
+               5.0 - 3.0j, -8.0 + 0.5j, 7.0 + 0.2j, -2.0, -5.0, -4.5 - 0.5j]
         for z in pts:
-            ref = complex(mp.ei(z))
-            assert abs(complex_ei(z) - ref) <= 1e-14 * max(1.0, abs(ref))
+            with mpmath.workdps(40):
+                ref = complex(mpmath.ei(z))
+            assert abs(complex_ei(z) - ref) <= 1e-14 * max(1.0, abs(ref)), z
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -243,6 +260,37 @@ class TestFinitePartReference:
         with pytest.raises(ValueError, match="terms of negative order reach"):
             finite_part_reference(g_pole(b), 1.0, x_s)
 
+    def test_nan_on_the_contour_raises(self):
+        # the r = 0.4 contour meets NaN, the r/2 one does not: not a NaN reference
+        g = GEval(real_eval=math.exp,
+                  complex_eval=lambda z: cmath.exp(z) if abs(z.imag) < 0.39 else complex("nan"))
+        with pytest.raises(ValueError, match=r"contours of radius 0.4 and 0.2 around x_s = 0.0 "
+                                             r"disagree \(nan against"):
+            finite_part_reference(g, 1.0, 0.0)
+
+    def test_nan_from_g_on_a_side_names_the_point(self):
+        # the fits around x_s = 0.2 see e^x; the left side's integral meets NaN
+        g = lambda x: math.exp(x) if x > -0.5 else math.nan
+        with pytest.raises(ValueError, match=r"g is not finite at x = -0\.\d+: g\(x\) = nan"):
+            finite_part_reference(g, 1.0, 0.2)
+
+    @pytest.mark.parametrize("b", [0.1, 0.2, 0.3, 0.5, 0.6, 0.8, 1.0])
+    @pytest.mark.parametrize("x_s", [0.0, 0.1, -0.37])
+    def test_real_only_pole_raises_or_meets_partial_fractions(self, b, x_s):
+        # the fits at half-widths 0.1 and 0.05 agree to `_TAYLOR_GAP` only where
+        # g's poles are far enough for a degree-10 fit
+        want = pole_finite_part(b, x_s)
+        g = lambda x: 1.0 / (x * x + b * b)
+        if b < 0.8:
+            with pytest.raises(ValueError, match="fits of half-width 0.1 and 0.05 around "
+                                                 f"x_s = {x_s!r} disagree .*: g is not "
+                                                 "analytic within them; pass g as a GEval "
+                                                 "with a complex_eval"):
+                finite_part_reference(g, 1.0, x_s)
+        else:
+            got = finite_part_reference(g, 1.0, x_s)
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (got, want)
+
     @pytest.mark.parametrize("b, x_s", [(0.5, 0.0), (0.6, 0.1), (0.6, -0.37), (1.0, 0.3)])
     def test_poles_outside_the_contour_meet_partial_fractions(self, b, x_s):
         want = pole_finite_part(b, x_s)
@@ -253,3 +301,31 @@ class TestFinitePartReference:
         got = finite_part_reference(lambda x: math.exp(x), 1.0, 0.0)
         ref = finite_part_reference(GEval.analytic(np.exp), 1.0, 0.0)
         assert got == pytest.approx(ref, abs=5e-10)
+        # and against e^x_s [Ei(1 - x_s) - Ei(-1 - x_s)] - e/(1 - x_s) - e^-1/(1 + x_s)
+        for x_s in (0.0, 0.3, -0.6, 0.85, 0.3 / 64):
+            with mpmath.workdps(40):
+                x = mpmath.mpf(x_s)
+                want = float(mpmath.exp(x) * (mpmath.ei(1 - x) - mpmath.ei(-1 - x))
+                             - mpmath.e / (1 - x) - mpmath.exp(-1) / (1 + x))
+            got = finite_part_reference(lambda x: math.exp(x), 1.0, x_s)
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), x_s
+
+
+class TestNonFiniteGOnTheCli:
+    """log x at x_s = 0.1: NaN left of 0, on the reference's Kronrod nodes and
+    on the mesh's nodes, each named in the one error line."""
+
+    ARGS = ["--integrand", "custom", "--g-expr", "log(x)", "--xs", "0.1", "--d", "0.1",
+            "--n", "16"]
+
+    @pytest.mark.parametrize("command, message", [
+        ("converge", r"nsquad: error: g is not finite at x = -0\.\d+: g\(x\) = nan"),
+        ("eval", r"nsquad: error: non-finite sample at a summed node: g = nan at x = -1\.0"),
+    ], ids=["converge", "eval"])
+    def test_error_line_names_g_and_the_point(self, capsys, command, message):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main([command, *self.ARGS]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and re.fullmatch(message, lines[0]), lines

@@ -317,7 +317,8 @@ def _polyfit_coeffs(real_eval, center: float, half_width: float) -> np.ndarray:
     at 17 Chebyshev points of center +/- half_width, in units of half_width,
     so c_k is about a_k half_width^k."""
     t = np.cos(np.pi * np.arange(17) / 16.0)
-    fit = np.polynomial.polynomial.polyfit(t, [real_eval(center + half_width * p) for p in t], 10)
+    fit = np.polynomial.polynomial.polyfit(
+        t, [_finite_g(real_eval, center + half_width * p) for p in t], 10)
     return np.append(fit, [0.0, 0.0])
 
 
@@ -339,12 +340,13 @@ def finite_part_reference(g, a: float, x_s: float, tol: float = 1e-12) -> float:
     at w and at w/2, and a gap above `_TAYLOR_GAP` times the largest of
     |central|, 1 and 2 sum_j |c_j|/delta (sum_j |c_j| at w bounds |g| where
     it was sampled, so this is the scale of the central term's rounding),
-    or a NaN, raises ValueError: g is not analytic within w.  For an
+    or above 1e-12 max(|central|, 1), or a NaN, raises ValueError: g is not
+    analytic within w, or too large on the contour for its rounding.  For an
     analytic g, a singularity inside both contours then shows in the w
     contour's negative orders, c_{-j}, j = 1..13, above `_LAURENT_RATIO`
     times the largest c_j, j >= 0 (`_contour_fft`), which raises ValueError
-    too.  So does a g that is not finite where the side integrals read it,
-    naming the point.
+    too.  So does a g that is not finite where the fits or the side
+    integrals read it, naming the point.
     """
     if not abs(x_s) < a:
         raise ValueError("x_s must lie inside (-a, a)")
@@ -367,9 +369,11 @@ def finite_part_reference(g, a: float, x_s: float, tol: float = 1e-12) -> float:
         terms = [_polyfit_coeffs(g_obj.real_eval, x_s, r) for r in (w, 0.5 * w)]
     central, half = (central_term(_taylor_coeffs_ref(c, kmax + 1, r))
                      for c, r in zip(terms, (w, 0.5 * w)))
-    # sum |c_j| bounds |g| where it was sampled at w: the scale of a_0's rounding
-    size = np.abs(terms[0])
-    if not abs(central - half) <= _TAYLOR_GAP * max(abs(central), 2.0 * size.sum() / delta, 1.0):
+    # sum |c_j| bounds |g| where it was sampled at w: the scale of a_0's rounding;
+    # the gap allowed for it never exceeds the accuracy the reference claims
+    size, scale = np.abs(terms[0]), max(abs(central), 1.0)
+    if not abs(central - half) <= min(_TAYLOR_GAP * max(scale, 2.0 * size.sum() / delta),
+                                      1e-12 * scale):
         what, advice = (("contours of radius", "give the GEval a smaller radius") if analytic
                         else ("fits of half-width", "pass g as a GEval with a complex_eval"))
         raise ValueError(f"{what} {w:g} and {0.5 * w:g} around x_s = {x_s!r} disagree "

@@ -274,6 +274,25 @@ class TestFinitePartReference:
         with pytest.raises(ValueError, match=r"g is not finite at x = -0\.\d+: g\(x\) = nan"):
             finite_part_reference(g, 1.0, 0.2)
 
+    def test_nan_from_g_in_the_fits_names_the_point(self):
+        # x_s = 0 +/- 0.1 holds Chebyshev points below -0.05, where g is NaN
+        g = lambda x: math.exp(x) if x > -0.05 else math.nan
+        with pytest.raises(ValueError, match=r"g is not finite at x = -0\.\d+: g\(x\) = nan"):
+            finite_part_reference(g, 1.0, 0.0)
+
+    def test_rounding_of_a_large_g_on_the_contour_raises(self):
+        # |cos(100 z)| reaches cosh(40) ~ 1e17 on r = 0.4, so each contour's
+        # central term rounds by ~1e3: the gap must stay within the 1e-12
+        # relative accuracy the reference claims however large that rounding
+        f = lambda z: np.cos(100.0 * z)
+        with pytest.raises(ValueError, match="contours of radius 0.4 and 0.2 around x_s = 0.0 "
+                                             "disagree"):
+            finite_part_reference(GEval.analytic(f), 1.0, 0.0)
+        # a smaller contour meets the 30-digit value of the integral of
+        # (cos(100 x) - 1)/x^2, less 2
+        got = finite_part_reference(GEval.analytic(f, radius=0.02), 1.0, 0.0)
+        assert abs(got - -314.16973112238663) <= 1e-12 * 314.17
+
     @pytest.mark.parametrize("b", [0.1, 0.2, 0.3, 0.5, 0.6, 0.8, 1.0])
     @pytest.mark.parametrize("x_s", [0.0, 0.1, -0.37])
     def test_real_only_pole_raises_or_meets_partial_fractions(self, b, x_s):

@@ -164,8 +164,9 @@ def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
         params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
         d = float(d)
         for n in sorted(config.n_list, reverse=True):
-            h = float(config.a / n)
+            # h after the pass, whose check of n reports n = 0 (a / n would divide by zero)
             values = _method_values(config.methods, g, params, n)
+            h = float(config.a / n)
             for method, value in zip(config.methods, values):
                 rows.append(ConvergenceRow(n, h, d, c, x_s, method, float(value),
                                            reference, float(abs(value - reference))))

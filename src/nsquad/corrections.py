@@ -41,6 +41,7 @@ term is Q.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -101,7 +102,7 @@ def _complex_at(g: GEval, z: complex) -> complex:
         except (TypeError, ValueError):
             pass
         else:
-            if math.isfinite(result.real) and math.isfinite(result.imag):
+            if cmath.isfinite(result):
                 return result
             raise ValueError(f"complex_eval must return a finite value, got {result!r} "
                              f"at z = {z!r}")
@@ -130,10 +131,11 @@ class GEval:
     form one family and share the samples of their common nodes, so a
     doubling convergence study calls g on the nodes of its finest mesh
     only; a `*3` range shares nothing.  The meshes of the 4 most recent
-    families are kept, up to 2 MB at n = 16384.  To
-    integrate a changed g, build a new GEval.  In `integrate_near_singular`
-    the closed form's fresh complex_eval call at the puncture node warns if
-    g changed under its samples.
+    families are kept, up to 2 MB at n = 16384, and the mesh it returned
+    last is remembered, so that the next target on that same `Mesh` object
+    costs one identity test.  To integrate a changed g, build a new GEval.
+    In `integrate_near_singular` the closed form's fresh complex_eval call
+    at the puncture node warns if g changed under its samples.
     """
 
     real_eval: Callable[[float], float]
@@ -145,6 +147,9 @@ class GEval:
     # {n: read-only samples} per family (a, odd part of n), least recently
     # used first (`mesh_samples`)
     _meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (mesh, samples) that `mesh_samples` returned last: one tuple, replaced
+    # whole, so a thread reads a pair that belongs together
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:
@@ -201,9 +206,18 @@ class GEval:
         The meshes of the 4 most recently used families are kept, each
         family's coarser meshes as contiguous copies (at most about twice
         its finest mesh's samples, up to 2 MB at n = 16384); nothing is kept
-        when sampling raises.  Two threads may both sample a mesh that
-        neither finds, but never fail for sharing the GEval.
+        when sampling raises.  The (mesh, samples) pair returned last is
+        remembered: a call with that same `Mesh` object returns its samples
+        after one identity test, with no family key, lookup or reorder (no
+        other mesh was asked for since, so its family is still the most
+        recent), and an equal but distinct Mesh takes the lookup above.
+        The pair is replaced only once a lookup succeeds.  Two threads may
+        both sample a mesh that neither finds, but never fail for sharing
+        the GEval.
         """
+        last = self._last
+        if last[0] is mesh:
+            return last[1]
         n, a = mesh.n, mesh.a
         key = (a, n if a / n < _MIN_NORMAL else n // (n & -n))
         meshes = self._meshes
@@ -231,6 +245,7 @@ class GEval:
             # list() and pop with a default: no error when another thread evicts too
             for stale in list(meshes)[:-_MESHES_KEPT]:
                 meshes.pop(stale, None)
+        object.__setattr__(self, "_last", (mesh, values))
         return values
 
     def _sample_array(self, points: np.ndarray) -> Optional[np.ndarray]:
@@ -261,7 +276,7 @@ class GEval:
         return abs(_complex_at(self, complex(x, 0.0)) - real_value)
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrectionBreakdown:
     """Correction E = singular_part + jump_part with bookkeeping.
 
@@ -428,7 +443,8 @@ def _correction(g: GEval, exact: bool, c: float, d: float, h: float, s: float, x
         # the pole form reads g_node alone: zeros stand for G, Im G/lam and Q
         return _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
     if exact:
-        _check_lam(c, d, h, lam)
+        if lam == 0.0:
+            _check_lam(c, d, h, lam)
         gval = _complex_at(g, complex(x_s, lam * h))
         re_g, im_g_lam, denom = gval.real, gval.imag / lam, s * s + lam * lam
         # only for lam < 0.1; s/lam overflows only for a subnormal lam

@@ -17,20 +17,24 @@ the kernel samples.  The coefficient cross-checks (`self_check`) live in
 
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
-runs on its a and x_s), n and the mesh scale in `_mesh_pass`, and every
-sample of g once: `meshrule._rule_sums` rejects a non-finite sample that
-it sums, and `_mesh_pass` the puncture node's, the one it skips, then
-hands on a read-only view of the 9 samples around it and that node's
-sample.  From there `_mesh_pass` and `_corrected` run on Python floats and
-call the unchecked core of `corrections`, with lam passed in.
+runs on its a and x_s, and which returns the parameters as Python floats),
+n and the mesh scale in `_mesh_pass`, and every sample of g once:
+`meshrule._rule_sums` rejects a non-finite sample that it sums, and
+`_mesh_pass` the puncture node's, the one it skips, then hands on a
+read-only view of the 9 samples around it and that node's sample.  From
+there `_mesh_pass` and `_corrected` run on Python floats and call the
+unchecked core of `corrections`, with lam passed in.
 
-A GEval stands for one fixed function: it samples g once per node and
-reuses those samples for every target (`GEval.mesh_samples`).  Meshes of
-the same a nested by a power of 2 form one family and share the samples of
-their common nodes, so a mesh of twice the n calls g at its new nodes only;
-a `*3` range shares nothing.  The meshes of the 4 most recent families are
-kept, up to 2 MB per GEval at n = 16384.  To integrate a changed g, build a
-new GEval.
+What depends on the mesh alone is paid once per mesh: one record per
+(a, n) holds the `Mesh`, its h and the unit-step nodes (`_mesh`), and the
+pass carries that h to every reader.  A GEval stands for one fixed
+function: it samples g once per node and reuses those samples for every
+target (`GEval.mesh_samples`), the mesh it returned last for one identity
+test.  Meshes of the same a nested by a power of 2 form one family and
+share the samples of their common nodes, so a mesh of twice the n calls g
+at its new nodes only; a `*3` range shares nothing.  The meshes of the 4
+most recent families are kept, up to 2 MB per GEval at n = 16384.  To
+integrate a changed g, build a new GEval.
 """
 
 from __future__ import annotations
@@ -57,21 +61,35 @@ METHODS = ("auto", "closed-form", "fd-series")
 _EPS = sys.float_info.epsilon
 # End-correction estimate, relative to max(|value|, 1), above which a result warns
 _EDGE_WARN_RATIO = 3e-11
-# one immutable Mesh per (a, n) recently integrated on; typed, so that
-# n = 64.0 is validated (and rejected) apart from n = 64
-_mesh = lru_cache(maxsize=32, typed=True)(Mesh)
 
 
-def _check_kernel(a: float, c: float, d: float, x_s: float) -> None:
-    """ValueError unless a, c, d and x_s are finite, a and c positive, d
-    nonnegative, |x_s| < a, and c and d within `_check_kernel_scales` with a
-    d^2 that does not overflow: the one check of a kernel's parameters."""
+@lru_cache(maxsize=32, typed=True)
+def _mesh(a: float, n: int) -> tuple[Mesh, float, np.ndarray]:
+    """The record of the mesh (a, n), one per (a, n) recently integrated
+    on: the immutable `Mesh`, its h = a/n, and the read-only nodes
+    -n..n of the unit-step mesh, from which the pass forms the kernel's
+    distances.  A target on a known mesh pays one cache lookup for all
+    three, and its `GEval.mesh_samples` call one identity test.  Typed, so
+    that n = 64.0 is validated (and rejected) apart from n = 64."""
+    mesh = Mesh(a, n)
+    return mesh, mesh.h, _node_array(float(n), n)
+
+
+def _check_kernel(a: float, c: float, d: float, x_s: float) -> tuple[float, float, float, float]:
+    """(a, c, d, x_s) as Python floats; ValueError unless they are finite, a
+    and c positive, d nonnegative, |x_s| < a, and c and d within
+    `_check_kernel_scales` with a d^2 that does not overflow: the one check
+    of a kernel's parameters.  They are converted once known to be finite,
+    so the range checks and the core run on floats whatever the caller
+    passed: a float32 would pull float32 arithmetic into the core, and a
+    numpy scalar costs more per operation than a float."""
     if not (math.isfinite(a) and math.isfinite(c) and math.isfinite(d)
             and math.isfinite(x_s)):
         name, value = next((name, value) for name, value in
                            (("a", a), ("c", c), ("d", d), ("x_s", x_s))
                            if not math.isfinite(value))
         raise ValueError(f"{name} must be finite, got {value!r}")
+    a, c, d, x_s = float(a), float(c), float(d), float(x_s)
     if a <= 0.0 or c <= 0.0:
         raise ValueError("a and c must be positive")
     if d < 0.0:
@@ -82,11 +100,13 @@ def _check_kernel(a: float, c: float, d: float, x_s: float) -> None:
     _check_kernel_scales(c, d)
     if math.isinf(d * d):
         raise ValueError(f"d = {d!r} is out of range: d^2 overflows")
+    return a, c, d, x_s
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel 1/(d^2 + c^2 (x - x_s)^2) on [-a, a]."""
+    """Kernel 1/(d^2 + c^2 (x - x_s)^2) on [-a, a].  Each field is stored as
+    the Python float `_check_kernel` returns for it."""
 
     a: float
     c: float = 1.0
@@ -94,10 +114,12 @@ class KernelParams:
     x_s: float = 0.0
 
     def __post_init__(self):
-        _check_kernel(self.a, self.c, self.d, self.x_s)
+        for name, value in zip(("a", "c", "d", "x_s"),
+                               _check_kernel(self.a, self.c, self.d, self.x_s)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(slots=True)
 class MeshSummary:
     a: float
     n: int
@@ -106,7 +128,7 @@ class MeshSummary:
     s: float
 
 
-@dataclass
+@dataclass(slots=True)
 class QuadResult:
     """Corrected integral value with its uncorrected base and correction breakdown."""
 
@@ -130,14 +152,17 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
 
 
 class _MeshPass:
-    """What `_mesh_pass` reads of g and the mesh for one target, each once."""
+    """What `_mesh_pass` reads of g and the mesh for one target, each once,
+    with the mesh's h from its record (`_mesh`), which every reader takes
+    from here rather than from the `Mesh.h` property."""
 
-    __slots__ = ("mesh", "j", "s", "lam", "gvals", "g_node", "samples", "plain",
+    __slots__ = ("mesh", "h", "j", "s", "lam", "gvals", "g_node", "samples", "plain",
                  "uncorrected", "edge_err")
 
-    def __init__(self, mesh, j, s, lam, gvals, g_node, samples, plain, uncorrected, edge_err):
-        self.mesh, self.j, self.s, self.lam, self.gvals = mesh, j, s, lam, gvals
-        self.g_node, self.samples, self.plain = g_node, samples, plain
+    def __init__(self, mesh, h, j, s, lam, gvals, g_node, samples, plain, uncorrected,
+                 edge_err):
+        self.mesh, self.h, self.j, self.s, self.lam = mesh, h, j, s, lam
+        self.gvals, self.g_node, self.samples, self.plain = gvals, g_node, samples, plain
         self.uncorrected, self.edge_err = uncorrected, edge_err
 
     def plain_value(self, c: float, d: float) -> float:
@@ -145,7 +170,7 @@ class _MeshPass:
         the pass's c and d: the plain sum on step h over c^2 h^2, then the
         puncture's own kernel value h g_node/r^2, r = hypot(c s h, d), whose
         mesh-unit denominator s^2 + lam^2 may underflow where r^2 does not."""
-        h = self.mesh.h
+        h = self.h
         r = math.hypot(c * self.s * h, d)
         # the rule on step h, as `verify.plain_trapezoid` forms it, then over c^2 h^2
         return h * self.plain / c ** 2 / h / h + h * self.g_node / r / r
@@ -155,14 +180,17 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     """Everything a target needs from g before its correction, from the
     GEval's samples on the mesh, for a kernel that `_check_kernel` passed.
 
-    The record holds the mesh, the puncture j and offset s of
+    The record holds the mesh and its h, the puncture j and offset s of
     `puncture_split`, lam = d/(c h), g at the mesh nodes (gvals,
     `GEval.mesh_samples`), the 9 of them around the puncture as a read-only
     view of gvals (samples), the puncture node's own sample as a float
     (g_node), the punctured sum of the kernel samples (uncorrected), its
     estimated end-correction error (edge_err) and the plain trapezoidal sum
     of c^2 h^2 times the kernel samples on a unit step (plain, which
-    `plain_value` scales).  `_rule_sums` takes the three sums in one pass over
+    `plain_value` scales).  What depends on the mesh alone, the `Mesh`, h
+    and the unit-step nodes, comes from one record per (a, n) (`_mesh`), and
+    the samples of a mesh the GEval returned last cost one identity test.
+    `_rule_sums` takes the three sums in one pass over
     f = g/((m - s)^2 + lam^2), c^2 h^2 times the kernel samples in mesh units
     (m = k - j exact: the lattice the correction assumes), its punctured
     entry 0; the punctured sum and the estimate are then divided by c^2 and
@@ -172,8 +200,7 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     ValueError names its value and node.  Every method reads the same pass
     through `_corrected`.
     """
-    mesh = _mesh(a, n)
-    h = mesh.h
+    mesh, h, unit = _mesh(a, n)
     if n < 16:
         raise ValueError("n must be at least 16")
     if not abs(x_s) < a - 10.0 * h:
@@ -182,12 +209,13 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     _check_mesh_scale(c, h)
     j, s = puncture_split(x_s, h)
     lam, gvals, i = d / (c * h), g.mesh_samples(mesh), n + j
-    # m - s = k - (j + s), k the cached nodes of the unit-step mesh and
-    # j + s = x_s/h exactly: the denominators in place, then f
-    f = _node_array(float(n), n) - (j + s)
-    f *= f
+    # m - s = k - (j + s), k the unit-step nodes and j + s = x_s/h exactly:
+    # the denominators in place, then f (the ufuncs called directly, without
+    # the array operators' dispatch)
+    f = np.subtract(unit, j + s)
+    np.multiply(f, f, out=f)
     if lam > 0.0:   # at lam = 0 it would add +0.0 to squares
-        f += lam * lam
+        np.add(f, lam * lam, out=f)
     f[i] = 1.0
     np.divide(gvals, f, out=f)
     f[i] = 0.0
@@ -201,11 +229,11 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
         k = bad[0]
         raise ValueError(f"{exc}: g = {float(gvals[k])!r} at x = "
                          f"{float(mesh.nodes()[k])!r}") from None
-    g_node = float(gvals[i])
+    g_node = gvals.item(i)
     if not math.isfinite(g_node):
         raise ValueError(_WINDOW_ERROR)
     # the 9 stencil nodes (`corrections.FD_STENCIL`) centered on the puncture
-    return _MeshPass(mesh, j, s, lam, gvals, g_node, gvals[i - 4:i + 5], plain,
+    return _MeshPass(mesh, h, j, s, lam, gvals, g_node, gvals[i - 4:i + 5], plain,
                      total / c ** 2 / h, edge_err / c ** 2 / h)
 
 
@@ -217,7 +245,7 @@ def _corrected(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
     and nothing a result reports beside it.  ValueError where the value is
     not finite."""
     used = "finite-part" if d == 0.0 else method
-    breakdown = _correction(g, used == "closed-form", c, d, sampled.mesh.h, sampled.s, x_s,
+    breakdown = _correction(g, used == "closed-form", c, d, sampled.h, sampled.s, x_s,
                             sampled.samples, sampled.g_node, sampled.lam)
     value = sampled.uncorrected + breakdown.total
     if not math.isfinite(value):
@@ -234,8 +262,7 @@ def _correct(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
     against that node's sample (closed form only) and the end-correction
     warning."""
     value, breakdown, used = _corrected(g, c, d, x_s, sampled, method)
-    mesh, j, g_node = sampled.mesh, sampled.j, sampled.g_node
-    h = mesh.h
+    mesh, h, j, g_node = sampled.mesh, sampled.h, sampled.j, sampled.g_node
     warnings = []
     if used == "closed-form":
         gap = g.consistency_gap(j * h, g_node)
@@ -284,6 +311,6 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
 
 def integrate_finite_part(g: GEval, a: float, x_s: float, n: int) -> QuadResult:
     """Hadamard finite part of the integral of g(x)/(x - x_s)^2 over [-a, a]."""
-    _check_kernel(a, 1.0, 0.0, x_s)
+    a, _, _, x_s = _check_kernel(a, 1.0, 0.0, x_s)
     # at d = 0 every method takes the finite part
     return _correct(g, 1.0, 0.0, x_s, _mesh_pass(g, a, 1.0, 0.0, x_s, n), "fd-series")

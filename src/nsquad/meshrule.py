@@ -46,6 +46,10 @@ class Mesh:
             raise ValueError(f"half-width a must be finite and positive, got {self.a!r}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        # a Python float and int, so that h and the nodes are floats whatever
+        # the caller passed (a / np.int64(n) would be a numpy scalar)
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "n", int(self.n))
         if self.h == 0.0:
             raise ValueError(f"h = a/n underflows to 0 for a = {self.a!r}, n = {self.n!r}")
 
@@ -139,10 +143,12 @@ def _rule_sums(h: float, v: np.ndarray) -> tuple[float, float, float]:
     adjust, left, right = block.dot(ends).tolist()
     # np.add.reduce is v.sum()'s pairwise sum, without the method's dispatch
     plain = float(np.add.reduce(v))
-    total = _checked(h * (plain + adjust), v)
-    if math.isnan(total):
-        # the samples are finite, but end weights above 1 times samples near
-        # the float maximum overflowed to inf - inf: none does on samples/16
-        total = h * (plain + 16.0 * float(block[0].dot(ends / 16.0)))
-    plain -= 0.5 * float(v[0]) + 0.5 * float(v[-1])
+    total = h * (plain + adjust)
+    if not math.isfinite(total):   # as any non-finite summed value leaves it: check then
+        _checked(total, v)
+        if math.isnan(total):
+            # the samples are finite, but end weights above 1 times samples near
+            # the float maximum overflowed to inf - inf: none does on samples/16
+            total = h * (plain + 16.0 * float(block[0].dot(ends / 16.0)))
+    plain -= 0.5 * v.item(0) + 0.5 * v.item(-1)
     return total, h * (abs(left) + abs(right)), h * plain

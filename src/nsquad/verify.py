@@ -192,6 +192,10 @@ class CoeffParams:
             raise ValueError(f"h must be finite and positive, got {self.h!r}")
         if not 0 <= self.k_max <= K_MAX_LIMIT:
             raise ValueError(f"k_max must lie in [0, {K_MAX_LIMIT}]")
+        # stored as Python floats, as the entry stores a kernel's: a float32
+        # would pull float32 arithmetic into the tables
+        for name in ("lam", "s", "h"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         power, log_lam = 2 * (self.k_max // 2), math.log(max(self.lam, 1.0))
         log_top = power * log_lam
         if self.k_max % 2:
@@ -500,23 +504,29 @@ def _checked_window(window: Sequence[float]) -> tuple[np.ndarray, float]:
     return values, float(values[FD_STENCIL // 2])
 
 
-def _check_scales(c: float, d: float, h: float) -> None:
-    """c and h finite and positive, c h nonzero, d finite (its sign is each
-    caller's rule), for d > 0 a nonzero lam = d/(c h), and
-    `corrections._check_kernel_scales`.  A d whose square overflows passes:
-    no correction forms d^2."""
+def _check_scales(c: float, d: float, h: float) -> tuple[float, float, float]:
+    """(c, d, h) as Python floats, each converted once its own check passed,
+    as `integrator._check_kernel` converts a kernel's: c and h finite and
+    positive, c h nonzero, d finite (its sign is each caller's rule), for
+    d > 0 a nonzero lam = d/(c h), and `corrections._check_kernel_scales`.
+    A d whose square overflows passes: no correction forms d^2."""
     if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
         raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
+    c, h = float(c), float(h)
     _check_mesh_scale(c, h)
     if not math.isfinite(d):
         raise ValueError(f"d must be finite, got {d!r}")
+    d = float(d)
     _check_lam(c, d, h, d / (c * h))
     _check_kernel_scales(c, d)
+    return c, d, h
 
 
-def _check_offset(s: float) -> None:
+def _check_offset(s: float) -> float:
+    """s as a Python float; ValueError unless it lies in [-1/2, 1/2]."""
     if not -0.5 <= s <= 0.5:
         raise ValueError("s must lie in [-1/2, 1/2]")
+    return float(s)
 
 
 def taylor_parts(b: Sequence[float], s: float,
@@ -548,6 +558,7 @@ def fd_derivatives(samples: Sequence[float], h: float, x_s: float) -> np.ndarray
     if not (0.0 < h < math.inf and math.isfinite(x_s)):  # NaN fails both
         raise ValueError(f"h must be finite and positive and x_s finite, "
                          f"got h = {h!r}, x_s = {x_s!r}")
+    h, x_s = float(h), float(x_s)
     if abs(x_s) > 0.5 * h + 1e-12 * h:
         raise ValueError("x_s must lie within half a mesh step of the stencil center")
     derivs = [b * math.factorial(k)
@@ -575,10 +586,10 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
     an s outside [-1/2, 1/2], and unless `a` is a non-empty 1-D sequence of
     finite values with finite a_k h^k.
     """
-    _check_scales(c, d, h)
+    c, d, h = _check_scales(c, d, h)
     if d < 0.0:
         raise ValueError("correction_taylor requires d >= 0")
-    _check_offset(s)
+    s = _check_offset(s)
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("a must be a non-empty 1-D sequence of Taylor coefficients")
@@ -627,14 +638,15 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     complex number, an s outside [-1/2, 1/2] and a window that is not 9 finite
     values.
     """
-    _check_scales(c, d, h)
+    c, d, h = _check_scales(c, d, h)
     if not math.isfinite(x_s):
         raise ValueError(f"x_s must be finite, got {x_s!r}")
+    x_s = float(x_s)
     if d <= 0.0:
         raise ValueError("correction_offmesh_closed requires d > 0 "
                          "(d = 0 takes the finite-part path)")
     if g.complex_eval is None:
         raise ValueError("closed-form correction needs a complex evaluator for g")
-    _check_offset(s)
+    s = _check_offset(s)
     samples, g_node = _checked_window(window)
     return _correction(g, True, c, d, h, s, x_s, samples, g_node, d / (c * h))

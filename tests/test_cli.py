@@ -401,6 +401,17 @@ class TestCliCommands:
         assert len(lines) == 1
         assert lines[0].startswith("nsquad: error: g expression '1/x' fails at x = 0.0")
 
+    @pytest.mark.parametrize("n_list, message", [("16,0", "n must be a positive integer, got 0"),
+                                                 ("-16", "n must be a positive integer, got -16"),
+                                                 ("16,8", "n must be at least 16")])
+    def test_bad_n_is_an_error(self, capsys, n_list, message):
+        # the mesh pass checks n before the row's h = a/n: the error line, not
+        # a ZeroDivisionError traceback for n = 0
+        assert main(["converge", "--d", "0.1", "--n", n_list]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nsquad: error: {message}"]
+
     def test_mesh_too_large_for_memory_is_an_error(self, capsys):
         # 2n+1 = 2e11 + 1 nodes: numpy cannot allocate them, and says so
         assert main(["eval", "--d", "0.01", "--xs", "0.1", "--n", "100000000000"]) == 1

@@ -86,3 +86,38 @@ def test_finite_part_is_near_singular_at_d_zero():
                     assert bits(got.breakdown) == bits(want.breakdown)
                     assert (got.mesh, got.method, got.warnings) == \
                         (want.mesh, want.method, want.warnings)
+
+
+@pytest.mark.parametrize("convert", [np.float32, np.float64, int])
+def test_views_convert_their_scalars_to_floats(convert):
+    # a view's c, d, h, s and x_s, and a coefficient table's lam, s and h, are
+    # converted once checked, as a kernel's are at the entry: each type gives
+    # the result of its float(), bit for bit, with Python floats throughout
+    g = GEval.analytic(np.exp)
+    window = np.exp(np.arange(-4, 5) / 64.0 + 0.1)
+    taylor = [1.0 / math.factorial(k) for k in range(9)]
+    base = dict(c=2.0, d=1e-3, h=1.0 / 64, s=0.25, x_s=0.1)
+    if convert is int:
+        base = dict(c=2.0, d=1.0, h=1.0, s=0.0, x_s=0.0)
+    for name in base:
+        raw = {**base, name: convert(base[name])}
+        flt = {k: float(v) for k, v in raw.items()}
+        for view in (lambda p: nsquad.correction_offmesh_closed(
+                         g, p["c"], p["d"], p["h"], p["s"], p["x_s"], window),
+                     lambda p: nsquad.correction_taylor(taylor, p["c"], p["d"], p["h"], p["s"])):
+            got, want = view(raw), view(flt)
+            assert all(type(getattr(got, f)) is float
+                       for f in ("singular_part", "jump_part", "total"))
+            assert bits(got) == bits(want), name
+    coeffs = dict(lam=0.3, s=0.25, h=0.01) if convert is not int else dict(lam=2.0, s=0.0, h=1.0)
+    for name in coeffs:
+        raw = {**coeffs, name: convert(coeffs[name])}
+        params = nsquad.CoeffParams(**raw)
+        assert all(type(getattr(params, f)) is float for f in coeffs)
+        got, want = nsquad.coeff_table(params), nsquad.coeff_table(
+            nsquad.CoeffParams(**{k: float(v) for k, v in raw.items()}))
+        assert got.pks.tobytes() == want.pks.tobytes() and got.zks.tobytes() == want.zks.tobytes()
+    h, offset = (1.0 / 64, 0.25 / 64) if convert is not int else (1.0, 0.0)
+    for raw in ((convert(h), offset), (h, convert(offset))):
+        got = nsquad.fd_derivatives(window, *raw)
+        assert got.tobytes() == nsquad.fd_derivatives(window, *map(float, raw)).tobytes()

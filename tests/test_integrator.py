@@ -807,6 +807,75 @@ class TestMeshSamples:
         # a nested mesh of another half-width shares nothing either
         assert new_calls(2.0, 32) == 65
 
+    def test_repeat_call_returns_the_last_samples(self):
+        # the same GEval and Mesh object again: the same read-only array, no g
+        # call, and the families' order untouched
+        g, calls = self.counting_g()
+        meshes = [Mesh(1.0, n) for n in (16, 48, 64)]
+        first = [g.mesh_samples(mesh) for mesh in meshes]
+        order = [(key, list(family)) for key, family in g._meshes.items()]
+        calls[0] = 0
+        for _ in range(3):
+            again = g.mesh_samples(meshes[-1])
+            assert again is first[-1] and not again.flags.writeable
+        assert calls == [0]
+        assert [(key, list(family)) for key, family in g._meshes.items()] == order
+
+    def test_walk_back_to_a_family_is_most_recent(self):
+        # A -> B -> A over two families: each array is a fresh GEval's, and A
+        # ends most recent, as when every call reordered the families
+        g, calls = self.counting_g()
+        a, b = Mesh(1.0, 64), Mesh(1.0, 48)
+        got = [g.mesh_samples(mesh) for mesh in (a, b, a)]
+        for mesh, values in zip((a, b, a), got):
+            assert values.tobytes() == GEval(real_eval=math.exp).mesh_samples(mesh).tobytes()
+        assert got[2] is got[0] and calls == [129 + 97]
+        assert list(g._meshes) == [(1.0, 3), (1.0, 1)]
+        g.mesh_samples(Mesh(1.0, 80))
+        g.mesh_samples(Mesh(1.0, 112))
+        g.mesh_samples(Mesh(1.0, 144))   # a fifth family evicts the oldest, 48's
+        assert list(g._meshes) == [(1.0, 1), (1.0, 5), (1.0, 7), (1.0, 9)]
+
+    def test_equal_distinct_mesh_gets_the_same_samples(self):
+        g, calls = self.counting_g()
+        first = g.mesh_samples(Mesh(1.0, 64))
+        twin = Mesh(1.0, 64)
+        assert g.mesh_samples(twin) is first and calls == [129]
+        assert g.mesh_samples(twin) is first and calls == [129]
+
+    def test_failed_sampling_leaves_the_last_samples(self):
+        calls = [0]
+
+        def real_eval(x):
+            calls[0] += 1
+            if calls[0] == 140:
+                raise ZeroDivisionError("140th call")
+            return math.exp(x)
+
+        g = GEval(real_eval=real_eval)
+        mesh = Mesh(1.0, 64)
+        kept = g.mesh_samples(mesh)
+        with pytest.raises(ZeroDivisionError):
+            g.mesh_samples(Mesh(1.0, 48))
+        assert g._last == (mesh, kept) and list(g._meshes) == [(1.0, 1)]
+        calls[0] = 0
+        assert g.mesh_samples(mesh) is kept and calls == [0]
+
+    def test_mesh_record_keeps_float_n_apart(self):
+        # n = 64 cached, with its record and the GEval's last samples: n = 64.0
+        # still raises on both entries
+        g = GEval.analytic(np.exp)
+        params = KernelParams(a=1.0, d=0.01, x_s=0.1)
+        want = integrate_near_singular(g, params, 64)
+        integrate_finite_part(g, 1.0, 0.1, 64)
+        with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+            integrate_near_singular(g, params, 64.0)
+        with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+            integrate_finite_part(g, 1.0, 0.1, 64.0)
+        sampled = _mesh_pass(g, 1.0, 1.0, 0.01, 0.1, 64)
+        assert sampled.h == sampled.mesh.h == want.mesh.h == 1.0 / 64
+        assert integrate_near_singular(g, params, 64) == want
+
     def test_failed_refinement_caches_nothing(self):
         calls = [0]
 
@@ -944,6 +1013,78 @@ class TestKernelParams:
     def test_rejects_nonfinite_and_overflow(self, field, kwargs):
         with pytest.raises(ValueError, match=rf"^{field} "):
             KernelParams(**kwargs)
+
+
+def _float_fields(result) -> list:
+    """Every float field of a QuadResult, its records' included."""
+    return [result.value, result.uncorrected, result.mesh.a, result.mesh.h, result.mesh.s,
+            *(getattr(result.breakdown, name) for name in ("singular_part", "jump_part", "total"))]
+
+
+class TestScalarTypes:
+    """The entry converts a kernel's parameters to Python floats: a float32,
+    np.float64 or int parameter gives, bit for bit, the result of its float(),
+    and every float of a result is a Python float."""
+
+    CONVERTERS = (np.float32, np.float64, int)
+
+    @pytest.mark.parametrize("convert", CONVERTERS)
+    @pytest.mark.parametrize("field", ["a", "c", "d", "x_s"])
+    @pytest.mark.parametrize("method", ["closed-form", "fd-series"])
+    def test_near_singular_matches_float(self, convert, field, method):
+        base = dict(a=1.0, c=2.0, d=1e-3, x_s=0.1)
+        if convert is int:
+            base = dict(a=1.0, c=2.0, d=1.0, x_s=0.0)
+        raw = {**base, field: convert(base[field])}
+        params = KernelParams(**raw)
+        assert all(type(getattr(params, name)) is float for name in base)
+        assert params == KernelParams(**{k: float(v) for k, v in raw.items()})
+        g = GEval.analytic(np.exp)
+        got = integrate_near_singular(g, params, 64, method)
+        want = integrate_near_singular(GEval.analytic(np.exp),
+                                       KernelParams(**{k: float(v) for k, v in raw.items()}),
+                                       64, method)
+        assert all(type(v) is float for v in _float_fields(got))
+        assert [v.hex() for v in _float_fields(got)] == [v.hex() for v in _float_fields(want)]
+        assert (got.method, got.warnings) == (want.method, want.warnings)
+
+    @pytest.mark.parametrize("convert", CONVERTERS)
+    def test_finite_part_matches_float(self, convert):
+        for a, x_s in ((1.0, 0.1), (2.0, 0.0)):
+            for analytic in (True, False):
+                g = GEval.analytic(np.exp) if analytic else GEval(real_eval=math.exp)
+                for raw in ((convert(a), x_s), (a, convert(x_s))):
+                    got = integrate_finite_part(g, *raw, 128)
+                    want = integrate_finite_part(g, *map(float, raw), 128)
+                    assert all(type(v) is float for v in _float_fields(got))
+                    assert [v.hex() for v in _float_fields(got)] == \
+                        [v.hex() for v in _float_fields(want)]
+
+    def test_numpy_integer_n(self):
+        # a numpy integer n is stored as an int: h, the result's floats and
+        # its n are Python numbers, bit for bit those of the int n
+        params = KernelParams(a=1.0, d=1e-3, x_s=0.1)
+        for n in (np.int64(64), np.int32(64)):
+            got = integrate_near_singular(GEval.analytic(np.exp), params, n)
+            want = integrate_near_singular(GEval.analytic(np.exp), params, 64)
+            assert type(got.mesh.n) is int and got == want
+            assert [v.hex() for v in _float_fields(got)] == [v.hex() for v in _float_fields(want)]
+            assert all(type(v) is float for v in _float_fields(got))
+        mesh = Mesh(np.float32(0.5), np.int64(64))
+        assert (type(mesh.a), type(mesh.n), type(mesh.h)) == (float, int, float)
+
+    def test_float32_parameters_meet_the_oracle(self):
+        # before the conversion, float32 arithmetic entered the core: the
+        # result was ~1e-8 relative off the exact value at the float32 d
+        d = np.float32(1e-3)
+        params = KernelParams(1, 1, d, 0.1)
+        ref = exact_test2(float(d), 1.0, 0.1) / float(d)
+        got = integrate_near_singular(GEval.analytic(np.exp), params, 64).value
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+        x_s = np.float32(0.1)
+        got = integrate_finite_part(GEval.analytic(np.exp), 1, x_s, 64).value
+        ref = finite_part_reference(GEval.analytic(np.exp), 1.0, float(x_s))
+        assert abs(got - ref) <= 1e-11 * max(abs(ref), 1.0)
 
 
 class TestExtremeScales:

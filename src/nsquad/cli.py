@@ -24,6 +24,7 @@ only, so a study of either needs a = 1.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -74,6 +75,10 @@ class StudyConfig:
     def __post_init__(self):
         if not self.d_list or not self.n_list or not self.methods:
             raise ValueError("d, n and method lists must be nonempty")
+        for name, values in (("d", self.d_list), ("n", self.n_list), ("method", self.methods)):
+            repeated = [v for k, v in enumerate(values) if v in values[:k]]
+            if repeated:   # it would print its rows twice
+                raise ValueError(f"{name} {repeated[0]!r} is repeated; give each {name} once")
         if self.integrand not in ("test1", "test2", "custom"):
             raise ValueError("integrand must be test1, test2, or custom")
         bad = [m for m in self.methods if m not in CONVERGE_METHODS]
@@ -93,19 +98,58 @@ class StudyConfig:
             raise ValueError("convergence studies require d > 0")
 
 
-_EXPR_NAMES = {
+# what a `--g-expr` may call: functions with an analytic continuation, so that
+# the closed form's G = g(x_s + i d/c) is g's (abs would give the modulus)
+_EXPR_FUNCTIONS = {
     "exp": np.exp, "sin": np.sin, "cos": np.cos, "tan": np.tan,
     "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
-    "sqrt": np.sqrt, "log": np.log, "abs": np.abs,
-    "pi": np.pi, "e": np.e,
+    "sqrt": np.sqrt, "log": np.log,
 }
+_EXPR_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# what the error line calls a construct of a `--g-expr` that is not allowed
+_EXPR_KINDS = {ast.Name: "name", ast.Attribute: "attribute access", ast.Compare: "comparison",
+               ast.Subscript: "subscript", ast.Call: "call", ast.Constant: "constant"}
+
+
+def _rejected(node: ast.AST) -> ast.AST | None:
+    """The first construct under `node`, of a parsed `--g-expr`, that is none
+    of x, an int or float constant, pi, e, + - * / **, unary + -, and a call
+    with positional arguments of `_EXPR_FUNCTIONS`; None if there is none."""
+    if isinstance(node, ast.Call):
+        if not (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCTIONS):
+            return node.func
+        if node.keywords:
+            return node
+        children = node.args
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, _EXPR_OPERATORS):
+        children = (node.left, node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        children = (node.operand,)
+    elif (isinstance(node, ast.Name) and node.id in ("x", "pi", "e")
+          or isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+        return None
+    else:
+        return node
+    return next(filter(None, map(_rejected, children)), None)
 
 
 def _compile_g_expr(expr: str) -> GEval:
-    """g of a `--g-expr`; ValueError naming the expression and the point where
-    Python arithmetic on a scalar fails (1/x at x = 0: numpy arrays give inf)."""
+    """g of a `--g-expr`; ValueError naming the first construct that `_rejected`
+    finds, or the expression and the point where Python arithmetic on a
+    scalar fails (1/x at x = 0: numpy arrays give inf)."""
     try:
-        f = eval(f"lambda x: ({expr})", {"__builtins__": {}, **_EXPR_NAMES})
+        bad = _rejected(ast.parse(expr, mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError) as exc:   # the last two: nested too deeply
+        raise ValueError(f"cannot evaluate g expression {expr!r}: "
+                         f"{str(exc) or 'nested too deeply'}") from exc
+    if bad is not None:
+        raise ValueError(f"g expression {expr!r} may not use the "
+                         f"{_EXPR_KINDS.get(type(bad), 'construct')} {ast.unparse(bad)!r}; "
+                         f"it may use x, int and float constants, pi, e, + - * / ** and "
+                         f"{', '.join(_EXPR_FUNCTIONS)} on positional arguments")
+    try:
+        f = eval(f"lambda x: ({expr})",
+                 {"__builtins__": {}, **_EXPR_FUNCTIONS, "pi": np.pi, "e": np.e})
         f(0.1)
     except Exception as exc:
         raise ValueError(f"cannot evaluate g expression {expr!r}: {exc}") from exc

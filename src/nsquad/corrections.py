@@ -21,8 +21,8 @@ of coefficients, the reference it is tested against, serves
 
 These routines are the per-target core: they take Python floats, and the
 9 samples as an array, that the entry already checked (the kernel by
-`integrator._check_kernel`, the mesh scale by `_check_mesh_scale`, the 9
-samples once, all finite, by `integrator._mesh_pass`), with lam = d/(c h)
+`integrator._check_kernel`, the mesh scale by `_check_mesh_scale`, every
+sample of g once, all finite, by `GEval.mesh_samples`), with lam = d/(c h)
 passed in, and check only what only they can see: lam = 0 in the closed
 form, the stencil's spread, lam^2 and c^2 h.  The checked public views,
 `correction_offmesh_closed`, `correction_taylor` and `fd_derivatives`, live
@@ -133,9 +133,12 @@ class GEval:
     only; a `*3` range shares nothing.  The meshes of the 4 most recent
     families are kept, up to 2 MB at n = 16384, and the mesh it returned
     last is remembered, so that the next target on that same `Mesh` object
-    costs one identity test.  To integrate a changed g, build a new GEval.
-    In `integrate_near_singular` the closed form's fresh complex_eval call
-    at the puncture node warns if g changed under its samples.
+    costs one identity test.  Each new mesh's samples are checked once,
+    before any is kept: a NaN or infinite sample raises ValueError naming
+    the first such node, so every array the GEval hands out is finite.  To
+    integrate a changed g, build a new GEval.  In `integrate_near_singular`
+    the closed form's fresh complex_eval call at the puncture node warns if
+    g changed under its samples.
     """
 
     real_eval: Callable[[float], float]
@@ -205,15 +208,19 @@ class GEval:
         So other ratios, such as the meshes of a `*3` range, share nothing.
         The meshes of the 4 most recently used families are kept, each
         family's coarser meshes as contiguous copies (at most about twice
-        its finest mesh's samples, up to 2 MB at n = 16384); nothing is kept
-        when sampling raises.  The (mesh, samples) pair returned last is
-        remembered: a call with that same `Mesh` object returns its samples
-        after one identity test, with no family key, lookup or reorder (no
-        other mesh was asked for since, so its family is still the most
-        recent), and an equal but distinct Mesh takes the lookup above.
-        The pair is replaced only once a lookup succeeds.  Two threads may
-        both sample a mesh that neither finds, but never fail for sharing
-        the GEval.
+        its finest mesh's samples, up to 2 MB at n = 16384).  A new mesh's
+        samples, fresh or refined, are checked before any is kept, and the
+        first node where g is not finite raises ValueError("g is not finite
+        at x = ...: g(x) = ..."), the words of `oracle`'s references; nothing
+        is kept when sampling raises, so the next call raises again, and
+        every array returned is finite.  The (mesh, samples) pair returned
+        last is remembered: a call with that same `Mesh` object returns its
+        samples after one identity test, with no family key, lookup or
+        reorder (no other mesh was asked for since, so its family is still
+        the most recent), and an equal but distinct Mesh takes the lookup
+        above.  The pair is replaced only once a lookup succeeds.  Two
+        threads may both sample a mesh that neither finds, but never fail
+        for sharing the GEval.
         """
         last = self._last
         if last[0] is mesh:
@@ -225,17 +232,24 @@ class GEval:
         values = family.get(n)
         if values is None:
             finest = max(family, default=0)   # the n of the family's finest kept mesh
-            if finest > n:
+            if finest > n:   # samples of a mesh checked when it was kept
                 values = family[finest][::finest // n].copy()
-            elif finest:
-                r, nodes = n // finest, mesh.nodes()
-                new = np.ones(len(nodes), dtype=bool)
-                new[::r] = False
-                values = np.empty_like(nodes)
-                values[::r] = family[finest]
-                values[new] = self.sample(nodes[new])
             else:
-                values = self.sample(mesh.nodes())
+                nodes = mesh.nodes()
+                if finest:
+                    r = n // finest
+                    new = np.ones(len(nodes), dtype=bool)
+                    new[::r] = False
+                    values = np.empty_like(nodes)
+                    values[::r] = family[finest]
+                    values[new] = self.sample(nodes[new])
+                else:
+                    values = self.sample(nodes)
+                finite = np.isfinite(values)
+                if not finite.all():
+                    k = int(finite.argmin())   # the first node where g is not finite
+                    raise ValueError(f"g is not finite at x = {nodes.item(k)!r}: "
+                                     f"g(x) = {values.item(k)!r}")
             values.flags.writeable = False
             # a new dict: another thread may be reading the old one
             family = {**family, n: values}

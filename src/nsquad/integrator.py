@@ -18,12 +18,14 @@ the kernel samples.  The coefficient cross-checks (`self_check`) live in
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
 runs on its a and x_s, and which returns the parameters as Python floats),
-n and the mesh scale in `_mesh_pass`, and every sample of g once:
-`meshrule._rule_sums` rejects a non-finite sample that it sums, and
-`_mesh_pass` the puncture node's, the one it skips, then hands on a
-read-only view of the 9 samples around it and that node's sample.  From
-there `_mesh_pass` and `_corrected` run on Python floats and call the
-unchecked core of `corrections`, with lam passed in.
+n and the mesh scale in `_mesh_pass`, and every sample of g once, where
+the GEval takes it (`GEval.mesh_samples`, which names the first node where
+g is not finite): the pass reads finite samples only, and
+`meshrule._rule_sums` raises only where a kernel sample overflows.  The
+pass hands on a read-only view of the 9 samples around the puncture and
+that node's sample.  From there `_mesh_pass` and `_corrected` run on
+Python floats and call the unchecked core of `corrections`, with lam
+passed in.
 
 What depends on the mesh alone is paid once per mesh: one record per
 (a, n) holds the `Mesh`, its h and the unit-step nodes (`_mesh`), and the
@@ -47,7 +49,6 @@ from functools import lru_cache
 import numpy as np
 
 from .corrections import (
-    _WINDOW_ERROR,
     CorrectionBreakdown,
     GEval,
     _check_kernel_scales,
@@ -181,24 +182,22 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     GEval's samples on the mesh, for a kernel that `_check_kernel` passed.
 
     The record holds the mesh and its h, the puncture j and offset s of
-    `puncture_split`, lam = d/(c h), g at the mesh nodes (gvals,
-    `GEval.mesh_samples`), the 9 of them around the puncture as a read-only
-    view of gvals (samples), the puncture node's own sample as a float
-    (g_node), the punctured sum of the kernel samples (uncorrected), its
-    estimated end-correction error (edge_err) and the plain trapezoidal sum
-    of c^2 h^2 times the kernel samples on a unit step (plain, which
-    `plain_value` scales).  What depends on the mesh alone, the `Mesh`, h
-    and the unit-step nodes, comes from one record per (a, n) (`_mesh`), and
-    the samples of a mesh the GEval returned last cost one identity test.
-    `_rule_sums` takes the three sums in one pass over
+    `puncture_split`, lam = d/(c h), g at the mesh nodes (gvals, all
+    finite: `GEval.mesh_samples` checks them), the 9 of them around the
+    puncture as a read-only view of gvals (samples), the puncture node's
+    own sample as a float (g_node), the punctured sum of the kernel
+    samples (uncorrected), its estimated end-correction error (edge_err)
+    and the plain trapezoidal sum of c^2 h^2 times the kernel samples on a
+    unit step (plain, which `plain_value` scales).  What depends on the
+    mesh alone, the `Mesh`, h and the unit-step nodes, comes from one record
+    per (a, n) (`_mesh`), and the samples of a mesh the GEval returned last
+    cost one identity test.  `_rule_sums` takes the three sums in one pass over
     f = g/((m - s)^2 + lam^2), c^2 h^2 times the kernel samples in mesh units
     (m = k - j exact: the lattice the correction assumes), its punctured
     entry 0; the punctured sum and the estimate are then divided by c^2 and
-    by h (never by (c h)^2, which may underflow).  The sums read, and so
-    check, every sample but the puncture node's, which is checked here
-    alone; where a summed sample of g itself is not finite, their
-    ValueError names its value and node.  Every method reads the same pass
-    through `_corrected`.
+    by h (never by (c h)^2, which may underflow); their ValueError means
+    that a kernel sample of the finite g overflowed.  Every method reads
+    the same pass through `_corrected`.
     """
     mesh, h, unit = _mesh(a, n)
     if n < 16:
@@ -219,21 +218,9 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     f[i] = 1.0
     np.divide(gvals, f, out=f)
     f[i] = 0.0
-    try:
-        total, edge_err, plain = _rule_sums(1.0, f)
-    except ValueError as exc:
-        bad = np.flatnonzero(~np.isfinite(gvals))
-        bad = bad[bad != i]
-        if not bad.size:   # g is finite: a kernel sample overflowed
-            raise
-        k = bad[0]
-        raise ValueError(f"{exc}: g = {float(gvals[k])!r} at x = "
-                         f"{float(mesh.nodes()[k])!r}") from None
-    g_node = gvals.item(i)
-    if not math.isfinite(g_node):
-        raise ValueError(_WINDOW_ERROR)
+    total, edge_err, plain = _rule_sums(1.0, f)
     # the 9 stencil nodes (`corrections.FD_STENCIL`) centered on the puncture
-    return _MeshPass(mesh, h, j, s, lam, gvals, g_node, gvals[i - 4:i + 5], plain,
+    return _MeshPass(mesh, h, j, s, lam, gvals, gvals.item(i), gvals[i - 4:i + 5], plain,
                      total / c ** 2 / h, edge_err / c ** 2 / h)
 
 

@@ -412,6 +412,56 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"nsquad: error: {message}"]
 
+    @pytest.mark.parametrize("args, message", [
+        (["--d", "0.1", "--n", "16,16"], "n 16 is repeated; give each n once"),
+        (["--d", "0.1,0.1", "--n", "16"], "d 0.1 is repeated; give each d once"),
+        (["--d", "0.1", "--n", "16", "--method", "corrected-fd6,corrected-fd6"],
+         "method 'corrected-fd6' is repeated; give each method once"),
+    ], ids=["n", "d", "method"])
+    def test_repeated_value_is_an_error(self, capsys, args, message):
+        # a repeated value would print its rows twice
+        assert main(["converge", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"nsquad: error: {message}"]
+
+    @pytest.mark.parametrize("expr, construct", [
+        ("abs(x)", "the name 'abs'"),
+        ("x.real", "the attribute access 'x.real'"),
+        ("exp(x).real", "the attribute access 'exp(x).real'"),
+        ("x.conjugate()", "the attribute access 'x.conjugate'"),
+        ("(x>0)*x+1", "the comparison 'x > 0'"),
+        ("x[0]", "the subscript 'x[0]'"),
+        ("exp(x=1)", "the call 'exp(x=1)'"),
+        ("1j*x", "the constant '1j'"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "converge"])
+    def test_expression_outside_the_whitelist_is_an_error(self, capsys, command, expr,
+                                                          construct):
+        # abs of a complex argument is its modulus, and x.real drops the imaginary
+        # part: the closed form's G would be wrong, with no warning
+        assert main([command, "--integrand", "custom", "--g-expr", expr, "--xs", "0.1",
+                     "--d", "1e-3", "--n", "64"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"nsquad: error: g expression {expr!r} may not use "
+                                   f"{construct}; ")
+
+    @pytest.mark.parametrize("expr, f", [
+        ("exp(x)", np.exp),
+        ("cos(x) + x", lambda z: np.cos(z) + z),
+        ("1/(x*x+0.01)", lambda z: 1 / (z * z + 0.01)),
+    ])
+    def test_whitelisted_expression_gives_the_api_value(self, capsys, expr, f):
+        assert main(["eval", "--integrand", "custom", "--g-expr", expr, "--xs", "0.1234",
+                     "--d", "0.1", "--n", "64"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = integrate_near_singular(GEval.analytic(f), KernelParams(a=1.0, d=0.1, x_s=0.1234),
+                                       64)
+        assert (payload["value"], payload["uncorrected"]) == (want.value, want.uncorrected)
+
     def test_mesh_too_large_for_memory_is_an_error(self, capsys):
         # 2n+1 = 2e11 + 1 nodes: numpy cannot allocate them, and says so
         assert main(["eval", "--d", "0.01", "--xs", "0.1", "--n", "100000000000"]) == 1

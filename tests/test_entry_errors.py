@@ -23,6 +23,7 @@ REAL = GEval(real_eval=math.exp)
 ONES = np.ones(9)
 WINDOW = ("window must hold g at the 9 nodes around the puncture: stencil samples must "
           "be finite (and, for a Taylor fit, differ by less than 1.4e+306)")
+NAN_AT_0 = "g is not finite at x = 0.0: g(x) = nan"
 
 
 def sinc(x):
@@ -92,11 +93,11 @@ CASES = {
     "near-endpoint": (near(EXP, 64, d=0.01, x_s=1.0 - 9.5 / 64),
                       "x_s too close to an endpoint for the correction stencils "
                       "(need |x_s| < a - 10h)"),
-    "near-nan-node-closed": (near(SINC_BOTH, 64, "closed-form", d=1e-3), WINDOW),
-    "near-nan-node-q-series": (near(SINC_BOTH, 64, "closed-form", d=1e-6), WINDOW),
-    "near-nan-node-fd": (near(SINC_REAL, 64, "fd-series", d=1e-3), WINDOW),
-    "near-nan-summed-node": (near(SINC_REAL, 64, "fd-series", d=1e-3, x_s=0.5),
-                             "non-finite sample at a summed node: g = nan at x = 0.0"),
+    # the GEval checks its samples of a mesh once, on the puncture node or a summed one
+    "near-nan-node-closed": (near(SINC_BOTH, 64, "closed-form", d=1e-3), NAN_AT_0),
+    "near-nan-node-q-series": (near(SINC_BOTH, 64, "closed-form", d=1e-6), NAN_AT_0),
+    "near-nan-node-fd": (near(SINC_REAL, 64, "fd-series", d=1e-3), NAN_AT_0),
+    "near-nan-summed-node": (near(SINC_REAL, 64, "fd-series", d=1e-3, x_s=0.5), NAN_AT_0),
     # g = 1e308 is finite; its kernel sample at the node next to s = 1/2 is not
     "near-kernel-overflow-summed-node": (near(GEval(real_eval=lambda x: 1e308), 64, "fd-series",
                                               d=1e-3, x_s=0.5 / 64),
@@ -173,7 +174,7 @@ CASES = {
                                   "(need |x_s| < a - 10h)"),
     "finite-part-h-underflow": (finite_part(EXP, 5e-324, 0.0, 64),
                                 "h = a/n underflows to 0 for a = 5e-324, n = 64"),
-    "finite-part-nan-node": (finite_part(SINC_REAL, 1.0, 0.0, 64), WINDOW),
+    "finite-part-nan-node": (finite_part(SINC_REAL, 1.0, 0.0, 64), NAN_AT_0),
     # correction_offmesh_closed: (c, d, h, s, x_s), the window last
     "closed-c-negative": (closed(-1.0, 0.01, 0.01, 0.0, 0.0),
                           "c and h must be finite and positive, got c = -1.0, h = 0.01"),

@@ -154,9 +154,9 @@ class TestNearSingular:
         for g, d, method in ((real_only, 0.0, "auto"), (real_only, 1e-3, "auto"),
                              (real_only, 1e-3, "fd-series"), (both, 1e-3, "fd-series"),
                              (both, 1e-3, "closed-form"), (both, 1e-6, "closed-form")):
-            with pytest.raises(ValueError, match="window"):
+            with pytest.raises(ValueError, match=r"^g is not finite at x = 0\.0: g\(x\) = nan$"):
                 integrate_near_singular(g, KernelParams(a=1.0, d=d), 64, method)
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(ValueError, match=r"^g is not finite at x = 0\.0: g\(x\) = nan$"):
             integrate_finite_part(real_only, 1.0, 0.0, 64)
 
     def test_random_parameters_property(self):
@@ -959,6 +959,62 @@ class TestMeshSamples:
             b = integrate_near_singular(make(), params, n, method)
             assert (a.value, a.uncorrected, a.breakdown, a.method, a.warnings) == \
                 (b.value, b.uncorrected, b.breakdown, b.method, b.warnings)
+
+
+class TestNonFiniteSamples:
+    """A GEval checks each new mesh's samples once, before it keeps them, and
+    names the first node where g is not finite, whichever node the pass
+    would read it at and whichever way g was sampled."""
+
+    @staticmethod
+    def bad_at(x0, value, analytic):
+        """e^x, but `value` at x0: from an `analytic` f's array call, or real_eval's."""
+        if analytic:
+            return GEval.analytic(lambda z: np.where(z == x0, value, np.exp(z)))
+        return GEval(real_eval=lambda x: value if x == x0 else math.exp(x))
+
+    # (x where g is not finite, x_s, the meshes integrated on in order: only
+    # the last one has a node at x)
+    PLACES = {
+        "summed-node": (0.5, 0.1 + 0.3 / 64, (64,)),
+        "puncture-node": (0.25, 0.25, (64,)),
+        "end-window-node": (-61.0 / 64, 0.1, (64,)),   # 3 nodes in from the left end
+        "refined-node": (5.0 / 32, 0.1, (16, 32)),     # an odd node of 32, filled from 16
+    }
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["array", "scalar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("place", PLACES)
+    def test_every_entry_names_the_node(self, place, value, analytic):
+        x0, x_s, ns = self.PLACES[place]
+        entries = (
+            lambda g, n: integrate_near_singular(g, KernelParams(a=1.0, d=1e-3, x_s=x_s), n),
+            lambda g, n: integrate_near_singular(g, KernelParams(a=1.0, d=1e-3, x_s=x_s), n,
+                                                 "fd-series"),
+            lambda g, n: integrate_finite_part(g, 1.0, x_s, n),
+        )
+        for entry in entries:
+            g = self.bad_at(x0, value, analytic)
+            for n in ns[:-1]:
+                entry(g, n)
+            for _ in range(2):
+                with pytest.raises(ValueError) as caught:
+                    entry(g, ns[-1])
+                assert str(caught.value) == f"g is not finite at x = {x0!r}: g(x) = {value!r}"
+
+    def test_failed_sampling_changes_no_state(self):
+        g = self.bad_at(5.0 / 32, math.nan, False)
+        coarse_mesh = Mesh(1.0, 16)
+        coarse = g.mesh_samples(coarse_mesh)
+        # refined from the kept n = 16, and sampled afresh on another a's nodes
+        for mesh in (Mesh(1.0, 32), Mesh(1.0, 64), Mesh(2.0, 64)):
+            for _ in range(2):
+                with pytest.raises(ValueError,
+                                   match=r"^g is not finite at x = 0\.15625: g\(x\) = nan$"):
+                    g.mesh_samples(mesh)
+                assert g._last == (coarse_mesh, coarse)
+                assert g._meshes == {(1.0, 1): {16: coarse}}
 
 
 class TestOutputRecords:

@@ -339,7 +339,7 @@ class TestNonFiniteGOnTheCli:
 
     @pytest.mark.parametrize("command, message", [
         ("converge", r"nsquad: error: g is not finite at x = -0\.\d+: g\(x\) = nan"),
-        ("eval", r"nsquad: error: non-finite sample at a summed node: g = nan at x = -1\.0"),
+        ("eval", r"nsquad: error: g is not finite at x = -1\.0: g\(x\) = nan"),
     ], ids=["converge", "eval"])
     def test_error_line_names_g_and_the_point(self, capsys, command, message):
         with np.errstate(divide="ignore", invalid="ignore"):

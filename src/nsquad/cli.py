@@ -1,15 +1,19 @@
 """Command-line driver: convergence studies, coefficient dumps, single evaluations.
 
 Output is CSV or JSON with floats in shortest round-trip decimal form and
-rows sorted by (d, n, method), so identical configurations produce
+rows in (d, n, method) order, so identical configurations produce
 bit-identical files.
 
-A convergence study samples g once per node: each d walks its meshes
-finest first, and the meshes of a `*2` range are one family of the GEval's
-cache (`GEval.mesh_samples`), so each coarser mesh copies its samples from
-the finest and g is called on the finest mesh's nodes only; the meshes of
-a `*3` range are families of their own, and g is called on every mesh's.
-A custom g does not depend on d and serves the whole study.
+A convergence study pays one kernel pass per (d, nesting family): each d
+walks its meshes finest first, and the meshes whose n share their odd part
+(those of a `*2` range) form one family.  Its finest mesh takes the direct
+pass, which samples g through the GEval (`GEval.mesh_samples`) and forms
+the kernel; every coarser mesh of the family reads that pass at stride r
+(`integrator._mesh_pass` with `finer`): its samples of g are a view of the
+finest mesh's, neither sampled nor copied, and its kernel is r^2 times
+every r-th kernel sample there, bit for bit the direct pass's.  The meshes
+of a `*3` range are families of their own, each with its own pass.  A
+custom g does not depend on d and serves the whole study.
 
 Every method's row at one (d, n) reads the same mesh pass: the corrected
 rows add their correction's value to it (`integrator._corrected`: no check
@@ -32,7 +36,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .corrections import GEval
-from .integrator import KernelParams, _corrected, _mesh_pass, integrate_near_singular
+from .integrator import (KernelParams, _corrected, _mesh_pass, _MeshPass,
+                         integrate_near_singular)
 from .oracle import exact_test1, exact_test2, reference_integral
 from .verify import CoeffParams, coeff_table
 
@@ -43,7 +48,7 @@ CONVERGE_METHODS = ("uncorrected-punctured", "uncorrected-plain",
 COEFF_COLUMNS = ("zk", "zks", "zk_minus_s", "pks", "sym_resid", "closedform_resid")
 
 
-@dataclass
+@dataclass(slots=True)
 class ConvergenceRow:
     n: int
     h: float
@@ -135,8 +140,11 @@ def _rejected(node: ast.AST) -> ast.AST | None:
 
 def _compile_g_expr(expr: str) -> GEval:
     """g of a `--g-expr`; ValueError naming the first construct that `_rejected`
-    finds, or the expression and the point where Python arithmetic on a
-    scalar fails (1/x at x = 0: numpy arrays give inf)."""
+    finds, or the expression and the point where it raises: x = 0.0, a node
+    of every mesh, where it is tried once, or any later scalar point (1/x
+    at x = 0: numpy arrays give inf).  It runs with numpy's floating-point
+    warnings silenced: where g is not finite, the GEval and the reference
+    name the point."""
     try:
         bad = _rejected(ast.parse(expr, mode="eval").body)
     except (SyntaxError, RecursionError, MemoryError) as exc:   # the last two: nested too deeply
@@ -147,18 +155,20 @@ def _compile_g_expr(expr: str) -> GEval:
                          f"{_EXPR_KINDS.get(type(bad), 'construct')} {ast.unparse(bad)!r}; "
                          f"it may use x, int and float constants, pi, e, + - * / ** and "
                          f"{', '.join(_EXPR_FUNCTIONS)} on positional arguments")
-    try:
-        f = eval(f"lambda x: ({expr})",
-                 {"__builtins__": {}, **_EXPR_FUNCTIONS, "pi": np.pi, "e": np.e})
-        f(0.1)
-    except Exception as exc:
-        raise ValueError(f"cannot evaluate g expression {expr!r}: {exc}") from exc
+    f = eval(f"lambda x: ({expr})",
+             {"__builtins__": {}, **_EXPR_FUNCTIONS, "pi": np.pi, "e": np.e})
 
     def g(x):
         try:
-            return f(x)
+            with np.errstate(all="ignore"):
+                return f(x)
         except ArithmeticError as exc:
             raise ValueError(f"g expression {expr!r} fails at x = {x!r}: {exc}") from exc
+    try:
+        with np.errstate(all="ignore"):
+            f(0.0)
+    except Exception as exc:
+        raise ValueError(f"g expression {expr!r} fails at x = 0.0: {exc}") from exc
     return GEval.analytic(g)
 
 
@@ -176,11 +186,10 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
     return reference_integral(g, KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)).value
 
 
-def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
-                   n: int) -> list[float]:
-    """The value of each method at one (d, n), all from one mesh pass."""
+def _method_values(methods: list[str], g: GEval, params: KernelParams,
+                   sampled: _MeshPass) -> list[float]:
+    """The value of each method at one (d, n), all from its mesh pass `sampled`."""
     c, d, x_s = params.c, params.d, params.x_s
-    sampled = _mesh_pass(g, params.a, c, d, x_s, n)
     values = []
     for method in methods:
         if method == "corrected-closed":
@@ -196,26 +205,34 @@ def _method_values(methods: tuple[str, ...], g: GEval, params: KernelParams,
 
 
 def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
-    """The rows of the study, sorted by (d, n, method); each d walks the
-    meshes finest first, with one GEval for every d when g is custom."""
+    """The rows of the study in (d, n, method) order; each d walks the
+    meshes finest first, with one GEval for every d when g is custom, and
+    each mesh whose nesting family (the odd part of n) has a finer mesh
+    reads that family's finest pass (`_mesh_pass`'s `finer`)."""
     custom = _compile_g_expr(config.g_expr) if config.integrand == "custom" else None
     # every float field a Python float: `_rows_to_csv` prints str()
     c, x_s = float(config.c), float(config.x_s)
-    rows = []
+    methods = sorted(config.methods)
+    blocks = {}   # d: its rows
     for d in config.d_list:
         g = custom if custom is not None else _study_integrand(d)
         reference = float(_study_reference(config, g, d))
         params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
         d = float(d)
+        values, finest = {}, {}   # n: the methods' values; odd part of n: its family's pass
         for n in sorted(config.n_list, reverse=True):
-            # h after the pass, whose check of n reports n = 0 (a / n would divide by zero)
-            values = _method_values(config.methods, g, params, n)
-            h = float(config.a / n)
-            for method, value in zip(config.methods, values):
-                rows.append(ConvergenceRow(n, h, d, c, x_s, method, float(value),
-                                           reference, float(abs(value - reference))))
-    rows.sort(key=lambda r: (r.d, r.n, r.method))
-    return rows
+            # an n that is not a positive int has no family: its pass reports it
+            odd = n // (n & -n) if type(n) is int and n > 0 else None
+            sampled = _mesh_pass(g, params.a, params.c, params.d, params.x_s, n,
+                                 finest.get(odd))
+            if odd is not None:
+                finest.setdefault(odd, sampled)
+            values[n] = _method_values(methods, g, params, sampled)
+        # h after the pass, whose check of n reports n = 0 (a / n would divide by zero)
+        blocks[d] = [ConvergenceRow(n, float(config.a / n), d, c, x_s, method, float(value),
+                                    reference, float(abs(value - reference)))
+                     for n in reversed(values) for method, value in zip(methods, values[n])]
+    return [row for d in sorted(blocks) for row in blocks[d]]
 
 
 def _rows_to_csv(rows: list[ConvergenceRow]) -> str:

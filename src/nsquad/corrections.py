@@ -24,7 +24,8 @@ These routines are the per-target core: they take Python floats, and the
 `integrator._check_kernel`, the mesh scale by `_check_mesh_scale`, every
 sample of g once, all finite, by `GEval.mesh_samples`), with lam = d/(c h)
 passed in, and check only what only they can see: lam = 0 in the closed
-form, the stencil's spread, lam^2 and c^2 h.  The checked public views,
+form, the stencil's spread, lam^2 (which the mesh pass checks first, with
+the same `_lam_square_error`) and c^2 h.  The checked public views,
 `correction_offmesh_closed`, `correction_taylor` and `fd_derivatives`, live
 in `verify`.
 
@@ -381,8 +382,7 @@ def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: f
     overflows and d^2 does not, and where the seeds' form's c^2 h underflows
     to 0."""
     if math.isinf(lam * lam) and not math.isinf(d * d):
-        raise ValueError(f"lam = d/(c h) = {lam:.3e} is out of range: lam^2 overflows "
-                         f"(d = {d!r}, c = {c!r}, h = {h!r})")
+        raise _lam_square_error(c, d, h, lam)
     if lam >= 1.0:
         return _pole_form(re_g, im_g_lam, g_node, c, d, s, lam, terms)
     if c * c * h == 0.0:
@@ -428,6 +428,13 @@ def _check_kernel_scales(c: float, d: float) -> None:
 def _check_mesh_scale(c: float, h: float) -> None:
     if c * h == 0.0:   # the denominator of lam = d/(c h)
         raise ValueError(f"c h underflows to 0 (c = {c!r}, h = {h!r}): lam is out of range")
+
+
+def _lam_square_error(c: float, d: float, h: float, lam: float) -> ValueError:
+    """The error for a lam = d/(c h) whose square overflows where d^2 does
+    not: the mesh pass would divide g by an infinite denominator."""
+    return ValueError(f"lam = d/(c h) = {lam:.3e} is out of range: lam^2 overflows "
+                      f"(d = {d!r}, c = {c!r}, h = {h!r})")
 
 
 def _check_lam(c: float, d: float, h: float, lam: float) -> None:

@@ -37,6 +37,14 @@ share the samples of their common nodes, so a mesh of twice the n calls g
 at its new nodes only; a `*3` range shares nothing.  The meshes of the 4
 most recent families are kept, up to 2 MB per GEval at n = 16384.  To
 integrate a changed g, build a new GEval.
+
+One target's kernel is paid once per family: given the pass of a finer
+mesh of the family for the same target (`finer`), `_mesh_pass` reads its
+samples and kernel at stride r, with no g call and no kernel arithmetic,
+since there h, x_s/h and lam all scale by r exactly and the kernel
+samples by r^2 (`_MeshPass.stride_to`, which also finds the samples below
+the normal range, where they would not).  The convergence study of `cli` passes each
+family's finest pass to its coarser meshes.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .corrections import (
     CorrectionBreakdown,
     GEval,
     _check_kernel_scales,
+    _lam_square_error,
     _check_mesh_scale,
     _correction,
 )
@@ -60,6 +69,7 @@ from .meshrule import Mesh, _node_array, _rule_sums
 METHODS = ("auto", "closed-form", "fd-series")
 
 _EPS = sys.float_info.epsilon
+_MIN_NORMAL = sys.float_info.min
 # End-correction estimate, relative to max(|value|, 1), above which a result warns
 _EDGE_WARN_RATIO = 3e-11
 
@@ -158,13 +168,35 @@ class _MeshPass:
     from here rather than from the `Mesh.h` property."""
 
     __slots__ = ("mesh", "h", "j", "s", "lam", "gvals", "g_node", "samples", "plain",
-                 "uncorrected", "edge_err")
+                 "uncorrected", "edge_err", "kernel", "_scalable")
 
     def __init__(self, mesh, h, j, s, lam, gvals, g_node, samples, plain, uncorrected,
-                 edge_err):
+                 edge_err, kernel):
         self.mesh, self.h, self.j, self.s, self.lam = mesh, h, j, s, lam
         self.gvals, self.g_node, self.samples, self.plain = gvals, g_node, samples, plain
-        self.uncorrected, self.edge_err = uncorrected, edge_err
+        self.uncorrected, self.edge_err, self.kernel = uncorrected, edge_err, kernel
+        self._scalable = None   # found by `stride_to`
+
+    def stride_to(self, a: float, n: int, t: float, lam: float) -> int:
+        """r where this pass's kernel at every r-th node, times r^2, is bit for
+        bit the kernel of the same target on the mesh (a, n), whose x_s/h is
+        t; else 0.  That holds where this mesh is (a, r n) for a power of 2
+        r >= 2 with h normal, so that its nodes, x_s/h and lam are exactly r
+        times those of (a, n), unless a kernel sample of a nonzero g lies
+        below the normal range, where scaling by r^2 does not commute with
+        rounding.  The kernel is scanned for that once per pass."""
+        r = self.mesh.n // n
+        if not (r > 1 and r & (r - 1) == 0 and r * n == self.mesh.n and self.mesh.a == a
+                and self.h >= _MIN_NORMAL and self.j + self.s == r * t
+                and self.lam == r * lam):
+            return 0
+        if self._scalable is None:
+            mag = np.abs(self.kernel)
+            # the puncture's entry, 0, is a coarser mesh's puncture or at no node of it
+            mag[self.mesh.n + self.j] = 1.0
+            self._scalable = bool(mag.min() >= _MIN_NORMAL
+                                  or not np.any((mag < _MIN_NORMAL) & (self.gvals != 0.0)))
+        return r if self._scalable else 0
 
     def plain_value(self, c: float, d: float) -> float:
         """The classical trapezoid on the kernel samples at every node, for
@@ -177,7 +209,8 @@ class _MeshPass:
         return h * self.plain / c ** 2 / h / h + h * self.g_node / r / r
 
 
-def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _MeshPass:
+def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
+               finer: _MeshPass | None = None) -> _MeshPass:
     """Everything a target needs from g before its correction, from the
     GEval's samples on the mesh, for a kernel that `_check_kernel` passed.
 
@@ -186,18 +219,27 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
     finite: `GEval.mesh_samples` checks them), the 9 of them around the
     puncture as a read-only view of gvals (samples), the puncture node's
     own sample as a float (g_node), the punctured sum of the kernel
-    samples (uncorrected), its estimated end-correction error (edge_err)
-    and the plain trapezoidal sum of c^2 h^2 times the kernel samples on a
-    unit step (plain, which `plain_value` scales).  What depends on the
-    mesh alone, the `Mesh`, h and the unit-step nodes, comes from one record
-    per (a, n) (`_mesh`), and the samples of a mesh the GEval returned last
-    cost one identity test.  `_rule_sums` takes the three sums in one pass over
-    f = g/((m - s)^2 + lam^2), c^2 h^2 times the kernel samples in mesh units
-    (m = k - j exact: the lattice the correction assumes), its punctured
-    entry 0; the punctured sum and the estimate are then divided by c^2 and
-    by h (never by (c h)^2, which may underflow); their ValueError means
-    that a kernel sample of the finite g overflowed.  Every method reads
-    the same pass through `_corrected`.
+    samples (uncorrected), its estimated end-correction error (edge_err),
+    the plain trapezoidal sum of c^2 h^2 times the kernel samples on a
+    unit step (plain, which `plain_value` scales) and those samples
+    themselves (kernel).  What depends on the mesh alone, the `Mesh`, h and
+    the unit-step nodes, comes from one record per (a, n) (`_mesh`), and
+    the samples of a mesh the GEval returned last cost one identity test.
+    `_rule_sums` takes the three sums in one pass over f = g/((m - s)^2 +
+    lam^2), c^2 h^2 times the kernel samples in mesh units (m = k - j
+    exact: the lattice the correction assumes), its punctured entry 0; the
+    punctured sum and the estimate are then divided by c^2 and by h (never
+    by (c h)^2, which may underflow); their ValueError means that a kernel
+    sample of the finite g overflowed.  A lam whose square overflows
+    raises before g is read.  Every method reads the same pass through
+    `_corrected`.
+
+    `finer`, if given, is a pass of the same g and kernel on another mesh.
+    Where it refines this one by a power of 2 r and r^2 times its f at
+    every r-th node is this mesh's f bit for bit (`_MeshPass.stride_to`),
+    the pass takes f so, and gvals as a view of `finer.gvals`, with no g
+    call and no kernel arithmetic, after this mesh's own entry checks;
+    otherwise it ignores `finer`.
     """
     mesh, h, unit = _mesh(a, n)
     if n < 16:
@@ -207,21 +249,28 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int) -> _M
                          "stencils (need |x_s| < a - 10h)")
     _check_mesh_scale(c, h)
     j, s = puncture_split(x_s, h)
-    lam, gvals, i = d / (c * h), g.mesh_samples(mesh), n + j
-    # m - s = k - (j + s), k the unit-step nodes and j + s = x_s/h exactly:
-    # the denominators in place, then f (the ufuncs called directly, without
-    # the array operators' dispatch)
-    f = np.subtract(unit, j + s)
-    np.multiply(f, f, out=f)
-    if lam > 0.0:   # at lam = 0 it would add +0.0 to squares
-        np.add(f, lam * lam, out=f)
-    f[i] = 1.0
-    np.divide(gvals, f, out=f)
+    lam, i = d / (c * h), n + j
+    if math.isinf(lam * lam):   # d^2 is finite: `_check_kernel` passed it
+        raise _lam_square_error(c, d, h, lam)
+    if finer is not None and (r := finer.stride_to(a, n, j + s, lam)):
+        gvals = finer.gvals[::r]
+        f = np.multiply(finer.kernel[::r], float(r * r))
+    else:
+        gvals = g.mesh_samples(mesh)
+        # m - s = k - (j + s), k the unit-step nodes and j + s = x_s/h exactly:
+        # the denominators in place, then f (the ufuncs called directly, without
+        # the array operators' dispatch)
+        f = np.subtract(unit, j + s)
+        np.multiply(f, f, out=f)
+        if lam > 0.0:   # at lam = 0 it would add +0.0 to squares
+            np.add(f, lam * lam, out=f)
+        f[i] = 1.0
+        np.divide(gvals, f, out=f)
     f[i] = 0.0
     total, edge_err, plain = _rule_sums(1.0, f)
     # the 9 stencil nodes (`corrections.FD_STENCIL`) centered on the puncture
     return _MeshPass(mesh, h, j, s, lam, gvals, gvals.item(i), gvals[i - 4:i + 5], plain,
-                     total / c ** 2 / h, edge_err / c ** 2 / h)
+                     total / c ** 2 / h, edge_err / c ** 2 / h, f)
 
 
 def _corrected(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,

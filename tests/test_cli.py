@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsquad import cli
 from nsquad.cli import (
@@ -14,7 +19,7 @@ from nsquad.cli import (
     run_converge,
 )
 from nsquad.corrections import GEval
-from nsquad.integrator import KernelParams, _mesh_pass, integrate_near_singular
+from nsquad.integrator import KernelParams, _corrected, _mesh_pass, integrate_near_singular
 from nsquad.meshrule import Mesh
 from nsquad.oracle import exact_test1, exact_test2
 from nsquad.verify import plain_trapezoid
@@ -96,6 +101,20 @@ def scaled_kernel(sampled) -> np.ndarray:
     f = sampled.gvals / denom
     f[i] = 0.0
     return f
+
+
+def direct_value(g: GEval, sampled, c: float, d: float, x_s: float, method: str) -> float:
+    """A study method's value at one (d, n), on a pass of `_mesh_pass`."""
+    if method == "uncorrected-punctured":
+        return sampled.uncorrected
+    if method == "uncorrected-plain":
+        return sampled.plain_value(c, d)
+    form = {"corrected-closed": "closed-form", "corrected-fd6": "fd-series"}[method]
+    return _corrected(g, c, d, x_s, sampled, form)[0]
+
+
+# meshes of a *2 range, of a *3 range from 16, and sizes of other odd parts
+STUDY_N_POOL = (16, 32, 64, 128, 256, 48, 144, 24, 40, 80, 96, 200)
 
 
 class TestConverge:
@@ -183,8 +202,9 @@ class TestConverge:
         # the puncture has a zero denominator, while the kernel itself is
         # 1/d^2 = 1e140 there, finite
         params = KernelParams(a=1.0, c=1e100, d=1e-70, x_s=0.0)
-        (value,) = cli._method_values(("uncorrected-plain",), GEval.analytic(np.exp),
-                                      params, 64)
+        g = GEval.analytic(np.exp)
+        (value,) = cli._method_values(["uncorrected-plain"], g, params,
+                                      _mesh_pass(g, 1.0, params.c, params.d, 0.0, 64))
         mesh = Mesh(1.0, 64)
         x = mesh.nodes()
         kernel = np.exp(x) / (params.d ** 2 + params.c ** 2 * x * x)
@@ -314,6 +334,43 @@ class TestConverge:
                      g_expr="exp(x)"))]
         assert sorted(alone, key=lambda r: (r.d, r.n, r.method)) == rows
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.sampled_from([0.5, 1.0, 2.0, 3.7]), log_c=st.floats(-0.5, 0.5),
+           log_d=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=3, unique=True),
+           frac=st.floats(-0.3, 0.3),
+           n_list=st.lists(st.sampled_from(STUDY_N_POOL), min_size=1, max_size=6, unique=True),
+           expr=st.sampled_from(["exp(x)", "cos(3*x) + x", "1/(x*x+0.09)"]))
+    def test_study_rows_are_the_direct_passes(self, a, log_c, log_d, frac, n_list, expr):
+        # a coarser mesh of a nesting family reads the finest pass at stride r:
+        # every row is, bit for bit, the value of a pass of its own mesh on a
+        # fresh GEval; the d and n lists come unsorted
+        c, x_s = 10.0 ** log_c, frac * a
+        d_list = list(dict.fromkeys(10.0 ** v for v in log_d))
+        rows = run_converge(StudyConfig(d_list=d_list, n_list=n_list, c=c, x_s=x_s, a=a,
+                                        integrand="custom", g_expr=expr))
+        keys = [(r.d, r.n, r.method) for r in rows]
+        assert keys == sorted((d, n, m) for d in d_list for n in n_list
+                              for m in cli.CONVERGE_METHODS)
+        for row in rows:
+            g = cli._compile_g_expr(expr)
+            sampled = _mesh_pass(g, a, c, row.d, x_s, row.n)
+            want = direct_value(g, sampled, c, row.d, x_s, row.method)
+            assert row.value.hex() == want.hex(), (row.d, row.n, row.method)
+
+    @pytest.mark.parametrize("expr", ["1e-306*exp(x)", "1e-300*exp(x)"])
+    def test_study_with_subnormal_kernel_samples_matches_direct_passes(self, expr):
+        # g ~ 1e-306: the kernel samples far from x_s fall below the normal
+        # range at n = 256, where scaling by r^2 would not commute with
+        # rounding; the coarser meshes take their own passes, and each row is
+        # a direct pass's value either way
+        config = StudyConfig(d_list=[0.01, 0.3], n_list=parse_n_range("16:256:*2"),
+                             integrand="custom", g_expr=expr, x_s=0.1)
+        for row in run_converge(config):
+            g = cli._compile_g_expr(expr)
+            sampled = _mesh_pass(g, 1.0, 1.0, row.d, 0.1, row.n)
+            want = direct_value(g, sampled, 1.0, row.d, 0.1, row.method)
+            assert row.value.hex() == want.hex(), (row.d, row.n, row.method)
+
 
 class TestCliCommands:
     def test_converge_csv_schema_and_determinism(self, tmp_path):
@@ -400,6 +457,43 @@ class TestCliCommands:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("nsquad: error: g expression '1/x' fails at x = 0.0")
+
+    def test_overflowing_lam_square_is_an_error(self, capsys):
+        # lam = d/(c h) = 6.4e161: lam^2 overflows, and a pass would divide g by
+        # inf (the uncorrected rows printed 0.0 and 1.56e-122 against 2.35e-120)
+        assert main(["converge", "--integrand", "custom", "--g-expr", "exp(x)",
+                     "--c", "1e-100", "--d", "1e60", "--n", "64",
+                     "--method", "uncorrected-punctured,uncorrected-plain"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "nsquad: error: lam = d/(c h) = 6.400e+161 is out of range: lam^2 overflows "
+            "(d = 1e+60, c = 1e-100, h = 0.015625)"]
+
+    def test_expression_probed_at_a_node_of_every_mesh(self, capsys):
+        # 1/(x - 0.1) is smooth on [-0.05, 0.05]: x = 0.0 is a node there, x = 0.1 is not
+        argv = ["eval", "--integrand", "custom", "--g-expr", "1/(x-0.1)", "--a", "0.05",
+                "--xs", "0.01", "--d", "0.01", "--n", "64"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = integrate_near_singular(GEval.analytic(lambda z: 1 / (z - 0.1)),
+                                       KernelParams(a=0.05, d=0.01, x_s=0.01), 64)
+        assert (payload["value"], payload["uncorrected"]) == (want.value, want.uncorrected)
+
+    @pytest.mark.parametrize("command", ["eval", "converge"])
+    def test_failing_expression_writes_one_error_line(self, command):
+        # log(x) is NaN left of 0 and -inf at 0: numpy's warnings stay silent, and
+        # stderr holds the error line alone
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "default"}
+        done = subprocess.run([sys.executable, "-m", "nsquad.cli", command, "--integrand",
+                               "custom", "--g-expr", "log(x)", "--xs", "0.1", "--d", "0.1",
+                               "--n", "16"], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 1 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("nsquad: error: g is not finite at x = ")
 
     @pytest.mark.parametrize("n_list, message", [("16,0", "n must be a positive integer, got 0"),
                                                  ("-16", "n must be a positive integer, got -16"),

@@ -1017,6 +1017,129 @@ class TestNonFiniteSamples:
                 assert g._meshes == {(1.0, 1): {16: coarse}}
 
 
+def pass_bits(sampled) -> tuple:
+    """Every field of a mesh pass, floats and arrays by their bits."""
+    return (sampled.mesh, sampled.h.hex(), sampled.j, sampled.s.hex(), sampled.lam.hex(),
+            sampled.g_node.hex(), sampled.samples.tobytes(), sampled.gvals.tobytes(),
+            sampled.plain.hex(), sampled.uncorrected.hex(), sampled.edge_err.hex(),
+            sampled.kernel.tobytes())
+
+
+class TestNestedPass:
+    """A pass given the pass of a finer mesh of its nesting family reads that
+    pass's kernel and samples at stride r, and is the direct pass bit for
+    bit; where it cannot be, it is the direct pass."""
+
+    @staticmethod
+    def counted(f, calls):
+        return GEval.analytic(lambda z: (calls.append(np.shape(z)), f(z))[1])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(a=st.sampled_from([0.5, 1.0, 2.0, 3.7]), log_c=st.floats(-0.5, 0.5),
+           log_d=st.floats(-9.0, 0.0), frac=st.floats(-0.3, 0.3),
+           place=st.sampled_from(["drawn", "zero", "tie"]),
+           n=st.sampled_from([16, 24, 32, 48, 64]), log_r=st.integers(1, 4),
+           kind=st.sampled_from(["exp", "cos", "pole"]))
+    def test_equals_the_direct_pass(self, a, log_c, log_d, frac, place, n, log_r, kind):
+        c, d, r = 10.0 ** log_c, 10.0 ** log_d, 2 ** log_r
+        x_s = {"drawn": frac * a, "zero": 0.0, "tie": 3.5 * a / n}[place]
+        f = {"exp": lambda z: d * np.exp(z), "cos": lambda z: np.cos(3 * z) + z,
+             "pole": lambda z: 1 / (z * z + 0.09)}[kind]
+        calls = []
+        g = self.counted(f, calls)
+        finer = _mesh_pass(g, a, c, d, x_s, r * n)
+        calls.clear()
+        nested = _mesh_pass(g, a, c, d, x_s, n, finer)
+        assert calls == []   # neither sampled nor copied: views of the finer pass
+        assert np.shares_memory(nested.gvals, finer.gvals)
+        direct = _mesh_pass(GEval.analytic(f), a, c, d, x_s, n)
+        assert pass_bits(nested) == pass_bits(direct)
+
+    @pytest.mark.parametrize("scale, nests", [(1e-306, False), (1e-300, True)])
+    def test_subnormal_kernel_samples_take_the_direct_pass(self, scale, nests):
+        # at n = 256 the kernel samples far from x_s are about scale/65536: below
+        # the normal range for 1e-306, where r^2 times them is not the coarser
+        # mesh's kernel; so that mesh samples g itself
+        f = lambda z: scale * np.exp(z)
+        calls = []
+        g = self.counted(f, calls)
+        finer = _mesh_pass(g, 1.0, 1.0, 0.01, 0.1, 256)
+        for n in (128, 64, 32, 16):
+            nested = _mesh_pass(g, 1.0, 1.0, 0.01, 0.1, n, finer)
+            assert np.shares_memory(nested.gvals, finer.gvals) is nests
+            direct = _mesh_pass(GEval.analytic(f), 1.0, 1.0, 0.01, 0.1, n)
+            assert pass_bits(nested) == pass_bits(direct)
+        assert calls == [(513,)]   # the GEval copies the coarser meshes' samples
+
+    def test_zeros_of_g_still_nest(self):
+        # sin is exactly 0 at x = 0: a zero kernel sample where g is 0 scales exactly
+        f = np.sin
+        g = GEval.analytic(f)
+        finer = _mesh_pass(g, 1.0, 1.0, 1e-3, 0.1, 64)
+        assert finer.kernel[64] == 0.0 and finer.j != 0
+        nested = _mesh_pass(g, 1.0, 1.0, 1e-3, 0.1, 16, finer)
+        assert np.shares_memory(nested.gvals, finer.gvals)
+        assert pass_bits(nested) == pass_bits(_mesh_pass(GEval.analytic(f), 1.0, 1.0, 1e-3,
+                                                         0.1, 16))
+
+    @pytest.mark.parametrize("scale", [3.5e307, 1e308])
+    def test_overflowing_kernel_matches_the_direct_pass(self, scale):
+        # x_s halfway between nodes of n = 16: its two nearest kernel samples are
+        # 4 g there, on a node of n = 32 at distance 1 they are g; so the coarse
+        # mesh's sums overflow (3.5e307) or its samples do (1e308), and the
+        # nested pass gives the same inf or the same error
+        f = lambda z: scale + 0.0 * z
+        with np.errstate(over="ignore", invalid="ignore"):
+            finer = _mesh_pass(GEval.analytic(f), 1.0, 1.0, 1e-9, 1 / 32, 32)
+            outcomes = []
+            for nested in (finer, None):
+                try:
+                    outcomes.append(pass_bits(_mesh_pass(GEval.analytic(f), 1.0, 1.0, 1e-9,
+                                                         1 / 32, 16, nested)))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "non-finite sample at a summed node" if scale == 1e308
+                else outcomes[0][9] == "inf")
+
+    @pytest.mark.parametrize("a, n, x_s, d, ratio", [
+        (1.0, 16, 0.1, 1e-3, 3),       # a *3 range: no nesting
+        (2.0, 16, 0.1, 1e-3, 2),       # another a
+        (1.0, 16, 0.2, 1e-3, 2),       # another target
+        (1.0, 16, 0.1, 2e-3, 2),       # another d, so another lam
+        (1.0, 64, 0.1, 1e-3, 1),       # the same mesh
+        (1.0, 64, 0.1, 1e-3, 0.5),     # a coarser one
+    ])
+    def test_other_passes_are_ignored(self, a, n, x_s, d, ratio):
+        other = _mesh_pass(GEval.analytic(np.exp), a, 1.0, d, x_s, int(ratio * n))
+        got = _mesh_pass(GEval.analytic(np.exp), 1.0, 1.0, 1e-3, 0.1, n, other)
+        assert not np.shares_memory(got.gvals, other.gvals)
+        assert pass_bits(got) == pass_bits(_mesh_pass(GEval.analytic(np.exp), 1.0, 1.0, 1e-3,
+                                                      0.1, n))
+
+    def test_inexact_lam_takes_the_direct_pass(self):
+        # c h = 1.7e-312 at n = 32 is subnormal, so lam = d/(c h) is not 1/8 of
+        # lam at n = 256 (7.4131228688321e150 against 7.4131228688541e150 / 8):
+        # the squared distances of the two meshes do not scale by r^2
+        a, c, d, x_s = 1.0362478958073752e-213, 5.146429810790725e-98, 1.544297430468232e-162, \
+            -1.5228552401734477e-214
+        finer = _mesh_pass(GEval.analytic(np.exp), a, c, d, x_s, 256)
+        got = _mesh_pass(GEval.analytic(np.exp), a, c, d, x_s, 32, finer)
+        assert finer.lam != 8 * got.lam
+        assert not np.shares_memory(got.gvals, finer.gvals)
+        assert pass_bits(got) == pass_bits(_mesh_pass(GEval.analytic(np.exp), a, c, d, x_s, 32))
+
+    @pytest.mark.parametrize("n, x_s, message", [
+        (8, 0.1, "n must be at least 16"),
+        (16, 0.4, "x_s too close to an endpoint"),
+    ])
+    def test_entry_checks_of_the_coarser_mesh(self, n, x_s, message):
+        g = GEval.analytic(np.exp)
+        finer = _mesh_pass(g, 1.0, 1.0, 1e-3, x_s, 256)
+        with pytest.raises(ValueError, match=message):
+            _mesh_pass(g, 1.0, 1.0, 1e-3, x_s, n, finer)
+
+
 class TestOutputRecords:
     """A result's records are per-call outputs; the inputs it is built from
     are shared (a KernelParams, the cached Mesh) and stay frozen."""
@@ -1157,6 +1280,16 @@ class TestExtremeScales:
         params = KernelParams(a=a, c=c, d=d, x_s=0.1 * a)
         with pytest.raises(ValueError, match=match):
             integrate_near_singular(GEval.analytic(np.exp), params, 64, method)
+
+    def test_overflowing_lam_square_raises_before_sampling(self):
+        # lam = 6.4e161 at c = 1e-100, d = 1e60: the pass would divide g by inf
+        calls = []
+        g = GEval.analytic(lambda z: (calls.append(np.shape(z)), np.exp(z))[1])
+        with pytest.raises(ValueError, match=r"^lam = d/\(c h\) = 6\.400e\+161 is out of "
+                                             r"range: lam\^2 overflows \(d = 1e\+60, "
+                                             r"c = 1e-100, h = 0\.015625\)$"):
+            _mesh_pass(g, 1.0, 1e-100, 1e60, 0.0, 64)
+        assert calls == []
 
 
 class TestInputValidation:

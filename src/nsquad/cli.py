@@ -4,23 +4,11 @@ Output is CSV or JSON with floats in shortest round-trip decimal form and
 rows in (d, n, method) order, so identical configurations produce
 bit-identical files.
 
-A convergence study pays one kernel pass per (d, nesting family): each d
-walks its meshes finest first, and the meshes whose n share their odd part
-(those of a `*2` range) form one family.  Its finest mesh takes the direct
-pass, which samples g through the GEval (`GEval.mesh_samples`) and forms
-the kernel; every coarser mesh of the family reads that pass at stride r
-(`integrator._mesh_pass` with `finer`): its samples of g are a view of the
-finest mesh's, neither sampled nor copied, and its kernel is r^2 times
-every r-th kernel sample there, bit for bit the direct pass's.  The meshes
-of a `*3` range are families of their own, each with its own pass.  A
-custom g does not depend on d and serves the whole study.
-
-Every method's row at one (d, n) reads the same mesh pass: the corrected
-rows add their correction's value to it (`integrator._corrected`: no check
-at the puncture node, no warnings, no result records, none of which a row
-prints), `uncorrected-punctured` is its sum, and `uncorrected-plain` is the
-classical trapezoid the pass summed with it, plus the puncture's own term
-(`_MeshPass.plain_value`): this module reads no kernel sample.
+A convergence study takes its values from `integrator._study_values`,
+which walks each d's meshes finest first, pays one kernel pass per nesting
+family (`meshrule._family`) and reads every row at one (d, n) from that
+mesh's pass; this module builds g, the references and the rows.  A custom
+g does not depend on d and serves the whole study.
 The built-in integrands test1 and test2 have exact references on [-1, 1]
 only, so a study of either needs a = 1.
 """
@@ -32,17 +20,16 @@ import ast
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from .corrections import GEval
-from .integrator import (KernelParams, _corrected, _mesh_pass, _MeshPass,
-                         integrate_near_singular)
+from .integrator import _STUDY_ROWS, KernelParams, _study_values, integrate_near_singular
 from .oracle import exact_test1, exact_test2, reference_integral
 from .verify import CoeffParams, coeff_table
 
-CONVERGE_METHODS = ("uncorrected-punctured", "uncorrected-plain",
-                    "corrected-closed", "corrected-fd6")
+CONVERGE_METHODS = tuple(_STUDY_ROWS)
 
 # CoeffTable fields that `nsquad coeffs` prints, one row per k
 COEFF_COLUMNS = ("zk", "zks", "zk_minus_s", "pks", "sym_resid", "closedform_resid")
@@ -172,9 +159,17 @@ def _compile_g_expr(expr: str) -> GEval:
     return GEval.analytic(g)
 
 
-def _study_integrand(d: float) -> GEval:
-    """g = d e^z of test1 and test2, which depends on d."""
-    return GEval.analytic(lambda z: d * np.exp(z))
+def _integrand(name: str, g_expr: str | None) -> Callable[[float], GEval]:
+    """g as a function of d: d e^z for test1 and test2, and for custom the
+    one GEval of the compiled `g_expr`, for every d."""
+    if name in ("test1", "test2"):
+        return lambda d: GEval.analytic(lambda z: d * np.exp(z))
+    if name != "custom":
+        raise ValueError("integrand must be test1, test2, or custom")
+    if not g_expr:
+        raise ValueError("custom integrand needs --g-expr")
+    g = _compile_g_expr(g_expr)
+    return lambda d: g
 
 
 def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
@@ -186,48 +181,21 @@ def _study_reference(config: StudyConfig, g: GEval, d: float) -> float:
     return reference_integral(g, KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)).value
 
 
-def _method_values(methods: list[str], g: GEval, params: KernelParams,
-                   sampled: _MeshPass) -> list[float]:
-    """The value of each method at one (d, n), all from its mesh pass `sampled`."""
-    c, d, x_s = params.c, params.d, params.x_s
-    values = []
-    for method in methods:
-        if method == "corrected-closed":
-            value = _corrected(g, c, d, x_s, sampled, "closed-form")[0]
-        elif method == "corrected-fd6":
-            value = _corrected(g, c, d, x_s, sampled, "fd-series")[0]
-        elif method == "uncorrected-plain":
-            value = sampled.plain_value(c, d)
-        else:
-            value = sampled.uncorrected
-        values.append(value)
-    return values
-
-
 def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
-    """The rows of the study in (d, n, method) order; each d walks the
-    meshes finest first, with one GEval for every d when g is custom, and
-    each mesh whose nesting family (the odd part of n) has a finer mesh
-    reads that family's finest pass (`_mesh_pass`'s `finer`)."""
-    custom = _compile_g_expr(config.g_expr) if config.integrand == "custom" else None
+    """The rows of the study in (d, n, method) order, each d's values from
+    `_study_values`, with one GEval for every d when g is custom."""
+    integrand = _integrand(config.integrand, config.g_expr)
     # every float field a Python float: `_rows_to_csv` prints str()
     c, x_s = float(config.c), float(config.x_s)
     methods = sorted(config.methods)
     blocks = {}   # d: its rows
     for d in config.d_list:
-        g = custom if custom is not None else _study_integrand(d)
+        g = integrand(d)
         reference = float(_study_reference(config, g, d))
         params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
+        values = _study_values(g, params.a, params.c, params.d, params.x_s, config.n_list,
+                               methods)
         d = float(d)
-        values, finest = {}, {}   # n: the methods' values; odd part of n: its family's pass
-        for n in sorted(config.n_list, reverse=True):
-            # an n that is not a positive int has no family: its pass reports it
-            odd = n // (n & -n) if type(n) is int and n > 0 else None
-            sampled = _mesh_pass(g, params.a, params.c, params.d, params.x_s, n,
-                                 finest.get(odd))
-            if odd is not None:
-                finest.setdefault(odd, sampled)
-            values[n] = _method_values(methods, g, params, sampled)
         # h after the pass, whose check of n reports n = 0 (a / n would divide by zero)
         blocks[d] = [ConvergenceRow(n, float(config.a / n), d, c, x_s, method, float(value),
                                     reference, float(abs(value - reference)))
@@ -284,14 +252,7 @@ def cmd_eval(a: float, c: float, d: float, x_s: float, n: int,
              integrand: str = "test2", g_expr: str | None = None,
              method: str = "auto", out: str = "-") -> int:
     """Evaluate one corrected integral and print the QuadResult as JSON."""
-    if integrand in ("test1", "test2"):
-        g = _study_integrand(d)
-    elif integrand == "custom":
-        if not g_expr:
-            raise ValueError("custom integrand needs --g-expr")
-        g = _compile_g_expr(g_expr)
-    else:
-        raise ValueError("integrand must be test1, test2, or custom")
+    g = _integrand(integrand, g_expr)(d)
     params = KernelParams(a=a, c=c, d=d, x_s=x_s)
     res = integrate_near_singular(g, params, n, method=method)
     payload = {
@@ -335,22 +296,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corrected trapezoidal quadrature for near-singular "
                     "and finite-part integrals")
     sub = p.add_subparsers(dest="command", required=True)
+    # the options of a kernel and its g that converge and eval share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--g-expr", default=None,
+                        help="numerator g(x) for --integrand custom, e.g. 'exp(x)'")
+    shared.add_argument("--a", type=float, default=1.0)
+    shared.add_argument("--c", type=float, default=1.0)
+    shared.add_argument("--xs", type=float, default=0.0)
+    shared.add_argument("--out", default="-")
 
-    pc = sub.add_parser("converge", help="run a convergence study")
+    pc = sub.add_parser("converge", parents=[shared], help="run a convergence study")
     pc.add_argument("--integrand", default="test1",
                     choices=("test1", "test2", "custom"))
-    pc.add_argument("--g-expr", default=None,
-                    help="numerator g(x) for --integrand custom, e.g. 'exp(x)'")
     pc.add_argument("--d", required=True, help="comma list of d values")
     pc.add_argument("--n", required=True,
                     help="comma list or geometric range start:stop:*factor")
     pc.add_argument("--method", default=",".join(CONVERGE_METHODS),
                     help="comma list of methods")
-    pc.add_argument("--a", type=float, default=1.0)
-    pc.add_argument("--c", type=float, default=1.0)
-    pc.add_argument("--xs", type=float, default=0.0)
     pc.add_argument("--format", default="csv", choices=("csv", "json"))
-    pc.add_argument("--out", default="-")
 
     pk = sub.add_parser("coeffs", help="dump correction coefficients")
     pk.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -360,18 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--format", default="csv", choices=("csv", "json"))
     pk.add_argument("--out", default="-")
 
-    pe = sub.add_parser("eval", help="evaluate one corrected integral")
+    pe = sub.add_parser("eval", parents=[shared], help="evaluate one corrected integral")
     pe.add_argument("--integrand", default="test2",
                     choices=("test1", "test2", "custom"))
-    pe.add_argument("--g-expr", default=None)
-    pe.add_argument("--a", type=float, default=1.0)
-    pe.add_argument("--c", type=float, default=1.0)
     pe.add_argument("--d", type=float, required=True)
-    pe.add_argument("--xs", type=float, default=0.0)
     pe.add_argument("--n", type=int, default=64)
     pe.add_argument("--method", default="auto",
                     choices=("auto", "closed-form", "fd-series"))
-    pe.add_argument("--out", default="-")
     return p
 
 

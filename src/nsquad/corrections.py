@@ -10,14 +10,14 @@ finite-part correction.  Every Taylor coefficient of g comes from one
 source, the degree-8 interpolant on the 9 mesh samples around the
 puncture, in the mesh units b_k = g^(k)(x_s) h^k/k! that the singular
 series needs (`_stencil_poly`, on the mesh pass's read-only array view of
-them); one straight-line pass over b_0..b_6 gives G, the
-interpolant's node value P(-s) and Q (`_taylor_parts`), and `_assemble`
-takes the form.  One function decides the correction of a target
-(`_correction`): for lam >= 5.97 the put-back of the puncture node's own
-sample, g_node, alone; below, the closed form in the exact G or in the
-Taylor G, which puts back that same sample.  The same pass for any number
-of coefficients, the reference it is tested against, serves
-`verify.correction_taylor`, which has no sample and puts back P(-s).
+them); one straight-line pass over b_0..b_6 gives G and Q
+(`_taylor_parts`), and `_assemble` takes the form.  One function decides
+the correction of a target (`_correction`): for lam >= 5.97 the put-back
+of the puncture node's own sample, g_node, alone; below, the closed form
+in the exact G or in the Taylor G, which puts back that same sample.  The
+same pass for any number of coefficients, the reference it is tested
+against, serves `verify.correction_taylor`, which has no sample and puts
+back the interpolant's node value P(-s).
 
 These routines are the per-target core: they take Python floats, and the
 9 samples as an array, that the entry already checked (the kernel by
@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .emcoeff import pks_seeds, pole_factor
-from .meshrule import Mesh, _lagrange_basis
+from .meshrule import Mesh, _family, _lagrange_basis
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
@@ -77,8 +77,6 @@ Q_SERIES_RATIO = 10.0
 _Q_NEGLIGIBLE_LAM = math.log(2e16) / (2.0 * math.pi)
 # families of meshes whose samples one GEval keeps (`GEval.mesh_samples`)
 _MESHES_KEPT = 4
-# the smallest normal float: a mesh whose h is below it shares no samples
-_MIN_NORMAL = sys.float_info.min
 # what real_eval may not return: numpy would cast a complex value to its real
 # part with only a warning, None to NaN and a string to the number it spells
 _NOT_REAL_TYPES = (complex, np.complexfloating, type(None), str, bytes)
@@ -128,8 +126,8 @@ class GEval:
 
     A GEval stands for one fixed function: it samples g once per node and
     reuses those samples for every later target on that mesh
-    (`mesh_samples`).  Meshes of the same a whose n differ by a power of 2
-    form one family and share the samples of their common nodes, so a
+    (`mesh_samples`).  The meshes of one nesting family
+    (`meshrule._family`) share the samples of their common nodes, so a
     doubling convergence study calls g on the nodes of its finest mesh
     only; a `*3` range shares nothing.  The meshes of the 4 most recent
     families are kept, up to 2 MB at n = 16384, and the mesh it returned
@@ -148,8 +146,8 @@ class GEval:
     # f of `analytic`, while it still accepts arrays
     _array_f: Optional[Callable] = field(default=None, init=False, repr=False,
                                          compare=False)
-    # {n: read-only samples} per family (a, odd part of n), least recently
-    # used first (`mesh_samples`)
+    # {n: read-only samples} per nesting family (`meshrule._family`), least
+    # recently used first (`mesh_samples`)
     _meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (mesh, samples) that `mesh_samples` returned last: one tuple, replaced
     # whole, so a thread reads a pair that belongs together
@@ -197,17 +195,12 @@ class GEval:
     def mesh_samples(self, mesh: Mesh) -> np.ndarray:
         """g at `mesh.nodes()`, read-only, g sampled once per node.
 
-        Meshes of one a whose n share their odd part form a family, nested by
-        powers of 2: node r k of the mesh of r n is (r k) fl(a/(r n)), which
-        rounds the same real number as k fl(a/n), since fl(a/(r n)) r =
-        fl(a/n) for a power of 2 r wherever h = fl(a/(r n)) is a normal
-        float.  A mesh whose h is subnormal, whose rounding is coarser, is a
-        family of its own.  A kept n returns its array; a new n takes its
-        samples from its family's finest kept mesh: every r-th sample with no
-        g call if that mesh is finer, else that mesh's samples at every r-th
-        node and `sample` at the other nodes, in one pass and in node order.
-        So other ratios, such as the meshes of a `*3` range, share nothing.
-        The meshes of the 4 most recently used families are kept, each
+        The meshes of one nesting family (`meshrule._family`) are nested by
+        powers of 2.  A kept n returns its array; a new n takes its samples
+        from its family's finest kept mesh: every r-th sample with no g call
+        if that mesh is finer, else that mesh's samples at every r-th node
+        and `sample` at the other nodes, in one pass and in node order.  The
+        meshes of the 4 most recently used families are kept, each
         family's coarser meshes as contiguous copies (at most about twice
         its finest mesh's samples, up to 2 MB at n = 16384).  A new mesh's
         samples, fresh or refined, are checked before any is kept, and the
@@ -226,8 +219,8 @@ class GEval:
         last = self._last
         if last[0] is mesh:
             return last[1]
-        n, a = mesh.n, mesh.a
-        key = (a, n if a / n < _MIN_NORMAL else n // (n & -n))
+        n = mesh.n
+        key = _family(mesh.a, n)
         meshes = self._meshes
         family = meshes.get(key, {})
         values = family.get(n)
@@ -349,18 +342,19 @@ def _stencil_poly(samples: np.ndarray, s: float) -> list[float]:
     return [c0, c1, c2, c3, c4, c5, c6]
 
 
-def _taylor_parts(b: Sequence[float], s: float,
-                  lam: float) -> tuple[float, float, float, float]:
-    """(Re G, Im G/lam, g_node, Q) of P(t) = sum_k b[k] t^k, k = 0..6:
-    G = P(i lam), g_node = P(-s).
+def _taylor_parts(b: Sequence[float], s: float, lam: float) -> tuple[float, float, float]:
+    """(Re G, Im G/lam, Q) of P(t) = sum_k b[k] t^k, k = 0..6: G = P(i lam).
 
     With mu = -lam^2, Re G = sum_m b_{2m} mu^m and Im G/lam = sum_m b_{2m+1} mu^m.
-    The synthetic division P(t) = (t + s) S(t) + g_node gives G - g_node =
-    w S(i lam), w = s + i lam, so the closed form's Q = -Im[(G - g_node)/w]/lam
+    The synthetic division P(t) = (t + s) S(t) + P(-s) gives G - P(-s) =
+    w S(i lam), w = s + i lam, so the closed form's Q = -Im[(G - P(-s))/w]/lam
     is -sum_m S_{2m+1} mu^m: finite at lam = 0, and sum_k q_k b_k term by term.
     One line per k, from k = 6 down: the operations of `verify.taylor_parts`,
     the same pass for any number of coefficients, in its order, its first
-    steps on 0.0 included (they fix the sign of a zero result).
+    steps on 0.0 included (they fix the sign of a zero result), S up to its
+    last odd coefficient S_1: P(-s), which `verify.correction_taylor` puts
+    back, is not formed, since the correction puts back the node's own
+    sample.
     """
     b0, b1, b2, b3, b4, b5, b6 = b
     mu, t = -lam * lam, -s
@@ -369,9 +363,9 @@ def _taylor_parts(b: Sequence[float], s: float,
     re_g = re_g * mu + b4; node = node * t + b4
     im_g = im_g * mu + b3; quotient = quotient * mu + node; node = node * t + b3
     re_g = re_g * mu + b2; node = node * t + b2
-    im_g = im_g * mu + b1; quotient = quotient * mu + node; node = node * t + b1
-    re_g = re_g * mu + b0; node = node * t + b0
-    return re_g, im_g, node, -quotient
+    im_g = im_g * mu + b1; quotient = quotient * mu + node
+    re_g = re_g * mu + b0
+    return re_g, im_g, -quotient
 
 
 def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: float,
@@ -472,7 +466,7 @@ def _correction(g: GEval, exact: bool, c: float, d: float, h: float, s: float, x
         if not (lam > Q_SERIES_RATIO * denom or math.isinf(s / lam)):
             quotient = (re_g - g_node - s / lam * gval.imag) / denom
             return _assemble(re_g, im_g_lam, g_node, quotient, c, d, h, s, lam, 0)
-    re_fit, im_fit_lam, _, quotient = _taylor_parts(_stencil_poly(samples, s), s, lam)
+    re_fit, im_fit_lam, quotient = _taylor_parts(_stencil_poly(samples, s), s, lam)
     if not exact:
         re_g, im_g_lam = re_fit, im_fit_lam
     return _assemble(re_g, im_g_lam, g_node, quotient, c, d, h, s, lam, FD_DERIV_MAX)

@@ -9,11 +9,11 @@ takes by name), add the correction (`_corrected`, one call of
 `corrections._correction`, where only the closed form calls g again, for
 G) and return the corrected value with a breakdown (`_correct`, which adds
 what only a result reports: the check of complex_eval at the puncture node
-and the end-correction warning).  The convergence study of `cli` reads
-every method from one pass: the corrected values from `_corrected` alone,
-the plain trapezoid from `_MeshPass.plain_value`.  No other module reads
-the kernel samples.  The coefficient cross-checks (`self_check`) live in
-`verify`.
+and the end-correction warning).  A convergence study, whose rows `cli`
+prints, takes its values here (`_study_values`): every row at one (d, n)
+reads one pass (`_STUDY_ROWS`), the corrected ones through `_corrected`
+alone.  No other module reads the kernel samples.  The coefficient
+cross-checks (`self_check`) live in `verify`.
 
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
@@ -32,19 +32,20 @@ What depends on the mesh alone is paid once per mesh: one record per
 pass carries that h to every reader.  A GEval stands for one fixed
 function: it samples g once per node and reuses those samples for every
 target (`GEval.mesh_samples`), the mesh it returned last for one identity
-test.  Meshes of the same a nested by a power of 2 form one family and
-share the samples of their common nodes, so a mesh of twice the n calls g
-at its new nodes only; a `*3` range shares nothing.  The meshes of the 4
-most recent families are kept, up to 2 MB per GEval at n = 16384.  To
-integrate a changed g, build a new GEval.
+test.  The meshes of one nesting family (`meshrule._family`, the one
+statement of which meshes nest) share the samples of their common nodes,
+so a mesh of twice the n calls g at its new nodes only; a `*3` range
+shares nothing.  The meshes of the 4 most recent families are kept, up to
+2 MB per GEval at n = 16384.  To integrate a changed g, build a new GEval.
 
 One target's kernel is paid once per family: given the pass of a finer
 mesh of the family for the same target (`finer`), `_mesh_pass` reads its
 samples and kernel at stride r, with no g call and no kernel arithmetic,
 since there h, x_s/h and lam all scale by r exactly and the kernel
 samples by r^2 (`_MeshPass.stride_to`, which also finds the samples below
-the normal range, where they would not).  The convergence study of `cli` passes each
-family's finest pass to its coarser meshes.
+the normal range, where they would not).  A study walks its meshes finest
+first and hands each family's finest pass to its coarser meshes
+(`_study_values`).
 """
 
 from __future__ import annotations
@@ -64,12 +65,11 @@ from .corrections import (
     _check_mesh_scale,
     _correction,
 )
-from .meshrule import Mesh, _node_array, _rule_sums
+from .meshrule import _MIN_NORMAL, Mesh, _family, _node_array, _rule_sums
 
 METHODS = ("auto", "closed-form", "fd-series")
 
 _EPS = sys.float_info.epsilon
-_MIN_NORMAL = sys.float_info.min
 # End-correction estimate, relative to max(|value|, 1), above which a result warns
 _EDGE_WARN_RATIO = 3e-11
 
@@ -180,15 +180,16 @@ class _MeshPass:
     def stride_to(self, a: float, n: int, t: float, lam: float) -> int:
         """r where this pass's kernel at every r-th node, times r^2, is bit for
         bit the kernel of the same target on the mesh (a, n), whose x_s/h is
-        t; else 0.  That holds where this mesh is (a, r n) for a power of 2
-        r >= 2 with h normal, so that its nodes, x_s/h and lam are exactly r
-        times those of (a, n), unless a kernel sample of a nonzero g lies
-        below the normal range, where scaling by r^2 does not commute with
-        rounding.  The kernel is scanned for that once per pass."""
-        r = self.mesh.n // n
-        if not (r > 1 and r & (r - 1) == 0 and r * n == self.mesh.n and self.mesh.a == a
-                and self.h >= _MIN_NORMAL and self.j + self.s == r * t
-                and self.lam == r * lam):
+        t; else 0.  That holds where this mesh is (a, r n), r >= 2, of the
+        same nesting family (`meshrule._family`), whose nodes are r times
+        those of (a, n), and its x_s/h and lam are exactly r times t and the
+        lam of (a, n), unless a kernel sample of a nonzero g lies below the
+        normal range, where scaling by r^2 does not commute with rounding.
+        The kernel is scanned for that once per pass."""
+        mesh = self.mesh
+        r = mesh.n // n
+        if not (r > 1 and _family(mesh.a, mesh.n) == _family(a, n)
+                and self.j + self.s == r * t and self.lam == r * lam):
             return 0
         if self._scalable is None:
             mag = np.abs(self.kernel)
@@ -197,16 +198,6 @@ class _MeshPass:
             self._scalable = bool(mag.min() >= _MIN_NORMAL
                                   or not np.any((mag < _MIN_NORMAL) & (self.gvals != 0.0)))
         return r if self._scalable else 0
-
-    def plain_value(self, c: float, d: float) -> float:
-        """The classical trapezoid on the kernel samples at every node, for
-        the pass's c and d: the plain sum on step h over c^2 h^2, then the
-        puncture's own kernel value h g_node/r^2, r = hypot(c s h, d), whose
-        mesh-unit denominator s^2 + lam^2 may underflow where r^2 does not."""
-        h = self.h
-        r = math.hypot(c * self.s * h, d)
-        # the rule on step h, as `verify.plain_trapezoid` forms it, then over c^2 h^2
-        return h * self.plain / c ** 2 / h / h + h * self.g_node / r / r
 
 
 def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
@@ -221,10 +212,11 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     own sample as a float (g_node), the punctured sum of the kernel
     samples (uncorrected), its estimated end-correction error (edge_err),
     the plain trapezoidal sum of c^2 h^2 times the kernel samples on a
-    unit step (plain, which `plain_value` scales) and those samples
-    themselves (kernel).  What depends on the mesh alone, the `Mesh`, h and
-    the unit-step nodes, comes from one record per (a, n) (`_mesh`), and
-    the samples of a mesh the GEval returned last cost one identity test.
+    unit step (plain, which a study's `uncorrected-plain` row scales) and
+    those samples themselves (kernel).  What depends on the mesh alone, the
+    `Mesh`, h and the unit-step nodes, comes from one record per (a, n)
+    (`_mesh`), and the samples of a mesh the GEval returned last cost one
+    identity test.
     `_rule_sums` takes the three sums in one pass over f = g/((m - s)^2 +
     lam^2), c^2 h^2 times the kernel samples in mesh units (m = k - j
     exact: the lattice the correction assumes), its punctured entry 0; the
@@ -235,8 +227,8 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     `_corrected`.
 
     `finer`, if given, is a pass of the same g and kernel on another mesh.
-    Where it refines this one by a power of 2 r and r^2 times its f at
-    every r-th node is this mesh's f bit for bit (`_MeshPass.stride_to`),
+    Where it refines this one by r within its nesting family and r^2 times
+    its f at every r-th node is this mesh's f bit for bit (`_MeshPass.stride_to`),
     the pass takes f so, and gvals as a view of `finer.gvals`, with no g
     call and no kernel arithmetic, after this mesh's own entry checks;
     otherwise it ignores `finer`.
@@ -289,6 +281,48 @@ def _corrected(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
                          f"the correction {breakdown.total!r} leaves the float range at "
                          f"a = {sampled.mesh.a!r}, c = {c!r}, d = {d!r}, n = {sampled.mesh.n}")
     return value, breakdown, used
+
+
+# a convergence study's rows, by the name `cli` prints, and what each reads
+# of the target's mesh pass: its punctured sum, its classical trapezoid, or
+# the value of `_corrected` for a method, with no check at the puncture node
+# and no warnings, which a row does not print
+_STUDY_ROWS = {"uncorrected-punctured": "punctured", "uncorrected-plain": "plain",
+               "corrected-closed": "closed-form", "corrected-fd6": "fd-series"}
+
+
+def _study_values(g: GEval, a: float, c: float, d: float, x_s: float, ns: list[int],
+                  methods: list[str]) -> dict[int, list[float]]:
+    """{n: the value of each of `methods` (`_STUDY_ROWS`)} of a convergence
+    study at one kernel, finest mesh first, for a kernel that
+    `_check_kernel` passed.  The study pays one kernel pass per nesting
+    family (`meshrule._family`): each family's finest mesh takes the direct
+    pass, and each coarser mesh reads that pass at stride r (`_mesh_pass`'s
+    `finer`).  Every row at one n reads that mesh's pass."""
+    sources = [_STUDY_ROWS[method] for method in methods]
+    values, finest = {}, {}   # n: the methods' values; family: its finest pass
+    for n in sorted(ns, reverse=True):
+        # an n that is not a positive int has no family: its pass reports it
+        family = _family(a, n) if type(n) is int and n > 0 else None
+        sampled = _mesh_pass(g, a, c, d, x_s, n, finest.get(family))
+        finest.setdefault(family, sampled)
+        row = []
+        for source in sources:
+            if source == "punctured":
+                value = sampled.uncorrected
+            elif source == "plain":
+                # the rule on step h, as `verify.plain_trapezoid` forms it, over
+                # c^2 h^2, then the puncture's own kernel value h g_node/r^2,
+                # r = hypot(c s h, d): its mesh-unit denominator s^2 + lam^2
+                # may underflow where r^2 does not
+                h = sampled.h
+                r = math.hypot(c * sampled.s * h, d)
+                value = h * sampled.plain / c ** 2 / h / h + h * sampled.g_node / r / r
+            else:
+                value = _corrected(g, c, d, x_s, sampled, source)[0]
+            row.append(value)
+        values[n] = row
+    return values
 
 
 def _correct(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,

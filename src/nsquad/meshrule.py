@@ -14,12 +14,16 @@ rationals rounded once, from the integer Lagrange polynomials of
 checked public views live in `verify`.
 
 The nodes are one cached read-only array per mesh (`Mesh.nodes`); a
-`GEval` samples g there once and keeps the samples.
+`GEval` samples g there once and keeps the samples.  `_family` is the one
+statement of which meshes nest: within a family a `GEval` shares the
+samples of common nodes and the mesh pass of `integrator` a target's
+kernel.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +36,7 @@ _ESTIMATE_ORDER = 10  # the order the end-error estimate compares it with
 GREGORY_ORDERS = (EDGE_ORDER, _ESTIMATE_ORDER)   # the orders of `gregory_weights`
 _END_NODES = _ESTIMATE_ORDER + 1   # the nodes at each end that carry end weights
 _END_INDEX = np.r_[:_END_NODES, -_END_NODES:0]   # their indices, for every n
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,19 @@ class Mesh:
     def nodes(self) -> np.ndarray:
         """The 2n+1 nodes, one cached read-only array per (a, n)."""
         return _node_array(self.a, self.n)
+
+
+def _family(a: float, n: int) -> tuple[float, int]:
+    """The nesting family of the mesh (a, n) for a positive int n: (a, the odd
+    part of n), or (a, n) where h = a/n is subnormal.
+
+    The meshes of one family are nested by powers of 2: node r k of the mesh
+    of r n is (r k) fl(a/(r n)), which rounds the same real number as
+    k fl(a/n), since fl(a/(r n)) r = fl(a/n) for a power of 2 r wherever
+    h = fl(a/(r n)) is a normal float.  A subnormal h rounds more coarsely,
+    so its mesh is a family of its own, as is each mesh of a `*3` range.
+    """
+    return a, n if a / n < _MIN_NORMAL else n // (n & -n)
 
 
 @lru_cache(maxsize=32)

@@ -19,7 +19,8 @@ from nsquad.cli import (
     run_converge,
 )
 from nsquad.corrections import GEval
-from nsquad.integrator import KernelParams, _corrected, _mesh_pass, integrate_near_singular
+from nsquad.integrator import (KernelParams, _mesh_pass, _study_values,
+                               integrate_near_singular)
 from nsquad.meshrule import Mesh
 from nsquad.oracle import exact_test1, exact_test2
 from nsquad.verify import plain_trapezoid
@@ -103,14 +104,12 @@ def scaled_kernel(sampled) -> np.ndarray:
     return f
 
 
-def direct_value(g: GEval, sampled, c: float, d: float, x_s: float, method: str) -> float:
-    """A study method's value at one (d, n), on a pass of `_mesh_pass`."""
-    if method == "uncorrected-punctured":
-        return sampled.uncorrected
-    if method == "uncorrected-plain":
-        return sampled.plain_value(c, d)
-    form = {"corrected-closed": "closed-form", "corrected-fd6": "fd-series"}[method]
-    return _corrected(g, c, d, x_s, sampled, form)[0]
+def direct_value(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
+                 method: str) -> float:
+    """A study method's value at one (d, n) on the direct pass of its mesh:
+    a study of that one mesh."""
+    (value,) = _study_values(g, a, c, d, x_s, [n], [method])[n]
+    return value
 
 
 # meshes of a *2 range, of a *3 range from 16, and sizes of other odd parts
@@ -183,7 +182,7 @@ class TestConverge:
         rows = [r for r in run_converge(config) if r.method.startswith("uncorrected")]
         assert len(rows) == 30
         for row in rows:
-            g = cli._study_integrand(row.d)
+            g = cli._integrand("test2", None)(row.d)
             sampled = _mesh_pass(g, 1.0, c, row.d, x_s, row.n)
             if row.method == "uncorrected-plain":
                 h = sampled.mesh.h
@@ -203,8 +202,8 @@ class TestConverge:
         # 1/d^2 = 1e140 there, finite
         params = KernelParams(a=1.0, c=1e100, d=1e-70, x_s=0.0)
         g = GEval.analytic(np.exp)
-        (value,) = cli._method_values(["uncorrected-plain"], g, params,
-                                      _mesh_pass(g, 1.0, params.c, params.d, 0.0, 64))
+        (value,) = _study_values(g, 1.0, params.c, params.d, 0.0, [64],
+                                 ["uncorrected-plain"])[64]
         mesh = Mesh(1.0, 64)
         x = mesh.nodes()
         kernel = np.exp(x) / (params.d ** 2 + params.c ** 2 * x * x)
@@ -352,9 +351,7 @@ class TestConverge:
         assert keys == sorted((d, n, m) for d in d_list for n in n_list
                               for m in cli.CONVERGE_METHODS)
         for row in rows:
-            g = cli._compile_g_expr(expr)
-            sampled = _mesh_pass(g, a, c, row.d, x_s, row.n)
-            want = direct_value(g, sampled, c, row.d, x_s, row.method)
+            want = direct_value(cli._compile_g_expr(expr), a, c, row.d, x_s, row.n, row.method)
             assert row.value.hex() == want.hex(), (row.d, row.n, row.method)
 
     @pytest.mark.parametrize("expr", ["1e-306*exp(x)", "1e-300*exp(x)"])
@@ -366,9 +363,8 @@ class TestConverge:
         config = StudyConfig(d_list=[0.01, 0.3], n_list=parse_n_range("16:256:*2"),
                              integrand="custom", g_expr=expr, x_s=0.1)
         for row in run_converge(config):
-            g = cli._compile_g_expr(expr)
-            sampled = _mesh_pass(g, 1.0, 1.0, row.d, 0.1, row.n)
-            want = direct_value(g, sampled, 1.0, row.d, 0.1, row.method)
+            want = direct_value(cli._compile_g_expr(expr), 1.0, 1.0, row.d, 0.1, row.n,
+                                row.method)
             assert row.value.hex() == want.hex(), (row.d, row.n, row.method)
 
 

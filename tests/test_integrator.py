@@ -14,14 +14,16 @@ from hypothesis import given, settings, strategies as st
 from nsquad.cli import StudyConfig, run_converge
 from nsquad.corrections import GEval
 from nsquad.integrator import (
+    _STUDY_ROWS,
     METHODS,
     KernelParams,
     _mesh_pass,
+    _study_values,
     integrate_finite_part,
     integrate_near_singular,
     puncture_split,
 )
-from nsquad.meshrule import Mesh, _rule_sums
+from nsquad.meshrule import Mesh, _family, _rule_sums
 from nsquad.oracle import exact_test1, exact_test2, finite_part_reference
 from nsquad.verify import self_check
 
@@ -1138,6 +1140,48 @@ class TestNestedPass:
         finer = _mesh_pass(g, 1.0, 1.0, 1e-3, x_s, 256)
         with pytest.raises(ValueError, match=message):
             _mesh_pass(g, 1.0, 1.0, 1e-3, x_s, n, finer)
+
+
+class TestNestingFamily:
+    """`meshrule._family` is the one statement of which meshes nest: the GEval
+    shares samples, and the mesh pass a kernel, exactly within a family."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=st.sampled_from([1.0, 3.7, 1e-305]), odd=st.integers(0, 31).map(lambda i: 2 * i + 1),
+           k=st.integers(4, 8), r=st.sampled_from([2, 3, 4, 8]),
+           frac=st.sampled_from([0.0, 0.1, -0.23]), delta=st.sampled_from([1e-3, 0.05]))
+    def test_family_is_where_samples_and_kernels_are_shared(self, a, odd, k, r, frac, delta):
+        # at a = 1e-305, h = a/n is subnormal from n = 450 on, so a pair of
+        # meshes may have one normal and one subnormal h, or both subnormal
+        n = odd * 2 ** k
+        x_s, c, d = frac * a, 1.0, delta * a
+        calls = []
+        g = GEval.analytic(lambda z: (calls.append(np.shape(z)), np.exp(z))[1])
+        finer = _mesh_pass(g, a, c, d, x_s, r * n)
+        calls.clear()
+        g.mesh_samples(Mesh(a, n))
+        served = calls == []   # the second mesh of the pair, with no g call
+        h = Mesh(a, n).h
+        j, s = puncture_split(x_s, h)
+        strided = finer.stride_to(a, n, j + s, d / (c * h)) == r
+        same = _family(a, n) == _family(a, r * n)
+        assert served is same and strided is same, (n, r, _family(a, n), _family(a, r * n))
+
+    def test_doubling_study_forms_one_kernel_directly(self, monkeypatch):
+        # 16:256:*2 is one family: the finest mesh samples g and forms the
+        # kernel, the 4 coarser ones read its pass at stride r
+        meshes = []
+        mesh_samples = GEval.mesh_samples
+
+        def counted(g, mesh):
+            meshes.append(mesh.n)
+            return mesh_samples(g, mesh)
+
+        monkeypatch.setattr(GEval, "mesh_samples", counted)
+        values = _study_values(g_scaled_exp(0.01), 1.0, 1.0, 0.01, 0.1,
+                               [16, 32, 64, 128, 256], sorted(_STUDY_ROWS))
+        assert meshes == [256]
+        assert list(values) == [256, 128, 64, 32, 16]
 
 
 class TestOutputRecords:

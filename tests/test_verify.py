@@ -88,8 +88,9 @@ def test_runtime_core_has_no_quotient_tables():
     assert nsquad.pks_quotients.__module__ == "nsquad.verify"
 
 
-# the public entry points of the core that no core module calls
-CORE_ENTRY_POINTS = {"integrate_near_singular", "integrate_finite_part"}
+# the entry points of the core that no core module calls: the public ones
+# and the convergence study's, which `cli` calls
+CORE_ENTRY_POINTS = {"integrate_near_singular", "integrate_finite_part", "_study_values"}
 # public views over core routines, checked, that integration never calls
 MOVED_VIEWS = ("fd_derivatives", "correction_taylor", "correction_offmesh_closed",
                "punctured_trapezoid", "plain_trapezoid")

@@ -12,12 +12,16 @@ puncture, in the mesh units b_k = g^(k)(x_s) h^k/k! that the singular
 series needs (`_stencil_poly`, on the mesh pass's read-only array view of
 them); one straight-line pass over b_0..b_6 gives G and Q
 (`_taylor_parts`), and `_assemble` takes the form.  One function decides
-the correction of a target (`_correction`): for lam >= 5.97 the put-back
-of the puncture node's own sample, g_node, alone; below, the closed form
-in the exact G or in the Taylor G, which puts back that same sample.  The
-same pass for any number of coefficients, the reference it is tested
-against, serves `verify.correction_taylor`, which has no sample and puts
-back the interpolant's node value P(-s).
+which G a method takes at d (`_g_source`, the one statement of that rule):
+g's complex_eval, or None for the Taylor G; each entry that takes a
+method resolves it before g is sampled.  One function decides the
+correction of a target (`_correction`), given that source of G: for
+lam >= 5.97 the put-back of the puncture node's own sample, g_node,
+alone; below, the closed form in the source's G, or in the Taylor G where
+the source is None, which puts back that same sample.  The same pass for
+any number of coefficients, the reference it is tested against, serves
+`verify.correction_taylor`, which has no sample and puts back the
+interpolant's node value P(-s).
 
 These routines are the per-target core: they take Python floats, and the
 9 samples as an array, that the entry already checked (the kernel by
@@ -90,11 +94,11 @@ def _check_real(values: list) -> None:
         raise ValueError(f"real_eval must return a real number, got {bad!r}")
 
 
-def _complex_at(g: GEval, z: complex) -> complex:
-    """g.complex_eval(z) as a finite complex; ValueError for a string, which
+def _complex_at(complex_eval: Callable[[complex], complex], z: complex) -> complex:
+    """complex_eval(z) as a finite complex; ValueError for a string, which
     complex() would parse, for any value complex() rejects (None, bytes, a
     list), and for a NaN or infinite value."""
-    value = g.complex_eval(z)
+    value = complex_eval(z)
     if not isinstance(value, str):
         try:
             result = complex(value)
@@ -281,7 +285,7 @@ class GEval:
         number (`_complex_at`)."""
         if self.complex_eval is None:
             return 0.0
-        return abs(_complex_at(self, complex(x, 0.0)) - real_value)
+        return abs(_complex_at(self.complex_eval, complex(x, 0.0)) - real_value)
 
 
 @dataclass(slots=True)
@@ -439,34 +443,48 @@ def _check_lam(c: float, d: float, h: float, lam: float) -> None:
                          f"lam = d/(c h) underflows to 0")
 
 
-def _correction(g: GEval, exact: bool, c: float, d: float, h: float, s: float, x_s: float,
+def _g_source(g: GEval, method: str, d: float) -> Optional[Callable[[complex], complex]]:
+    """The source of G for `method` at d, the one statement of which G a
+    method takes: g.complex_eval for "closed-form" at d > 0, and for "auto"
+    at d > 0 where g has one; else None, G of g's Taylor polynomial on the
+    9 samples around the puncture ("fd-series", and the finite part at
+    d = 0 for every method).  ValueError for "closed-form" at d > 0 with
+    no complex_eval.  It reads no sample, so an entry calls it before g is
+    sampled."""
+    if method == "closed-form" and d > 0.0 and g.complex_eval is None:
+        raise ValueError("closed-form correction needs a complex evaluator for g")
+    return g.complex_eval if d > 0.0 and method != "fd-series" else None
+
+
+def _correction(g_at: Optional[Callable], c: float, d: float, h: float, s: float, x_s: float,
                 samples: np.ndarray, g_node: float, lam: float) -> CorrectionBreakdown:
-    """The correction of one target: the closed form in G = g(x_s + i lam h)
-    for `exact`, else in G of g's Taylor polynomial through order 6 on
-    `samples` (d = 0 takes the finite part), unchecked but for lam = 0 in the
-    former; the checked view, `verify.correction_offmesh_closed`, states it.
-    `samples` is g at the 9 nodes around the puncture as a float array and
-    g_node their center, all finite, with lam = d/(c h).
+    """The correction of one target: the closed form in G = g_at(x_s + i lam h),
+    g_at the source of G that `_g_source` gave, or, where that is None, in G
+    of g's Taylor polynomial through order 6 on `samples` (d = 0 takes the
+    finite part), unchecked but for lam = 0 in the former; the checked view,
+    `verify.correction_offmesh_closed`, states it.  `samples` is g at the 9
+    nodes around the puncture as a float array and g_node their center, all
+    finite, with lam = d/(c h).
 
     For lam >= 5.97 the pole form reads g_node alone: either source puts it
-    back with no G and no fit, and `terms_used` 0.  Below, the exact G's
+    back with no G and no fit, and `terms_used` 0.  Below, g_at's G gives
     Q = (Re G - g_node - (s/lam) Im G)/(s^2 + lam^2), or, where
-    lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam overflows, the Q of the
-    Taylor polynomial (`_taylor_parts`), which the Taylor form takes G from
-    too; `terms_used` is the series order where Q is fitted, else 0."""
+    lam/(s^2 + lam^2) > Q_SERIES_RATIO or s/lam overflows, Q is the Taylor
+    polynomial's (`_taylor_parts`), which the Taylor form takes G from too;
+    `terms_used` is the series order where Q is fitted, else 0."""
     if lam >= _Q_NEGLIGIBLE_LAM:
         # the pole form reads g_node alone: zeros stand for G, Im G/lam and Q
         return _assemble(0.0, 0.0, g_node, 0.0, c, d, h, s, lam, 0)
-    if exact:
+    if g_at is not None:
         if lam == 0.0:
             _check_lam(c, d, h, lam)
-        gval = _complex_at(g, complex(x_s, lam * h))
+        gval = _complex_at(g_at, complex(x_s, lam * h))
         re_g, im_g_lam, denom = gval.real, gval.imag / lam, s * s + lam * lam
         # only for lam < 0.1; s/lam overflows only for a subnormal lam
         if not (lam > Q_SERIES_RATIO * denom or math.isinf(s / lam)):
             quotient = (re_g - g_node - s / lam * gval.imag) / denom
             return _assemble(re_g, im_g_lam, g_node, quotient, c, d, h, s, lam, 0)
     re_fit, im_fit_lam, quotient = _taylor_parts(_stencil_poly(samples, s), s, lam)
-    if not exact:
+    if g_at is None:
         re_g, im_g_lam = re_fit, im_fit_lam
     return _assemble(re_g, im_g_lam, g_node, quotient, c, d, h, s, lam, FD_DERIV_MAX)

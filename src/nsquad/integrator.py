@@ -1,19 +1,23 @@
 """High-level API: corrected near-singular and finite-part integration.
 
 Given the smooth numerator g, the kernel parameters (a, c, d, x_s) and a
-mesh half-count n, these routines place the target on the mesh once (the
+mesh half-count n, these routines take the method's source of G from
+`corrections._g_source`, the one statement of which G a method takes at
+d, before g is sampled.  They place the target on the mesh once (the
 puncture j and offset s of `puncture_split`, and lam = d/(c h)), read g's
 samples on the 2n+1 nodes and build the punctured trapezoidal sum on that
 lattice (`_mesh_pass`, one `_MeshPass` record whose fields every reader
 takes by name), add the correction (`_corrected`, one call of
-`corrections._correction`, where only the closed form calls g again, for
-G) and return the corrected value with a breakdown (`_correct`, which adds
-what only a result reports: the check of complex_eval at the puncture node
-and the end-correction warning).  A convergence study, whose rows `cli`
-prints, takes its values here (`_study_values`): every row at one (d, n)
-reads one pass (`_STUDY_ROWS`), the corrected ones through `_corrected`
-alone.  No other module reads the kernel samples.  The coefficient
-cross-checks (`self_check`) live in `verify`.
+`corrections._correction` with that source, where only g's complex_eval
+calls g again, for G) and return the corrected value with a breakdown
+(`_correct`, which adds what only a result reports: the method, derived
+from the source and d, the check of complex_eval at the puncture node
+where the source is g's, and the end-correction warning).  A convergence
+study, whose rows `cli` prints, takes its values here (`_study_values`):
+every row at one (d, n) reads one pass (`_STUDY_ROWS`), the corrected ones
+through `_corrected` alone, each with its method's source of G.  No other
+module reads the kernel samples.  The coefficient cross-checks
+(`self_check`) live in `verify`.
 
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
@@ -64,6 +68,7 @@ from .corrections import (
     _lam_square_error,
     _check_mesh_scale,
     _correction,
+    _g_source,
 )
 from .meshrule import _MIN_NORMAL, Mesh, _family, _node_array, _rule_sums
 
@@ -265,28 +270,27 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
                      total / c ** 2 / h, edge_err / c ** 2 / h, f)
 
 
-def _corrected(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
-               method: str) -> tuple[float, CorrectionBreakdown, str]:
-    """(value, breakdown, method used) of `method`, "closed-form" or
-    "fd-series", on the pass `sampled` of `_mesh_pass` (d = 0 takes the
-    finite part for either): the correction of `corrections._correction`
-    and nothing a result reports beside it.  ValueError where the value is
-    not finite."""
-    used = "finite-part" if d == 0.0 else method
-    breakdown = _correction(g, used == "closed-form", c, d, sampled.h, sampled.s, x_s,
-                            sampled.samples, sampled.g_node, sampled.lam)
+def _corrected(g_at, c: float, d: float, x_s: float,
+               sampled: _MeshPass) -> tuple[float, CorrectionBreakdown]:
+    """(value, breakdown) on the pass `sampled` of `_mesh_pass`, with G from
+    g_at, the source of G that `corrections._g_source` gave (None: the
+    Taylor polynomial on the pass's 9 samples): the correction of
+    `corrections._correction` and nothing a result reports beside it.
+    ValueError where the value is not finite."""
+    breakdown = _correction(g_at, c, d, sampled.h, sampled.s, x_s, sampled.samples,
+                            sampled.g_node, sampled.lam)
     value = sampled.uncorrected + breakdown.total
     if not math.isfinite(value):
         raise ValueError(f"the result is not finite: the sum {sampled.uncorrected!r} plus "
                          f"the correction {breakdown.total!r} leaves the float range at "
                          f"a = {sampled.mesh.a!r}, c = {c!r}, d = {d!r}, n = {sampled.mesh.n}")
-    return value, breakdown, used
+    return value, breakdown
 
 
 # a convergence study's rows, by the name `cli` prints, and what each reads
 # of the target's mesh pass: its punctured sum, its classical trapezoid, or
-# the value of `_corrected` for a method, with no check at the puncture node
-# and no warnings, which a row does not print
+# the value of `_corrected` with the source of G of a method, with no check at
+# the puncture node and no warnings, which a row does not print
 _STUDY_ROWS = {"uncorrected-punctured": "punctured", "uncorrected-plain": "plain",
                "corrected-closed": "closed-form", "corrected-fd6": "fd-series"}
 
@@ -298,8 +302,11 @@ def _study_values(g: GEval, a: float, c: float, d: float, x_s: float, ns: list[i
     `_check_kernel` passed.  The study pays one kernel pass per nesting
     family (`meshrule._family`): each family's finest mesh takes the direct
     pass, and each coarser mesh reads that pass at stride r (`_mesh_pass`'s
-    `finer`).  Every row at one n reads that mesh's pass."""
-    sources = [_STUDY_ROWS[method] for method in methods]
+    `finer`).  Every row at one n reads that mesh's pass.  Each corrected
+    row's source of G is resolved once, before g is sampled
+    (`corrections._g_source`)."""
+    reads = [_STUDY_ROWS[method] for method in methods]
+    g_ats = [_g_source(g, read, d) if read in METHODS else None for read in reads]
     values, finest = {}, {}   # n: the methods' values; family: its finest pass
     for n in sorted(ns, reverse=True):
         # an n that is not a positive int has no family: its pass reports it
@@ -307,10 +314,10 @@ def _study_values(g: GEval, a: float, c: float, d: float, x_s: float, ns: list[i
         sampled = _mesh_pass(g, a, c, d, x_s, n, finest.get(family))
         finest.setdefault(family, sampled)
         row = []
-        for source in sources:
-            if source == "punctured":
+        for read, g_at in zip(reads, g_ats):
+            if read == "punctured":
                 value = sampled.uncorrected
-            elif source == "plain":
+            elif read == "plain":
                 # the rule on step h, as `verify.plain_trapezoid` forms it, over
                 # c^2 h^2, then the puncture's own kernel value h g_node/r^2,
                 # r = hypot(c s h, d): its mesh-unit denominator s^2 + lam^2
@@ -319,22 +326,23 @@ def _study_values(g: GEval, a: float, c: float, d: float, x_s: float, ns: list[i
                 r = math.hypot(c * sampled.s * h, d)
                 value = h * sampled.plain / c ** 2 / h / h + h * sampled.g_node / r / r
             else:
-                value = _corrected(g, c, d, x_s, sampled, source)[0]
+                value = _corrected(g_at, c, d, x_s, sampled)[0]
             row.append(value)
         values[n] = row
     return values
 
 
-def _correct(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
-             method: str) -> QuadResult:
-    """The result of `method` on the pass `sampled`: `_corrected`, then what
-    only a result reports, the check of complex_eval at the puncture node
-    against that node's sample (closed form only) and the end-correction
-    warning."""
-    value, breakdown, used = _corrected(g, c, d, x_s, sampled, method)
+def _correct(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass, g_at) -> QuadResult:
+    """The result on the pass `sampled` with G from g_at, the source of G
+    that `corrections._g_source` gave: `_corrected`, then what only a
+    result reports, the check of g's complex_eval at the puncture node
+    against that node's sample (where g_at is one), the end-correction
+    warning and the method, "closed-form" where g_at is one, else
+    "fd-series", or "finite-part" at d = 0."""
+    value, breakdown = _corrected(g_at, c, d, x_s, sampled)
     mesh, h, j, g_node = sampled.mesh, sampled.h, sampled.j, sampled.g_node
     warnings = []
-    if used == "closed-form":
+    if g_at is not None:
         gap = g.consistency_gap(j * h, g_node)
         if gap > 4.0 * _EPS * abs(g_node):
             # near a root of g, |g| at the node is no scale, and nor is |g| on
@@ -347,7 +355,8 @@ def _correct(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass,
     if edge_err > _EDGE_WARN_RATIO * max(abs(value), 1.0):
         warnings.append(f"end corrections may be off by {edge_err:.1e}; increase n")
     summary = MeshSummary(mesh.a, mesh.n, h, j, sampled.s)
-    return QuadResult(value, sampled.uncorrected, breakdown, summary, used, warnings)
+    method = "closed-form" if g_at is not None else "fd-series" if d > 0.0 else "finite-part"
+    return QuadResult(value, sampled.uncorrected, breakdown, summary, method, warnings)
 
 
 def integrate_near_singular(g: GEval, params: KernelParams, n: int,
@@ -358,8 +367,9 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     (s = 0 on a node).  `method` selects the closed form in g.complex_eval
     ("closed-form"), the same form on g's Taylor polynomial through order 6
     from the 9 mesh samples nearest the puncture ("fd-series"), or `auto`
-    (closed-form when a complex evaluator is available).  d = 0 takes the
-    Taylor form without the jump (the finite part), on the same 9 samples.
+    (closed-form when a complex evaluator is available), as
+    `corrections._g_source` states.  d = 0 takes the Taylor form without
+    the jump (the finite part), on the same 9 samples.
     g is sampled once per mesh node and GEval (`GEval.mesh_samples`: a
     new mesh takes what it can from the finest kept mesh of its family,
     the meshes of the same a nested by powers of 2); beyond that only the
@@ -372,15 +382,12 @@ def integrate_near_singular(g: GEval, params: KernelParams, n: int,
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     c, d, x_s = params.c, params.d, params.x_s
-    if method == "auto":
-        method = "fd-series" if g.complex_eval is None else "closed-form"
-    elif method == "closed-form" and d > 0.0 and g.complex_eval is None:
-        raise ValueError("closed-form correction needs a complex evaluator for g")
-    return _correct(g, c, d, x_s, _mesh_pass(g, params.a, c, d, x_s, n), method)
+    g_at = _g_source(g, method, d)
+    return _correct(g, c, d, x_s, _mesh_pass(g, params.a, c, d, x_s, n), g_at)
 
 
 def integrate_finite_part(g: GEval, a: float, x_s: float, n: int) -> QuadResult:
     """Hadamard finite part of the integral of g(x)/(x - x_s)^2 over [-a, a]."""
     a, _, _, x_s = _check_kernel(a, 1.0, 0.0, x_s)
-    # at d = 0 every method takes the finite part
-    return _correct(g, 1.0, 0.0, x_s, _mesh_pass(g, a, 1.0, 0.0, x_s, n), "fd-series")
+    # at d = 0 every method takes the finite part, on the Taylor G (`_g_source`)
+    return _correct(g, 1.0, 0.0, x_s, _mesh_pass(g, a, 1.0, 0.0, x_s, n), None)

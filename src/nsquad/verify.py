@@ -50,6 +50,7 @@ from .corrections import (
     _check_lam,
     _check_mesh_scale,
     _correction,
+    _g_source,
     _stencil_poly,
 )
 from .emcoeff import pks_seeds
@@ -645,8 +646,7 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     if d <= 0.0:
         raise ValueError("correction_offmesh_closed requires d > 0 "
                          "(d = 0 takes the finite-part path)")
-    if g.complex_eval is None:
-        raise ValueError("closed-form correction needs a complex evaluator for g")
+    g_at = _g_source(g, "closed-form", d)
     s = _check_offset(s)
     samples, g_node = _checked_window(window)
-    return _correction(g, True, c, d, h, s, x_s, samples, g_node, d / (c * h))
+    return _correction(g_at, c, d, h, s, x_s, samples, g_node, d / (c * h))

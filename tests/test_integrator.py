@@ -110,16 +110,44 @@ class TestNearSingular:
         assert a.value == b.value and a.uncorrected == b.uncorrected
 
     def test_method_dispatch(self):
-        params = KernelParams(a=1.0, d=0.01)
-        res = integrate_near_singular(g_scaled_exp(0.01), params, 64, "fd-series")
-        assert res.method == "fd-series"
-        real_only = GEval(real_eval=lambda x: 0.01 * math.exp(x))
-        res = integrate_near_singular(real_only, params, 64, "auto")
-        assert res.method == "fd-series"
+        # every method at d = 0 and d > 0, for an analytic and a real-only g:
+        # the method reported and the complex_eval calls (G and the check at
+        # the puncture node, lam = 0.064), or the error raised before g is
+        # sampled
+        table = {("auto", 0.0): ("finite-part", 0, "finite-part"),
+                 ("auto", 1e-3): ("closed-form", 2, "fd-series"),
+                 ("closed-form", 0.0): ("finite-part", 0, "finite-part"),
+                 ("closed-form", 1e-3): ("closed-form", 2, None),
+                 ("fd-series", 0.0): ("finite-part", 0, "finite-part"),
+                 ("fd-series", 1e-3): ("fd-series", 0, "fd-series")}
+        real_calls, complex_calls = [], []
+
+        def real_eval(x):
+            real_calls.append(x)
+            return math.exp(x)
+
+        def complex_eval(z):
+            complex_calls.append(z)
+            return cmath.exp(z)
+        for (method, d), (analytic_method, calls, real_only_method) in table.items():
+            params = KernelParams(a=1.0, d=d, x_s=0.1)
+            complex_calls.clear()
+            res = integrate_near_singular(GEval(real_eval=real_eval, complex_eval=complex_eval),
+                                          params, 64, method)
+            assert (res.method, len(complex_calls)) == (analytic_method, calls), (method, d)
+            real_calls.clear()
+            real_only = GEval(real_eval=real_eval)
+            if real_only_method is None:
+                with pytest.raises(ValueError, match="^closed-form correction needs a "
+                                                     "complex evaluator for g$"):
+                    integrate_near_singular(real_only, params, 64, method)
+                assert real_calls == []
+            else:
+                res = integrate_near_singular(real_only, params, 64, method)
+                assert (res.method, len(real_calls)) == (real_only_method, 129), (method, d)
         with pytest.raises(ValueError):
-            integrate_near_singular(real_only, params, 64, "closed-form")
-        with pytest.raises(ValueError):
-            integrate_near_singular(real_only, params, 64, "newton")
+            integrate_near_singular(g_scaled_exp(0.01), KernelParams(a=1.0, d=0.01), 64,
+                                    "newton")
 
     def test_closed_form_without_complex_eval_fails_before_sampling(self):
         calls = [0]

@@ -7,6 +7,7 @@ trapezoidal rule; at d = 0 the same form gives the Hadamard finite part.
 """
 
 import importlib
+import types
 
 from .corrections import CorrectionBreakdown, GEval
 from .integrator import (
@@ -21,7 +22,6 @@ from .meshrule import Mesh, gregory_weights
 # The oracle and the cross-checks, which integration never reads, load on
 # first access to one of their names (PEP 562), so `import nsquad` costs
 # only the integration core.
-_LAZY_MODULES = ("oracle", "verify")
 _LAZY = {
     **dict.fromkeys(("ReferenceResult", "complex_ei", "exact_test1", "exact_test2",
                      "finite_part_reference", "reference_integral"), "oracle"),
@@ -33,6 +33,11 @@ _LAZY = {
                      "punctured_trapezoid", "self_check", "trigamma", "zks_table"),
                     "verify"),
 }
+_LAZY_MODULES = frozenset(_LAZY.values())
+
+# the public names: those imported above, then the lazy ones
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)] + list(_LAZY)
 
 
 def __getattr__(name: str):
@@ -51,17 +56,3 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Mesh", "gregory_weights", "punctured_trapezoid", "plain_trapezoid",
-    "CoeffParams", "CoeffTable", "coeff_table", "zks_table",
-    "pks_table", "pks_closed", "pks_quotients", "fk_series_oracle",
-    "GEval", "CorrectionBreakdown",
-    "correction_offmesh_closed", "correction_taylor", "fd_derivatives",
-    "KernelParams", "QuadResult", "SelfCheckReport",
-    "integrate_near_singular", "integrate_finite_part", "self_check",
-    "puncture_split",
-    "ReferenceResult", "reference_integral", "exact_test1", "exact_test2",
-    "complex_ei", "finite_part_reference",
-    "bernoulli_number", "bernoulli_poly", "digamma", "digamma_complex",
-    "trigamma", "hurwitz_zeta_nonpos",
-]

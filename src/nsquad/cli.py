@@ -25,11 +25,20 @@ from typing import Callable
 import numpy as np
 
 from .corrections import GEval
-from .integrator import _STUDY_ROWS, KernelParams, _study_values, integrate_near_singular
+from .integrator import (
+    _STUDY_ROWS,
+    METHODS,
+    KernelParams,
+    _study_values,
+    integrate_near_singular,
+)
 from .oracle import exact_test1, exact_test2, reference_integral
 from .verify import CoeffParams, coeff_table
 
 CONVERGE_METHODS = tuple(_STUDY_ROWS)
+# the integrands of `--integrand`: the built-in ones, then custom
+_INTEGRANDS = ("test1", "test2", "custom")
+_INTEGRAND_ERROR = f"integrand must be {', '.join(_INTEGRANDS[:-1])}, or {_INTEGRANDS[-1]}"
 
 # CoeffTable fields that `nsquad coeffs` prints, one row per k
 COEFF_COLUMNS = ("zk", "zks", "zk_minus_s", "pks", "sym_resid", "closedform_resid")
@@ -71,14 +80,14 @@ class StudyConfig:
             repeated = [v for k, v in enumerate(values) if v in values[:k]]
             if repeated:   # it would print its rows twice
                 raise ValueError(f"{name} {repeated[0]!r} is repeated; give each {name} once")
-        if self.integrand not in ("test1", "test2", "custom"):
-            raise ValueError("integrand must be test1, test2, or custom")
+        if self.integrand not in _INTEGRANDS:
+            raise ValueError(_INTEGRAND_ERROR)
         bad = [m for m in self.methods if m not in CONVERGE_METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}; choose from {CONVERGE_METHODS}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if self.integrand in ("test1", "test2") and self.a != 1.0:
+        if self.integrand != "custom" and self.a != 1.0:
             # exact_test1/2 integrate over [-1, 1]
             raise ValueError(f"{self.integrand} is defined for a = 1 only; "
                              "use --integrand custom for another a")
@@ -133,7 +142,8 @@ def _compile_g_expr(expr: str) -> GEval:
     warnings silenced: where g is not finite, the GEval and the reference
     name the point."""
     try:
-        bad = _rejected(ast.parse(expr, mode="eval").body)
+        tree = ast.parse(expr, mode="eval")
+        bad = _rejected(tree.body)
     except (SyntaxError, RecursionError, MemoryError) as exc:   # the last two: nested too deeply
         raise ValueError(f"cannot evaluate g expression {expr!r}: "
                          f"{str(exc) or 'nested too deeply'}") from exc
@@ -142,7 +152,10 @@ def _compile_g_expr(expr: str) -> GEval:
                          f"{_EXPR_KINDS.get(type(bad), 'construct')} {ast.unparse(bad)!r}; "
                          f"it may use x, int and float constants, pi, e, + - * / ** and "
                          f"{', '.join(_EXPR_FUNCTIONS)} on positional arguments")
-    f = eval(f"lambda x: ({expr})",
+    # `lambda x: <the checked tree>`: the expression's text is parsed once
+    code = ast.parse("lambda x: 0", mode="eval")
+    code.body.body = tree.body
+    f = eval(compile(code, "<g-expr>", "eval"),
              {"__builtins__": {}, **_EXPR_FUNCTIONS, "pi": np.pi, "e": np.e})
 
     def g(x):
@@ -162,10 +175,10 @@ def _compile_g_expr(expr: str) -> GEval:
 def _integrand(name: str, g_expr: str | None) -> Callable[[float], GEval]:
     """g as a function of d: d e^z for test1 and test2, and for custom the
     one GEval of the compiled `g_expr`, for every d."""
-    if name in ("test1", "test2"):
-        return lambda d: GEval.analytic(lambda z: d * np.exp(z))
+    if name not in _INTEGRANDS:
+        raise ValueError(_INTEGRAND_ERROR)
     if name != "custom":
-        raise ValueError("integrand must be test1, test2, or custom")
+        return lambda d: GEval.analytic(lambda z: d * np.exp(z))
     if not g_expr:
         raise ValueError("custom integrand needs --g-expr")
     g = _compile_g_expr(g_expr)
@@ -306,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default="-")
 
     pc = sub.add_parser("converge", parents=[shared], help="run a convergence study")
-    pc.add_argument("--integrand", default="test1",
-                    choices=("test1", "test2", "custom"))
+    pc.add_argument("--integrand", default="test1", choices=_INTEGRANDS)
     pc.add_argument("--d", required=True, help="comma list of d values")
     pc.add_argument("--n", required=True,
                     help="comma list or geometric range start:stop:*factor")
@@ -324,12 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--out", default="-")
 
     pe = sub.add_parser("eval", parents=[shared], help="evaluate one corrected integral")
-    pe.add_argument("--integrand", default="test2",
-                    choices=("test1", "test2", "custom"))
+    pe.add_argument("--integrand", default="test2", choices=_INTEGRANDS)
     pe.add_argument("--d", type=float, required=True)
     pe.add_argument("--n", type=int, default=64)
-    pe.add_argument("--method", default="auto",
-                    choices=("auto", "closed-form", "fd-series"))
+    pe.add_argument("--method", default="auto", choices=METHODS)
     return p
 
 

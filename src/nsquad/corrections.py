@@ -25,13 +25,12 @@ interpolant's node value P(-s).
 
 These routines are the per-target core: they take Python floats, and the
 9 samples as an array, that the entry already checked (the kernel by
-`integrator._check_kernel`, the mesh scale by `_check_mesh_scale`, every
-sample of g once, all finite, by `GEval.mesh_samples`), with lam = d/(c h)
-passed in, and check only what only they can see: lam = 0 in the closed
-form, the stencil's spread, lam^2 (which the mesh pass checks first, with
-the same `_lam_square_error`) and c^2 h.  The checked public views,
-`correction_offmesh_closed`, `correction_taylor` and `fd_derivatives`, live
-in `verify`.
+`integrator._check_kernel`, every sample of g once, all finite, by
+`GEval.mesh_samples`), with lam = d/(c h) passed in from `_lam`, the one
+statement of lam and of its range, and check only what only they can
+see: lam = 0 in the closed form, the stencil's spread and c^2 h.  The
+checked public views, `correction_offmesh_closed`, `correction_taylor` and
+`fd_derivatives`, live in `verify`.
 
 With w = s + i lam, the closed form is elementary (see `emcoeff`) and takes
 one of two forms, chosen by lam alone.  For lam >= 1 it is the trapezoidal
@@ -167,8 +166,12 @@ class GEval:
 
         f is called once per array of points; if it rejects arrays (raises
         TypeError or ValueError, or returns the wrong shape), g falls back to
-        one call per point for good.  Complex values at real points raise
-        ValueError unless every imaginary part is 0, as do None and strings.
+        one call per point for good.  From an array call, complex values at
+        real points are taken as their real parts where every imaginary part
+        is 0 and raise ValueError otherwise; None and strings raise too.  Once
+        g calls f per point, real_eval's rule holds (`sample`): any complex
+        value raises ValueError, a zero imaginary part included, so an f such
+        as `cmath.exp`, which rejects arrays, is rejected.
         """
         g = cls(real_eval=f, complex_eval=f, radius=radius)
         object.__setattr__(g, "_array_f", f)
@@ -376,11 +379,8 @@ def _assemble(re_g: float, im_g_lam: float, g_node: float, quotient: float, c: f
               d: float, h: float, s: float, lam: float, terms: int) -> CorrectionBreakdown:
     """E from Re G, Im G/lam, g_node and Q at lam = d/(c h): the pole form for
     lam >= 1, else -(1/(c^2 h)) [p_{0,s} Re G + p_{1,s} Im G/lam + Q] +
-    (pi/(c d)) Re G, the jump omitted at d = 0.  ValueError where lam^2
-    overflows and d^2 does not, and where the seeds' form's c^2 h underflows
-    to 0."""
-    if math.isinf(lam * lam) and not math.isinf(d * d):
-        raise _lam_square_error(c, d, h, lam)
+    (pi/(c d)) Re G, the jump omitted at d = 0.  ValueError where the seeds'
+    form's c^2 h underflows to 0."""
     if lam >= 1.0:
         return _pole_form(re_g, im_g_lam, g_node, c, d, s, lam, terms)
     if c * c * h == 0.0:
@@ -423,16 +423,19 @@ def _check_kernel_scales(c: float, d: float) -> None:
         raise ValueError(f"c = {c!r} is out of range: c^2 or 1/c^2 overflows")
 
 
-def _check_mesh_scale(c: float, h: float) -> None:
-    if c * h == 0.0:   # the denominator of lam = d/(c h)
+def _lam(c: float, d: float, h: float) -> float:
+    """lam = d/(c h), the kernel's near-singularity in mesh units, for
+    Python floats c, h > 0 and a finite d: the one statement of lam and of
+    its range.  ValueError where c h underflows to 0 and where lam^2
+    overflows but d^2 does not (the mesh pass would divide g by an infinite
+    denominator, and the closed form forms lam^2)."""
+    if c * h == 0.0:
         raise ValueError(f"c h underflows to 0 (c = {c!r}, h = {h!r}): lam is out of range")
-
-
-def _lam_square_error(c: float, d: float, h: float, lam: float) -> ValueError:
-    """The error for a lam = d/(c h) whose square overflows where d^2 does
-    not: the mesh pass would divide g by an infinite denominator."""
-    return ValueError(f"lam = d/(c h) = {lam:.3e} is out of range: lam^2 overflows "
-                      f"(d = {d!r}, c = {c!r}, h = {h!r})")
+    lam = d / (c * h)
+    if math.isinf(lam * lam) and not math.isinf(d * d):
+        raise ValueError(f"lam = d/(c h) = {lam:.3e} is out of range: lam^2 overflows "
+                         f"(d = {d!r}, c = {c!r}, h = {h!r})")
+    return lam
 
 
 def _check_lam(c: float, d: float, h: float, lam: float) -> None:

@@ -22,9 +22,10 @@ module reads the kernel samples.  The coefficient cross-checks
 Each input is checked once, at the entry: the kernel by `_check_kernel`
 (which `KernelParams` runs when it is built and `integrate_finite_part`
 runs on its a and x_s, and which returns the parameters as Python floats),
-n and the mesh scale in `_mesh_pass`, and every sample of g once, where
-the GEval takes it (`GEval.mesh_samples`, which names the first node where
-g is not finite): the pass reads finite samples only, and
+n in `_mesh_pass` and lam = d/(c h) with its range in `corrections._lam`,
+which the pass calls, and every sample of g once, where the GEval takes
+it (`GEval.mesh_samples`, which names the first node where g is not
+finite): the pass reads finite samples only, and
 `meshrule._rule_sums` raises only where a kernel sample overflows.  The
 pass hands on a read-only view of the 9 samples around the puncture and
 that node's sample.  From there `_mesh_pass` and `_corrected` run on
@@ -65,10 +66,9 @@ from .corrections import (
     CorrectionBreakdown,
     GEval,
     _check_kernel_scales,
-    _lam_square_error,
-    _check_mesh_scale,
     _correction,
     _g_source,
+    _lam,
 )
 from .meshrule import _MIN_NORMAL, Mesh, _family, _node_array, _rule_sums
 
@@ -227,9 +227,9 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     exact: the lattice the correction assumes), its punctured entry 0; the
     punctured sum and the estimate are then divided by c^2 and by h (never
     by (c h)^2, which may underflow); their ValueError means that a kernel
-    sample of the finite g overflowed.  A lam whose square overflows
-    raises before g is read.  Every method reads the same pass through
-    `_corrected`.
+    sample of the finite g overflowed.  lam and its range come from
+    `corrections._lam`, before g is read.  Every method reads the same pass
+    through `_corrected`.
 
     `finer`, if given, is a pass of the same g and kernel on another mesh.
     Where it refines this one by r within its nesting family and r^2 times
@@ -244,11 +244,9 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     if not abs(x_s) < a - 10.0 * h:
         raise ValueError("x_s too close to an endpoint for the correction "
                          "stencils (need |x_s| < a - 10h)")
-    _check_mesh_scale(c, h)
+    lam = _lam(c, d, h)
     j, s = puncture_split(x_s, h)
-    lam, i = d / (c * h), n + j
-    if math.isinf(lam * lam):   # d^2 is finite: `_check_kernel` passed it
-        raise _lam_square_error(c, d, h, lam)
+    i = n + j
     if finer is not None and (r := finer.stride_to(a, n, j + s, lam)):
         gvals = finer.gvals[::r]
         f = np.multiply(finer.kernel[::r], float(r * r))

@@ -48,9 +48,9 @@ from .corrections import (
     _assemble,
     _check_kernel_scales,
     _check_lam,
-    _check_mesh_scale,
     _correction,
     _g_source,
+    _lam,
     _stencil_poly,
 )
 from .emcoeff import pks_seeds
@@ -420,13 +420,14 @@ def self_check(params: KernelParams, n: int, k_max: int = K_MAX_DEFAULT) -> Self
     p_{k,s} = z_{k,-s} + (-1)^k z_{k,s}, closed form vs recurrence for
     p_{k,s} (both relative to max(1, |p_{k,s}|)), and h-independence of
     p_{1,s}, which needs k_max >= 1; reports max deviations plus any
-    conditioning warnings for lam > 1.
+    conditioning warnings for lam > 1.  lam = d/(c h) and its range are
+    integration's (`corrections._lam`).
     """
     if k_max < 1:
         raise ValueError("self_check needs k_max >= 1 for the p_1 h-invariance check")
     h = Mesh(params.a, n).h
     _, s = puncture_split(params.x_s, h)
-    lam = params.d / (params.c * h)
+    lam = _lam(params.c, params.d, h)
     cp = CoeffParams(lam=lam, s=s, h=h, k_max=k_max)
     table = coeff_table(cp)
 
@@ -505,22 +506,22 @@ def _checked_window(window: Sequence[float]) -> tuple[np.ndarray, float]:
     return values, float(values[FD_STENCIL // 2])
 
 
-def _check_scales(c: float, d: float, h: float) -> tuple[float, float, float]:
-    """(c, d, h) as Python floats, each converted once its own check passed,
-    as `integrator._check_kernel` converts a kernel's: c and h finite and
-    positive, c h nonzero, d finite (its sign is each caller's rule), for
-    d > 0 a nonzero lam = d/(c h), and `corrections._check_kernel_scales`.
+def _check_scales(c: float, d: float, h: float) -> tuple[float, float, float, float]:
+    """(c, d, h, lam) as Python floats, each of c, d and h converted once its
+    own check passed, as `integrator._check_kernel` converts a kernel's: c
+    and h finite and positive, d finite (its sign is each caller's rule),
+    lam = d/(c h) in its range (`corrections._lam`, on the converted
+    floats), for d > 0 a nonzero lam, and `corrections._check_kernel_scales`.
     A d whose square overflows passes: no correction forms d^2."""
     if not (0.0 < c < math.inf and 0.0 < h < math.inf):  # NaN fails both
         raise ValueError(f"c and h must be finite and positive, got c = {c!r}, h = {h!r}")
-    c, h = float(c), float(h)
-    _check_mesh_scale(c, h)
     if not math.isfinite(d):
         raise ValueError(f"d must be finite, got {d!r}")
-    d = float(d)
-    _check_lam(c, d, h, d / (c * h))
+    c, d, h = float(c), float(d), float(h)
+    lam = _lam(c, d, h)
+    _check_lam(c, d, h, lam)
     _check_kernel_scales(c, d)
-    return c, d, h
+    return c, d, h, lam
 
 
 def _check_offset(s: float) -> float:
@@ -587,7 +588,7 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
     an s outside [-1/2, 1/2], and unless `a` is a non-empty 1-D sequence of
     finite values with finite a_k h^k.
     """
-    c, d, h = _check_scales(c, d, h)
+    c, d, h, lam = _check_scales(c, d, h)
     if d < 0.0:
         raise ValueError("correction_taylor requires d >= 0")
     s = _check_offset(s)
@@ -602,7 +603,6 @@ def correction_taylor(a: Sequence[float], c: float, d: float, h: float,
             b[j] *= h
     if not all(map(math.isfinite, b)):
         raise ValueError("the Taylor coefficients a_k and a_k h^k must be finite")
-    lam = d / (c * h)
     return _assemble(*taylor_parts(b, s, lam), c, d, h, s, lam, len(b) - 1)
 
 
@@ -639,7 +639,7 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     complex number, an s outside [-1/2, 1/2] and a window that is not 9 finite
     values.
     """
-    c, d, h = _check_scales(c, d, h)
+    c, d, h, lam = _check_scales(c, d, h)
     if not math.isfinite(x_s):
         raise ValueError(f"x_s must be finite, got {x_s!r}")
     x_s = float(x_s)
@@ -649,4 +649,4 @@ def correction_offmesh_closed(g: GEval, c: float, d: float, h: float, s: float,
     g_at = _g_source(g, "closed-form", d)
     s = _check_offset(s)
     samples, g_node = _checked_window(window)
-    return _correction(g_at, c, d, h, s, x_s, samples, g_node, d / (c * h))
+    return _correction(g_at, c, d, h, s, x_s, samples, g_node, lam)

@@ -552,6 +552,19 @@ class TestCliCommands:
                                        64)
         assert (payload["value"], payload["uncorrected"]) == (want.value, want.uncorrected)
 
+    @pytest.mark.parametrize("command, d", [("eval", "1e-3"), ("converge", "1e-3,0.1")])
+    def test_comment_in_expression_is_ignored(self, capsys, command, d):
+        # the text is parsed once: the checked tree, which drops the comment, is the
+        # one that runs, so the output is byte for byte that of the plain expression
+        outputs = []
+        for expr in ("exp(x)", "exp(x) # note", "exp(x)  # an open ( in a comment"):
+            assert main([command, "--integrand", "custom", "--g-expr", expr, "--xs", "0.1",
+                         "--d", d, "--n", "64"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_mesh_too_large_for_memory_is_an_error(self, capsys):
         # 2n+1 = 2e11 + 1 nodes: numpy cannot allocate them, and says so
         assert main(["eval", "--d", "0.01", "--xs", "0.1", "--n", "100000000000"]) == 1

@@ -24,6 +24,8 @@ ONES = np.ones(9)
 WINDOW = ("window must hold g at the 9 nodes around the puncture: stencil samples must "
           "be finite (and, for a Taylor fit, differ by less than 1.4e+306)")
 NAN_AT_0 = "g is not finite at x = 0.0: g(x) = nan"
+LAM2_OVERFLOW = ("lam = d/(c h) = 1.600e+154 is out of range: lam^2 overflows "
+                 "(d = 1000.0, c = 1e-150, h = 0.0625)")
 
 
 def sinc(x):
@@ -213,6 +215,19 @@ CASES = {
     "closed-lam2-overflow": (closed(1e-150, 1e3, 1.0 / 16, 0.1, 0.1),
                              "lam = d/(c h) = 1.600e+154 is out of range: lam^2 overflows "
                              "(d = 1000.0, c = 1e-150, h = 0.0625)"),
+    # lam = d/(c h) and its range come first (`corrections._lam`), after d's finiteness
+    "closed-c-h-underflow-d-nan": (closed(1e-154, nan, 1e-302, 0.1, 0.0),
+                                   "d must be finite, got nan"),
+    "closed-lam2-overflow-c-range": (closed(1e-160, 1e3, 1.0 / 16, 0.1, 0.1),
+                                     "lam = d/(c h) = 1.600e+164 is out of range: lam^2 "
+                                     "overflows (d = 1000.0, c = 1e-160, h = 0.0625)"),
+    "closed-lam2-overflow-no-complex-eval": (closed(1e-150, 1e3, 1.0 / 16, 0.1, 0.1, g=REAL),
+                                             LAM2_OVERFLOW),
+    "closed-lam2-overflow-s-outside": (closed(1e-150, 1e3, 1.0 / 16, 0.7, 0.1), LAM2_OVERFLOW),
+    "closed-lam2-overflow-d-negative": (closed(1e-150, -1e3, 1.0 / 16, 0.1, 0.1),
+                                        "lam = d/(c h) = -1.600e+154 is out of range: lam^2 "
+                                        "overflows (d = -1000.0, c = 1e-150, h = 0.0625)"),
+    "closed-lam2-overflow-x_s-nan": (closed(1e-150, 1e3, 1.0 / 16, 0.1, nan), LAM2_OVERFLOW),
     "closed-complex-eval-none": (closed(1.0, 0.01, 0.1, 0.2, 0.02, g=complex_returns(None)),
                                  "complex_eval must return a complex number, got None"),
     "closed-complex-eval-str": (closed(1.0, 0.01, 0.1, 0.2, 0.02, g=complex_returns("2")),
@@ -253,6 +268,17 @@ CASES = {
     "taylor-lam2-overflow": (taylor([1.0], 1e-150, 1e3, 1.0 / 16, 0.1),
                              "lam = d/(c h) = 1.600e+154 is out of range: lam^2 overflows "
                              "(d = 1000.0, c = 1e-150, h = 0.0625)"),
+    "taylor-c-h-underflow-d-nan": (taylor([1.0], 1e-154, nan, 1e-302, 0.1),
+                                   "d must be finite, got nan"),
+    "taylor-lam2-overflow-c-range": (taylor([1.0], 1e-160, 1e3, 1.0 / 16, 0.1),
+                                     "lam = d/(c h) = 1.600e+164 is out of range: lam^2 "
+                                     "overflows (d = 1000.0, c = 1e-160, h = 0.0625)"),
+    "taylor-lam2-overflow-s-outside": (taylor([1.0], 1e-150, 1e3, 1.0 / 16, 0.7),
+                                       LAM2_OVERFLOW),
+    "taylor-lam2-overflow-d-negative": (taylor([1.0], 1e-150, -1e3, 1.0 / 16, 0.1),
+                                        "lam = d/(c h) = -1.600e+154 is out of range: lam^2 "
+                                        "overflows (d = -1000.0, c = 1e-150, h = 0.0625)"),
+    "taylor-lam2-overflow-a-empty": (taylor([], 1e-150, 1e3, 1.0 / 16, 0.1), LAM2_OVERFLOW),
     "taylor-c2-h-underflow": (taylor([1.0], 1e-100, 0.0, 1e-200, 0.1),
                               "c^2 h underflows to 0 (c = 1e-100, h = 1e-200)"),
     # CoeffParams, the one entry of every coefficient table (and of self_check)
@@ -265,6 +291,13 @@ CASES = {
     "self-check-overflow": (lambda: self_check(KernelParams(a=1.0, d=1e100), 64),
                             "lam = 6.4e+101 is too large for k_max = 12: the table's "
                             "entries grow as lam^12 and overflow (h = 0.015625)"),
+    # self_check takes lam from `corrections._lam`, as integration does
+    "self-check-c-h-underflow": (lambda: self_check(KernelParams(a=1e-300, c=1e-154, d=1.0),
+                                                    64),
+                                 "c h underflows to 0 (c = 1e-154, h = 1.5625e-302): "
+                                 "lam is out of range"),
+    "self-check-lam2-overflow": (lambda: self_check(KernelParams(a=1.0, c=1e-150, d=1e3), 16),
+                                 LAM2_OVERFLOW),
     # the oracle and the references of verify
     "exact-test2-c-zero": (lambda: exact_test2(0.1, 0.0, 0.1), "c must be positive"),
     "finite-part-reference-x_s-at-a": (lambda: finite_part_reference(EXP, 1.0, -1.0),

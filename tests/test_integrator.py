@@ -480,6 +480,17 @@ class TestArraySampling:
         with pytest.raises(ValueError, match="complex values at real points"):
             integrate_finite_part(g, 1.0, 0.1, 64)
 
+    def test_scalar_fallback_takes_real_evals_rule(self):
+        # the zero-imaginary rule holds for an array call only: an f that
+        # rejects arrays returns complex values per point, which real_eval's
+        # rule rejects
+        g = GEval.analytic(cmath.exp)
+        with pytest.raises(ValueError) as caught:
+            integrate_near_singular(g, KernelParams(a=1.0, d=1e-3, x_s=0.1), 64)
+        assert str(caught.value) == ("real_eval must return a real number, "
+                                     f"got {cmath.exp(-1.0)!r}")
+        assert g._array_f is None
+
     def test_bit_identical_to_scalar_calls(self):
         vec = GEval.analytic(np.exp)
         scalar = GEval(real_eval=lambda x: float(np.exp(x)), complex_eval=np.exp)

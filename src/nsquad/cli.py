@@ -4,11 +4,13 @@ Output is CSV or JSON with floats in shortest round-trip decimal form and
 rows in (d, n, method) order, so identical configurations produce
 bit-identical files.
 
-A convergence study takes its values from `integrator._study_values`,
-which walks each d's meshes finest first, pays one kernel pass per nesting
-family (`meshrule._family`) and reads every row at one (d, n) from that
-mesh's pass; this module builds g, the references and the rows.  A custom
-g does not depend on d and serves the whole study.
+A convergence study checks each d's kernel once (`integrator._check_kernel`)
+and takes its values from `integrator._study_values`, which walks each
+d's meshes finest first, pays one kernel pass per nesting family
+(`Mesh._family`) and reads every row at one (d, n) from that mesh's pass;
+this module builds g, the references and the rows, from the Python floats
+those two return.  A custom g does not depend on d and serves the whole
+study.
 The built-in integrands test1 and test2 have exact references on [-1, 1]
 only, so a study of either needs a = 1.
 """
@@ -29,6 +31,7 @@ from .integrator import (
     _STUDY_ROWS,
     METHODS,
     KernelParams,
+    _check_kernel,
     _study_values,
     integrate_near_singular,
 )
@@ -135,14 +138,15 @@ def _rejected(node: ast.AST) -> ast.AST | None:
 
 
 def _compile_g_expr(expr: str) -> GEval:
-    """g of a `--g-expr`; ValueError naming the first construct that `_rejected`
-    finds, or the expression and the point where it raises: x = 0.0, a node
+    """g of a `--g-expr`, its text parsed without surrounding whitespace;
+    ValueError, quoting the expression as given, naming the first construct
+    that `_rejected` finds, or the point where it raises: x = 0.0, a node
     of every mesh, where it is tried once, or any later scalar point (1/x
     at x = 0: numpy arrays give inf).  It runs with numpy's floating-point
     warnings silenced: where g is not finite, the GEval and the reference
     name the point."""
     try:
-        tree = ast.parse(expr, mode="eval")
+        tree = ast.parse(expr.strip(), mode="eval")
         bad = _rejected(tree.body)
     except (SyntaxError, RecursionError, MemoryError) as exc:   # the last two: nested too deeply
         raise ValueError(f"cannot evaluate g expression {expr!r}: "
@@ -198,20 +202,18 @@ def run_converge(config: StudyConfig) -> list[ConvergenceRow]:
     """The rows of the study in (d, n, method) order, each d's values from
     `_study_values`, with one GEval for every d when g is custom."""
     integrand = _integrand(config.integrand, config.g_expr)
-    # every float field a Python float: `_rows_to_csv` prints str()
-    c, x_s = float(config.c), float(config.x_s)
     methods = sorted(config.methods)
     blocks = {}   # d: its rows
     for d in config.d_list:
         g = integrand(d)
         reference = float(_study_reference(config, g, d))
-        params = KernelParams(a=config.a, c=config.c, d=d, x_s=config.x_s)
-        values = _study_values(g, params.a, params.c, params.d, params.x_s, config.n_list,
-                               methods)
-        d = float(d)
+        # every float field a Python float, as `_check_kernel` and `_study_values`
+        # return them: `_rows_to_csv` prints str()
+        a, c, d, x_s = _check_kernel(config.a, config.c, d, config.x_s)
+        values = _study_values(g, a, c, d, x_s, config.n_list, methods)
         # h after the pass, whose check of n reports n = 0 (a / n would divide by zero)
-        blocks[d] = [ConvergenceRow(n, float(config.a / n), d, c, x_s, method, float(value),
-                                    reference, float(abs(value - reference)))
+        blocks[d] = [ConvergenceRow(n, a / n, d, c, x_s, method, value, reference,
+                                    abs(value - reference))
                      for n in reversed(values) for method, value in zip(methods, values[n])]
     return [row for d in sorted(blocks) for row in blocks[d]]
 

@@ -55,7 +55,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .emcoeff import pks_seeds, pole_factor
-from .meshrule import Mesh, _family, _lagrange_basis
+from .meshrule import Mesh, _lagrange_basis
 
 FD_STENCIL = 9          # nodes used for stencil derivatives of g
 FD_DERIV_MAX = 6        # highest derivative taken from the stencil
@@ -130,7 +130,7 @@ class GEval:
     A GEval stands for one fixed function: it samples g once per node and
     reuses those samples for every later target on that mesh
     (`mesh_samples`).  The meshes of one nesting family
-    (`meshrule._family`) share the samples of their common nodes, so a
+    (`Mesh._family`) share the samples of their common nodes, so a
     doubling convergence study calls g on the nodes of its finest mesh
     only; a `*3` range shares nothing.  The meshes of the 4 most recent
     families are kept, up to 2 MB at n = 16384, and the mesh it returned
@@ -149,7 +149,7 @@ class GEval:
     # f of `analytic`, while it still accepts arrays
     _array_f: Optional[Callable] = field(default=None, init=False, repr=False,
                                          compare=False)
-    # {n: read-only samples} per nesting family (`meshrule._family`), least
+    # {n: read-only samples} per nesting family (`Mesh._family`), least
     # recently used first (`mesh_samples`)
     _meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (mesh, samples) that `mesh_samples` returned last: one tuple, replaced
@@ -202,7 +202,7 @@ class GEval:
     def mesh_samples(self, mesh: Mesh) -> np.ndarray:
         """g at `mesh.nodes()`, read-only, g sampled once per node.
 
-        The meshes of one nesting family (`meshrule._family`) are nested by
+        The meshes of one nesting family (`Mesh._family`) are nested by
         powers of 2.  A kept n returns its array; a new n takes its samples
         from its family's finest kept mesh: every r-th sample with no g call
         if that mesh is finer, else that mesh's samples at every r-th node
@@ -226,8 +226,7 @@ class GEval:
         last = self._last
         if last[0] is mesh:
             return last[1]
-        n = mesh.n
-        key = _family(mesh.a, n)
+        n, key = mesh.n, mesh._family
         meshes = self._meshes
         family = meshes.get(key, {})
         values = family.get(n)

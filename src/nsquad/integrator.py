@@ -32,13 +32,14 @@ that node's sample.  From there `_mesh_pass` and `_corrected` run on
 Python floats and call the unchecked core of `corrections`, with lam
 passed in.
 
-What depends on the mesh alone is paid once per mesh: one record per
-(a, n) holds the `Mesh`, its h and the unit-step nodes (`_mesh`), and the
-pass carries that h to every reader.  A GEval stands for one fixed
-function: it samples g once per node and reuses those samples for every
-target (`GEval.mesh_samples`), the mesh it returned last for one identity
-test.  The meshes of one nesting family (`meshrule._family`, the one
-statement of which meshes nest) share the samples of their common nodes,
+What depends on the mesh alone is paid once per mesh: the `Mesh` forms
+its h and its nesting family once, when it is built, and one record per
+(a, n) holds the `Mesh` and the unit-step nodes (`_mesh`); every reader
+takes h from the pass's mesh.  A GEval stands for one fixed function: it
+samples g once per node and reuses those samples for every target
+(`GEval.mesh_samples`), the mesh it returned last for one identity test.
+The meshes of one nesting family (`Mesh._family`, the one statement of
+which meshes nest) share the samples of their common nodes,
 so a mesh of twice the n calls g at its new nodes only; a `*3` range
 shares nothing.  The meshes of the 4 most recent families are kept, up to
 2 MB per GEval at n = 16384.  To integrate a changed g, build a new GEval.
@@ -70,7 +71,7 @@ from .corrections import (
     _g_source,
     _lam,
 )
-from .meshrule import _MIN_NORMAL, Mesh, _family, _node_array, _rule_sums
+from .meshrule import _MIN_NORMAL, Mesh, _node_array, _rule_sums
 
 METHODS = ("auto", "closed-form", "fd-series")
 
@@ -80,15 +81,16 @@ _EDGE_WARN_RATIO = 3e-11
 
 
 @lru_cache(maxsize=32, typed=True)
-def _mesh(a: float, n: int) -> tuple[Mesh, float, np.ndarray]:
+def _mesh(a: float, n: int) -> tuple[Mesh, np.ndarray]:
     """The record of the mesh (a, n), one per (a, n) recently integrated
-    on: the immutable `Mesh`, its h = a/n, and the read-only nodes
-    -n..n of the unit-step mesh, from which the pass forms the kernel's
-    distances.  A target on a known mesh pays one cache lookup for all
-    three, and its `GEval.mesh_samples` call one identity test.  Typed, so
-    that n = 64.0 is validated (and rejected) apart from n = 64."""
+    on: the immutable `Mesh`, with its h and nesting family, and the
+    read-only nodes -n..n of the unit-step mesh, from which the pass forms
+    the kernel's distances.  A target on a known mesh pays one cache
+    lookup for both, and its `GEval.mesh_samples` call one identity test.
+    Typed, so that n = 64.0 is validated (and rejected) apart from
+    n = 64."""
     mesh = Mesh(a, n)
-    return mesh, mesh.h, _node_array(float(n), n)
+    return mesh, _node_array(float(n), n)
 
 
 def _check_kernel(a: float, c: float, d: float, x_s: float) -> tuple[float, float, float, float]:
@@ -168,32 +170,32 @@ def puncture_split(x_s: float, h: float) -> tuple[int, float]:
 
 
 class _MeshPass:
-    """What `_mesh_pass` reads of g and the mesh for one target, each once,
-    with the mesh's h from its record (`_mesh`), which every reader takes
-    from here rather than from the `Mesh.h` property."""
+    """What `_mesh_pass` reads of g and the mesh for one target, each once;
+    h is the mesh's own (`mesh.h`)."""
 
-    __slots__ = ("mesh", "h", "j", "s", "lam", "gvals", "g_node", "samples", "plain",
+    __slots__ = ("mesh", "j", "s", "lam", "gvals", "g_node", "samples", "plain",
                  "uncorrected", "edge_err", "kernel", "_scalable")
 
-    def __init__(self, mesh, h, j, s, lam, gvals, g_node, samples, plain, uncorrected,
+    def __init__(self, mesh, j, s, lam, gvals, g_node, samples, plain, uncorrected,
                  edge_err, kernel):
-        self.mesh, self.h, self.j, self.s, self.lam = mesh, h, j, s, lam
+        self.mesh, self.j, self.s, self.lam = mesh, j, s, lam
         self.gvals, self.g_node, self.samples, self.plain = gvals, g_node, samples, plain
         self.uncorrected, self.edge_err, self.kernel = uncorrected, edge_err, kernel
         self._scalable = None   # found by `stride_to`
 
-    def stride_to(self, a: float, n: int, t: float, lam: float) -> int:
+    def stride_to(self, coarser: Mesh, t: float, lam: float) -> int:
         """r where this pass's kernel at every r-th node, times r^2, is bit for
-        bit the kernel of the same target on the mesh (a, n), whose x_s/h is
-        t; else 0.  That holds where this mesh is (a, r n), r >= 2, of the
-        same nesting family (`meshrule._family`), whose nodes are r times
-        those of (a, n), and its x_s/h and lam are exactly r times t and the
-        lam of (a, n), unless a kernel sample of a nonzero g lies below the
-        normal range, where scaling by r^2 does not commute with rounding.
-        The kernel is scanned for that once per pass."""
+        bit the kernel of the same target on the mesh `coarser`, whose x_s/h
+        is t and whose lam is `lam`; else 0.  That holds where this mesh is
+        (a, r n) for `coarser` = (a, n), r >= 2, of the same nesting family
+        (`Mesh._family`), whose nodes are r times those of `coarser`, and
+        its x_s/h and lam are exactly r times t and `lam`, unless a kernel
+        sample of a nonzero g lies below the normal range, where scaling by
+        r^2 does not commute with rounding.  The kernel is scanned for that
+        once per pass."""
         mesh = self.mesh
-        r = mesh.n // n
-        if not (r > 1 and _family(mesh.a, mesh.n) == _family(a, n)
+        r = mesh.n // coarser.n
+        if not (r > 1 and mesh._family == coarser._family
                 and self.j + self.s == r * t and self.lam == r * lam):
             return 0
         if self._scalable is None:
@@ -210,7 +212,7 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     """Everything a target needs from g before its correction, from the
     GEval's samples on the mesh, for a kernel that `_check_kernel` passed.
 
-    The record holds the mesh and its h, the puncture j and offset s of
+    The record holds the mesh (with its h), the puncture j and offset s of
     `puncture_split`, lam = d/(c h), g at the mesh nodes (gvals, all
     finite: `GEval.mesh_samples` checks them), the 9 of them around the
     puncture as a read-only view of gvals (samples), the puncture node's
@@ -219,7 +221,7 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     the plain trapezoidal sum of c^2 h^2 times the kernel samples on a
     unit step (plain, which a study's `uncorrected-plain` row scales) and
     those samples themselves (kernel).  What depends on the mesh alone, the
-    `Mesh`, h and the unit-step nodes, comes from one record per (a, n)
+    `Mesh` and the unit-step nodes, comes from one record per (a, n)
     (`_mesh`), and the samples of a mesh the GEval returned last cost one
     identity test.
     `_rule_sums` takes the three sums in one pass over f = g/((m - s)^2 +
@@ -238,7 +240,8 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     call and no kernel arithmetic, after this mesh's own entry checks;
     otherwise it ignores `finer`.
     """
-    mesh, h, unit = _mesh(a, n)
+    mesh, unit = _mesh(a, n)
+    h = mesh.h
     if n < 16:
         raise ValueError("n must be at least 16")
     if not abs(x_s) < a - 10.0 * h:
@@ -247,7 +250,7 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     lam = _lam(c, d, h)
     j, s = puncture_split(x_s, h)
     i = n + j
-    if finer is not None and (r := finer.stride_to(a, n, j + s, lam)):
+    if finer is not None and (r := finer.stride_to(mesh, j + s, lam)):
         gvals = finer.gvals[::r]
         f = np.multiply(finer.kernel[::r], float(r * r))
     else:
@@ -264,7 +267,7 @@ def _mesh_pass(g: GEval, a: float, c: float, d: float, x_s: float, n: int,
     f[i] = 0.0
     total, edge_err, plain = _rule_sums(1.0, f)
     # the 9 stencil nodes (`corrections.FD_STENCIL`) centered on the puncture
-    return _MeshPass(mesh, h, j, s, lam, gvals, gvals.item(i), gvals[i - 4:i + 5], plain,
+    return _MeshPass(mesh, j, s, lam, gvals, gvals.item(i), gvals[i - 4:i + 5], plain,
                      total / c ** 2 / h, edge_err / c ** 2 / h, f)
 
 
@@ -275,7 +278,7 @@ def _corrected(g_at, c: float, d: float, x_s: float,
     Taylor polynomial on the pass's 9 samples): the correction of
     `corrections._correction` and nothing a result reports beside it.
     ValueError where the value is not finite."""
-    breakdown = _correction(g_at, c, d, sampled.h, sampled.s, x_s, sampled.samples,
+    breakdown = _correction(g_at, c, d, sampled.mesh.h, sampled.s, x_s, sampled.samples,
                             sampled.g_node, sampled.lam)
     value = sampled.uncorrected + breakdown.total
     if not math.isfinite(value):
@@ -298,7 +301,7 @@ def _study_values(g: GEval, a: float, c: float, d: float, x_s: float, ns: list[i
     """{n: the value of each of `methods` (`_STUDY_ROWS`)} of a convergence
     study at one kernel, finest mesh first, for a kernel that
     `_check_kernel` passed.  The study pays one kernel pass per nesting
-    family (`meshrule._family`): each family's finest mesh takes the direct
+    family (`Mesh._family`): each family's finest mesh takes the direct
     pass, and each coarser mesh reads that pass at stride r (`_mesh_pass`'s
     `finer`).  Every row at one n reads that mesh's pass.  Each corrected
     row's source of G is resolved once, before g is sampled
@@ -307,8 +310,8 @@ def _study_values(g: GEval, a: float, c: float, d: float, x_s: float, ns: list[i
     g_ats = [_g_source(g, read, d) if read in METHODS else None for read in reads]
     values, finest = {}, {}   # n: the methods' values; family: its finest pass
     for n in sorted(ns, reverse=True):
-        # an n that is not a positive int has no family: its pass reports it
-        family = _family(a, n) if type(n) is int and n > 0 else None
+        # the record raises for an n that is not a positive int, as the pass would
+        family = _mesh(a, n)[0]._family
         sampled = _mesh_pass(g, a, c, d, x_s, n, finest.get(family))
         finest.setdefault(family, sampled)
         row = []
@@ -320,7 +323,7 @@ def _study_values(g: GEval, a: float, c: float, d: float, x_s: float, ns: list[i
                 # c^2 h^2, then the puncture's own kernel value h g_node/r^2,
                 # r = hypot(c s h, d): its mesh-unit denominator s^2 + lam^2
                 # may underflow where r^2 does not
-                h = sampled.h
+                h = sampled.mesh.h
                 r = math.hypot(c * sampled.s * h, d)
                 value = h * sampled.plain / c ** 2 / h / h + h * sampled.g_node / r / r
             else:
@@ -338,7 +341,8 @@ def _correct(g: GEval, c: float, d: float, x_s: float, sampled: _MeshPass, g_at)
     warning and the method, "closed-form" where g_at is one, else
     "fd-series", or "finite-part" at d = 0."""
     value, breakdown = _corrected(g_at, c, d, x_s, sampled)
-    mesh, h, j, g_node = sampled.mesh, sampled.h, sampled.j, sampled.g_node
+    mesh, j, g_node = sampled.mesh, sampled.j, sampled.g_node
+    h = mesh.h
     warnings = []
     if g_at is not None:
         gap = g.consistency_gap(j * h, g_node)

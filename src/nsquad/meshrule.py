@@ -14,10 +14,11 @@ rationals rounded once, from the integer Lagrange polynomials of
 checked public views live in `verify`.
 
 The nodes are one cached read-only array per mesh (`Mesh.nodes`); a
-`GEval` samples g there once and keeps the samples.  `_family` is the one
-statement of which meshes nest: within a family a `GEval` shares the
-samples of common nodes and the mesh pass of `integrator` a target's
-kernel.
+`GEval` samples g there once and keeps the samples.  A `Mesh` forms its
+step h and its nesting family (`Mesh._family`) once, when it is built;
+the family is the one statement of which meshes nest: within a family a
+`GEval` shares the samples of common nodes and the mesh pass of
+`integrator` a target's kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +42,20 @@ _MIN_NORMAL = sys.float_info.min
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform grid of 2n+1 nodes k*h, k = -n..n, with h = a/n."""
+    """Uniform grid of 2n+1 nodes k*h, k = -n..n, with h = a/n.
+
+    h and `_family` are formed once, when the mesh is built, and stored
+    beside the fields a and n (they are no fields: equality, hashing and
+    the repr read a and n alone).
+
+    `_family` is the mesh's nesting family: (a, the odd part of n), or
+    (a, n) where h = a/n is subnormal.  The meshes of one family are nested
+    by powers of 2: node r k of the mesh of r n is (r k) fl(a/(r n)), which
+    rounds the same real number as k fl(a/n), since fl(a/(r n)) r = fl(a/n)
+    for a power of 2 r wherever h = fl(a/(r n)) is a normal float.  A
+    subnormal h rounds more coarsely, so its mesh is a family of its own,
+    as is each mesh of a `*3` range.
+    """
 
     a: float
     n: int
@@ -53,31 +67,18 @@ class Mesh:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         # a Python float and int, so that h and the nodes are floats whatever
         # the caller passed (a / np.int64(n) would be a numpy scalar)
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "n", int(self.n))
-        if self.h == 0.0:
-            raise ValueError(f"h = a/n underflows to 0 for a = {self.a!r}, n = {self.n!r}")
-
-    @property
-    def h(self) -> float:
-        return self.a / self.n
+        a, n = float(self.a), int(self.n)
+        h = a / n
+        if h == 0.0:
+            raise ValueError(f"h = a/n underflows to 0 for a = {a!r}, n = {n!r}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "_family", (a, n if h < _MIN_NORMAL else n // (n & -n)))
 
     def nodes(self) -> np.ndarray:
         """The 2n+1 nodes, one cached read-only array per (a, n)."""
         return _node_array(self.a, self.n)
-
-
-def _family(a: float, n: int) -> tuple[float, int]:
-    """The nesting family of the mesh (a, n) for a positive int n: (a, the odd
-    part of n), or (a, n) where h = a/n is subnormal.
-
-    The meshes of one family are nested by powers of 2: node r k of the mesh
-    of r n is (r k) fl(a/(r n)), which rounds the same real number as
-    k fl(a/n), since fl(a/(r n)) r = fl(a/n) for a power of 2 r wherever
-    h = fl(a/(r n)) is a normal float.  A subnormal h rounds more coarsely,
-    so its mesh is a family of its own, as is each mesh of a `*3` range.
-    """
-    return a, n if a / n < _MIN_NORMAL else n // (n & -n)
 
 
 @lru_cache(maxsize=32)

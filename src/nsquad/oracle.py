@@ -189,7 +189,11 @@ def _ei_power_series(z: complex) -> complex:
         term *= z / k
         delta = term / k
         acc += delta
-        if abs(delta) < 1e-18 * max(1.0, abs(acc)):
+        # stop once |delta| < 1e-18 max(1, |acc|); the first test's bound is
+        # never below that one and needs no hypot, so most terms stop there
+        size = abs(delta)
+        if (size < 1e-18 * (abs(acc.real) + abs(acc.imag) + 1.0)
+                and size < 1e-18 * max(1.0, abs(acc))):
             break
     return EULER_GAMMA + logz + acc
 

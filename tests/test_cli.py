@@ -565,6 +565,55 @@ class TestCliCommands:
             outputs.append(captured.out)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    @pytest.mark.parametrize("command, d", [("eval", "1e-3"), ("converge", "1e-3,0.1")])
+    def test_surrounding_whitespace_is_ignored(self, capsys, command, d):
+        # argparse reads a dash-leading value as an option, and ' -x*x+2' is the
+        # usual way round: the stripped text is parsed, so a leading space does
+        # not raise "unexpected indent"
+        outputs = []
+        for expr in ("exp(x)", " exp(x)", "exp(x) "):
+            assert main([command, "--integrand", "custom", "--g-expr", expr, "--xs", "0.1",
+                         "--d", d, "--n", "64"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("command, d", [("eval", "1e-3"), ("converge", "1e-3,0.1")])
+    def test_unary_minus_is_whitelisted(self, capsys, command, d):
+        # -x*x+2, written --g-expr=-x*x+2, is (-x)*x + 2: the output is byte for
+        # byte that of 2-x*x
+        outputs = []
+        for expr in ("--g-expr=2-x*x", "--g-expr=-x*x+2"):
+            assert main([command, "--integrand", "custom", expr, "--xs", "0.1", "--d", d,
+                         "--n", "16:64:*2" if command == "converge" else "64"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[1] == outputs[0]
+
+    def test_unary_minus_of_a_rejected_call_is_an_error(self, capsys):
+        assert main(["eval", "--integrand", "custom", "--g-expr=-abs(x)", "--xs", "0.1",
+                     "--d", "1e-3", "--n", "64"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("nsquad: error: g expression '-abs(x)' may not use "
+                                   "the name 'abs'; ")
+
+    @pytest.mark.parametrize("command", [["eval"], ["converge", "--method", "corrected-closed"]])
+    def test_expression_failing_at_a_complex_point_is_an_error(self, capsys, command):
+        # G = g(x_s + i d/c) = g(0.25j) lands on the pole of 1/(x*x+0.0625): the
+        # closed form's complex call raises ZeroDivisionError, named as the point
+        assert main([*command, "--integrand", "custom", "--g-expr", "1/(x*x+0.0625)",
+                     "--xs", "0", "--d", "0.25", "--n", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "nsquad: error: g expression '1/(x*x+0.0625)' fails at x = 0.25j: "
+            "complex division by zero"]
+
     def test_mesh_too_large_for_memory_is_an_error(self, capsys):
         # 2n+1 = 2e11 + 1 nodes: numpy cannot allocate them, and says so
         assert main(["eval", "--d", "0.01", "--xs", "0.1", "--n", "100000000000"]) == 1

@@ -23,7 +23,7 @@ from nsquad.integrator import (
     integrate_near_singular,
     puncture_split,
 )
-from nsquad.meshrule import Mesh, _family, _rule_sums
+from nsquad.meshrule import Mesh, _rule_sums
 from nsquad.oracle import exact_test1, exact_test2, finite_part_reference
 from nsquad.verify import self_check
 
@@ -914,7 +914,7 @@ class TestMeshSamples:
         with pytest.raises(ValueError, match=r"^n must be a positive integer"):
             integrate_finite_part(g, 1.0, 0.1, 64.0)
         sampled = _mesh_pass(g, 1.0, 1.0, 0.01, 0.1, 64)
-        assert sampled.h == sampled.mesh.h == want.mesh.h == 1.0 / 64
+        assert sampled.mesh.h == want.mesh.h == 1.0 / 64
         assert integrate_near_singular(g, params, 64) == want
 
     def test_failed_refinement_caches_nothing(self):
@@ -1060,7 +1060,7 @@ class TestNonFiniteSamples:
 
 def pass_bits(sampled) -> tuple:
     """Every field of a mesh pass, floats and arrays by their bits."""
-    return (sampled.mesh, sampled.h.hex(), sampled.j, sampled.s.hex(), sampled.lam.hex(),
+    return (sampled.mesh, sampled.mesh.h.hex(), sampled.j, sampled.s.hex(), sampled.lam.hex(),
             sampled.g_node.hex(), sampled.samples.tobytes(), sampled.gvals.tobytes(),
             sampled.plain.hex(), sampled.uncorrected.hex(), sampled.edge_err.hex(),
             sampled.kernel.tobytes())
@@ -1182,7 +1182,7 @@ class TestNestedPass:
 
 
 class TestNestingFamily:
-    """`meshrule._family` is the one statement of which meshes nest: the GEval
+    """`Mesh._family` is the one statement of which meshes nest: the GEval
     shares samples, and the mesh pass a kernel, exactly within a family."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1200,11 +1200,28 @@ class TestNestingFamily:
         calls.clear()
         g.mesh_samples(Mesh(a, n))
         served = calls == []   # the second mesh of the pair, with no g call
-        h = Mesh(a, n).h
-        j, s = puncture_split(x_s, h)
-        strided = finer.stride_to(a, n, j + s, d / (c * h)) == r
-        same = _family(a, n) == _family(a, r * n)
-        assert served is same and strided is same, (n, r, _family(a, n), _family(a, r * n))
+        mesh = Mesh(a, n)
+        j, s = puncture_split(x_s, mesh.h)
+        strided = finer.stride_to(mesh, j + s, d / (c * mesh.h)) == r
+        same = mesh._family == Mesh(a, r * n)._family
+        assert served is same and strided is same, (n, r, mesh._family, Mesh(a, r * n)._family)
+
+    @pytest.mark.parametrize("a", [1.0, 3.7, 1e-305])
+    def test_mesh_keeps_its_step_and_family(self, a):
+        # h and the family are formed once, when the mesh is built: h is a/n bit
+        # for bit, the family (a, the odd part of n), or (a, n) where h is
+        # subnormal (at a = 1e-305 from n = 450 on); neither is a field
+        assert [f.name for f in dataclasses.fields(Mesh)] == ["a", "n"]
+        subnormal = 0
+        for odd in range(1, 64, 2):
+            for k in range(4, 11):
+                n = odd * 2 ** k
+                mesh = Mesh(a, n)
+                assert mesh.h.hex() == (a / n).hex()
+                odd_part = n if a / n < sys.float_info.min else odd
+                assert mesh._family == (a, odd_part), (a, n)
+                subnormal += odd_part == n
+        assert (subnormal > 0) is (a == 1e-305)
 
     def test_doubling_study_forms_one_kernel_directly(self, monkeypatch):
         # 16:256:*2 is one family: the finest mesh samples g and forms the

@@ -10,6 +10,8 @@ from nsquad.cli import main
 from nsquad.corrections import GEval
 from nsquad.integrator import KernelParams
 from nsquad.oracle import (
+    EULER_GAMMA,
+    _ei_power_series,
     complex_ei,
     exact_test1,
     exact_test2,
@@ -188,6 +190,42 @@ class TestComplexEi:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             complex_ei(0.0)
+
+    @staticmethod
+    def series_max_bound(z: complex) -> complex:
+        """The power series with the stop test max(1, |acc|) alone: the loop
+        the screened test of `_ei_power_series` must reproduce."""
+        if z.imag == 0.0 and z.real < 0.0:
+            logz = complex(math.log(-z.real), 0.0)
+        else:
+            logz = cmath.log(z)
+        term = 1.0 + 0.0j
+        acc = 0.0 + 0.0j
+        for k in range(1, 300):
+            term *= z / k
+            delta = term / k
+            acc += delta
+            if abs(delta) < 1e-18 * max(1.0, abs(acc)):
+                break
+        return EULER_GAMMA + logz + acc
+
+    def test_power_series_stops_where_the_max_bound_does(self):
+        # |delta| < 1e-18 (|Re acc| + |Im acc| + 1) screens the stop test, a
+        # bound never below 1e-18 max(1, |acc|), so the loop stops where the max
+        # bound alone does: every value is that loop's bit for bit, near 0 (where
+        # |acc| < 1 and the screen's + 1 dominates), near |z| = 4 and on and just
+        # off the negative real axis
+        rng = np.random.default_rng(20)
+        radius = np.r_[rng.uniform(1e-6, 0.5, 800), rng.uniform(3.5, 4.0, 800)]
+        angle = rng.uniform(-math.pi, math.pi, 1600)
+        points = [complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(radius, angle)]
+        points += [complex(-x, 0.0) for x in rng.uniform(1e-6, 4.0, 600)]
+        points += [complex(x, y) for x, y in zip(rng.uniform(-4.0, -1e-3, 200),
+                                                 rng.uniform(-1e-9, 1e-9, 200))]
+        assert len(points) == 2400 and max(map(abs, points)) <= 4.0
+        for z in points:
+            got, want = _ei_power_series(z), self.series_max_bound(z)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), z
 
 
 def pole_finite_part(b: float, x_s: float) -> float:
